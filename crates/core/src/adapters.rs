@@ -55,8 +55,14 @@ pub fn image_to_chw_into(rgb: &Image<u8>, out: &mut [f32]) {
     }
 }
 
-/// Selects the pixel variant of a tile (filtering on demand).
-pub fn tile_image(tile: &Tile, variant: InputVariant, label_cfg: &AutoLabelConfig) -> Image<u8> {
+/// Selects the pixel variant of a tile (filtering on demand, with the
+/// filter's planes drawn from `scratch`).
+pub fn tile_image(
+    tile: &Tile,
+    variant: InputVariant,
+    label_cfg: &AutoLabelConfig,
+    scratch: &mut Scratch,
+) -> Image<u8> {
     match variant {
         InputVariant::Original => tile.rgb.clone(),
         InputVariant::Filtered => {
@@ -64,7 +70,7 @@ pub fn tile_image(tile: &Tile, variant: InputVariant, label_cfg: &AutoLabelConfi
                 seaice_label::cloudshadow::CloudShadowFilter::new(label_cfg.filter.unwrap_or_else(
                     || seaice_label::cloudshadow::FilterConfig::for_tile(tile.size()),
                 ));
-            filter.apply(&tile.rgb).filtered
+            filter.apply_keep_filtered(&tile.rgb, scratch)
         }
         InputVariant::Clean => tile
             .clean_rgb
@@ -94,14 +100,16 @@ pub fn tile_to_sample_scratch(
     label_cfg: &AutoLabelConfig,
     scratch: &mut Scratch,
 ) -> Sample {
-    let img = tile_image(tile, variant, label_cfg);
+    let img = tile_image(tile, variant, label_cfg, scratch);
+    let (w, h) = img.dimensions();
+    let image = image_to_chw(&img);
+    scratch.recycle_image(img);
     let mask = match labels {
         LabelSource::Manual => tile.truth.as_slice().to_vec(),
         LabelSource::Auto => auto_label_class_mask(&tile.rgb, label_cfg, scratch).into_vec(),
     };
-    let (w, h) = img.dimensions();
     Sample {
-        image: image_to_chw(&img),
+        image,
         mask,
         channels: 3,
         height: h,
@@ -175,8 +183,9 @@ mod tests {
         let cloudy = tiles.iter().find(|t| t.cloud_fraction > 0.2);
         if let Some(t) = cloudy {
             let cfg = AutoLabelConfig::filtered_for_tile(16);
-            let orig = tile_image(t, InputVariant::Original, &cfg);
-            let clean = tile_image(t, InputVariant::Clean, &cfg);
+            let mut scratch = Scratch::new();
+            let orig = tile_image(t, InputVariant::Original, &cfg, &mut scratch);
+            let clean = tile_image(t, InputVariant::Clean, &cfg, &mut scratch);
             assert_ne!(orig, clean, "cloud overlay must show in original");
         }
     }

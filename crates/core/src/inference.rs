@@ -4,7 +4,7 @@
 //! sea-ice map.
 
 use crate::adapters::{image_to_chw, image_to_chw_into, mask_to_image};
-use seaice_imgproc::buffer::Image;
+use seaice_imgproc::buffer::{Image, Scratch};
 use seaice_label::cloudshadow::{CloudShadowFilter, FilterConfig};
 use seaice_nn::Tensor;
 use seaice_s2::tiler::{stitch_tiles, tile_anchors};
@@ -69,16 +69,18 @@ pub fn classify_scene_with<M: TileClassifier>(
     // converted in place and the allocation is reclaimed from the tensor
     // after the forward pass.
     let mut chw = vec![0f32; 3 * tile_size * tile_size];
+    let mut scratch = Scratch::new();
     let mut preds = Vec::new();
     let mut pieces = Vec::new();
     for &y0 in &tile_anchors(h, tile_size) {
         for &x0 in &tile_anchors(w, tile_size) {
             let tile = scene_rgb.crop(x0, y0, tile_size, tile_size);
             let input = match &filter_impl {
-                Some(f) => f.apply(&tile).filtered,
+                Some(f) => f.apply_keep_filtered(&tile, &mut scratch),
                 None => tile,
             };
             image_to_chw_into(&input, &mut chw);
+            scratch.recycle_image(input);
             let x = Tensor::from_vec(&[1, 3, tile_size, tile_size], std::mem::take(&mut chw));
             model.predict_into(&x, &mut preds);
             chw = x.into_vec();
@@ -123,6 +125,7 @@ pub fn classify_scene_parallel(
         "scene smaller than a tile"
     );
     checkpoint.config.assert_input_side(tile_size);
+    let filter_impl = filter.then(|| CloudShadowFilter::new(FilterConfig::for_tile(tile_size)));
 
     let grid: Vec<(usize, usize)> = tile_anchors(h, tile_size)
         .into_iter()
@@ -136,17 +139,15 @@ pub fn classify_scene_parallel(
     let pieces: Vec<(usize, usize, Image<u8>)> = grid
         .par_iter()
         .map_init(
-            || seaice_unet::checkpoint::restore(checkpoint),
-            |model, &(x0, y0)| {
+            || (seaice_unet::checkpoint::restore(checkpoint), Scratch::new()),
+            |(model, scratch), &(x0, y0)| {
                 let tile = scene_rgb.crop(x0, y0, tile_size, tile_size);
-                let input = if filter {
-                    CloudShadowFilter::new(FilterConfig::for_tile(tile_size))
-                        .apply(&tile)
-                        .filtered
-                } else {
-                    tile
+                let input = match &filter_impl {
+                    Some(f) => f.apply_keep_filtered(&tile, scratch),
+                    None => tile,
                 };
                 let chw = image_to_chw(&input);
+                scratch.recycle_image(input);
                 let x = Tensor::from_vec(&[1, 3, tile_size, tile_size], chw);
                 let preds = model.predict(&x);
                 (x0, y0, Image::from_vec(tile_size, tile_size, 1, preds))

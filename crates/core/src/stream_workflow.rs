@@ -34,6 +34,7 @@ use seaice_unet::config::UNetConfig;
 use seaice_unet::model::UNet;
 use seaice_unet::train::{train, TrainConfig};
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -300,8 +301,13 @@ fn run_stream_segment(
             "label",
             StageOptions::workers(workers).with_cost_secs(SIM_LABEL_SECS),
             move |t: TileItem| {
-                let mut scratch = Scratch::new();
-                let mask = auto_label_class_mask(&t.rgb, &label_cfg, &mut scratch);
+                // One pool per stage worker thread, so the filter's planes
+                // are reused from tile to tile.
+                thread_local! {
+                    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::new());
+                }
+                let mask = SCRATCH
+                    .with(|s| auto_label_class_mask(&t.rgb, &label_cfg, &mut s.borrow_mut()));
                 vec![LabeledTile {
                     region: t.region,
                     revisit: t.revisit,

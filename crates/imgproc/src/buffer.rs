@@ -318,6 +318,10 @@ const MAX_POOLED: usize = 16;
 ///   reusing a pooled allocation when one with sufficient capacity exists.
 /// * `recycle*` donates a buffer back to the pool; the pool keeps at most
 ///   [`MAX_POOLED`] buffers per sample type and silently drops the rest.
+/// * The largest in-repo client, the filtered auto-labeller, has at most
+///   six `f32` planes and four `u8` images out at once (the cloud/shadow
+///   filter's fields plus the labeller's outputs), so its steady state —
+///   every `take` served from the pool — fits well under [`MAX_POOLED`].
 /// * A `Scratch` is single-threaded by design; parallel batch drivers give
 ///   each worker its own (e.g. via `map_init` or a thread-local).
 #[derive(Debug, Default)]

@@ -363,6 +363,27 @@ mod tests {
     }
 
     #[test]
+    fn filtered_labelling_reaches_an_allocation_free_steady_state() {
+        // A streaming consumer hands every output back. Once the pool has
+        // met each size the loop asks for, a take it could not serve would
+        // come back as one more pooled buffer — so a pool that stops
+        // changing (below its cap of 16) means no tile allocated a plane.
+        let cfg = AutoLabelConfig::filtered_for_tile(32);
+        let mut scratch = Scratch::new();
+        let mut pooled = Vec::new();
+        for i in 0..6 {
+            let rgb = generate(&SceneConfig::tiny(32), 60 + i).rgb;
+            let out = auto_label_scratch(&rgb, &cfg, &mut scratch);
+            scratch.recycle_image(out.class_mask);
+            scratch.recycle_image(out.color_label);
+            scratch.recycle_image(out.processed);
+            pooled.push(scratch.pooled());
+        }
+        assert!(pooled[1..].iter().all(|&p| p == pooled[1]), "{pooled:?}");
+        assert!(pooled[1].0 < 16 && pooled[1].1 < 16, "{pooled:?}");
+    }
+
+    #[test]
     fn auto_label_on_synthetic_scene_matches_truth() {
         let scene = generate(&SceneConfig::tiny(96), 21);
         let out = auto_label(&scene.rgb, &AutoLabelConfig::unfiltered());

@@ -35,10 +35,10 @@
 //! *thin* cloud can reach, and corrections fade smoothly at mask borders.
 
 use rayon::prelude::*;
-use seaice_imgproc::buffer::Image;
-use seaice_imgproc::color::rgb_to_hsv;
-use seaice_imgproc::filter::{box_blur_f32, median_filter};
-use seaice_imgproc::ops::{absdiff, min_max_normalize};
+use seaice_imgproc::buffer::{Image, Scratch};
+use seaice_imgproc::color::rgb_pixel_to_hsv_int;
+use seaice_imgproc::filter::{box_blur_f32_pair, median_filter_into};
+use seaice_imgproc::ops::min_max_normalize;
 use seaice_imgproc::threshold::{otsu_binary, threshold, ThresholdType};
 use serde::{Deserialize, Serialize};
 
@@ -128,6 +128,23 @@ pub struct FilterOutput {
     pub residual: Image<u8>,
 }
 
+/// `x.round().clamp(0.0, 255.0) as u8` without the call into libm: `as u8`
+/// truncates and saturates (NaN to 0), and for `0 ≤ x < 256` the
+/// fraction `x − trunc(x)` is exact in `f32`, so comparing it with one half
+/// rounds half away from zero exactly as `round` does.
+#[inline]
+fn round_to_u8(x: f32) -> u8 {
+    let t = x as u8;
+    t.saturating_add((x - t as f32 >= 0.5) as u8)
+}
+
+/// What the correcting half of the filter (steps 1–5) produces.
+struct Corrected {
+    filtered: Image<u8>,
+    haze: Image<f32>,
+    shadow_gain: Image<f32>,
+}
+
 /// The thin-cloud and shadow filter.
 #[derive(Clone, Debug, Default)]
 pub struct CloudShadowFilter {
@@ -145,34 +162,55 @@ impl CloudShadowFilter {
         &self.config
     }
 
-    /// Runs the filter but keeps only the corrected image, donating the
-    /// diagnostic buffers (masks and fields) to `scratch` so batch callers
-    /// reuse them for the next tile instead of freeing and reallocating.
-    pub fn apply_keep_filtered(
-        &self,
-        rgb: &Image<u8>,
-        scratch: &mut seaice_imgproc::buffer::Scratch,
-    ) -> Image<u8> {
-        let out = self.apply(rgb);
-        scratch.recycle_image(out.cloud_mask);
-        scratch.recycle_image(out.shadow_mask);
-        scratch.recycle_image(out.residual);
+    /// Runs only the correcting half of the filter (steps 1–5) and returns
+    /// the corrected image — the entry for labelling and inference loops,
+    /// which never look at the diagnostics. Every plane is drawn from
+    /// `scratch` (whose zero-fill is what the skipped pixels rely on) and
+    /// all but the result go back to it, so consecutive tiles allocate
+    /// nothing once the caller recycles the result too.
+    pub fn apply_keep_filtered(&self, rgb: &Image<u8>, scratch: &mut Scratch) -> Image<u8> {
+        let out = self.correct(rgb, scratch);
         scratch.recycle_image_f32(out.haze);
         scratch.recycle_image_f32(out.shadow_gain);
         out.filtered
     }
 
-    /// Runs the filter on an RGB image.
+    /// Runs the filter on an RGB image: the correction, then the
+    /// diagnostic masks and change map derived from it.
     ///
     /// # Panics
     /// Panics if `rgb` is not 3-channel.
     pub fn apply(&self, rgb: &Image<u8>) -> FilterOutput {
+        let corrected = self.correct(rgb, &mut Scratch::new());
+        self.diagnose(rgb, corrected)
+    }
+
+    /// `Some(V)` when a pixel is plausibly shadowed bright ice: thick-ice
+    /// chroma (near-zero S) at mid-range V. S and V come straight from the
+    /// integer HSV formulas; the hue is never read, so the inlined
+    /// conversion's hue branch is dead code here.
+    #[inline]
+    fn shadow_candidate(&self, px: &[u8]) -> Option<u8> {
+        let cfg = &self.config;
+        let [_, s, v] = rgb_pixel_to_hsv_int(px[0], px[1], px[2]);
+        ((cfg.shadow_v.0..=cfg.shadow_v.1).contains(&v) && s <= cfg.shadow_sat_max).then_some(v)
+    }
+
+    /// Steps 1–5: the corrected image and the two fields it was corrected
+    /// with.
+    fn correct(&self, rgb: &Image<u8>, scratch: &mut Scratch) -> Corrected {
         assert_eq!(rgb.channels(), 3, "filter expects an RGB image");
         let cfg = &self.config;
         let (w, h) = rgb.dimensions();
+        let tracer = seaice_obs::tracer();
+        // The per-pixel passes run row-parallel (inline below 256 rows).
+        let row = w.max(1);
 
-        // 1. Noise filtering.
-        let denoised = median_filter(rgb, cfg.denoise_radius);
+        // 1. Noise filtering. Steps 4 and 5 then correct this image in place.
+        let span = tracer.span("label.filter.denoise", "label");
+        let mut filtered = scratch.take_image(w, h, 3);
+        median_filter_into(rgb, cfg.denoise_radius, &mut filtered);
+        drop(span);
 
         // 2. Per-pixel haze estimation with chroma hypotheses.
         //
@@ -182,24 +220,17 @@ impl CloudShadowFilter {
         // shadowed bright ice — near-achromatic at mid V — are excluded
         // from the haze evidence pool; the smooth haze field bridges over
         // them from unambiguous neighbours.
-        let hsv_obs = rgb_to_hsv(&denoised);
-        let mut a_weighted = Image::<f32>::new(w, h, 1);
-        let mut weight = Image::<f32>::new(w, h, 1);
-        a_weighted
-            .as_mut_slice()
-            .par_chunks_exact_mut(w.max(1))
-            .zip(weight.as_mut_slice().par_chunks_exact_mut(w.max(1)))
-            .enumerate()
-            .for_each(|(y, (a_row, w_row))| {
-                for x in 0..w {
-                    let sv = hsv_obs.pixel(x, y);
-                    if cfg.shadow_exclusion
-                        && sv[1] <= cfg.shadow_sat_max
-                        && (cfg.shadow_v.0..=cfg.shadow_v.1).contains(&sv[2])
-                    {
+        let span = tracer.span("label.filter.haze", "label");
+        let mut a_weighted = scratch.take_image_f32(w, h, 1);
+        let mut weight = scratch.take_image_f32(w, h, 1);
+        (a_weighted.as_mut_slice().par_chunks_exact_mut(row))
+            .zip(weight.as_mut_slice().par_chunks_exact_mut(row))
+            .zip(filtered.as_slice().par_chunks_exact(3 * row))
+            .for_each(|((a_row, w_row), px_row)| {
+                for ((px, a_out), w_out) in px_row.chunks_exact(3).zip(a_row).zip(w_row) {
+                    if cfg.shadow_exclusion && self.shadow_candidate(px).is_some() {
                         continue; // plausibly shadowed bright ice
                     }
-                    let px = denoised.pixel(x, y);
                     let (r, g, b) = (px[0] as f32, px[1] as f32, px[2] as f32);
                     let mut best: Option<(f32, f32)> = None; // (a, err)
                     for &(rho, gamma) in &HYPOTHESES {
@@ -219,144 +250,149 @@ impl CloudShadowFilter {
                     if let Some((a, err)) = best {
                         if err <= cfg.consistency_tol {
                             let conf = 1.0 - err / cfg.consistency_tol;
-                            a_row[x] = a * conf;
-                            w_row[x] = conf;
+                            *a_out = a * conf;
+                            *w_out = conf;
                         }
                     }
                 }
             });
 
         // 3. Smooth the field (haze varies slowly) via normalized
-        //    convolution, so confident pixels fill in degenerate ones.
-        let blur_a = box_blur_f32(&a_weighted, cfg.smooth_radius);
-        let blur_w = box_blur_f32(&weight, cfg.smooth_radius);
-        let mut haze = Image::<f32>::new(w, h, 1);
-        for (i, hz) in haze.as_mut_slice().iter_mut().enumerate() {
-            // Pooled estimate over the window (bridges degenerate pixels).
-            let pooled = if blur_w.as_slice()[i] > 0.02 {
-                (blur_a.as_slice()[i] / blur_w.as_slice()[i]).clamp(0.0, cfg.haze_cap)
-            } else {
-                0.0
-            };
-            // Confident pixels keep their own (closed-form, exact)
-            // estimate; the pooled field only fills in the rest. Without
-            // this, box smoothing dilutes cloud interiors with clear
-            // surroundings and the haze is systematically under-corrected.
-            let own_w = if cfg.confidence_blend {
-                weight.as_slice()[i].clamp(0.0, 1.0)
-            } else {
-                0.0
-            };
-            let own = if own_w > 0.0 {
-                a_weighted.as_slice()[i] / own_w
-            } else {
-                0.0
-            };
-            *hz = own_w * own + (1.0 - own_w) * pooled;
-        }
-
-        // 4. Invert the haze where it is significant.
-        let mut dehazed = denoised.clone();
-        dehazed
-            .as_mut_slice()
-            .par_chunks_exact_mut(w.max(1) * 3)
+        //    convolution, so confident pixels fill in degenerate ones, and
+        // 4. invert the haze where it is significant, in the same pass.
+        let (mut haze, blur_w) =
+            box_blur_f32_pair(&a_weighted, &weight, cfg.smooth_radius, scratch);
+        let (own_a, own_weight) = (a_weighted.as_slice(), weight.as_slice());
+        (haze.as_mut_slice().par_chunks_exact_mut(row))
+            .zip(filtered.as_mut_slice().par_chunks_exact_mut(3 * row))
             .enumerate()
-            .for_each(|(y, row)| {
-                for x in 0..w {
-                    let a = haze.get(x, y);
+            .for_each(|(y, (hz_row, px_row))| {
+                for (i, (hz, px)) in
+                    (y * w..).zip(hz_row.iter_mut().zip(px_row.chunks_exact_mut(3)))
+                {
+                    // Pooled estimate over the window (bridges degenerate pixels).
+                    let bw = blur_w.as_slice()[i];
+                    let pooled = if bw > 0.02 {
+                        (*hz / bw).clamp(0.0, cfg.haze_cap)
+                    } else {
+                        0.0
+                    };
+                    // Confident pixels keep their own (closed-form, exact)
+                    // estimate; the pooled field only fills in the rest. Without
+                    // this, box smoothing dilutes cloud interiors with clear
+                    // surroundings and the haze is systematically under-corrected.
+                    let own_w = if cfg.confidence_blend {
+                        own_weight[i].clamp(0.0, 1.0)
+                    } else {
+                        0.0
+                    };
+                    let own = if own_w > 0.0 { own_a[i] / own_w } else { 0.0 };
+                    let a = own_w * own + (1.0 - own_w) * pooled;
+                    *hz = a;
                     if a < cfg.min_haze {
                         continue;
                     }
                     let inv = 1.0 / (1.0 - a);
-                    for c in row[x * 3..x * 3 + 3].iter_mut() {
-                        *c = ((*c as f32 - 255.0 * a) * inv).round().clamp(0.0, 255.0) as u8;
+                    for c in px {
+                        *c = round_to_u8((*c as f32 - 255.0 * a) * inv);
                     }
                 }
             });
+        scratch.recycle_image_f32(blur_w);
+        scratch.recycle_image_f32(a_weighted);
+        scratch.recycle_image_f32(weight);
+        drop(span);
 
         // 5. Shadow pass on the dehazed image: thick-ice chroma at
         //    mid-range V implies multiplicative darkening.
-        let hsv = rgb_to_hsv(&dehazed);
-        let mut gain_weighted = Image::<f32>::new(w, h, 1);
-        let mut gain_weight = Image::<f32>::new(w, h, 1);
-        let shadow_rows = if cfg.shadow_pass { h } else { 0 };
-        for y in 0..shadow_rows {
-            for x in 0..w {
-                let p = hsv.pixel(x, y);
-                let (s, v) = (p[1], p[2]);
-                if s <= cfg.shadow_sat_max && (cfg.shadow_v.0..=cfg.shadow_v.1).contains(&v) {
+        let _span = tracer.span("label.filter.shadow", "label");
+        let mut gain_weighted = scratch.take_image_f32(w, h, 1);
+        let mut gain_weight = scratch.take_image_f32(w, h, 1);
+        if cfg.shadow_pass {
+            let flagged = (gain_weighted.as_mut_slice().iter_mut()).zip(gain_weight.as_mut_slice());
+            for (px, (g, gw)) in filtered.as_slice().chunks_exact(3).zip(flagged) {
+                if let Some(v) = self.shadow_candidate(px) {
                     // Truncated threshold on the implied gain: never above 1.
-                    let m = (v as f32 / cfg.thick_target_v).min(1.0);
-                    gain_weighted.set(x, y, m);
-                    gain_weight.set(x, y, 1.0);
+                    *g = (v as f32 / cfg.thick_target_v).min(1.0);
+                    *gw = 1.0;
                 }
             }
         }
-        let blur_g = box_blur_f32(&gain_weighted, cfg.smooth_radius);
-        let blur_gw = box_blur_f32(&gain_weight, cfg.smooth_radius);
-        let mut shadow_gain = Image::<f32>::new(w, h, 1);
-        for (i, sg) in shadow_gain.as_mut_slice().iter_mut().enumerate() {
-            let bw = blur_gw.as_slice()[i];
-            let pooled = if bw > 0.05 {
-                let m = (blur_g.as_slice()[i] / bw).clamp(0.25, 1.0);
-                // Fade the pooled correction with mask density so borders
-                // stay smooth: m_eff = 1 + (m - 1) * density.
-                let density = (bw * 2.0).min(1.0);
-                1.0 + (m - 1.0) * density
-            } else {
-                1.0
-            };
-            // Flagged pixels use their own implied gain (maps their V to
-            // the thick-ice reference exactly); others take the pooled,
-            // density-faded field.
-            *sg = if gain_weight.as_slice()[i] > 0.0 {
-                gain_weighted.as_slice()[i].clamp(0.25, 1.0)
-            } else {
-                pooled
-            };
-        }
-
-        let mut filtered = dehazed;
-        filtered
-            .as_mut_slice()
-            .par_chunks_exact_mut(w.max(1) * 3)
+        let (mut shadow_gain, blur_gw) =
+            box_blur_f32_pair(&gain_weighted, &gain_weight, cfg.smooth_radius, scratch);
+        (shadow_gain.as_mut_slice().par_chunks_exact_mut(row))
+            .zip(filtered.as_mut_slice().par_chunks_exact_mut(3 * row))
             .enumerate()
-            .for_each(|(y, row)| {
-                for x in 0..w {
-                    let m = shadow_gain.get(x, y);
+            .for_each(|(y, (sg_row, px_row))| {
+                for (i, (sg, px)) in
+                    (y * w..).zip(sg_row.iter_mut().zip(px_row.chunks_exact_mut(3)))
+                {
+                    // Flagged pixels use their own implied gain (maps their V to
+                    // the thick-ice reference exactly); others take the pooled,
+                    // density-faded field.
+                    let bw = blur_gw.as_slice()[i];
+                    let m = if gain_weight.as_slice()[i] > 0.0 {
+                        gain_weighted.as_slice()[i].clamp(0.25, 1.0)
+                    } else if bw > 0.05 {
+                        let m = (*sg / bw).clamp(0.25, 1.0);
+                        // Fade the pooled correction with mask density so borders
+                        // stay smooth: m_eff = 1 + (m - 1) * density.
+                        let density = (bw * 2.0).min(1.0);
+                        1.0 + (m - 1.0) * density
+                    } else {
+                        1.0
+                    };
+                    *sg = m;
                     if m >= 0.999 {
                         continue;
                     }
                     let inv = 1.0 / m;
-                    for c in row[x * 3..x * 3 + 3].iter_mut() {
-                        *c = (*c as f32 * inv).round().clamp(0.0, 255.0) as u8;
+                    for c in px {
+                        *c = round_to_u8(*c as f32 * inv);
                     }
                 }
             });
+        scratch.recycle_image_f32(blur_gw);
+        scratch.recycle_image_f32(gain_weighted);
+        scratch.recycle_image_f32(gain_weight);
+
+        Corrected {
+            filtered,
+            haze,
+            shadow_gain,
+        }
+    }
+
+    /// Steps 6–7: the diagnostic masks and the change map of a correction.
+    fn diagnose(&self, rgb: &Image<u8>, corrected: Corrected) -> FilterOutput {
+        let Corrected {
+            filtered,
+            haze,
+            shadow_gain,
+        } = corrected;
+        let cfg = &self.config;
+        let (w, h) = rgb.dimensions();
+        let _span = seaice_obs::tracer().span("label.filter.diagnostics", "label");
 
         // 6. Diagnostic masks. The haze field is normalized to 8 bits and
         //    Otsu-thresholded (adaptive split) when contamination exists.
-        let haze_u8 = haze.map(|a| (a * 255.0).round().clamp(0.0, 255.0) as u8);
-        let mean_haze = haze.mean();
-        let cloud_mask = if mean_haze > cfg.min_haze {
-            let normalized = min_max_normalize(&haze_u8, 0, 255);
-            let (_, mask) = otsu_binary(&normalized, 255);
-            mask
+        let cloud_mask = if haze.mean() > cfg.min_haze {
+            let haze_u8 = haze.map(|a| round_to_u8(a * 255.0));
+            otsu_binary(&min_max_normalize(&haze_u8, 0, 255), 255).1
         } else {
             Image::<u8>::new(w, h, 1)
         };
-        let shadow_u8 = shadow_gain.map(|m| ((1.0 - m) * 255.0).round().clamp(0.0, 255.0) as u8);
+        let shadow_u8 = shadow_gain.map(|m| round_to_u8((1.0 - m) * 255.0));
         let shadow_mask = threshold(&shadow_u8, 12, 255, ThresholdType::Binary);
 
         // 7. Change map (per-channel absolute difference, max-reduced).
-        let diff = absdiff(&filtered, rgb);
         let mut residual = Image::<u8>::new(w, h, 1);
-        for (d, px) in residual
-            .as_mut_slice()
-            .iter_mut()
-            .zip(diff.as_slice().chunks_exact(3))
-        {
-            *d = px.iter().copied().max().unwrap_or(0);
+        let changed = filtered
+            .as_slice()
+            .chunks_exact(3)
+            .zip(rgb.as_slice().chunks_exact(3));
+        for (d, (new, old)) in residual.as_mut_slice().iter_mut().zip(changed) {
+            *d = (0..3).map(|c| new[c].abs_diff(old[c])).max().unwrap_or(0);
         }
 
         FilterOutput {
@@ -446,7 +482,6 @@ mod tests {
     fn dehazing_restores_water_values() {
         // Uniform water tile with strong synthetic haze applied manually.
         let mut water = Image::<u8>::new(64, 64, 3);
-        for (_, _, _px) in water.pixels() {}
         for y in 0..64 {
             for x in 0..64 {
                 // water rendering: v = 16, r = 0.45 v, g = 0.7 v
@@ -497,6 +532,55 @@ mod tests {
         let ranges = ClassRanges::paper();
         let mask = segment_classes(&out.filtered, &ranges);
         assert!(mask.as_slice().iter().all(|&c| c == IceClass::Thin as u8));
+    }
+
+    #[test]
+    fn round_to_u8_equals_round_clamp_cast() {
+        let reference = |x: f32| x.round().clamp(0.0, 255.0) as u8;
+        // Every half-integer boundary with its neighbours, the range ends
+        // and the non-finite values, then a stride through all bit patterns.
+        for k in -2i32..=258 {
+            let half = k as f32 + 0.5;
+            for x in [
+                k as f32,
+                half,
+                f32::from_bits(half.to_bits() - 1),
+                f32::from_bits(half.to_bits() + 1),
+            ] {
+                assert_eq!(round_to_u8(x), reference(x), "x = {x:e}");
+            }
+        }
+        for x in [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -0.0,
+            1e30,
+            -1e30,
+        ] {
+            assert_eq!(round_to_u8(x), reference(x), "x = {x:e}");
+        }
+        for bits in (0..=u32::MAX).step_by(4099) {
+            let x = f32::from_bits(bits);
+            assert_eq!(round_to_u8(x), reference(x), "bits {bits:#x}");
+        }
+    }
+
+    #[test]
+    fn correction_only_entry_matches_apply_with_a_dirty_scratch() {
+        let mut scratch = Scratch::new();
+        for (side, seed) in [(32usize, 1u64), (48, 2), (64, 3), (96, 4)] {
+            // Whatever the pool hands out was last full of garbage.
+            for _ in 0..8 {
+                scratch.recycle(vec![0xAB; side * side * 3]);
+                scratch.recycle_f32(vec![f32::NAN; side * side]);
+            }
+            let (_, cloudy, _) = scene_and_layer(side, 0.35, seed);
+            let filter = CloudShadowFilter::new(FilterConfig::for_tile(side));
+            let kept = filter.apply_keep_filtered(&cloudy, &mut scratch);
+            assert_eq!(kept, filter.apply(&cloudy).filtered, "side {side}");
+            scratch.recycle_image(kept);
+        }
     }
 
     #[test]

@@ -34,7 +34,7 @@ use crate::cache::{tile_key, LruCache};
 use crate::queue::{BoundedQueue, QueueError};
 use seaice_core::adapters::image_to_chw_into;
 use seaice_faults::FaultPlan;
-use seaice_imgproc::buffer::Image;
+use seaice_imgproc::buffer::{Image, Scratch};
 use seaice_label::cloudshadow::{CloudShadowFilter, FilterConfig};
 use seaice_metrics::latency::{BucketCount, LatencyHistogram, LatencySnapshot};
 use seaice_nn::Tensor;
@@ -710,13 +710,18 @@ enum Admitted {
 fn stage_inputs(
     batch: &[Request],
     filter: Option<&CloudShadowFilter>,
+    scratch: &mut Scratch,
     plane: usize,
     input: &mut [f32],
 ) {
     for (i, req) in batch.iter().enumerate() {
         let dst = &mut input[i * 3 * plane..(i + 1) * 3 * plane];
         match filter {
-            Some(f) => image_to_chw_into(&f.apply(&req.tile).filtered, dst),
+            Some(f) => {
+                let filtered = f.apply_keep_filtered(&req.tile, scratch);
+                image_to_chw_into(&filtered, dst);
+                scratch.recycle_image(filtered);
+            }
             None => image_to_chw_into(&req.tile, dst),
         }
     }
@@ -742,8 +747,10 @@ fn worker_loop(
     let filter_impl = cfg
         .filter
         .then(|| CloudShadowFilter::new(FilterConfig::for_tile(s)));
-    // Reusable forward buffers: the NCHW input (reclaimed from the tensor
-    // after each forward) and the prediction output.
+    // Reusable forward buffers: the filter's planes, the NCHW input
+    // (reclaimed from the tensor after each forward) and the prediction
+    // output.
+    let mut scratch = Scratch::new();
     let mut input: Vec<f32> = Vec::new();
     let mut preds: Vec<u8> = Vec::new();
 
@@ -792,7 +799,13 @@ fn worker_loop(
         {
             let _assemble = obs.tracer.span("serve.batch.assemble", "serve");
             input.resize(n * 3 * plane, 0.0);
-            stage_inputs(&batch, filter_impl.as_ref(), plane, &mut input);
+            stage_inputs(
+                &batch,
+                filter_impl.as_ref(),
+                &mut scratch,
+                plane,
+                &mut input,
+            );
         }
 
         // Supervised compute: a replica panic loses nothing — the worker
@@ -824,7 +837,13 @@ fn worker_loop(
                     // The unwound attempt consumed the staged input;
                     // rebuild it for the retry.
                     input.resize(n * 3 * plane, 0.0);
-                    stage_inputs(&batch, filter_impl.as_ref(), plane, &mut input);
+                    stage_inputs(
+                        &batch,
+                        filter_impl.as_ref(),
+                        &mut scratch,
+                        plane,
+                        &mut input,
+                    );
                 }
             }
         };
