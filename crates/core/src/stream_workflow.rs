@@ -25,6 +25,7 @@ use seaice_imgproc::buffer::{Image, Scratch};
 use seaice_label::autolabel::{auto_label_class_mask, AutoLabelConfig};
 use seaice_nn::tensor::Tensor;
 use seaice_obs::durable::{self, DurableCtx};
+use seaice_obs::lock;
 use seaice_s2::catalog::{Catalog, RevisitPlan, RevisitSceneMeta};
 use seaice_s2::synth::SceneConfig;
 use seaice_s2::tiler::tile_anchors;
@@ -37,11 +38,7 @@ use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, MutexGuard};
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
+use std::sync::{Arc, Mutex};
 
 /// Simulated per-scene acquisition cost (download + ingest), seconds.
 pub const SIM_FETCH_SECS: f64 = 2.0;

@@ -1,13 +1,14 @@
 //! Process group and collectives: ring all-reduce, broadcast, barrier.
 //!
-//! Ranks are threads; each holds a channel to its ring successor. The
+//! Ranks are threads; each holds a channel to its ring successor (one
+//! producer, one consumer: a std `sync_channel` of depth 2). The
 //! all-reduce is the bandwidth-optimal ring algorithm the paper cites
 //! (Patarasuk & Yuan 2009): the buffer is split into `N` chunks,
 //! `N − 1` reduce-scatter steps leave each rank with one fully reduced
 //! chunk, and `N − 1` all-gather steps circulate the reduced chunks —
 //! every rank sends `2 (N−1)/N · B` bytes total regardless of `N`.
 
-use crossbeam::channel::{self, Receiver, Sender};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Barrier};
 
 /// A collective failed because a peer rank disappeared (its endpoints
@@ -35,7 +36,7 @@ impl std::error::Error for CollectiveError {}
 pub struct Rank {
     rank: usize,
     size: usize,
-    to_next: Sender<Vec<f32>>,
+    to_next: SyncSender<Vec<f32>>,
     from_prev: Receiver<Vec<f32>>,
     barrier: Arc<Barrier>,
 }
@@ -67,7 +68,7 @@ impl ProcessGroup {
         let mut receivers = Vec::with_capacity(n);
         for _ in 0..n {
             // rank r sends into channel r, rank (r+1) % n receives from it.
-            let (tx, rx) = channel::bounded::<Vec<f32>>(2);
+            let (tx, rx) = sync_channel::<Vec<f32>>(2);
             senders.push(tx);
             receivers.push(rx);
         }

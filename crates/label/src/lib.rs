@@ -16,7 +16,8 @@
 //! * [`autolabel`] — the end-to-end per-image auto-label routine plus
 //!   sequential and rayon batch drivers,
 //! * [`parallel`] — a fixed worker pool (the Python-multiprocessing
-//!   analog) used by the Table I speedup experiment.
+//!   analog; a thin façade over `seaice-exec`'s queue and pool) used by
+//!   the Table I speedup experiment.
 //!
 //! ```
 //! use seaice_label::prelude::*;

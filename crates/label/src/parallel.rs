@@ -2,20 +2,21 @@
 //! pool the paper uses for its single-machine scaling experiment
 //! (Table I / Fig. 10).
 //!
-//! The pool spawns `n` OS threads fed by a crossbeam MPMC channel; each
-//! submitted job is an independent closure (the auto-label task for one
-//! image). Results carry their submission index so `map` preserves input
-//! order, like `Pool.map`.
+//! A thin façade over `seaice-exec`: `n` [`Pool`] threads fed by one
+//! unbounded [`Queue`] of jobs; each submitted job is an independent
+//! closure (the auto-label task for one image). Results carry their
+//! submission index so `map` preserves input order, like `Pool.map`.
 
-use crossbeam::channel::{self, Sender};
-use std::thread::JoinHandle;
+use seaice_exec::{attempt, Pool, Queue, Recv};
+use std::sync::{mpsc, Arc};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// A fixed-size worker pool with FIFO job dispatch.
+/// A fixed-size worker pool with FIFO job dispatch. Dropping it closes
+/// the job queue, lets the workers drain it, and joins them.
 pub struct WorkerPool {
-    workers: Vec<JoinHandle<()>>,
-    sender: Option<Sender<Job>>,
+    jobs: Arc<Queue<Job>>,
+    workers: Pool,
 }
 
 impl WorkerPool {
@@ -25,47 +26,40 @@ impl WorkerPool {
     /// Panics if `n == 0`.
     pub fn new(n: usize) -> Self {
         assert!(n > 0, "worker pool needs at least one worker");
-        let (sender, receiver) = channel::unbounded::<Job>();
-        let workers = (0..n)
-            .map(|i| {
-                let rx = receiver.clone();
-                std::thread::Builder::new()
-                    .name(format!("seaice-worker-{i}"))
-                    .spawn(move || {
-                        // Workers exit when the channel is closed and
-                        // drained. A panicking job must not kill the
-                        // worker — remaining queued jobs would never run
-                        // and `map` callers would hang; the panic is
-                        // surfaced to the caller through the missing
-                        // result instead.
-                        while let Ok(job) = rx.recv() {
-                            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
-                        }
-                    })
-                    // seaice-lint: allow(panic-in-library) reason="spawn fails only on OS thread exhaustion at pool construction; there is no pool to degrade to and crashing early is correct"
-                    .expect("failed to spawn worker thread")
-            })
-            .collect();
-        Self {
-            workers,
-            sender: Some(sender),
-        }
+        let jobs = Arc::new(Queue::<Job>::new(usize::MAX));
+        let (input, closer) = (Arc::clone(&jobs), Arc::clone(&jobs));
+        let workers = Pool::spawn(
+            n,
+            |i| format!("seaice-worker-{i}"),
+            move || closer.close(),
+            move |i| {
+                // A panicking job must not kill the worker — remaining
+                // queued jobs would never run and `map` callers would
+                // hang; the panic is surfaced to the caller through the
+                // missing result instead.
+                while let Recv::Item(job) = input.recv(i) {
+                    let _ = attempt(job.item);
+                    input.complete();
+                }
+            },
+        )
+        // seaice-lint: allow(panic-in-library) reason="spawn fails only on OS thread exhaustion at pool construction; there is no pool to degrade to and crashing early is correct"
+        .expect("failed to spawn worker thread");
+        Self { jobs, workers }
     }
 
     /// Number of workers.
     pub fn size(&self) -> usize {
-        self.workers.len()
+        self.workers.size()
     }
 
     /// Submits one fire-and-forget job.
     pub fn submit(&self, job: impl FnOnce() + Send + 'static) {
-        self.sender
-            .as_ref()
-            // seaice-lint: allow(panic-in-library) reason="the sender is only taken in Drop, so it is Some for every live pool; a None means use-after-drop, a bug worth crashing on"
-            .expect("pool is shutting down")
-            .send(Box::new(job))
-            // seaice-lint: allow(panic-in-library) reason="workers hold their receiver for the pool's lifetime and catch job panics; a closed channel means every worker died, i.e. supervision itself broke"
-            .expect("worker channel closed");
+        self.jobs
+            .try_push(Box::new(job))
+            .map_err(|(_, e)| e)
+            // seaice-lint: allow(panic-in-library) reason="the queue is unbounded and closes only when the pool drops, so a live pool never refuses; a refusal means use-after-drop, a bug worth crashing on"
+            .expect("worker queue closed");
     }
 
     /// Applies `f` to every item on the pool and returns results in input
@@ -80,8 +74,8 @@ impl WorkerPool {
         if n == 0 {
             return Vec::new();
         }
-        let f = std::sync::Arc::new(f);
-        let (tx, rx) = channel::unbounded::<(usize, U)>();
+        let f = Arc::new(f);
+        let (tx, rx) = mpsc::channel::<(usize, U)>();
         for (i, item) in items.into_iter().enumerate() {
             let f = f.clone();
             let tx = tx.clone();
@@ -113,21 +107,12 @@ impl WorkerPool {
     }
 }
 
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        // Close the channel so workers drain and exit, then join them.
-        self.sender.take();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
+    use std::sync::Mutex;
 
     #[test]
     fn map_preserves_order() {
@@ -147,7 +132,7 @@ mod tests {
     fn all_workers_participate() {
         // With enough slow jobs, more than one worker thread must run them.
         let pool = WorkerPool::new(4);
-        let names = Arc::new(parking_lot_free_set());
+        let names = Arc::new(Mutex::new(HashSet::new()));
         let names2 = names.clone();
         let _ = pool.map((0..64).collect::<Vec<i32>>(), move |_| {
             std::thread::sleep(std::time::Duration::from_millis(2));
@@ -157,10 +142,6 @@ mod tests {
                 .insert(std::thread::current().name().unwrap_or("?").to_string());
         });
         assert!(names.lock().unwrap().len() > 1, "work never spread");
-    }
-
-    fn parking_lot_free_set() -> std::sync::Mutex<std::collections::HashSet<String>> {
-        std::sync::Mutex::new(std::collections::HashSet::new())
     }
 
     #[test]

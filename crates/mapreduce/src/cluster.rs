@@ -16,12 +16,11 @@
 //! speculative-execution model, which is where satellite pipelines get
 //! their resilience at scale).
 
-use crossbeam::channel::{self, RecvTimeoutError};
+use seaice_exec::{attempt, Pool, Queue, Recv};
 use seaice_faults::{mix, FaultPlan};
 use serde::{Deserialize, Serialize};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Why a [`ClusterSpec`] could not be built.
@@ -212,13 +211,14 @@ impl std::error::Error for JobError {}
 
 type Task = Box<dyn FnOnce() + Send + 'static>;
 
-/// A running virtual cluster: one worker thread per slot. Cores within an
-/// executor share that executor's queue; the driver decides which
-/// executor each attempt lands on.
+/// A running virtual cluster: one `seaice-exec` pool thread per slot.
+/// Cores within an executor share that executor's queue; the driver
+/// decides which executor each attempt lands on. Dropping the cluster
+/// closes the queues, lets the slots drain them, and joins them.
 pub struct Cluster {
     spec: ClusterSpec,
-    senders: Vec<channel::Sender<Task>>,
-    workers: Vec<JoinHandle<()>>,
+    queues: Arc<Vec<Queue<Task>>>,
+    _slots: Pool,
 }
 
 /// One attempt's completion message back to the driver.
@@ -233,44 +233,70 @@ struct Completion<U> {
 /// Driver-side bookkeeping for one task.
 struct TaskState {
     done: bool,
-    /// Executors currently running an attempt of this task.
-    running: Vec<usize>,
     attempts_started: u32,
     last_error: String,
+}
+
+/// One attempt the driver has dispatched and not yet heard back from:
+/// `(task, executor, started)`. The start stamp feeds straggler detection
+/// and the cost of abandoned attempts.
+type Running = (usize, usize, Instant);
+
+/// Executors currently running an attempt of `task`.
+fn executors_of(running: &[Running], task: usize) -> Vec<usize> {
+    let of_task = running.iter().filter(|&&(t, _, _)| t == task);
+    of_task.map(|&(_, executor, _)| executor).collect()
+}
+
+/// Books the attempt of `task` that ran on `executor` as finished. Keyed
+/// by both: when a speculative twin finishes first, the straggler's own
+/// entry — with its own, earlier start — is the one left to be charged.
+fn finish_attempt(running: &mut Vec<Running>, task: usize, executor: usize) {
+    let finished = |&(t, e, _): &Running| t == task && e == executor;
+    if let Some(pos) = running.iter().position(finished) {
+        running.swap_remove(pos);
+    }
 }
 
 impl Cluster {
     /// Starts worker threads for every slot.
     pub fn start(spec: ClusterSpec) -> Self {
-        let mut senders = Vec::with_capacity(spec.executors);
-        let mut workers = Vec::with_capacity(spec.total_slots());
-        for e in 0..spec.executors {
-            let (tx, rx) = channel::unbounded::<Task>();
-            senders.push(tx);
-            for c in 0..spec.cores_per_executor {
-                let rx = rx.clone();
-                workers.push(
-                    std::thread::Builder::new()
-                        .name(format!("executor-{e}-core-{c}"))
-                        .spawn(move || {
-                            // Tasks are self-contained closures that catch
-                            // their own panics and report through their
-                            // completion channel, so the worker loop never
-                            // dies.
-                            while let Ok(task) = rx.recv() {
-                                task();
-                            }
-                        })
-                        // seaice-lint: allow(panic-in-library) reason="spawn fails only on OS thread exhaustion at cluster construction; there is no cluster to degrade to and crashing early is correct"
-                        .expect("failed to spawn executor thread"),
-                );
-            }
-        }
+        let queues: Vec<Queue<Task>> = (0..spec.executors)
+            .map(|_| Queue::new(usize::MAX))
+            .collect();
+        let queues = Arc::new(queues);
+        let (inputs, closer) = (Arc::clone(&queues), Arc::clone(&queues));
+        let slots = Pool::spawn(
+            spec.total_slots(),
+            |i| format!("executor-{}-core-{}", spec.slot(i).0, spec.slot(i).1),
+            move || closer.iter().for_each(Queue::close),
+            move |i| {
+                let (executor, core) = spec.slot(i);
+                // Tasks are self-contained closures that catch their own
+                // panics and report through their completion channel, so
+                // the worker loop never dies.
+                while let Recv::Item(task) = inputs[executor].recv(core) {
+                    (task.item)();
+                    inputs[executor].complete();
+                }
+            },
+        )
+        // seaice-lint: allow(panic-in-library) reason="spawn fails only on OS thread exhaustion at cluster construction; there is no cluster to degrade to and crashing early is correct"
+        .expect("failed to spawn executor thread");
         Self {
             spec,
-            senders,
-            workers,
+            queues,
+            _slots: slots,
         }
+    }
+
+    /// Queues one self-contained attempt on `executor`.
+    fn run_on(&self, executor: usize, task: Task) {
+        self.queues[executor]
+            .try_push(task)
+            .map_err(|(_, e)| e)
+            // seaice-lint: allow(panic-in-library) reason="executor queues are unbounded and close only when the cluster drops, so a live cluster never refuses; a refusal means use-after-drop, a bug worth crashing on"
+            .expect("executor queue closed");
     }
 
     /// The cluster's topology.
@@ -297,26 +323,24 @@ impl Cluster {
             return Vec::new();
         }
         let f = Arc::new(f);
-        let (done_tx, done_rx) = channel::unbounded::<Completion<U>>();
+        let (done_tx, done_rx) = mpsc::channel::<Completion<U>>();
         for (i, item) in items.into_iter().enumerate() {
             let f = Arc::clone(&f);
             let done = done_tx.clone();
             let executor = i % self.spec.executors;
-            self.senders[executor]
-                .send(Box::new(move || {
-                    // seaice-lint: allow(wallclock-in-deterministic-path) reason="the measured attempt duration is itself the reported value (Completion.secs); it never orders results, which are keyed by task index"
-                    let t0 = Instant::now();
-                    let outcome = catch_unwind(AssertUnwindSafe(|| f(item)));
-                    let _ = done.send(Completion {
-                        task: i,
-                        executor,
-                        speculative: false,
-                        outcome: outcome.map_err(|p| panic_message(p.as_ref())),
-                        secs: t0.elapsed().as_secs_f64(),
-                    });
-                }))
-                // seaice-lint: allow(panic-in-library) reason="executor threads hold their receivers for the cluster's lifetime and never unwind (tasks are caught); a closed channel means the worker loop itself died"
-                .expect("executor channel closed");
+            let task = move || {
+                // seaice-lint: allow(wallclock-in-deterministic-path) reason="the measured attempt duration is itself the reported value (Completion.secs); it never orders results, which are keyed by task index"
+                let t0 = Instant::now();
+                let outcome = attempt(|| f(item));
+                let _ = done.send(Completion {
+                    task: i,
+                    executor,
+                    speculative: false,
+                    outcome,
+                    secs: t0.elapsed().as_secs_f64(),
+                });
+            };
+            self.run_on(executor, Box::new(task));
         }
         drop(done_tx);
         let mut results: Vec<Option<(U, f64)>> = (0..n).map(|_| None).collect();
@@ -380,7 +404,7 @@ impl Cluster {
         }
         let items = Arc::new(items);
         let f = Arc::new(f);
-        let (done_tx, done_rx) = channel::unbounded::<Completion<U>>();
+        let (done_tx, done_rx) = mpsc::channel::<Completion<U>>();
 
         // Observability: attempts land on a *simulated* timeline — a
         // ManualClock the driver advances by each completion's measured
@@ -400,7 +424,6 @@ impl Cluster {
         let mut tasks: Vec<TaskState> = (0..n)
             .map(|_| TaskState {
                 done: false,
-                running: Vec::new(),
                 attempts_started: 0,
                 last_error: String::new(),
             })
@@ -408,8 +431,7 @@ impl Cluster {
         let mut results: Vec<Option<(U, f64)>> = (0..n).map(|_| None).collect();
         let mut inflight = vec![0usize; self.spec.executors];
         let mut blacklisted = vec![false; self.spec.executors];
-        // (task, started) per running attempt, for straggler detection.
-        let mut started_at: Vec<(usize, Instant)> = Vec::new();
+        let mut running: Vec<Running> = Vec::new();
         // Completed durations, kept sorted for the quantile.
         let mut durations: Vec<f64> = Vec::new();
         let mut done_count = 0usize;
@@ -419,24 +441,23 @@ impl Cluster {
                         tasks: &mut Vec<TaskState>,
                         inflight: &mut Vec<usize>,
                         blacklisted: &[bool],
-                        started_at: &mut Vec<(usize, Instant)>,
+                        running: &mut Vec<Running>,
                         report: &mut FtReport| {
             let state = &mut tasks[task];
-            let attempt = state.attempts_started;
+            let attempt_no = state.attempts_started;
             // Least-loaded executor, avoiding blacklisted nodes and
             // executors already running this task when possible.
-            let executor = pick_executor(inflight, blacklisted, &state.running);
+            let executor = pick_executor(inflight, blacklisted, &executors_of(running, task));
             state.attempts_started += 1;
-            state.running.push(executor);
             inflight[executor] += 1;
             // seaice-lint: allow(wallclock-in-deterministic-path) reason="start stamps feed only the speculative-launch quantile and FtReport.attempt_costs, which are accounting outputs, never result ordering"
-            started_at.push((task, Instant::now()));
+            running.push((task, executor, Instant::now()));
             report.attempts += 1;
             ctr_attempts.incr(1);
             if speculative {
                 report.speculative += 1;
                 ctr_speculative.incr(1);
-            } else if attempt > 0 {
+            } else if attempt_no > 0 {
                 report.retries += 1;
                 ctr_retries.incr(1);
             }
@@ -444,32 +465,27 @@ impl Cluster {
             let items = Arc::clone(&items);
             let faults = Arc::clone(&faults);
             let done = done_tx.clone();
-            self.senders[executor]
-                .send(Box::new(move || {
-                    // seaice-lint: allow(wallclock-in-deterministic-path) reason="the measured attempt duration is itself the reported value (Completion.secs); results are keyed by task index"
-                    let t0 = Instant::now();
-                    let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<U, String> {
-                        faults
-                            .maybe_fail("mapreduce.executor", executor as u64)
-                            .map_err(|e| e.to_string())?;
-                        faults
-                            .maybe_fail("mapreduce.task", mix(task as u64, attempt as u64))
-                            .map_err(|e| e.to_string())?;
-                        Ok(f(items[task].clone()))
-                    }));
-                    let _ = done.send(Completion {
-                        task,
-                        executor,
-                        speculative,
-                        outcome: match outcome {
-                            Ok(r) => r,
-                            Err(p) => Err(panic_message(p.as_ref())),
-                        },
-                        secs: t0.elapsed().as_secs_f64(),
-                    });
-                }))
-                // seaice-lint: allow(panic-in-library) reason="executor threads hold their receivers for the cluster's lifetime and never unwind (tasks are caught); a closed channel means the worker loop itself died"
-                .expect("executor channel closed");
+            let run = move || {
+                // seaice-lint: allow(wallclock-in-deterministic-path) reason="the measured attempt duration is itself the reported value (Completion.secs); results are keyed by task index"
+                let t0 = Instant::now();
+                let outcome = attempt(|| -> Result<U, String> {
+                    faults
+                        .maybe_fail("mapreduce.executor", executor as u64)
+                        .map_err(|e| e.to_string())?;
+                    faults
+                        .maybe_fail("mapreduce.task", mix(task as u64, attempt_no as u64))
+                        .map_err(|e| e.to_string())?;
+                    Ok(f(items[task].clone()))
+                });
+                let _ = done.send(Completion {
+                    task,
+                    executor,
+                    speculative,
+                    outcome: outcome.and_then(|r| r),
+                    secs: t0.elapsed().as_secs_f64(),
+                });
+            };
+            self.run_on(executor, Box::new(run));
         };
 
         for task in 0..n {
@@ -479,7 +495,7 @@ impl Cluster {
                 &mut tasks,
                 &mut inflight,
                 &blacklisted,
-                &mut started_at,
+                &mut running,
                 &mut report,
             );
         }
@@ -496,12 +512,7 @@ impl Cluster {
             };
             if let Some(c) = completion {
                 inflight[c.executor] -= 1;
-                if let Some(pos) = tasks[c.task].running.iter().position(|&e| e == c.executor) {
-                    tasks[c.task].running.swap_remove(pos);
-                }
-                if let Some(pos) = started_at.iter().position(|&(t, _)| t == c.task) {
-                    started_at.swap_remove(pos);
-                }
+                finish_attempt(&mut running, c.task, c.executor);
                 report.attempt_costs.push(c.secs);
                 if trace.is_enabled() {
                     // Charge the attempt to the simulated timeline: the
@@ -573,10 +584,10 @@ impl Cluster {
                                     &mut tasks,
                                     &mut inflight,
                                     &blacklisted,
-                                    &mut started_at,
+                                    &mut running,
                                     &mut report,
                                 );
-                            } else if state.running.is_empty() {
+                            } else if executors_of(&running, c.task).is_empty() {
                                 // Budget spent and no twin still racing.
                                 return Err(JobError::TaskFailed {
                                     task: c.task,
@@ -596,14 +607,14 @@ impl Cluster {
                     let threshold = (durations[q_idx] * spec_policy.multiplier).max(1e-3);
                     let busy: usize = inflight.iter().sum();
                     if busy < self.spec.total_slots() {
-                        let stragglers: Vec<usize> = started_at
+                        let stragglers: Vec<usize> = running
                             .iter()
-                            .filter(|(t, s)| {
-                                !tasks[*t].done
-                                    && tasks[*t].running.len() == 1
-                                    && s.elapsed().as_secs_f64() > threshold
+                            .filter(|&&(t, _, started)| {
+                                !tasks[t].done
+                                    && executors_of(&running, t).len() == 1
+                                    && started.elapsed().as_secs_f64() > threshold
                             })
-                            .map(|&(t, _)| t)
+                            .map(|&(t, _, _)| t)
                             .collect();
                         let mut free = self.spec.total_slots() - busy;
                         for t in stragglers {
@@ -616,7 +627,7 @@ impl Cluster {
                                 &mut tasks,
                                 &mut inflight,
                                 &blacklisted,
-                                &mut started_at,
+                                &mut running,
                                 &mut report,
                             );
                             free -= 1;
@@ -628,7 +639,7 @@ impl Cluster {
         // Attempts still in flight (losing speculative twins) would be
         // killed by a real scheduler the moment their task finished;
         // charge each the time it ran before abandonment.
-        for (_, started) in &started_at {
+        for (_, _, started) in &running {
             report.attempt_costs.push(started.elapsed().as_secs_f64());
         }
         Ok((
@@ -655,26 +666,6 @@ fn pick_executor(inflight: &[usize], blacklisted: &[bool], running_on: &[usize])
         .or_else(|| choose(&|e| !blacklisted[e]))
         .or_else(|| choose(&|e| !running_on.contains(&e)))
         .unwrap_or(0)
-}
-
-/// Best-effort extraction of a panic payload's message.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "task panicked".to_string()
-    }
-}
-
-impl Drop for Cluster {
-    fn drop(&mut self) {
-        self.senders.clear();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -705,6 +696,24 @@ mod tests {
     }
 
     #[test]
+    fn a_winning_twin_leaves_the_stragglers_own_start_to_be_charged() {
+        let early = Instant::now();
+        let late = early + Duration::from_secs(5);
+        // Task 5 straggles on executor 0; its speculative twin starts
+        // later on executor 1 and finishes first.
+        let mut running = vec![(5, 0, early), (6, 1, early), (5, 1, late)];
+        finish_attempt(&mut running, 5, 1);
+        assert_eq!(
+            running,
+            [(5, 0, early), (6, 1, early)],
+            "the abandoned straggler is charged from its own start"
+        );
+        // A completion nobody is waiting for books nothing.
+        finish_attempt(&mut running, 5, 1);
+        assert_eq!(running.len(), 2);
+    }
+
+    #[test]
     fn run_tasks_preserves_order() {
         let cluster = Cluster::start(spec(2, 2));
         let out = cluster.run_tasks((0..50).collect(), |x: i64| x * 3);
@@ -729,14 +738,14 @@ mod tests {
     #[test]
     fn executors_survive_panicking_tasks() {
         let cluster = Cluster::start(spec(1, 2));
-        let poisoned = catch_unwind(AssertUnwindSafe(|| {
+        let poisoned = attempt(|| {
             cluster.run_tasks(vec![0u8, 1, 2], |x| {
                 if x == 1 {
                     panic!("injected failure");
                 }
                 x
             })
-        }));
+        });
         assert!(poisoned.is_err(), "driver must fail loudly");
         // The same cluster still executes follow-up jobs.
         let ok = cluster.run_tasks(vec![5u8, 6], |x| x * 2);

@@ -41,7 +41,21 @@ pub use durable::{DurableCtx, DurableError, RetryPolicy};
 pub use registry::{Counter, Gauge, Histogram, Recorder};
 pub use trace::{Clock, ManualClock, SpanGuard, Tracer, WallClock};
 
-use std::sync::OnceLock;
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+
+/// Locks `m`, recovering the guard if a previous holder panicked — the
+/// workspace's one poison-recovering lock (`seaice-exec` re-exports it).
+///
+/// Supervised workers panic on purpose (`catch_unwind`, then the process
+/// lives on), so `lock().unwrap()` would turn one supervised panic into
+/// an unsupervised crash of every other thread on the mutex. Recovery is
+/// sound wherever a critical section leaves the state valid at every
+/// point a panic can originate: queues mutate through single `push`/`pop`
+/// calls, registry, cache and histogram updates go field by field with
+/// no intermediate invariant, counters are plain integers.
+pub fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 static METRICS: OnceLock<Recorder> = OnceLock::new();
 
@@ -65,6 +79,17 @@ pub fn tracer() -> Tracer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn lock_recovers_after_a_panicked_holder() {
+        let m = Mutex::new(7u32);
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guard = m.lock().unwrap();
+            panic!("poison it");
+        }));
+        assert!(m.is_poisoned());
+        assert_eq!(*lock(&m), 7);
+    }
 
     #[test]
     fn global_metrics_flip_from_inert_to_shared() {

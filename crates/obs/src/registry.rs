@@ -13,16 +13,11 @@
 //! Registries are keyed by `BTreeMap` so every rendering (Prometheus
 //! text, JSON) is deterministically ordered.
 
+use crate::lock;
 use seaice_metrics::{LatencyHistogram, LatencySnapshot};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
-
-/// Locks a mutex, recovering from poisoning: registry state is plain
-/// data, valid at every instant, so a panicking peer cannot corrupt it.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
+use std::sync::{Arc, Mutex};
 
 #[derive(Default)]
 struct Inner {

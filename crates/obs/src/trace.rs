@@ -18,14 +18,11 @@
 //! Like the metrics registry, a disabled tracer is free: every emit is a
 //! branch on a `None`.
 
+use crate::lock;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// A source of span timestamps, in microseconds from an arbitrary
 /// per-process origin.

@@ -33,6 +33,7 @@
 use crate::cache::{tile_key, LruCache};
 use crate::queue::{BoundedQueue, QueueError};
 use seaice_core::adapters::image_to_chw_into;
+use seaice_exec::{attempt, lock, Pool};
 use seaice_faults::FaultPlan;
 use seaice_imgproc::buffer::{Image, Scratch};
 use seaice_label::cloudshadow::{CloudShadowFilter, FilterConfig};
@@ -44,7 +45,6 @@ use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// How many times a worker may retry one batch (restoring a fresh replica
@@ -336,7 +336,7 @@ pub struct Engine {
     cache: Arc<Mutex<LruCache<Arc<Vec<u8>>>>>,
     stats: Arc<StatsInner>,
     obs: Arc<EngineObs>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
+    workers: Mutex<Option<Pool>>,
     started: Instant,
 }
 
@@ -400,30 +400,24 @@ impl Engine {
             }
         });
 
-        let mut workers = Vec::with_capacity(cfg.workers);
-        for w in 0..cfg.workers {
-            let queue = Arc::clone(&queue);
-            let cache = Arc::clone(&cache);
-            let stats = Arc::clone(&stats);
-            let spec = Arc::clone(&spec);
-            let faults = Arc::clone(&faults);
-            let obs = Arc::clone(&obs);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("seaice-serve-{w}"))
-                    .spawn(move || worker_loop(&queue, &cache, &stats, &spec, &faults, &obs, cfg))
-                    .map_err(|e| {
-                        ServeError::Internal(format!("failed to spawn serve worker: {e}"))
-                    })?,
-            );
-        }
+        let workers = {
+            let (input, closer) = (Arc::clone(&queue), Arc::clone(&queue));
+            let (cache, stats, obs) = (Arc::clone(&cache), Arc::clone(&stats), Arc::clone(&obs));
+            Pool::spawn(
+                cfg.workers,
+                |w| format!("seaice-serve-{w}"),
+                move || closer.close(),
+                move |_| worker_loop(&input, &cache, &stats, &spec, &faults, &obs, cfg),
+            )
+            .map_err(|e| ServeError::Internal(format!("failed to spawn serve worker: {e}")))?
+        };
         Ok(Self {
             cfg,
             queue,
             cache,
             stats,
             obs,
-            workers: Mutex::new(workers),
+            workers: Mutex::new(Some(workers)),
             started: Instant::now(),
         })
     }
@@ -451,7 +445,7 @@ impl Engine {
         let (key, cached) = {
             let _lookup = self.obs.tracer.span("serve.cache.lookup", "serve");
             let key = tile_key(&tile);
-            (key, crate::sync::lock(&self.cache).get(key))
+            (key, lock(&self.cache).get(key))
         };
         let (tx, rx) = mpsc::channel();
         let ticket = Ticket { rx };
@@ -535,7 +529,7 @@ impl Engine {
     }
 
     fn record_latency(&self, d: Duration) {
-        crate::sync::lock(&self.stats.latency).record(d);
+        lock(&self.stats.latency).record(d);
     }
 
     /// `"ok"`, or `"degraded"` once worker restarts or deadline sheds
@@ -556,9 +550,9 @@ impl Engine {
 
     /// A point-in-time stats snapshot.
     pub fn stats(&self) -> StatsSnapshot {
-        let cache = crate::sync::lock(&self.cache);
+        let cache = lock(&self.cache);
         let (latency, latency_buckets) = {
-            let h = crate::sync::lock(&self.stats.latency);
+            let h = lock(&self.stats.latency);
             (h.snapshot(), h.bucket_counts())
         };
         let computed = self.stats.computed.load(Ordering::Relaxed);
@@ -589,7 +583,7 @@ impl Engine {
             },
             max_batch_seen: self.stats.max_batch_seen.load(Ordering::Relaxed),
             queue_depth: self.queue.len(),
-            queue_capacity: self.queue.capacity(),
+            queue_capacity: self.cfg.queue_capacity,
             workers: self.cfg.workers,
             backend: self.cfg.backend.to_string(),
             health: self.health().to_string(),
@@ -684,11 +678,14 @@ impl Engine {
     /// queued still get answers.
     pub fn shutdown(&self) {
         self.queue.close();
-        let handles: Vec<_> = crate::sync::lock(&self.workers).drain(..).collect();
-        for h in handles {
-            // seaice-lint: allow(panic-in-library) reason="worker_loop supervises replica panics with catch_unwind; a panic escaping to join() means supervision itself is broken, and crashing loudly here is the contract"
-            h.join().expect("serve worker panicked");
-        }
+        // Taken out of the lock first: joining blocks for as long as the
+        // drain takes.
+        let workers = lock(&self.workers).take();
+        let panicked = workers.map_or(0, |mut pool| pool.join());
+        // worker_loop supervises replica panics with `attempt`; a panic
+        // escaping to join() means supervision itself is broken, and
+        // crashing loudly here is the contract.
+        assert!(panicked == 0, "serve worker panicked");
     }
 }
 
@@ -813,24 +810,24 @@ fn worker_loop(
         // same batch (bit-identical answers, since every replica is the
         // same weights). The attempt number feeds the injection key so a
         // targeted fault fires once, not on every retry.
-        let mut attempt: u64 = 0;
+        let mut tries: u64 = 0;
         let computed = loop {
-            // The guard sits outside catch_unwind: an injected panic is
+            // The guard sits outside the attempt: an injected panic is
             // caught inside, so the forward span always closes.
             let _forward = obs.tracer.span("serve.batch.forward", "serve");
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                faults.maybe_panic("serve.worker", seaice_faults::mix(batch[0].key, attempt));
+            let outcome = attempt(|| {
+                faults.maybe_panic("serve.worker", seaice_faults::mix(batch[0].key, tries));
                 let x = Tensor::from_vec(&[n, 3, s, s], std::mem::take(&mut input));
                 model.predict_into(&x, &mut preds);
                 input = x.into_vec();
-            }));
+            });
             match outcome {
                 Ok(()) => break true,
                 Err(_) => {
                     stats.worker_restarts.fetch_add(1, Ordering::Relaxed);
                     model = spec.build();
-                    attempt += 1;
-                    if attempt >= MAX_BATCH_ATTEMPTS {
+                    tries += 1;
+                    if tries >= MAX_BATCH_ATTEMPTS {
                         break false;
                     }
                     stats.batch_retries.fetch_add(1, Ordering::Relaxed);
@@ -862,8 +859,8 @@ fn worker_loop(
         // the results back only after both guards drop: replying inside
         // the critical section stalls every cache/stats reader behind
         // per-request channel traffic (`blocking-call-under-lock`).
-        let mut cache_guard = crate::sync::lock(cache);
-        let mut latency_guard = crate::sync::lock(&stats.latency);
+        let mut cache_guard = lock(cache);
+        let mut latency_guard = lock(&stats.latency);
         let mut ready = Vec::with_capacity(batch.len());
         for (i, req) in batch.into_iter().enumerate() {
             let mask = Arc::new(preds[i * plane..(i + 1) * plane].to_vec());

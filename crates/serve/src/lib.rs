@@ -5,16 +5,18 @@
 //! long-running, load-shedding inference service — the first subsystem on
 //! the "heavy traffic" side of the roadmap.
 //!
-//! * [`queue`] — bounded admission queue: `try_push` sheds with
-//!   `Overloaded` when full (explicit load-shedding, no unbounded memory),
-//!   `push_wait` applies backpressure; consumers pop *micro-batches*.
+//! * [`queue`] — bounded admission queue (`seaice-exec`'s `Queue`,
+//!   re-exported): `try_push` sheds with `Overloaded` when full (explicit
+//!   load-shedding, no unbounded memory), `push_wait` applies
+//!   backpressure; consumers pop *micro-batches*.
 //! * [`cache`] — O(1) LRU prediction cache keyed by tile content hash:
 //!   repeat tiles (archive re-analysis, overlapping users, retries) skip
 //!   the forward pass entirely.
-//! * [`engine`] — the worker pool: `W` U-Net replicas restored from one
-//!   checkpoint, each assembling NCHW micro-batches in reusable buffers
-//!   under a `max_batch_size`/`max_wait` policy; per-request latency lands
-//!   in a `seaice-metrics` histogram; graceful shutdown drains the queue.
+//! * [`engine`] — the worker pool (a `seaice-exec` `Pool`): `W` U-Net
+//!   replicas restored from one checkpoint, each assembling NCHW
+//!   micro-batches in reusable buffers under a `max_batch_size`/`max_wait`
+//!   policy; per-request latency lands in a `seaice-metrics` histogram;
+//!   graceful shutdown drains the queue.
 //! * [`http`] — a minimal `std::net` HTTP/1.1 front door
 //!   (`POST /classify`, `GET /stats`, `GET /healthz`).
 //! * [`scene`] — whole-scene classification through the engine,
@@ -29,7 +31,6 @@ pub mod engine;
 pub mod http;
 pub mod queue;
 pub mod scene;
-pub(crate) mod sync;
 
 pub use cache::{tile_key, LruCache};
 pub use engine::{Engine, EngineConfig, RobustnessSnapshot, ServeError, StatsSnapshot, Ticket};

@@ -1,298 +1,7 @@
-//! The admission queue: a bounded MPMC queue whose producers choose
-//! between *shedding* (`try_push` fails fast with [`QueueError::Overloaded`]
-//! when full — the serving front door) and *backpressure* (`push_wait`
-//! blocks until space — batch jobs like whole-scene classification), and
-//! whose consumers pop *micro-batches*: `pop_batch` returns at least one
-//! item, then lingers up to `max_wait` for more to coalesce, up to
-//! `max_batch`.
-//!
-//! Built on `Mutex` + two `Condvar`s (no busy-waiting, per the
-//! Atomics-and-Locks idioms used by `label::parallel`): `not_empty` wakes
-//! consumers, `not_full` wakes blocked producers. Closing the queue stops
-//! admissions immediately while consumers drain what was already accepted
-//! — the graceful-shutdown contract.
+//! The admission queue is `seaice-exec`'s one bounded MPMC queue under
+//! its serving name: the front door sheds (`try_push` fails fast with
+//! [`QueueError::Overloaded`]), batch jobs get backpressure (`push_wait`),
+//! the replicas pop micro-batches (`pop_batch`), and closing it stops
+//! admissions while they drain what was accepted — graceful shutdown.
 
-use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
-
-use crate::sync::{lock, wait, wait_timeout};
-
-/// Why an enqueue was refused.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum QueueError {
-    /// The queue is at capacity; the request was shed, not queued.
-    Overloaded,
-    /// The queue is closed (engine shutting down); no new admissions.
-    Closed,
-}
-
-impl std::fmt::Display for QueueError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            QueueError::Overloaded => write!(f, "queue full: request shed"),
-            QueueError::Closed => write!(f, "queue closed: engine shutting down"),
-        }
-    }
-}
-
-impl std::error::Error for QueueError {}
-
-struct Inner<T> {
-    items: VecDeque<T>,
-    closed: bool,
-}
-
-/// A bounded MPMC queue with explicit load-shedding and batch pops.
-pub struct BoundedQueue<T> {
-    inner: Mutex<Inner<T>>,
-    not_empty: Condvar,
-    not_full: Condvar,
-    capacity: usize,
-}
-
-impl<T> BoundedQueue<T> {
-    /// A queue admitting at most `capacity` items.
-    ///
-    /// # Panics
-    /// Panics if `capacity == 0`.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "queue capacity must be positive");
-        Self {
-            inner: Mutex::new(Inner {
-                items: VecDeque::with_capacity(capacity),
-                closed: false,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            capacity,
-        }
-    }
-
-    /// Admission capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Items currently queued.
-    pub fn len(&self) -> usize {
-        lock(&self.inner).items.len()
-    }
-
-    /// True when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Non-blocking enqueue: sheds with `Overloaded` when full. The item
-    /// is handed back in the error so the caller can answer the client.
-    ///
-    /// # Errors
-    /// `(item, Overloaded)` when full, `(item, Closed)` after [`close`].
-    ///
-    /// [`close`]: BoundedQueue::close
-    pub fn try_push(&self, item: T) -> Result<(), (T, QueueError)> {
-        let mut inner = lock(&self.inner);
-        if inner.closed {
-            return Err((item, QueueError::Closed));
-        }
-        if inner.items.len() >= self.capacity {
-            return Err((item, QueueError::Overloaded));
-        }
-        inner.items.push_back(item);
-        drop(inner);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Blocking enqueue: waits for space instead of shedding
-    /// (backpressure for batch producers).
-    ///
-    /// # Errors
-    /// `(item, Closed)` if the queue closes before space frees up.
-    pub fn push_wait(&self, item: T) -> Result<(), (T, QueueError)> {
-        let mut inner = lock(&self.inner);
-        while !inner.closed && inner.items.len() >= self.capacity {
-            inner = wait(&self.not_full, inner);
-        }
-        if inner.closed {
-            return Err((item, QueueError::Closed));
-        }
-        inner.items.push_back(item);
-        drop(inner);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Pops a micro-batch: blocks for the first item, then lingers up to
-    /// `max_wait` for more until `max_batch` items have coalesced.
-    /// Returns `None` only when the queue is closed *and* drained — the
-    /// consumer's exit signal.
-    ///
-    /// # Panics
-    /// Panics if `max_batch == 0`.
-    pub fn pop_batch(&self, max_batch: usize, max_wait: Duration) -> Option<Vec<T>> {
-        assert!(max_batch > 0, "batch size must be positive");
-        let mut inner = lock(&self.inner);
-        // Wait for the head-of-batch item.
-        let head = loop {
-            if let Some(item) = inner.items.pop_front() {
-                break item;
-            }
-            if inner.closed {
-                return None;
-            }
-            inner = wait(&self.not_empty, inner);
-        };
-        let mut batch = Vec::with_capacity(max_batch.min(inner.items.len() + 1));
-        batch.push(head);
-        // Coalesce: drain what is already here, then linger for late
-        // arrivals until the deadline.
-        let deadline = Instant::now() + max_wait;
-        while batch.len() < max_batch {
-            if let Some(item) = inner.items.pop_front() {
-                batch.push(item);
-                continue;
-            }
-            if inner.closed {
-                break;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            let (guard, timeout) = wait_timeout(&self.not_empty, inner, deadline - now);
-            inner = guard;
-            if timeout.timed_out() && inner.items.is_empty() {
-                break;
-            }
-        }
-        drop(inner);
-        // Space freed: wake blocked producers (one per pop is enough for
-        // single-slot frees; batch pops free several, so notify all).
-        self.not_full.notify_all();
-        Some(batch)
-    }
-
-    /// Closes admissions. Queued items remain poppable (drain); blocked
-    /// producers and idle consumers wake up.
-    pub fn close(&self) {
-        lock(&self.inner).closed = true;
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
-
-    /// True once [`close`] has been called.
-    ///
-    /// [`close`]: BoundedQueue::close
-    pub fn is_closed(&self) -> bool {
-        lock(&self.inner).closed
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::Arc;
-
-    #[test]
-    fn sheds_exactly_past_capacity() {
-        let q = BoundedQueue::new(3);
-        assert!(q.try_push(1).is_ok());
-        assert!(q.try_push(2).is_ok());
-        assert!(q.try_push(3).is_ok());
-        let (item, err) = q.try_push(4).unwrap_err();
-        assert_eq!(item, 4);
-        assert_eq!(err, QueueError::Overloaded);
-        assert_eq!(q.len(), 3);
-    }
-
-    #[test]
-    fn pop_batch_coalesces_up_to_max() {
-        let q = BoundedQueue::new(16);
-        for i in 0..10 {
-            q.try_push(i).unwrap();
-        }
-        let b = q.pop_batch(4, Duration::ZERO).unwrap();
-        assert_eq!(b, vec![0, 1, 2, 3]);
-        let b = q.pop_batch(100, Duration::ZERO).unwrap();
-        assert_eq!(b, vec![4, 5, 6, 7, 8, 9]);
-    }
-
-    #[test]
-    fn pop_batch_lingers_for_late_arrivals() {
-        let q = Arc::new(BoundedQueue::new(16));
-        q.try_push(0u32).unwrap();
-        let q2 = Arc::clone(&q);
-        let producer = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(5));
-            q2.try_push(1).unwrap();
-        });
-        // A generous linger window picks up the late item.
-        let b = q.pop_batch(2, Duration::from_secs(2)).unwrap();
-        producer.join().unwrap();
-        assert_eq!(b, vec![0, 1]);
-    }
-
-    #[test]
-    fn close_drains_then_signals_exit() {
-        let q = BoundedQueue::new(8);
-        q.try_push(1).unwrap();
-        q.try_push(2).unwrap();
-        q.close();
-        // Admissions refused immediately...
-        assert_eq!(q.try_push(3).unwrap_err().1, QueueError::Closed);
-        assert_eq!(q.push_wait(3).unwrap_err().1, QueueError::Closed);
-        // ...but queued work drains before consumers see the end.
-        assert_eq!(q.pop_batch(10, Duration::ZERO).unwrap(), vec![1, 2]);
-        assert!(q.pop_batch(10, Duration::ZERO).is_none());
-    }
-
-    #[test]
-    fn push_wait_applies_backpressure_until_space() {
-        let q = Arc::new(BoundedQueue::new(1));
-        q.try_push(0u32).unwrap();
-        let q2 = Arc::clone(&q);
-        let producer = std::thread::spawn(move || q2.push_wait(1).is_ok());
-        std::thread::sleep(Duration::from_millis(5));
-        // Producer is blocked; popping frees space and unblocks it.
-        assert_eq!(q.pop_batch(1, Duration::ZERO).unwrap(), vec![0]);
-        assert!(producer.join().unwrap());
-        assert_eq!(q.pop_batch(1, Duration::ZERO).unwrap(), vec![1]);
-    }
-
-    #[test]
-    fn concurrent_producers_and_consumers_lose_nothing() {
-        let q = Arc::new(BoundedQueue::new(4));
-        let mut producers = Vec::new();
-        for p in 0..4u32 {
-            let q = Arc::clone(&q);
-            producers.push(std::thread::spawn(move || {
-                for i in 0..50 {
-                    q.push_wait(p * 1000 + i).unwrap();
-                }
-            }));
-        }
-        let consumer = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || {
-                let mut seen = Vec::new();
-                while let Some(batch) = q.pop_batch(8, Duration::from_millis(1)) {
-                    seen.extend(batch);
-                }
-                seen
-            })
-        };
-        for p in producers {
-            p.join().unwrap();
-        }
-        q.close();
-        let mut seen = consumer.join().unwrap();
-        seen.sort_unstable();
-        let mut expected: Vec<u32> = (0..4)
-            .flat_map(|p| (0..50).map(move |i| p * 1000 + i))
-            .collect();
-        expected.sort_unstable();
-        assert_eq!(seen, expected);
-    }
-}
+pub use seaice_exec::{Queue as BoundedQueue, QueueError};

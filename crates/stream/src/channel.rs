@@ -1,371 +1,10 @@
-//! Bounded stage-input queues: the channels between DAG stages.
-//!
-//! A [`StageQueue`] is the single synchronization point of one stage
-//! boundary. Upstream workers `send` fresh items into it (blocking while
-//! it is full — that block *is* the backpressure), the downstream
-//! stage's workers `recv` from it, and failed attempts come back through
-//! [`StageQueue::push_retry`] with an *avoid-this-worker* hint so a
-//! retried item prefers a different worker than the one that just failed
-//! on it.
-//!
-//! Shutdown is a drain, not a drop: [`StageQueue::close`] only marks the
-//! upstream as done. `recv` keeps handing out queued items — and keeps
-//! *waiting* while any attempt is still in flight, because a failing
-//! attempt may re-queue its item — and reports [`Recv::Done`] only when
-//! the upstream is closed, the queue is empty, and nothing is in flight.
+//! The channels between DAG stages are `seaice-exec`'s one bounded MPMC
+//! queue under its streaming name. A [`StageQueue`] is the single
+//! synchronization point of one stage boundary: upstream workers `send`
+//! into it (blocking while it is full — that block *is* the
+//! backpressure), the downstream stage's workers `recv` from it, failed
+//! attempts come back through `push_retry` with an *avoid-this-worker*
+//! hint, and workers see [`Recv::Done`] only when the upstream is closed,
+//! the queue is empty, and nothing is in flight.
 
-use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex, MutexGuard};
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// One unit of work flowing through a stage boundary.
-#[derive(Debug)]
-pub struct Envelope<T> {
-    /// Zero-based attempt number (0 = fresh from upstream).
-    pub attempt: u32,
-    /// Worker index that last failed this item; `recv` skips it while
-    /// other workers are active.
-    pub avoid: Option<usize>,
-    /// The payload.
-    pub item: T,
-}
-
-impl<T> Envelope<T> {
-    /// Wraps a fresh item from upstream.
-    pub fn fresh(item: T) -> Self {
-        Self {
-            attempt: 0,
-            avoid: None,
-            item,
-        }
-    }
-}
-
-/// What a worker gets back from [`StageQueue::recv`].
-#[derive(Debug)]
-pub enum Recv<T> {
-    /// An item to process; the queue counts it as in flight until
-    /// [`StageQueue::complete`].
-    Item(Envelope<T>),
-    /// The stage is fully drained: upstream closed, queue empty, nothing
-    /// in flight. The worker should exit.
-    Done,
-}
-
-struct QueueState<T> {
-    queue: VecDeque<Envelope<T>>,
-    /// Set by [`StageQueue::close`]: no more *fresh* items will arrive
-    /// (retries from this stage's own workers are still allowed).
-    upstream_done: bool,
-    /// Items handed out by `recv` but not yet `complete`d.
-    inflight: usize,
-    /// Downstream workers still pulling from this queue.
-    active_workers: usize,
-    /// Fresh items accepted (excludes retries).
-    received: u64,
-    /// Deepest the queue has been.
-    high_water: usize,
-    /// `send` calls that had to wait for capacity at least once.
-    backpressure_waits: u64,
-}
-
-/// A bounded MPMC queue forming one stage boundary of the DAG.
-pub struct StageQueue<T> {
-    state: Mutex<QueueState<T>>,
-    /// Signals receivers: item available / upstream closed / in-flight
-    /// drained / worker retired.
-    not_empty: Condvar,
-    /// Signals senders: capacity freed.
-    not_full: Condvar,
-    capacity: usize,
-}
-
-impl<T> StageQueue<T> {
-    /// A queue bounded at `capacity` fresh items. The consuming stage's
-    /// worker count is attached later via
-    /// [`set_workers`](StageQueue::set_workers) (the builder learns it
-    /// when the next stage is declared).
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            state: Mutex::new(QueueState {
-                queue: VecDeque::new(),
-                upstream_done: false,
-                inflight: 0,
-                active_workers: 1,
-                received: 0,
-                high_water: 0,
-                backpressure_waits: 0,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// Declares how many workers will pull from this queue. Must be
-    /// called before the consuming stage starts.
-    pub fn set_workers(&self, n: usize) {
-        lock(&self.state).active_workers = n.max(1);
-    }
-
-    /// Blocking send of a fresh item from upstream; waits while the
-    /// queue is at capacity (this wait is the backpressure the crate is
-    /// named for).
-    ///
-    /// If every downstream worker has already exited the item is
-    /// discarded instead of queued: after a normal drain no sends can
-    /// follow, so this only happens when the consuming stage died
-    /// outside attempt isolation — and the upstream must be able to
-    /// finish so the run can drain and report that crash rather than
-    /// deadlock on a queue nobody will ever serve.
-    pub fn send(&self, item: T) {
-        let mut st = lock(&self.state);
-        if st.queue.len() >= self.capacity && st.active_workers > 0 {
-            st.backpressure_waits += 1;
-            while st.queue.len() >= self.capacity && st.active_workers > 0 {
-                st = self.not_full.wait(st).unwrap_or_else(|e| e.into_inner());
-            }
-        }
-        if st.active_workers == 0 {
-            return;
-        }
-        st.received += 1;
-        st.queue.push_back(Envelope::fresh(item));
-        st.high_water = st.high_water.max(st.queue.len());
-        drop(st);
-        self.not_empty.notify_all();
-    }
-
-    /// Re-queues a failed item at the front, bypassing the capacity
-    /// bound — a retrying worker must never block on its own input
-    /// queue, or a full pipeline would deadlock.
-    pub fn push_retry(&self, env: Envelope<T>) {
-        let mut st = lock(&self.state);
-        st.queue.push_front(env);
-        st.high_water = st.high_water.max(st.queue.len());
-        drop(st);
-        self.not_empty.notify_all();
-    }
-
-    /// Blocking receive for `worker`. Skips envelopes whose `avoid` hint
-    /// names this worker while other workers are still active (the
-    /// mapreduce `pick_executor` fallback: an avoided item is taken
-    /// anyway when no one else is left to take it).
-    pub fn recv(&self, worker: usize) -> Recv<T> {
-        let mut st = lock(&self.state);
-        loop {
-            let takeable = st
-                .queue
-                .iter()
-                .position(|e| e.avoid != Some(worker) || st.active_workers <= 1);
-            if let Some(i) = takeable {
-                // remove(i) is Some by construction: i < queue.len().
-                let Some(env) = st.queue.remove(i) else {
-                    continue;
-                };
-                st.inflight += 1;
-                drop(st);
-                self.not_full.notify_all();
-                return Recv::Item(env);
-            }
-            if st.queue.is_empty() && st.upstream_done && st.inflight == 0 {
-                return Recv::Done;
-            }
-            st = self.not_empty.wait(st).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Marks one in-flight attempt finished (success, retry re-queued,
-    /// or exhausted). Call [`push_retry`](StageQueue::push_retry)
-    /// *before* this so the drain condition never observes an empty
-    /// queue with the retry still in limbo.
-    pub fn complete(&self) {
-        let mut st = lock(&self.state);
-        st.inflight = st.inflight.saturating_sub(1);
-        drop(st);
-        self.not_empty.notify_all();
-    }
-
-    /// Upstream is finished producing fresh items.
-    pub fn close(&self) {
-        lock(&self.state).upstream_done = true;
-        self.not_empty.notify_all();
-    }
-
-    /// A blacklisted worker asks to stop pulling. Granted only while
-    /// another worker stays active — the last worker keeps serving the
-    /// queue no matter how unlucky it has been, so the DAG always
-    /// drains.
-    pub fn try_retire(&self, _worker: usize) -> bool {
-        let mut st = lock(&self.state);
-        if st.active_workers > 1 {
-            st.active_workers -= 1;
-            drop(st);
-            self.not_empty.notify_all();
-            true
-        } else {
-            false
-        }
-    }
-
-    /// A worker that stopped pulling deregisters — after [`Recv::Done`]
-    /// in the normal case, or from its unwind guard if the worker
-    /// thread itself panicked. When the last worker leaves, blocked
-    /// senders are woken too so they can observe the dead stage.
-    pub fn worker_exit(&self) {
-        let mut st = lock(&self.state);
-        st.active_workers = st.active_workers.saturating_sub(1);
-        let stage_gone = st.active_workers == 0;
-        drop(st);
-        self.not_empty.notify_all();
-        if stage_gone {
-            self.not_full.notify_all();
-        }
-    }
-
-    /// (fresh items accepted, queue high-water mark, sends that blocked).
-    pub fn stats(&self) -> (u64, usize, u64) {
-        let st = lock(&self.state);
-        (st.received, st.high_water, st.backpressure_waits)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::Arc;
-    use std::thread;
-
-    #[test]
-    fn fifo_for_a_single_worker() {
-        let q = StageQueue::new(8);
-        q.set_workers(1);
-        for i in 0..5 {
-            q.send(i);
-        }
-        q.close();
-        for want in 0..5 {
-            match q.recv(0) {
-                Recv::Item(e) => {
-                    assert_eq!(e.item, want);
-                    q.complete();
-                }
-                Recv::Done => panic!("drained early"),
-            }
-        }
-        assert!(matches!(q.recv(0), Recv::Done));
-    }
-
-    #[test]
-    fn done_waits_for_inflight_retries() {
-        let q = StageQueue::new(8);
-        q.set_workers(1);
-        q.send(7u32);
-        q.close();
-        let Recv::Item(env) = q.recv(0) else {
-            panic!("expected item");
-        };
-        // Queue is empty and closed, but the attempt is in flight: a
-        // second receiver must block, not see Done. Re-queue the item as
-        // a retry and only then complete the failed attempt.
-        q.push_retry(Envelope {
-            attempt: env.attempt + 1,
-            avoid: None,
-            item: env.item,
-        });
-        q.complete();
-        let Recv::Item(env) = q.recv(0) else {
-            panic!("retry lost");
-        };
-        assert_eq!(env.attempt, 1);
-        q.complete();
-        assert!(matches!(q.recv(0), Recv::Done));
-    }
-
-    #[test]
-    fn avoid_hint_skips_worker_until_it_is_the_last_one() {
-        let q = StageQueue::new(8);
-        q.set_workers(2);
-        q.push_retry(Envelope {
-            attempt: 1,
-            avoid: Some(0),
-            item: 42u32,
-        });
-        q.close();
-        // Worker 1 may take it.
-        let Recv::Item(e) = q.recv(1) else {
-            panic!("worker 1 should get the item");
-        };
-        assert_eq!(e.item, 42);
-        // Put it back; retire worker 1 so worker 0 is the only one left
-        // — now the avoid hint is overridden.
-        q.push_retry(e);
-        q.complete();
-        assert!(q.try_retire(1));
-        let Recv::Item(e) = q.recv(0) else {
-            panic!("last worker must take avoided items");
-        };
-        assert_eq!(e.item, 42);
-        q.complete();
-    }
-
-    #[test]
-    fn last_worker_cannot_retire() {
-        let q = StageQueue::<u32>::new(4);
-        q.set_workers(1);
-        assert!(!q.try_retire(0));
-    }
-
-    #[test]
-    fn send_to_a_dead_stage_discards_instead_of_blocking() {
-        let q = Arc::new(StageQueue::new(1));
-        q.set_workers(1);
-        q.send(0u32); // fills capacity
-        let q2 = Arc::clone(&q);
-        let sender = thread::spawn(move || {
-            q2.send(1); // blocks on capacity until the worker dies
-            q2.send(2); // stage already dead: discarded without waiting
-        });
-        while q.stats().2 == 0 {
-            thread::yield_now();
-        }
-        // The only worker unwinds; its exit must wake the blocked
-        // sender, which then discards instead of queueing forever.
-        q.worker_exit();
-        sender
-            .join()
-            .expect("sender must not deadlock on a dead stage");
-        assert_eq!(q.stats().0, 1, "only the pre-death item was accepted");
-    }
-
-    #[test]
-    fn send_blocks_at_capacity_and_counts_backpressure() {
-        let q = Arc::new(StageQueue::new(2));
-        q.set_workers(1);
-        q.send(0u32);
-        q.send(1);
-        let q2 = Arc::clone(&q);
-        let sender = thread::spawn(move || {
-            q2.send(2); // blocks until a recv frees a slot
-        });
-        // The backpressure counter bumps under the lock *before* the
-        // sender waits, so polling it is a race-free "sender is blocked"
-        // signal.
-        while q.stats().2 == 0 {
-            thread::yield_now();
-        }
-        // Drain one; the blocked sender completes.
-        let Recv::Item(_) = q.recv(0) else {
-            panic!("expected item");
-        };
-        q.complete();
-        sender.join().expect("sender thread");
-        let (received, high_water, waits) = q.stats();
-        assert_eq!(received, 3);
-        assert!(high_water <= 2);
-        assert_eq!(waits, 1);
-    }
-}
+pub use seaice_exec::{Envelope, Queue as StageQueue, Recv};

@@ -8,10 +8,13 @@
 //! The paper's workflow — acquire scenes, tile, auto-label, infer — is
 //! naturally a pipeline over a *continuous* feed of Sentinel-2
 //! acquisitions, not a batch over a fixed catalog. This crate provides
-//! the execution substrate for that shape:
+//! the scheduling policy for that shape; the mechanism under it — the
+//! bounded queue, the worker threads, attempt isolation and the worker
+//! exit guard — is `seaice-exec`'s, shared with the label pool, the
+//! map-reduce cluster and the serve engine:
 //!
 //! * **Backpressure.** Every stage boundary is a bounded queue
-//!   ([`channel::StageQueue`]); a producer that outruns its consumer
+//!   ([`channel::StageQueue`], `seaice_exec::Queue` re-exported); a producer that outruns its consumer
 //!   blocks on `send` until capacity frees up, so memory stays bounded
 //!   no matter how fast the source emits.
 //! * **Fault tolerance carried over from `run_tasks_ft`.** Each stage

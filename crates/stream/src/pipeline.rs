@@ -7,8 +7,10 @@
 //! that block on the stage's bounded input queue, so the whole DAG is
 //! driven by sink demand plus channel capacity.
 //!
-//! Fault tolerance mirrors `seaice-mapreduce::run_tasks_ft`: attempts
-//! are isolated with `catch_unwind`, failed items re-queue with an
+//! Queues, worker threads and attempt isolation are `seaice-exec`'s; the
+//! policy on top of them lives here. Fault tolerance mirrors
+//! `seaice-mapreduce::run_tasks_ft`: attempts are isolated with
+//! `seaice_exec::attempt`, failed items re-queue with an
 //! avoid-this-worker hint until `max_attempts`, and workers that fail
 //! `blacklist_after` times retire unless they are the stage's last —
 //! the scheduler always drains, and a run only errors after the drain,
@@ -16,19 +18,12 @@
 
 use crate::channel::{Envelope, Recv, StageQueue};
 use crate::report::{StageStats, StreamReport};
+use seaice_exec::{attempt, lock, Consumer, Pool};
 use seaice_faults::{mix, FaultPlan};
 use seaice_obs::trace::Tracer;
 use seaice_obs::{Clock, Counter, ManualClock};
-use std::any::Any;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
-use std::thread::{self, JoinHandle};
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
+use std::sync::{Arc, Mutex};
 
 /// Scheduler-wide knobs, the streaming analogue of mapreduce's
 /// `RunPolicy`.
@@ -145,16 +140,8 @@ impl fmt::Display for StreamError {
 
 impl std::error::Error for StreamError {}
 
-/// Type-erased view of a stage-input queue, for end-of-run stats.
-trait QueueProbe: Send + Sync {
-    fn probe(&self) -> (u64, usize, u64);
-}
-
-impl<T: Send> QueueProbe for StageQueue<T> {
-    fn probe(&self) -> (u64, usize, u64) {
-        self.stats()
-    }
-}
+/// End-of-run [`StageQueue::stats`] of a stage's input, type-erased.
+type Probe = Box<dyn Fn() -> (u64, usize, u64) + Send>;
 
 /// Everything the worker threads share for one run.
 struct RunShared {
@@ -171,23 +158,23 @@ struct RunShared {
     exhausted: Mutex<Vec<ExhaustedItem>>,
 }
 
-type Spawner = Box<dyn FnOnce(Arc<RunShared>) -> Vec<JoinHandle<()>> + Send>;
+/// Feeds the first stage from the source iterator.
+type Source = Box<dyn FnOnce(&RunShared) + Send>;
+
+/// Starts one stage's workers; the pool's `close` closes the stage's
+/// input queue.
+type Spawner = Box<dyn FnOnce(Arc<RunShared>) -> Pool + Send>;
 
 /// A pipeline under construction whose tail emits `T`.
 pub struct Pipeline<T> {
-    policy: StreamPolicy,
-    names: Vec<String>,
-    workers: Vec<usize>,
-    costs: Vec<f64>,
-    spawners: Vec<Spawner>,
-    probes: Vec<Option<Arc<dyn QueueProbe>>>,
+    stream: Stream,
     tail: Arc<StageQueue<T>>,
 }
 
-/// Starts a pipeline from anything iterable. The source runs on one
-/// thread and is the only stage without attempt isolation: an iterator
-/// cannot be replayed, so a panic inside it ends the stream early (the
-/// queue is still closed, so downstream drains what was emitted).
+/// Starts a pipeline from anything iterable. The source runs on the
+/// thread that calls [`Stream::run`] and is the only stage without
+/// attempt isolation: an iterator cannot be replayed, so a panic inside
+/// it ends the stream early (downstream still drains what was emitted).
 pub fn source<T, I>(policy: StreamPolicy, name: &str, iter: I) -> Pipeline<T>
 where
     T: Send + 'static,
@@ -195,123 +182,97 @@ where
     I::IntoIter: Send + 'static,
 {
     let tail = Arc::new(StageQueue::new(policy.channel_capacity));
-    let out = Arc::clone(&tail);
-    let iter = iter.into_iter();
-    let spawner: Spawner = Box::new(move |shared: Arc<RunShared>| {
-        vec![thread::spawn(move || run_source(shared, 0, iter, out))]
-    });
-    Pipeline {
+    let (out, iter) = (Arc::clone(&tail), iter.into_iter());
+    let stream = Stream {
         policy,
         names: vec![name.to_string()],
         workers: vec![1],
         costs: vec![0.0],
-        spawners: vec![spawner],
+        source: Box::new(move |shared| run_source(shared, 0, iter, &out)),
+        spawners: Vec::new(),
         probes: vec![None],
-        tail,
-    }
+    };
+    Pipeline { stream, tail }
 }
 
 impl<T: Send + 'static> Pipeline<T> {
     /// Simulated per-item cost charged to the source stage.
     pub fn with_source_cost(mut self, secs: f64) -> Self {
-        self.costs[0] = secs.max(0.0);
+        self.stream.costs[0] = secs.max(0.0);
         self
     }
 
     /// Appends a flat-map stage: each input item yields zero or more
     /// outputs. `T: Clone` because a failed attempt must be able to
     /// retry the same item on another worker.
-    pub fn transform<U, F>(mut self, name: &str, opts: StageOptions, f: F) -> Pipeline<U>
+    pub fn transform<U, F>(self, name: &str, opts: StageOptions, f: F) -> Pipeline<U>
     where
         T: Clone,
         U: Send + 'static,
         F: Fn(T) -> Vec<U> + Send + Sync + 'static,
     {
-        let stage = self.names.len();
-        let input = Arc::clone(&self.tail);
-        input.set_workers(opts.workers);
-        let output = Arc::new(StageQueue::<U>::new(self.policy.channel_capacity));
-        let spawner = stage_spawner(stage, opts.workers, input.clone(), Some(output.clone()), f);
-        self.names.push(name.to_string());
-        self.workers.push(opts.workers.max(1));
-        self.costs.push(opts.cost_secs.max(0.0));
-        self.spawners.push(spawner);
-        self.probes.push(Some(input as Arc<dyn QueueProbe>));
-        Pipeline {
-            policy: self.policy,
-            names: self.names,
-            workers: self.workers,
-            costs: self.costs,
-            spawners: self.spawners,
-            probes: self.probes,
-            tail: output,
-        }
+        let tail = Arc::new(StageQueue::new(self.stream.policy.channel_capacity));
+        let stream = self.stage(name, opts, Some(Arc::clone(&tail)), f);
+        Pipeline { stream, tail }
     }
 
     /// Seals the chain with a consuming stage and returns the runnable
     /// [`Stream`].
-    pub fn sink<F>(mut self, name: &str, opts: StageOptions, f: F) -> Stream
+    pub fn sink<F>(self, name: &str, opts: StageOptions, f: F) -> Stream
     where
         T: Clone,
         F: Fn(T) + Send + Sync + 'static,
     {
-        let stage = self.names.len();
-        let input = Arc::clone(&self.tail);
-        input.set_workers(opts.workers);
         let f = move |item: T| {
             f(item);
-            Vec::<()>::new()
+            Vec::new()
         };
-        let spawner = stage_spawner(
-            stage,
-            opts.workers,
-            input.clone(),
-            None::<Arc<StageQueue<()>>>,
-            f,
-        );
-        self.names.push(name.to_string());
-        self.workers.push(opts.workers.max(1));
-        self.costs.push(opts.cost_secs.max(0.0));
-        self.spawners.push(spawner);
-        self.probes.push(Some(input as Arc<dyn QueueProbe>));
-        Stream {
-            policy: self.policy,
-            names: self.names,
-            workers: self.workers,
-            costs: self.costs,
-            spawners: self.spawners,
-            probes: self.probes,
-        }
+        self.stage(name, opts, None::<Arc<StageQueue<()>>>, f)
     }
-}
 
-fn stage_spawner<T, U, F>(
-    stage: usize,
-    workers: usize,
-    input: Arc<StageQueue<T>>,
-    output: Option<Arc<StageQueue<U>>>,
-    f: F,
-) -> Spawner
-where
-    T: Clone + Send + 'static,
-    U: Send + 'static,
-    F: Fn(T) -> Vec<U> + Send + Sync + 'static,
-{
-    let workers = workers.max(1);
-    let f: Arc<dyn Fn(T) -> Vec<U> + Send + Sync> = Arc::new(f);
-    Box::new(move |shared: Arc<RunShared>| {
-        let remaining = Arc::new(AtomicUsize::new(workers));
-        (0..workers)
-            .map(|w| {
-                let shared = Arc::clone(&shared);
-                let input = Arc::clone(&input);
-                let output = output.clone();
-                let f = Arc::clone(&f);
-                let remaining = Arc::clone(&remaining);
-                thread::spawn(move || run_stage(shared, stage, w, input, output, f, remaining))
-            })
-            .collect()
-    })
+    /// Declares the stage that consumes this pipeline's tail.
+    fn stage<U, F>(
+        self,
+        name: &str,
+        opts: StageOptions,
+        output: Option<Arc<StageQueue<U>>>,
+        f: F,
+    ) -> Stream
+    where
+        T: Clone,
+        U: Send + 'static,
+        F: Fn(T) -> Vec<U> + Send + Sync + 'static,
+    {
+        let Pipeline {
+            mut stream,
+            tail: input,
+        } = self;
+        let (stage, workers) = (stream.names.len(), opts.workers.max(1));
+        input.set_workers(workers);
+        stream.names.push(name.to_string());
+        stream.workers.push(workers);
+        stream.costs.push(opts.cost_secs.max(0.0));
+        let probed = Arc::clone(&input);
+        stream.probes.push(Some(Box::new(move || probed.stats())));
+        stream
+            .spawners
+            .push(Box::new(move |shared: Arc<RunShared>| {
+                let closer = Arc::clone(&input);
+                let body = move |w| {
+                    let input = Consumer::new(Arc::clone(&input), w);
+                    run_stage(&shared, stage, w, input, output.as_deref(), &f);
+                };
+                Pool::spawn(
+                    workers,
+                    |w| format!("stream-{stage}-{w}"),
+                    move || closer.close(),
+                    body,
+                )
+                // seaice-lint: allow(panic-in-library) reason="spawn fails only on OS thread exhaustion while the DAG starts; the stages already running are closed and joined as the panic unwinds, and there is no smaller DAG to degrade to"
+                .expect("failed to spawn stage worker")
+            }));
+        stream
+    }
 }
 
 /// A fully declared pipeline, ready to run.
@@ -320,8 +281,9 @@ pub struct Stream {
     names: Vec<String>,
     workers: Vec<usize>,
     costs: Vec<f64>,
+    source: Source,
     spawners: Vec<Spawner>,
-    probes: Vec<Option<Arc<dyn QueueProbe>>>,
+    probes: Vec<Option<Probe>>,
 }
 
 impl Stream {
@@ -363,23 +325,28 @@ impl Stream {
             exhausted: Mutex::new(Vec::new()),
         });
 
-        let handles: Vec<JoinHandle<()>> = self
+        let mut pools: Vec<Pool> = self
             .spawners
             .into_iter()
-            .flat_map(|s| s(Arc::clone(&shared)))
+            .map(|s| s(Arc::clone(&shared)))
             .collect();
+        // The source feeds the first stage from this thread, behind the
+        // same backpressure as any stage.
+        (self.source)(&shared);
+        // Stages finish front to back. Once whatever feeds a stage is
+        // done — the source, or every worker of the stage before it,
+        // returned *or* unwound — `join` closes its input, so it drains
+        // and finishes too. A crashed stage therefore cannot wedge the DAG.
         let mut panics = 0usize;
-        for h in handles {
-            if h.join().is_err() {
-                panics += 1;
-            }
+        for pool in &mut pools {
+            panics += pool.join();
         }
 
         let mut stages: Vec<StageStats> = shared.stats.iter().map(|m| lock(m).clone()).collect();
         let mut backpressure_total = 0u64;
         for (i, probe) in self.probes.iter().enumerate() {
             if let Some(p) = probe {
-                let (_received, high_water, waits) = p.probe();
+                let (_received, high_water, waits) = p();
                 stages[i].queue_high_water = high_water;
                 stages[i].backpressure_waits = waits;
                 backpressure_total += waits;
@@ -412,123 +379,73 @@ impl Stream {
     }
 }
 
-fn run_source<T, I>(shared: Arc<RunShared>, stage: usize, iter: I, out: Arc<StageQueue<T>>)
-where
-    T: Send,
-    I: Iterator<Item = T>,
-{
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
+fn run_source<T>(
+    shared: &RunShared,
+    stage: usize,
+    iter: impl Iterator<Item = T>,
+    out: &StageQueue<T>,
+) {
+    let outcome = attempt(|| {
         let mut count = 0u64;
         for item in iter {
             out.send(item);
-            charge(&shared, stage, 0, 0, true);
+            charge(shared, stage, 0, 0, true);
             count += 1;
         }
         count
-    }));
-    // Close unconditionally: downstream must drain even if the iterator
-    // died mid-stream.
-    out.close();
+    });
     match outcome {
         Ok(count) => {
             lock(&shared.stats[stage]).items_out = count;
         }
-        Err(p) => {
+        Err(error) => {
             lock(&shared.stats[stage]).failures += 1;
             lock(&shared.exhausted).push(ExhaustedItem {
                 stage: shared.names[stage].clone(),
                 attempts: 1,
-                error: panic_message(&p),
+                error,
             });
         }
     }
 }
 
-/// Unwind-safe worker cleanup: everything that *must* happen when a
-/// stage worker stops, even if the worker thread panics outside the
-/// per-attempt `catch_unwind` (a scheduler bug, or an injected
-/// [`crate::FAULT_SITE_SUPERVISOR`] fault). On drop it completes a
-/// still-in-flight attempt so the input queue's drain condition can
-/// fire, deregisters the worker, and — when it is the stage's last —
-/// closes the output queue, letting the rest of the DAG drain so
+/// One stage worker. `input` is its unwind-safe exit guard: if this
+/// thread panics outside attempt isolation (a scheduler bug, or an
+/// injected [`crate::FAULT_SITE_SUPERVISOR`] fault) the guard still
+/// completes the in-flight attempt and deregisters the worker, so the
+/// stage's input drains (or discards, once no worker is left) and
 /// [`Stream::run`] reports [`StreamError::Supervisor`] instead of
 /// hanging on `join()`.
-struct WorkerGuard<T, U> {
-    input: Arc<StageQueue<T>>,
-    output: Option<Arc<StageQueue<U>>>,
-    remaining: Arc<AtomicUsize>,
-    /// An attempt was handed out by `recv` and not yet `complete`d.
-    inflight: bool,
-    /// The worker already deregistered via `try_retire`.
-    retired: bool,
-}
-
-impl<T, U> Drop for WorkerGuard<T, U> {
-    fn drop(&mut self) {
-        if self.inflight {
-            self.input.complete();
-        }
-        if !self.retired {
-            self.input.worker_exit();
-        }
-        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            if let Some(out) = &self.output {
-                out.close();
-            }
-        }
-    }
-}
-
-fn run_stage<T, U>(
-    shared: Arc<RunShared>,
+fn run_stage<T: Clone, U>(
+    shared: &RunShared,
     stage: usize,
     worker: usize,
-    input: Arc<StageQueue<T>>,
-    output: Option<Arc<StageQueue<U>>>,
-    f: Arc<dyn Fn(T) -> Vec<U> + Send + Sync>,
-    remaining: Arc<AtomicUsize>,
-) where
-    T: Clone + Send,
-    U: Send,
-{
-    let mut guard = WorkerGuard {
-        input,
-        output,
-        remaining,
-        inflight: false,
-        retired: false,
-    };
-    let input = Arc::clone(&guard.input);
-    let output = guard.output.clone();
+    mut input: Consumer<T>,
+    output: Option<&StageQueue<U>>,
+    f: &impl Fn(T) -> Vec<U>,
+) {
     let site_key = mix(stage as u64, worker as u64);
     let mut my_failures = 0u32;
-    loop {
-        let env = match input.recv(worker) {
-            Recv::Done => break,
-            Recv::Item(env) => env,
-        };
-        guard.inflight = true;
+    while let Recv::Item(env) = input.recv() {
         // The supervisor fault site sits *outside* attempt isolation:
         // firing it kills this worker thread the way a scheduler bug
         // would, which is what the Supervisor drain tests exercise.
         shared
             .faults
             .maybe_panic(crate::FAULT_SITE_SUPERVISOR, site_key);
-        let outcome: Result<Vec<U>, String> = match catch_unwind(AssertUnwindSafe(|| {
+        let outcome = attempt(|| -> Result<Vec<U>, String> {
             shared
                 .faults
                 .maybe_fail(crate::FAULT_SITE_WORKER, site_key)
                 .map_err(|e| e.to_string())?;
             Ok(f(env.item.clone()))
-        })) {
-            Ok(r) => r,
-            Err(p) => Err(panic_message(&p)),
-        };
-        charge(&shared, stage, worker, env.attempt, outcome.is_ok());
+        })
+        .and_then(|r| r);
+        charge(shared, stage, worker, env.attempt, outcome.is_ok());
         match outcome {
             Ok(outs) => {
                 let emitted = outs.len() as u64;
-                if let Some(out) = &output {
+                if let Some(out) = output {
                     for o in outs {
                         out.send(o);
                     }
@@ -540,7 +457,6 @@ fn run_stage<T, U>(
                 st.items_out += emitted;
                 drop(st);
                 input.complete();
-                guard.inflight = false;
             }
             Err(error) => {
                 my_failures += 1;
@@ -560,7 +476,7 @@ fn run_stage<T, U>(
                 shared.ctr_failures.incr(1);
                 if retry {
                     shared.ctr_retries.incr(1);
-                    input.push_retry(Envelope {
+                    input.retry(Envelope {
                         attempt: env.attempt + 1,
                         avoid: Some(worker),
                         item: env.item,
@@ -571,10 +487,9 @@ fn run_stage<T, U>(
                         attempts: env.attempt + 1,
                         error,
                     });
+                    input.complete();
                 }
-                input.complete();
-                guard.inflight = false;
-                if my_failures >= shared.policy.blacklist_after && input.try_retire(worker) {
+                if my_failures >= shared.policy.blacklist_after && input.try_retire() {
                     lock(&shared.stats[stage]).blacklisted += 1;
                     if shared.tracer.is_enabled() {
                         shared.tracer.instant(
@@ -586,14 +501,11 @@ fn run_stage<T, U>(
                             ],
                         );
                     }
-                    guard.retired = true;
                     break;
                 }
             }
         }
     }
-    // Exit bookkeeping (worker_exit / last-worker output close) runs in
-    // the guard's Drop, shared with the unwind path.
 }
 
 /// Books one attempt: stats, counters, and — when tracing — a complete
@@ -625,20 +537,11 @@ fn charge(shared: &RunShared, stage: usize, worker: usize, attempt: u32, ok: boo
     }
 }
 
-fn panic_message(p: &(dyn Any + Send)) -> String {
-    if let Some(s) = p.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = p.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "worker panicked".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use seaice_faults::FaultAction;
+    use std::thread;
     use std::time::Duration;
 
     fn sum_sink() -> (Arc<Mutex<u64>>, impl Fn(u64) + Send + Sync + 'static) {
