@@ -8,10 +8,9 @@ use seaice_label::cloudshadow::{CloudShadowFilter, FilterConfig};
 use seaice_label::ranges::ClassRanges;
 use seaice_label::segment::segment_classes;
 use seaice_s2::dataset::{Dataset, DatasetConfig};
-use serde::{Deserialize, Serialize};
 
 /// One ablation arm.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct AblationRow {
     /// Variant name.
     pub name: String,
@@ -20,7 +19,7 @@ pub struct AblationRow {
 }
 
 /// Complete ablation result.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Ablation {
     /// Contaminated tiles evaluated.
     pub tiles: usize,
@@ -159,7 +158,7 @@ impl Ablation {
 
 /// Decoder up-path ablation: the paper's literal 2×2 transposed
 /// "up-convolution" vs the upsample+conv variant, trained identically.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct UpModeAblation {
     /// Validation accuracy with upsample + 3×3 conv decoders.
     pub upsample_conv_accuracy: f64,

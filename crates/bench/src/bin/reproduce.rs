@@ -222,49 +222,24 @@ fn run_sarif_check(file: Option<&str>) -> ! {
 /// Checks the SARIF shape `seaice-lint` emits: version 2.1.0, one run with
 /// the `seaice-lint` driver, every result's ruleId declared by the driver.
 fn validate_sarif(doc: &seaice_obs::json::Value) -> Result<(usize, usize), String> {
-    let version = doc
-        .get("version")
-        .and_then(|v| v.as_str())
-        .ok_or("missing `version`")?;
+    let root = seaice_obs::json::Obj::root(doc)?;
+    let version = root.str("version")?;
     if version != "2.1.0" {
         return Err(format!("unexpected SARIF version `{version}`"));
     }
-    let runs = doc
-        .get("runs")
-        .and_then(|v| v.as_arr())
-        .ok_or("missing `runs` array")?;
+    let runs = root.objs("runs")?;
     let run = runs.first().ok_or("empty `runs` array")?;
-    let driver = run
-        .get("tool")
-        .and_then(|t| t.get("driver"))
-        .ok_or("missing `tool.driver`")?;
-    let name = driver
-        .get("name")
-        .and_then(|v| v.as_str())
-        .ok_or("missing driver `name`")?;
+    let driver = run.obj("tool")?.obj("driver")?;
+    let name = driver.str("name")?;
     if name != "seaice-lint" {
         return Err(format!("unexpected driver `{name}`"));
     }
-    let rules = driver
-        .get("rules")
-        .and_then(|v| v.as_arr())
-        .ok_or("missing driver `rules`")?;
-    let ids: Vec<&str> = rules
-        .iter()
-        .filter_map(|r| r.get("id").and_then(|v| v.as_str()))
-        .collect();
-    if ids.len() != rules.len() {
-        return Err("driver rule without an `id`".into());
-    }
-    let results = run
-        .get("results")
-        .and_then(|v| v.as_arr())
-        .ok_or("missing `results` array")?;
+    let rules = driver.objs("rules")?;
+    let ids = rules.iter().map(|r| r.str("id"));
+    let ids = ids.collect::<Result<Vec<_>, _>>()?;
+    let results = run.objs("results")?;
     for (i, res) in results.iter().enumerate() {
-        let rule = res
-            .get("ruleId")
-            .and_then(|v| v.as_str())
-            .ok_or_else(|| format!("result {i} missing `ruleId`"))?;
+        let rule = res.str("ruleId")?;
         if !ids.contains(&rule) {
             return Err(format!("result {i} cites undeclared rule `{rule}`"));
         }

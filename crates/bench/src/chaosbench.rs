@@ -33,12 +33,11 @@ use seaice_s2::synth::{generate, SceneConfig};
 use seaice_serve::{tile_key, Engine, EngineConfig};
 use seaice_unet::checkpoint::snapshot;
 use seaice_unet::{UNet, UNetConfig};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// One recovered layer in the chaos table.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ChaosRow {
     /// Which execution layer the faults hit.
     pub layer: String,
@@ -59,7 +58,7 @@ pub struct ChaosRow {
 }
 
 /// The rendered chaos demonstration.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ChaosBench {
     /// Map-reduce items in the killed-executor job.
     pub items: usize,

@@ -20,11 +20,10 @@ use seaice_nn::Tensor;
 use seaice_s2::synth::{generate, SceneConfig};
 use seaice_unet::checkpoint::{snapshot, try_restore, try_restore_quantized, Checkpoint};
 use seaice_unet::{InferBackend, UNet, UNetConfig};
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Inference-bench parameters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct InferBenchConfig {
     /// Tile side the model serves.
     pub tile_size: usize,
@@ -55,7 +54,7 @@ impl InferBenchConfig {
 }
 
 /// One backend's measured numbers.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct InferBenchRow {
     /// `"f32"` or `"int8"`.
     pub backend: String,
@@ -71,7 +70,7 @@ pub struct InferBenchRow {
 }
 
 /// Complete infer-bench result (the `BENCH_infer.json` payload).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct InferBench {
     /// The workload that was driven.
     pub cfg: InferBenchConfig,
@@ -245,14 +244,6 @@ impl InferBench {
         ));
         s
     }
-
-    /// The `BENCH_infer.json` payload.
-    ///
-    /// # Panics
-    /// Never in practice (the struct always serializes).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("InferBench serializes")
-    }
 }
 
 #[cfg(test)]
@@ -287,8 +278,6 @@ mod tests {
             "argmax agreement {:.3}",
             b.argmax_agreement
         );
-        let json = b.to_json();
-        assert!(json.contains("forward_speedup"));
         let table = b.render();
         assert!(table.contains("INFER BENCH"));
         assert!(table.contains("int8"));

@@ -11,10 +11,9 @@ use seaice_label::calibrate::calibrate;
 use seaice_label::ranges::ClassRanges;
 use seaice_label::segment::segment_classes;
 use seaice_s2::synth::{generate, SceneConfig};
-use serde::{Deserialize, Serialize};
 
 /// Accuracy of each threshold strategy on held-out partial-night scenes.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct NightTransfer {
     /// Scenes evaluated.
     pub scenes: usize,

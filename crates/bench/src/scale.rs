@@ -3,10 +3,8 @@
 //! single-core CPU session; each experiment runs at a chosen scale and
 //! prints the factor relative to the paper.
 
-use serde::{Deserialize, Serialize};
-
 /// How big to run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scale {
     /// Seconds per experiment; CI-sized.
     Small,

@@ -23,19 +23,18 @@
 
 use crate::scale::Scale;
 use seaice_imgproc::buffer::Image;
-use seaice_metrics::latency::{LatencyHistogram, LatencySnapshot};
+use seaice_obs::latency::{LatencyHistogram, LatencySnapshot};
 use seaice_s2::synth::{generate, SceneConfig};
 use seaice_s2::tiler::tile_anchors;
 use seaice_serve::engine::{Engine, EngineConfig, ServeError};
 use seaice_serve::scene::classify_scene_engine;
 use seaice_unet::checkpoint::{snapshot, Checkpoint};
 use seaice_unet::{InferBackend, UNet, UNetConfig};
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// Load-generator parameters (see [`Scale::serve_workload`]).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ServeBenchConfig {
     /// Distinct scenes in the archive.
     pub scenes: usize,
@@ -67,7 +66,7 @@ impl ServeBenchConfig {
 }
 
 /// One row of the serve-bench table.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ServeBenchRow {
     /// Which driver produced the row.
     pub mode: String,
@@ -92,7 +91,7 @@ pub struct ServeBenchRow {
 }
 
 /// Complete serve-bench result.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ServeBench {
     /// The workload that was driven.
     pub cfg: ServeBenchConfig,

@@ -40,7 +40,6 @@ use seaice_serve::{tile_key, Engine, EngineConfig};
 use seaice_stream::StreamPolicy;
 use seaice_unet::checkpoint::snapshot;
 use seaice_unet::{UNet, UNetConfig};
-use serde::{Deserialize, Serialize};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -54,7 +53,7 @@ pub const SOAK_SEED: u64 = 0x50AB;
 const TORTURE_WRITES: u64 = 16;
 
 /// One schedule's verdict.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SoakRow {
     /// Which leg the schedule ran ("durable" / "stream" / "mapreduce" /
     /// "serve").
@@ -74,7 +73,7 @@ pub struct SoakRow {
 }
 
 /// The rendered soak run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SoakBench {
     /// Total schedules executed.
     pub schedules: usize,

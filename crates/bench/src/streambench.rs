@@ -22,7 +22,6 @@ use crate::scale::Scale;
 use seaice_core::stream_workflow::{run_stream, train_stream_model, StreamWorkflowConfig};
 use seaice_faults::{mix, FaultAction, FaultPlan};
 use seaice_stream::{StreamPolicy, StreamReport};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -30,7 +29,7 @@ use std::time::Instant;
 pub const LABEL_STAGE: u64 = 2;
 
 /// The rendered streaming demonstration.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct StreamBench {
     /// Monitored regions.
     pub regions: usize,

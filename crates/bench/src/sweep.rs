@@ -12,10 +12,9 @@ use seaice_core::WorkflowConfig;
 use seaice_nn::dataloader::DataLoader;
 use seaice_s2::dataset::Dataset;
 use seaice_unet::{evaluate, train, UNet, UNetConfig};
-use serde::{Deserialize, Serialize};
 
 /// One sweep cell.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct SweepRow {
     /// Mini-batch size.
     pub batch_size: usize,
@@ -30,7 +29,7 @@ pub struct SweepRow {
 }
 
 /// Complete sweep result.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Sweep {
     /// Grid rows in (batch, dropout) order.
     pub rows: Vec<SweepRow>,

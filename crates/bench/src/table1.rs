@@ -16,10 +16,9 @@ use seaice_label::autolabel::{
 };
 use seaice_label::parallel::WorkerPool;
 use seaice_mapreduce::simsched::HostModel;
-use serde::{Deserialize, Serialize};
 
 /// One row of Table I.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Table1Row {
     /// Worker/process count.
     pub processes: usize,
@@ -34,7 +33,7 @@ pub struct Table1Row {
 }
 
 /// Complete Table I result.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Table1 {
     /// Tiles labeled.
     pub tiles: usize,

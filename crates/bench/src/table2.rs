@@ -14,10 +14,9 @@ use crate::workloads::{labeling_tiles, measure_per_tile_cost};
 use seaice_imgproc::buffer::Image;
 use seaice_label::autolabel::{auto_label, AutoLabelConfig};
 use seaice_mapreduce::{ClusterSpec, CostModel, Session};
-use serde::{Deserialize, Serialize};
 
 /// One row of Table II.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Table2Row {
     /// Executor count.
     pub executors: usize,
@@ -36,7 +35,7 @@ pub struct Table2Row {
 }
 
 /// Complete Table II result.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Table2 {
     /// Tiles processed per grid point.
     pub tiles: usize,

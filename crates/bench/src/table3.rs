@@ -14,10 +14,9 @@ use seaice_distrib::{train_distributed, DgxA100Model, DistTrainConfig};
 use seaice_nn::dataloader::Sample;
 use seaice_s2::synth::{generate, SceneConfig};
 use seaice_unet::UNetConfig;
-use serde::{Deserialize, Serialize};
 
 /// One row of Table III.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Table3Row {
     /// GPU count.
     pub gpus: usize,
@@ -32,7 +31,7 @@ pub struct Table3Row {
 }
 
 /// Complete Table III result.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Table3 {
     /// DGX rows (1, 2, 4, 6, 8 GPUs).
     pub rows: Vec<Table3Row>,

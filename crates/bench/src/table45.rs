@@ -13,7 +13,6 @@ use seaice_label::autolabel::{auto_label, AutoLabelConfig};
 use seaice_metrics::ssim_rgb;
 use seaice_s2::dataset::Dataset;
 use seaice_s2::tiler::Tile;
-use serde::{Deserialize, Serialize};
 
 /// Converts an RGB image to CHW `[0,1]` floats (shared with table3).
 pub fn chw(img: &Image<u8>) -> Vec<f32> {
@@ -48,7 +47,7 @@ pub fn prepare(scale: Scale) -> AccuracyExperiments {
 }
 
 /// One Table IV cell.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct AccuracyCell {
     /// Which model.
     pub labels: LabelSource,
@@ -236,7 +235,7 @@ pub fn render_table5(rows: &[(bool, AccuracyCell)]) -> String {
 
 /// Fig. 11 / §IV-B-2: SSIM of auto-labels against manual labels, with and
 /// without the thin-cloud/shadow filter (paper: 89 % and 99.64 %).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Fig11 {
     /// Mean SSIM of auto-labels from original (contaminated) imagery.
     pub ssim_original: f64,
@@ -288,7 +287,7 @@ impl Fig11 {
 
 /// §IV-B timing: auto-labeling large scenes end to end (paper: 349.26 s
 /// for 66 scenes of 2048²).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ScenesTiming {
     /// Scenes processed.
     pub scenes: usize,

@@ -5,10 +5,9 @@ use seaice_imgproc::buffer::{Image, Scratch};
 use seaice_label::autolabel::{auto_label_class_mask, AutoLabelConfig};
 use seaice_nn::dataloader::Sample;
 use seaice_s2::tiler::Tile;
-use serde::{Deserialize, Serialize};
 
 /// Which imagery variant feeds the model.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum InputVariant {
     /// The as-acquired image, clouds and shadows included (the paper's
     /// "original S2 images" arm).
@@ -21,7 +20,7 @@ pub enum InputVariant {
 }
 
 /// Which labels supervise training.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LabelSource {
     /// Ground-truth masks (the manual-label stand-in) → `U-Net-Man`.
     Manual,

@@ -11,10 +11,9 @@
 use seaice_imgproc::buffer::Image;
 use seaice_imgproc::components::{connected_components, Component, Connectivity};
 use seaice_label::ranges::IceClass;
-use serde::{Deserialize, Serialize};
 
 /// Sea-ice concentration summary of a classified scene.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct IceConcentration {
     /// Fraction of pixels that are ice of any kind (thick + thin).
     pub total_ice: f64,
@@ -48,7 +47,7 @@ pub fn ice_concentration(mask: &Image<u8>) -> IceConcentration {
 }
 
 /// One detected lead.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Lead {
     /// Pixel area of the lead.
     pub area: usize,
@@ -68,7 +67,7 @@ pub struct Lead {
 /// Lead-detection tuning. `min_elongation` uses the
 /// orientation-independent linearity `length²/area` (thin lines score
 /// ≈ length/width; compact blobs score ≈ 2).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct LeadConfig {
     /// Minimum pixel area for a water component to be considered.
     pub min_area: usize,
@@ -91,7 +90,7 @@ impl Default for LeadConfig {
 }
 
 /// Lead statistics over one classified scene.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LeadAnalysis {
     /// Detected leads, largest first.
     pub leads: Vec<Lead>,

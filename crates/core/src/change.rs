@@ -21,8 +21,9 @@
 //! assembles in `BTreeMap` key order — the same bytes at any worker
 //! count, with or without retries.
 
-use serde::{Deserialize, Serialize};
+use seaice_obs::json::{self, Obj};
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 use seaice_s2::classes::OPEN_WATER;
 
@@ -44,7 +45,7 @@ pub struct TileObs {
 }
 
 /// Integer accumulators for one `(region, revisit)` cell.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 struct RevisitAcc {
     day: u32,
     tiles: u64,
@@ -156,7 +157,7 @@ impl DriftSeries {
 /// evicted once both sides are settled; dropping it after serving one
 /// direction would silently lose the other diff under adversarial
 /// arrival orders.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 struct PendingMask {
     mask: Vec<u8>,
     /// The `(r-1) → r` diff has been booked (vacuously true at revisit
@@ -272,44 +273,19 @@ impl ChangeDetector {
     pub fn snapshot(&self) -> ChangeSnapshot {
         ChangeSnapshot {
             tile: self.tile,
-            acc: self
-                .acc
-                .iter()
-                .map(|((region, revisit), acc)| AccEntry {
-                    region: region.clone(),
-                    revisit: *revisit,
-                    acc: acc.clone(),
-                })
-                .collect(),
-            pending: self
-                .pending
-                .iter()
-                .flat_map(|((region, tile_index), slot)| {
-                    slot.iter().map(move |(revisit, mask)| PendingEntry {
-                        region: region.clone(),
-                        tile_index: *tile_index,
-                        revisit: *revisit,
-                        mask: mask.clone(),
-                    })
-                })
-                .collect(),
+            acc: self.acc.clone(),
+            pending: self.pending.clone(),
         }
     }
 
     /// Rebuilds a detector from a [`ChangeSnapshot`] — the inverse of
     /// [`snapshot`](ChangeDetector::snapshot).
     pub fn restore(snap: &ChangeSnapshot) -> Self {
-        let mut det = Self::new(snap.tile);
-        for e in &snap.acc {
-            det.acc.insert((e.region.clone(), e.revisit), e.acc.clone());
+        Self {
+            tile: snap.tile,
+            acc: snap.acc.clone(),
+            pending: snap.pending.clone(),
         }
-        for e in &snap.pending {
-            det.pending
-                .entry((e.region.clone(), e.tile_index))
-                .or_default()
-                .insert(e.revisit, e.mask.clone());
-        }
-        det
     }
 
     /// Assembles the series in `(region, revisit)` key order.
@@ -345,35 +321,120 @@ impl ChangeDetector {
 
 /// Serializable image of a [`ChangeDetector`]'s complete state.
 ///
-/// Tuple-keyed `BTreeMap`s do not map onto JSON objects, so the maps
-/// flatten into entry vectors (in key order — the encoding is
+/// Tuple-keyed `BTreeMap`s do not map onto JSON objects, so the codec
+/// flattens the maps into entry arrays (in key order — the encoding is
 /// deterministic). Written durably by the stream-stage checkpoint in
 /// [`crate::stream_workflow`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ChangeSnapshot {
     /// Tile side length the masks were observed at.
     pub tile: usize,
-    /// Flattened accumulator map, in `(region, revisit)` order.
-    acc: Vec<AccEntry>,
-    /// Flattened pending-mask map, in `(region, tile, revisit)` order.
-    pending: Vec<PendingEntry>,
+    /// Accumulators by `(region, revisit)`.
+    acc: BTreeMap<(String, u32), RevisitAcc>,
+    /// Pending masks by `(region, tile)`, then revisit.
+    pending: BTreeMap<(String, u32), BTreeMap<u32, PendingMask>>,
 }
 
-/// One `(region, revisit)` accumulator cell of a [`ChangeSnapshot`].
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-struct AccEntry {
-    region: String,
-    revisit: u32,
-    acc: RevisitAcc,
-}
+impl ChangeSnapshot {
+    /// The snapshot as compact JSON: `{"tile", "acc": [{"region",
+    /// "revisit", "acc": {…12 counters…}}], "pending": [{"region",
+    /// "tile_index", "revisit", "mask": {"mask": […], "diffed_prev",
+    /// "diffed_next"}}]}` — the `detector` member of a stream checkpoint.
+    pub fn to_json(&self) -> String {
+        let mut out = String::new();
+        let _ = write!(out, "{{\"tile\":{},\"acc\":", self.tile);
+        json::push_array(&mut out, &self.acc, |out, ((region, revisit), a)| {
+            let region = json::escape(region);
+            let _ = write!(
+                out,
+                "{{\"region\":\"{region}\",\"revisit\":{revisit},\"acc\":{{\"day\":{},\"tiles\":{},\
+                 \"total_px\":{},\"ice_px\":{},\"thick_px\":{},\"water_px\":{},",
+                a.day, a.tiles, a.total_px, a.ice_px, a.thick_px, a.water_px
+            );
+            let _ = write!(
+                out,
+                "\"edge_px\":{},\"agree_px\":{},\"diffed_px\":{},\"changed_px\":{},\
+                 \"opened_px\":{},\"closed_px\":{}}}}}",
+                a.edge_px, a.agree_px, a.diffed_px, a.changed_px, a.opened_px, a.closed_px
+            );
+        });
+        out.push_str(",\"pending\":");
+        let slots = self.pending.iter();
+        let pending = slots.flat_map(|(at, slot)| slot.iter().map(move |e| (at, e)));
+        json::push_array(&mut out, pending, |out, (at, (revisit, m))| {
+            let (region, tile_index) = at;
+            let _ = write!(
+                out,
+                "{{\"region\":\"{}\",\"tile_index\":{tile_index},\"revisit\":{revisit},\
+                 \"mask\":{{\"mask\":",
+                json::escape(region)
+            );
+            json::push_array(out, &m.mask, |out, class| {
+                let _ = write!(out, "{class}");
+            });
+            let _ = write!(
+                out,
+                ",\"diffed_prev\":{},\"diffed_next\":{}}}}}",
+                m.diffed_prev, m.diffed_next
+            );
+        });
+        out.push('}');
+        out
+    }
 
-/// One pending mask of a [`ChangeSnapshot`].
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-struct PendingEntry {
-    region: String,
-    tile_index: u32,
-    revisit: u32,
-    mask: PendingMask,
+    /// Decodes what [`to_json`](Self::to_json) wrote.
+    ///
+    /// # Errors
+    /// The first missing, mistyped or out-of-range field, or a pending
+    /// mask that is not `tile²` long, named by its path under `o`.
+    pub fn from_json(o: &Obj) -> Result<ChangeSnapshot, String> {
+        let mut snap = ChangeSnapshot {
+            tile: o.uint("tile")?,
+            acc: BTreeMap::new(),
+            pending: BTreeMap::new(),
+        };
+        for e in o.objs("acc")? {
+            let a = e.obj("acc")?;
+            let acc = RevisitAcc {
+                day: a.uint("day")?,
+                tiles: a.uint("tiles")?,
+                total_px: a.uint("total_px")?,
+                ice_px: a.uint("ice_px")?,
+                thick_px: a.uint("thick_px")?,
+                water_px: a.uint("water_px")?,
+                edge_px: a.uint("edge_px")?,
+                agree_px: a.uint("agree_px")?,
+                diffed_px: a.uint("diffed_px")?,
+                changed_px: a.uint("changed_px")?,
+                opened_px: a.uint("opened_px")?,
+                closed_px: a.uint("closed_px")?,
+            };
+            let key = (e.str("region")?.to_string(), e.uint("revisit")?);
+            snap.acc.insert(key, acc);
+        }
+        for e in o.objs("pending")? {
+            let m = e.obj("mask")?;
+            let mask: Vec<u8> = m.uints("mask")?;
+            if snap.tile.checked_mul(snap.tile) != Some(mask.len()) {
+                let (path, tile) = (m.path_of("mask"), snap.tile);
+                return Err(format!(
+                    "{path}: {} pixels are not a {tile}x{tile} tile",
+                    mask.len()
+                ));
+            }
+            let mask = PendingMask {
+                mask,
+                diffed_prev: m.bool("diffed_prev")?,
+                diffed_next: m.bool("diffed_next")?,
+            };
+            let key = (e.str("region")?.to_string(), e.uint("tile_index")?);
+            snap.pending
+                .entry(key)
+                .or_default()
+                .insert(e.uint("revisit")?, mask);
+        }
+        Ok(snap)
+    }
 }
 
 /// Books one consecutive-revisit diff into the accumulator of the
@@ -433,7 +494,14 @@ fn diff_masks(prev: &[u8], cur: &[u8]) -> (u64, u64, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream_workflow::StreamCheckpoint;
+    use proptest::prelude::*;
     use seaice_s2::classes::{OPEN_WATER as W, THICK_ICE as K, THIN_ICE as N};
+
+    fn reparse(json: &str) -> ChangeSnapshot {
+        let doc = json::parse(json).unwrap();
+        ChangeSnapshot::from_json(&Obj::root(&doc).unwrap()).unwrap()
+    }
 
     fn obs(region: &str, revisit: u32, tile_index: u32, pred: Vec<u8>) -> TileObs {
         TileObs {
@@ -601,8 +669,7 @@ mod tests {
             }
             // Roundtrip the snapshot through JSON — the same encoding
             // the durable stream checkpoint uses.
-            let json = serde_json::to_vec(&first.snapshot()).unwrap();
-            let snap: ChangeSnapshot = serde_json::from_slice(&json).unwrap();
+            let snap = reparse(&first.snapshot().to_json());
             let mut resumed = ChangeDetector::restore(&snap);
             for o in &observations[cut..] {
                 resumed.observe(o.clone());
@@ -616,12 +683,98 @@ mod tests {
         let mut det = ChangeDetector::new(2);
         det.observe(obs("a", 1, 0, vec![K, W, K, W]));
         det.observe(obs("b", 0, 3, vec![N, N, W, W]));
-        let a = serde_json::to_vec(&det.snapshot()).unwrap();
-        let b = serde_json::to_vec(&det.snapshot()).unwrap();
+        let a = det.snapshot().to_json();
+        let b = det.snapshot().to_json();
         assert_eq!(a, b);
         // And the roundtrip is lossless.
-        let snap: ChangeSnapshot = serde_json::from_slice(&a).unwrap();
+        let snap = reparse(&a);
         assert_eq!(ChangeDetector::restore(&snap).snapshot(), det.snapshot());
+    }
+
+    #[test]
+    fn malformed_stream_checkpoints_name_the_offending_field() {
+        let mut det = ChangeDetector::new(2);
+        det.observe(obs("a", 1, 7, vec![K, W, K, W]));
+        let good = StreamCheckpoint {
+            scenes_done: 3,
+            detector: det.snapshot(),
+        }
+        .to_json();
+        assert!(StreamCheckpoint::from_json(&good).is_ok());
+        // needle => replacement => what the error must say, path first
+        let cases = r#"
+"scenes_done":3,    =>                      => scenes_done: missing field
+"scenes_done":3     => "scenes_done":-3     => scenes_done: expected an unsigned integer, got -3
+"detector":{        => "detector":7,"was":{ => detector: expected an object, got 7
+"tile":2            => "tile":2.5           => detector.tile: expected an unsigned integer, got 2.5
+"tile":2            => "tile":3             => detector.pending[0].mask.mask: 4 pixels are not a 3x3 tile
+"mask":[0,          => "mask":[             => detector.pending[0].mask.mask: 3 pixels are not a 2x2 tile
+"mask":[0,          => "mask":[256,         => detector.pending[0].mask.mask[0]: 256 is out of range for u8
+"mask":[0,          => "mask":[-1,          => detector.pending[0].mask.mask[0]: expected an unsigned integer, got -1
+"revisit":1         => "revisit":4294967296 => detector.acc[0].revisit: 4294967296 is out of range for u32
+"tile_index":7      => "tile_index":"7"     => detector.pending[0].tile_index: expected an unsigned integer, got a string
+"region":"a"        => "region":null        => detector.acc[0].region: expected a string, got null
+"ice_px":2,         =>                      => detector.acc[0].acc.ice_px: missing field
+"diffed_prev":false => "diffed_prev":0      => detector.pending[0].mask.diffed_prev: expected a boolean, got 0
+"acc":[             => "acc":[[],           => detector.acc[0]: expected an object, got an array
+"#;
+        for case in cases.lines().filter(|l| !l.is_empty()) {
+            let cols: Vec<&str> = case.split("=>").map(str::trim).collect();
+            let (from, to, path) = (cols[0], cols[1], cols[2]);
+            assert!(good.contains(from), "`{from}` matches nothing in {good}");
+            let e = StreamCheckpoint::from_json(&good.replacen(from, to, 1)).err();
+            let e = e.unwrap_or_else(|| panic!("`{from}` -> `{to}` must not decode"));
+            assert!(e.to_string().contains(path), "`{from}` -> `{to}`: {e}");
+        }
+        assert!(StreamCheckpoint::from_json(&"[".repeat(200_000)).is_err());
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn stream_checkpoint_round_trips_over_the_whole_value_range(
+            region in proptest::collection::vec(0u32..0x2800, 0..8),
+            raw in proptest::collection::vec(any::<u64>(), 12),
+            cells in 0u32..3,
+            masks in 0u32..3,
+            tile in 0usize..4,
+        ) {
+            // Control characters, quotes, backslashes and non-ASCII all
+            // occur below 0x2800.
+            let region: String = region.into_iter().filter_map(char::from_u32).collect();
+            let acc = RevisitAcc {
+                day: raw[0] as u32,
+                tiles: u64::MAX,
+                total_px: 0,
+                ice_px: raw[1],
+                thick_px: raw[2],
+                water_px: raw[3],
+                edge_px: raw[4],
+                agree_px: raw[5],
+                diffed_px: raw[6],
+                changed_px: raw[7],
+                opened_px: raw[8],
+                closed_px: raw[9],
+            };
+            let mask = PendingMask {
+                mask: (0..tile * tile).map(|i| (raw[10] >> (i % 8)) as u8).collect(),
+                diffed_prev: raw[11] & 1 == 1,
+                diffed_next: raw[11] & 2 == 2,
+            };
+            let ckpt = StreamCheckpoint {
+                scenes_done: raw[11] as usize,
+                detector: ChangeSnapshot {
+                    tile,
+                    acc: (0..cells)
+                        .map(|i| ((region.clone(), u32::MAX - i), acc.clone()))
+                        .collect(),
+                    pending: (0..masks)
+                        .map(|i| (region.clone(), i))
+                        .map(|at| (at, BTreeMap::from([(raw[0] as u32, mask.clone())])))
+                        .collect(),
+                },
+            };
+            prop_assert_eq!(StreamCheckpoint::from_json(&ckpt.to_json())?, ckpt);
+        }
     }
 
     #[test]

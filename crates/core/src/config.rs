@@ -4,10 +4,9 @@
 use seaice_label::autolabel::AutoLabelConfig;
 use seaice_s2::dataset::DatasetConfig;
 use seaice_unet::{TrainConfig, UNetConfig};
-use serde::{Deserialize, Serialize};
 
 /// Everything needed to run the end-to-end workflow.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct WorkflowConfig {
     /// Scene acquisition and tiling.
     pub dataset: DatasetConfig,

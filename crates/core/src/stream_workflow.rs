@@ -25,6 +25,7 @@ use seaice_imgproc::buffer::{Image, Scratch};
 use seaice_label::autolabel::{auto_label_class_mask, AutoLabelConfig};
 use seaice_nn::tensor::Tensor;
 use seaice_obs::durable::{self, DurableCtx};
+use seaice_obs::json::{self, Obj};
 use seaice_obs::lock;
 use seaice_s2::catalog::{Catalog, RevisitPlan, RevisitSceneMeta};
 use seaice_s2::synth::SceneConfig;
@@ -34,7 +35,6 @@ use seaice_unet::checkpoint::{self, Checkpoint};
 use seaice_unet::config::UNetConfig;
 use seaice_unet::model::UNet;
 use seaice_unet::train::{train, TrainConfig};
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -386,12 +386,38 @@ impl StreamResumeConfig {
 /// The durable payload [`run_stream_resumable`] writes at every
 /// checkpoint boundary: how far the scene feed got plus the detector's
 /// complete state.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct StreamCheckpoint {
     /// Scenes fully processed and folded into `detector`.
     pub scenes_done: usize,
     /// Detector state after those scenes.
     pub detector: ChangeSnapshot,
+}
+
+impl StreamCheckpoint {
+    /// The payload as compact JSON: `{"scenes_done", "detector": {…}}`
+    /// (see [`ChangeSnapshot::to_json`]).
+    pub fn to_json(&self) -> String {
+        format!(
+            "{{\"scenes_done\":{},\"detector\":{}}}",
+            self.scenes_done,
+            self.detector.to_json()
+        )
+    }
+
+    /// Decodes what [`to_json`](Self::to_json) wrote.
+    ///
+    /// # Errors
+    /// The parse error, or the first unacceptable field named by its path
+    /// (`detector.pending[3].mask.mask: …`).
+    pub fn from_json(src: &str) -> Result<StreamCheckpoint, String> {
+        let doc = json::parse(src)?;
+        let root = Obj::root(&doc)?;
+        Ok(StreamCheckpoint {
+            scenes_done: root.uint("scenes_done")?,
+            detector: ChangeSnapshot::from_json(&root.obj("detector")?)?,
+        })
+    }
 }
 
 /// What a resumable run did.
@@ -452,8 +478,8 @@ pub fn run_stream_resumable(
     // corrupt, or shape-incompatible is *discarded*, never trusted.
     let mut corrupt_discarded = false;
     let (mut detector, mut done) = match durable::read_framed(path, dctx, durable::path_key(path)) {
-        Ok(bytes) => match serde_json::from_slice::<StreamCheckpoint>(&bytes) {
-            Ok(sc) if sc.scenes_done <= total && sc.detector.tile == cfg.tile => {
+        Ok(bytes) => match std::str::from_utf8(&bytes).map(StreamCheckpoint::from_json) {
+            Ok(Ok(sc)) if sc.scenes_done <= total && sc.detector.tile == cfg.tile => {
                 (ChangeDetector::restore(&sc.detector), sc.scenes_done)
             }
             _ => {
@@ -509,11 +535,8 @@ pub fn run_stream_resumable(
             scenes_done: done,
             detector: detector.snapshot(),
         };
-        match serde_json::to_vec(&payload) {
-            Ok(json) => match durable::write_framed(path, &json, dctx, done as u64) {
-                Ok(()) => written += 1,
-                Err(_) => write_failures += 1,
-            },
+        match durable::write_framed(path, payload.to_json().as_bytes(), dctx, done as u64) {
+            Ok(()) => written += 1,
             Err(_) => write_failures += 1,
         }
     }

@@ -11,7 +11,6 @@ use seaice_nn::dataloader::DataLoader;
 use seaice_s2::dataset::Dataset;
 use seaice_s2::tiler::Tile;
 use seaice_unet::{evaluate, train, UNet};
-use serde::{Deserialize, Serialize};
 
 /// The two trained models of the comparison.
 pub struct TrainedModels {
@@ -22,7 +21,7 @@ pub struct TrainedModels {
 }
 
 /// Evaluation of one (model, input-variant, tile-subset) arm.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ArmEvaluation {
     /// Standard classification metrics vs manual labels.
     pub report: ClassificationReport,

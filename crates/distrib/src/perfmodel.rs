@@ -18,10 +18,8 @@
 //! Calibration (`dgx_a100`): `h = 0.085 s`, `C = 5.53 s`, `c = 0.005 s`
 //! matches all five published rows within ~2 %.
 
-use serde::{Deserialize, Serialize};
-
 /// Calibrated epoch-time model for distributed U-Net training.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct DgxA100Model {
     /// Host input-pipeline seconds per epoch (not parallelized).
     pub host_secs_per_epoch: f64,

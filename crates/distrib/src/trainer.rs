@@ -22,11 +22,10 @@ use seaice_nn::loss::softmax_cross_entropy;
 use seaice_nn::optim::Adam;
 use seaice_unet::checkpoint::{self, Checkpoint};
 use seaice_unet::{UNet, UNetConfig};
-use serde::{Deserialize, Serialize};
 use std::sync::{Arc, Mutex};
 
 /// Distributed training configuration.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct DistTrainConfig {
     /// Data-parallel width (the paper sweeps 1, 2, 4, 6, 8 GPUs).
     pub ranks: usize,
@@ -126,7 +125,7 @@ impl std::fmt::Display for TrainError {
 impl std::error::Error for TrainError {}
 
 /// Results of a distributed run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct DistTrainReport {
     /// Rank-0 mean loss per epoch.
     pub epoch_losses: Vec<f32>,

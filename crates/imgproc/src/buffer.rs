@@ -1,8 +1,6 @@
 //! Interleaved row-major image container, the substrate's equivalent of an
 //! OpenCV `Mat`.
 
-use serde::{Deserialize, Serialize};
-
 /// An 8-bit RGB pixel `[r, g, b]`.
 pub type Rgb8 = [u8; 3];
 
@@ -18,7 +16,7 @@ pub type GrayF32 = Image<f32>;
 /// which keeps the kernel implementations monomorphic over the sample type
 /// `T` only. Pixel `(x, y)` channel `c` lives at index
 /// `(y * width + x) * channels + c`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Image<T> {
     width: usize,
     height: usize,

@@ -9,7 +9,6 @@ use crate::ranges::ClassRanges;
 use crate::segment::{segment_classes, segment_to_color};
 use rayon::prelude::*;
 use seaice_imgproc::buffer::{Image, Scratch};
-use serde::{Deserialize, Serialize};
 
 /// Which segmentation kernel the auto-labeler runs.
 ///
@@ -17,27 +16,19 @@ use serde::{Deserialize, Serialize};
 /// `tests/fused_vs_reference.rs`); `Fused` is the fast path and the
 /// default, `Reference` exists as the trusted baseline for differential
 /// testing and benchmarking.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum LabelBackend {
     /// `f32` HSV conversion to an intermediate image, then per-pixel
     /// range scans (the original, OpenCV-shaped path).
     Reference,
     /// Single-pass integer HSV + per-channel bitmask LUTs, no
     /// intermediate images (see [`crate::fused`]).
+    #[default]
     Fused,
 }
 
-// Not derived: the vendored serde_derive shim can't parse `#[default]`
-// variant attributes alongside its `Serialize`/`Deserialize` derives.
-#[allow(clippy::derivable_impls)]
-impl Default for LabelBackend {
-    fn default() -> Self {
-        LabelBackend::Fused
-    }
-}
-
 /// Auto-labeling configuration.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct AutoLabelConfig {
     /// HSV class thresholds (defaults to the paper's calibration).
     pub ranges: ClassRanges,

@@ -40,14 +40,13 @@ use seaice_imgproc::color::rgb_pixel_to_hsv_int;
 use seaice_imgproc::filter::{box_blur_f32_pair, median_filter_into};
 use seaice_imgproc::ops::min_max_normalize;
 use seaice_imgproc::threshold::{otsu_binary, threshold, ThresholdType};
-use serde::{Deserialize, Serialize};
 
 /// Chroma hypotheses `(ρ = R/B, γ = G/B)` for the two blue-tinted classes
 /// that make haze identifiable.
 const HYPOTHESES: [(f32, f32); 2] = [(0.45, 0.70), (0.82, 0.92)];
 
 /// Tuning parameters of the cloud/shadow filter.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct FilterConfig {
     /// Median pre-filter radius ("noise filtering" stage); 0 disables.
     pub denoise_radius: usize,

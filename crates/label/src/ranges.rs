@@ -7,11 +7,9 @@
 //! (0, 0, 0) to (185, 255, 30)." The ranges partition the value axis, so
 //! every pixel gets exactly one class.
 
-use serde::{Deserialize, Serialize};
-
 /// The three sea-ice surface classes, with discriminants matching the
 /// class-mask indices used across the workspace.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum IceClass {
     /// Thick / snow-covered ice (label color: red).
@@ -68,7 +66,7 @@ impl IceClass {
 
 /// An inclusive HSV box `[lo, hi]` (OpenCV conventions; the paper's upper
 /// hue bound of 185 simply covers the whole `[0, 180)` hue circle).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HsvRange {
     /// Lower inclusive HSV corner.
     pub lo: [u8; 3],
@@ -87,7 +85,7 @@ impl HsvRange {
 }
 
 /// The per-class HSV ranges driving segmentation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ClassRanges {
     /// Thick / snow-covered ice range.
     pub thick: HsvRange,

@@ -18,7 +18,6 @@
 
 use seaice_exec::{attempt, Pool, Queue, Recv};
 use seaice_faults::{mix, FaultPlan};
-use serde::{Deserialize, Serialize};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -45,7 +44,7 @@ impl std::fmt::Display for SpecError {
 impl std::error::Error for SpecError {}
 
 /// Cluster topology.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ClusterSpec {
     /// Number of executor nodes.
     pub executors: usize,
@@ -153,7 +152,7 @@ impl RunPolicy {
 
 /// What a fault-tolerant job did to finish: every attempt is accounted
 /// for so the simulated clock can charge retries and speculation.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct FtReport {
     /// Distinct tasks in the job.
     pub tasks: usize,

@@ -12,10 +12,9 @@
 //! * **collect** — results funnel back through the driver's NIC.
 
 use crate::cluster::ClusterSpec;
-use serde::{Deserialize, Serialize};
 
 /// Calibrated cluster timing parameters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct CostModel {
     /// Object-store read bandwidth of a single-core executor (bytes/s).
     pub load_bytes_per_sec: f64,

@@ -4,13 +4,12 @@
 use crate::cluster::{Cluster, ClusterSpec, FtReport, JobError, RunPolicy};
 use crate::costmodel::CostModel;
 use seaice_faults::FaultPlan;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Timing of one job stage: the simulated cluster clock (what Table II
 /// reports) and the measured host wall time (for sanity checks).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct StageReport {
     /// Simulated cluster time in seconds.
     pub simulated_secs: f64,
@@ -21,7 +20,7 @@ pub struct StageReport {
 }
 
 /// Timing of a full load → map → reduce job.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct JobReport {
     /// Data-loading stage.
     pub load: StageReport,

@@ -2,10 +2,9 @@
 //! (the Table IV metrics).
 
 use crate::confusion::ConfusionMatrix;
-use serde::{Deserialize, Serialize};
 
 /// Per-class and aggregate classification metrics.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ClassificationReport {
     /// Overall accuracy.
     pub accuracy: f64,

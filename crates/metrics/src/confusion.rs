@@ -7,11 +7,10 @@
 //! ground truth, and normalization is per column.
 
 use seaice_imgproc::buffer::Image;
-use serde::{Deserialize, Serialize};
 
 /// A dense confusion matrix over `n` classes. `counts[pred][truth]` is the
 /// number of samples of true class `truth` predicted as `pred`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ConfusionMatrix {
     n: usize,
     counts: Vec<u64>,

@@ -7,9 +7,7 @@
 //! * [`classification`] — overall accuracy, per-class and macro-averaged
 //!   precision / recall / F1 (Table IV),
 //! * [`ssim`] — the Structural Similarity Index used to score auto-labels
-//!   against manual labels (89 % / 99.64 % in §IV-B),
-//! * [`latency`] — log-bucketed request-latency histogram (count, mean,
-//!   p50/p95/p99) backing the serving layer's stats endpoint.
+//!   against manual labels (89 % / 99.64 % in §IV-B).
 //!
 //! ```
 //! use seaice_metrics::{classification_report, mean_iou, ConfusionMatrix};
@@ -27,10 +25,8 @@
 
 pub mod classification;
 pub mod confusion;
-pub mod latency;
 pub mod ssim;
 
 pub use classification::{classification_report, dice, iou, mean_iou, ClassificationReport};
 pub use confusion::ConfusionMatrix;
-pub use latency::{LatencyHistogram, LatencySnapshot};
 pub use ssim::{ssim, ssim_rgb};

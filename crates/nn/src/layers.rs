@@ -8,10 +8,9 @@ use crate::init::he_uniform;
 use crate::ops;
 use crate::ops::conv2d::Conv2dShape;
 use crate::tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// A trainable parameter: value plus gradient accumulator.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Param {
     /// Current value.
     pub value: Tensor,

@@ -27,10 +27,9 @@
 use crate::ops::conv2d::Conv2dShape;
 use crate::tensor::Tensor;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// Per-tensor affine quantization parameters for activations.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct QuantParams {
     /// Step size between adjacent quantized values.
     pub scale: f32,
@@ -108,7 +107,7 @@ pub fn quantize_into(x: &[f32], qp: QuantParams, out: &mut Vec<i8>) {
 
 /// A per-channel symmetrically quantized weight matrix (the
 /// `[out_c, in_c·k·k]` filter bank of a convolution).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct QuantizedWeights {
     /// Output channels (rows).
     pub rows: usize,

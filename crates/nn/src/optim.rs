@@ -1,7 +1,6 @@
 //! Optimizers: SGD (baseline) and Adam (the paper's choice).
 
 use crate::layers::Param;
-use serde::{Deserialize, Serialize};
 
 /// A gradient-descent optimizer updating a set of parameters in place.
 pub trait Optimizer {
@@ -11,7 +10,7 @@ pub trait Optimizer {
 }
 
 /// Plain stochastic gradient descent with optional momentum.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Sgd {
     /// Learning rate.
     pub lr: f32,
@@ -54,7 +53,7 @@ impl Optimizer for Sgd {
 
 /// Adam (Kingma & Ba 2014), the optimizer the paper trains its U-Net
 /// with. Standard bias-corrected first/second moment estimates.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Adam {
     /// Learning rate (paper-typical 1e-3).
     pub lr: f32,

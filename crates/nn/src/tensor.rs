@@ -1,12 +1,10 @@
 //! Dense `f32` tensors in NCHW layout.
 
-use serde::{Deserialize, Serialize};
-
 /// A dense, contiguous, row-major `f32` tensor.
 ///
 /// Convolutional data uses NCHW: `[batch, channels, height, width]`.
 /// Weight matrices use 2-D `[rows, cols]`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Tensor {
     shape: Vec<usize>,
     data: Vec<f32>,

@@ -26,7 +26,7 @@
 //! claims like `bit_identical` carry tolerance 0 and must not move at
 //! all.
 
-use crate::json::{escape, fmt_f64, parse, Value};
+use crate::json::{escape, fmt_f64, parse, Obj};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -122,52 +122,25 @@ impl Summary {
     /// Parses a summary, rejecting unknown schemas and shape errors.
     pub fn from_json(src: &str) -> Result<Summary, String> {
         let doc = parse(src)?;
-        let schema = doc
-            .get("schema")
-            .and_then(Value::as_str)
-            .ok_or_else(|| "missing `schema`".to_string())?;
+        let root = Obj::root(&doc)?;
+        let schema = root.str("schema")?;
         if schema != SCHEMA {
             return Err(format!("unsupported schema `{schema}` (want `{SCHEMA}`)"));
         }
-        let area = doc
-            .get("area")
-            .and_then(Value::as_str)
-            .ok_or_else(|| "missing `area`".to_string())?;
-        let members = doc
-            .get("metrics")
-            .and_then(Value::as_obj)
-            .ok_or_else(|| "missing `metrics` object".to_string())?;
+        let members = root.obj("metrics")?;
         let mut metrics = BTreeMap::new();
-        for (name, m) in members {
-            let value = m
-                .get("value")
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("metric `{name}`: missing `value`"))?;
-            let unit = m
-                .get("unit")
-                .and_then(Value::as_str)
-                .unwrap_or("")
-                .to_string();
-            let higher_is_better = m
-                .get("higher_is_better")
-                .and_then(Value::as_bool)
-                .ok_or_else(|| format!("metric `{name}`: missing `higher_is_better`"))?;
-            let tolerance = m
-                .get("tolerance")
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("metric `{name}`: missing `tolerance`"))?;
-            metrics.insert(
-                name.clone(),
-                Metric {
-                    value,
-                    unit,
-                    higher_is_better,
-                    tolerance,
-                },
-            );
+        for name in members.keys() {
+            let m = members.obj(name)?;
+            let metric = Metric {
+                value: m.f64("value")?,
+                unit: m.str("unit").unwrap_or("").to_string(),
+                higher_is_better: m.bool("higher_is_better")?,
+                tolerance: m.f64("tolerance")?,
+            };
+            metrics.insert(name.to_string(), metric);
         }
         Ok(Summary {
-            area: area.to_string(),
+            area: root.str("area")?.to_string(),
             metrics,
         })
     }

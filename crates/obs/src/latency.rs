@@ -10,15 +10,13 @@
 //! hour. Recording is O(buckets) in the worst case (a short upward scan),
 //! with a running exact count/sum/min/max kept alongside.
 
-use serde::{Deserialize, Serialize};
-
 /// Geometric growth factor between bucket edges.
 const GROWTH: f64 = 1.35;
 /// Number of histogram buckets (the last one is open-ended).
 const BUCKETS: usize = 64;
 
 /// A log-spaced latency histogram over microseconds.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LatencyHistogram {
     counts: Vec<u64>,
     count: u64,
@@ -191,7 +189,7 @@ impl LatencyHistogram {
 /// One non-empty histogram bucket: the half-open range
 /// `[floor_us, upper_us)` and its observation count. The last bucket is
 /// open-ended (`upper_us == u64::MAX`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BucketCount {
     /// Inclusive lower edge, µs.
     pub floor_us: u64,
@@ -202,7 +200,7 @@ pub struct BucketCount {
 }
 
 /// A point-in-time latency summary (what `GET /stats` reports).
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct LatencySnapshot {
     /// Observations recorded.
     pub count: u64,

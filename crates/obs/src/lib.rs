@@ -4,7 +4,7 @@
 //! byte invisible when off*:
 //!
 //! * [`registry`]: a process-wide metrics registry of named counters,
-//!   gauges, and `seaice-metrics` log-spaced histograms. Handles from a
+//!   gauges, and [`latency`] log-spaced histograms. Handles from a
 //!   disabled [`Recorder`] are inert (`Option::None` inside — no atomics,
 //!   no locks), so the engine-vs-sequential and chaos byte-identity
 //!   guarantees hold unchanged. [`Recorder::render_prometheus`] serves
@@ -23,6 +23,8 @@
 //! * [`durable`]: crash-consistent persistence — checksummed atomic
 //!   file writes with seeded IO fault injection — which every durable
 //!   artifact in the workspace routes through (DESIGN.md §4.8).
+//! * [`json`]: the workspace's one JSON reader/writer, under every
+//!   persisted format's codec (DESIGN.md §4.8).
 //!
 //! Enablement is process-global and one-way: call [`enable_metrics`] /
 //! [`trace::enable`] at startup (the CLI does this behind `--metrics`-
@@ -34,6 +36,7 @@
 pub mod bench;
 pub mod durable;
 pub mod json;
+pub mod latency;
 pub mod registry;
 pub mod trace;
 

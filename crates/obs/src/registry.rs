@@ -1,5 +1,5 @@
 //! The process-wide metrics registry: named counters, gauges, and
-//! log-spaced latency histograms (the `seaice-metrics` histogram the
+//! log-spaced latency histograms ([`crate::latency`], the histogram the
 //! serving layer already trusts).
 //!
 //! The design center is *zero cost when disabled*: a disabled
@@ -13,8 +13,8 @@
 //! Registries are keyed by `BTreeMap` so every rendering (Prometheus
 //! text, JSON) is deterministically ordered.
 
+use crate::latency::{LatencyHistogram, LatencySnapshot};
 use crate::lock;
-use seaice_metrics::{LatencyHistogram, LatencySnapshot};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};

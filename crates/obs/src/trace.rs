@@ -18,6 +18,7 @@
 //! Like the metrics registry, a disabled tracer is free: every emit is a
 //! branch on a `None`.
 
+use crate::json::Obj;
 use crate::lock;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -377,25 +378,10 @@ pub fn validate_chrome_trace(src: &str) -> Result<TraceStats, String> {
     let mut stacks: std::collections::BTreeMap<(u64, u64), Vec<String>> =
         std::collections::BTreeMap::new();
     for (i, ev) in events.iter().enumerate() {
-        let name = ev
-            .get("name")
-            .and_then(|v| v.as_str())
-            .ok_or_else(|| format!("event {i}: missing `name`"))?;
-        let ph = ev
-            .get("ph")
-            .and_then(|v| v.as_str())
-            .ok_or_else(|| format!("event {i}: missing `ph`"))?;
-        ev.get("ts")
-            .and_then(|v| v.as_f64())
-            .ok_or_else(|| format!("event {i}: missing `ts`"))?;
-        let pid = ev
-            .get("pid")
-            .and_then(|v| v.as_f64())
-            .ok_or_else(|| format!("event {i}: missing `pid`"))? as u64;
-        let tid = ev
-            .get("tid")
-            .and_then(|v| v.as_f64())
-            .ok_or_else(|| format!("event {i}: missing `tid`"))? as u64;
+        let ev = Obj::new(ev, format!("event {i}"))?;
+        let (name, ph) = (ev.str("name")?, ev.str("ph")?);
+        ev.f64("ts")?;
+        let (pid, tid) = (ev.f64("pid")? as u64, ev.f64("tid")? as u64);
         match ph {
             "B" => stacks.entry((pid, tid)).or_default().push(name.to_string()),
             "E" => {
@@ -518,7 +504,7 @@ mod tests {
         let missing_field = r#"{"traceEvents": [{"name": "a", "ph": "B", "pid": 1, "tid": 1}]}"#;
         assert!(validate_chrome_trace(missing_field)
             .expect_err("missing ts")
-            .contains("missing `ts`"));
+            .contains("event 0.ts: missing field"));
 
         assert!(validate_chrome_trace("not json").is_err());
         assert!(validate_chrome_trace("{\"other\": 1}").is_err());

@@ -10,12 +10,11 @@
 use crate::clouds::{self, CloudConfig, CloudLayer};
 use crate::geo::{GeoExtent, SceneId, SceneMeta, TimeRange};
 use crate::synth::{self, Scene, SceneConfig};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A spatial + temporal catalog query (the GEE `filterBounds` /
 /// `filterDate` pair).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CatalogQuery {
     /// Spatial filter.
     pub extent: GeoExtent,

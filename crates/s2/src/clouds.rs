@@ -17,10 +17,9 @@
 use crate::noise::{fbm, FbmConfig};
 use rayon::prelude::*;
 use seaice_imgproc::buffer::Image;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the cloud/shadow overlay.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct CloudConfig {
     /// Target fraction of pixels covered by cloud (before the shadow is
     /// added); `0.0` disables the overlay entirely.

@@ -14,10 +14,9 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use seaice_imgproc::buffer::Image;
-use serde::{Deserialize, Serialize};
 
 /// Which split a tile landed in.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SplitKind {
     /// Training split (80 % by default).
     Train,
@@ -26,7 +25,7 @@ pub enum SplitKind {
 }
 
 /// Dataset construction parameters.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct DatasetConfig {
     /// Number of scenes to acquire from the catalog (paper: 66).
     pub n_scenes: usize,

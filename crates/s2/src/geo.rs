@@ -5,10 +5,8 @@
 //! −78° (south), longitude −140° to −180° (west), November 2019 (austral
 //! summer).
 
-use serde::{Deserialize, Serialize};
-
 /// A latitude/longitude bounding box in decimal degrees.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct GeoExtent {
     /// Southernmost latitude (≤ `lat_max`).
     pub lat_min: f64,
@@ -58,7 +56,7 @@ impl GeoExtent {
 /// A half-open day range `[start_day, end_day)` counted from an arbitrary
 /// epoch (the synthetic catalog uses day-of-mission numbering; the paper's
 /// November 2019 window is days 0..30 of the default catalog).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TimeRange {
     /// First day (inclusive).
     pub start_day: u32,
@@ -92,12 +90,12 @@ impl TimeRange {
 }
 
 /// Unique scene identifier within a catalog.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SceneId(pub u64);
 
 /// Metadata describing one large Sentinel-2 scene before pixel data is
 /// generated — the equivalent of a GEE image-collection entry.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SceneMeta {
     /// Catalog-unique identifier.
     pub id: SceneId,

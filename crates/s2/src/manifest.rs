@@ -2,15 +2,24 @@
 //! scenes an experiment used, so acquisitions are reproducible and
 //! shareable without shipping pixels (scenes regenerate from their
 //! seeds).
+//!
+//! The file is plain pretty-printed JSON (two-space indent, written
+//! atomically but not framed, so it stays hand-editable; the template in
+//! [`Manifest::to_json`] is its layout). This module owns the codec, over
+//! `seaice_obs::json`: ids and seeds are exact over the whole `u64`
+//! range, floats are written in their shortest round-trip form, and
+//! [`Manifest::from_json`] names the path of the first field it cannot
+//! accept (`scenes[1].extent.lat_min: …`).
 
-use crate::geo::SceneMeta;
-use serde::{Deserialize, Serialize};
+use crate::geo::{GeoExtent, SceneId, SceneMeta};
+use seaice_obs::json::{self, Exact, Obj};
+use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
 /// A serialized acquisition: the query provenance plus every scene's
 /// metadata (including the generative seed).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Manifest {
     /// Free-form description of the acquisition (region, season, notes).
     pub description: String,
@@ -34,30 +43,92 @@ impl Manifest {
     }
 
     /// Serializes to pretty JSON.
-    ///
-    /// # Errors
-    /// Serialization failures.
-    pub fn to_json(&self) -> io::Result<String> {
-        serde_json::to_string_pretty(self).map_err(io::Error::other)
+    pub fn to_json(&self) -> String {
+        let mut out = String::new();
+        let _ = write!(
+            out,
+            "{{\n  \"description\": \"{}\",\n  \"version\": {},\n  \"scenes\": [",
+            json::escape(&self.description),
+            self.version
+        );
+        for (i, s) in self.scenes.iter().enumerate() {
+            out.push_str(if i == 0 { "\n" } else { ",\n" });
+            let _ = write!(
+                out,
+                r#"    {{
+      "id": {},
+      "extent": {{
+        "lat_min": {},
+        "lat_max": {},
+        "lon_min": {},
+        "lon_max": {}
+      }},
+      "day": {},
+      "width": {},
+      "height": {},
+      "seed": {},
+      "cloud_cover": {}
+    }}"#,
+                s.id.0,
+                Exact(s.extent.lat_min),
+                Exact(s.extent.lat_max),
+                Exact(s.extent.lon_min),
+                Exact(s.extent.lon_max),
+                s.day,
+                s.width,
+                s.height,
+                s.seed,
+                Exact(s.cloud_cover)
+            );
+        }
+        if !self.scenes.is_empty() {
+            out.push_str("\n  ");
+        }
+        out + "]\n}"
     }
 
     /// Parses from JSON, rejecting unknown future versions.
     ///
     /// # Errors
-    /// Malformed JSON or an unsupported version.
-    pub fn from_json(json: &str) -> io::Result<Manifest> {
-        let m: Manifest = serde_json::from_str(json).map_err(io::Error::other)?;
-        if m.version > Self::VERSION {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "manifest version {} is newer than supported {}",
-                    m.version,
-                    Self::VERSION
-                ),
+    /// `InvalidData` for malformed JSON, a missing / mistyped /
+    /// out-of-range field (named by its path), or an unsupported version.
+    pub fn from_json(src: &str) -> io::Result<Manifest> {
+        Self::decode(src).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+    }
+
+    fn decode(src: &str) -> Result<Manifest, String> {
+        let doc = json::parse(src)?;
+        let root = Obj::root(&doc)?;
+        let version: u32 = root.uint("version")?;
+        if version > Self::VERSION {
+            return Err(format!(
+                "version: manifest version {version} is newer than supported {}",
+                Self::VERSION
             ));
         }
-        Ok(m)
+        let scene = |s: &Obj| -> Result<SceneMeta, String> {
+            let e = s.obj("extent")?;
+            Ok(SceneMeta {
+                id: SceneId(s.uint("id")?),
+                extent: GeoExtent::new(
+                    e.f64("lat_min")?,
+                    e.f64("lat_max")?,
+                    e.f64("lon_min")?,
+                    e.f64("lon_max")?,
+                ),
+                day: s.uint("day")?,
+                width: s.uint("width")?,
+                height: s.uint("height")?,
+                seed: s.uint("seed")?,
+                cloud_cover: s.f64("cloud_cover")?,
+            })
+        };
+        let scenes = root.objs("scenes")?;
+        Ok(Manifest {
+            description: root.str("description")?.to_string(),
+            version,
+            scenes: scenes.iter().map(scene).collect::<Result<_, _>>()?,
+        })
     }
 
     /// Writes the manifest to a file atomically (write-temp → fsync →
@@ -66,13 +137,13 @@ impl Manifest {
     /// stay plain pretty-printed JSON.
     ///
     /// # Errors
-    /// I/O or serialization failures.
+    /// I/O failures.
     pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
         let path = path.as_ref();
         let ctx = seaice_obs::durable::DurableCtx::disabled();
         seaice_obs::durable::write_atomic(
             path,
-            self.to_json()?.as_bytes(),
+            self.to_json().as_bytes(),
             &ctx,
             seaice_obs::durable::path_key(path),
         )
@@ -114,7 +185,7 @@ mod tests {
     #[test]
     fn json_roundtrip_preserves_everything() {
         let m = sample_manifest();
-        let json = m.to_json().unwrap();
+        let json = m.to_json();
         let back = Manifest::from_json(&json).unwrap();
         assert_eq!(back, m);
     }
@@ -135,7 +206,7 @@ mod tests {
         let cat = Catalog::new(9).with_scene_config(SceneConfig::tiny(64));
         let m = sample_manifest();
         let (first, _) = cat.generate(&m.scenes[0]);
-        let json = m.to_json().unwrap();
+        let json = m.to_json();
         let back = Manifest::from_json(&json).unwrap();
         let (second, _) = cat.generate(&back.scenes[0]);
         assert_eq!(first.rgb, second.rgb);
@@ -146,8 +217,19 @@ mod tests {
     fn future_versions_are_rejected() {
         let mut m = sample_manifest();
         m.version = Manifest::VERSION + 1;
-        let json = serde_json::to_string(&m).unwrap();
-        assert!(Manifest::from_json(&json).is_err());
+        let e = Manifest::from_json(&m.to_json()).expect_err("future version");
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+        assert!(e.to_string().contains("newer than supported"), "{e}");
+    }
+
+    #[test]
+    fn deeply_nested_file_is_an_error_not_a_stack_overflow() {
+        let path =
+            std::env::temp_dir().join(format!("seaice-manifest-deep-{}.json", std::process::id()));
+        std::fs::write(&path, "[".repeat(200_000)).unwrap();
+        let e = Manifest::load(&path).expect_err("deep nesting must fail");
+        std::fs::remove_file(&path).ok();
+        assert!(e.to_string().contains("nesting"), "{e}");
     }
 
     #[test]

@@ -20,10 +20,9 @@ use crate::classes::{OPEN_WATER, THICK_ICE, THIN_ICE};
 use crate::noise::{fbm, FbmConfig};
 use rayon::prelude::*;
 use seaice_imgproc::buffer::Image;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the procedural scene generator.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SceneConfig {
     /// Scene width in pixels (paper: 2048).
     pub width: usize,

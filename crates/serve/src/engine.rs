@@ -37,11 +37,12 @@ use seaice_exec::{attempt, lock, Pool};
 use seaice_faults::FaultPlan;
 use seaice_imgproc::buffer::{Image, Scratch};
 use seaice_label::cloudshadow::{CloudShadowFilter, FilterConfig};
-use seaice_metrics::latency::{BucketCount, LatencyHistogram, LatencySnapshot};
 use seaice_nn::Tensor;
+use seaice_obs::json::{escape, fmt_f64, push_array};
+use seaice_obs::latency::{BucketCount, LatencyHistogram, LatencySnapshot};
 use seaice_unet::checkpoint::Checkpoint;
 use seaice_unet::{InferBackend, QuantizedUNet, UNet};
-use serde::{Deserialize, Serialize};
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
@@ -260,7 +261,7 @@ struct StatsInner {
 }
 
 /// Fault-tolerance counters: the `/stats` robustness section.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct RobustnessSnapshot {
     /// Replicas rebuilt from the checkpoint after a worker panic.
     pub worker_restarts: u64,
@@ -273,7 +274,7 @@ pub struct RobustnessSnapshot {
 }
 
 /// A point-in-time view of the engine (what `GET /stats` serves).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct StatsSnapshot {
     /// Seconds since the engine started.
     pub uptime_secs: f64,
@@ -327,6 +328,63 @@ pub struct StatsSnapshot {
     pub latency_buckets: Vec<BucketCount>,
     /// `ok / uptime` — the engine's lifetime throughput in requests/s.
     pub throughput_rps: f64,
+}
+
+impl StatsSnapshot {
+    /// The snapshot as compact JSON, members in field order — the body of
+    /// `GET /stats`. Write-only: nothing in the workspace reads it back.
+    pub fn to_json(&self) -> String {
+        let (s, r, l) = (self, &self.robustness, &self.latency);
+        let (uptime, hit_rate) = (fmt_f64(s.uptime_secs), fmt_f64(s.cache_hit_rate));
+        let (mean_batch, rps) = (fmt_f64(s.mean_batch_size), fmt_f64(s.throughput_rps));
+        let (backend, health) = (escape(&s.backend), escape(&s.health));
+        let mut out = String::with_capacity(1024);
+        let _ = write!(
+            out,
+            "{{\"uptime_secs\":{uptime},\"submitted\":{},\"ok\":{},\"computed\":{},\
+             \"cache_hits\":{},\"cache_misses\":{},\"cache_evictions\":{},",
+            s.submitted, s.ok, s.computed, s.cache_hits, s.cache_misses, s.cache_evictions
+        );
+        let _ = write!(
+            out,
+            "\"cache_hit_rate\":{hit_rate},\"cache_len\":{},\"cache_capacity\":{},\
+             \"shed\":{},\"rejected\":{},\"batches\":{},\"mean_batch_size\":{mean_batch},",
+            s.cache_len, s.cache_capacity, s.shed, s.rejected, s.batches
+        );
+        let _ = write!(
+            out,
+            "\"max_batch_seen\":{},\"queue_depth\":{},\"queue_capacity\":{},\
+             \"workers\":{},\"backend\":\"{backend}\",\"health\":\"{health}\",",
+            s.max_batch_seen, s.queue_depth, s.queue_capacity, s.workers
+        );
+        let _ = write!(
+            out,
+            "\"robustness\":{{\"worker_restarts\":{},\"batch_retries\":{},\
+             \"shed_overload\":{},\"shed_deadline\":{}}},",
+            r.worker_restarts, r.batch_retries, r.shed_overload, r.shed_deadline
+        );
+        let _ = write!(
+            out,
+            "\"latency\":{{\"count\":{},\"mean_us\":{},\"min_us\":{},\"p50_us\":{},\
+             \"p95_us\":{},\"p99_us\":{},\"max_us\":{}}},\"latency_buckets\":",
+            l.count,
+            fmt_f64(l.mean_us),
+            l.min_us,
+            l.p50_us,
+            l.p95_us,
+            l.p99_us,
+            l.max_us
+        );
+        push_array(&mut out, &s.latency_buckets, |out, b| {
+            let _ = write!(
+                out,
+                "{{\"floor_us\":{},\"upper_us\":{},\"count\":{}}}",
+                b.floor_us, b.upper_us, b.count
+            );
+        });
+        let _ = write!(out, ",\"throughput_rps\":{rps}}}");
+        out
+    }
 }
 
 /// The batched, cache-aware inference serving engine.

@@ -165,8 +165,8 @@ fn handle(engine: &Engine, stream: TcpStream) -> io::Result<()> {
             }
         }
         ("GET", "/stats") => {
-            let json = serde_json::to_vec(&engine.stats()).map_err(io::Error::other)?;
-            respond(stream, 200, "application/json", &json)
+            let json = engine.stats().to_json();
+            respond(stream, 200, "application/json", json.as_bytes())
         }
         ("GET", "/metrics") => respond(
             stream,
@@ -287,6 +287,12 @@ mod tests {
         assert!(text.contains("\"latency_buckets\""), "{text}");
         assert!(text.contains("\"floor_us\""), "{text}");
         assert!(text.contains("\"cache_evictions\""), "{text}");
+        // The hand-written body is one well-formed document with every
+        // `StatsSnapshot` member, integers exact.
+        let doc = seaice_obs::json::parse(&text).expect("/stats is JSON");
+        assert_eq!(doc.as_obj().map(<[_]>::len), Some(24), "{text}");
+        let count = doc.get("latency").and_then(|l| l.get("count"));
+        assert_eq!(count.and_then(|c| c.as_u64()), Some(2), "{text}");
 
         // Prometheus exposition over the same engine.
         let (status, body) = request(addr, "GET", "/metrics", b"");

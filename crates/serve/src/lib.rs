@@ -15,7 +15,7 @@
 //! * [`engine`] — the worker pool (a `seaice-exec` `Pool`): `W` U-Net
 //!   replicas restored from one checkpoint, each assembling NCHW
 //!   micro-batches in reusable buffers under a `max_batch_size`/`max_wait`
-//!   policy; per-request latency lands in a `seaice-metrics` histogram;
+//!   policy; per-request latency lands in a `seaice_obs::latency` histogram;
 //!   graceful shutdown drains the queue.
 //! * [`http`] — a minimal `std::net` HTTP/1.1 front door
 //!   (`POST /classify`, `GET /stats`, `GET /healthz`).

@@ -1,6 +1,15 @@
 //! Model checkpointing: serialize the configuration plus every parameter
 //! tensor to JSON, restore into a freshly built network.
 //!
+//! The payload is `{"config":{…7 keys…},"params":[{"shape":[…],
+//! "data":[…]},…]}`, compact, written and read by this module's own
+//! codec ([`Checkpoint::to_json`]/[`Checkpoint::from_json`]) over
+//! `seaice_obs::json`: integers exact over the whole `u64` range, every
+//! `f32` as the shortest decimal of its `f64` widening (so it reads back
+//! bit-exactly), unit enums as their variant name. Decoding goes through
+//! `Tensor`'s public constructor after checking `shape` against `data`,
+//! so a file cannot produce a tensor the rest of the code could not.
+//!
 //! On-disk files go through `seaice_obs::durable` (DESIGN.md §4.8):
 //! [`save`] writes a CRC32-framed payload with the atomic
 //! temp-fsync-rename protocol, and [`load`]/[`load_quantized`] verify
@@ -9,12 +18,13 @@
 //! (written before the durable layer existed) still load: a file
 //! without the frame magic is parsed as-is.
 
-use crate::config::UNetConfig;
+use crate::config::{UNetConfig, UpMode};
 use crate::model::UNet;
 use crate::quant::{CalibrationSet, QuantizedUNet};
 use seaice_nn::Tensor;
 use seaice_obs::durable::{self, DurableCtx};
-use serde::{Deserialize, Serialize};
+use seaice_obs::json::{self, Exact, Obj};
+use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
@@ -24,12 +34,100 @@ use std::path::Path;
 pub const MAX_CHECKPOINT_BYTES: u64 = durable::MAX_PAYLOAD_BYTES;
 
 /// On-disk checkpoint payload.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct Checkpoint {
     /// Architecture the weights belong to.
     pub config: UNetConfig,
     /// Parameter values in the model's canonical order.
     pub params: Vec<Tensor>,
+}
+
+impl Checkpoint {
+    /// The payload as compact JSON. A non-finite parameter is written as
+    /// `null`, which [`from_json`](Self::from_json) refuses — it is never
+    /// stored as a number.
+    pub fn to_json(&self) -> String {
+        let c = &self.config;
+        let values: usize = self.params.iter().map(Tensor::len).sum();
+        let mut out = String::with_capacity(256 + 22 * values);
+        let up_mode = match c.up_mode {
+            UpMode::UpsampleConv => "UpsampleConv",
+            UpMode::Transposed => "Transposed",
+        };
+        let dropout = Exact(f64::from(c.dropout));
+        let _ = write!(
+            out,
+            "{{\"config\":{{\"in_channels\":{},\"num_classes\":{},\"depth\":{},\
+             \"base_filters\":{},\"dropout\":{dropout},\"seed\":{},\
+             \"up_mode\":\"{up_mode}\"}},\"params\":",
+            c.in_channels, c.num_classes, c.depth, c.base_filters, c.seed
+        );
+        json::push_array(&mut out, &self.params, |out, t| {
+            out.push_str("{\"shape\":");
+            json::push_array(out, t.shape(), |out, d| {
+                let _ = write!(out, "{d}");
+            });
+            out.push_str(",\"data\":");
+            json::push_array(out, t.as_slice(), |out, &x| {
+                let _ = write!(out, "{}", Exact(f64::from(x)));
+            });
+            out.push('}');
+        });
+        out.push('}');
+        out
+    }
+
+    /// Parses a payload written by [`to_json`](Self::to_json) (or by any
+    /// earlier version of this crate — the format has not changed).
+    ///
+    /// # Errors
+    /// The parse error, or the first field that is missing, mistyped, out
+    /// of range, or a tensor whose `data` length is not its `shape`'s
+    /// element count — each naming its path (`params[3].data[17]: …`).
+    pub fn from_json(src: &str) -> Result<Checkpoint, String> {
+        let doc = json::parse(src)?;
+        let root = Obj::root(&doc)?;
+        let c = root.obj("config")?;
+        let up_mode = match c.str("up_mode")? {
+            "UpsampleConv" => UpMode::UpsampleConv,
+            "Transposed" => UpMode::Transposed,
+            other => {
+                return Err(format!(
+                    "{}: unknown variant `{other}`",
+                    c.path_of("up_mode")
+                ))
+            }
+        };
+        let config = UNetConfig {
+            in_channels: c.uint("in_channels")?,
+            num_classes: c.uint("num_classes")?,
+            depth: c.uint("depth")?,
+            base_filters: c.uint("base_filters")?,
+            dropout: c.f64("dropout")? as f32,
+            seed: c.uint("seed")?,
+            up_mode,
+        };
+        let params = root.objs("params")?;
+        let params = params
+            .iter()
+            .map(tensor_from_json)
+            .collect::<Result<_, _>>()?;
+        Ok(Checkpoint { config, params })
+    }
+}
+
+fn tensor_from_json(t: &Obj) -> Result<Tensor, String> {
+    let shape: Vec<usize> = t.uints("shape")?;
+    let data = t.f32s("data")?;
+    let want = shape.iter().try_fold(1usize, |n, &d| n.checked_mul(d));
+    if want != Some(data.len()) {
+        return Err(format!(
+            "{}: {} values do not fill shape {shape:?}",
+            t.path_of("data"),
+            data.len()
+        ));
+    }
+    Ok(Tensor::from_vec(&shape, data))
 }
 
 /// Extracts a checkpoint from a model.
@@ -137,7 +235,7 @@ pub fn load_quantized_with(
 /// atomically (temp + fsync + rename).
 ///
 /// # Errors
-/// I/O or serialization failures.
+/// I/O failures.
 pub fn save(model: &mut UNet, path: impl AsRef<Path>) -> io::Result<()> {
     save_with(model, path, &DurableCtx::disabled())
 }
@@ -158,10 +256,11 @@ pub fn save_with(model: &mut UNet, path: impl AsRef<Path>, ctx: &DurableCtx) -> 
 /// epoch spill and the stream-stage snapshot use).
 ///
 /// # Errors
-/// I/O or serialization failures.
+/// I/O failures.
 pub fn save_checkpoint_payload(ckpt: &Checkpoint, path: &Path, ctx: &DurableCtx) -> io::Result<()> {
-    let json = serde_json::to_vec(ckpt).map_err(io::Error::other)?;
-    durable::write_framed(path, &json, ctx, durable::path_key(path)).map_err(|e| e.into_io())
+    let json = ckpt.to_json();
+    durable::write_framed(path, json.as_bytes(), ctx, durable::path_key(path))
+        .map_err(|e| e.into_io())
 }
 
 /// Reads and checksum-verifies a checkpoint file into its payload
@@ -175,7 +274,11 @@ pub fn save_checkpoint_payload(ckpt: &Checkpoint, path: &Path, ctx: &DurableCtx)
 pub fn read_checkpoint(path: &Path, ctx: &DurableCtx) -> io::Result<Checkpoint> {
     let bytes =
         durable::read_framed(path, ctx, durable::path_key(path)).map_err(|e| e.into_io())?;
-    serde_json::from_slice(&bytes).map_err(|e| {
+    let parsed = match std::str::from_utf8(&bytes) {
+        Ok(text) => Checkpoint::from_json(text),
+        Err(e) => Err(e.to_string()),
+    };
+    parsed.map_err(|e| {
         io::Error::new(
             io::ErrorKind::InvalidData,
             format!("corrupt checkpoint {}: {e}", path.display()),
@@ -312,7 +415,7 @@ mod tests {
         // A legacy unframed JSON checkpoint (pre-durable format) still
         // loads and restores the same network.
         let legacy = dir.join(format!("seaice-ckpt-legacy-{pid}.json"));
-        std::fs::write(&legacy, serde_json::to_vec(&snapshot(&mut model)).unwrap()).unwrap();
+        std::fs::write(&legacy, snapshot(&mut model).to_json()).unwrap();
         let mut restored = load(&legacy).unwrap();
         assert_eq!(restored.forward(&x, false), want);
 
@@ -328,7 +431,7 @@ mod tests {
 
         // A valid checkpoint to mutilate.
         let mut model = tiny();
-        let good = serde_json::to_vec(&snapshot(&mut model)).unwrap();
+        let good = snapshot(&mut model).to_json();
 
         // 1. Truncated mid-JSON.
         let truncated = dir.join(format!("seaice-ckpt-trunc-{pid}.json"));
@@ -345,20 +448,20 @@ mod tests {
 
         // 3. Valid JSON whose parameter list was truncated: must report
         //    the count mismatch, not panic.
-        let mut ckpt: Checkpoint = serde_json::from_slice(&good).unwrap();
+        let mut ckpt = Checkpoint::from_json(&good).unwrap();
         ckpt.params.pop();
         let short = dir.join(format!("seaice-ckpt-short-{pid}.json"));
-        std::fs::write(&short, serde_json::to_vec(&ckpt).unwrap()).unwrap();
+        std::fs::write(&short, ckpt.to_json()).unwrap();
         let e = load(&short).err().expect("short param list must fail");
         assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
         assert!(e.to_string().contains("parameter count mismatch"), "{e}");
 
         // 4. Right count, wrong shape.
-        let mut ckpt: Checkpoint = serde_json::from_slice(&good).unwrap();
+        let mut ckpt = Checkpoint::from_json(&good).unwrap();
         let n = ckpt.params.len();
         ckpt.params[n - 1] = Tensor::zeros(&[1]);
         let misshapen = dir.join(format!("seaice-ckpt-shape-{pid}.json"));
-        std::fs::write(&misshapen, serde_json::to_vec(&ckpt).unwrap()).unwrap();
+        std::fs::write(&misshapen, ckpt.to_json()).unwrap();
         let e = load(&misshapen).err().expect("misshapen param must fail");
         assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
         assert!(e.to_string().contains("shape mismatch"), "{e}");
@@ -370,9 +473,44 @@ mod tests {
             std::io::ErrorKind::NotFound
         );
 
-        for f in [truncated, garbage, short, misshapen] {
+        // 6. The architecture's shape, but `data` one value short of it.
+        //    `try_restore` compares shapes only, so the decoder must
+        //    refuse: such a tensor indexes out of bounds in the first
+        //    forward's matmul.
+        let at = good.rfind("\"data\":[").unwrap() + "\"data\":[".len();
+        let comma = at + good[at..].find(',').unwrap();
+        let lying = dir.join(format!("seaice-ckpt-lying-{pid}.json"));
+        std::fs::write(&lying, format!("{}{}", &good[..at], &good[comma + 1..])).unwrap();
+        let e = load(&lying).err().expect("short tensor data must fail");
+        assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
+        let last = format!("params[{}].data", n - 1);
+        assert!(e.to_string().contains(&last), "{e}");
+
+        // 7. 200 000 unclosed arrays: an error, not a stack overflow.
+        let deep = dir.join(format!("seaice-ckpt-deep-{pid}.json"));
+        std::fs::write(&deep, "[".repeat(200_000)).unwrap();
+        let e = load(&deep).err().expect("deep nesting must fail");
+        assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
+        assert!(e.to_string().contains("nesting"), "{e}");
+
+        for f in [truncated, garbage, short, misshapen, lying, deep] {
             std::fs::remove_file(f).ok();
         }
+    }
+
+    #[test]
+    fn a_non_finite_weight_is_never_persisted_as_a_number() {
+        let mut model = tiny();
+        model.params_mut()[0].value.as_mut_slice()[0] = f32::NAN;
+        let json = snapshot(&mut model).to_json();
+        assert!(json.contains("\"data\":[null,"), "NaN is written as null");
+        let path =
+            std::env::temp_dir().join(format!("seaice-ckpt-nan-{}.json", std::process::id()));
+        save(&mut model, &path).unwrap();
+        let e = load(&path).err().expect("a NaN weight must not load");
+        std::fs::remove_file(&path).ok();
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+        assert!(e.to_string().contains("params[0].data[0]"), "{e}");
     }
 
     fn calib() -> CalibrationSet {
@@ -388,7 +526,7 @@ mod tests {
         let dir = std::env::temp_dir();
         let pid = std::process::id();
         let mut model = tiny();
-        let good = serde_json::to_vec(&snapshot(&mut model)).unwrap();
+        let good = snapshot(&mut model).to_json();
         let calib = calib();
 
         // Truncated mid-JSON.
@@ -399,10 +537,10 @@ mod tests {
         assert!(e.to_string().contains("corrupt checkpoint"), "{e}");
 
         // Valid JSON, short parameter list.
-        let mut ckpt: Checkpoint = serde_json::from_slice(&good).unwrap();
+        let mut ckpt = Checkpoint::from_json(&good).unwrap();
         ckpt.params.pop();
         let short = dir.join(format!("seaice-qckpt-short-{pid}.json"));
-        std::fs::write(&short, serde_json::to_vec(&ckpt).unwrap()).unwrap();
+        std::fs::write(&short, ckpt.to_json()).unwrap();
         let e = load_quantized(&short, &calib).expect_err("short param list must fail");
         assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
         assert!(e.to_string().contains("parameter count mismatch"), "{e}");

@@ -1,9 +1,7 @@
 //! U-Net architecture configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// How the expansion path doubles spatial resolution.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum UpMode {
     /// Nearest-neighbour upsample followed by a 3×3 channel-halving
     /// convolution (the common artifact-free variant; the default).
@@ -14,7 +12,7 @@ pub enum UpMode {
 }
 
 /// Architecture hyper-parameters.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct UNetConfig {
     /// Input channels (3 for Sentinel-2 RGB).
     pub in_channels: usize,

@@ -34,10 +34,9 @@ use seaice_nn::ops::{
     quant::quantize_weights, quant::QuantParams, quant::QuantizedWeights,
 };
 use seaice_nn::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// Which forward implementation serves predictions.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum InferBackend {
     /// The full-precision f32 network (the default).
     #[default]

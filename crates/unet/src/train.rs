@@ -5,10 +5,9 @@ use crate::model::UNet;
 use seaice_nn::dataloader::DataLoader;
 use seaice_nn::loss::{pixel_accuracy, softmax_cross_entropy};
 use seaice_nn::optim::{Adam, Optimizer};
-use serde::{Deserialize, Serialize};
 
 /// Training hyper-parameters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct TrainConfig {
     /// Number of epochs (the paper reports results at 50).
     pub epochs: usize,
@@ -29,7 +28,7 @@ impl Default for TrainConfig {
 }
 
 /// Per-epoch training history.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct TrainReport {
     /// Mean training loss per epoch.
     pub epoch_losses: Vec<f32>,
@@ -90,7 +89,7 @@ pub fn train_with_optimizer(
 }
 
 /// Evaluation results on a held-out loader.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct EvalReport {
     /// Mean cross-entropy loss.
     pub loss: f32,
@@ -127,7 +126,7 @@ pub fn evaluate(model: &mut UNet, loader: &DataLoader) -> EvalReport {
 }
 
 /// Validation-aware training configuration.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ValidatedTrainConfig {
     /// Base training settings.
     pub train: TrainConfig,
@@ -149,7 +148,7 @@ impl Default for ValidatedTrainConfig {
 }
 
 /// History of a validated training run.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct ValidatedTrainReport {
     /// Base per-epoch training history (up to the stopping epoch).
     pub train: TrainReport,
