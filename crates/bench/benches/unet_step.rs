@@ -1,9 +1,11 @@
 //! Criterion benchmark of the U-Net training primitives: forward,
-//! forward+backward+Adam, and inference at CPU-scale geometry.
+//! forward+backward+Adam, and inference at CPU-scale geometry, plus one
+//! `conv2d_backward` at the shape a training step spends most time in.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use seaice_nn::init::uniform;
 use seaice_nn::loss::softmax_cross_entropy;
+use seaice_nn::ops::{conv2d_backward, Conv2dShape};
 use seaice_nn::optim::{Adam, Optimizer};
 use seaice_unet::{UNet, UNetConfig};
 use std::hint::black_box;
@@ -47,5 +49,25 @@ fn bench_unet(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_unet);
+fn bench_conv2d_backward(c: &mut Criterion) {
+    let shape = Conv2dShape {
+        in_channels: 16,
+        out_channels: 16,
+        kernel: 3,
+        stride: 1,
+        pad: 1,
+    };
+    let x = uniform(&[8, 16, 32, 32], 0.0, 1.0, 3);
+    let w = uniform(&[16, 16 * 9], -0.1, 0.1, 4);
+    let gy = uniform(&[8, 16, 32, 32], -1.0, 1.0, 5);
+
+    let mut g = c.benchmark_group("conv2d_16to16_k3_32px_batch8");
+    g.sample_size(10);
+    g.bench_function("backward", |b| {
+        b.iter(|| black_box(conv2d_backward(&x, &w, &gy, &shape)))
+    });
+    g.finish();
+}
+
+criterion_group!(benches, bench_unet, bench_conv2d_backward);
 criterion_main!(benches);

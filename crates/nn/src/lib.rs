@@ -6,9 +6,10 @@
 //! finite-difference gradient checks:
 //!
 //! * [`tensor::Tensor`] — dense NCHW `f32` tensors;
-//! * [`ops`] — matmul (rayon-parallel), im2col/col2im, conv2d
-//!   forward/backward, 2×2 max-pool, nearest-neighbour upsample, channel
-//!   concatenation, ReLU, dropout;
+//! * [`ops`] — conv2d forward/backward as direct register-tiled kernels
+//!   (bit-identical to the matmul + im2col/col2im lowering, which stays as
+//!   their test oracle), int8 inference kernels, 2×2 max-pool,
+//!   nearest-neighbour upsample, channel concatenation, ReLU, dropout;
 //! * [`loss`] — fused softmax + categorical cross-entropy over per-pixel
 //!   class targets;
 //! * [`optim`] — SGD and Adam (the paper's optimizer);

@@ -1,9 +1,45 @@
-//! 2-D convolution via im2col + matmul, with full backward pass.
+//! 2-D convolution, forward and backward, as one direct register-tiled
+//! kernel family: no patch matrix, no `dcols`, bias fused into the store.
+//!
+//! The kernels read a zero-haloed copy of the image and keep an `MR × NR`
+//! tile of outputs in registers. They are **bit-identical** (for finite
+//! inputs) to the reference lowering `im2col` → `matmul*` → `col2im`,
+//! which stays in the tree as the test oracle.
+//!
+//! # Determinism contract
+//! Every output element is one sequential `f32` chain over its reduction
+//! index, ascending, starting from `+0.0`. Vector lanes are *different
+//! output elements*, never partial sums of one; two-level sums keep both
+//! levels; no `mul_add` (Rust never contracts `a * b + c` on its own).
+//! * forward: `y[oc][oy][ox] = (Σ_{(ic,ky,kx)↑} W·x̃) + bias` — lanes are
+//!   `NR` consecutive `ox`, rows `MR` output channels.
+//! * `dW[oc][row] = Σ_{pos↑} gy[oc][pos]·x̃[row][pos]`, per image, then
+//!   summed over the batch in order — lanes are `NR` output channels
+//!   (`gy` transposed), rows `MR` patch rows read as scalars.
+//! * `dx[c][py][px] = Σ_{(ky,kx)↑} (Σ_{oc↑} W·g̃y[oc][py+pad−ky][px+pad−kx])`,
+//!   the gather over a haloed `grad_out`; the inner sum is finished before
+//!   it joins the running total (`matmul_at_b`, then `col2im`) — lanes are
+//!   `NR` consecutive `px`, rows `MR` input channels.
+//!
+//! The reference skips zero weights and padding; the kernels add those
+//! `±0` terms. A chain that starts at `+0.0` never holds `−0.0`, so the
+//! bits agree. The one visible difference is a fix: `0 × NaN/∞` is NaN
+//! now, so a non-finite activation no longer hides behind a zero weight.
+//!
+//! Strides other than 1 and `pad > kernel − 1` (no model uses either) take
+//! the reference lowering instead; `Conv2dShape::is_direct` is the one
+//! predicate that decides.
 
 use crate::ops::im2col::{col2im, im2col};
 use crate::ops::matmul::{matmul, matmul_a_bt, matmul_at_b};
 use crate::tensor::Tensor;
 use rayon::prelude::*;
+
+/// Rows of a register tile (output channels; input channels or patch rows
+/// in the backward kernels).
+const MR: usize = 4;
+/// Lanes of a register tile: consecutive, independent output elements.
+const NR: usize = 8;
 
 /// Static geometry of a convolution.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -22,11 +58,199 @@ pub struct Conv2dShape {
 
 impl Conv2dShape {
     /// Output spatial size for an input of `h × w`.
+    ///
+    /// # Panics
+    /// Panics on a zero stride, a zero kernel, or a kernel larger than the
+    /// padded input.
     pub fn output_hw(&self, h: usize, w: usize) -> (usize, usize) {
         (
-            (h + 2 * self.pad - self.kernel) / self.stride + 1,
-            (w + 2 * self.pad - self.kernel) / self.stride + 1,
+            Self::extent(h, self.kernel, self.stride, self.pad),
+            Self::extent(w, self.kernel, self.stride, self.pad),
         )
+    }
+
+    /// Output extent along one axis: the one place convolution geometry is
+    /// validated, for `conv2d`, `conv2d_backward`, `qconv2d`, `im2col` and
+    /// `col2im`. A geometry with no output is a mis-built architecture
+    /// (`UNetConfig` validates shapes up front); it is named here instead
+    /// of wrapping into a huge extent or dividing by zero.
+    pub(crate) fn extent(input: usize, kernel: usize, stride: usize, pad: usize) -> usize {
+        assert!(stride > 0, "stride must be positive");
+        assert!(kernel > 0, "kernel must be at least 1");
+        assert!(input + 2 * pad >= kernel, "kernel larger than padded input");
+        (input + 2 * pad - kernel) / stride + 1
+    }
+
+    /// The one predicate that selects the kernel: stride 1 with
+    /// `pad ≤ kernel − 1` (so the `dx` halo `kernel − 1 − pad` exists) runs
+    /// direct; anything else is lowered through `im2col`.
+    fn is_direct(&self) -> bool {
+        self.stride == 1 && self.pad < self.kernel
+    }
+}
+
+/// `N` lanes of `s` starting at `at` (no `unwrap`, no early exit: either
+/// keeps the tap loop from vectorising).
+#[inline(always)]
+fn lanes<const N: usize>(s: &[f32], at: usize) -> [f32; N] {
+    let mut out = [0.0; N];
+    out.copy_from_slice(&s[at..at + N]);
+    out
+}
+
+/// Planes with a zero border of `halo` cells on every side.
+struct Haloed {
+    data: Vec<f32>,
+    /// Row stride: plane width plus both borders.
+    width: usize,
+}
+
+/// Copies the `c` planes of `src` (`h × w` each) into a zeroed haloed
+/// buffer, plus `NR` cells of slack so the last tile's lane load stays in
+/// bounds (lanes past a row's end are computed and dropped).
+fn haloed(src: &[f32], (c, h, w): (usize, usize, usize), halo: usize) -> Haloed {
+    let (hp, width) = (h + 2 * halo, w + 2 * halo);
+    let mut data = vec![0.0; c * hp * width + NR];
+    for ch in 0..c {
+        for y in 0..h {
+            let at = (ch * hp + y + halo) * width + halo;
+            data[at..at + w].copy_from_slice(&src[(ch * h + y) * w..][..w]);
+        }
+    }
+    Haloed { data, width }
+}
+
+/// Repacks `rows × len` coefficients as `[rows / MR][len][MR]`, zero rows
+/// filling a short last block, so a tile reads its `MR` scalars adjacent.
+fn pack(rows: usize, len: usize, at: impl Fn(usize, usize) -> f32) -> Vec<f32> {
+    let mut out = vec![0.0; rows.div_ceil(MR) * len * MR];
+    for row in 0..rows {
+        for j in 0..len {
+            out[(row / MR * len + j) * MR + row % MR] = at(row, j);
+        }
+    }
+    out
+}
+
+/// Offset of every patch row `(ic, ky, kx)` from a position's top-left
+/// cell in a haloed input whose planes are `hp` rows of `width`.
+fn patch_offsets(c: usize, k: usize, hp: usize, width: usize) -> Vec<usize> {
+    (0..c * k * k)
+        .map(|row| (row / (k * k) * hp + row / k % k) * width + row % k)
+        .collect()
+}
+
+/// One `MR × NR` register tile. `offs` and `w` hold `groups` equal runs of
+/// taps: each run's chain `Σ w[j][r] · src[base + offs[j] + l]` is finished
+/// before it joins the running total. Four *named* accumulators and one
+/// lane loop: the nested `[[f32; NR]; MR]` form stops vectorising at
+/// `codegen-units = 1`.
+#[inline(always)]
+fn tile(src: &[f32], base: usize, offs: &[usize], w: &[f32], groups: usize) -> [[f32; NR]; MR] {
+    let group = offs.len() / groups;
+    let mut total = [[0f32; NR]; MR];
+    for g in 0..groups {
+        let (offs, w) = (&offs[g * group..][..group], &w[g * group * MR..]);
+        let (mut a0, mut a1, mut a2, mut a3) = ([0f32; NR], [0f32; NR], [0f32; NR], [0f32; NR]);
+        for (&off, w) in offs.iter().zip(w.chunks_exact(MR)) {
+            let b: [f32; NR] = lanes(src, base + off);
+            for l in 0..NR {
+                a0[l] += w[0] * b[l];
+                a1[l] += w[1] * b[l];
+                a2[l] += w[2] * b[l];
+                a3[l] += w[3] * b[l];
+            }
+        }
+        for (t, a) in total.iter_mut().zip([a0, a1, a2, a3]) {
+            for l in 0..NR {
+                t[l] += a[l];
+            }
+        }
+    }
+    total
+}
+
+/// Runs [`tile`] over every position of the `channels × oh × ow` output of
+/// one image:
+/// `out[ch][y][x] = Σ_groups(Σ_j packed[ch][j] · src[y][x + offs[j]]) (+ bias[ch])`.
+/// The forward pass is one group of all `c·k·k` taps plus the bias; `dx`
+/// is `k·k` groups of `out_c` taps over the haloed `grad_out`.
+fn tiled_planes(
+    src: &Haloed,
+    offs: &[usize],
+    groups: usize,
+    packed: &[f32],
+    bias: Option<&[f32]>,
+    out: &mut [f32],
+    (channels, oh, ow): (usize, usize, usize),
+) {
+    for ch0 in (0..channels).step_by(MR) {
+        let w = &packed[ch0 * offs.len()..][..MR * offs.len()];
+        for y in 0..oh {
+            for x0 in (0..ow).step_by(NR) {
+                let acc = tile(&src.data, y * src.width + x0, offs, w, groups);
+                let n = NR.min(ow - x0);
+                for (ch, acc) in (ch0..channels).zip(&acc) {
+                    let dst = &mut out[(ch * oh + y) * ow + x0..][..n];
+                    match bias {
+                        Some(b) => dst.iter_mut().zip(acc).for_each(|(d, a)| *d = a + b[ch]),
+                        None => dst.copy_from_slice(&acc[..n]),
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `dw[oc][row] = Σ_pos gy[oc][pos] · x̃[row][pos]` for one image: lanes are
+/// output channels, rows are patch rows read from the haloed input `xh` at
+/// `offs[row]`. Operand and result are both held transposed (`[pos][oc]`,
+/// `[row][oc]`) so that every load and store is contiguous along the lanes
+/// — a store contiguous along the rows sends the vectoriser across them.
+fn grad_weight_item(
+    xh: &Haloed,
+    offs: &[usize],
+    gy: &[f32],
+    (oc, oh, ow): (usize, usize, usize),
+    dw: &mut [f32],
+) {
+    let taps = offs.len();
+    let ocp = oc.next_multiple_of(NR);
+    // Channels zero-padded to whole lanes.
+    let mut gt = vec![0.0; oh * ow * ocp];
+    for (o, g) in gy.chunks_exact(oh * ow).enumerate() {
+        for (pos, &v) in g.iter().enumerate() {
+            gt[pos * ocp + o] = v;
+        }
+    }
+    let mut dwt = vec![0.0; taps * ocp];
+    for row0 in (0..taps).step_by(MR) {
+        // A short last tile repeats the final row; the store drops the copies.
+        let off: [usize; MR] = std::array::from_fn(|r| offs[(row0 + r).min(taps - 1)]);
+        for oc0 in (0..ocp).step_by(NR) {
+            let (mut a0, mut a1, mut a2, mut a3) = ([0f32; NR], [0f32; NR], [0f32; NR], [0f32; NR]);
+            for y in 0..oh {
+                let [x0, x1, x2, x3] = off.map(|o| &xh.data[o + y * xh.width..][..ow]);
+                let g = &gt[y * ow * ocp + oc0..];
+                for x in 0..ow {
+                    let b: [f32; NR] = lanes(g, x * ocp);
+                    for l in 0..NR {
+                        a0[l] += x0[x] * b[l];
+                        a1[l] += x1[x] * b[l];
+                        a2[l] += x2[x] * b[l];
+                        a3[l] += x3[x] * b[l];
+                    }
+                }
+            }
+            for (row, a) in (row0..taps).zip([a0, a1, a2, a3]) {
+                dwt[row * ocp + oc0..][..NR].copy_from_slice(&a);
+            }
+        }
+    }
+    for (o, dw_row) in dw.chunks_exact_mut(taps).enumerate() {
+        for (row, d) in dw_row.iter_mut().enumerate() {
+            *d = dwt[row * ocp + o];
+        }
     }
 }
 
@@ -42,36 +266,26 @@ impl Conv2dShape {
 /// Panics on any shape inconsistency.
 pub fn conv2d(input: &Tensor, weight: &Tensor, bias: &Tensor, shape: &Conv2dShape) -> Tensor {
     let (n, c, h, w) = input.nchw();
+    let (k, oc) = (shape.kernel, shape.out_channels);
     assert_eq!(c, shape.in_channels, "input channel mismatch");
-    assert_eq!(
-        weight.shape(),
-        &[
-            shape.out_channels,
-            shape.in_channels * shape.kernel * shape.kernel
-        ],
-        "weight shape mismatch"
-    );
-    assert_eq!(bias.shape(), &[shape.out_channels], "bias shape mismatch");
+    assert_eq!(weight.shape(), &[oc, c * k * k], "weight shape mismatch");
+    assert_eq!(bias.shape(), &[oc], "bias shape mismatch");
     let (oh, ow) = shape.output_hw(h, w);
-    let mut out = Tensor::zeros(&[n, shape.out_channels, oh, ow]);
-    let item_len = shape.out_channels * oh * ow;
-
-    // Parallelize across the batch; each item lowers to one matmul.
+    if !shape.is_direct() {
+        return conv2d_lowered(input, weight, bias, shape);
+    }
+    let taps = c * k * k;
+    let offs = patch_offsets(c, k, h + 2 * shape.pad, w + 2 * shape.pad);
+    let packed = pack(oc, taps, |o, t| weight.as_slice()[o * taps + t]);
+    let mut out = Tensor::zeros(&[n, oc, oh, ow]);
+    // Parallelize across the batch; items never share mutable state.
     out.as_mut_slice()
-        .par_chunks_exact_mut(item_len)
+        .par_chunks_exact_mut(oc * oh * ow)
         .enumerate()
         .for_each(|(b, out_item)| {
-            let x = Tensor::from_vec(&[c, h, w], input.batch_item(b).to_vec());
-            let cols = im2col(&x, shape.kernel, shape.kernel, shape.stride, shape.pad);
-            let y = matmul(weight, &cols); // [out_c, oh*ow]
-            for oc in 0..shape.out_channels {
-                let bias_v = bias.as_slice()[oc];
-                let src = &y.as_slice()[oc * oh * ow..(oc + 1) * oh * ow];
-                let dst = &mut out_item[oc * oh * ow..(oc + 1) * oh * ow];
-                for (d, &s) in dst.iter_mut().zip(src) {
-                    *d = s + bias_v;
-                }
-            }
+            let xh = haloed(input.batch_item(b), (c, h, w), shape.pad);
+            let bias = Some(bias.as_slice());
+            tiled_planes(&xh, &offs, 1, &packed, bias, out_item, (oc, oh, ow));
         });
     out
 }
@@ -93,51 +307,108 @@ pub fn conv2d_backward(
 ) -> (Tensor, Tensor, Tensor) {
     let (n, c, h, w) = input.nchw();
     let (gn, goc, oh, ow) = grad_out.nchw();
+    let (k, oc) = (shape.kernel, shape.out_channels);
     assert_eq!(n, gn, "batch mismatch");
-    assert_eq!(goc, shape.out_channels, "grad channel mismatch");
+    assert_eq!(c, shape.in_channels, "input channel mismatch");
+    assert_eq!(goc, oc, "grad channel mismatch");
+    assert_eq!(weight.shape(), &[oc, c * k * k], "weight shape mismatch");
     assert_eq!((oh, ow), shape.output_hw(h, w), "grad spatial mismatch");
+    if !shape.is_direct() {
+        return conv2d_backward_lowered(input, weight, grad_out, shape);
+    }
+    let (taps, halo) = (c * k * k, k - 1 - shape.pad);
+    let x_offs = patch_offsets(c, k, h + 2 * shape.pad, w + 2 * shape.pad);
+    // dx gathers tap (ky, kx) of channel `o` at the mirrored cell of the
+    // haloed grad_out; taps ascend outside, output channels inside.
+    let (ghp, gwp) = (oh + 2 * halo, ow + 2 * halo);
+    let g_offs: Vec<usize> = (0..k * k * oc)
+        .map(|j| (j % oc * ghp + (k - 1 - j / oc / k)) * gwp + (k - 1 - j / oc % k))
+        .collect();
+    let wt = pack(c, k * k * oc, |ch, j| {
+        weight.as_slice()[j % oc * taps + ch * k * k + j / oc]
+    });
 
-    // Per-batch partials, reduced afterwards (no shared mutable state).
-    let partials: Vec<(Tensor, Tensor, Tensor)> = (0..n)
+    // Per-image partials, reduced afterwards in batch order (no shared
+    // mutable state).
+    let partials: Vec<(Vec<f32>, Tensor, Tensor)> = (0..n)
         .into_par_iter()
         .map(|b| {
-            let x = Tensor::from_vec(&[c, h, w], input.batch_item(b).to_vec());
-            let cols = im2col(&x, shape.kernel, shape.kernel, shape.stride, shape.pad);
-            let gy = Tensor::from_vec(
-                &[shape.out_channels, oh * ow],
-                grad_out.batch_item(b).to_vec(),
-            );
-            // dW = gy · colsᵀ ; dcols = Wᵀ · gy ; db = row sums of gy.
-            let dw = matmul_a_bt(&gy, &cols);
-            let dcols = matmul_at_b(weight, &gy);
-            let dx = col2im(
-                &dcols,
-                c,
-                h,
-                w,
-                shape.kernel,
-                shape.kernel,
-                shape.stride,
-                shape.pad,
-            );
-            let mut db = Tensor::zeros(&[shape.out_channels]);
-            for oc in 0..shape.out_channels {
-                db.as_mut_slice()[oc] =
-                    gy.as_slice()[oc * oh * ow..(oc + 1) * oh * ow].iter().sum();
-            }
-            (dx, dw, db)
+            let gy = grad_out.batch_item(b);
+            let gh = haloed(gy, (oc, oh, ow), halo);
+            let mut dx = vec![0.0; c * h * w];
+            tiled_planes(&gh, &g_offs, k * k, &wt, None, &mut dx, (c, h, w));
+            let xh = haloed(input.batch_item(b), (c, h, w), shape.pad);
+            let mut dw = Tensor::zeros(weight.shape());
+            grad_weight_item(&xh, &x_offs, gy, (oc, oh, ow), dw.as_mut_slice());
+            let db = gy.chunks_exact(oh * ow).map(|g| g.iter().sum());
+            (dx, dw, Tensor::from_vec(&[oc], db.collect()))
         })
         .collect();
-
-    let mut grad_input = Tensor::zeros(&[n, c, h, w]);
+    let mut grad_input = Vec::with_capacity(n * c * h * w);
     let mut grad_weight = Tensor::zeros(weight.shape());
-    let mut grad_bias = Tensor::zeros(&[shape.out_channels]);
-    let item_len = c * h * w;
-    for (b, (dx, dw, db)) in partials.into_iter().enumerate() {
-        grad_input.as_mut_slice()[b * item_len..(b + 1) * item_len].copy_from_slice(dx.as_slice());
-        grad_weight.add_assign(&dw);
-        grad_bias.add_assign(&db);
+    let mut grad_bias = Tensor::zeros(&[oc]);
+    for (dx, dw, db) in &partials {
+        grad_input.extend_from_slice(dx);
+        grad_weight.add_assign(dw);
+        grad_bias.add_assign(db);
     }
+    let grad_input = Tensor::from_vec(&[n, c, h, w], grad_input);
+    (grad_input, grad_weight, grad_bias)
+}
+
+/// [`conv2d`] through the reference lowering, for the geometries
+/// `Conv2dShape::is_direct` excludes: one `im2col` + `matmul` per image.
+fn conv2d_lowered(input: &Tensor, weight: &Tensor, bias: &Tensor, shape: &Conv2dShape) -> Tensor {
+    let (n, c, h, w) = input.nchw();
+    let (oh, ow) = shape.output_hw(h, w);
+    let mut out = Tensor::zeros(&[n, shape.out_channels, oh, ow]);
+    for (b, out_item) in out
+        .as_mut_slice()
+        .chunks_exact_mut(shape.out_channels * oh * ow)
+        .enumerate()
+    {
+        let x = Tensor::from_vec(&[c, h, w], input.batch_item(b).to_vec());
+        let cols = im2col(&x, shape.kernel, shape.kernel, shape.stride, shape.pad);
+        let y = matmul(weight, &cols); // [out_c, oh*ow]
+        let rows = out_item.chunks_exact_mut(oh * ow);
+        for ((dst, src), &bias_v) in rows
+            .zip(y.as_slice().chunks_exact(oh * ow))
+            .zip(bias.as_slice())
+        {
+            for (d, &s) in dst.iter_mut().zip(src) {
+                *d = s + bias_v;
+            }
+        }
+    }
+    out
+}
+
+/// [`conv2d_backward`] through the reference lowering (see
+/// [`conv2d_lowered`]): `dW = gy · colsᵀ`, `dcols = Wᵀ · gy` scattered by
+/// `col2im`, `db` = row sums of `gy`.
+fn conv2d_backward_lowered(
+    input: &Tensor,
+    weight: &Tensor,
+    grad_out: &Tensor,
+    shape: &Conv2dShape,
+) -> (Tensor, Tensor, Tensor) {
+    let (n, c, h, w) = input.nchw();
+    let (_, oc, oh, ow) = grad_out.nchw();
+    let (k, s, p) = (shape.kernel, shape.stride, shape.pad);
+    let mut grad_input = Vec::with_capacity(n * c * h * w);
+    let mut grad_weight = Tensor::zeros(weight.shape());
+    let mut grad_bias = Tensor::zeros(&[oc]);
+    for b in 0..n {
+        let x = Tensor::from_vec(&[c, h, w], input.batch_item(b).to_vec());
+        let cols = im2col(&x, k, k, s, p);
+        let gy = Tensor::from_vec(&[oc, oh * ow], grad_out.batch_item(b).to_vec());
+        grad_weight.add_assign(&matmul_a_bt(&gy, &cols));
+        let dcols = matmul_at_b(weight, &gy);
+        grad_input.extend_from_slice(col2im(&dcols, c, h, w, k, k, s, p).as_slice());
+        let db = gy.as_slice().chunks_exact(oh * ow).map(|g| g.iter().sum());
+        grad_bias.add_assign(&Tensor::from_vec(&[oc], db.collect()));
+    }
+    let grad_input = Tensor::from_vec(&[n, c, h, w], grad_input);
     (grad_input, grad_weight, grad_bias)
 }
 
@@ -212,6 +483,80 @@ mod tests {
         let bias = Tensor::zeros(&[8]);
         let out = conv2d(&input, &weight, &bias, &shape);
         assert_eq!(out.shape(), &[2, 8, 8, 8]);
+    }
+
+    /// A 4×4 single-channel image with operands shaped for `kernel`, so
+    /// that only the geometry can be at fault.
+    fn geometry(kernel: usize, stride: usize) -> (Conv2dShape, Tensor, Tensor, Tensor) {
+        let shape = Conv2dShape {
+            in_channels: 1,
+            out_channels: 1,
+            kernel,
+            stride,
+            pad: 0,
+        };
+        let input = Tensor::zeros(&[1, 1, 4, 4]);
+        let weight = Tensor::zeros(&[1, kernel * kernel]);
+        (shape, input, weight, Tensor::zeros(&[1]))
+    }
+
+    fn qconv2d_with(kernel: usize, stride: usize) {
+        use crate::ops::quant::{qconv2d, quantize_weights, QuantParams};
+        let (shape, x, w, b) = geometry(kernel, stride);
+        let act = QuantParams::from_range(0.0, 1.0);
+        qconv2d(&x, &quantize_weights(&w), &b, &shape, act);
+    }
+
+    #[test]
+    #[should_panic(expected = "kernel larger than padded input")]
+    fn conv2d_names_a_kernel_larger_than_the_padded_input() {
+        let (shape, x, w, b) = geometry(5, 1);
+        conv2d(&x, &w, &b, &shape);
+    }
+
+    #[test]
+    #[should_panic(expected = "kernel larger than padded input")]
+    fn conv2d_backward_names_a_kernel_larger_than_the_padded_input() {
+        let (shape, x, w, _) = geometry(5, 1);
+        conv2d_backward(&x, &w, &x, &shape);
+    }
+
+    #[test]
+    #[should_panic(expected = "kernel larger than padded input")]
+    fn qconv2d_names_a_kernel_larger_than_the_padded_input() {
+        qconv2d_with(5, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "kernel larger than padded input")]
+    fn col2im_names_a_kernel_larger_than_the_padded_input() {
+        col2im(&Tensor::zeros(&[25, 1]), 1, 4, 4, 5, 5, 1, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "stride must be positive")]
+    fn conv2d_names_a_zero_stride() {
+        let (shape, x, w, b) = geometry(3, 0);
+        conv2d(&x, &w, &b, &shape);
+    }
+
+    #[test]
+    #[should_panic(expected = "stride must be positive")]
+    fn conv2d_backward_names_a_zero_stride() {
+        let (shape, x, w, _) = geometry(3, 0);
+        conv2d_backward(&x, &w, &x, &shape);
+    }
+
+    #[test]
+    #[should_panic(expected = "stride must be positive")]
+    fn qconv2d_names_a_zero_stride() {
+        qconv2d_with(3, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "stride must be positive")]
+    fn col2im_names_a_zero_stride() {
+        col2im(&Tensor::zeros(&[9, 1]), 1, 4, 4, 3, 3, 0, 0);
     }
 
     #[test]

@@ -1,9 +1,13 @@
-//! im2col / col2im for convolution lowering.
+//! im2col / col2im: the reference lowering of convolution — the test
+//! oracle for the direct kernels in [`conv2d`](mod@crate::ops::conv2d) and a
+//! line of the benchmark's per-layer walk. The library itself calls these
+//! only for the geometries `Conv2dShape::is_direct` excludes.
 //!
 //! `im2col` unrolls every receptive field of one image (CHW) into a
 //! column of a `[C·KH·KW, OH·OW]` matrix so convolution becomes a single
 //! matmul; `col2im` scatters gradients back (the exact adjoint).
 
+use crate::ops::conv2d::Conv2dShape;
 use crate::tensor::Tensor;
 
 /// Unrolls `input` (3-D CHW) into the `[c·kh·kw, oh·ow]` patch matrix for
@@ -16,19 +20,8 @@ pub fn im2col(input: &Tensor, kh: usize, kw: usize, stride: usize, pad: usize) -
     let s = input.shape();
     assert_eq!(s.len(), 3, "im2col expects a CHW tensor");
     let (c, h, w) = (s[0], s[1], s[2]);
-    assert!(stride > 0, "stride must be positive");
-    let oh = (h + 2 * pad)
-        .checked_sub(kh)
-        // seaice-lint: allow(panic-in-library) reason="a kernel larger than its padded input is a mis-built architecture; UNetConfig validates shapes up front, and the checked_sub turns what would be a wrapping underflow into a named crash"
-        .expect("kernel taller than padded input")
-        / stride
-        + 1;
-    let ow = (w + 2 * pad)
-        .checked_sub(kw)
-        // seaice-lint: allow(panic-in-library) reason="a kernel larger than its padded input is a mis-built architecture; UNetConfig validates shapes up front, and the checked_sub turns what would be a wrapping underflow into a named crash"
-        .expect("kernel wider than padded input")
-        / stride
-        + 1;
+    let oh = Conv2dShape::extent(h, kh, stride, pad);
+    let ow = Conv2dShape::extent(w, kw, stride, pad);
 
     let mut out = Tensor::zeros(&[c * kh * kw, oh * ow]);
     let data = input.as_slice();
@@ -64,7 +57,8 @@ pub fn im2col(input: &Tensor, kh: usize, kw: usize, stride: usize, pad: usize) -
 /// back onto a CHW gradient image (overlapping patches accumulate).
 ///
 /// # Panics
-/// Panics if the column shape does not match the geometry.
+/// Panics if the geometry yields no output position or the column shape
+/// does not match it.
 #[allow(clippy::too_many_arguments)] // mirrors the standard col2im geometry signature
 pub fn col2im(
     cols: &Tensor,
@@ -76,8 +70,8 @@ pub fn col2im(
     stride: usize,
     pad: usize,
 ) -> Tensor {
-    let oh = (h + 2 * pad - kh) / stride + 1;
-    let ow = (w + 2 * pad - kw) / stride + 1;
+    let oh = Conv2dShape::extent(h, kh, stride, pad);
+    let ow = Conv2dShape::extent(w, kw, stride, pad);
     assert_eq!(
         cols.shape(),
         &[c * kh * kw, oh * ow],

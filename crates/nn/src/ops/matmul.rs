@@ -1,5 +1,10 @@
 //! Dense matrix multiplication, rayon-parallel over output rows with a
 //! cache-friendly i-k-j loop order (the inner loop streams rows of `B`).
+//!
+//! Since the direct kernels in [`conv2d`](mod@crate::ops::conv2d) these three
+//! products are the reference lowering — the bit-exact test oracle and a
+//! line of the benchmark's per-layer walk; the library calls them only for
+//! the geometries `Conv2dShape::is_direct` excludes.
 
 use crate::tensor::Tensor;
 use rayon::prelude::*;

@@ -1,0 +1,128 @@
+//! The `nn` / `unet` surface `benchmark/` compiles against, pinned at
+//! compile time. `benchmark/` is a package of its own that the workspace
+//! never builds, and a PR that claims a gain may not edit it — so a
+//! signature or field set it depends on must not change silently. Every
+//! `pub fn` it imports is coerced to an explicit `fn(..) -> ..` pointer
+//! and every struct it writes as a literal is built as that literal:
+//! `cargo test` stops compiling the moment one of them moves, instead of
+//! the next benchmark run failing.
+
+use seaice::nn::dataloader::{Batch, DataLoader, Sample};
+use seaice::nn::loss::{pixel_accuracy, softmax_cross_entropy, LossOutput};
+use seaice::nn::ops::conv2d::Conv2dShape;
+use seaice::nn::ops::quant::{
+    gemm_i8_i32, im2col_i8, qconv2d, quantize_into, quantize_weights, QuantParams, QuantizedWeights,
+};
+use seaice::nn::ops::{
+    col2im, concat_channels, conv2d, conv2d_backward, im2col, matmul, matmul_a_bt, matmul_at_b,
+    maxpool2x2, relu, upsample2x,
+};
+use seaice::nn::optim::{Adam, Optimizer};
+use seaice::nn::{Param, Tensor};
+use seaice::unet::checkpoint::{self, Checkpoint};
+use seaice::unet::train::train_with_optimizer;
+use seaice::unet::{
+    train, CalibrationSet, QuantizedUNet, TileClassifier, TrainConfig, TrainReport, UNet,
+    UNetConfig,
+};
+use std::io;
+use std::path::PathBuf;
+
+#[test]
+#[allow(clippy::type_complexity)] // the long pointer types *are* the pinned signatures
+fn nn_ops_keep_the_signatures_the_benchmark_calls() {
+    let _: fn(&Tensor, &Tensor, &Tensor, &Conv2dShape) -> Tensor = conv2d;
+    let _: fn(&Tensor, &Tensor, &Tensor, &Conv2dShape) -> (Tensor, Tensor, Tensor) =
+        conv2d_backward;
+    let _: fn(&Tensor, usize, usize, usize, usize) -> Tensor = im2col;
+    let _: fn(&Tensor, usize, usize, usize, usize, usize, usize, usize) -> Tensor = col2im;
+    let _: [fn(&Tensor, &Tensor) -> Tensor; 4] =
+        [matmul, matmul_at_b, matmul_a_bt, concat_channels];
+    let _: [fn(&Tensor) -> Tensor; 2] = [relu, upsample2x];
+    let _: fn(&Tensor) -> (Tensor, Vec<usize>) = maxpool2x2;
+
+    let _: fn(&[f32], QuantParams, &mut Vec<i8>) = quantize_into;
+    let _: fn(&Tensor) -> QuantizedWeights = quantize_weights;
+    let _: fn(&[i8], usize, usize, usize, usize, usize, usize, usize, i8, &mut Vec<i8>) = im2col_i8;
+    let _: fn(&[i8], &[i8], usize, usize, usize, &mut [i32]) = gemm_i8_i32;
+    let _: fn(&Tensor, &QuantizedWeights, &Tensor, &Conv2dShape, QuantParams) -> Tensor = qconv2d;
+    let _: fn(f32, f32) -> QuantParams = QuantParams::from_range;
+
+    let _: fn(&[usize], Vec<f32>) -> Tensor = Tensor::from_vec;
+    let _: fn(&[usize], f32) -> Tensor = Tensor::full;
+    let _: fn(&Tensor) -> &[f32] = Tensor::as_slice;
+    let _: fn(&Tensor) -> &[usize] = Tensor::shape;
+    let _: fn(Tensor, &[usize]) -> Tensor = Tensor::reshape;
+    let _: fn(Tensor) -> Vec<f32> = Tensor::into_vec;
+}
+
+#[test]
+fn nn_training_pieces_keep_the_signatures_the_benchmark_calls() {
+    let _: fn(Vec<Sample>, usize, Option<u64>) -> DataLoader = DataLoader::new;
+    let _: [fn(&DataLoader) -> usize; 2] = [DataLoader::len, DataLoader::batches_per_epoch];
+    let _: fn(&DataLoader, u64) -> Vec<Batch> = DataLoader::epoch;
+    let _: fn(&Tensor, &[u8]) -> LossOutput = softmax_cross_entropy;
+    let _: fn(&[u8], &[u8]) -> f64 = pixel_accuracy;
+    let _: fn(f32) -> Adam = Adam::new;
+    let _: fn(&mut Adam, &mut [&mut Param]) = <Adam as Optimizer>::step;
+}
+
+#[test]
+fn unet_keeps_the_signatures_the_benchmark_calls() {
+    let _: fn(UNetConfig) -> UNet = UNet::new;
+    let _: fn(&mut UNet, &Tensor, bool) -> Tensor = UNet::forward;
+    let _: fn(&mut UNet, &Tensor) -> Tensor = UNet::backward;
+    let _: fn(&mut UNet) = UNet::zero_grads;
+    let _: fn(&mut UNet) -> Vec<&mut Param> = UNet::params_mut;
+    let _: fn(&mut UNet) -> usize = UNet::parameter_count;
+    let _: fn(&mut UNet, &Tensor, &mut Vec<u8>) = UNet::predict_into;
+    let _: fn(&mut UNet, &Tensor, &mut Vec<u8>) = <UNet as TileClassifier>::predict_into;
+    let _: fn(&mut QuantizedUNet, &Tensor, &mut Vec<u8>) =
+        <QuantizedUNet as TileClassifier>::predict_into;
+
+    let _: fn(&mut UNet, &DataLoader, &TrainConfig) -> TrainReport = train;
+    let _: fn(&mut UNet, &DataLoader, &TrainConfig, &mut dyn Optimizer) -> TrainReport =
+        train_with_optimizer;
+
+    let _: fn(&mut UNet) -> Checkpoint = checkpoint::snapshot;
+    let _: fn(&Checkpoint) -> UNet = checkpoint::restore;
+    let _: fn(&Checkpoint) -> Result<UNet, String> = checkpoint::try_restore;
+    let _: fn(&Checkpoint, &CalibrationSet) -> Result<QuantizedUNet, String> =
+        checkpoint::try_restore_quantized;
+    let _: fn(&mut UNet, PathBuf) -> io::Result<()> = checkpoint::save;
+    let _: fn(PathBuf) -> io::Result<UNet> = checkpoint::load;
+}
+
+#[test]
+fn struct_literals_the_benchmark_writes_still_name_every_field() {
+    // No `..`: a new field must break this test, as it would the benchmark.
+    let shape = Conv2dShape {
+        in_channels: 3,
+        out_channels: 8,
+        kernel: 3,
+        stride: 1,
+        pad: 1,
+    };
+    assert_eq!(shape.output_hw(16, 16), (16, 16));
+    let sample = Sample {
+        image: vec![0.0; 3 * 4 * 4],
+        mask: vec![0; 4 * 4],
+        channels: 3,
+        height: 4,
+        width: 4,
+    };
+    assert!(sample.is_consistent());
+    let cfg = TrainConfig {
+        epochs: 1,
+        learning_rate: 1e-3,
+        log_every: 0,
+    };
+    assert_eq!(cfg.epochs, 1);
+    // Fields read, not written: the checkpoint's payload, the quantised
+    // filter bank, the activation zero point.
+    let mut model = UNet::new(UNetConfig::cpu_small());
+    let ckpt = checkpoint::snapshot(&mut model);
+    assert_eq!(ckpt.params.len(), 2 * ckpt.config.conv_layer_count());
+    let _: Vec<i8> = quantize_weights(&ckpt.params[0]).data;
+    let _: i8 = QuantParams::from_range(0.0, 1.0).zero_point;
+}
