@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use seaice_nn::init::uniform;
 use seaice_nn::loss::softmax_cross_entropy;
-use seaice_nn::ops::{conv2d_backward, Conv2dShape};
+use seaice_nn::ops::{conv2d::isa, conv2d_backward, Conv2dShape};
 use seaice_nn::optim::{Adam, Optimizer};
 use seaice_unet::{UNet, UNetConfig};
 use std::hint::black_box;
@@ -21,7 +21,7 @@ fn bench_unet(c: &mut Criterion) {
     let x = uniform(&[4, 3, 32, 32], 0.0, 1.0, 2);
     let targets: Vec<u8> = (0..4 * 32 * 32).map(|i| (i % 3) as u8).collect();
 
-    let mut g = c.benchmark_group("unet_32px_batch4");
+    let mut g = c.benchmark_group(format!("unet_32px_batch4_{}", isa()));
     g.sample_size(10);
 
     g.bench_function("forward_eval", |b| {
@@ -61,7 +61,7 @@ fn bench_conv2d_backward(c: &mut Criterion) {
     let w = uniform(&[16, 16 * 9], -0.1, 0.1, 4);
     let gy = uniform(&[8, 16, 32, 32], -1.0, 1.0, 5);
 
-    let mut g = c.benchmark_group("conv2d_16to16_k3_32px_batch8");
+    let mut g = c.benchmark_group(format!("conv2d_16to16_k3_32px_batch8_{}", isa()));
     g.sample_size(10);
     g.bench_function("backward", |b| {
         b.iter(|| black_box(conv2d_backward(&x, &w, &gy, &shape)))

@@ -338,6 +338,10 @@ fn main() {
 /// Runs the f32/int8 comparison and records `BENCH_infer.json` (common
 /// `seaice-bench/1` schema) in the working directory.
 fn run_infer(scale: Scale) -> bool {
+    eprintln!(
+        "infer: f32 conv kernels run as {}",
+        seaice_nn::ops::conv2d::isa()
+    );
     let b = seaice_bench::infer::run(scale);
     println!("{}", b.render());
     write_summary(&b.summary())

@@ -432,9 +432,10 @@ fn serve(p: &mut Parsed) -> Result<String, CliError> {
         .unwrap_or_else(|| "127.0.0.1:8080".into());
     let server = HttpServer::start(engine, &addr)?;
     println!(
-        "seaice-serve listening on {} (tile {tile}, backend {}, {} workers, batch {}, queue {}, cache {})",
+        "seaice-serve listening on {} (tile {tile}, backend {}, conv kernels {}, {} workers, batch {}, queue {}, cache {})",
         server.addr(),
         cfg.backend,
+        seaice_nn::ops::conv2d::isa(),
         cfg.workers,
         cfg.max_batch_size,
         cfg.queue_capacity,

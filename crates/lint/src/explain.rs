@@ -79,9 +79,13 @@ pub fn explain(rule: &str) -> Option<String> {
              What it catches: the `unsafe` keyword (everywhere, tests included) with no\n\
              comment containing `SAFETY:` on the same or the three preceding lines.\n\
              \n\
-             Why: all 14 lib crates carry `#![forbid(unsafe_code)]`; the rule keeps any\n\
-             future exception honest by forcing the soundness invariant to be written\n\
-             down where reviewers will see it.\n\
+             Why: every crate carries `#![forbid(unsafe_code)]` except `seaice-nn`, which\n\
+             is `deny` with one audited site: the private `dispatch` module of\n\
+             `crates/nn/src/ops/conv2d.rs`, where the AVX2 instantiation of the direct\n\
+             convolution kernels is called after `is_x86_feature_detected!(\"avx2\")`\n\
+             (DESIGN.md 4.10). The rule keeps that exception, and any future one, honest\n\
+             by forcing the soundness invariant to be written down where reviewers will\n\
+             see it.\n\
              \n\
              Suppression:\n\
              // seaice-lint: allow(unsafe-without-audit) reason=\"audit lives on the containing fn, 5 lines up\""

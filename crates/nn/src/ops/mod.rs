@@ -22,7 +22,6 @@ pub use im2col::{col2im, im2col};
 pub use matmul::{matmul, matmul_a_bt, matmul_at_b};
 pub use pool::{maxpool2x2, maxpool2x2_backward};
 pub use quant::{
-    gemm_i8_i32, im2col_i8, qconv2d, quantize_into, quantize_weights, QuantParams, QuantScratch,
-    QuantizedWeights,
+    gemm_i8_i32, im2col_i8, qconv2d, quantize_into, quantize_weights, QuantParams, QuantizedWeights,
 };
 pub use upsample::{upsample2x, upsample2x_backward};

@@ -342,15 +342,6 @@ pub fn gemm_i8_i32(a: &[i8], b: &[i8], m: usize, k: usize, n: usize, c: &mut [i3
     }
 }
 
-/// Reusable per-call scratch for [`qconv2d_with_scratch`], so serving
-/// workers amortize the i8 buffers across micro-batches.
-#[derive(Default)]
-pub struct QuantScratch {
-    qx: Vec<i8>,
-    cols: Vec<i8>,
-    acc: Vec<i32>,
-}
-
 /// Quantized forward convolution: f32 in, f32 out, int8 arithmetic
 /// inside.
 ///
@@ -389,12 +380,11 @@ pub fn qconv2d(
     let item_len = shape.out_channels * oh * ow;
 
     // Parallelize across the batch, exactly like the f32 conv2d; each
-    // item owns its scratch, so items never share mutable state.
+    // item owns its three buffers, so items never share mutable state.
     out.as_mut_slice()
         .par_chunks_exact_mut(item_len)
         .enumerate()
         .for_each(|(b, out_item)| {
-            let mut scratch = QuantScratch::default();
             qconv_item(
                 input.batch_item(b),
                 c,
@@ -404,7 +394,6 @@ pub fn qconv2d(
                 bias.as_slice(),
                 shape,
                 act,
-                &mut scratch,
                 out_item,
             );
         });
@@ -423,14 +412,14 @@ fn qconv_item(
     bias: &[f32],
     shape: &Conv2dShape,
     act: QuantParams,
-    scratch: &mut QuantScratch,
     out_item: &mut [f32],
 ) {
     let (oh, ow) = shape.output_hw(h, w);
     let plane = oh * ow;
-    quantize_into(x, act, &mut scratch.qx);
+    let (mut qx, mut cols) = (Vec::new(), Vec::new());
+    quantize_into(x, act, &mut qx);
     im2col_i8(
-        &scratch.qx,
+        &qx,
         c,
         h,
         w,
@@ -439,24 +428,23 @@ fn qconv_item(
         shape.stride,
         shape.pad,
         act.zero_point,
-        &mut scratch.cols,
+        &mut cols,
     );
-    scratch.acc.clear();
-    scratch.acc.resize(weights.rows * plane, 0);
+    let mut acc = vec![0; weights.rows * plane];
     gemm_i8_i32(
         &weights.data,
-        &scratch.cols,
+        &cols,
         weights.rows,
         weights.cols,
         plane,
-        &mut scratch.acc,
+        &mut acc,
     );
     let z = i32::from(act.zero_point);
     for oc in 0..weights.rows {
         let deq = weights.scales[oc] * act.scale;
         let corr = z * weights.row_sums[oc];
         let bias_v = bias[oc];
-        let acc_row = &scratch.acc[oc * plane..(oc + 1) * plane];
+        let acc_row = &acc[oc * plane..(oc + 1) * plane];
         let dst = &mut out_item[oc * plane..(oc + 1) * plane];
         for (d, &a) in dst.iter_mut().zip(acc_row) {
             *d = (a - corr) as f32 * deq + bias_v;

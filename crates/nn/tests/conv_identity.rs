@@ -179,6 +179,39 @@ fn geometry_sweep_matches_the_reference_lowering() {
 }
 
 #[test]
+fn channel_counts_that_straddle_the_row_tile_match_the_reference_lowering() {
+    // Under AVX2 the register tile is 8 rows, with 4 or fewer left taking
+    // the 4-row tile: a full block followed by a short tail (9, 12, 20), by
+    // a long one (13) and by nothing (24), as output channels (forward
+    // rows), input channels (`dx` rows) and both. Same kernels, planes
+    // narrower than one lane group and batches as the sweep above.
+    const CHANNELS: [usize; 5] = [9, 12, 13, 20, 24];
+    const KERNEL_PAD: [(usize, usize); 7] =
+        [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2), (5, 2)];
+    const PLANES: [(usize, usize); 3] = [(5, 13), (7, 4), (9, 20)];
+    let mut seed = 90_000;
+    for in_channels in CHANNELS {
+        for out_channels in CHANNELS {
+            for (kernel, pad) in KERNEL_PAD {
+                let shape = Conv2dShape {
+                    in_channels,
+                    out_channels,
+                    kernel,
+                    stride: 1,
+                    pad,
+                };
+                for hw in PLANES {
+                    for n in [1, 3] {
+                        seed += 10;
+                        check_against_reference(&shape, n, hw, seed);
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
 fn excepted_geometries_still_equal_the_reference() {
     // Stride ≠ 1 and pad > kernel − 1 are lowered, not run direct.
     for (kernel, stride, pad) in [(3, 2, 1), (2, 2, 0), (1, 1, 1), (3, 1, 3), (3, 3, 4)] {
