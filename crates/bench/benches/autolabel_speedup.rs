@@ -1,12 +1,9 @@
 //! Criterion benchmark behind Table I: the per-tile auto-label cost
-//! (filtered vs unfiltered) and batch dispatch through the worker pool
-//! and rayon.
+//! (filtered vs unfiltered) and batch dispatch through the worker pool.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use seaice_bench::workloads::labeling_tiles;
-use seaice_label::autolabel::{
-    auto_label, auto_label_batch_pool, auto_label_batch_rayon, AutoLabelConfig, LabelBackend,
-};
+use seaice_label::autolabel::{auto_label, auto_label_batch_pool, AutoLabelConfig, LabelBackend};
 use seaice_label::parallel::WorkerPool;
 use std::hint::black_box;
 
@@ -55,9 +52,6 @@ fn bench_autolabel(c: &mut Criterion) {
             },
         );
     }
-    g.bench_function("rayon_batch16_64px", |b| {
-        b.iter(|| black_box(auto_label_batch_rayon(&tiles, &cfg)))
-    });
     g.finish();
 }
 

@@ -6,9 +6,10 @@
 //! validation split.
 
 use crate::scale::Scale;
-use rayon::prelude::*;
-use seaice_core::adapters::{tile_to_sample, InputVariant, LabelSource};
+use seaice_core::adapters::{tile_to_sample_scratch, InputVariant, LabelSource};
 use seaice_core::WorkflowConfig;
+use seaice_exec::par;
+use seaice_imgproc::buffer::Scratch;
 use seaice_nn::dataloader::DataLoader;
 use seaice_s2::dataset::Dataset;
 use seaice_unet::{evaluate, train, UNet, UNetConfig};
@@ -56,16 +57,14 @@ pub fn run(scale: Scale) -> Sweep {
     // Samples are shared across all runs (training inputs are filtered,
     // labels are the ground truth — the sweep isolates the optimizer
     // hyper-parameters).
-    let train_samples: Vec<_> = dataset
-        .train
-        .par_iter()
-        .map(|t| tile_to_sample(t, InputVariant::Filtered, LabelSource::Manual, &cfg.label))
-        .collect();
-    let val_samples: Vec<_> = dataset
-        .validation
-        .par_iter()
-        .map(|t| tile_to_sample(t, InputVariant::Filtered, LabelSource::Manual, &cfg.label))
-        .collect();
+    let samples = |tiles| {
+        par::map_init(tiles, Scratch::new, |scratch, t| {
+            let (variant, labels) = (InputVariant::Filtered, LabelSource::Manual);
+            tile_to_sample_scratch(t, variant, labels, &cfg.label, scratch)
+        })
+    };
+    let train_samples = samples(&dataset.train);
+    let val_samples = samples(&dataset.validation);
 
     let mut rows = Vec::new();
     for &batch in &BATCHES {

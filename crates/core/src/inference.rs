@@ -4,6 +4,7 @@
 //! sea-ice map.
 
 use crate::adapters::{image_to_chw, image_to_chw_into, mask_to_image};
+use seaice_exec::par;
 use seaice_imgproc::buffer::{Image, Scratch};
 use seaice_label::cloudshadow::{CloudShadowFilter, FilterConfig};
 use seaice_nn::Tensor;
@@ -102,10 +103,13 @@ pub fn classify_scene_with<M: TileClassifier>(
 }
 
 /// Parallel variant of [`classify_scene`] — the paper's future-work item
-/// of scaling *inference* over very large datasets. Tiles are distributed
-/// over rayon workers, each holding its own model replica restored from a
-/// checkpoint (inference is embarrassingly parallel; replicas never
-/// communicate).
+/// of scaling *inference* over very large datasets. The tile grid is split
+/// into one contiguous block per core (`seaice_exec::par::map_init`; fewer
+/// than 256 tiles, or one core, run on the calling thread), and each block
+/// restores **one** model replica from the checkpoint and keeps it, with one
+/// `Scratch`, for all its tiles — a replica per worker, as Lunga et al. run
+/// one per Spark executor, not a replica per tile. Inference is
+/// embarrassingly parallel; replicas never communicate.
 ///
 /// Produces byte-identical output to the sequential path.
 ///
@@ -117,8 +121,6 @@ pub fn classify_scene_parallel(
     tile_size: usize,
     filter: bool,
 ) -> SceneClassification {
-    use rayon::prelude::*;
-
     let (w, h) = scene_rgb.dimensions();
     assert!(
         w >= tile_size && h >= tile_size,
@@ -136,24 +138,22 @@ pub fn classify_scene_parallel(
         })
         .collect();
 
-    let pieces: Vec<(usize, usize, Image<u8>)> = grid
-        .par_iter()
-        .map_init(
-            || (seaice_unet::checkpoint::restore(checkpoint), Scratch::new()),
-            |(model, scratch), &(x0, y0)| {
-                let tile = scene_rgb.crop(x0, y0, tile_size, tile_size);
-                let input = match &filter_impl {
-                    Some(f) => f.apply_keep_filtered(&tile, scratch),
-                    None => tile,
-                };
-                let chw = image_to_chw(&input);
-                scratch.recycle_image(input);
-                let x = Tensor::from_vec(&[1, 3, tile_size, tile_size], chw);
-                let preds = model.predict(&x);
-                (x0, y0, Image::from_vec(tile_size, tile_size, 1, preds))
-            },
-        )
-        .collect();
+    let pieces = par::map_init(
+        &grid,
+        || (seaice_unet::checkpoint::restore(checkpoint), Scratch::new()),
+        |(model, scratch), &(x0, y0)| {
+            let tile = scene_rgb.crop(x0, y0, tile_size, tile_size);
+            let input = match &filter_impl {
+                Some(f) => f.apply_keep_filtered(&tile, scratch),
+                None => tile,
+            };
+            let chw = image_to_chw(&input);
+            scratch.recycle_image(input);
+            let x = Tensor::from_vec(&[1, 3, tile_size, tile_size], chw);
+            let preds = model.predict(&x);
+            (x0, y0, Image::from_vec(tile_size, tile_size, 1, preds))
+        },
+    );
 
     let mask = stitch_tiles(&pieces, w, h, 1);
     let color = mask_to_image(&mask);

@@ -4,7 +4,7 @@
 
 use crate::adapters::{tile_to_sample_scratch, InputVariant, LabelSource};
 use crate::config::WorkflowConfig;
-use rayon::prelude::*;
+use seaice_exec::par;
 use seaice_imgproc::buffer::Scratch;
 use seaice_metrics::{classification_report, ClassificationReport, ConfusionMatrix};
 use seaice_nn::dataloader::DataLoader;
@@ -47,18 +47,16 @@ pub struct WorkflowResult {
 /// pipeline: Fig. 9 filters every image before the model sees it, and the
 /// training-data preparation of Fig. 6 likewise runs imagery through the
 /// filter. Evaluating such a model on *unfiltered* imagery is exactly the
-/// degraded "original S2 images" arm of Table IV.
+/// degraded "original S2 images" arm of Table IV. Tiles are split over the
+/// cores (`par::map_init`), one `Scratch` per worker.
 fn training_samples(
     tiles: &[Tile],
     labels: LabelSource,
     cfg: &WorkflowConfig,
 ) -> Vec<seaice_nn::dataloader::Sample> {
-    tiles
-        .par_iter()
-        .map_init(Scratch::new, |scratch, t| {
-            tile_to_sample_scratch(t, InputVariant::Filtered, labels, &cfg.label, scratch)
-        })
-        .collect()
+    par::map_init(tiles, Scratch::new, |scratch, t| {
+        tile_to_sample_scratch(t, InputVariant::Filtered, labels, &cfg.label, scratch)
+    })
 }
 
 /// Trains the `U-Net-Man` / `U-Net-Auto` pair on the dataset's training
@@ -118,7 +116,8 @@ pub fn train_models_distributed(
 
 /// Evaluates a model on `tiles` with the given input variant, always
 /// scoring against manual labels (the paper validates both models on the
-/// same manually labeled dataset).
+/// same manually labeled dataset). The samples are prepared like
+/// `training_samples`: tiles split over the cores, one `Scratch` per worker.
 pub fn evaluate_arm(
     model: &mut UNet,
     tiles: &[Tile],
@@ -126,12 +125,9 @@ pub fn evaluate_arm(
     cfg: &WorkflowConfig,
 ) -> ArmEvaluation {
     assert!(!tiles.is_empty(), "no tiles to evaluate");
-    let samples: Vec<_> = tiles
-        .par_iter()
-        .map_init(Scratch::new, |scratch, t| {
-            tile_to_sample_scratch(t, variant, LabelSource::Manual, &cfg.label, scratch)
-        })
-        .collect();
+    let samples = par::map_init(tiles, Scratch::new, |scratch, t| {
+        tile_to_sample_scratch(t, variant, LabelSource::Manual, &cfg.label, scratch)
+    });
     let loader = DataLoader::new(samples, 8, None);
     let eval = evaluate(model, &loader);
     let mut confusion = ConfusionMatrix::new(cfg.unet.num_classes);

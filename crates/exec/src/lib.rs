@@ -13,11 +13,15 @@
 //! * [`attempt`] — `catch_unwind` around one unit of work, and the
 //!   poison-recovering [`lock`] the whole workspace shares.
 //!
+//! The other grain — rows of a tile, tiles of a scene, split evenly over
+//! the cores for the length of one call — is [`par`].
+//!
 //! Mechanism only. Retry budgets, blacklisting thresholds, executor
 //! choice, speculation, replica rebuilds, fault sites and simulated-cost
 //! accounting are policy and stay with the callers.
 #![forbid(unsafe_code)]
 
+pub mod par;
 mod pool;
 mod queue;
 

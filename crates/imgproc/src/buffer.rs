@@ -321,7 +321,8 @@ const MAX_POOLED: usize = 16;
 ///   filter's fields plus the labeller's outputs), so its steady state —
 ///   every `take` served from the pool — fits well under [`MAX_POOLED`].
 /// * A `Scratch` is single-threaded by design; parallel batch drivers give
-///   each worker its own (e.g. via `map_init` or a thread-local).
+///   each worker its own (`seaice_exec::par::map_init`, or one per pool
+///   thread).
 #[derive(Debug, Default)]
 pub struct Scratch {
     u8_bufs: Vec<Vec<u8>>,

@@ -6,8 +6,7 @@
 //! `COLOR_RGB2GRAY` on `CV_8U` data.
 
 use crate::buffer::Image;
-use crate::PAR_THRESHOLD;
-use rayon::prelude::*;
+use seaice_exec::par;
 
 /// Converts one 8-bit RGB pixel to OpenCV-convention HSV.
 ///
@@ -113,20 +112,12 @@ pub fn hsv_pixel_to_rgb(h: u8, s: u8, v: u8) -> [u8; 3] {
 fn convert_3ch(src: &Image<u8>, f: impl Fn(u8, u8, u8) -> [u8; 3] + Sync) -> Image<u8> {
     assert_eq!(src.channels(), 3, "expected a 3-channel image");
     let mut out = Image::<u8>::new(src.width(), src.height(), 3);
-    let apply = |dst: &mut [u8], s: &[u8]| {
-        for (d, p) in dst.chunks_exact_mut(3).zip(s.chunks_exact(3)) {
+    let stride = (src.width() * 3).max(1);
+    par::chunks_mut(out.as_mut_slice(), stride, |y, dst| {
+        for (d, p) in dst.chunks_exact_mut(3).zip(src.row(y).chunks_exact(3)) {
             d.copy_from_slice(&f(p[0], p[1], p[2]));
         }
-    };
-    if src.pixel_count() >= PAR_THRESHOLD {
-        let stride = src.width() * 3;
-        out.as_mut_slice()
-            .par_chunks_exact_mut(stride)
-            .zip(src.as_slice().par_chunks_exact(stride))
-            .for_each(|(dst, s)| apply(dst, s));
-    } else {
-        apply(out.as_mut_slice(), src.as_slice());
-    }
+    });
     out
 }
 
@@ -154,20 +145,13 @@ pub fn hsv_to_rgb(src: &Image<u8>) -> Image<u8> {
 pub fn rgb_to_gray(src: &Image<u8>) -> Image<u8> {
     assert_eq!(src.channels(), 3, "expected a 3-channel image");
     let mut out = Image::<u8>::new(src.width(), src.height(), 1);
-    let apply = |dst: &mut [u8], s: &[u8]| {
-        for (d, p) in dst.iter_mut().zip(s.chunks_exact(3)) {
+    let w = src.width().max(1);
+    par::chunks_mut(out.as_mut_slice(), w, |row, dst| {
+        for (d, p) in dst.iter_mut().zip(src.row(row).chunks_exact(3)) {
             let y = 0.299 * p[0] as f32 + 0.587 * p[1] as f32 + 0.114 * p[2] as f32;
             *d = y.round().min(255.0) as u8;
         }
-    };
-    if src.pixel_count() >= PAR_THRESHOLD {
-        out.as_mut_slice()
-            .par_chunks_exact_mut(src.width())
-            .zip(src.as_slice().par_chunks_exact(src.width() * 3))
-            .for_each(|(dst, s)| apply(dst, s));
-    } else {
-        apply(out.as_mut_slice(), src.as_slice());
-    }
+    });
     out
 }
 
@@ -230,8 +214,8 @@ mod tests {
 
     #[test]
     fn parallel_path_matches_sequential() {
-        // Build an image big enough to take the rayon path and compare a few
-        // pixels against the scalar kernel.
+        // Build an image tall enough to fork on a multi-core host and compare
+        // a few pixels against the scalar kernel.
         let w = 128;
         let img = Image::from_fn(w, w, 3, |x, y| {
             vec![(x % 256) as u8, (y % 256) as u8, ((x + y) % 256) as u8]

@@ -4,11 +4,10 @@
 //!
 //! Borders are handled by clamping coordinates (OpenCV's
 //! `BORDER_REPLICATE`). The Gaussian and box filters are separable and
-//! parallelized over rows with rayon.
+//! row-parallel through `seaice_exec::par`.
 
 use crate::buffer::{Image, Scratch};
-use crate::PAR_THRESHOLD;
-use rayon::prelude::*;
+use seaice_exec::par;
 
 /// Builds a normalized 1-D Gaussian kernel of half-width `radius`.
 ///
@@ -33,25 +32,6 @@ pub fn gaussian_kernel(radius: usize, sigma: f32) -> Vec<f32> {
         *v /= sum;
     }
     k
-}
-
-/// Calls `f(y, row)` on every `stride`-long row of `data`, handing rows to
-/// other threads when `parallel`.
-fn for_each_row<T: Send>(
-    data: &mut [T],
-    stride: usize,
-    parallel: bool,
-    f: impl Fn(usize, &mut [T]) + Sync,
-) {
-    if parallel {
-        data.par_chunks_exact_mut(stride)
-            .enumerate()
-            .for_each(|(y, row)| f(y, row));
-    } else {
-        for (y, row) in data.chunks_exact_mut(stride).enumerate() {
-            f(y, row);
-        }
-    }
 }
 
 /// Horizontal then vertical pass of a separable 1-D kernel over every
@@ -79,7 +59,7 @@ fn separable_convolve(src: &Image<u8>, kernel: &[f32]) -> Image<u8> {
             }
         }
     };
-    for_each_row(&mut tmp, w * c, w * h >= PAR_THRESHOLD, run_h);
+    par::chunks_mut(&mut tmp, w * c, run_h);
 
     // Vertical pass back to u8.
     let mut out = Image::<u8>::new(w, h, c);
@@ -95,7 +75,7 @@ fn separable_convolve(src: &Image<u8>, kernel: &[f32]) -> Image<u8> {
             }
         }
     };
-    for_each_row(out.as_mut_slice(), w * c, w * h >= PAR_THRESHOLD, run_v);
+    par::chunks_mut(out.as_mut_slice(), w * c, run_v);
     out
 }
 
@@ -118,12 +98,12 @@ pub fn box_blur(src: &Image<u8>, radius: usize) -> Image<u8> {
     separable_convolve(src, &kernel)
 }
 
-/// Pixel count from which the median network's and the box blur's rows are
-/// handed to other threads. They cost about a nanosecond a sample, far less
-/// than the selection loop [`PAR_THRESHOLD`] was set for: on two cores the
-/// row-parallel form measured no faster at 256² and 512² (median 0.14 vs
-/// 0.13 ms, 0.42 vs 0.39 ms), 1.2–1.5× faster at 1024² and 1.4–1.9× at
-/// 4096².
+/// Pixel count from which the median network's and the box blur's rows go
+/// through [`par`] — the one exception to its fork rule (256 rows), which
+/// suits every other row loop here. These two cost about a nanosecond a
+/// sample: on two cores the row-parallel form measured no faster at 256²
+/// and 512² (median 0.14 vs 0.13 ms, 0.42 vs 0.39 ms), 1.2–1.5× faster at
+/// 1024² and 1.4–1.9× at 4096².
 const CHEAP_ROWS_PAR_THRESHOLD: usize = 1024 * 1024;
 
 /// Median of nine samples by the classic 19-exchange min/max network
@@ -226,12 +206,13 @@ pub fn median_filter_into(src: &Image<u8>, radius: usize, out: &mut Image<u8>) {
             median_select_row(src, radius, y, dst_row);
         }
     };
-    let par_from = if network {
-        CHEAP_ROWS_PAR_THRESHOLD
+    if network && w * h < CHEAP_ROWS_PAR_THRESHOLD {
+        for (y, dst_row) in out.as_mut_slice().chunks_exact_mut(w * c).enumerate() {
+            run_row(y, dst_row);
+        }
     } else {
-        PAR_THRESHOLD
-    };
-    for_each_row(out.as_mut_slice(), w * c, w * h >= par_from, run_row);
+        par::chunks_mut(out.as_mut_slice(), w * c, run_row);
+    }
 }
 
 /// `-radius..=radius` clamped into `0..len`, in order.
@@ -282,7 +263,7 @@ fn box_blur_planes<const N: usize>(
     let win = (2 * radius + 1) as f64;
     if w * h >= CHEAP_ROWS_PAR_THRESHOLD {
         for (plane, tmp) in src.iter().zip(tmp.iter_mut()) {
-            for_each_row(tmp, w, true, |y, dst| {
+            par::chunks_mut(tmp, w, |y, dst| {
                 box_blur_row([&plane[y * w..][..w]], [dst], radius)
             });
         }

@@ -7,8 +7,8 @@
 //! histogram, and resize kernels, and PPM/PGM I/O for inspecting results.
 //!
 //! All pixel kernels operate on the [`buffer::Image`] container and are
-//! rayon-parallelized over rows where the image is large enough for the
-//! parallelism to pay for itself.
+//! row-parallel through `seaice_exec::par` where the image is tall enough
+//! for the threads to pay for themselves.
 //!
 //! ## Conventions
 //!
@@ -49,8 +49,3 @@ pub mod prelude {
     };
     pub use crate::threshold::{otsu_threshold, threshold, ThresholdType};
 }
-
-/// Minimum pixel count before kernels switch from sequential to
-/// rayon-parallel row iteration. Below this, thread coordination costs more
-/// than it saves.
-pub(crate) const PAR_THRESHOLD: usize = 64 * 64;

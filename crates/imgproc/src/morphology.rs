@@ -3,8 +3,7 @@
 //! masks after thresholding.
 
 use crate::buffer::Image;
-use crate::PAR_THRESHOLD;
-use rayon::prelude::*;
+use seaice_exec::par;
 
 #[derive(Clone, Copy)]
 enum MorphOp {
@@ -57,15 +56,7 @@ fn morph(src: &Image<u8>, radius: usize, op: MorphOp) -> Image<u8> {
                 *d = acc;
             }
         };
-        if w * h >= PAR_THRESHOLD {
-            out.par_chunks_exact_mut(w)
-                .enumerate()
-                .for_each(|(y, row)| run_row(y, row));
-        } else {
-            for (y, row) in out.chunks_exact_mut(w).enumerate() {
-                run_row(y, row);
-            }
-        }
+        par::chunks_mut(out, w, run_row);
     }
 
     let mut tmp = vec![0u8; w * h];

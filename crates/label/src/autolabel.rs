@@ -7,7 +7,6 @@ use crate::fused::{segment_into, ClassLut};
 use crate::parallel::WorkerPool;
 use crate::ranges::ClassRanges;
 use crate::segment::{segment_classes, segment_to_color};
-use rayon::prelude::*;
 use seaice_imgproc::buffer::{Image, Scratch};
 
 /// Which segmentation kernel the auto-labeler runs.
@@ -212,18 +211,6 @@ pub fn auto_label_batch_pool(
     })
 }
 
-/// Auto-labels a batch with rayon work stealing (the idiomatic Rust
-/// data-parallel path; used where the experiment does not need a fixed
-/// worker count).
-pub fn auto_label_batch_rayon(images: &[Image<u8>], cfg: &AutoLabelConfig) -> Vec<LabelOutput> {
-    images
-        .par_iter()
-        .map_init(Scratch::new, |scratch, img| {
-            auto_label_scratch(img, cfg, scratch)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -288,14 +275,9 @@ mod tests {
             .collect();
         let cfg = AutoLabelConfig::unfiltered();
         let seq = auto_label_batch(&images, &cfg);
-        let ray = auto_label_batch_rayon(&images, &cfg);
         let pool = WorkerPool::new(3);
         let pooled = auto_label_batch_pool(&pool, images.clone(), cfg);
         for i in 0..images.len() {
-            assert_eq!(
-                seq[i].class_mask, ray[i].class_mask,
-                "rayon mismatch at {i}"
-            );
             assert_eq!(
                 seq[i].class_mask, pooled[i].class_mask,
                 "pool mismatch at {i}"

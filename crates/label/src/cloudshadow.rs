@@ -34,7 +34,7 @@
 //! (beyond the mild median pre-filter), haze opacity is capped at what
 //! *thin* cloud can reach, and corrections fade smoothly at mask borders.
 
-use rayon::prelude::*;
+use seaice_exec::par;
 use seaice_imgproc::buffer::{Image, Scratch};
 use seaice_imgproc::color::rgb_pixel_to_hsv_int;
 use seaice_imgproc::filter::{box_blur_f32_pair, median_filter_into};
@@ -222,39 +222,37 @@ impl CloudShadowFilter {
         let span = tracer.span("label.filter.haze", "label");
         let mut a_weighted = scratch.take_image_f32(w, h, 1);
         let mut weight = scratch.take_image_f32(w, h, 1);
-        (a_weighted.as_mut_slice().par_chunks_exact_mut(row))
-            .zip(weight.as_mut_slice().par_chunks_exact_mut(row))
-            .zip(filtered.as_slice().par_chunks_exact(3 * row))
-            .for_each(|((a_row, w_row), px_row)| {
-                for ((px, a_out), w_out) in px_row.chunks_exact(3).zip(a_row).zip(w_row) {
-                    if cfg.shadow_exclusion && self.shadow_candidate(px).is_some() {
-                        continue; // plausibly shadowed bright ice
+        let (a_rows, w_rows) = (a_weighted.as_mut_slice(), weight.as_mut_slice());
+        par::chunks_mut2(a_rows, row, w_rows, row, |y, a_row, w_row| {
+            for ((px, a_out), w_out) in filtered.row(y).chunks_exact(3).zip(a_row).zip(w_row) {
+                if cfg.shadow_exclusion && self.shadow_candidate(px).is_some() {
+                    continue; // plausibly shadowed bright ice
+                }
+                let (r, g, b) = (px[0] as f32, px[1] as f32, px[2] as f32);
+                let mut best: Option<(f32, f32)> = None; // (a, err)
+                for &(rho, gamma) in &HYPOTHESES {
+                    // 8-bit rounding can push an exact zero-haze pixel
+                    // slightly negative; clamp instead of rejecting so
+                    // the correct hypothesis still competes.
+                    let a = ((r - rho * b) / (255.0 * (1.0 - rho))).max(0.0);
+                    if a > cfg.haze_cap {
+                        continue;
                     }
-                    let (r, g, b) = (px[0] as f32, px[1] as f32, px[2] as f32);
-                    let mut best: Option<(f32, f32)> = None; // (a, err)
-                    for &(rho, gamma) in &HYPOTHESES {
-                        // 8-bit rounding can push an exact zero-haze pixel
-                        // slightly negative; clamp instead of rejecting so
-                        // the correct hypothesis still competes.
-                        let a = ((r - rho * b) / (255.0 * (1.0 - rho))).max(0.0);
-                        if a > cfg.haze_cap {
-                            continue;
-                        }
-                        let g_pred = gamma * (b - 255.0 * a) + 255.0 * a;
-                        let err = (g_pred - g).abs();
-                        if best.is_none_or(|(_, e)| err < e) {
-                            best = Some((a, err));
-                        }
-                    }
-                    if let Some((a, err)) = best {
-                        if err <= cfg.consistency_tol {
-                            let conf = 1.0 - err / cfg.consistency_tol;
-                            *a_out = a * conf;
-                            *w_out = conf;
-                        }
+                    let g_pred = gamma * (b - 255.0 * a) + 255.0 * a;
+                    let err = (g_pred - g).abs();
+                    if best.is_none_or(|(_, e)| err < e) {
+                        best = Some((a, err));
                     }
                 }
-            });
+                if let Some((a, err)) = best {
+                    if err <= cfg.consistency_tol {
+                        let conf = 1.0 - err / cfg.consistency_tol;
+                        *a_out = a * conf;
+                        *w_out = conf;
+                    }
+                }
+            }
+        });
 
         // 3. Smooth the field (haze varies slowly) via normalized
         //    convolution, so confident pixels fill in degenerate ones, and
@@ -262,41 +260,37 @@ impl CloudShadowFilter {
         let (mut haze, blur_w) =
             box_blur_f32_pair(&a_weighted, &weight, cfg.smooth_radius, scratch);
         let (own_a, own_weight) = (a_weighted.as_slice(), weight.as_slice());
-        (haze.as_mut_slice().par_chunks_exact_mut(row))
-            .zip(filtered.as_mut_slice().par_chunks_exact_mut(3 * row))
-            .enumerate()
-            .for_each(|(y, (hz_row, px_row))| {
-                for (i, (hz, px)) in
-                    (y * w..).zip(hz_row.iter_mut().zip(px_row.chunks_exact_mut(3)))
-                {
-                    // Pooled estimate over the window (bridges degenerate pixels).
-                    let bw = blur_w.as_slice()[i];
-                    let pooled = if bw > 0.02 {
-                        (*hz / bw).clamp(0.0, cfg.haze_cap)
-                    } else {
-                        0.0
-                    };
-                    // Confident pixels keep their own (closed-form, exact)
-                    // estimate; the pooled field only fills in the rest. Without
-                    // this, box smoothing dilutes cloud interiors with clear
-                    // surroundings and the haze is systematically under-corrected.
-                    let own_w = if cfg.confidence_blend {
-                        own_weight[i].clamp(0.0, 1.0)
-                    } else {
-                        0.0
-                    };
-                    let own = if own_w > 0.0 { own_a[i] / own_w } else { 0.0 };
-                    let a = own_w * own + (1.0 - own_w) * pooled;
-                    *hz = a;
-                    if a < cfg.min_haze {
-                        continue;
-                    }
-                    let inv = 1.0 / (1.0 - a);
-                    for c in px {
-                        *c = round_to_u8((*c as f32 - 255.0 * a) * inv);
-                    }
+        let (hz_rows, px_rows) = (haze.as_mut_slice(), filtered.as_mut_slice());
+        par::chunks_mut2(hz_rows, row, px_rows, 3 * row, |y, hz_row, px_row| {
+            for (i, (hz, px)) in (y * w..).zip(hz_row.iter_mut().zip(px_row.chunks_exact_mut(3))) {
+                // Pooled estimate over the window (bridges degenerate pixels).
+                let bw = blur_w.as_slice()[i];
+                let pooled = if bw > 0.02 {
+                    (*hz / bw).clamp(0.0, cfg.haze_cap)
+                } else {
+                    0.0
+                };
+                // Confident pixels keep their own (closed-form, exact)
+                // estimate; the pooled field only fills in the rest. Without
+                // this, box smoothing dilutes cloud interiors with clear
+                // surroundings and the haze is systematically under-corrected.
+                let own_w = if cfg.confidence_blend {
+                    own_weight[i].clamp(0.0, 1.0)
+                } else {
+                    0.0
+                };
+                let own = if own_w > 0.0 { own_a[i] / own_w } else { 0.0 };
+                let a = own_w * own + (1.0 - own_w) * pooled;
+                *hz = a;
+                if a < cfg.min_haze {
+                    continue;
                 }
-            });
+                let inv = 1.0 / (1.0 - a);
+                for c in px {
+                    *c = round_to_u8((*c as f32 - 255.0 * a) * inv);
+                }
+            }
+        });
         scratch.recycle_image_f32(blur_w);
         scratch.recycle_image_f32(a_weighted);
         scratch.recycle_image_f32(weight);
@@ -319,38 +313,34 @@ impl CloudShadowFilter {
         }
         let (mut shadow_gain, blur_gw) =
             box_blur_f32_pair(&gain_weighted, &gain_weight, cfg.smooth_radius, scratch);
-        (shadow_gain.as_mut_slice().par_chunks_exact_mut(row))
-            .zip(filtered.as_mut_slice().par_chunks_exact_mut(3 * row))
-            .enumerate()
-            .for_each(|(y, (sg_row, px_row))| {
-                for (i, (sg, px)) in
-                    (y * w..).zip(sg_row.iter_mut().zip(px_row.chunks_exact_mut(3)))
-                {
-                    // Flagged pixels use their own implied gain (maps their V to
-                    // the thick-ice reference exactly); others take the pooled,
-                    // density-faded field.
-                    let bw = blur_gw.as_slice()[i];
-                    let m = if gain_weight.as_slice()[i] > 0.0 {
-                        gain_weighted.as_slice()[i].clamp(0.25, 1.0)
-                    } else if bw > 0.05 {
-                        let m = (*sg / bw).clamp(0.25, 1.0);
-                        // Fade the pooled correction with mask density so borders
-                        // stay smooth: m_eff = 1 + (m - 1) * density.
-                        let density = (bw * 2.0).min(1.0);
-                        1.0 + (m - 1.0) * density
-                    } else {
-                        1.0
-                    };
-                    *sg = m;
-                    if m >= 0.999 {
-                        continue;
-                    }
-                    let inv = 1.0 / m;
-                    for c in px {
-                        *c = round_to_u8(*c as f32 * inv);
-                    }
+        let (sg_rows, px_rows) = (shadow_gain.as_mut_slice(), filtered.as_mut_slice());
+        par::chunks_mut2(sg_rows, row, px_rows, 3 * row, |y, sg_row, px_row| {
+            for (i, (sg, px)) in (y * w..).zip(sg_row.iter_mut().zip(px_row.chunks_exact_mut(3))) {
+                // Flagged pixels use their own implied gain (maps their V to
+                // the thick-ice reference exactly); others take the pooled,
+                // density-faded field.
+                let bw = blur_gw.as_slice()[i];
+                let m = if gain_weight.as_slice()[i] > 0.0 {
+                    gain_weighted.as_slice()[i].clamp(0.25, 1.0)
+                } else if bw > 0.05 {
+                    let m = (*sg / bw).clamp(0.25, 1.0);
+                    // Fade the pooled correction with mask density so borders
+                    // stay smooth: m_eff = 1 + (m - 1) * density.
+                    let density = (bw * 2.0).min(1.0);
+                    1.0 + (m - 1.0) * density
+                } else {
+                    1.0
+                };
+                *sg = m;
+                if m >= 0.999 {
+                    continue;
                 }
-            });
+                let inv = 1.0 / m;
+                for c in px {
+                    *c = round_to_u8(*c as f32 * inv);
+                }
+            }
+        });
         scratch.recycle_image_f32(blur_gw);
         scratch.recycle_image_f32(gain_weighted);
         scratch.recycle_image_f32(gain_weight);

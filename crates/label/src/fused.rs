@@ -20,7 +20,7 @@
 //! 2^24 RGB inputs is enforced by `tests/fused_vs_reference.rs`.
 
 use crate::ranges::{ClassRanges, IceClass};
-use rayon::prelude::*;
+use seaice_exec::par;
 use seaice_imgproc::buffer::Image;
 use seaice_imgproc::color::rgb_pixel_to_hsv_int;
 
@@ -154,22 +154,14 @@ pub fn segment_into(
         Some(color) => {
             assert_eq!(color.dimensions(), rgb.dimensions(), "color size mismatch");
             assert_eq!(color.channels(), 3, "color label must be RGB");
-            mask.as_mut_slice()
-                .par_chunks_exact_mut(w)
-                .zip(color.as_mut_slice().par_chunks_exact_mut(w * 3))
-                .zip(rgb.as_slice().par_chunks_exact(w * 3))
-                .for_each(|((mask_row, color_row), rgb_row)| {
-                    fused_label_run(rgb_row, mask_row, Some(color_row), lut);
-                });
+            let (mask, color) = (mask.as_mut_slice(), color.as_mut_slice());
+            par::chunks_mut2(mask, w, color, w * 3, |y, mask_row, color_row| {
+                fused_label_run(rgb.row(y), mask_row, Some(color_row), lut);
+            });
         }
-        None => {
-            mask.as_mut_slice()
-                .par_chunks_exact_mut(w)
-                .zip(rgb.as_slice().par_chunks_exact(w * 3))
-                .for_each(|(mask_row, rgb_row)| {
-                    fused_label_run(rgb_row, mask_row, None, lut);
-                });
-        }
+        None => par::chunks_mut(mask.as_mut_slice(), w, |y, mask_row| {
+            fused_label_run(rgb.row(y), mask_row, None, lut);
+        }),
     }
 }
 

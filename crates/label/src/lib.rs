@@ -14,7 +14,7 @@
 //! * [`fused`] — the single-pass integer/LUT segmentation kernel,
 //!   bit-identical to [`segment`] and ~an order of magnitude cheaper,
 //! * [`autolabel`] — the end-to-end per-image auto-label routine plus
-//!   sequential and rayon batch drivers,
+//!   sequential and worker-pool batch drivers,
 //! * [`parallel`] — a fixed worker pool (the Python-multiprocessing
 //!   analog; a thin façade over `seaice-exec`'s queue and pool) used by
 //!   the Table I speedup experiment.
@@ -41,8 +41,8 @@ pub mod segment;
 /// Common imports for auto-labeling.
 pub mod prelude {
     pub use crate::autolabel::{
-        auto_label, auto_label_batch, auto_label_batch_rayon, auto_label_class_mask,
-        auto_label_scratch, AutoLabelConfig, LabelBackend, LabelOutput,
+        auto_label, auto_label_batch, auto_label_class_mask, auto_label_scratch, AutoLabelConfig,
+        LabelBackend, LabelOutput,
     };
     pub use crate::calibrate::{calibrate, Calibration};
     pub use crate::cloudshadow::{CloudShadowFilter, FilterConfig, FilterOutput};

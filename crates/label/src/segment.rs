@@ -2,7 +2,7 @@
 //! class mask and a color-coded label image (§III-B, Fig. 6).
 
 use crate::ranges::{ClassRanges, IceClass};
-use rayon::prelude::*;
+use seaice_exec::par;
 use seaice_imgproc::buffer::Image;
 use seaice_imgproc::color::rgb_to_hsv;
 use seaice_imgproc::ops::in_range;
@@ -32,15 +32,12 @@ pub fn segment_classes(rgb: &Image<u8>, ranges: &ClassRanges) -> Image<u8> {
     let hsv = rgb_to_hsv(rgb);
     let (w, h) = rgb.dimensions();
     let mut mask = Image::<u8>::new(w, h, 1);
-    mask.as_mut_slice()
-        .par_chunks_exact_mut(w.max(1))
-        .zip(hsv.as_slice().par_chunks_exact(w.max(1) * 3))
-        .for_each(|(dst, src)| {
-            for (d, px) in dst.iter_mut().zip(src.chunks_exact(3)) {
-                // seaice-lint: allow(narrowing-cast-in-kernel) reason="IceClass has three discriminants (0..=2), well within u8"
-                *d = ranges.classify(px) as u8;
-            }
-        });
+    par::chunks_mut(mask.as_mut_slice(), w.max(1), |y, dst| {
+        for (d, px) in dst.iter_mut().zip(hsv.row(y).chunks_exact(3)) {
+            // seaice-lint: allow(narrowing-cast-in-kernel) reason="IceClass has three discriminants (0..=2), well within u8"
+            *d = ranges.classify(px) as u8;
+        }
+    });
     mask
 }
 

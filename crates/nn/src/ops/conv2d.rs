@@ -36,7 +36,6 @@
 use crate::ops::im2col::{col2im, im2col};
 use crate::ops::matmul::{matmul, matmul_a_bt, matmul_at_b};
 use crate::tensor::Tensor;
-use rayon::prelude::*;
 
 /// Rows of the baseline register tile (output channels; input channels or
 /// patch rows in the backward kernels): eight `xmm` accumulators. The AVX2
@@ -397,15 +396,17 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: &Tensor, shape: &Conv2dShap
     let offs = patch_offsets(c, k, h + 2 * shape.pad, w + 2 * shape.pad);
     let packed = pack(oc, taps, |o, t| weight.as_slice()[o * taps + t]);
     let mut out = Tensor::zeros(&[n, oc, oh, ow]);
-    // Parallelize across the batch; items never share mutable state.
-    out.as_mut_slice()
-        .par_chunks_exact_mut(oc * oh * ow)
+    // One image after the other: a batch is at most a few dozen items, far
+    // below what `seaice_exec::par` would fork for.
+    for (b, out_item) in out
+        .as_mut_slice()
+        .chunks_exact_mut(oc * oh * ow)
         .enumerate()
-        .for_each(|(b, out_item)| {
-            let xh = haloed(input.batch_item(b), (c, h, w), shape.pad);
-            let bias = Some(bias.as_slice());
-            tiled_planes(&xh, &offs, 1, &packed, bias, out_item, (oc, oh, ow));
-        });
+    {
+        let xh = haloed(input.batch_item(b), (c, h, w), shape.pad);
+        let bias = Some(bias.as_slice());
+        tiled_planes(&xh, &offs, 1, &packed, bias, out_item, (oc, oh, ow));
+    }
     out
 }
 
@@ -447,10 +448,8 @@ pub fn conv2d_backward(
         weight.as_slice()[j % oc * taps + ch * k * k + j / oc]
     });
 
-    // Per-image partials, reduced afterwards in batch order (no shared
-    // mutable state).
+    // Per-image partials, reduced afterwards in batch order.
     let partials: Vec<(Vec<f32>, Tensor, Tensor)> = (0..n)
-        .into_par_iter()
         .map(|b| {
             let gy = grad_out.batch_item(b);
             let gh = haloed(gy, (oc, oh, ow), halo);

@@ -10,7 +10,6 @@
 //! the kernel onto the upsampled output.
 
 use crate::tensor::Tensor;
-use rayon::prelude::*;
 
 /// Static geometry of a transposed convolution.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -80,40 +79,37 @@ pub fn conv_transpose2d(
     let w_data = weight.as_slice();
     let b_data = bias.as_slice();
 
-    out.as_mut_slice()
-        .par_chunks_exact_mut(item_len)
-        .enumerate()
-        .for_each(|(b, out_item)| {
-            // Initialize with bias.
-            for oc in 0..shape.out_channels {
-                out_item[oc * oh * ow..(oc + 1) * oh * ow].fill(b_data[oc]);
-            }
-            let x = &in_data[b * in_item..(b + 1) * in_item];
-            for ic in 0..c {
-                let w_row =
-                    &w_data[ic * shape.out_channels * k * k..(ic + 1) * shape.out_channels * k * k];
-                for y in 0..h {
-                    for xpos in 0..w {
-                        let v = x[(ic * h + y) * w + xpos];
-                        if v == 0.0 {
-                            continue;
-                        }
-                        let oy0 = y * shape.stride;
-                        let ox0 = xpos * shape.stride;
-                        for oc in 0..shape.out_channels {
-                            let w_oc = &w_row[oc * k * k..(oc + 1) * k * k];
-                            let dst = &mut out_item[oc * oh * ow..(oc + 1) * oh * ow];
-                            for ky in 0..k {
-                                let row = (oy0 + ky) * ow + ox0;
-                                for kx in 0..k {
-                                    dst[row + kx] += v * w_oc[ky * k + kx];
-                                }
+    for (b, out_item) in out.as_mut_slice().chunks_exact_mut(item_len).enumerate() {
+        // Initialize with bias.
+        for oc in 0..shape.out_channels {
+            out_item[oc * oh * ow..(oc + 1) * oh * ow].fill(b_data[oc]);
+        }
+        let x = &in_data[b * in_item..(b + 1) * in_item];
+        for ic in 0..c {
+            let w_row =
+                &w_data[ic * shape.out_channels * k * k..(ic + 1) * shape.out_channels * k * k];
+            for y in 0..h {
+                for xpos in 0..w {
+                    let v = x[(ic * h + y) * w + xpos];
+                    if v == 0.0 {
+                        continue;
+                    }
+                    let oy0 = y * shape.stride;
+                    let ox0 = xpos * shape.stride;
+                    for oc in 0..shape.out_channels {
+                        let w_oc = &w_row[oc * k * k..(oc + 1) * k * k];
+                        let dst = &mut out_item[oc * oh * ow..(oc + 1) * oh * ow];
+                        for ky in 0..k {
+                            let row = (oy0 + ky) * ow + ox0;
+                            for kx in 0..k {
+                                dst[row + kx] += v * w_oc[ky * k + kx];
                             }
                         }
                     }
                 }
             }
-        });
+        }
+    }
     out
 }
 
@@ -135,7 +131,6 @@ pub fn conv_transpose2d_backward(
     assert_eq!((oh, ow), shape.output_hw(h, w), "grad spatial mismatch");
 
     let partials: Vec<(Tensor, Tensor, Tensor)> = (0..n)
-        .into_par_iter()
         .map(|b| {
             let x = input.batch_item(b);
             let gy = grad_out.batch_item(b);

@@ -1,5 +1,6 @@
-//! Dense matrix multiplication, rayon-parallel over output rows with a
-//! cache-friendly i-k-j loop order (the inner loop streams rows of `B`).
+//! Dense matrix multiplication with a cache-friendly i-k-j loop order (the
+//! inner loop streams rows of `B`), parallel over output rows through
+//! `seaice_exec::par` (from 256 rows, on a multi-core host).
 //!
 //! Since the direct kernels in [`conv2d`](mod@crate::ops::conv2d) these three
 //! products are the reference lowering — the bit-exact test oracle and a
@@ -7,11 +8,7 @@
 //! the geometries `Conv2dShape::is_direct` excludes.
 
 use crate::tensor::Tensor;
-use rayon::prelude::*;
-
-/// Minimum output elements before parallelizing (tiny matmuls are faster
-/// sequentially).
-const PAR_THRESHOLD: usize = 64 * 64;
+use seaice_exec::par;
 
 /// `C[m,n] = A[m,k] · B[k,n]`.
 ///
@@ -36,16 +33,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
             }
         }
     };
-    if m * n >= PAR_THRESHOLD && m > 1 {
-        c.as_mut_slice()
-            .par_chunks_exact_mut(n)
-            .enumerate()
-            .for_each(|(i, row)| row_op(i, row));
-    } else {
-        for (i, row) in c.as_mut_slice().chunks_exact_mut(n).enumerate() {
-            row_op(i, row);
-        }
-    }
+    par::chunks_mut(c.as_mut_slice(), n, row_op);
     c
 }
 
@@ -61,7 +49,7 @@ pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Tensor {
     let a_data = a.as_slice();
     let b_data = b.as_slice();
     // C[kk, :] += A[i, kk] * B[i, :] — accumulate row-wise over i.
-    // Parallelize over output rows by giving each its own pass over i.
+    // Each output row makes its own pass over i.
     let row_op = |kk: usize, c_row: &mut [f32]| {
         for i in 0..m {
             let a_ik = a_data[i * k + kk];
@@ -74,16 +62,7 @@ pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Tensor {
             }
         }
     };
-    if k * n >= PAR_THRESHOLD && k > 1 {
-        c.as_mut_slice()
-            .par_chunks_exact_mut(n)
-            .enumerate()
-            .for_each(|(kk, row)| row_op(kk, row));
-    } else {
-        for (kk, row) in c.as_mut_slice().chunks_exact_mut(n).enumerate() {
-            row_op(kk, row);
-        }
-    }
+    par::chunks_mut(c.as_mut_slice(), n, row_op);
     c
 }
 
@@ -110,16 +89,7 @@ pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Tensor {
             *cv = acc;
         }
     };
-    if m * k >= PAR_THRESHOLD && m > 1 {
-        c.as_mut_slice()
-            .par_chunks_exact_mut(k)
-            .enumerate()
-            .for_each(|(i, row)| row_op(i, row));
-    } else {
-        for (i, row) in c.as_mut_slice().chunks_exact_mut(k).enumerate() {
-            row_op(i, row);
-        }
-    }
+    par::chunks_mut(c.as_mut_slice(), k, row_op);
     c
 }
 
@@ -174,8 +144,9 @@ mod tests {
 
     #[test]
     fn parallel_path_matches_naive() {
-        let a = arb(&[70, 40], 3);
-        let b = arb(&[40, 90], 4); // 6300 outputs > threshold
+        // 300 output rows: enough for `par` to fork on a multi-core host.
+        let a = arb(&[300, 40], 3);
+        let b = arb(&[40, 21], 4);
         let c = matmul(&a, &b);
         let r = naive(&a, &b);
         for (x, y) in c.as_slice().iter().zip(r.as_slice()) {

@@ -21,12 +21,12 @@
 //! via the magic-constant add (see `round_ties_even`), and every output
 //! element is produced by one thread's sequential loop — the same
 //! partitioning discipline [`conv2d`](crate::ops::conv2d::conv2d) uses,
-//! so results are bit-identical across batch sizes and rayon thread
+//! so results are bit-identical across batch sizes and thread
 //! counts.
 
 use crate::ops::conv2d::Conv2dShape;
 use crate::tensor::Tensor;
-use rayon::prelude::*;
+use seaice_exec::par;
 
 /// Per-tensor affine quantization parameters for activations.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -235,10 +235,6 @@ pub fn im2col_i8(
     }
 }
 
-/// Minimum output elements before [`gemm_i8_i32`] parallelizes over
-/// rows (matches the f32 `matmul` threshold).
-const GEMM_PAR_THRESHOLD: usize = 64 * 64;
-
 /// `C[m,n] (i32) = A[m,k] (i8) · B[k,n] (i8)` with exact i32
 /// accumulation, in the same cache-friendly i-k-j order as the f32
 /// [`matmul`](crate::ops::matmul::matmul) — the inner loop streams rows
@@ -248,8 +244,8 @@ const GEMM_PAR_THRESHOLD: usize = 64 * 64;
 /// `|a·b| ≤ 127·128 = 16256`, so the sum of two products is at most
 /// `32512 < i16::MAX + 1` — exact, and the i16 multiplies vectorize
 /// twice as wide as an i32 multiply would. The pair sum is then widened
-/// to the i32 accumulator. Large products parallelize over output rows
-/// exactly like `matmul`; every output element is still produced by one
+/// to the i32 accumulator. Row pairs go through `seaice_exec::par`
+/// exactly like `matmul`'s rows; every output element is still produced by one
 /// thread's sequential integer loop, so results are bit-identical at
 /// any thread count.
 ///
@@ -327,16 +323,8 @@ pub fn gemm_i8_i32(a: &[i8], b: &[i8], m: usize, k: usize, n: usize, c: &mut [i3
             }
         }
     };
-    let pairs = m / 2;
-    if m * n >= GEMM_PAR_THRESHOLD && pairs > 1 {
-        c.par_chunks_exact_mut(2 * n)
-            .enumerate()
-            .for_each(|(i, rows)| pair_op(i, rows));
-    } else {
-        for (i, rows) in c.chunks_exact_mut(2 * n).enumerate() {
-            pair_op(i, rows);
-        }
-    }
+    // `par` leaves the odd last row, shorter than a pair, untouched.
+    par::chunks_mut(c, 2 * n, pair_op);
     if m % 2 == 1 {
         row_op(m - 1, &mut c[(m - 1) * n..]);
     }
@@ -352,8 +340,8 @@ pub fn gemm_i8_i32(a: &[i8], b: &[i8], m: usize, k: usize, n: usize, c: &mut [i3
 ///
 /// Returns `[n, out_c, oh, ow]` f32, computed as quantize → int8 im2col
 /// → i32 GEMM → dequantize + bias. Batch items are processed
-/// independently (rayon over the batch axis), so outputs are
-/// bit-identical across batch sizes and thread counts.
+/// independently, one after the other, so outputs are bit-identical
+/// across batch sizes.
 ///
 /// # Panics
 /// Panics on any shape inconsistency.
@@ -379,24 +367,21 @@ pub fn qconv2d(
     let mut out = Tensor::zeros(&[n, shape.out_channels, oh, ow]);
     let item_len = shape.out_channels * oh * ow;
 
-    // Parallelize across the batch, exactly like the f32 conv2d; each
-    // item owns its three buffers, so items never share mutable state.
-    out.as_mut_slice()
-        .par_chunks_exact_mut(item_len)
-        .enumerate()
-        .for_each(|(b, out_item)| {
-            qconv_item(
-                input.batch_item(b),
-                c,
-                h,
-                w,
-                weights,
-                bias.as_slice(),
-                shape,
-                act,
-                out_item,
-            );
-        });
+    // One item after the other, exactly like the f32 conv2d: a batch is
+    // at most a few dozen items, far below what `par` would fork for.
+    for (b, out_item) in out.as_mut_slice().chunks_exact_mut(item_len).enumerate() {
+        qconv_item(
+            input.batch_item(b),
+            c,
+            h,
+            w,
+            weights,
+            bias.as_slice(),
+            shape,
+            act,
+            out_item,
+        );
+    }
     out
 }
 

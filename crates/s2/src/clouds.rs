@@ -15,7 +15,7 @@
 //! contamination and can bucket tiles by cloud coverage (Table V).
 
 use crate::noise::{fbm, FbmConfig};
-use rayon::prelude::*;
+use seaice_exec::par;
 use seaice_imgproc::buffer::Image;
 
 /// Configuration of the cloud/shadow overlay.
@@ -102,14 +102,11 @@ pub fn generate(cfg: &CloudConfig, seed: u64, width: usize, height: usize) -> Cl
 
     // Raw density field.
     let mut field = vec![0f32; width * height];
-    field
-        .par_chunks_exact_mut(width)
-        .enumerate()
-        .for_each(|(y, row)| {
-            for (x, v) in row.iter_mut().enumerate() {
-                *v = fbm(x as f32, y as f32, cloud_seed, &field_cfg);
-            }
-        });
+    par::chunks_mut(&mut field, width, |y, row| {
+        for (x, v) in row.iter_mut().enumerate() {
+            *v = fbm(x as f32, y as f32, cloud_seed, &field_cfg);
+        }
+    });
 
     // Pick the threshold as the (1 - coverage) quantile so the covered
     // fraction matches the target regardless of the field's distribution.
@@ -121,36 +118,28 @@ pub fn generate(cfg: &CloudConfig, seed: u64, width: usize, height: usize) -> Cl
     };
     let soft = 0.12f32; // smooth shoulder so cloud edges feather out
 
-    cloud
-        .as_mut_slice()
-        .par_chunks_exact_mut(width)
-        .enumerate()
-        .for_each(|(y, row)| {
-            for (x, a) in row.iter_mut().enumerate() {
-                let f = field[y * width + x];
-                let t = ((f - cut) / soft).clamp(0.0, 1.0);
-                // Smoothstep shoulder, peak opacity capped for *thin* cloud.
-                *a = (t * t * (3.0 - 2.0 * t)) * cfg.max_opacity;
-            }
-        });
+    par::chunks_mut(cloud.as_mut_slice(), width, |y, row| {
+        for (x, a) in row.iter_mut().enumerate() {
+            let f = field[y * width + x];
+            let t = ((f - cut) / soft).clamp(0.0, 1.0);
+            // Smoothstep shoulder, peak opacity capped for *thin* cloud.
+            *a = (t * t * (3.0 - 2.0 * t)) * cfg.max_opacity;
+        }
+    });
 
     // Shadow: the cloud alpha displaced by the sun-geometry offset.
     let (dx, dy) = cfg.shadow_offset;
     let cloud_ref = &cloud;
-    shadow
-        .as_mut_slice()
-        .par_chunks_exact_mut(width)
-        .enumerate()
-        .for_each(|(y, row)| {
-            for (x, s) in row.iter_mut().enumerate() {
-                let sx = x as isize - dx;
-                let sy = y as isize - dy;
-                if sx >= 0 && sy >= 0 && (sx as usize) < width && (sy as usize) < height {
-                    // Normalize back to [0, 1] density.
-                    *s = cloud_ref.get(sx as usize, sy as usize) / cfg.max_opacity.max(1e-6);
-                }
+    par::chunks_mut(shadow.as_mut_slice(), width, |y, row| {
+        for (x, s) in row.iter_mut().enumerate() {
+            let sx = x as isize - dx;
+            let sy = y as isize - dy;
+            if sx >= 0 && sy >= 0 && (sx as usize) < width && (sy as usize) < height {
+                // Normalize back to [0, 1] density.
+                *s = cloud_ref.get(sx as usize, sy as usize) / cfg.max_opacity.max(1e-6);
             }
-        });
+        }
+    });
 
     CloudLayer {
         cloud_alpha: cloud,
@@ -177,21 +166,18 @@ impl CloudLayer {
         let mut out = rgb.clone();
         let ca = &self.cloud_alpha;
         let sa = &self.shadow_alpha;
-        out.as_mut_slice()
-            .par_chunks_exact_mut(w * 3)
-            .enumerate()
-            .for_each(|(y, row)| {
-                for x in 0..w {
-                    let a = ca.get(x, y);
-                    let s = sa.get(x, y) * strength;
-                    for c in row[x * 3..x * 3 + 3].iter_mut() {
-                        // Shadow first (surface-level), then haze on top.
-                        let shaded = *c as f32 * (1.0 - s);
-                        let hazed = shaded * (1.0 - a) + 255.0 * a;
-                        *c = hazed.round().clamp(0.0, 255.0) as u8;
-                    }
+        par::chunks_mut(out.as_mut_slice(), w * 3, |y, row| {
+            for x in 0..w {
+                let a = ca.get(x, y);
+                let s = sa.get(x, y) * strength;
+                for c in row[x * 3..x * 3 + 3].iter_mut() {
+                    // Shadow first (surface-level), then haze on top.
+                    let shaded = *c as f32 * (1.0 - s);
+                    let hazed = shaded * (1.0 - a) + 255.0 * a;
+                    *c = hazed.round().clamp(0.0, 255.0) as u8;
                 }
-            });
+            }
+        });
         out
     }
 

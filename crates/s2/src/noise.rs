@@ -97,15 +97,12 @@ pub fn fbm(x: f32, y: f32, seed: u64, cfg: &FbmConfig) -> f32 {
 
 /// Fills a `width × height` buffer with fBm samples (row-major).
 pub fn fbm_field(width: usize, height: usize, seed: u64, cfg: &FbmConfig) -> Vec<f32> {
-    use rayon::prelude::*;
     let mut out = vec![0f32; width * height];
-    out.par_chunks_exact_mut(width.max(1))
-        .enumerate()
-        .for_each(|(y, row)| {
-            for (x, v) in row.iter_mut().enumerate() {
-                *v = fbm(x as f32, y as f32, seed, cfg);
-            }
-        });
+    seaice_exec::par::chunks_mut(&mut out, width.max(1), |y, row| {
+        for (x, v) in row.iter_mut().enumerate() {
+            *v = fbm(x as f32, y as f32, seed, cfg);
+        }
+    });
     out
 }
 

@@ -18,7 +18,7 @@
 
 use crate::classes::{OPEN_WATER, THICK_ICE, THIN_ICE};
 use crate::noise::{fbm, FbmConfig};
-use rayon::prelude::*;
+use seaice_exec::par;
 use seaice_imgproc::buffer::Image;
 
 /// Configuration of the procedural scene generator.
@@ -219,37 +219,33 @@ pub fn generate(cfg: &SceneConfig, seed: u64) -> Scene {
     let mut rgb = Image::<u8>::new(w, h, 3);
     let mut truth = Image::<u8>::new(w, h, 1);
 
-    let truth_slice_len = w;
-    rgb.as_mut_slice()
-        .par_chunks_exact_mut(w * 3)
-        .zip(truth.as_mut_slice().par_chunks_exact_mut(truth_slice_len))
-        .enumerate()
-        .for_each(|(y, (rgb_row, truth_row))| {
-            for x in 0..w {
-                let fx = x as f32;
-                let fy = y as f32;
-                let conc = fbm(fx, fy, seed, &field_cfg);
-                let mut class = if conc < cfg.water_level {
-                    OPEN_WATER
-                } else if conc < cfg.thin_level {
-                    THIN_ICE
-                } else {
-                    THICK_ICE
-                };
-                // Leads cut open water through any ice.
-                if class != OPEN_WATER
-                    && leads
-                        .iter()
-                        .any(|l| l.contains(fx, fy, cfg.field_wavelength / 2.0))
-                {
-                    class = OPEN_WATER;
-                }
-                let t = fbm(fx, fy, tex_seed, &tex_cfg);
-                let px = render_class(class, t, cfg.illumination);
-                rgb_row[x * 3..x * 3 + 3].copy_from_slice(&px);
-                truth_row[x] = class;
+    let (rgb_rows, truth_rows) = (rgb.as_mut_slice(), truth.as_mut_slice());
+    par::chunks_mut2(rgb_rows, w * 3, truth_rows, w, |y, rgb_row, truth_row| {
+        for x in 0..w {
+            let fx = x as f32;
+            let fy = y as f32;
+            let conc = fbm(fx, fy, seed, &field_cfg);
+            let mut class = if conc < cfg.water_level {
+                OPEN_WATER
+            } else if conc < cfg.thin_level {
+                THIN_ICE
+            } else {
+                THICK_ICE
+            };
+            // Leads cut open water through any ice.
+            if class != OPEN_WATER
+                && leads
+                    .iter()
+                    .any(|l| l.contains(fx, fy, cfg.field_wavelength / 2.0))
+            {
+                class = OPEN_WATER;
             }
-        });
+            let t = fbm(fx, fy, tex_seed, &tex_cfg);
+            let px = render_class(class, t, cfg.illumination);
+            rgb_row[x * 3..x * 3 + 3].copy_from_slice(&px);
+            truth_row[x] = class;
+        }
+    });
 
     Scene { rgb, truth, seed }
 }

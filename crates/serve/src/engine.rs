@@ -96,7 +96,7 @@ impl EngineConfig {
     pub fn for_tile(tile_size: usize) -> Self {
         Self {
             tile_size,
-            workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            workers: seaice_exec::par::cores(),
             max_batch_size: 8,
             max_wait: Duration::from_millis(2),
             queue_capacity: 256,

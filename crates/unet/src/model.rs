@@ -336,7 +336,7 @@ impl UNet {
     /// call. `out` is cleared and refilled with `n·h·w` class ids.
     ///
     /// Batch items are independent throughout the network (every op loops
-    /// or parallelizes over the batch axis with per-item math), so a tile
+    /// over the batch axis with per-item math), so a tile
     /// classified in a batch of any size gets bit-identical predictions
     /// to the same tile classified alone.
     pub fn predict_into(&mut self, x: &Tensor, out: &mut Vec<u8>) {

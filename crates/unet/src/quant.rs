@@ -19,7 +19,7 @@
 //!
 //! Determinism: calibration iterates the set in order, integer
 //! accumulation is exact, and the only parallelism is over independent
-//! batch items — so quantizing the same checkpoint twice yields
+//! GEMM output rows — so quantizing the same checkpoint twice yields
 //! bit-identical [`QuantizedUNet`]s, and int8 predictions are
 //! byte-stable across runs, batch sizes, and thread counts. The
 //! transposed up-convolution ([`crate::config::UpMode::Transposed`])

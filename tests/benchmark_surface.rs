@@ -126,3 +126,64 @@ fn struct_literals_the_benchmark_writes_still_name_every_field() {
     let _: Vec<i8> = quantize_weights(&ckpt.params[0]).data;
     let _: i8 = QuantParams::from_range(0.0, 1.0).zero_point;
 }
+
+#[test]
+#[allow(clippy::type_complexity)] // the long pointer types *are* the pinned signatures
+fn imgproc_label_s2_and_core_keep_the_signatures_the_benchmark_calls() {
+    use seaice::core::adapters::{
+        image_to_chw, image_to_chw_into, mask_to_image, tile_to_sample_scratch,
+    };
+    use seaice::core::workflow::ArmEvaluation;
+    use seaice::core::{classify_scene_with, evaluate_arm};
+    use seaice::core::{InputVariant, LabelSource, SceneClassification, WorkflowConfig};
+    use seaice::imgproc::buffer::{Image, Scratch};
+    use seaice::imgproc::color::{rgb_to_gray, rgb_to_hsv};
+    use seaice::imgproc::filter::{box_blur_f32, median_filter};
+    use seaice::imgproc::ops::min_max_normalize;
+    use seaice::imgproc::threshold::otsu_binary;
+    use seaice::label::autolabel::{
+        auto_label_batch_pool, auto_label_class_mask, auto_label_scratch, AutoLabelConfig,
+        LabelOutput,
+    };
+    use seaice::label::cloudshadow::{CloudShadowFilter, FilterConfig, FilterOutput};
+    use seaice::label::fused::segment_classes_fused;
+    use seaice::label::parallel::WorkerPool;
+    use seaice::label::ranges::ClassRanges;
+    use seaice::s2::clouds::{self, CloudConfig, CloudLayer};
+    use seaice::s2::synth::{self, class_fractions, Scene, SceneConfig};
+    use seaice::s2::tiler::{stitch_tiles, tile_anchors, Tile};
+
+    type Img = Image<u8>;
+    let _: [fn(&Img) -> Img; 3] = [rgb_to_gray, rgb_to_hsv, mask_to_image];
+    let _: fn(&Img, usize) -> Img = median_filter;
+    let _: fn(&Image<f32>, usize) -> Image<f32> = box_blur_f32;
+    let _: fn(&Img, u8) -> (u8, Img) = otsu_binary;
+    let _: fn(&Img, u8, u8) -> Img = min_max_normalize;
+
+    let _: fn(&Img, &ClassRanges) -> Img = segment_classes_fused;
+    let _: fn(usize) -> FilterConfig = FilterConfig::for_tile;
+    let _: fn(FilterConfig) -> CloudShadowFilter = CloudShadowFilter::new;
+    let _: fn(&CloudShadowFilter, &Img) -> FilterOutput = CloudShadowFilter::apply;
+    let _: fn(FilterOutput) -> Img = |out| out.filtered;
+    let _: fn(usize) -> AutoLabelConfig = AutoLabelConfig::filtered_for_tile;
+    let _: fn(&Img, &AutoLabelConfig, &mut Scratch) -> LabelOutput = auto_label_scratch;
+    let _: fn(&Img, &AutoLabelConfig, &mut Scratch) -> Img = auto_label_class_mask;
+    let _: fn(&WorkerPool, Vec<Img>, AutoLabelConfig) -> Vec<LabelOutput> = auto_label_batch_pool;
+    let _: fn(usize) -> WorkerPool = WorkerPool::new;
+
+    let _: fn(&SceneConfig, u64) -> Scene = synth::generate;
+    let _: fn(&Img) -> (f64, f64, f64) = class_fractions;
+    let _: fn(&CloudConfig, u64, usize, usize) -> CloudLayer = clouds::generate;
+    let _: fn(&CloudLayer, &Img) -> Img = CloudLayer::apply;
+    let _: fn(usize, usize) -> Vec<usize> = tile_anchors;
+    let _: fn(&[(usize, usize, Img)], usize, usize, usize) -> Img = stitch_tiles;
+
+    let _: fn(&mut UNet, &Img, usize, bool) -> SceneClassification = classify_scene_with::<UNet>;
+    let _: fn(&mut QuantizedUNet, &Img, usize, bool) -> SceneClassification =
+        classify_scene_with::<QuantizedUNet>;
+    let _: fn(&mut UNet, &[Tile], InputVariant, &WorkflowConfig) -> ArmEvaluation = evaluate_arm;
+    let _: fn(&Tile, InputVariant, LabelSource, &AutoLabelConfig, &mut Scratch) -> Sample =
+        tile_to_sample_scratch;
+    let _: fn(&Img) -> Vec<f32> = image_to_chw;
+    let _: fn(&Img, &mut [f32]) = image_to_chw_into;
+}

@@ -5,7 +5,7 @@
 
 use seaice::distrib::{train_distributed, DgxA100Model, DistTrainConfig};
 use seaice::label::autolabel::{
-    auto_label_batch, auto_label_batch_pool, auto_label_batch_rayon, AutoLabelConfig, LabelBackend,
+    auto_label_batch, auto_label_batch_pool, AutoLabelConfig, LabelBackend,
 };
 use seaice::label::parallel::WorkerPool;
 use seaice::mapreduce::{ClusterSpec, CostModel, Session};
@@ -22,12 +22,11 @@ fn tiles(n: usize, side: usize) -> Vec<seaice::imgproc::buffer::Image<u8>> {
 fn all_labeling_backends_agree_bit_for_bit() {
     let imgs = tiles(12, 48);
     // Both segmentation backends must agree across every parallel
-    // mechanism: sequential, rayon, worker pool, and the map-reduce
+    // mechanism: sequential, worker pool, and the map-reduce
     // Session path.
     for backend in [LabelBackend::Reference, LabelBackend::Fused] {
         let cfg = AutoLabelConfig::filtered_for_tile(48).with_backend(backend);
         let seq = auto_label_batch(&imgs, &cfg);
-        let ray = auto_label_batch_rayon(&imgs, &cfg);
         let pool = WorkerPool::new(3);
         let pooled = auto_label_batch_pool(&pool, imgs.clone(), cfg);
         let session = Session::new(ClusterSpec::new(2, 2).unwrap(), CostModel::gcd_n2());
@@ -39,10 +38,6 @@ fn all_labeling_backends_agree_bit_for_bit() {
 
         for i in 0..imgs.len() {
             assert_eq!(
-                seq[i].class_mask, ray[i].class_mask,
-                "{backend:?}: rayon differs at {i}"
-            );
-            assert_eq!(
                 seq[i].class_mask, pooled[i].class_mask,
                 "{backend:?}: pool differs at {i}"
             );
@@ -50,7 +45,6 @@ fn all_labeling_backends_agree_bit_for_bit() {
                 seq[i].class_mask, engine[i],
                 "{backend:?}: map-reduce differs at {i}"
             );
-            assert_eq!(seq[i].color_label, ray[i].color_label);
         }
     }
 }
