@@ -13,8 +13,6 @@
 //!   fig13       confusion matrices                      (Fig. 13)
 //!   fig14       prediction panels                       (Fig. 14)
 //!   scenes      66-scene labeling time                  (§IV-B)
-//!   serve       serving-engine load generator           (DESIGN.md §4.2; writes BENCH_serve.json)
-//!   infer       f32 vs int8 inference comparison        (DESIGN.md §4.5; writes BENCH_infer.json)
 //!   chaos       fault-injection / recovery demo         (DESIGN.md §4.3; writes BENCH_chaos.json)
 //!   stream      streaming DAG + change detection        (DESIGN.md §4.7; writes BENCH_stream.json)
 //!   soak        seeded chaos-soak harness               (DESIGN.md §4.8; writes BENCH_soak.json)
@@ -23,15 +21,19 @@
 //!   night       season-transfer + threshold calibration (§IV-B-2)
 //!   all         everything above
 //!   bench-check compare BENCH_*.json against baselines  [--current DIR] [--baseline DIR]
+//!               (defaults: the working directory against crates/bench/fixtures/small)
 //!   trace-check validate a Chrome trace_event JSON file  (positional: the file)
 //!   sarif-check validate a seaice-lint SARIF 2.1.0 file   (positional: the file)
 //! ```
 //!
 //! PPM/PGM images for the figure targets land in `--out` (default
-//! `reproduce-out/`). Benchmark areas write `BENCH_<area>.json`
-//! perf-trajectory summaries (DESIGN.md §4.6) into the working directory;
-//! a failed write is reported on stderr and flips the exit code to 1
-//! instead of aborting the remaining targets. `--trace FILE` records
+//! `reproduce-out/`). Five areas write a `BENCH_<area>.json` summary
+//! (DESIGN.md §4.6) into the working directory, holding only simulated,
+//! counted or bit-identity values, so `bench-check` can gate any host's
+//! `--scale small` run against the checked-in fixtures; wall-clock
+//! numbers come only from the `benchmark/` package. A failed write is
+//! reported on stderr and flips the exit code to 1 instead of aborting
+//! the remaining targets. `--trace FILE` records
 //! structured spans for the run and exports them as Chrome `trace_event`
 //! JSON (`chrome://tracing` / Perfetto loadable).
 
@@ -65,7 +67,7 @@ fn parse_args() -> Args {
     let mut out = PathBuf::from("reproduce-out");
     let mut trace = None;
     let mut current = PathBuf::from(".");
-    let mut baseline = PathBuf::from(".");
+    let mut baseline = PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/small"));
     while let Some(a) = args.next() {
         match a.as_str() {
             "--scale" => {
@@ -107,7 +109,7 @@ fn parse_args() -> Args {
 
 fn print_usage() {
     eprintln!(
-        "usage: reproduce <table1|table2|table3|table4|table5|fig11|fig13|fig14|scenes|serve|infer|chaos|stream|soak|ablation|sweep|night|all> [--scale small|medium|large] [--out DIR] [--trace FILE]\n\
+        "usage: reproduce <table1|table2|table3|table4|table5|fig11|fig13|fig14|scenes|chaos|stream|soak|ablation|sweep|night|all> [--scale small|medium|large] [--out DIR] [--trace FILE]\n\
          \x20      reproduce bench-check [--current DIR] [--baseline DIR]\n\
          \x20      reproduce trace-check <trace.json>\n\
          \x20      reproduce sarif-check <lint.sarif>"
@@ -278,8 +280,6 @@ fn main() {
         "fig13" => run_fig13(args.scale),
         "fig14" => run_fig14(args.scale, &args.out),
         "scenes" => println!("{}", table45::scenes_timing(args.scale).render()),
-        "serve" => ok &= run_serve(args.scale),
-        "infer" => ok &= run_infer(args.scale),
         "chaos" => ok &= run_chaos(args.scale),
         "stream" => ok &= run_stream(args.scale),
         "soak" => ok &= run_soak(args.scale),
@@ -302,8 +302,6 @@ fn main() {
             write_fig14(&mut exp, &args.out);
             run_fig11(args.scale, &args.out);
             println!("{}", table45::scenes_timing(args.scale).render());
-            ok &= run_serve(args.scale);
-            ok &= run_infer(args.scale);
             ok &= run_chaos(args.scale);
             ok &= run_stream(args.scale);
             ok &= run_soak(args.scale);
@@ -333,24 +331,6 @@ fn main() {
     if !ok {
         std::process::exit(1);
     }
-}
-
-/// Runs the f32/int8 comparison and records `BENCH_infer.json` (common
-/// `seaice-bench/1` schema) in the working directory.
-fn run_infer(scale: Scale) -> bool {
-    eprintln!(
-        "infer: f32 conv kernels run as {}",
-        seaice_nn::ops::conv2d::isa()
-    );
-    let b = seaice_bench::infer::run(scale);
-    println!("{}", b.render());
-    write_summary(&b.summary())
-}
-
-fn run_serve(scale: Scale) -> bool {
-    let b = seaice_bench::servebench::run(scale);
-    println!("{}", b.render());
-    write_summary(&b.summary())
 }
 
 fn run_chaos(scale: Scale) -> bool {

@@ -34,7 +34,7 @@ use seaice_serve::{tile_key, Engine, EngineConfig};
 use seaice_unet::checkpoint::snapshot;
 use seaice_unet::{UNet, UNetConfig};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One recovered layer in the chaos table.
 #[derive(Clone, Debug)]
@@ -53,8 +53,6 @@ pub struct ChaosRow {
     pub wasted_attempts: u64,
     /// Recovered output equals the fault-free reference byte for byte.
     pub bit_identical: bool,
-    /// Wall-clock seconds for the chaos run (reference excluded).
-    pub wall_secs: f64,
 }
 
 /// The rendered chaos demonstration.
@@ -89,7 +87,6 @@ fn mapreduce_row(items: usize) -> ChaosRow {
         &[1],
         FaultAction::Panic,
     ));
-    let t0 = Instant::now();
     let s = Session::new(ClusterSpec::new(4, 2).unwrap(), CostModel::gcd_n2());
     let (df, _) = s.read(data, 8.0);
     let (lazy, _) = df.map(&s, scramble);
@@ -104,7 +101,6 @@ fn mapreduce_row(items: usize) -> ChaosRow {
         recoveries: ft.retries as u64,
         wasted_attempts: (ft.attempts - ft.tasks) as u64,
         bit_identical: got == want,
-        wall_secs: t0.elapsed().as_secs_f64(),
     }
 }
 
@@ -153,7 +149,6 @@ fn distrib_row(samples_n: usize) -> ChaosRow {
         &[rank_fault_key(3, 2, 1, 0)],
         FaultAction::Error,
     ));
-    let t0 = Instant::now();
     let (mut chaos_model, chaos) = train_distributed_elastic(
         tiny_unet_cfg(),
         samples.clone(),
@@ -166,7 +161,6 @@ fn distrib_row(samples_n: usize) -> ChaosRow {
         Arc::clone(&faults),
     )
     .expect("training must survive one lost rank");
-    let wall = t0.elapsed().as_secs_f64();
 
     let (mut head, head_report) = train_distributed_elastic(
         tiny_unet_cfg(),
@@ -209,7 +203,6 @@ fn distrib_row(samples_n: usize) -> ChaosRow {
             .map(|&e| (e + 1) as u64)
             .sum(),
         bit_identical,
-        wall_secs: wall,
     }
 }
 
@@ -233,7 +226,6 @@ fn serve_row(tiles_n: usize) -> ChaosRow {
         &[mix(tile_key(&tiles[0]), 0)],
         FaultAction::Panic,
     ));
-    let t0 = Instant::now();
     let engine = Engine::with_faults(
         &ckpt,
         EngineConfig {
@@ -266,7 +258,6 @@ fn serve_row(tiles_n: usize) -> ChaosRow {
         recoveries: stats.robustness.worker_restarts,
         wasted_attempts: stats.robustness.batch_retries,
         bit_identical,
-        wall_secs: t0.elapsed().as_secs_f64(),
     }
 }
 
@@ -289,16 +280,14 @@ pub fn run(scale: Scale) -> ChaosBench {
 }
 
 impl ChaosBench {
-    /// The `BENCH_chaos.json` perf-trajectory summary: one
-    /// zero-tolerance bit-identity claim per recovered layer, plus the
-    /// injection/recovery counts and wall time with tolerances loose
-    /// enough that only a collapse (a layer stops recovering, the run
-    /// takes twice as long) flags.
+    /// The `BENCH_chaos.json` summary: one zero-tolerance bit-identity
+    /// claim per recovered layer, plus the injection/recovery counts with
+    /// tolerances loose enough that only a collapse (a layer stops
+    /// recovering) flags.
     pub fn summary(&self) -> seaice_obs::bench::Summary {
         let mut s = seaice_obs::bench::Summary::new("chaos");
         let mut injections = 0u64;
         let mut recoveries = 0u64;
-        let mut wall = 0.0f64;
         for r in &self.rows {
             s = s.metric(
                 &format!("{}_bit_identical", r.layer),
@@ -309,11 +298,9 @@ impl ChaosBench {
             );
             injections += r.injections;
             recoveries += r.recoveries;
-            wall += r.wall_secs;
         }
         s.metric("injections_fired", injections as f64, "count", true, 1.0)
             .metric("recoveries", recoveries as f64, "count", true, 1.0)
-            .metric("wall_secs", wall, "s", false, 1.0)
     }
 
     /// Renders the recovery table.
@@ -325,18 +312,17 @@ impl ChaosBench {
             self.items, self.samples, self.tiles
         ));
         s.push_str(
-            "layer     | fault                                        | fired | recov | wasted | identical | wall s\n",
+            "layer     | fault                                        | fired | recov | wasted | identical\n",
         );
         for r in &self.rows {
             s.push_str(&format!(
-                "{:<9} | {:<44} | {:>5} | {:>5} | {:>6} | {:<9} | {:>6.3}\n",
+                "{:<9} | {:<44} | {:>5} | {:>5} | {:>6} | {}\n",
                 r.layer,
                 r.fault,
                 r.injections,
                 r.recoveries,
                 r.wasted_attempts,
                 if r.bit_identical { "OK" } else { "MISMATCH" },
-                r.wall_secs
             ));
         }
         s.push_str(

@@ -1,22 +1,24 @@
 //! # seaice-bench
 //!
-//! The experiment harness: one module per table/figure of the paper,
-//! shared by the `reproduce` binary and the Criterion benches.
+//! The experiment harness behind the `reproduce` binary: one module per
+//! table/figure of the paper, plus the chaos / stream / soak
+//! demonstrations.
 //!
-//! ## How timing works here
+//! ## What is measured where
 //!
-//! The paper's numbers come from hardware this session does not have (a
-//! 4-core i5, a 4-node Dataproc cluster, an 8-GPU DGX A100). Every
-//! experiment therefore reports two kinds of numbers, clearly labelled:
+//! The paper's numbers come from hardware this repo does not have (a
+//! 4-core i5, a 4-node Dataproc cluster, an 8-GPU DGX A100), so the
+//! speedup tables run on **simulated** clocks: the discrete-event clock of
+//! `seaice-mapreduce` and the calibrated performance models of
+//! `seaice-distrib`, fed with the published hardware characteristics. The
+//! *shapes* (speedup curves, crossovers, who wins) come from the models;
+//! see DESIGN.md §1 for the substitution rationale.
 //!
-//! * **measured** — real wall-clock on this host (meaningful for absolute
-//!   per-task costs; parallel speedup is bounded by the host's cores);
-//! * **simulated** — the discrete-event clock of `seaice-mapreduce` /
-//!   the calibrated performance models of `seaice-distrib`, which combine
-//!   per-task costs measured on this host with the published hardware
-//!   characteristics. The *shapes* (speedup curves, crossovers, who wins)
-//!   come from the models; see DESIGN.md §1 for the substitution
-//!   rationale.
+//! Every `BENCH_<area>.json` this crate writes holds only values that
+//! re-produce on any host: a simulated cost, a count, or a bit-identity
+//! claim. A target may *print* a host measurement next to the paper
+//! number it anchors (Table I's ms/tile, the 66-scene timing), but the
+//! wall-clock ruler for this code is the `benchmark/` package alone.
 //!
 //! Accuracy experiments (Tables IV–V, Figs. 11, 13, 14) involve no
 //! hardware substitution: they run the real pipeline end to end at a
@@ -25,10 +27,8 @@
 
 pub mod ablation;
 pub mod chaosbench;
-pub mod infer;
 pub mod night;
 pub mod scale;
-pub mod servebench;
 pub mod soakbench;
 pub mod streambench;
 pub mod sweep;
@@ -83,15 +83,4 @@ pub fn with_suppressed_panics<R>(needle: &str, f: impl FnOnce() -> R) -> R {
         }
     }));
     f()
-}
-
-/// Formats a seconds value compactly.
-pub fn fmt_secs(s: f64) -> String {
-    if s >= 100.0 {
-        format!("{s:.1}")
-    } else if s >= 1.0 {
-        format!("{s:.2}")
-    } else {
-        format!("{s:.3}")
-    }
 }

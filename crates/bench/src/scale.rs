@@ -26,8 +26,9 @@ impl Scale {
     }
 
     /// Number of tiles for the auto-labeling speed experiments (paper:
-    /// 4224). Per-tile cost is measured for real; the count only affects
-    /// measurement noise.
+    /// 4224). The simulated speedups do not depend on it; it sets how
+    /// many tiles the worker-pool result check and the printed per-tile
+    /// cost cover.
     pub fn label_tiles(self) -> usize {
         match self {
             Scale::Small => 64,
@@ -52,18 +53,6 @@ impl Scale {
             Scale::Small => (4, 256, 32, 10),
             Scale::Medium => (8, 256, 32, 14),
             Scale::Large => (16, 512, 64, 20),
-        }
-    }
-
-    /// (scenes, scene side, tile side, passes, closed-loop clients) for
-    /// the serving load generator. Multiple passes over the same scene
-    /// archive model an operational re-analysis workload — the regime
-    /// where the serving engine's prediction cache pays off.
-    pub fn serve_workload(self) -> (usize, usize, usize, usize, usize) {
-        match self {
-            Scale::Small => (2, 48, 16, 3, 4),
-            Scale::Medium => (4, 96, 32, 3, 8),
-            Scale::Large => (8, 192, 32, 4, 16),
         }
     }
 

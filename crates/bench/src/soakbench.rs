@@ -43,7 +43,7 @@ use seaice_unet::{UNet, UNetConfig};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Base seed every schedule's seed is mixed from; pinned so the whole
 /// soak — which faults fire, where, in what order — is reproducible.
@@ -100,8 +100,6 @@ pub struct SoakBench {
     /// Every recovered output matched its fault-free reference byte for
     /// byte (stream / mapreduce / serve legs).
     pub byte_identical: bool,
-    /// Wall-clock seconds for the whole soak.
-    pub wall_secs: f64,
     /// One row per schedule.
     pub rows: Vec<SoakRow>,
 }
@@ -520,7 +518,6 @@ pub fn run(scale: Scale) -> SoakBench {
     let dir = std::env::temp_dir().join(format!("seaice-soak-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create soak scratch dir");
 
-    let t0 = Instant::now();
     let mut rows = Vec::new();
     let mut tally = DurableTally::default();
     for i in 0..durable_n {
@@ -542,7 +539,6 @@ pub fn run(scale: Scale) -> SoakBench {
         v
     });
     rows.extend(panicking);
-    let wall_secs = t0.elapsed().as_secs_f64();
     std::fs::remove_dir_all(&dir).ok();
 
     SoakBench {
@@ -556,16 +552,14 @@ pub fn run(scale: Scale) -> SoakBench {
         checkpoints_written,
         checkpoint_write_failures,
         byte_identical: rows.iter().filter(|r| r.leg != "durable").all(|r| r.ok),
-        wall_secs,
         rows,
     }
 }
 
 impl SoakBench {
-    /// The `BENCH_soak.json` perf-trajectory summary: zero-tolerance
-    /// violation and byte-identity claims, loose injection/detection
-    /// counts (the schedules are seeded, but only a collapse should
-    /// flag), and wall time looser still.
+    /// The `BENCH_soak.json` summary: zero-tolerance violation and
+    /// byte-identity claims, and loose injection/detection counts (the
+    /// schedules are seeded, but only a collapse should flag).
     pub fn summary(&self) -> seaice_obs::bench::Summary {
         seaice_obs::bench::Summary::new("soak")
             .metric("schedules", self.schedules as f64, "count", true, 0.0)
@@ -598,7 +592,6 @@ impl SoakBench {
                 true,
                 1.0,
             )
-            .metric("wall_secs", self.wall_secs, "s", false, 3.0)
     }
 
     /// Renders the soak table (plus a repro line per violation).
@@ -643,8 +636,8 @@ impl SoakBench {
         ));
         if self.violations == 0 {
             s.push_str(&format!(
-                "violations: none ({} schedules clean in {:.2}s)\n",
-                self.schedules, self.wall_secs
+                "violations: none ({} schedules clean)\n",
+                self.schedules
             ));
         } else {
             s.push_str(&format!("violations: {}\n", self.violations));

@@ -7,8 +7,7 @@
 //! * **reference** — a single-worker fault-free run produces the
 //!   canonical per-region drift series;
 //! * **parallel** — the same run at the scale's worker count must emit a
-//!   byte-identical series (the scheduler's determinism contract), and
-//!   is the timed leg;
+//!   byte-identical series (the scheduler's determinism contract);
 //! * **chaos** — label-stage worker 0 panics on every attempt under a
 //!   resilient policy; the scheduler retries each kill on another worker
 //!   and blacklists the assassin, and the series must *still* match the
@@ -16,14 +15,14 @@
 //!
 //! Simulated stage costs (the paper's 390 s / 4224 tiles for labeling)
 //! drive the scheduler's manual clock, so the reported makespan is
-//! deterministic; wall time is reported separately.
+//! deterministic. This DAG's wall-clock throughput is the benchmark's
+//! `stream_revisit` workload.
 
 use crate::scale::Scale;
 use seaice_core::stream_workflow::{run_stream, train_stream_model, StreamWorkflowConfig};
 use seaice_faults::{mix, FaultAction, FaultPlan};
 use seaice_stream::{StreamPolicy, StreamReport};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Index of the label stage in the streaming DAG (0 = catalog source).
 pub const LABEL_STAGE: u64 = 2;
@@ -45,8 +44,6 @@ pub struct StreamBench {
     pub tiles: u64,
     /// Drift-series points emitted (regions × revisits).
     pub points: usize,
-    /// Wall seconds spent training the streaming model.
-    pub train_secs: f64,
     /// Parallel run matches the single-worker reference byte for byte.
     pub deterministic_across_workers: bool,
     /// Chaos run matches the reference byte for byte.
@@ -63,10 +60,6 @@ pub struct StreamBench {
     pub sim_makespan_secs: f64,
     /// Sends into a full stage queue during the parallel leg.
     pub backpressure_waits: u64,
-    /// Wall seconds of the parallel leg.
-    pub wall_secs: f64,
-    /// Tiles per wall second over the parallel leg.
-    pub tiles_per_sec: f64,
     /// Mean changed fraction over revisits > 0 — the change-detection
     /// signal (the synthetic ice genuinely drifts, so this is > 0).
     pub mean_changed_frac: f64,
@@ -105,9 +98,7 @@ fn infer_tiles(report: &StreamReport) -> u64 {
 pub fn run(scale: Scale) -> StreamBench {
     let cfg = config(scale);
 
-    let t0 = Instant::now();
     let ckpt = train_stream_model(&cfg);
-    let train_secs = t0.elapsed().as_secs_f64();
 
     // Reference: one worker everywhere, no faults.
     let mut one = cfg.clone();
@@ -121,8 +112,7 @@ pub fn run(scale: Scale) -> StreamBench {
     .expect("fault-free reference run");
     let want = reference.series.to_bytes();
 
-    // Parallel: the timed leg.
-    let t0 = Instant::now();
+    // Parallel: the scale's worker count.
     let parallel = run_stream(
         &cfg,
         &ckpt,
@@ -130,7 +120,6 @@ pub fn run(scale: Scale) -> StreamBench {
         Arc::new(FaultPlan::disabled()),
     )
     .expect("fault-free parallel run");
-    let wall_secs = t0.elapsed().as_secs_f64();
     let tiles = infer_tiles(&parallel.report);
 
     // Chaos: label worker 0 panics on every attempt; the resilient
@@ -162,7 +151,6 @@ pub fn run(scale: Scale) -> StreamBench {
         workers: cfg.workers,
         tiles,
         points: reference.series.points.len(),
-        train_secs,
         deterministic_across_workers: parallel.series.to_bytes() == want,
         chaos_bit_identical: chaos.series.to_bytes() == want,
         chaos_injections: faults.injections_fired(),
@@ -176,17 +164,13 @@ pub fn run(scale: Scale) -> StreamBench {
             .iter()
             .map(|s| s.backpressure_waits)
             .sum(),
-        wall_secs,
-        tiles_per_sec: tiles as f64 / wall_secs.max(1e-9),
         mean_changed_frac,
     }
 }
 
 impl StreamBench {
-    /// The `BENCH_stream.json` perf-trajectory summary: zero-tolerance
-    /// bit-identity claims plus the deterministic simulated costs
-    /// (tight) and the wall-clock throughput (loose — only a collapse
-    /// flags).
+    /// The `BENCH_stream.json` summary: zero-tolerance bit-identity
+    /// claims and counts plus the deterministic simulated costs (tight).
     pub fn summary(&self) -> seaice_obs::bench::Summary {
         seaice_obs::bench::Summary::new("stream")
             .metric(
@@ -231,10 +215,6 @@ impl StreamBench {
                 false,
                 0.05,
             )
-            // CI re-runs this area on whatever host it gets, so the wall
-            // metrics only flag an order-of-magnitude collapse.
-            .metric("wall_secs", self.wall_secs, "s", false, 3.0)
-            .metric("tiles_per_sec", self.tiles_per_sec, "tiles/s", true, 0.9)
     }
 
     /// Renders the streaming table.
@@ -253,10 +233,14 @@ impl StreamBench {
         ));
         s.push_str("leg      | identical | fired | retry | black | notes\n");
         s.push_str(&format!(
-            "parallel | {:<9} | {:>5} | {:>5} | {:>5} | {} tiles in {:.2}s wall ({:.1} tiles/s), {} backpressure waits\n",
-            if self.deterministic_across_workers { "OK" } else { "MISMATCH" },
-            0, 0, 0,
-            self.tiles, self.wall_secs, self.tiles_per_sec, self.backpressure_waits,
+            "parallel | {:<9} |     0 |     0 |     0 | {} tiles, {} backpressure waits\n",
+            if self.deterministic_across_workers {
+                "OK"
+            } else {
+                "MISMATCH"
+            },
+            self.tiles,
+            self.backpressure_waits,
         ));
         s.push_str(&format!(
             "chaos    | {:<9} | {:>5} | {:>5} | {:>5} | label worker 0 panics on every attempt\n",
@@ -274,8 +258,8 @@ impl StreamBench {
             self.points, self.mean_changed_frac,
         ));
         s.push_str(&format!(
-            "simulated: {:.1}s total compute, {:.1}s bottleneck makespan (label stage at the paper's 390s/4224 tiles); model trained in {:.1}s\n",
-            self.sim_total_secs, self.sim_makespan_secs, self.train_secs,
+            "simulated: {:.1}s total compute, {:.1}s bottleneck makespan (label stage at the paper's 390s/4224 tiles)\n",
+            self.sim_total_secs, self.sim_makespan_secs,
         ));
         s
     }

@@ -3,14 +3,14 @@
 //!
 //! Each grid point runs the real mini-map-reduce engine (load → lazy map
 //! UDF → collect): worker threads execute the full auto-label pipeline,
-//! and the engine's cost model turns measured per-task costs plus the
-//! calibrated object-store/cluster parameters into simulated load / map /
-//! reduce times. The paper's per-tile node cost (390 s over 4224 tiles)
-//! replaces this host's per-tile cost via `compute_scale`, so the
-//! absolute rows are comparable to the publication.
+//! and the engine's cost model turns the calibrated object-store/cluster
+//! parameters into simulated load / map / reduce times. Every task is
+//! charged the paper's per-tile node cost (390 s over 4224 tiles) via
+//! `fixed_task_cost_secs`, so the absolute rows are comparable to the
+//! publication and do not depend on this host's speed.
 
 use crate::scale::Scale;
-use crate::workloads::{labeling_tiles, measure_per_tile_cost};
+use crate::workloads::labeling_tiles;
 use seaice_imgproc::buffer::Image;
 use seaice_label::autolabel::{auto_label, AutoLabelConfig};
 use seaice_mapreduce::{ClusterSpec, CostModel, Session};
@@ -100,20 +100,15 @@ pub fn run(scale: Scale) -> Table2 {
     let side = scale.label_tile_size();
     let tiles = labeling_tiles(n, side, 0x7AB1E2);
 
-    // Scale simulated task costs so the paper's workload intensity is
-    // reproduced: the paper's single-slot reduce took 390 s for 4224
-    // tiles (~92 ms of N2-node time per 256² tile); express our measured
-    // per-tile cost in those units, adjusting for tile area.
-    let host_per_tile = measure_per_tile_cost(&tiles[..tiles.len().min(16)]);
-    // One local tile stands for one paper tile in cost units (~92 ms of
-    // N2-node time each); the row total is then rescaled by 4224/n below.
-    // A fixed per-task cost (rather than compute_scale on measured wall
-    // times) keeps the simulation honest on oversubscribed hosts; the
-    // measured host cost is still reported for calibration transparency.
+    // The paper's single-slot reduce took 390 s for 4224 tiles (~92 ms
+    // of N2-node time per 256² tile); every local task is charged that
+    // fixed cost. A fixed cost (rather than `compute_scale` on measured
+    // wall times) keeps the simulation honest on oversubscribed hosts.
     let paper_per_tile = 390.0 / 4224.0;
-    let mut cost = CostModel::gcd_n2();
-    cost.compute_scale = paper_per_tile / host_per_tile;
-    cost.fixed_task_cost_secs = Some(paper_per_tile);
+    let cost = CostModel {
+        fixed_task_cost_secs: Some(paper_per_tile),
+        ..CostModel::gcd_n2()
+    };
 
     // Each of our n tiles stands for 4224/n paper tiles of 256²×3 bytes,
     // so the simulated load moves the paper's full ~830 MB regardless of
@@ -153,13 +148,12 @@ pub fn run(scale: Scale) -> Table2 {
 }
 
 impl Table2 {
-    /// The `BENCH_mapreduce.json` perf-trajectory summary. Every metric
-    /// is a *simulated* cost from the calibrated cluster model — the
-    /// load bytes and reduce task set are pinned at the paper's full
-    /// workload at every scale, so the values are deterministic and
-    /// scale-independent; tight tolerances catch any cost-model drift.
-    /// (Map registration is excluded: it is the one row term derived
-    /// from measured wall time.)
+    /// The `BENCH_mapreduce.json` summary. Every metric is a *simulated*
+    /// cost from the calibrated cluster model — the load bytes and reduce
+    /// task set are pinned at the paper's full workload at every scale,
+    /// so the values are deterministic and scale-independent; tight
+    /// tolerances catch any cost-model drift. (Map registration is a
+    /// model constant and left out.)
     pub fn summary(&self) -> seaice_obs::bench::Summary {
         let first = &self.rows[0];
         let last = self.rows.last().expect("the grid is never empty");

@@ -32,26 +32,17 @@ pub fn labeling_tiles(n: usize, side: usize, seed: u64) -> Vec<Image<u8>> {
 }
 
 /// Measures the mean sequential per-tile auto-label cost (full filter +
-/// segmentation) with the default (fused) backend, in seconds.
+/// segmentation, default backend) on this host, in seconds. Printed next
+/// to the paper's numbers; never written to a `BENCH_*.json`.
 pub fn measure_per_tile_cost(tiles: &[Image<u8>]) -> f64 {
-    use seaice_label::autolabel::AutoLabelConfig;
-    assert!(!tiles.is_empty());
-    measure_per_tile_cost_with(tiles, &AutoLabelConfig::filtered_for_tile(tiles[0].width()))
-}
-
-/// Measures the mean sequential per-tile auto-label cost for an arbitrary
-/// configuration (backend / filter selection), in seconds.
-pub fn measure_per_tile_cost_with(
-    tiles: &[Image<u8>],
-    cfg: &seaice_label::autolabel::AutoLabelConfig,
-) -> f64 {
     use seaice_imgproc::buffer::Scratch;
-    use seaice_label::autolabel::auto_label_scratch;
+    use seaice_label::autolabel::{auto_label_scratch, AutoLabelConfig};
     assert!(!tiles.is_empty());
+    let cfg = AutoLabelConfig::filtered_for_tile(tiles[0].width());
     let mut scratch = Scratch::new();
     let t0 = std::time::Instant::now();
     for t in tiles {
-        std::hint::black_box(auto_label_scratch(t, cfg, &mut scratch));
+        std::hint::black_box(auto_label_scratch(t, &cfg, &mut scratch));
     }
     t0.elapsed().as_secs_f64() / tiles.len() as f64
 }

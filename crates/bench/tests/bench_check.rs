@@ -1,50 +1,79 @@
-//! The injected-regression fixture pair CI drives through
-//! `reproduce bench-check`: the regressed set carries a 2.5× closed-loop
-//! p99 (past the 0.5 tolerance) and nothing else out of band, so the
-//! comparator must flag exactly that one metric — and pass the baseline
-//! against itself.
+//! The checked-in `--scale small` fixtures CI's "Reproduce gate" compares
+//! against, and the rule that keeps them re-producible: no summary holds a
+//! wall-clock value.
 
-use std::path::Path;
+use seaice_bench::scale::Scale;
+use seaice_obs::bench::{compare_dirs, list_bench_files, Summary};
+use std::path::{Path, PathBuf};
 
-fn fixture(dir: &str) -> std::path::PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("fixtures/bench_check")
-        .join(dir)
+fn fixtures() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/small")
+}
+
+const AREAS: [&str; 5] = ["chaos", "label", "mapreduce", "soak", "stream"];
+
+#[test]
+fn fixtures_are_clean_against_themselves() {
+    let (checked, regs) = compare_dirs(&fixtures(), &fixtures()).expect("fixtures compare");
+    assert_eq!(checked, AREAS);
+    assert!(regs.is_empty(), "{:?}", regs[0].to_string());
 }
 
 #[test]
-fn regressed_fixture_flags_exactly_the_latency_regression() {
-    let (checked, regs) =
-        seaice_obs::bench::compare_dirs(&fixture("regressed"), &fixture("baseline"))
-            .expect("fixture dirs compare");
-    assert_eq!(checked, vec!["serve".to_string()]);
+fn a_broken_determinism_claim_flags_exactly_that_metric() {
+    // The fixtures with one bit-identity claim flipped 1 -> 0.
+    let dir = std::env::temp_dir().join(format!("bench_check_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    for path in list_bench_files(&fixtures()).expect("list fixtures") {
+        let mut s = Summary::load(&path).expect("fixture parses");
+        if s.area == "stream" {
+            let m = s.metrics.get_mut("deterministic_across_workers");
+            m.expect("stream fixture carries the claim").value = 0.0;
+        }
+        s.write_to_dir(&dir).expect("write");
+    }
+    let (checked, regs) = compare_dirs(&dir, &fixtures()).expect("compare");
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(checked, AREAS);
+    let flagged: Vec<String> = regs.iter().map(|r| r.to_string()).collect();
     assert_eq!(
         regs.len(),
         1,
-        "only the p99 blowup should flag: {:?}",
-        regs.iter().map(|r| r.to_string()).collect::<Vec<_>>()
+        "only the flipped claim may flag: {flagged:?}"
     );
-    assert_eq!(regs[0].metric, "closed_p99_ms");
-    assert_eq!(regs[0].current, Some(31.25));
-}
-
-#[test]
-fn baseline_fixture_is_clean_against_itself() {
-    let (checked, regs) =
-        seaice_obs::bench::compare_dirs(&fixture("baseline"), &fixture("baseline"))
-            .expect("fixture dirs compare");
-    assert_eq!(checked, vec!["serve".to_string()]);
-    assert!(regs.is_empty(), "{:?}", regs[0].to_string());
+    assert_eq!(regs[0].area, "stream");
+    assert_eq!(regs[0].metric, "deterministic_across_workers");
+    assert_eq!(regs[0].current, Some(0.0));
 }
 
 #[test]
 fn area_summaries_round_trip_and_name_their_files() {
     // The summaries the reproduce targets write must parse back under the
     // common schema and name the files bench-check expects.
-    let t1 = seaice_bench::table1::run(seaice_bench::scale::Scale::Small);
-    let s = t1.summary();
+    let s = seaice_bench::table1::run(Scale::Small).summary();
     assert_eq!(s.file_name(), "BENCH_label.json");
-    let parsed = seaice_obs::bench::Summary::from_json(&s.to_json()).expect("label round-trips");
-    assert!(parsed.metrics.contains_key("fused_speedup"));
+    let parsed = Summary::from_json(&s.to_json()).expect("label round-trips");
     assert!(parsed.metrics.contains_key("sim_speedup_8p"));
+    let wall: Vec<&String> = parsed
+        .metrics
+        .keys()
+        .filter(|k| k.ends_with("_ms"))
+        .collect();
+    assert!(
+        wall.is_empty(),
+        "wall-clock metrics in BENCH_label: {wall:?}"
+    );
+}
+
+#[test]
+fn table1_and_table2_summaries_are_byte_stable_across_runs() {
+    // Any wall-clock value in these summaries would differ run to run.
+    let areas: [fn() -> Summary; 2] = [
+        || seaice_bench::table1::run(Scale::Small).summary(),
+        || seaice_bench::table2::run(Scale::Small).summary(),
+    ];
+    for run in areas {
+        let (a, b) = (run().to_json(), run().to_json());
+        assert_eq!(a, b);
+    }
 }

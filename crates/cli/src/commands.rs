@@ -53,7 +53,7 @@ impl From<std::io::Error> for CliError {
 }
 
 /// Usage text.
-pub const USAGE: &str = "usage: seaice <synth|filter|label|calibrate|train|classify|analyze|serve|serve-bench|stream> [options]
+pub const USAGE: &str = "usage: seaice <synth|filter|label|calibrate|train|classify|analyze|serve|stream> [options]
   synth       --out scene.ppm [--truth truth.ppm] [--side 512] [--seed 7] [--clouds 0.3] [--illumination 1.0]
   filter      --in scene.ppm --out filtered.ppm
   label       --in scene.ppm --out labels.ppm [--no-filter] [--cuts WATER_HI,THICK_LO]
@@ -62,7 +62,6 @@ pub const USAGE: &str = "usage: seaice <synth|filter|label|calibrate|train|class
   classify    --model model.json --in scene.ppm --out pred.ppm [--tile 32] [--backend f32|int8] [--no-filter] [--parallel | --engine [--workers N] [--batch 8]] [--trace FILE]
   analyze     --labels labels.ppm
   serve       --model model.json [--addr 127.0.0.1:8080] [--tile 32] [--backend f32|int8] [--workers N] [--batch 8] [--queue 256] [--cache 1024] [--no-filter] [--smoke]
-  serve-bench [--scale small|medium|large] [--scenes N] [--scene-size N] [--tile N] [--passes N] [--clients N] [--backend f32|int8] [--trace FILE]
   stream      [--regions N] [--revisits N] [--cadence DAYS] [--scene-size N] [--tile N] [--drift PX] [--seed N] [--workers N] [--epochs N] [--trace FILE]
   lint        [--root DIR] [--json]";
 
@@ -78,7 +77,6 @@ pub fn run(mut p: Parsed) -> Result<String, CliError> {
         "classify" => traced(&mut p, classify),
         "analyze" => analyze(&mut p),
         "serve" => serve(&mut p),
-        "serve-bench" => traced(&mut p, serve_bench),
         "stream" => traced(&mut p, stream),
         "lint" => lint(&mut p),
         other => Err(CliError::Msg(format!("unknown command '{other}'\n{USAGE}"))),
@@ -447,33 +445,6 @@ fn serve(p: &mut Parsed) -> Result<String, CliError> {
     loop {
         std::thread::park();
     }
-}
-
-fn serve_bench(p: &mut Parsed) -> Result<String, CliError> {
-    p.expect_options(&[
-        "scale",
-        "scenes",
-        "scene-size",
-        "tile",
-        "passes",
-        "clients",
-        "backend",
-        "trace",
-    ])?;
-    let scale = match p.optional("scale") {
-        None => seaice_bench::scale::Scale::Small,
-        Some(v) => seaice_bench::scale::Scale::parse(&v)
-            .ok_or_else(|| CliError::Args(ArgError::Invalid("scale".into(), v)))?,
-    };
-    let mut cfg = seaice_bench::servebench::ServeBenchConfig::from_scale(scale);
-    cfg.scenes = p.get_or("scenes", cfg.scenes)?;
-    cfg.scene_side = p.get_or("scene-size", cfg.scene_side)?;
-    cfg.tile_size = p.get_or("tile", cfg.tile_size)?;
-    cfg.passes = p.get_or("passes", cfg.passes)?;
-    cfg.clients = p.get_or("clients", cfg.clients)?;
-    cfg.backend = backend_from(p)?;
-    // seaice-lint: allow(transitive-wallclock) reason="servebench measures wall-clock throughput/latency by definition; nothing downstream treats its output as deterministic"
-    Ok(seaice_bench::servebench::run_config(cfg).render())
 }
 
 fn stream(p: &mut Parsed) -> Result<String, CliError> {

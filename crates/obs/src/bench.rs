@@ -1,5 +1,5 @@
-//! The machine-readable perf trajectory: every `reproduce` area writes a
-//! `BENCH_<area>.json` summary in one common schema, and the comparator
+//! The machine-readable summaries: each summarising `reproduce` area
+//! writes a `BENCH_<area>.json` in one common schema, and the comparator
 //! diffs a current set of summaries against checked-in baselines,
 //! flagging metrics that moved beyond their per-metric tolerance in the
 //! *bad* direction (regressions only — improvements always pass).
@@ -9,11 +9,11 @@
 //! ```json
 //! {
 //!   "schema": "seaice-bench/1",
-//!   "area": "serve",
+//!   "area": "stream",
 //!   "metrics": {
-//!     "throughput_rps": {
-//!       "value": 812.4, "unit": "req/s",
-//!       "higher_is_better": true, "tolerance": 0.5
+//!     "sim_makespan_secs": {
+//!       "value": 16, "unit": "s",
+//!       "higher_is_better": false, "tolerance": 0.05
 //!     }
 //!   }
 //! }
@@ -21,10 +21,9 @@
 //!
 //! Tolerances are relative: a metric regresses when it crosses
 //! `tolerance * max(|baseline|, 1)` past the baseline in its bad
-//! direction. Wall-time metrics carry loose tolerances (0.5 → a 2×
-//! latency regression is flagged, host-to-host jitter is not); exactness
-//! claims like `bit_identical` carry tolerance 0 and must not move at
-//! all.
+//! direction. Simulated costs carry tight tolerances, seeded counts loose
+//! ones; exactness claims like `bit_identical` carry tolerance 0 and must
+//! not move at all.
 
 use crate::json::{escape, fmt_f64, parse, Obj};
 use std::collections::BTreeMap;
@@ -51,7 +50,7 @@ pub struct Metric {
 /// A complete `BENCH_<area>.json` payload.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Summary {
-    /// The reproduce area (`"label"`, `"serve"`, `"chaos"`, `"infer"`).
+    /// The reproduce area (`"label"`, `"mapreduce"`, `"chaos"`, ...).
     pub area: String,
     /// Metrics by name, deterministically ordered.
     pub metrics: BTreeMap<String, Metric>,
