@@ -80,9 +80,9 @@ pub fn explain(rule: &str) -> Option<String> {
              comment containing `SAFETY:` on the same or the three preceding lines.\n\
              \n\
              Why: every crate carries `#![forbid(unsafe_code)]` except `seaice-nn`, which\n\
-             is `deny` with one audited site: the private `dispatch` module of\n\
-             `crates/nn/src/ops/conv2d.rs`, where the AVX2 instantiation of the direct\n\
-             convolution kernels is called after `is_x86_feature_detected!(\"avx2\")`\n\
+             is `deny` with one audited site: the private module\n\
+             `crates/nn/src/ops/dispatch.rs`, where the AVX2 twins of the direct f32 and\n\
+             int8 convolution kernels are called after `is_x86_feature_detected!(\"avx2\")`\n\
              (DESIGN.md 4.10). The rule keeps that exception, and any future one, honest\n\
              by forcing the soundness invariant to be written down where reviewers will\n\
              see it.\n\

@@ -38,7 +38,7 @@
 //! let dx = conv.backward(&Tensor::zeros(y.shape()));
 //! assert_eq!(dx.shape(), x.shape());
 //! ```
-// `deny`, not `forbid`: the one audited `#[allow]` is `ops::conv2d::dispatch`.
+// `deny`, not `forbid`: the one audited `#[allow]` is `ops::dispatch`.
 #![deny(unsafe_code)]
 
 pub mod dataloader;

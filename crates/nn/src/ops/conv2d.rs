@@ -40,9 +40,9 @@ use crate::tensor::Tensor;
 /// Rows of the baseline register tile (output channels; input channels or
 /// patch rows in the backward kernels): eight `xmm` accumulators. The AVX2
 /// instantiation runs `2 · MR` rows, eight `ymm` accumulators.
-const MR: usize = 4;
+pub(super) const MR: usize = 4;
 /// Lanes of a register tile: consecutive, independent output elements.
-const NR: usize = 8;
+pub(super) const NR: usize = 8;
 
 /// Static geometry of a convolution.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -73,8 +73,8 @@ impl Conv2dShape {
     }
 
     /// Output extent along one axis: the one place convolution geometry is
-    /// validated, for `conv2d`, `conv2d_backward`, `qconv2d`, `im2col` and
-    /// `col2im`. A geometry with no output is a mis-built architecture
+    /// validated, for `conv2d`, `conv2d_backward`, `qconv2d`, `im2col`,
+    /// `im2col_i8` and `col2im`. A geometry with no output is a mis-built architecture
     /// (`UNetConfig` validates shapes up front); it is named here instead
     /// of wrapping into a huge extent or dividing by zero.
     pub(crate) fn extent(input: usize, kernel: usize, stride: usize, pad: usize) -> usize {
@@ -87,7 +87,7 @@ impl Conv2dShape {
     /// The one predicate that selects the kernel: stride 1 with
     /// `pad ≤ kernel − 1` (so the `dx` halo `kernel − 1 − pad` exists) runs
     /// direct; anything else is lowered through `im2col`.
-    fn is_direct(&self) -> bool {
+    pub(crate) fn is_direct(&self) -> bool {
         self.stride == 1 && self.pad < self.kernel
     }
 }
@@ -102,7 +102,7 @@ fn lanes<const N: usize>(s: &[f32], at: usize) -> [f32; N] {
 }
 
 /// Planes with a zero border of `halo` cells on every side.
-struct Haloed {
+pub(super) struct Haloed {
     data: Vec<f32>,
     /// Row stride: plane width plus both borders.
     width: usize,
@@ -137,7 +137,7 @@ fn pack(rows: usize, len: usize, at: impl Fn(usize, usize) -> f32) -> Vec<f32> {
 
 /// Offset of every patch row `(ic, ky, kx)` from a position's top-left
 /// cell in a haloed input whose planes are `hp` rows of `width`.
-fn patch_offsets(c: usize, k: usize, hp: usize, width: usize) -> Vec<usize> {
+pub(super) fn patch_offsets(c: usize, k: usize, hp: usize, width: usize) -> Vec<usize> {
     (0..c * k * k)
         .map(|row| (row / (k * k) * hp + row / k % k) * width + row % k)
         .collect()
@@ -225,7 +225,7 @@ fn tiled_block<const R: usize>(
 /// `R` at a time, except that `MR` or fewer left take the `MR`-row tile: a
 /// narrow layer must not multiply zero rows in a tile twice its height.
 #[inline(always)]
-fn tiled_planes_body<const R: usize>(
+pub(super) fn tiled_planes_body<const R: usize>(
     src: &Haloed,
     offs: &[usize],
     groups: usize,
@@ -254,7 +254,7 @@ fn tiled_planes_body<const R: usize>(
 /// and store is contiguous along the lanes — a store contiguous along the
 /// rows sends the vectoriser across them.
 #[inline(always)]
-fn grad_weight_item_body<const R: usize>(
+pub(super) fn grad_weight_item_body<const R: usize>(
     xh: &Haloed,
     offs: &[usize],
     gy: &[f32],
@@ -311,66 +311,8 @@ fn grad_weight_item_body<const R: usize>(
     }
 }
 
-/// The one audited exception to the workspace's `forbid(unsafe_code)`: the
-/// detecting fronts of the two loop nests. Each `#[inline(always)]` body is
-/// compiled a second time, with a `2 · MR`-row tile, inside a
-/// `#[target_feature]` twin, and calling that from ordinary code is `unsafe`
-/// — the feature precondition and nothing else: no intrinsics, no raw
-/// pointers, and `fma` deliberately not enabled. Explicit twins with
-/// explicit arguments: a closure handed to a generic `avx2` shim can stay an
-/// out-of-line baseline function, with no warning.
-#[allow(unsafe_code)]
-mod dispatch {
-    use super::{grad_weight_item_body, tiled_planes_body, Haloed, MR};
-
-    macro_rules! twins {
-        ($front:ident, $twin:ident = $body:ident($($arg:ident: $ty:ty),* $(,)?)) => {
-            #[cfg(target_arch = "x86_64")]
-            #[target_feature(enable = "avx2")]
-            fn $twin($($arg: $ty),*) {
-                $body::<{ 2 * MR }>($($arg),*)
-            }
-
-            pub(super) fn $front($($arg: $ty),*) {
-                #[cfg(target_arch = "x86_64")]
-                if std::arch::is_x86_feature_detected!("avx2") {
-                    // SAFETY: avx2 was detected on this CPU on the line above.
-                    return unsafe { $twin($($arg),*) };
-                }
-                $body::<MR>($($arg),*)
-            }
-        };
-    }
-
-    twins!(tiled_planes, tiled_planes_avx2 = tiled_planes_body(
-        src: &Haloed,
-        offs: &[usize],
-        groups: usize,
-        packed: &[f32],
-        bias: Option<&[f32]>,
-        out: &mut [f32],
-        dims: (usize, usize, usize),
-    ));
-    twins!(grad_weight_item, grad_weight_item_avx2 = grad_weight_item_body(
-        xh: &Haloed,
-        offs: &[usize],
-        gy: &[f32],
-        dims: (usize, usize, usize),
-        dw: &mut [f32],
-    ));
-}
-use dispatch::{grad_weight_item, tiled_planes};
-
-/// The instantiation of the direct kernels this process runs: `"avx2"`
-/// (8 × 8 register tile on `ymm`) or `"baseline"` (4 × 8 on `xmm`). It
-/// depends on the CPU alone; the two compute the same bits.
-pub fn isa() -> &'static str {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        return "avx2";
-    }
-    "baseline"
-}
+pub use super::dispatch::isa;
+use super::dispatch::{grad_weight_item, tiled_planes};
 
 /// Forward convolution.
 ///

@@ -6,6 +6,9 @@ pub mod activation;
 pub mod concat;
 pub mod conv2d;
 pub mod convtranspose;
+// The one audited exception to `deny(unsafe_code)` (see the module docs).
+#[allow(unsafe_code)]
+mod dispatch;
 pub mod dropout;
 pub mod im2col;
 pub mod matmul;
@@ -22,6 +25,7 @@ pub use im2col::{col2im, im2col};
 pub use matmul::{matmul, matmul_a_bt, matmul_at_b};
 pub use pool::{maxpool2x2, maxpool2x2_backward};
 pub use quant::{
-    gemm_i8_i32, im2col_i8, qconv2d, quantize_into, quantize_weights, QuantParams, QuantizedWeights,
+    gemm_i8_i32, im2col_i8, qconv2d, qconv2d_packed, quantize_into, quantize_weights,
+    PackedQWeights, QuantParams, QuantizedWeights,
 };
 pub use upsample::{upsample2x, upsample2x_backward};

@@ -1,7 +1,6 @@
-//! Int8 post-training-quantization primitives: per-tensor affine
-//! activation quantization, per-channel symmetric weight quantization,
-//! an int8 `im2col`, and an i8×i8→i32 GEMM — the kernel set behind the
-//! quantized convolution in [`qconv2d`].
+//! Int8 post-training quantization: per-tensor affine activation
+//! quantization, per-channel symmetric weight quantization, and the
+//! quantized convolution [`qconv2d`] / [`qconv2d_packed`].
 //!
 //! The scheme follows standard PTQ practice:
 //!
@@ -13,20 +12,44 @@
 //!   pre-flattened filter bank), quantized to `[−127, 127]` so negation
 //!   never saturates: `w_q = clamp(round(w/s_oc), −127, 127)`.
 //! * **Accumulation** is exact in i32. With per-row quantized-weight sums
-//!   `Σw_q` precomputed, the affine input offset folds out of the GEMM:
+//!   `Σw_q` precomputed, the affine input offset folds out of the sum:
 //!   `y = (Σ w_q·x_q − z·Σw_q) · s_oc·s_x + bias`.
 //!
-//! Everything here is deterministic: integer accumulation is exact (and
-//! therefore associativity-safe), rounding is branch-free ties-to-even
-//! via the magic-constant add (see `round_ties_even`), and every output
-//! element is produced by one thread's sequential loop — the same
-//! partitioning discipline [`conv2d`](crate::ops::conv2d::conv2d) uses,
-//! so results are bit-identical across batch sizes and thread
+//! # The direct kernel
+//! Every geometry a model uses (`Conv2dShape::is_direct`: stride 1,
+//! `pad ≤ k − 1`) runs the int8 twin of `conv2d`'s register-tiled kernel
+//! (DESIGN.md §4.10):
+//! * activations are quantised once per conv, straight into a plane haloed
+//!   with the zero point, of **channel-pair words**: an `i32` holding the
+//!   i16 codes of channels `2p` (low half) and `2p + 1` (high half); an odd
+//!   channel count fills the partner half with `z`, under a zero weight;
+//! * weights are packed as matching pair words `[⌈oc/8⌉][⌈c/2⌉·k·k][8]`,
+//!   once per [`PackedQWeights`] (per call in [`qconv2d`]);
+//! * an 8-channel × 8-position tile accumulates `w₀·x₀ + w₁·x₁` per word —
+//!   under AVX2 one `vpmaddwd` + `vpaddd` per row per channel pair;
+//! * the store is the dequantise above, `(acc − z·Σw) as f32 · (s_w·s_x) + bias`.
+//!
+//! Integer sums are exact in any order while they fit in i32 (asserted when
+//! the weights are packed), so every output bit equals the lowering
+//! [`quantize_into`] → [`im2col_i8`] → [`gemm_i8_i32`] → dequantise. The
+//! lowering stays as the test oracle, a line of the benchmark's walk, the
+//! path of the geometries `is_direct` excludes and the direct front's
+//! baseline on a CPU without AVX2. Every output element is produced by one
+//! thread, so results are bit-identical across batch sizes and thread
 //! counts.
 
-use crate::ops::conv2d::Conv2dShape;
+use crate::ops::conv2d::{patch_offsets, Conv2dShape, NR};
+use crate::ops::dispatch;
 use crate::tensor::Tensor;
 use seaice_exec::par;
+
+/// Rows of the int8 register tile (output channels) and of a packed
+/// weight block. A short last block computes its zero rows and drops them.
+const QR: usize = 8;
+
+/// `1.5 · 2²³`: added to an integral `|v| ≤ 2²²`, it leaves `v` in the low
+/// mantissa bits.
+const MAGIC: f32 = 12_582_912.0;
 
 /// Per-tensor affine quantization parameters for activations.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -63,11 +86,10 @@ impl QuantParams {
     }
 
     /// Quantizes one value: `clamp(round(x·(1/s)) + z, −128, 127)`,
-    /// rounding ties to even. Matches [`quantize_into`] bit for bit.
+    /// rounding ties to even, NaN to 0. Matches [`quantize_into`] and the
+    /// direct kernel's halo pass bit for bit.
     pub fn quantize(self, x: f32) -> i8 {
-        let inv = 1.0 / self.scale;
-        let q = round_ties_even(x * inv) + f32::from(self.zero_point);
-        q.clamp(-128.0, 127.0) as i8
+        code(x, 1.0 / self.scale, f32::from(self.zero_point))
     }
 
     /// Dequantizes one value: `(q − z)·s`.
@@ -77,32 +99,53 @@ impl QuantParams {
 }
 
 /// Round to nearest, ties to even, without calling libm's `round`: for
-/// `|x| ≤ 2^22`, adding and subtracting `1.5·2^23` snaps the mantissa to
+/// `|x| ≤ 2^22`, adding and subtracting [`MAGIC`] snaps the mantissa to
 /// an integer under the default rounding mode. Two adds, so it
 /// vectorizes on every x86-64 baseline (`roundps` needs SSE4.1).
-/// Callers clamp into the valid range first.
 fn round_ties_even(x: f32) -> f32 {
-    // 1.5 * 2^23. The clamp range is far outside [-128, 127], so
-    // saturated inputs still saturate after the +z shift; NaN propagates
-    // through the clamp and both adds exactly as `f32::round` would.
-    const MAGIC: f32 = 12_582_912.0;
+    // The clamp range is far outside [-128, 127], so saturated inputs
+    // still saturate after the +z shift; NaN propagates through the clamp
+    // and both adds exactly as `f32::round` would.
     (x.clamp(-4_194_304.0, 4_194_304.0) + MAGIC) - MAGIC
+}
+
+/// The one quantisation expression, `clamp(round(v·inv) + z, −128, 127)`
+/// with NaN → 0, returned as the bits of `MAGIC + code`: the code sits in
+/// the low 16 bits as an i16. Taking it from the mantissa instead of a
+/// saturating `as i8` (a scalar `cvttss2si` per element) lets the halo pass
+/// vectorise.
+#[inline(always)]
+fn code_bits(v: f32, inv: f32, z: f32) -> u32 {
+    let q = (round_ties_even(v * inv) + z).clamp(-128.0, 127.0);
+    // What `as i8` does with NaN.
+    let q = if q.is_nan() { 0.0 } else { q };
+    (q + MAGIC).to_bits()
+}
+
+/// [`code_bits`] as the code itself.
+#[inline(always)]
+fn code(v: f32, inv: f32, z: f32) -> i8 {
+    // `MAGIC + code` with the code in [-128, 127]: the difference is exact.
+    (code_bits(v, inv, z) as i32 - MAGIC.to_bits() as i32) as i8
+}
+
+/// The channel-pair word of two codes: `lo`'s low 16 bits in the low half,
+/// `hi`'s in the high half.
+#[inline(always)]
+fn pair(lo: u32, hi: u32) -> i32 {
+    ((lo & 0xFFFF) | (hi << 16)) as i32
 }
 
 /// Quantizes a slice into a reused i8 buffer (cleared first). The
 /// division is hoisted into one reciprocal and the rounding is the
 /// two-add magic-constant form, so the hot loop is branch-free
-/// multiply/add/clamp — identical on every host, and it vectorizes
-/// where `div` and libm `round` do not.
+/// multiply/add/clamp — identical on every host.
 pub fn quantize_into(x: &[f32], qp: QuantParams, out: &mut Vec<i8>) {
     out.clear();
     out.reserve(x.len());
     let inv = 1.0 / qp.scale;
     let z = f32::from(qp.zero_point);
-    out.extend(
-        x.iter()
-            .map(|&v| (round_ties_even(v * inv) + z).clamp(-128.0, 127.0) as i8),
-    );
+    out.extend(x.iter().map(|&v| code(v, inv, z)));
 }
 
 /// A per-channel symmetrically quantized weight matrix (the
@@ -170,8 +213,8 @@ pub fn quantize_weights(weight: &Tensor) -> QuantizedWeights {
 /// `out` is cleared and refilled so serving workers reuse one buffer.
 ///
 /// # Panics
-/// Panics when the geometry yields no output positions or the input
-/// slice does not match `c·h·w`.
+/// Panics when the input slice does not match `c·h·w` or the geometry
+/// yields no output positions (`Conv2dShape::extent`).
 #[allow(clippy::too_many_arguments)] // mirrors the f32 im2col geometry signature
 pub fn im2col_i8(
     input: &[i8],
@@ -186,13 +229,8 @@ pub fn im2col_i8(
     out: &mut Vec<i8>,
 ) {
     assert_eq!(input.len(), c * h * w, "input length mismatch");
-    assert!(stride > 0, "stride must be positive");
-    assert!(
-        h + 2 * pad >= kh && w + 2 * pad >= kw,
-        "kernel larger than padded input"
-    );
-    let oh = (h + 2 * pad - kh) / stride + 1;
-    let ow = (w + 2 * pad - kw) / stride + 1;
+    let oh = Conv2dShape::extent(h, kh, stride, pad);
+    let ow = Conv2dShape::extent(w, kw, stride, pad);
     let cols = oh * ow;
     out.clear();
     out.resize(c * kh * kw * cols, zero_point);
@@ -242,12 +280,13 @@ pub fn im2col_i8(
 ///
 /// k-rows are consumed two at a time with the products formed in i16:
 /// `|a·b| ≤ 127·128 = 16256`, so the sum of two products is at most
-/// `32512 < i16::MAX + 1` — exact, and the i16 multiplies vectorize
-/// twice as wide as an i32 multiply would. The pair sum is then widened
-/// to the i32 accumulator. Row pairs go through `seaice_exec::par`
-/// exactly like `matmul`'s rows; every output element is still produced by one
-/// thread's sequential integer loop, so results are bit-identical at
-/// any thread count.
+/// `32512 < i16::MAX + 1` — exact — and then widened to the i32
+/// accumulator. LLVM vectorises that as widening multiplies per element,
+/// not as `pmaddwd`; the model path therefore runs the direct kernel
+/// (module docs), which forms the pair products with `vpmaddwd` itself.
+/// Row pairs go through `seaice_exec::par` exactly like `matmul`'s rows;
+/// every output element is still produced by one thread's sequential
+/// integer loop, so results are bit-identical at any thread count.
 ///
 /// # Panics
 /// Panics on slice-length mismatches.
@@ -330,16 +369,100 @@ pub fn gemm_i8_i32(a: &[i8], b: &[i8], m: usize, k: usize, n: usize, c: &mut [i3
     }
 }
 
+/// A convolution's int8 weights packed once for the direct kernel — what a
+/// quantized network holds per convolution, so its forward pass packs
+/// nothing. [`qconv2d_packed`] runs it.
+#[derive(Clone, Debug, PartialEq)]
+pub struct PackedQWeights {
+    /// Scales and row sums for the store; the i8 bank for the lowering,
+    /// which runs where the direct kernel does not (`is_direct`, no AVX2).
+    weights: QuantizedWeights,
+    shape: Conv2dShape,
+    /// `weights` as channel-pair words (see [`pack_pairs`]); empty for the
+    /// geometries `is_direct` excludes, which take the lowering.
+    words: Vec<i32>,
+}
+
+impl PackedQWeights {
+    /// Packs `weights` for `shape`.
+    ///
+    /// # Panics
+    /// Panics unless `weights` is `shape`'s `[out_c, in_c·k·k]` filter
+    /// bank, or when its fan-in is too deep for exact i32 sums.
+    pub fn new(weights: QuantizedWeights, shape: Conv2dShape) -> Self {
+        let words = pack_words(&weights, &shape);
+        Self {
+            weights,
+            shape,
+            words,
+        }
+    }
+}
+
+/// The pair words of `weights` when `shape` runs the direct kernel, else
+/// none.
+///
+/// # Panics
+/// Panics unless `weights` is `shape`'s `[out_c, in_c·k·k]` filter bank, or
+/// when its fan-in is too deep for exact i32 sums.
+fn pack_words(weights: &QuantizedWeights, shape: &Conv2dShape) -> Vec<i32> {
+    assert_eq!(
+        (weights.rows, weights.cols),
+        (
+            shape.out_channels,
+            shape.in_channels * shape.kernel * shape.kernel
+        ),
+        "quantized weight shape mismatch"
+    );
+    match shape.is_direct() {
+        true => pack_pairs(weights, shape),
+        false => Vec::new(),
+    }
+}
+
+/// `weights` (`[oc, c·k·k]`, row-major) as channel-pair words laid out
+/// `[⌈oc/QR⌉][⌈c/2⌉·k·k][QR]`: word `(o, (p, ky, kx))` holds the weights of
+/// channels `2p` and `2p + 1` at tap `(ky, kx)`, zero past the last
+/// channel and in the rows that fill a short last block, so a tile reads
+/// its `QR` words adjacent.
+///
+/// # Panics
+/// Panics when `2·K·127·128 ≥ 2³¹` (`K = c·k·k`): past that bound neither
+/// the accumulator nor `acc − z·Σw` is exact in i32.
+fn pack_pairs(weights: &QuantizedWeights, shape: &Conv2dShape) -> Vec<i32> {
+    assert!(
+        2 * weights.cols as u64 * 127 * 128 < 1 << 31,
+        "fan-in {} is too deep for exact i32 accumulation",
+        weights.cols
+    );
+    let (c, kk) = (shape.in_channels, shape.kernel * shape.kernel);
+    let taps = c.div_ceil(2) * kk;
+    let code = |row: usize, ch: usize, t: usize| match ch < c {
+        true => i32::from(weights.data[row * weights.cols + ch * kk + t]) as u32,
+        false => 0,
+    };
+    let mut out = vec![0; weights.rows.div_ceil(QR) * taps * QR];
+    for row in 0..weights.rows {
+        for j in 0..taps {
+            let (p, t) = (j / kk, j % kk);
+            out[(row / QR * taps + j) * QR + row % QR] =
+                pair(code(row, 2 * p, t), code(row, 2 * p + 1, t));
+        }
+    }
+    out
+}
+
 /// Quantized forward convolution: f32 in, f32 out, int8 arithmetic
-/// inside.
+/// inside. Packs the weights on every call; a caller that runs the same
+/// convolution again holds a [`PackedQWeights`] and calls
+/// [`qconv2d_packed`].
 ///
 /// * `input` — `[n, in_c, h, w]` f32 activations
 /// * `weights` — per-channel quantized `[out_c, in_c·k·k]` filter bank
 /// * `bias` — `[out_c]` f32 (bias is applied after dequantization)
 /// * `act` — input activation quantization parameters (calibrated)
 ///
-/// Returns `[n, out_c, oh, ow]` f32, computed as quantize → int8 im2col
-/// → i32 GEMM → dequantize + bias. Batch items are processed
+/// Returns `[n, out_c, oh, ow]` f32. Batch items are processed
 /// independently, one after the other, so outputs are bit-identical
 /// across batch sizes.
 ///
@@ -352,67 +475,82 @@ pub fn qconv2d(
     shape: &Conv2dShape,
     act: QuantParams,
 ) -> Tensor {
-    let (n, c, h, w) = input.nchw();
-    assert_eq!(c, shape.in_channels, "input channel mismatch");
-    assert_eq!(
-        (weights.rows, weights.cols),
-        (
-            shape.out_channels,
-            shape.in_channels * shape.kernel * shape.kernel
-        ),
-        "quantized weight shape mismatch"
-    );
-    assert_eq!(bias.shape(), &[shape.out_channels], "bias shape mismatch");
-    let (oh, ow) = shape.output_hw(h, w);
-    let mut out = Tensor::zeros(&[n, shape.out_channels, oh, ow]);
-    let item_len = shape.out_channels * oh * ow;
+    qconv(
+        input,
+        weights,
+        &pack_words(weights, shape),
+        shape,
+        bias,
+        act,
+    )
+}
 
+/// [`qconv2d`] with weights packed once, ahead of the call.
+///
+/// # Panics
+/// Panics on any shape inconsistency.
+pub fn qconv2d_packed(
+    input: &Tensor,
+    packed: &PackedQWeights,
+    bias: &Tensor,
+    act: QuantParams,
+) -> Tensor {
+    let PackedQWeights {
+        weights,
+        shape,
+        words,
+    } = packed;
+    qconv(input, weights, words, shape, bias, act)
+}
+
+/// The one body of [`qconv2d`] and [`qconv2d_packed`]: `words` are
+/// `weights` as [`pack_words`] leaves them for `shape`.
+fn qconv(
+    input: &Tensor,
+    weights: &QuantizedWeights,
+    words: &[i32],
+    shape: &Conv2dShape,
+    bias: &Tensor,
+    act: QuantParams,
+) -> Tensor {
+    let (n, c, h, w) = input.nchw();
+    let oc = shape.out_channels;
+    assert_eq!(c, shape.in_channels, "input channel mismatch");
+    assert_eq!(bias.shape(), &[oc], "bias shape mismatch");
+    let (oh, ow) = shape.output_hw(h, w);
+    let mut out = Tensor::zeros(&[n, oc, oh, ow]);
+    let plan = QPlan::new(weights, words, bias.as_slice(), shape, act, (c, h, w));
     // One item after the other, exactly like the f32 conv2d: a batch is
     // at most a few dozen items, far below what `par` would fork for.
-    for (b, out_item) in out.as_mut_slice().chunks_exact_mut(item_len).enumerate() {
-        qconv_item(
-            input.batch_item(b),
-            c,
-            h,
-            w,
-            weights,
-            bias.as_slice(),
-            shape,
-            act,
-            out_item,
-        );
+    let items = out.as_mut_slice().chunks_exact_mut(oc * oh * ow);
+    for (b, out_item) in items.enumerate() {
+        match shape.is_direct() {
+            true => dispatch::qconv_item(&plan, input.batch_item(b), out_item),
+            false => qconv_item_lowered(&plan, input.batch_item(b), out_item),
+        }
     }
     out
 }
 
-/// One batch item of [`qconv2d`]: quantize, unroll, integer-GEMM,
-/// dequantize into `out_item` (`out_c·oh·ow` f32s).
-#[allow(clippy::too_many_arguments)] // internal kernel plumbing
-fn qconv_item(
-    x: &[f32],
-    c: usize,
-    h: usize,
-    w: usize,
-    weights: &QuantizedWeights,
-    bias: &[f32],
-    shape: &Conv2dShape,
-    act: QuantParams,
-    out_item: &mut [f32],
-) {
-    let (oh, ow) = shape.output_hw(h, w);
-    let plane = oh * ow;
+/// One batch item through the lowering: quantize, unroll, integer-GEMM,
+/// dequantize into `out` (`out_c·oh·ow` f32s). Also the baseline of the
+/// direct front, for a CPU without AVX2: it computes the same bits.
+pub(super) fn qconv_item_lowered(plan: &QPlan, x: &[f32], out: &mut [f32]) {
+    let ((c, h, w), shape, weights) = (plan.dims, plan.shape, plan.weights);
+    let plane = plan.out_dims.1 * plan.out_dims.2;
     let (mut qx, mut cols) = (Vec::new(), Vec::new());
-    quantize_into(x, act, &mut qx);
+    quantize_into(x, plan.act, &mut qx);
+    let k = shape.kernel;
     im2col_i8(
         &qx,
         c,
         h,
         w,
-        shape.kernel,
-        shape.kernel,
+        k,
+        k,
         shape.stride,
         shape.pad,
-        act.zero_point,
+        plan.act.zero_point,
         &mut cols,
     );
     let mut acc = vec![0; weights.rows * plane];
@@ -424,16 +562,190 @@ fn qconv_item(
         plane,
         &mut acc,
     );
-    let z = i32::from(act.zero_point);
-    for oc in 0..weights.rows {
-        let deq = weights.scales[oc] * act.scale;
-        let corr = z * weights.row_sums[oc];
-        let bias_v = bias[oc];
-        let acc_row = &acc[oc * plane..(oc + 1) * plane];
-        let dst = &mut out_item[oc * plane..(oc + 1) * plane];
+    let rows = out.chunks_exact_mut(plane).zip(acc.chunks_exact(plane));
+    for (ch, (dst, acc_row)) in rows.enumerate() {
         for (d, &a) in dst.iter_mut().zip(acc_row) {
-            *d = (a - corr) as f32 * deq + bias_v;
+            *d = plan.dequant(ch, a);
         }
+    }
+}
+
+/// One int8 convolution call, shared by its batch items.
+pub(super) struct QPlan<'a> {
+    /// Input `(c, h, w)`, haloed by `shape.pad` in the direct kernel.
+    dims: (usize, usize, usize),
+    shape: &'a Conv2dShape,
+    act: QuantParams,
+    weights: &'a QuantizedWeights,
+    /// Offset of every tap `(pair, ky, kx)` from a position's top-left word.
+    offs: Vec<usize>,
+    /// The [`pack_pairs`] words.
+    words: &'a [i32],
+    /// Output `(oc, oh, ow)`.
+    out_dims: (usize, usize, usize),
+    /// Per output channel: `z·Σw_q`, `s_w·s_x` and the bias.
+    corr: Vec<i32>,
+    deq: Vec<f32>,
+    bias: &'a [f32],
+}
+
+impl<'a> QPlan<'a> {
+    fn new(
+        weights: &'a QuantizedWeights,
+        words: &'a [i32],
+        bias: &'a [f32],
+        shape: &'a Conv2dShape,
+        act: QuantParams,
+        (c, h, w): (usize, usize, usize),
+    ) -> Self {
+        let (hp, wp) = (h + 2 * shape.pad, w + 2 * shape.pad);
+        let (oh, ow) = shape.output_hw(h, w);
+        let z = i32::from(act.zero_point);
+        Self {
+            dims: (c, h, w),
+            shape,
+            act,
+            weights,
+            offs: patch_offsets(c.div_ceil(2), shape.kernel, hp, wp),
+            words,
+            out_dims: (shape.out_channels, oh, ow),
+            corr: weights.row_sums.iter().map(|&s| z * s).collect(),
+            deq: weights.scales.iter().map(|&s| s * act.scale).collect(),
+            bias,
+        }
+    }
+
+    /// The store epilogue: the lowering's dequantise, term for term.
+    #[inline(always)]
+    fn dequant(&self, ch: usize, acc: i32) -> f32 {
+        (acc - self.corr[ch]) as f32 * self.deq[ch] + self.bias[ch]
+    }
+}
+
+/// Channel-pair words of one image (see the module docs), haloed.
+struct PairPlanes {
+    words: Vec<i32>,
+    /// Row stride: plane width plus both borders.
+    width: usize,
+}
+
+/// The halo pass: quantises the `c` planes of `x` (`h × w` each) straight
+/// into channel-pair words, with `halo` cells of `z` on every side and an
+/// odd channel count's partner half at `z`, plus `NR` words of slack so
+/// the last tile's lane load stays in bounds (lanes past a row's end are
+/// computed and dropped).
+#[inline(always)]
+fn quantize_pairs(
+    x: &[f32],
+    (c, h, w): (usize, usize, usize),
+    halo: usize,
+    act: QuantParams,
+) -> PairPlanes {
+    let (inv, z) = (1.0 / act.scale, f32::from(act.zero_point));
+    // Real 0 quantises to the zero point.
+    let zb = code_bits(0.0, inv, z);
+    let (hp, width) = (h + 2 * halo, w + 2 * halo);
+    let mut words = vec![pair(zb, zb); c.div_ceil(2) * hp * width + NR];
+    for p in 0..c.div_ceil(2) {
+        for y in 0..h {
+            let dst = &mut words[(p * hp + y + halo) * width + halo..][..w];
+            let lo = &x[(2 * p * h + y) * w..][..w];
+            if 2 * p + 1 < c {
+                let hi = &x[((2 * p + 1) * h + y) * w..][..w];
+                for (d, (&a, &b)) in dst.iter_mut().zip(lo.iter().zip(hi)) {
+                    *d = pair(code_bits(a, inv, z), code_bits(b, inv, z));
+                }
+            } else {
+                for (d, &a) in dst.iter_mut().zip(lo) {
+                    *d = pair(code_bits(a, inv, z), zb);
+                }
+            }
+        }
+    }
+    PairPlanes { words, width }
+}
+
+#[cfg(target_arch = "x86_64")]
+pub(super) use avx2::qconv_item_avx2;
+
+/// The direct int8 kernel, on safe value intrinsics only.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use super::{quantize_pairs, PairPlanes, QPlan, NR, QR};
+    use std::arch::x86_64::{
+        __m256i, _mm256_add_epi32, _mm256_extract_epi32, _mm256_madd_epi16, _mm256_set1_epi32,
+        _mm256_setr_epi32, _mm256_setzero_si256,
+    };
+
+    /// One image: the halo pass, then output channels `QR` at a time.
+    #[target_feature(enable = "avx2")]
+    pub(in crate::ops) fn qconv_item_avx2(plan: &QPlan, x: &[f32], out: &mut [f32]) {
+        let src = quantize_pairs(x, plan.dims, plan.shape.pad, plan.act);
+        let (oc, taps) = (plan.out_dims.0, plan.offs.len());
+        for ch0 in (0..oc).step_by(QR) {
+            block(plan, &src, &plan.words[ch0 * taps..][..taps * QR], ch0, out);
+        }
+    }
+
+    /// Runs [`tile`] over the output planes of the `QR` channels from `ch0`
+    /// on; channels past the last are zero words, computed and dropped.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn block(plan: &QPlan, src: &PairPlanes, w: &[i32], ch0: usize, out: &mut [f32]) {
+        let (oc, oh, ow) = plan.out_dims;
+        for y in 0..oh {
+            for x0 in (0..ow).step_by(NR) {
+                let acc = tile(&src.words, y * src.width + x0, &plan.offs, w);
+                let n = NR.min(ow - x0);
+                for (ch, acc) in (ch0..oc).zip(acc) {
+                    let store = |(d, a): (&mut f32, i32)| *d = plan.dequant(ch, a);
+                    let dst = &mut out[(ch * oh + y) * ow + x0..][..n];
+                    // A whole tile's row vectorises into one store; a
+                    // row's tail goes lane by lane.
+                    match <&mut [f32; NR]>::try_from(&mut *dst) {
+                        Ok(row) => row.iter_mut().zip(lanes_of(acc)).for_each(store),
+                        Err(_) => dst.iter_mut().zip(lanes_of(acc)).for_each(store),
+                    }
+                }
+            }
+        }
+    }
+
+    /// One `QR × NR` register tile: per tap, one lane load of `NR` pair
+    /// words, then per row a broadcast weight word, `vpmaddwd`, `vpaddd`.
+    /// The taps run last to first (integer sums, so any order gives the same
+    /// bits): a loop counted down to zero needs no bound register, and with
+    /// one LLVM kept the bound on the stack, one more load per tap.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn tile(src: &[i32], base: usize, offs: &[usize], w: &[i32]) -> [__m256i; QR] {
+        let mut acc = [_mm256_setzero_si256(); QR];
+        let src = &src[base..];
+        for (&off, w) in offs.iter().zip(w.chunks_exact(QR)).rev() {
+            let mut x = [0; NR];
+            x.copy_from_slice(&src[off..][..NR]);
+            let x = _mm256_setr_epi32(x[0], x[1], x[2], x[3], x[4], x[5], x[6], x[7]);
+            for (a, &w) in acc.iter_mut().zip(w) {
+                *a = _mm256_add_epi32(*a, _mm256_madd_epi16(x, _mm256_set1_epi32(w)));
+            }
+        }
+        acc
+    }
+
+    /// The lanes of `v`, lowest first.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn lanes_of(v: __m256i) -> [i32; NR] {
+        [
+            _mm256_extract_epi32::<0>(v),
+            _mm256_extract_epi32::<1>(v),
+            _mm256_extract_epi32::<2>(v),
+            _mm256_extract_epi32::<3>(v),
+            _mm256_extract_epi32::<4>(v),
+            _mm256_extract_epi32::<5>(v),
+            _mm256_extract_epi32::<6>(v),
+            _mm256_extract_epi32::<7>(v),
+        ]
     }
 }
 
@@ -481,6 +793,116 @@ mod tests {
             let qp = QuantParams::from_range(lo, hi);
             assert!(qp.scale.is_finite() && qp.scale > 0.0);
             assert_eq!(qp.quantize(0.0), qp.zero_point);
+        }
+    }
+
+    /// The expression every quantiser used before [`code_bits`]: the
+    /// oracle it must equal bit for bit.
+    fn saturating_cast_code(v: f32, qp: QuantParams) -> i8 {
+        let inv = 1.0 / qp.scale;
+        let r = (((v * inv).clamp(-4_194_304.0, 4_194_304.0) + 12_582_912.0) - 12_582_912.0)
+            + f32::from(qp.zero_point);
+        r.clamp(-128.0, 127.0) as i8
+    }
+
+    /// The halves of a channel-pair word.
+    fn halves(word: i32) -> (i8, i8) {
+        let [b0, _, b2, _] = word.to_le_bytes();
+        (b0 as i8, b2 as i8)
+    }
+
+    #[test]
+    fn every_quantiser_equals_the_saturating_cast_bit_for_bit() {
+        let mut values = Vec::new();
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        for _ in 0..1 << 20 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            values.push(f32::from_bits((state >> 32) as u32));
+        }
+        for bits in [
+            0x7FC0_0000,
+            0xFFC0_0000,
+            0x7F80_0001,
+            0xFF80_0001,
+            0x7FBF_FFFF,
+            0xFFFF_FFFF,
+            0x7FC0_1234,
+        ] {
+            values.push(f32::from_bits(bits));
+        }
+        values.extend([
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MAX,
+            f32::MIN,
+        ]);
+        values.extend([f32::MIN_POSITIVE, -f32::MIN_POSITIVE, 1e-45, -1e-45]);
+        for scale in [1.0, 0.5, 0.25, 1.0 / 255.0, 0.0137, 3.5, 4.2 / 255.0] {
+            for zero_point in [-128, 0, 127] {
+                let qp = QuantParams { scale, zero_point };
+                let mut xs = values.clone();
+                for k in -400..400 {
+                    // Dense steps, every `k + 0.5` tie, and both sides of
+                    // each code boundary (±128 / 127 among them).
+                    let k = k as f32;
+                    for f in [0.0, 0.25, 0.5, 0.75] {
+                        xs.push((k + f) * scale);
+                    }
+                    for d in [-1, 1] {
+                        xs.push(f32::from_bits(
+                            ((k + 0.5) * scale).to_bits().wrapping_add_signed(d),
+                        ));
+                    }
+                }
+                for code in [-129.0, -128.0, 127.0, 128.0] {
+                    let at = (code - f32::from(zero_point)) * scale;
+                    xs.extend([at, at + 0.5 * scale, at - 0.5 * scale]);
+                }
+                let want: Vec<i8> = xs.iter().map(|&v| saturating_cast_code(v, qp)).collect();
+                let case = format!("scale {scale}, zero point {zero_point}");
+
+                let mut got = Vec::new();
+                quantize_into(&xs, qp, &mut got);
+                for (i, &v) in xs.iter().enumerate() {
+                    assert_eq!(qp.quantize(v), want[i], "quantize({v:e}), {case}");
+                    assert_eq!(got[i], want[i], "quantize_into at {v:e}, {case}");
+                }
+
+                // The halo pass: both halves of every word, an odd channel
+                // count's partner half, and the halo itself.
+                let n = xs.len() / 2;
+                let (w, h) = (n.div_ceil(4), 4);
+                let mut img = xs[..2 * n].to_vec();
+                img.resize(2 * w * h, 0.0);
+                let planes = quantize_pairs(&img, (2, h, w), 1, qp);
+                let odd = quantize_pairs(&img[..w * h], (1, h, w), 1, qp);
+                let z = qp.zero_point;
+                for y in 0..h + 2 {
+                    for x in 0..w + 2 {
+                        let at = y * planes.width + x;
+                        let inside = (1..=h).contains(&y) && (1..=w).contains(&x);
+                        let i = (y.max(1) - 1) * w + x.max(1) - 1;
+                        let (lo, hi) = match inside {
+                            true => (
+                                saturating_cast_code(img[i], qp),
+                                saturating_cast_code(img[w * h + i], qp),
+                            ),
+                            false => (z, z),
+                        };
+                        let v = img[i];
+                        assert_eq!(
+                            halves(planes.words[at]),
+                            (lo, hi),
+                            "pair word at {v:e}, {case}"
+                        );
+                        assert_eq!(halves(odd.words[at]), (lo, z), "odd word at {v:e}, {case}");
+                    }
+                }
+            }
         }
     }
 
@@ -552,6 +974,18 @@ mod tests {
         // Padding count: each 3×3 patch on a 2×2 image has 5 padded taps.
         let pad_count = out.iter().filter(|&&v| v == -7).count();
         assert_eq!(pad_count, 5 * 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "stride must be positive")]
+    fn im2col_i8_names_a_zero_stride() {
+        im2col_i8(&[0; 16], 1, 4, 4, 3, 3, 0, 0, 0, &mut Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "kernel larger than padded input")]
+    fn im2col_i8_names_a_kernel_larger_than_the_padded_input() {
+        im2col_i8(&[0; 16], 1, 4, 4, 5, 5, 1, 0, 0, &mut Vec::new());
     }
 
     #[test]
@@ -628,6 +1062,66 @@ mod tests {
                 &batched.as_slice()[b * item_len..(b + 1) * item_len],
                 "batch item {b} diverged"
             );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "too deep for exact i32 accumulation")]
+    fn packing_refuses_a_fan_in_past_the_exactness_bound() {
+        // 2·K·127·128 < 2³¹ holds up to K = 66 052; 7 340 · 9 = 66 060.
+        let shape = Conv2dShape {
+            in_channels: 7_340,
+            out_channels: 1,
+            kernel: 3,
+            stride: 1,
+            pad: 1,
+        };
+        let weights = quantize_weights(&Tensor::zeros(&[1, 7_340 * 9]));
+        PackedQWeights::new(weights, shape);
+    }
+
+    /// The dispatched front equals its baseline, the lowering, bit for bit
+    /// on direct geometries whose channel counts straddle the pair rule and
+    /// the 8-row block. On a CPU without AVX2 the front *is* the lowering
+    /// and this compares it with itself (`isa()` in the message says which
+    /// ran).
+    #[test]
+    fn dispatched_int8_kernel_equals_the_lowering_bit_for_bit() {
+        let isa = dispatch::isa();
+        let sites = [
+            (1, 1, 1, 3),
+            (3, 8, 3, 16),
+            (5, 13, 3, 9),
+            (9, 20, 2, 7),
+            (16, 3, 1, 16),
+        ];
+        for (i, &(c, oc, k, side)) in sites.iter().enumerate() {
+            let shape = Conv2dShape {
+                in_channels: c,
+                out_channels: oc,
+                kernel: k,
+                stride: 1,
+                pad: k / 2,
+            };
+            let seed = 500 + 10 * i as u64;
+            let x = uniform(&[1, c, side, side], -1.0, 1.0, seed).map(|v| v.max(0.0));
+            let weights = quantize_weights(&uniform(&[oc, c * k * k], -0.5, 0.5, seed + 1));
+            let bias = uniform(&[oc], -0.5, 0.5, seed + 2);
+            let act = QuantParams::from_range(0.0, 0.8);
+            let words = pack_words(&weights, &shape);
+            let dims = (c, side, side);
+            let plan = QPlan::new(&weights, &words, bias.as_slice(), &shape, act, dims);
+            let (oh, ow) = shape.output_hw(side, side);
+            let (mut y, mut y0) = (vec![0.0; oc * oh * ow], vec![0.0; oc * oh * ow]);
+            dispatch::qconv_item(&plan, x.as_slice(), &mut y);
+            qconv_item_lowered(&plan, x.as_slice(), &mut y0);
+            for (j, (g, w)) in y.iter().zip(&y0).enumerate() {
+                assert_eq!(
+                    g.to_bits(),
+                    w.to_bits(),
+                    "y[{j}]: {isa} {g:e}, lowering {w:e} (site {i}: {c} -> {oc}, {k}x{k}, {side}²)"
+                );
+            }
         }
     }
 }

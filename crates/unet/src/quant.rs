@@ -1,7 +1,7 @@
 //! Post-training int8 quantization of the U-Net: calibrate activation
 //! ranges on a held-out set, quantize every convolution's weights per
-//! output channel, and run the whole forward pass with int8 im2col +
-//! i32-accumulate kernels ([`seaice_nn::ops::quant`]).
+//! output channel and pack them once for the direct int8 kernel, and run
+//! the whole forward pass on it ([`seaice_nn::ops::quant`]).
 //!
 //! The quantized network is a *frozen twin* of the f32 model:
 //!
@@ -11,27 +11,29 @@
 //!    max-pool, upsample, and concatenation run in f32 on the
 //!    dequantized activations, which costs little and keeps the skip
 //!    topology exact).
-//! 2. Each conv becomes a [`QConv`]: per-channel symmetric int8 weights
-//!    plus the calibrated per-tensor input `(scale, zero_point)`.
+//! 2. Each conv becomes a [`QConv`]: per-channel symmetric int8 weights,
+//!    packed as channel-pair words when the network is built (so a forward
+//!    pass packs nothing), plus the calibrated per-tensor input
+//!    `(scale, zero_point)`.
 //! 3. [`QuantizedUNet::forward`] mirrors [`UNet::forward`] exactly
 //!    (eval mode — dropout is identity), swapping `conv2d` for
-//!    `qconv2d`.
+//!    `qconv2d_packed`.
 //!
 //! Determinism: calibration iterates the set in order, integer
-//! accumulation is exact, and the only parallelism is over independent
-//! GEMM output rows — so quantizing the same checkpoint twice yields
+//! accumulation is exact in any order, and every output element is one
+//! thread's work — so quantizing the same checkpoint twice yields
 //! bit-identical [`QuantizedUNet`]s, and int8 predictions are
 //! byte-stable across runs, batch sizes, and thread counts. The
 //! transposed up-convolution ([`crate::config::UpMode::Transposed`])
-//! stays in f32: its scatter structure does not lower to the im2col
-//! GEMM, and the paper configuration uses `UpsampleConv`.
+//! stays in f32: its scatter structure is not a convolution the int8
+//! kernel runs, and the paper configuration uses `UpsampleConv`.
 
 use crate::config::UNetConfig;
 use crate::model::{self, UNet, Up};
 use seaice_nn::layers::Conv2d;
 use seaice_nn::ops::{
-    self, conv2d::Conv2dShape, convtranspose::ConvTranspose2dShape, quant::qconv2d,
-    quant::quantize_weights, quant::QuantParams, quant::QuantizedWeights,
+    self, convtranspose::ConvTranspose2dShape, quant::qconv2d_packed, quant::quantize_weights,
+    quant::PackedQWeights, quant::QuantParams,
 };
 use seaice_nn::Tensor;
 
@@ -162,28 +164,27 @@ impl Observers {
     }
 }
 
-/// A quantized convolution: int8 per-channel weights, f32 bias, and the
-/// calibrated input quantization parameters.
+/// A quantized convolution: int8 per-channel weights, packed once for the
+/// direct kernel, f32 bias, and the calibrated input quantization
+/// parameters.
 #[derive(Clone, Debug, PartialEq)]
 pub struct QConv {
-    weights: QuantizedWeights,
+    weights: PackedQWeights,
     bias: Tensor,
-    shape: Conv2dShape,
     input_q: QuantParams,
 }
 
 impl QConv {
     fn build(conv: &Conv2d, range: Range) -> Self {
         Self {
-            weights: quantize_weights(&conv.weight().value),
+            weights: PackedQWeights::new(quantize_weights(&conv.weight().value), *conv.shape()),
             bias: conv.bias().value.clone(),
-            shape: *conv.shape(),
             input_q: range.params(),
         }
     }
 
     fn forward(&self, x: &Tensor) -> Tensor {
-        qconv2d(x, &self.weights, &self.bias, &self.shape, self.input_q)
+        qconv2d_packed(x, &self.weights, &self.bias, self.input_q)
     }
 
     /// The calibrated input quantization parameters.
