@@ -9,7 +9,9 @@
 //! * [`ops`] — conv2d forward/backward as direct register-tiled kernels
 //!   (bit-identical to the matmul + im2col/col2im lowering, which stays as
 //!   their test oracle), int8 inference kernels, 2×2 max-pool,
-//!   nearest-neighbour upsample, channel concatenation, ReLU, dropout;
+//!   nearest-neighbour upsample, channel concatenation, ReLU, dropout —
+//!   and, for an inference walk, their forward passes from and into
+//!   reused haloed [`ops::Planes`] through an [`ops::Sink`];
 //! * [`loss`] — fused softmax + categorical cross-entropy over per-pixel
 //!   class targets;
 //! * [`optim`] — SGD and Adam (the paper's optimizer);

@@ -1,13 +1,19 @@
 //! 2-D convolution, forward and backward, as one direct register-tiled
 //! kernel family: no patch matrix, no `dcols`, bias fused into the store.
 //!
-//! The kernels read a zero-haloed copy of the image and keep an `MR × NR`
-//! tile of outputs in registers. They are **bit-identical** (for finite
-//! inputs) to the reference lowering `im2col` → `matmul*` → `col2im`,
-//! which stays in the tree as the test oracle. One source, two
-//! instantiations: on an x86-64 CPU with AVX2 the same loop nests run with
-//! a `2·MR × NR` tile on `ymm` registers ([`isa`]) — more lanes and rows
-//! per instruction, the same chain per element, the same bits.
+//! The kernels read a zero-haloed copy of the image ([`Planes`]) and keep an
+//! `MR × NR` tile of outputs in registers. They are **bit-identical** (for
+//! finite inputs) to the reference lowering `im2col` → `matmul*` →
+//! `col2im`, which stays in the tree as the test oracle. One source, three
+//! instantiations ([`isa`]): on an x86-64 CPU with AVX2 the same loop nests
+//! run with a `2·MR × NR` tile on `ymm` registers, and with AVX-512F the
+//! forward pass over planes at least 16 wide runs `2·MR × 16` on `zmm` —
+//! more lanes and rows per instruction, the same chain per element, the
+//! same bits.
+//!
+//! [`conv2d_into`] is the forward pass an inference walk runs: it reads a
+//! [`Planes`] the previous layer stored into and stores through a [`Sink`]
+//! — straight into the next convolution's haloed input, through ReLU.
 //!
 //! # Determinism contract
 //! Every output element is one sequential `f32` chain over its reduction
@@ -35,6 +41,7 @@
 
 use crate::ops::im2col::{col2im, im2col};
 use crate::ops::matmul::{matmul, matmul_a_bt, matmul_at_b};
+use crate::ops::planes::{Planes, Sink};
 use crate::tensor::Tensor;
 
 /// Rows of the baseline register tile (output channels; input channels or
@@ -43,6 +50,8 @@ use crate::tensor::Tensor;
 pub(super) const MR: usize = 4;
 /// Lanes of a register tile: consecutive, independent output elements.
 pub(super) const NR: usize = 8;
+/// Lanes of the AVX-512 forward tile.
+pub(super) const NR_WIDE: usize = 16;
 
 /// Static geometry of a convolution.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -101,74 +110,69 @@ fn lanes<const N: usize>(s: &[f32], at: usize) -> [f32; N] {
     out
 }
 
-/// Planes with a zero border of `halo` cells on every side.
-pub(super) struct Haloed {
-    data: Vec<f32>,
-    /// Row stride: plane width plus both borders.
-    width: usize,
+/// Scratch a convolution call packs into and an int8 call quantises into:
+/// kept by an inference walk and reused, so a call allocates nothing.
+#[derive(Clone, Debug, Default)]
+pub struct ConvBuffers {
+    /// The [`pack`]ed weights.
+    pub(super) packed: Vec<f32>,
+    /// The [`patch_offsets`].
+    pub(super) offs: Vec<usize>,
+    /// The int8 kernel's channel-pair planes.
+    pub(super) words: Vec<i32>,
 }
 
-/// Copies the `c` planes of `src` (`h × w` each) into a zeroed haloed
-/// buffer, plus `NR` cells of slack so the last tile's lane load stays in
-/// bounds (lanes past a row's end are computed and dropped).
-fn haloed(src: &[f32], (c, h, w): (usize, usize, usize), halo: usize) -> Haloed {
-    let (hp, width) = (h + 2 * halo, w + 2 * halo);
-    let mut data = vec![0.0; c * hp * width + NR];
-    for ch in 0..c {
-        for y in 0..h {
-            let at = (ch * hp + y + halo) * width + halo;
-            data[at..at + w].copy_from_slice(&src[(ch * h + y) * w..][..w]);
-        }
-    }
-    Haloed { data, width }
-}
-
-/// Repacks `rows × len` coefficients as `[rows / MR][len][MR]`, zero rows
-/// filling a short last block, so a tile reads its `MR` scalars adjacent.
-fn pack(rows: usize, len: usize, at: impl Fn(usize, usize) -> f32) -> Vec<f32> {
-    let mut out = vec![0.0; rows.div_ceil(MR) * len * MR];
+/// Repacks `rows × len` coefficients into `out` as `[rows / MR][len][MR]`,
+/// zero rows filling a short last block, so a tile reads its `MR` scalars
+/// adjacent.
+fn pack(out: &mut Vec<f32>, rows: usize, len: usize, at: impl Fn(usize, usize) -> f32) {
+    out.clear();
+    out.resize(rows.div_ceil(MR) * len * MR, 0.0);
     for row in 0..rows {
         for j in 0..len {
             out[(row / MR * len + j) * MR + row % MR] = at(row, j);
         }
     }
-    out
 }
 
 /// Offset of every patch row `(ic, ky, kx)` from a position's top-left
 /// cell in a haloed input whose planes are `hp` rows of `width`.
-pub(super) fn patch_offsets(c: usize, k: usize, hp: usize, width: usize) -> Vec<usize> {
-    (0..c * k * k)
-        .map(|row| (row / (k * k) * hp + row / k % k) * width + row % k)
-        .collect()
+pub(super) fn patch_offsets(
+    c: usize,
+    k: usize,
+    hp: usize,
+    width: usize,
+) -> impl Iterator<Item = usize> {
+    (0..c * k * k).map(move |row| (row / (k * k) * hp + row / k % k) * width + row % k)
 }
 
-/// One `R × NR` register tile, `R` being `MR` or `2 · MR`; `w` is the
-/// `R / MR` consecutive [`pack`]ed blocks of its rows. `offs` and each
-/// block hold `groups` equal runs of taps: each run's chain
-/// `Σ w[j][r] · src[base + offs[j] + l]` is finished before it joins the
-/// running total. *Named* accumulators (the second four compile out at
-/// `R = MR`, where `w1` is `w0` again) and one lane loop: the nested
-/// `[[f32; NR]; R]` form stops vectorising at `codegen-units = 1`.
+/// One `R × L` register tile, `R` being `MR` or `2 · MR` rows and `L` the
+/// lanes (`NR`, or 16 on AVX-512); `w` is the `R / MR` consecutive
+/// [`pack`]ed blocks of its rows. `offs` and each block hold `groups` equal
+/// runs of taps: each run's chain `Σ w[j][r] · src[base + offs[j] + l]` is
+/// finished before it joins the running total. *Named* accumulators (the
+/// second four compile out at `R = MR`, where `w1` is `w0` again) and one
+/// lane loop: the nested `[[f32; L]; R]` form stops vectorising at
+/// `codegen-units = 1`.
 #[inline(always)]
-fn tile<const R: usize>(
+fn tile<const R: usize, const L: usize>(
     src: &[f32],
     base: usize,
     offs: &[usize],
     w: &[f32],
     groups: usize,
-) -> [[f32; NR]; R] {
+) -> [[f32; L]; R] {
     let group = offs.len() / groups;
     let (w0, w1) = (w, &w[(R / MR - 1) * offs.len() * MR..]);
-    let mut total = [[0f32; NR]; R];
+    let mut total = [[0f32; L]; R];
     for g in 0..groups {
         let offs = &offs[g * group..][..group];
         let (w0, w1) = (&w0[g * group * MR..], &w1[g * group * MR..]);
-        let [mut a0, mut a1, mut a2, mut a3, mut a4, mut a5, mut a6, mut a7] = [[0f32; NR]; 2 * MR];
+        let [mut a0, mut a1, mut a2, mut a3, mut a4, mut a5, mut a6, mut a7] = [[0f32; L]; 2 * MR];
         let rows = w0.chunks_exact(MR).zip(w1.chunks_exact(MR));
         for (&off, (w0, w1)) in offs.iter().zip(rows) {
-            let b: [f32; NR] = lanes(src, base + off);
-            for l in 0..NR {
+            let b: [f32; L] = lanes(src, base + off);
+            for l in 0..L {
                 a0[l] += w0[0] * b[l];
                 a1[l] += w0[1] * b[l];
                 a2[l] += w0[2] * b[l];
@@ -182,7 +186,7 @@ fn tile<const R: usize>(
             }
         }
         for (t, a) in total.iter_mut().zip([a0, a1, a2, a3, a4, a5, a6, a7]) {
-            for l in 0..NR {
+            for l in 0..L {
                 t[l] += a[l];
             }
         }
@@ -190,58 +194,65 @@ fn tile<const R: usize>(
     total
 }
 
-/// Runs [`tile`] over the `oh × ow` planes of the `R` channels from `ch0`
-/// on; channels past the last are zero rows of `w`, computed and dropped.
+/// Runs [`tile`] over the output planes of the `R` channels of `out` from
+/// `ch0` on; channels past the last are zero rows of `w`, computed and
+/// dropped. The store adds the bias and, for a ReLU sink, takes
+/// `max(0, ·)` — the expression of `ops::relu`, on the same value.
 #[inline(always)]
-fn tiled_block<const R: usize>(
-    src: &Haloed,
+fn tiled_block<const R: usize, const L: usize>(
+    src: &Planes,
     offs: &[usize],
     groups: usize,
     w: &[f32],
     bias: Option<&[f32]>,
-    out: &mut [f32],
-    (ch0, channels, oh, ow): (usize, usize, usize, usize),
+    out: &mut Sink<'_>,
+    ch0: usize,
 ) {
+    let (channels, oh, ow) = out.dims();
+    let relu = out.relu();
     let w = &w[..R * offs.len()];
     for y in 0..oh {
-        for x0 in (0..ow).step_by(NR) {
-            let acc = tile::<R>(&src.data, y * src.width + x0, offs, w, groups);
-            let n = NR.min(ow - x0);
+        for x0 in (0..ow).step_by(L) {
+            let acc = tile::<R, L>(src.data(), y * src.width() + x0, offs, w, groups);
+            let n = L.min(ow - x0);
             for (ch, acc) in (ch0..channels).zip(&acc) {
-                let dst = &mut out[(ch * oh + y) * ow + x0..][..n];
-                match bias {
-                    Some(b) => dst.iter_mut().zip(acc).for_each(|(d, a)| *d = a + b[ch]),
-                    None => dst.copy_from_slice(&acc[..n]),
+                let dst = out.cells(ch, y, x0, n).iter_mut().zip(acc);
+                match (bias, relu) {
+                    (Some(b), false) => dst.for_each(|(d, a)| *d = a + b[ch]),
+                    (Some(b), true) => dst.for_each(|(d, a)| *d = (a + b[ch]).max(0.0)),
+                    (None, false) => dst.for_each(|(d, a)| *d = *a),
+                    (None, true) => dst.for_each(|(d, a)| *d = a.max(0.0)),
                 }
             }
         }
     }
 }
 
-/// The `channels × oh × ow` output of one image:
+/// The `channels × oh × ow` output of one image, stored through `out`:
 /// `out[ch][y][x] = Σ_groups(Σ_j packed[ch][j] · src[y][x + offs[j]]) (+ bias[ch])`.
 /// The forward pass is one group of all `c·k·k` taps plus the bias; `dx`
 /// is `k·k` groups of `out_c` taps over the haloed `grad_out`. Channels go
 /// `R` at a time, except that `MR` or fewer left take the `MR`-row tile: a
 /// narrow layer must not multiply zero rows in a tile twice its height.
+/// Positions go `L` at a time.
 #[inline(always)]
-pub(super) fn tiled_planes_body<const R: usize>(
-    src: &Haloed,
+pub(super) fn tiled_planes_body<const R: usize, const L: usize>(
+    src: &Planes,
     offs: &[usize],
     groups: usize,
     packed: &[f32],
     bias: Option<&[f32]>,
-    out: &mut [f32],
-    (channels, oh, ow): (usize, usize, usize),
+    mut out: Sink<'_>,
 ) {
+    let channels = out.dims().0;
     let mut ch0 = 0;
     while ch0 < channels {
         let w = &packed[ch0 * offs.len()..];
         if R > MR && channels - ch0 > MR {
-            tiled_block::<R>(src, offs, groups, w, bias, out, (ch0, channels, oh, ow));
+            tiled_block::<R, L>(src, offs, groups, w, bias, &mut out, ch0);
             ch0 += R;
         } else {
-            tiled_block::<MR>(src, offs, groups, w, bias, out, (ch0, channels, oh, ow));
+            tiled_block::<MR, L>(src, offs, groups, w, bias, &mut out, ch0);
             ch0 += MR;
         }
     }
@@ -255,7 +266,7 @@ pub(super) fn tiled_planes_body<const R: usize>(
 /// rows sends the vectoriser across them.
 #[inline(always)]
 pub(super) fn grad_weight_item_body<const R: usize>(
-    xh: &Haloed,
+    xh: &Planes,
     offs: &[usize],
     gy: &[f32],
     (oc, oh, ow): (usize, usize, usize),
@@ -279,7 +290,7 @@ pub(super) fn grad_weight_item_body<const R: usize>(
             let [mut a0, mut a1, mut a2, mut a3, mut a4, mut a5, mut a6, mut a7] =
                 [[0f32; NR]; 2 * MR];
             for y in 0..oh {
-                let row = |r: usize| &xh.data[off[r] + y * xh.width..][..ow];
+                let row = |r: usize| &xh.data()[off[r] + y * xh.width()..][..ow];
                 let (x0, x1, x2, x3) = (row(0), row(1), row(2), row(3));
                 let (x4, x5, x6, x7) = (row(4), row(5), row(6), row(7));
                 let g = &gt[y * ow * ocp + oc0..];
@@ -312,7 +323,7 @@ pub(super) fn grad_weight_item_body<const R: usize>(
 }
 
 pub use super::dispatch::isa;
-use super::dispatch::{grad_weight_item, tiled_planes};
+use super::dispatch::{forward_planes, grad_weight_item, tiled_planes};
 
 /// Forward convolution.
 ///
@@ -326,18 +337,15 @@ use super::dispatch::{grad_weight_item, tiled_planes};
 /// Panics on any shape inconsistency.
 pub fn conv2d(input: &Tensor, weight: &Tensor, bias: &Tensor, shape: &Conv2dShape) -> Tensor {
     let (n, c, h, w) = input.nchw();
-    let (k, oc) = (shape.kernel, shape.out_channels);
+    let oc = shape.out_channels;
     assert_eq!(c, shape.in_channels, "input channel mismatch");
-    assert_eq!(weight.shape(), &[oc, c * k * k], "weight shape mismatch");
-    assert_eq!(bias.shape(), &[oc], "bias shape mismatch");
+    check_operands(weight, bias, shape);
     let (oh, ow) = shape.output_hw(h, w);
     if !shape.is_direct() {
         return conv2d_lowered(input, weight, bias, shape);
     }
-    let taps = c * k * k;
-    let offs = patch_offsets(c, k, h + 2 * shape.pad, w + 2 * shape.pad);
-    let packed = pack(oc, taps, |o, t| weight.as_slice()[o * taps + t]);
     let mut out = Tensor::zeros(&[n, oc, oh, ow]);
+    let mut buf = ConvBuffers::default();
     // One image after the other: a batch is at most a few dozen items, far
     // below what `seaice_exec::par` would fork for.
     for (b, out_item) in out
@@ -345,11 +353,56 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: &Tensor, shape: &Conv2dShap
         .chunks_exact_mut(oc * oh * ow)
         .enumerate()
     {
-        let xh = haloed(input.batch_item(b), (c, h, w), shape.pad);
-        let bias = Some(bias.as_slice());
-        tiled_planes(&xh, &offs, 1, &packed, bias, out_item, (oc, oh, ow));
+        let xh = Planes::haloed(input.batch_item(b), (c, h, w), shape.pad);
+        let sink = Sink::plain(out_item, (oc, oh, ow));
+        conv2d_into(&xh, weight, bias, shape, sink, &mut buf);
     }
     out
+}
+
+/// [`conv2d`] of the one image `src` holds (its border is the padding, so
+/// `src.halo()` must be `shape.pad`), stored through `dst`, with the
+/// weights packed into `buf`: the inference walk's convolution, with no
+/// halo copy, no output allocation and, into a ReLU sink, no ReLU pass.
+/// Same bits as [`conv2d`] (then `relu`).
+///
+/// # Panics
+/// Panics on any shape inconsistency.
+pub fn conv2d_into(
+    src: &Planes,
+    weight: &Tensor,
+    bias: &Tensor,
+    shape: &Conv2dShape,
+    mut dst: Sink<'_>,
+    buf: &mut ConvBuffers,
+) {
+    let (c, h, w) = src.dims();
+    let (k, oc) = (shape.kernel, shape.out_channels);
+    assert_eq!(c, shape.in_channels, "input channel mismatch");
+    check_operands(weight, bias, shape);
+    let (oh, ow) = shape.output_hw(h, w);
+    assert_eq!(dst.dims(), (oc, oh, ow), "conv output mismatch");
+    if !shape.is_direct() {
+        let x = Tensor::from_vec(&[1, c, h, w], src.interior());
+        return dst.put(conv2d_lowered(&x, weight, bias, shape).as_slice());
+    }
+    assert_eq!(src.halo(), shape.pad, "conv input halo must be its padding");
+    let taps = c * k * k;
+    buf.offs.clear();
+    buf.offs
+        .extend(patch_offsets(c, k, h + 2 * shape.pad, src.width()));
+    pack(&mut buf.packed, oc, taps, |o, t| {
+        weight.as_slice()[o * taps + t]
+    });
+    forward_planes(src, &buf.offs, &buf.packed, bias.as_slice(), dst);
+}
+
+/// The filter bank is `[out_c, in_c · k · k]` and the bias `[out_c]`.
+fn check_operands(weight: &Tensor, bias: &Tensor, shape: &Conv2dShape) {
+    let (k, oc) = (shape.kernel, shape.out_channels);
+    let taps = shape.in_channels * k * k;
+    assert_eq!(weight.shape(), &[oc, taps], "weight shape mismatch");
+    assert_eq!(bias.shape(), &[oc], "bias shape mismatch");
 }
 
 /// Backward convolution: gradients w.r.t. input, weight, and bias.
@@ -378,26 +431,19 @@ pub fn conv2d_backward(
     if !shape.is_direct() {
         return conv2d_backward_lowered(input, weight, grad_out, shape);
     }
-    let (taps, halo) = (c * k * k, k - 1 - shape.pad);
-    let x_offs = patch_offsets(c, k, h + 2 * shape.pad, w + 2 * shape.pad);
-    // dx gathers tap (ky, kx) of channel `o` at the mirrored cell of the
-    // haloed grad_out; taps ascend outside, output channels inside.
-    let (ghp, gwp) = (oh + 2 * halo, ow + 2 * halo);
-    let g_offs: Vec<usize> = (0..k * k * oc)
-        .map(|j| (j % oc * ghp + (k - 1 - j / oc / k)) * gwp + (k - 1 - j / oc % k))
-        .collect();
-    let wt = pack(c, k * k * oc, |ch, j| {
-        weight.as_slice()[j % oc * taps + ch * k * k + j / oc]
-    });
+    let halo = k - 1 - shape.pad;
+    let x_offs: Vec<usize> = patch_offsets(c, k, h + 2 * shape.pad, w + 2 * shape.pad).collect();
+    let (g_offs, wt) = (dx_offsets(k, oc, (oh, ow), halo), dx_weights(weight, c, k));
 
     // Per-image partials, reduced afterwards in batch order.
     let partials: Vec<(Vec<f32>, Tensor, Tensor)> = (0..n)
         .map(|b| {
             let gy = grad_out.batch_item(b);
-            let gh = haloed(gy, (oc, oh, ow), halo);
+            let gh = Planes::haloed(gy, (oc, oh, ow), halo);
             let mut dx = vec![0.0; c * h * w];
-            tiled_planes(&gh, &g_offs, k * k, &wt, None, &mut dx, (c, h, w));
-            let xh = haloed(input.batch_item(b), (c, h, w), shape.pad);
+            let sink = Sink::plain(&mut dx, (c, h, w));
+            tiled_planes(&gh, &g_offs, k * k, &wt, None, sink);
+            let xh = Planes::haloed(input.batch_item(b), (c, h, w), shape.pad);
             let mut dw = Tensor::zeros(weight.shape());
             grad_weight_item(&xh, &x_offs, gy, (oc, oh, ow), dw.as_mut_slice());
             let db = gy.chunks_exact(oh * ow).map(|g| g.iter().sum());
@@ -414,6 +460,27 @@ pub fn conv2d_backward(
     }
     let grad_input = Tensor::from_vec(&[n, c, h, w], grad_input);
     (grad_input, grad_weight, grad_bias)
+}
+
+/// The `dx` gather's taps: tap `(ky, kx)` of channel `o` at the mirrored
+/// cell of `grad_out` haloed by `halo`, taps ascending outside, output
+/// channels inside.
+fn dx_offsets(k: usize, oc: usize, (oh, ow): (usize, usize), halo: usize) -> Vec<usize> {
+    let (ghp, gwp) = (oh + 2 * halo, ow + 2 * halo);
+    (0..k * k * oc)
+        .map(|j| (j % oc * ghp + (k - 1 - j / oc / k)) * gwp + (k - 1 - j / oc % k))
+        .collect()
+}
+
+/// The filter bank [`pack`]ed for the `dx` gather: rows are input
+/// channels, taps in [`dx_offsets`] order.
+fn dx_weights(weight: &Tensor, c: usize, k: usize) -> Vec<f32> {
+    let (oc, taps) = (weight.shape()[0], c * k * k);
+    let mut wt = Vec::new();
+    pack(&mut wt, c, k * k * oc, |ch, j| {
+        weight.as_slice()[j % oc * taps + ch * k * k + j / oc]
+    });
+    wt
 }
 
 /// [`conv2d`] through the reference lowering, for the geometries
@@ -657,11 +724,46 @@ mod tests {
         }
     }
 
-    /// The two instantiations are the same function: `y`, `dx` and `dw` of
-    /// one image from the dispatched fronts and from the baseline bodies,
-    /// on the same operands, bit for bit. On a CPU without AVX2 the fronts
-    /// *are* the baseline and this compares it with itself ([`isa`] in the
-    /// failure message says which ran); there is no switch to force a path.
+    /// An instantiation of [`tiled_planes_body`].
+    type Body = fn(&Planes, &[usize], usize, &[f32], Option<&[f32]>, Sink<'_>);
+
+    /// `y` of one image through the forward front ([`conv2d_into`]'s
+    /// kernel call) and through `body`, on the same operands.
+    fn forward_pair(
+        (c, oc, k, side): (usize, usize, usize, usize),
+        seed: u64,
+        body: Body,
+    ) -> (Vec<f32>, Vec<f32>) {
+        let (pad, taps) = (k / 2, c * k * k);
+        let x = uniform(&[c, side, side], -1.0, 1.0, seed).map(|v| v.max(0.0));
+        let weight = uniform(&[oc, taps], -0.5, 0.5, seed + 1);
+        let bias = uniform(&[oc], -0.5, 0.5, seed + 2);
+        let xh = Planes::haloed(x.as_slice(), (c, side, side), pad);
+        let offs: Vec<usize> = patch_offsets(c, k, side + 2 * pad, side + 2 * pad).collect();
+        let mut packed = Vec::new();
+        pack(&mut packed, oc, taps, |o, t| {
+            weight.as_slice()[o * taps + t]
+        });
+        let (mut y, mut y0) = (vec![0.0; oc * side * side], vec![0.0; oc * side * side]);
+        let dims = (oc, side, side);
+        forward_planes(
+            &xh,
+            &offs,
+            &packed,
+            bias.as_slice(),
+            Sink::plain(&mut y, dims),
+        );
+        let bias = Some(bias.as_slice());
+        body(&xh, &offs, 1, &packed, bias, Sink::plain(&mut y0, dims));
+        (y, y0)
+    }
+
+    /// The instantiations are the same function: `y`, `dx` and `dw` of one
+    /// image from the dispatched fronts and from the baseline bodies, on the
+    /// same operands, bit for bit. On a CPU without AVX2 (or AVX-512F) the
+    /// fronts *are* the baseline (or the AVX2 twin) and this compares it
+    /// with itself ([`isa`] in the failure message says which ran); there
+    /// is no switch to force a path.
     #[test]
     fn dispatched_kernels_equal_the_baseline_instantiation_bit_for_bit() {
         // `cpu_small` at 64², the serve_tiles model at 16², and a 12-channel
@@ -672,42 +774,113 @@ mod tests {
         assert_eq!(sites.len(), 13 + 8 + 1);
         for (i, &(c, oc, k, side)) in sites.iter().enumerate() {
             let case = format!("site {i}: {c} -> {oc}, {k}x{k}, {side}²");
-            let (pad, taps, seed) = (k / 2, c * k * k, 300 + 10 * i as u64);
-            let x = uniform(&[c, side, side], -1.0, 1.0, seed).map(|v| v.max(0.0));
-            let weight = uniform(&[oc, taps], -0.5, 0.5, seed + 1);
-            let bias = uniform(&[oc], -0.5, 0.5, seed + 2);
-            let gy = uniform(&[oc, side, side], -1.0, 1.0, seed + 3);
-            let (dims, gdims) = ((c, side, side), (oc, side, side));
-
-            let xh = haloed(x.as_slice(), dims, pad);
-            let offs = patch_offsets(c, k, side + 2 * pad, side + 2 * pad);
-            let packed = pack(oc, taps, |o, t| weight.as_slice()[o * taps + t]);
-            let bias = Some(bias.as_slice());
-            let (mut y, mut y0) = (vec![0.0; oc * side * side], vec![0.0; oc * side * side]);
-            tiled_planes(&xh, &offs, 1, &packed, bias, &mut y, gdims);
-            tiled_planes_body::<MR>(&xh, &offs, 1, &packed, bias, &mut y0, gdims);
+            let seed = 300 + 10 * i as u64;
+            let (y, y0) = forward_pair((c, oc, k, side), seed, tiled_planes_body::<MR, NR>);
             assert_same_bits("y", &case, &y, &y0);
 
             // The `dx` gather as `conv2d_backward` sets it up.
+            let (pad, taps) = (k / 2, c * k * k);
+            let x = uniform(&[c, side, side], -1.0, 1.0, seed).map(|v| v.max(0.0));
+            let weight = uniform(&[oc, taps], -0.5, 0.5, seed + 1);
+            let gy = uniform(&[oc, side, side], -1.0, 1.0, seed + 3);
+            let (dims, gdims) = ((c, side, side), (oc, side, side));
             let halo = k - 1 - pad;
-            let gh = haloed(gy.as_slice(), gdims, halo);
-            let (ghp, gwp) = (side + 2 * halo, side + 2 * halo);
-            let g_offs: Vec<usize> = (0..k * k * oc)
-                .map(|j| (j % oc * ghp + (k - 1 - j / oc / k)) * gwp + (k - 1 - j / oc % k))
-                .collect();
-            let wt = pack(c, k * k * oc, |ch, j| {
-                weight.as_slice()[j % oc * taps + ch * k * k + j / oc]
-            });
+            let gh = Planes::haloed(gy.as_slice(), gdims, halo);
+            let (g_offs, wt) = (
+                dx_offsets(k, oc, (side, side), halo),
+                dx_weights(&weight, c, k),
+            );
             let (mut dx, mut dx0) = (vec![0.0; c * side * side], vec![0.0; c * side * side]);
-            tiled_planes(&gh, &g_offs, k * k, &wt, None, &mut dx, dims);
-            tiled_planes_body::<MR>(&gh, &g_offs, k * k, &wt, None, &mut dx0, dims);
+            tiled_planes(&gh, &g_offs, k * k, &wt, None, Sink::plain(&mut dx, dims));
+            let sink = Sink::plain(&mut dx0, dims);
+            tiled_planes_body::<MR, NR>(&gh, &g_offs, k * k, &wt, None, sink);
             assert_same_bits("dx", &case, &dx, &dx0);
 
+            let xh = Planes::haloed(x.as_slice(), dims, pad);
+            let offs: Vec<usize> = patch_offsets(c, k, side + 2 * pad, side + 2 * pad).collect();
             let (mut dw, mut dw0) = (vec![0.0; oc * taps], vec![0.0; oc * taps]);
             grad_weight_item(&xh, &offs, gy.as_slice(), gdims, &mut dw);
             grad_weight_item_body::<MR>(&xh, &offs, gy.as_slice(), gdims, &mut dw0);
             assert_same_bits("dw", &case, &dw, &dw0);
         }
+    }
+
+    /// The 16-lane forward body, as the front runs it and compiled here on
+    /// its own, equals the 8-lane baseline bit for bit across widths around
+    /// both lane counts and channel counts around the row tiles (the front
+    /// takes 16 lanes from 16 wide up; the body runs every width).
+    #[test]
+    fn sixteen_lane_forward_equals_the_baseline_bit_for_bit() {
+        let wide = tiled_planes_body::<{ 2 * MR }, NR_WIDE>;
+        for (i, ow) in [1, 7, 8, 15, 16, 17, 31, 32, 33, 64]
+            .into_iter()
+            .enumerate()
+        {
+            for (j, &(c, oc, k)) in [(3, 8, 3), (5, 3, 3), (4, 9, 3), (8, 13, 3), (7, 16, 1)]
+                .iter()
+                .enumerate()
+            {
+                let case = format!("{c} -> {oc}, {k}x{k}, {ow}²");
+                let seed = 900 + 100 * i as u64 + 10 * j as u64;
+                let (y, y0) = forward_pair((c, oc, k, ow), seed, tiled_planes_body::<MR, NR>);
+                assert_same_bits("front y", &case, &y, &y0);
+                let (y, y0) = forward_pair((c, oc, k, ow), seed, wide);
+                assert_same_bits("front y vs the 16-lane body", &case, &y, &y0);
+            }
+        }
+        for (i, &(c, oc, k, side)) in unet_sites(2, 8, 64).iter().enumerate() {
+            let case = format!("site {i}: {c} -> {oc}, {k}x{k}, {side}²");
+            let (y, y0) = forward_pair((c, oc, k, side), 700 + i as u64, wide);
+            assert_same_bits("front y vs the 16-lane body", &case, &y, &y0);
+        }
+    }
+
+    /// `conv2d_into` from haloed planes into a ReLU sink equals `relu` of
+    /// `conv2d`, bit for bit, with NaN and ±∞ among the inputs, and stores
+    /// nothing outside its channels' interior.
+    #[test]
+    fn store_into_haloed_planes_equals_relu_of_conv2d() {
+        let (c, oc, side) = (3, 5, 17);
+        let shape = shape_3x3_same(c, oc);
+        let mut x = uniform(&[1, c, side, side], -1.0, 1.0, 61);
+        for (at, v) in [(5, f32::NAN), (40, f32::INFINITY), (300, f32::NEG_INFINITY)] {
+            x.as_mut_slice()[at] = v;
+        }
+        let weight = uniform(&[oc, c * 9], -0.5, 0.5, 62);
+        let bias = uniform(&[oc], -0.5, 0.5, 63);
+        let want = crate::ops::relu(&conv2d(&x, &weight, &bias, &shape));
+        let want_has = |p: fn(&f32) -> bool| want.as_slice().iter().any(p);
+        assert!(want_has(|v| *v == 0.0) && want_has(|v| *v > 0.0));
+
+        let src = Planes::haloed(x.as_slice(), (c, side, side), 1);
+        let mut dst = Planes::new((oc + 2, side, side), 1);
+        let sink = Sink::planes(&mut dst, 1, oc).through_relu();
+        conv2d_into(
+            &src,
+            &weight,
+            &bias,
+            &shape,
+            sink,
+            &mut ConvBuffers::default(),
+        );
+        let got = dst.interior();
+        let plane = side * side;
+        assert!(got[..plane]
+            .iter()
+            .chain(&got[(oc + 1) * plane..])
+            .all(|v| *v == 0.0));
+        assert_same_bits(
+            "relu(y)",
+            "into haloed planes",
+            &got[plane..(oc + 1) * plane],
+            want.as_slice(),
+        );
+        let stored = dst.data().iter().filter(|v| v.to_bits() != 0).count();
+        let interior = got.iter().filter(|v| v.to_bits() != 0).count();
+        assert_eq!(
+            stored, interior,
+            "a store landed in the border or the slack"
+        );
     }
 
     #[test]

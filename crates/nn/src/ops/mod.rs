@@ -12,20 +12,22 @@ mod dispatch;
 pub mod dropout;
 pub mod im2col;
 pub mod matmul;
+pub mod planes;
 pub mod pool;
 pub mod quant;
 pub mod upsample;
 
 pub use activation::{relu, relu_backward, sigmoid};
 pub use concat::{concat_channels, concat_channels_backward};
-pub use conv2d::{conv2d, conv2d_backward, Conv2dShape};
+pub use conv2d::{conv2d, conv2d_backward, conv2d_into, Conv2dShape, ConvBuffers};
 pub use convtranspose::{conv_transpose2d, conv_transpose2d_backward, ConvTranspose2dShape};
 pub use dropout::{dropout, dropout_backward};
 pub use im2col::{col2im, im2col};
 pub use matmul::{matmul, matmul_a_bt, matmul_at_b};
-pub use pool::{maxpool2x2, maxpool2x2_backward};
+pub use planes::{Planes, Sink};
+pub use pool::{maxpool2x2, maxpool2x2_backward, maxpool2x2_into};
 pub use quant::{
-    gemm_i8_i32, im2col_i8, qconv2d, qconv2d_packed, quantize_into, quantize_weights,
+    gemm_i8_i32, im2col_i8, qconv2d, qconv2d_into, qconv2d_packed, quantize_into, quantize_weights,
     PackedQWeights, QuantParams, QuantizedWeights,
 };
-pub use upsample::{upsample2x, upsample2x_backward};
+pub use upsample::{upsample2x, upsample2x_backward, upsample2x_into};

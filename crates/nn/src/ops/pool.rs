@@ -1,5 +1,6 @@
 //! 2×2 max pooling with stride 2 (the paper's U-Net downsampling unit).
 
+use crate::ops::planes::{Planes, Sink};
 use crate::tensor::Tensor;
 
 /// Forward 2×2/stride-2 max pool. Returns the pooled tensor and the flat
@@ -40,6 +41,36 @@ pub fn maxpool2x2(input: &Tensor) -> (Tensor, Vec<usize>) {
         }
     }
     (out, argmax)
+}
+
+/// [`maxpool2x2`] of the first `c` channels of `src`'s interior into `dst`
+/// (`c` planes of half the side), without the argmax only the backward pass
+/// needs: the inference walk's pool. Same comparisons, same values.
+///
+/// # Panics
+/// Panics unless `dst` takes `c ≤ src`'s channels at half `src`'s even side.
+pub fn maxpool2x2_into(src: &Planes, mut dst: Sink<'_>) {
+    let (sc, h, w) = src.dims();
+    let (c, oh, ow) = dst.dims();
+    assert!(h % 2 == 0 && w % 2 == 0, "maxpool2x2 needs even H and W");
+    assert!(
+        c <= sc && (oh, ow) == (h / 2, w / 2),
+        "pool output mismatch"
+    );
+    for ch in 0..c {
+        for oy in 0..oh {
+            let (r0, r1) = (src.row(ch, 2 * oy), src.row(ch, 2 * oy + 1));
+            for (ox, d) in dst.cells(ch, oy, 0, ow).iter_mut().enumerate() {
+                let mut best = r0[2 * ox];
+                for v in [r0[2 * ox + 1], r1[2 * ox], r1[2 * ox + 1]] {
+                    if v > best {
+                        best = v;
+                    }
+                }
+                *d = best;
+            }
+        }
+    }
 }
 
 /// Backward max pool: routes each output gradient to its argmax input

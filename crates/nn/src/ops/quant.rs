@@ -1,6 +1,7 @@
 //! Int8 post-training quantization: per-tensor affine activation
 //! quantization, per-channel symmetric weight quantization, and the
-//! quantized convolution [`qconv2d`] / [`qconv2d_packed`].
+//! quantized convolution [`qconv2d`] / [`qconv2d_packed`] /
+//! [`qconv2d_into`] (the inference walk's: [`Planes`] in, a [`Sink`] out).
 //!
 //! The scheme follows standard PTQ practice:
 //!
@@ -27,7 +28,8 @@
 //!   once per [`PackedQWeights`] (per call in [`qconv2d`]);
 //! * an 8-channel × 8-position tile accumulates `w₀·x₀ + w₁·x₁` per word —
 //!   under AVX2 one `vpmaddwd` + `vpaddd` per row per channel pair;
-//! * the store is the dequantise above, `(acc − z·Σw) as f32 · (s_w·s_x) + bias`.
+//! * the store is the dequantise above, `(acc − z·Σw) as f32 · (s_w·s_x) + bias`,
+//!   through ReLU when the [`Sink`] asks for it.
 //!
 //! Integer sums are exact in any order while they fit in i32 (asserted when
 //! the weights are packed), so every output bit equals the lowering
@@ -38,8 +40,9 @@
 //! thread, so results are bit-identical across batch sizes and thread
 //! counts.
 
-use crate::ops::conv2d::{patch_offsets, Conv2dShape, NR};
+use crate::ops::conv2d::{patch_offsets, Conv2dShape, ConvBuffers, NR};
 use crate::ops::dispatch;
+use crate::ops::planes::{Planes, Sink, View};
 use crate::tensor::Tensor;
 use seaice_exec::par;
 
@@ -520,26 +523,60 @@ fn qconv(
     let (oh, ow) = shape.output_hw(h, w);
     let mut out = Tensor::zeros(&[n, oc, oh, ow]);
     let plan = QPlan::new(weights, words, bias.as_slice(), shape, act, (c, h, w));
+    let mut pairs = Vec::new();
     // One item after the other, exactly like the f32 conv2d: a batch is
     // at most a few dozen items, far below what `par` would fork for.
     let items = out.as_mut_slice().chunks_exact_mut(oc * oh * ow);
     for (b, out_item) in items.enumerate() {
-        match shape.is_direct() {
-            true => dispatch::qconv_item(&plan, input.batch_item(b), out_item),
-            false => qconv_item_lowered(&plan, input.batch_item(b), out_item),
-        }
+        let x = View::of_slice(input.batch_item(b), (c, h, w));
+        plan.run(x, Sink::plain(out_item, (oc, oh, ow)), &mut pairs);
     }
     out
 }
 
+/// [`qconv2d_packed`] of the one image `src` holds, stored through `dst`
+/// (dequantised, biased and, into a ReLU sink, through ReLU), with the
+/// channel-pair planes quantised into `buf`: the inference walk's int8
+/// convolution. Same bits as [`qconv2d_packed`] (then `relu`).
+///
+/// # Panics
+/// Panics on any shape inconsistency.
+pub fn qconv2d_into(
+    src: &Planes,
+    packed: &PackedQWeights,
+    bias: &Tensor,
+    act: QuantParams,
+    dst: Sink<'_>,
+    buf: &mut ConvBuffers,
+) {
+    let PackedQWeights {
+        weights,
+        shape,
+        words,
+    } = packed;
+    let (c, h, w) = src.dims();
+    assert_eq!(c, shape.in_channels, "input channel mismatch");
+    assert_eq!(bias.shape(), &[shape.out_channels], "bias shape mismatch");
+    let (oh, ow) = shape.output_hw(h, w);
+    assert_eq!(
+        dst.dims(),
+        (shape.out_channels, oh, ow),
+        "conv output mismatch"
+    );
+    let plan = QPlan::new(weights, words, bias.as_slice(), shape, act, (c, h, w));
+    plan.run(src.view(), dst, &mut buf.words);
+}
+
 /// One batch item through the lowering: quantize, unroll, integer-GEMM,
-/// dequantize into `out` (`out_c·oh·ow` f32s). Also the baseline of the
-/// direct front, for a CPU without AVX2: it computes the same bits.
-pub(super) fn qconv_item_lowered(plan: &QPlan, x: &[f32], out: &mut [f32]) {
+/// dequantize through `out`. Also the baseline of the direct front, for a
+/// CPU without AVX2: it computes the same bits (and has no use for the
+/// front's pair planes, `_words`).
+pub(super) fn qconv_item_lowered(plan: &QPlan, x: View, mut out: Sink, _words: &mut Vec<i32>) {
     let ((c, h, w), shape, weights) = (plan.dims, plan.shape, plan.weights);
-    let plane = plan.out_dims.1 * plan.out_dims.2;
+    let (_, oh, ow) = plan.out_dims;
+    let plane = oh * ow;
     let (mut qx, mut cols) = (Vec::new(), Vec::new());
-    quantize_into(x, plan.act, &mut qx);
+    quantize_into(&x.plain(), plan.act, &mut qx);
     let k = shape.kernel;
     im2col_i8(
         &qx,
@@ -562,10 +599,11 @@ pub(super) fn qconv_item_lowered(plan: &QPlan, x: &[f32], out: &mut [f32]) {
         plane,
         &mut acc,
     );
-    let rows = out.chunks_exact_mut(plane).zip(acc.chunks_exact(plane));
-    for (ch, (dst, acc_row)) in rows.enumerate() {
-        for (d, &a) in dst.iter_mut().zip(acc_row) {
-            *d = plan.dequant(ch, a);
+    let relu = out.relu();
+    for (i, acc_row) in acc.chunks_exact(ow).enumerate() {
+        let (ch, y) = (i / oh, i % oh);
+        for (d, &a) in out.cells(ch, y, 0, ow).iter_mut().zip(acc_row) {
+            *d = plan.store(ch, a, relu);
         }
     }
 }
@@ -606,7 +644,7 @@ impl<'a> QPlan<'a> {
             shape,
             act,
             weights,
-            offs: patch_offsets(c.div_ceil(2), shape.kernel, hp, wp),
+            offs: patch_offsets(c.div_ceil(2), shape.kernel, hp, wp).collect(),
             words,
             out_dims: (shape.out_channels, oh, ow),
             corr: weights.row_sums.iter().map(|&s| z * s).collect(),
@@ -615,43 +653,47 @@ impl<'a> QPlan<'a> {
         }
     }
 
-    /// The store epilogue: the lowering's dequantise, term for term.
+    /// One image through the direct front, or through the lowering for
+    /// the geometries `is_direct` excludes.
+    fn run(&self, x: View, out: Sink, words: &mut Vec<i32>) {
+        match self.shape.is_direct() {
+            true => dispatch::qconv_item(self, x, out, words),
+            false => qconv_item_lowered(self, x, out, words),
+        }
+    }
+
+    /// The store epilogue: the lowering's dequantise, term for term, then
+    /// `ops::relu`'s expression when `relu`.
     #[inline(always)]
-    fn dequant(&self, ch: usize, acc: i32) -> f32 {
-        (acc - self.corr[ch]) as f32 * self.deq[ch] + self.bias[ch]
+    fn store(&self, ch: usize, acc: i32, relu: bool) -> f32 {
+        let v = (acc - self.corr[ch]) as f32 * self.deq[ch] + self.bias[ch];
+        match relu {
+            true => v.max(0.0),
+            false => v,
+        }
     }
 }
 
-/// Channel-pair words of one image (see the module docs), haloed.
-struct PairPlanes {
-    words: Vec<i32>,
-    /// Row stride: plane width plus both borders.
-    width: usize,
-}
-
-/// The halo pass: quantises the `c` planes of `x` (`h × w` each) straight
-/// into channel-pair words, with `halo` cells of `z` on every side and an
-/// odd channel count's partner half at `z`, plus `NR` words of slack so
-/// the last tile's lane load stays in bounds (lanes past a row's end are
-/// computed and dropped).
+/// The halo pass: quantises the planes of `x` straight into `words` as
+/// channel-pair words (see the module docs), with `halo` cells of `z` on
+/// every side and an odd channel count's partner half at `z`, plus `NR`
+/// words of slack so the last tile's lane load stays in bounds (lanes past
+/// a row's end are computed and dropped). Returns the row stride.
 #[inline(always)]
-fn quantize_pairs(
-    x: &[f32],
-    (c, h, w): (usize, usize, usize),
-    halo: usize,
-    act: QuantParams,
-) -> PairPlanes {
+fn quantize_pairs(x: View, halo: usize, act: QuantParams, words: &mut Vec<i32>) -> usize {
+    let (c, h, w) = x.dims();
     let (inv, z) = (1.0 / act.scale, f32::from(act.zero_point));
     // Real 0 quantises to the zero point.
     let zb = code_bits(0.0, inv, z);
     let (hp, width) = (h + 2 * halo, w + 2 * halo);
-    let mut words = vec![pair(zb, zb); c.div_ceil(2) * hp * width + NR];
+    words.clear();
+    words.resize(c.div_ceil(2) * hp * width + NR, pair(zb, zb));
     for p in 0..c.div_ceil(2) {
         for y in 0..h {
             let dst = &mut words[(p * hp + y + halo) * width + halo..][..w];
-            let lo = &x[(2 * p * h + y) * w..][..w];
+            let lo = x.row(2 * p, y);
             if 2 * p + 1 < c {
-                let hi = &x[((2 * p + 1) * h + y) * w..][..w];
+                let hi = x.row(2 * p + 1, y);
                 for (d, (&a, &b)) in dst.iter_mut().zip(lo.iter().zip(hi)) {
                     *d = pair(code_bits(a, inv, z), code_bits(b, inv, z));
                 }
@@ -662,7 +704,7 @@ fn quantize_pairs(
             }
         }
     }
-    PairPlanes { words, width }
+    width
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -671,35 +713,45 @@ pub(super) use avx2::qconv_item_avx2;
 /// The direct int8 kernel, on safe value intrinsics only.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{quantize_pairs, PairPlanes, QPlan, NR, QR};
+    use super::{quantize_pairs, QPlan, NR, QR};
+    use crate::ops::planes::{Sink, View};
     use std::arch::x86_64::{
         __m256i, _mm256_add_epi32, _mm256_extract_epi32, _mm256_madd_epi16, _mm256_set1_epi32,
         _mm256_setr_epi32, _mm256_setzero_si256,
     };
 
-    /// One image: the halo pass, then output channels `QR` at a time.
+    /// One image: the halo pass into `words`, then output channels `QR`
+    /// at a time.
     #[target_feature(enable = "avx2")]
-    pub(in crate::ops) fn qconv_item_avx2(plan: &QPlan, x: &[f32], out: &mut [f32]) {
-        let src = quantize_pairs(x, plan.dims, plan.shape.pad, plan.act);
+    pub(in crate::ops) fn qconv_item_avx2(
+        plan: &QPlan,
+        x: View,
+        mut out: Sink,
+        words: &mut Vec<i32>,
+    ) {
+        let width = quantize_pairs(x, plan.shape.pad, plan.act, words);
         let (oc, taps) = (plan.out_dims.0, plan.offs.len());
         for ch0 in (0..oc).step_by(QR) {
-            block(plan, &src, &plan.words[ch0 * taps..][..taps * QR], ch0, out);
+            let w = &plan.words[ch0 * taps..][..taps * QR];
+            block(plan, (words, width), w, ch0, &mut out);
         }
     }
 
     /// Runs [`tile`] over the output planes of the `QR` channels from `ch0`
-    /// on; channels past the last are zero words, computed and dropped.
+    /// on, reading the pair planes `src` (words, row stride); channels past
+    /// the last are zero words, computed and dropped.
     #[target_feature(enable = "avx2")]
     #[inline]
-    fn block(plan: &QPlan, src: &PairPlanes, w: &[i32], ch0: usize, out: &mut [f32]) {
+    fn block(plan: &QPlan, src: (&[i32], usize), w: &[i32], ch0: usize, out: &mut Sink) {
         let (oc, oh, ow) = plan.out_dims;
+        let relu = out.relu();
         for y in 0..oh {
             for x0 in (0..ow).step_by(NR) {
-                let acc = tile(&src.words, y * src.width + x0, &plan.offs, w);
+                let acc = tile(src.0, y * src.1 + x0, &plan.offs, w);
                 let n = NR.min(ow - x0);
                 for (ch, acc) in (ch0..oc).zip(acc) {
-                    let store = |(d, a): (&mut f32, i32)| *d = plan.dequant(ch, a);
-                    let dst = &mut out[(ch * oh + y) * ow + x0..][..n];
+                    let store = |(d, a): (&mut f32, i32)| *d = plan.store(ch, a, relu);
+                    let dst = out.cells(ch, y, x0, n);
                     // A whole tile's row vectorises into one store; a
                     // row's tail goes lane by lane.
                     match <&mut [f32; NR]>::try_from(&mut *dst) {
@@ -873,17 +925,22 @@ mod tests {
                 }
 
                 // The halo pass: both halves of every word, an odd channel
-                // count's partner half, and the halo itself.
+                // count's partner half, and the halo itself — read from a
+                // plain image and from the same image in haloed planes.
                 let n = xs.len() / 2;
                 let (w, h) = (n.div_ceil(4), 4);
                 let mut img = xs[..2 * n].to_vec();
                 img.resize(2 * w * h, 0.0);
-                let planes = quantize_pairs(&img, (2, h, w), 1, qp);
-                let odd = quantize_pairs(&img[..w * h], (1, h, w), 1, qp);
+                let (mut planes, mut odd, mut haloed) = (Vec::new(), Vec::new(), Vec::new());
+                let width = quantize_pairs(View::of_slice(&img, (2, h, w)), 1, qp, &mut planes);
+                quantize_pairs(View::of_slice(&img[..w * h], (1, h, w)), 1, qp, &mut odd);
+                let src = Planes::haloed(&img, (2, h, w), 1);
+                quantize_pairs(src.view(), 1, qp, &mut haloed);
+                assert_eq!(haloed, planes, "pair words from haloed planes, {case}");
                 let z = qp.zero_point;
                 for y in 0..h + 2 {
                     for x in 0..w + 2 {
-                        let at = y * planes.width + x;
+                        let at = y * width + x;
                         let inside = (1..=h).contains(&y) && (1..=w).contains(&x);
                         let i = (y.max(1) - 1) * w + x.max(1) - 1;
                         let (lo, hi) = match inside {
@@ -894,12 +951,8 @@ mod tests {
                             false => (z, z),
                         };
                         let v = img[i];
-                        assert_eq!(
-                            halves(planes.words[at]),
-                            (lo, hi),
-                            "pair word at {v:e}, {case}"
-                        );
-                        assert_eq!(halves(odd.words[at]), (lo, z), "odd word at {v:e}, {case}");
+                        assert_eq!(halves(planes[at]), (lo, hi), "pair word at {v:e}, {case}");
+                        assert_eq!(halves(odd[at]), (lo, z), "odd word at {v:e}, {case}");
                     }
                 }
             }
@@ -1113,8 +1166,13 @@ mod tests {
             let plan = QPlan::new(&weights, &words, bias.as_slice(), &shape, act, dims);
             let (oh, ow) = shape.output_hw(side, side);
             let (mut y, mut y0) = (vec![0.0; oc * oh * ow], vec![0.0; oc * oh * ow]);
-            dispatch::qconv_item(&plan, x.as_slice(), &mut y);
-            qconv_item_lowered(&plan, x.as_slice(), &mut y0);
+            let (x, out_dims, words) = (
+                View::of_slice(x.as_slice(), dims),
+                (oc, oh, ow),
+                &mut vec![],
+            );
+            dispatch::qconv_item(&plan, x, Sink::plain(&mut y, out_dims), words);
+            qconv_item_lowered(&plan, x, Sink::plain(&mut y0, out_dims), words);
             for (j, (g, w)) in y.iter().zip(&y0).enumerate() {
                 assert_eq!(
                     g.to_bits(),
@@ -1123,5 +1181,43 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// `qconv2d_into` from haloed planes into a ReLU sink equals `relu` of
+    /// `qconv2d_packed`, bit for bit, and stores nothing outside its
+    /// channels' interior.
+    #[test]
+    fn int8_store_into_haloed_planes_equals_relu_of_qconv2d() {
+        let (c, oc, side) = (5, 6, 9);
+        let shape = Conv2dShape {
+            in_channels: c,
+            out_channels: oc,
+            kernel: 3,
+            stride: 1,
+            pad: 1,
+        };
+        let x = uniform(&[1, c, side, side], -1.0, 1.0, 77);
+        let packed = PackedQWeights::new(
+            quantize_weights(&uniform(&[oc, c * 9], -0.5, 0.5, 78)),
+            shape,
+        );
+        let bias = uniform(&[oc], -0.5, 0.5, 79);
+        let act = QuantParams::from_range(-1.0, 1.0);
+        let want = crate::ops::relu(&qconv2d_packed(&x, &packed, &bias, act));
+        let src = Planes::haloed(x.as_slice(), (c, side, side), 1);
+        let mut dst = Planes::new((oc + 2, side, side), 1);
+        let sink = Sink::planes(&mut dst, 1, oc).through_relu();
+        qconv2d_into(&src, &packed, &bias, act, sink, &mut ConvBuffers::default());
+        let got = dst.interior();
+        let plane = side * side;
+        assert!(got[..plane]
+            .iter()
+            .chain(&got[(oc + 1) * plane..])
+            .all(|v| *v == 0.0));
+        let bits = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got[plane..(oc + 1) * plane]), bits(want.as_slice()));
+        let cells: f32 = dst.data().iter().map(|v| v.abs()).sum();
+        let interior: f32 = got.iter().map(|v| v.abs()).sum();
+        assert_eq!(cells, interior, "a store landed in the border or the slack");
     }
 }

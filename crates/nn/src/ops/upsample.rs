@@ -1,6 +1,7 @@
 //! 2× nearest-neighbour upsampling (the paper's expansion-path
 //! "up-sampling of the feature map" step).
 
+use crate::ops::planes::{Planes, Sink};
 use crate::tensor::Tensor;
 
 /// Forward 2× nearest-neighbour upsample: each input pixel becomes a 2×2
@@ -27,6 +28,24 @@ pub fn upsample2x(input: &Tensor) -> Tensor {
         }
     }
     out
+}
+
+/// [`upsample2x`] of `src`'s interior into `dst`: the inference walk's
+/// upsample, straight into the next convolution's haloed input.
+///
+/// # Panics
+/// Panics unless `dst` takes `src`'s channels at twice its side.
+pub fn upsample2x_into(src: &Planes, mut dst: Sink<'_>) {
+    let (c, h, w) = src.dims();
+    assert_eq!(dst.dims(), (c, 2 * h, 2 * w), "upsample output mismatch");
+    for ch in 0..c {
+        for y in 0..2 * h {
+            let row = src.row(ch, y / 2);
+            for (x, d) in dst.cells(ch, y, 0, 2 * w).iter_mut().enumerate() {
+                *d = row[x / 2];
+            }
+        }
+    }
 }
 
 /// Backward 2× upsample: each input position accumulates the gradients of

@@ -29,6 +29,7 @@ pub mod config;
 pub mod model;
 pub mod quant;
 pub mod train;
+mod walk;
 
 pub use config::{UNetConfig, UpMode};
 pub use model::UNet;

@@ -1,15 +1,20 @@
 //! The U-Net model: encoder/decoder assembly over `seaice-nn` layers,
 //! with explicit forward and backward passes threading the skip
-//! connections.
+//! connections. Training runs the layers; inference runs the shared eval
+//! walk (`walk.rs`).
 
 use crate::config::{UNetConfig, UpMode};
+use crate::walk::{self, Arena, Step, Transposed};
 use seaice_nn::layers::{
     Conv2d, ConvTranspose2d, Dropout, Layer, MaxPool2x2, Param, Relu, Upsample2x,
 };
 use seaice_nn::ops::conv2d::Conv2dShape;
 use seaice_nn::ops::convtranspose::ConvTranspose2dShape;
-use seaice_nn::ops::{concat_channels, concat_channels_backward};
+use seaice_nn::ops::{
+    concat_channels, concat_channels_backward, conv2d_into, ConvBuffers, Planes, Sink,
+};
 use seaice_nn::Tensor;
+use std::borrow::Cow;
 
 /// Two 3×3 "same" convolutions with ReLUs and dropout in between — the
 /// repeated building block of both U-Net paths.
@@ -42,12 +47,13 @@ impl DoubleConv {
         }
     }
 
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let h = self.conv1.forward(x, train);
-        let h = self.relu1.forward(&h, train);
-        let h = self.drop.forward(&h, train);
-        let h = self.conv2.forward(&h, train);
-        self.relu2.forward(&h, train)
+    /// The training forward (eval runs the walk).
+    fn forward(&mut self, x: &Tensor) -> Tensor {
+        let h = self.conv1.forward(x, true);
+        let h = self.relu1.forward(&h, true);
+        let h = self.drop.forward(&h, true);
+        let h = self.conv2.forward(&h, true);
+        self.relu2.forward(&h, true)
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
@@ -96,13 +102,13 @@ impl Up {
         }
     }
 
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+    fn forward(&mut self, x: &Tensor) -> Tensor {
         match self {
             Up::Resize { up, conv } => {
-                let u = up.forward(x, train);
-                conv.forward(&u, train)
+                let u = up.forward(x, true);
+                conv.forward(&u, true)
             }
-            Up::Transposed(t) => t.forward(x, train),
+            Up::Transposed(t) => t.forward(x, true),
         }
     }
 
@@ -150,11 +156,11 @@ impl Decoder {
         }
     }
 
-    fn forward(&mut self, x: &Tensor, skip: &Tensor, train: bool) -> Tensor {
-        let u = self.up.forward(x, train);
-        let u = self.up_relu.forward(&u, train);
+    fn forward(&mut self, x: &Tensor, skip: &Tensor) -> Tensor {
+        let u = self.up.forward(x);
+        let u = self.up_relu.forward(&u, true);
         let cat = concat_channels(skip, &u);
-        self.block.forward(&cat, train)
+        self.block.forward(&cat)
     }
 
     /// Returns `(grad_skip, grad_input)`.
@@ -181,8 +187,10 @@ pub struct UNet {
     pub(crate) bottleneck: DoubleConv,
     pub(crate) decoders: Vec<Decoder>,
     pub(crate) head: Conv2d,
-    /// Cached skip activations from the most recent forward pass.
+    /// Cached skip activations from the most recent training forward pass.
     skips: Vec<Tensor>,
+    /// The eval walk's planes, reused across calls.
+    arena: Arena,
 }
 
 impl UNet {
@@ -242,6 +250,7 @@ impl UNet {
             decoders,
             head,
             skips: Vec::new(),
+            arena: Arena::default(),
         }
     }
 
@@ -251,27 +260,32 @@ impl UNet {
     }
 
     /// Forward pass: `[n, in_c, s, s]` → `[n, classes, s, s]` logits.
+    /// `train` runs the layers, caching what [`UNet::backward`] needs;
+    /// eval mode runs the inference walk, which caches nothing.
     ///
     /// # Panics
     /// Panics if the input side is not a multiple of `2^depth`.
     pub fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let (_, _, h, w) = x.nchw();
-        assert_eq!(h, w, "U-Net inputs are square");
-        self.config.assert_input_side(h);
+        if !train {
+            let (n, s) = (x.nchw().0, self.eval(x));
+            let logits = std::mem::take(&mut self.arena.logits);
+            return Tensor::from_vec(&[n, self.config.num_classes, s, s], logits);
+        }
+        self.input_side(x);
 
         self.skips.clear();
-        let mut cur = x.clone();
+        let mut cur = Cow::Borrowed(x);
         for (enc, pool) in self.encoders.iter_mut().zip(&mut self.pools) {
-            let feat = enc.forward(&cur, train);
-            cur = pool.forward(&feat, train);
+            let feat = enc.forward(&cur);
+            cur = Cow::Owned(pool.forward(&feat, true));
             self.skips.push(feat);
         }
-        cur = self.bottleneck.forward(&cur, train);
+        let mut cur = self.bottleneck.forward(&cur);
         for (i, dec) in self.decoders.iter_mut().enumerate() {
             let skip = &self.skips[self.config.depth - 1 - i];
-            cur = dec.forward(&cur, skip, train);
+            cur = dec.forward(&cur, skip);
         }
-        self.head.forward(&cur, train)
+        self.head.forward(&cur, true)
     }
 
     /// Backward pass from the loss gradient on the logits. Accumulates
@@ -340,19 +354,82 @@ impl UNet {
     /// classified in a batch of any size gets bit-identical predictions
     /// to the same tile classified alone.
     pub fn predict_into(&mut self, x: &Tensor, out: &mut Vec<u8>) {
-        let logits = self.forward(x, false);
-        argmax_classes(&logits, out);
+        let s = self.eval(x);
+        argmax_classes(&self.arena.logits, self.config.num_classes, s * s, out);
+    }
+
+    /// The side of `x`, which must be square and fit the architecture.
+    fn input_side(&self, x: &Tensor) -> usize {
+        let (_, _, h, w) = x.nchw();
+        assert_eq!(h, w, "U-Net inputs are square");
+        self.config.assert_input_side(h);
+        h
+    }
+
+    /// The eval walk of `x` into the arena's logits; returns the side.
+    fn eval(&mut self, x: &Tensor) -> usize {
+        let side = self.input_side(x);
+        let mut arena = std::mem::take(&mut self.arena);
+        walk::walk(&self.config, &mut Eval::new(self), &mut arena, x);
+        self.arena = arena;
+        side
+    }
+
+    /// Every [`Conv2d`], in walk order (see [`Step::conv`]).
+    pub(crate) fn convs(&self) -> Vec<&Conv2d> {
+        let blocks = self.encoders.iter().chain([&self.bottleneck]);
+        let mut convs: Vec<&Conv2d> = blocks.flat_map(|b| [&b.conv1, &b.conv2]).collect();
+        for dec in &self.decoders {
+            if let Up::Resize { conv, .. } = &dec.up {
+                convs.push(conv);
+            }
+            convs.extend([&dec.block.conv1, &dec.block.conv2]);
+        }
+        convs.push(&self.head);
+        convs
     }
 }
 
-/// Per-pixel argmax over `[n, classes, h, w]` logits into a reused mask
-/// buffer — shared by the f32 and the int8
+/// The f32 network's step of the eval walk: every convolution through
+/// `conv2d_into`.
+pub(crate) struct Eval<'a> {
+    convs: Vec<&'a Conv2d>,
+    decoders: &'a [Decoder],
+}
+
+impl<'a> Eval<'a> {
+    pub(crate) fn new(net: &'a UNet) -> Self {
+        Self {
+            convs: net.convs(),
+            decoders: &net.decoders,
+        }
+    }
+}
+
+impl Step for Eval<'_> {
+    fn conv(&mut self, k: usize, src: &Planes, dst: Sink<'_>, buf: &mut ConvBuffers) {
+        let c = self.convs[k];
+        conv2d_into(src, &c.weight().value, &c.bias().value, c.shape(), dst, buf);
+    }
+
+    fn transposed(&self, i: usize) -> Option<Transposed<'_>> {
+        match &self.decoders[i].up {
+            Up::Transposed(t) => Some(Transposed {
+                weight: &t.weight().value,
+                bias: &t.bias().value,
+                shape: t.shape(),
+            }),
+            Up::Resize { .. } => None,
+        }
+    }
+}
+
+/// Per-pixel argmax over `[n, classes, h, w]` logits (`plane = h · w`) into
+/// a reused mask buffer — shared by the f32 and the int8
 /// ([`crate::quant::QuantizedUNet`]) prediction paths so both backends
 /// break logit ties identically (first-best wins).
-pub(crate) fn argmax_classes(logits: &Tensor, out: &mut Vec<u8>) {
-    let (n, k, h, w) = logits.nchw();
-    let plane = h * w;
-    let data = logits.as_slice();
+pub(crate) fn argmax_classes(data: &[f32], k: usize, plane: usize, out: &mut Vec<u8>) {
+    let n = data.len() / (k * plane);
     out.clear();
     out.resize(n * plane, 0u8);
     for b in 0..n {
@@ -518,6 +595,79 @@ mod tests {
             after < before,
             "training must reduce loss: {before} → {after}"
         );
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// With dropout 0 the training forward computes what eval computes, so
+    /// the layer path is an oracle for the walk, bit for bit, in both up
+    /// modes and at batch 1 and 3.
+    #[test]
+    fn the_eval_walk_equals_the_layer_path_bit_for_bit() {
+        for up_mode in [UpMode::UpsampleConv, UpMode::Transposed] {
+            let mut net = UNet::new(UNetConfig {
+                up_mode,
+                ..tiny_config()
+            });
+            for (n, seed) in [(1, 31), (3, 32)] {
+                let x = uniform(&[n, 3, 16, 16], -0.5, 1.0, seed);
+                let layers = net.forward(&x, true);
+                assert_eq!(
+                    bits(&net.forward(&x, false)),
+                    bits(&layers),
+                    "{up_mode:?}, n = {n}"
+                );
+            }
+        }
+    }
+
+    /// The arena re-sizes on a side change and back again: 64²·1 → 16²·3 →
+    /// 64²·1 on one model gives a fresh model's bits at every call.
+    #[test]
+    fn arena_reuse_across_sides_matches_fresh_models() {
+        let mut reused = UNet::new(tiny_config());
+        for (n, side, seed) in [(1, 64, 41), (3, 16, 42), (1, 64, 43)] {
+            let x = uniform(&[n, 3, side, side], 0.0, 1.0, seed);
+            let fresh = UNet::new(tiny_config()).forward(&x, false);
+            assert_eq!(
+                bits(&reused.forward(&x, false)),
+                bits(&fresh),
+                "{n} × {side}²"
+            );
+            let mut mask = Vec::new();
+            reused.predict_into(&x, &mut mask);
+            assert_eq!(
+                mask,
+                UNet::new(tiny_config()).predict(&x),
+                "{n} × {side}² mask"
+            );
+        }
+    }
+
+    /// An eval call between training steps leaves training intact: the
+    /// step after it equals the same step on a model that never evaluated.
+    #[test]
+    fn training_after_an_eval_call_still_trains() {
+        let x = uniform(&[2, 3, 16, 16], 0.0, 1.0, 51);
+        let targets: Vec<u8> = (0..512).map(|i| (i % 3) as u8).collect();
+        let step = |net: &mut UNet, eval_first: bool| {
+            if eval_first {
+                net.forward(&uniform(&[1, 3, 32, 32], 0.0, 1.0, 52), false);
+            }
+            net.zero_grads();
+            let lo = softmax_cross_entropy(&net.forward(&x, true), &targets);
+            net.backward(&lo.grad);
+            net.params_mut()
+                .iter()
+                .map(|p| bits(&p.grad))
+                .collect::<Vec<_>>()
+        };
+        let (mut a, mut b) = (UNet::new(tiny_config()), UNet::new(tiny_config()));
+        let grads = step(&mut a, true);
+        assert_eq!(grads, step(&mut b, false));
+        assert!(a.params_mut().iter().all(|p| p.grad.max_abs() > 0.0));
     }
 
     #[test]

@@ -5,19 +5,19 @@
 //!
 //! The quantized network is a *frozen twin* of the f32 model:
 //!
-//! 1. [`UNet::quantize`] replays the eval-mode forward over every tensor
-//!    in a [`CalibrationSet`], recording the min/max of each
-//!    convolution's input (the only tensors that get quantized — ReLU,
-//!    max-pool, upsample, and concatenation run in f32 on the
+//! 1. [`UNet::quantize`] runs the eval walk (`walk.rs`) over every
+//!    tensor in a [`CalibrationSet`] with a step that records the min/max
+//!    of each convolution's input (the only tensors that get quantized —
+//!    ReLU, max-pool, upsample, and concatenation run in f32 on the
 //!    dequantized activations, which costs little and keeps the skip
-//!    topology exact).
+//!    topology exact) before running the f32 convolution.
 //! 2. Each conv becomes a [`QConv`]: per-channel symmetric int8 weights,
 //!    packed as channel-pair words when the network is built (so a forward
 //!    pass packs nothing), plus the calibrated per-tensor input
 //!    `(scale, zero_point)`.
-//! 3. [`QuantizedUNet::forward`] mirrors [`UNet::forward`] exactly
-//!    (eval mode — dropout is identity), swapping `conv2d` for
-//!    `qconv2d_packed`.
+//! 3. [`QuantizedUNet::forward`] runs the same walk as [`UNet::forward`]
+//!    in eval mode (dropout is identity), with a step that swaps
+//!    `conv2d_into` for `qconv2d_into`.
 //!
 //! Determinism: calibration iterates the set in order, integer
 //! accumulation is exact in any order, and every output element is one
@@ -29,11 +29,12 @@
 //! kernel runs, and the paper configuration uses `UpsampleConv`.
 
 use crate::config::UNetConfig;
-use crate::model::{self, UNet, Up};
+use crate::model::{self, Eval, UNet, Up};
+use crate::walk::{self, Arena, SharedArena, Step, Transposed};
 use seaice_nn::layers::Conv2d;
 use seaice_nn::ops::{
-    self, convtranspose::ConvTranspose2dShape, quant::qconv2d_packed, quant::quantize_weights,
-    quant::PackedQWeights, quant::QuantParams,
+    convtranspose::ConvTranspose2dShape, qconv2d_into, quant::quantize_weights,
+    quant::PackedQWeights, quant::QuantParams, ConvBuffers, Planes, Sink,
 };
 use seaice_nn::Tensor;
 
@@ -126,41 +127,21 @@ impl Range {
         }
     }
 
-    fn observe(&mut self, t: &Tensor) {
-        for &v in t.as_slice() {
-            if v < self.lo {
-                self.lo = v;
+    /// Widens the range to the interior of `planes`.
+    fn observe(&mut self, planes: &Planes) {
+        let (c, h, _) = planes.dims();
+        for v in (0..c * h).flat_map(|i| planes.row(i / h, i % h)) {
+            if *v < self.lo {
+                self.lo = *v;
             }
-            if v > self.hi {
-                self.hi = v;
+            if *v > self.hi {
+                self.hi = *v;
             }
         }
     }
 
     fn params(self) -> QuantParams {
         QuantParams::from_range(self.lo, self.hi)
-    }
-}
-
-/// One min/max observer per convolution input, laid out to mirror the
-/// network: `[conv1, conv2]` per encoder level and for the bottleneck,
-/// `[up_conv, block conv1, block conv2]` per decoder step, plus the
-/// 1×1 head.
-struct Observers {
-    enc: Vec<[Range; 2]>,
-    bottleneck: [Range; 2],
-    dec: Vec<[Range; 3]>,
-    head: Range,
-}
-
-impl Observers {
-    fn for_depth(depth: usize) -> Self {
-        Self {
-            enc: vec![[Range::empty(); 2]; depth],
-            bottleneck: [Range::empty(); 2],
-            dec: vec![[Range::empty(); 3]; depth],
-            head: Range::empty(),
-        }
     }
 }
 
@@ -183,76 +164,37 @@ impl QConv {
         }
     }
 
-    fn forward(&self, x: &Tensor) -> Tensor {
-        qconv2d_packed(x, &self.weights, &self.bias, self.input_q)
-    }
-
     /// The calibrated input quantization parameters.
     pub fn input_params(&self) -> QuantParams {
         self.input_q
     }
 }
 
-/// Quantized double convolution (conv → ReLU → conv → ReLU; dropout is
-/// identity at inference and drops out of the quantized graph).
+/// A decoder's transposed up-convolution, kept in f32 (see the module
+/// docs).
 #[derive(Clone, Debug, PartialEq)]
-struct QDoubleConv {
-    conv1: QConv,
-    conv2: QConv,
-}
-
-impl QDoubleConv {
-    fn forward(&self, x: &Tensor) -> Tensor {
-        let h = ops::relu(&self.conv1.forward(x));
-        ops::relu(&self.conv2.forward(&h))
-    }
-}
-
-/// Quantized decoder up-path. The transposed variant keeps its f32
-/// weights (see the module docs).
-#[derive(Clone, Debug, PartialEq)]
-enum QUp {
-    Resize(QConv),
-    Transposed {
-        weight: Tensor,
-        bias: Tensor,
-        shape: ConvTranspose2dShape,
-    },
-}
-
-impl QUp {
-    fn forward(&self, x: &Tensor) -> Tensor {
-        match self {
-            QUp::Resize(conv) => conv.forward(&ops::upsample2x(x)),
-            QUp::Transposed {
-                weight,
-                bias,
-                shape,
-            } => ops::conv_transpose2d(x, weight, bias, shape),
-        }
-    }
-}
-
-/// One quantized decoder step: up-path, ReLU, skip concatenation,
-/// double convolution.
-#[derive(Clone, Debug, PartialEq)]
-struct QDecoder {
-    up: QUp,
-    block: QDoubleConv,
+struct QTransposed {
+    weight: Tensor,
+    bias: Tensor,
+    shape: ConvTranspose2dShape,
 }
 
 /// The int8 twin of a trained [`UNet`], produced by [`UNet::quantize`].
 ///
-/// Inference-only: there is no backward pass and no mutable state, so a
-/// replica can be [`Clone`]d cheaply (relative to requantizing) when a
-/// serving worker needs a fresh copy after a panic.
+/// Inference-only: there is no backward pass and no model state that
+/// changes, so a replica can be [`Clone`]d cheaply (relative to
+/// requantizing) when a serving worker needs a fresh copy after a panic.
+/// The eval walk's planes are kept between calls but are not model state:
+/// a clone starts without them and `==` ignores them.
 #[derive(Clone, Debug, PartialEq)]
 pub struct QuantizedUNet {
     config: UNetConfig,
-    encoders: Vec<QDoubleConv>,
-    bottleneck: QDoubleConv,
-    decoders: Vec<QDecoder>,
-    head: QConv,
+    /// Every convolution, in walk order.
+    convs: Vec<QConv>,
+    /// Per decoder step, its transposed up-convolution; empty for
+    /// `UpMode::UpsampleConv`.
+    transposed: Vec<QTransposed>,
+    arena: SharedArena,
 }
 
 impl QuantizedUNet {
@@ -262,32 +204,25 @@ impl QuantizedUNet {
     }
 
     /// Forward pass: `[n, in_c, s, s]` → `[n, classes, s, s]` f32
-    /// logits, mirroring [`UNet::forward`] in eval mode with int8
-    /// convolutions.
+    /// logits: the eval walk of [`UNet::forward`] with int8 convolutions.
     ///
     /// # Panics
     /// Panics if the input side is not a multiple of `2^depth`.
     pub fn forward(&self, x: &Tensor) -> Tensor {
+        let (n, _, s, _) = x.nchw();
+        let logits = self.eval(x, |arena| std::mem::take(&mut arena.logits));
+        Tensor::from_vec(&[n, self.config.num_classes, s, s], logits)
+    }
+
+    /// The eval walk of `x`, then `f` on the arena holding its logits.
+    fn eval<R>(&self, x: &Tensor, f: impl FnOnce(&mut Arena) -> R) -> R {
         let (_, _, h, w) = x.nchw();
         assert_eq!(h, w, "U-Net inputs are square");
         self.config.assert_input_side(h);
-
-        let mut skips = Vec::with_capacity(self.config.depth);
-        let mut cur = x.clone();
-        for enc in &self.encoders {
-            let feat = enc.forward(&cur);
-            let (pooled, _) = ops::maxpool2x2(&feat);
-            skips.push(feat);
-            cur = pooled;
-        }
-        cur = self.bottleneck.forward(&cur);
-        for (i, dec) in self.decoders.iter().enumerate() {
-            let skip = &skips[self.config.depth - 1 - i];
-            let u = ops::relu(&dec.up.forward(&cur));
-            let cat = ops::concat_channels(skip, &u);
-            cur = dec.block.forward(&cat);
-        }
-        self.head.forward(&cur)
+        self.arena.with(|arena| {
+            walk::walk(&self.config, &mut Int8(self), arena, x);
+            f(arena)
+        })
     }
 
     /// Per-pixel class predictions: argmax over the logits.
@@ -302,8 +237,47 @@ impl QuantizedUNet {
     /// contract as [`UNet::predict_into`], including batch-item
     /// independence.
     pub fn predict_into(&self, x: &Tensor, out: &mut Vec<u8>) {
-        let logits = self.forward(x);
-        model::argmax_classes(&logits, out);
+        let (classes, plane) = (self.config.num_classes, x.nchw().2 * x.nchw().3);
+        self.eval(x, |arena| {
+            model::argmax_classes(&arena.logits, classes, plane, out)
+        });
+    }
+}
+
+/// The int8 twin's step of the eval walk: every convolution through
+/// `qconv2d_into`.
+struct Int8<'a>(&'a QuantizedUNet);
+
+impl Step for Int8<'_> {
+    fn conv(&mut self, k: usize, src: &Planes, dst: Sink<'_>, buf: &mut ConvBuffers) {
+        let c = &self.0.convs[k];
+        qconv2d_into(src, &c.weights, &c.bias, c.input_q, dst, buf);
+    }
+
+    fn transposed(&self, i: usize) -> Option<Transposed<'_>> {
+        self.0.transposed.get(i).map(|t| Transposed {
+            weight: &t.weight,
+            bias: &t.bias,
+            shape: &t.shape,
+        })
+    }
+}
+
+/// Calibration's step of the eval walk: observe each convolution's input
+/// range, then run the f32 convolution.
+struct Calibrate<'a> {
+    f32: Eval<'a>,
+    ranges: &'a mut [Range],
+}
+
+impl Step for Calibrate<'_> {
+    fn conv(&mut self, k: usize, src: &Planes, dst: Sink<'_>, buf: &mut ConvBuffers) {
+        self.ranges[k].observe(src);
+        self.f32.conv(k, src, dst, buf);
+    }
+
+    fn transposed(&self, i: usize) -> Option<Transposed<'_>> {
+        self.f32.transposed(i)
     }
 }
 
@@ -363,98 +337,44 @@ impl UNet {
                 .map_err(|e| format!("calibration input {i}: {e}"))?;
         }
 
-        let mut obs = Observers::for_depth(cfg.depth);
+        let convs = self.convs();
+        let mut ranges = vec![Range::empty(); convs.len()];
+        let mut arena = Arena::default();
         for x in calib.inputs() {
-            self.observe(x, &mut obs);
+            self.observe(x, &mut ranges, &mut arena);
         }
-
-        let encoders = self
-            .encoders
-            .iter()
-            .zip(&obs.enc)
-            .map(|(enc, r)| QDoubleConv {
-                conv1: QConv::build(&enc.conv1, r[0]),
-                conv2: QConv::build(&enc.conv2, r[1]),
-            })
-            .collect();
-        let bottleneck = QDoubleConv {
-            conv1: QConv::build(&self.bottleneck.conv1, obs.bottleneck[0]),
-            conv2: QConv::build(&self.bottleneck.conv2, obs.bottleneck[1]),
-        };
-        let decoders = self
+        let transposed = self
             .decoders
             .iter()
-            .zip(&obs.dec)
-            .map(|(dec, r)| QDecoder {
-                up: match &dec.up {
-                    Up::Resize { conv, .. } => QUp::Resize(QConv::build(conv, r[0])),
-                    Up::Transposed(t) => QUp::Transposed {
-                        weight: t.weight().value.clone(),
-                        bias: t.bias().value.clone(),
-                        shape: *t.shape(),
-                    },
-                },
-                block: QDoubleConv {
-                    conv1: QConv::build(&dec.block.conv1, r[1]),
-                    conv2: QConv::build(&dec.block.conv2, r[2]),
-                },
+            .filter_map(|dec| match &dec.up {
+                Up::Transposed(t) => Some(QTransposed {
+                    weight: t.weight().value.clone(),
+                    bias: t.bias().value.clone(),
+                    shape: *t.shape(),
+                }),
+                Up::Resize { .. } => None,
             })
             .collect();
-        let head = QConv::build(&self.head, obs.head);
-
         Ok(QuantizedUNet {
             config: cfg,
-            encoders,
-            bottleneck,
-            decoders,
-            head,
+            convs: convs
+                .iter()
+                .zip(ranges)
+                .map(|(c, r)| QConv::build(c, r))
+                .collect(),
+            transposed,
+            arena: SharedArena::default(),
         })
     }
 
-    /// Replays the eval-mode forward pass with raw f32 ops (no layer
-    /// caching), recording each convolution's input range.
-    fn observe(&self, x: &Tensor, obs: &mut Observers) {
-        let conv =
-            |c: &Conv2d, x: &Tensor| ops::conv2d(x, &c.weight().value, &c.bias().value, c.shape());
-
-        let mut skips = Vec::with_capacity(self.config().depth);
-        let mut cur = x.clone();
-        for (level, enc) in self.encoders.iter().enumerate() {
-            obs.enc[level][0].observe(&cur);
-            let h = ops::relu(&conv(&enc.conv1, &cur));
-            obs.enc[level][1].observe(&h);
-            let feat = ops::relu(&conv(&enc.conv2, &h));
-            let (pooled, _) = ops::maxpool2x2(&feat);
-            skips.push(feat);
-            cur = pooled;
-        }
-
-        obs.bottleneck[0].observe(&cur);
-        let h = ops::relu(&conv(&self.bottleneck.conv1, &cur));
-        obs.bottleneck[1].observe(&h);
-        cur = ops::relu(&conv(&self.bottleneck.conv2, &h));
-
-        for (i, dec) in self.decoders.iter().enumerate() {
-            let skip = &skips[self.config().depth - 1 - i];
-            let u = match &dec.up {
-                Up::Resize { conv: c, .. } => {
-                    let up = ops::upsample2x(&cur);
-                    obs.dec[i][0].observe(&up);
-                    conv(c, &up)
-                }
-                Up::Transposed(t) => {
-                    ops::conv_transpose2d(&cur, &t.weight().value, &t.bias().value, t.shape())
-                }
-            };
-            let u = ops::relu(&u);
-            let cat = ops::concat_channels(skip, &u);
-            obs.dec[i][1].observe(&cat);
-            let h = ops::relu(&conv(&dec.block.conv1, &cat));
-            obs.dec[i][2].observe(&h);
-            cur = ops::relu(&conv(&dec.block.conv2, &h));
-        }
-
-        obs.head.observe(&cur);
+    /// Runs the eval walk over `x`, widening `ranges[k]` to the input of
+    /// convolution `k` (walk order).
+    fn observe(&self, x: &Tensor, ranges: &mut [Range], arena: &mut Arena) {
+        let mut step = Calibrate {
+            f32: Eval::new(self),
+            ranges,
+        };
+        walk::walk(self.config(), &mut step, arena, x);
     }
 }
 
@@ -587,6 +507,22 @@ mod tests {
             let item = Tensor::from_vec(&[1, 3, 16, 16], x.batch_item(b).to_vec());
             q.predict_into(&item, &mut solo);
             assert_eq!(solo, &batched[b * 256..(b + 1) * 256], "item {b}");
+        }
+    }
+
+    /// The int8 twin's arena re-sizes on a side change and back again,
+    /// and a clone (which starts without one) computes the same bits.
+    #[test]
+    fn int8_arena_reuse_across_sides_matches_a_fresh_clone() {
+        let q = tiny(UpMode::UpsampleConv).quantize(&calib(16, 2)).unwrap();
+        for (n, side, seed) in [(1, 64, 61), (3, 16, 62), (1, 64, 63)] {
+            let x = uniform(&[n, 3, side, side], 0.0, 1.0, seed);
+            let bits = |t: Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(q.forward(&x)),
+                bits(q.clone().forward(&x)),
+                "{n} × {side}²"
+            );
         }
     }
 }
