@@ -139,10 +139,18 @@ pub fn min_max_normalize_f32(src: &Image<f32>, out_lo: f32, out_hi: f32) -> Imag
 /// `cv::addWeighted` with complementary weights.
 pub fn blend(a: &Image<u8>, b: &Image<u8>, alpha: f32) -> Image<u8> {
     zip_map(a, b, |x, y| {
-        (alpha * x as f32 + (1.0 - alpha) * y as f32)
-            .round()
-            .clamp(0.0, 255.0) as u8
+        round_to_u8(alpha * x as f32 + (1.0 - alpha) * y as f32)
     })
+}
+
+/// `x.round().clamp(0.0, 255.0) as u8` without the call into libm: `as u8`
+/// truncates and saturates (NaN to 0), and for `0 ≤ x < 256` the
+/// fraction `x − trunc(x)` is exact in `f32`, so comparing it with one half
+/// rounds half away from zero exactly as `round` does.
+#[inline]
+pub fn round_to_u8(x: f32) -> u8 {
+    let t = x as u8;
+    t.saturating_add((x - t as f32 >= 0.5) as u8)
 }
 
 #[cfg(test)]
@@ -219,6 +227,28 @@ mod tests {
         let out = min_max_normalize_f32(&src, 0.0, 1.0);
         assert!((out.get(0, 0) - 0.0).abs() < 1e-6);
         assert!((out.get(2, 0) - 1.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn round_to_u8_equals_round_clamp_cast_on_every_f32_in_range() {
+        let reference = |x: f32| x.round().clamp(0.0, 255.0) as u8;
+        let check = |bits: u32| {
+            let x = f32::from_bits(bits);
+            assert_eq!(round_to_u8(x), reference(x), "x = {x:e} (bits {bits:#x})");
+        };
+        // Every bit pattern in [-1, 257]: -0.0 up to -1.0, then +0.0 up to
+        // 257.0 (f32 bit patterns of one sign order like their values).
+        (0.0f32.to_bits()..=257.0f32.to_bits()).for_each(check);
+        ((-0.0f32).to_bits()..=(-1.0f32).to_bits()).for_each(check);
+        // The infinities, NaNs of both signs and payloads, and a stride
+        // through every other bit pattern.
+        for x in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -f32::NAN] {
+            check(x.to_bits());
+        }
+        [0x7f80_0001, 0x7fff_ffff, 0xff80_0001, 0xffff_ffff]
+            .into_iter()
+            .for_each(check);
+        (0..=u32::MAX).step_by(4099).for_each(check);
     }
 
     #[test]

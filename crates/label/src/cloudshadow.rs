@@ -38,7 +38,7 @@ use seaice_exec::par;
 use seaice_imgproc::buffer::{Image, Scratch};
 use seaice_imgproc::color::rgb_pixel_to_hsv_int;
 use seaice_imgproc::filter::{box_blur_f32_pair, median_filter_into};
-use seaice_imgproc::ops::min_max_normalize;
+use seaice_imgproc::ops::{min_max_normalize, round_to_u8};
 use seaice_imgproc::threshold::{otsu_binary, threshold, ThresholdType};
 
 /// Chroma hypotheses `(ρ = R/B, γ = G/B)` for the two blue-tinted classes
@@ -125,16 +125,6 @@ pub struct FilterOutput {
     /// Per-pixel absolute change `|filtered − original|` (max over
     /// channels), for inspection.
     pub residual: Image<u8>,
-}
-
-/// `x.round().clamp(0.0, 255.0) as u8` without the call into libm: `as u8`
-/// truncates and saturates (NaN to 0), and for `0 ≤ x < 256` the
-/// fraction `x − trunc(x)` is exact in `f32`, so comparing it with one half
-/// rounds half away from zero exactly as `round` does.
-#[inline]
-fn round_to_u8(x: f32) -> u8 {
-    let t = x as u8;
-    t.saturating_add((x - t as f32 >= 0.5) as u8)
 }
 
 /// What the correcting half of the filter (steps 1–5) produces.
@@ -521,38 +511,6 @@ mod tests {
         let ranges = ClassRanges::paper();
         let mask = segment_classes(&out.filtered, &ranges);
         assert!(mask.as_slice().iter().all(|&c| c == IceClass::Thin as u8));
-    }
-
-    #[test]
-    fn round_to_u8_equals_round_clamp_cast() {
-        let reference = |x: f32| x.round().clamp(0.0, 255.0) as u8;
-        // Every half-integer boundary with its neighbours, the range ends
-        // and the non-finite values, then a stride through all bit patterns.
-        for k in -2i32..=258 {
-            let half = k as f32 + 0.5;
-            for x in [
-                k as f32,
-                half,
-                f32::from_bits(half.to_bits() - 1),
-                f32::from_bits(half.to_bits() + 1),
-            ] {
-                assert_eq!(round_to_u8(x), reference(x), "x = {x:e}");
-            }
-        }
-        for x in [
-            f32::NAN,
-            f32::INFINITY,
-            f32::NEG_INFINITY,
-            -0.0,
-            1e30,
-            -1e30,
-        ] {
-            assert_eq!(round_to_u8(x), reference(x), "x = {x:e}");
-        }
-        for bits in (0..=u32::MAX).step_by(4099) {
-            let x = f32::from_bits(bits);
-            assert_eq!(round_to_u8(x), reference(x), "bits {bits:#x}");
-        }
     }
 
     #[test]

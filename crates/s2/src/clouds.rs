@@ -14,9 +14,10 @@
 //! The layer keeps its alpha fields, so experiments know the true per-pixel
 //! contamination and can bucket tiles by cloud coverage (Table V).
 
-use crate::noise::{fbm, FbmConfig};
+use crate::noise::{fbm_field, FbmConfig};
 use seaice_exec::par;
 use seaice_imgproc::buffer::Image;
+use seaice_imgproc::ops::round_to_u8;
 
 /// Configuration of the cloud/shadow overlay.
 #[derive(Clone, Copy, Debug)]
@@ -101,12 +102,7 @@ pub fn generate(cfg: &CloudConfig, seed: u64, width: usize, height: usize) -> Cl
     let cloud_seed = seed ^ 0xC10D_C10D_C10D_C10D;
 
     // Raw density field.
-    let mut field = vec![0f32; width * height];
-    par::chunks_mut(&mut field, width, |y, row| {
-        for (x, v) in row.iter_mut().enumerate() {
-            *v = fbm(x as f32, y as f32, cloud_seed, &field_cfg);
-        }
-    });
+    let field = fbm_field(width, height, cloud_seed, &field_cfg);
 
     // Pick the threshold as the (1 - coverage) quantile so the covered
     // fraction matches the target regardless of the field's distribution.
@@ -164,17 +160,16 @@ impl CloudLayer {
         let (w, _h) = rgb.dimensions();
         let strength = self.config.shadow_strength;
         let mut out = rgb.clone();
-        let ca = &self.cloud_alpha;
-        let sa = &self.shadow_alpha;
+        let (ca, sa) = (&self.cloud_alpha, &self.shadow_alpha);
         par::chunks_mut(out.as_mut_slice(), w * 3, |y, row| {
-            for x in 0..w {
-                let a = ca.get(x, y);
-                let s = sa.get(x, y) * strength;
-                for c in row[x * 3..x * 3 + 3].iter_mut() {
+            let alphas = ca.row(y).iter().zip(sa.row(y));
+            for (px, (&a, &s)) in row.chunks_exact_mut(3).zip(alphas) {
+                let s = s * strength;
+                for c in px {
                     // Shadow first (surface-level), then haze on top.
                     let shaded = *c as f32 * (1.0 - s);
                     let hazed = shaded * (1.0 - a) + 255.0 * a;
-                    *c = hazed.round().clamp(0.0, 255.0) as u8;
+                    *c = round_to_u8(hazed);
                 }
             }
         });

@@ -17,7 +17,7 @@
 //! role of the paper's manual labels.
 
 use crate::classes::{OPEN_WATER, THICK_ICE, THIN_ICE};
-use crate::noise::{fbm, FbmConfig};
+use crate::noise::{FbmConfig, FbmLine, FbmRows};
 use seaice_exec::par;
 use seaice_imgproc::buffer::Image;
 
@@ -36,7 +36,7 @@ pub struct SceneConfig {
     pub lead_count: usize,
     /// Lead half-width in pixels.
     pub lead_half_width: f32,
-    /// Octave structure of the ice-concentration field.
+    /// Octave structure of the ice-concentration field (≥ 1).
     pub field_octaves: u32,
     /// Base wavelength (pixels) of the ice-concentration field.
     pub field_wavelength: f32,
@@ -97,6 +97,14 @@ pub struct Scene {
     pub seed: u64,
 }
 
+/// Octave structure of a lead's meander along its line.
+const MEANDER: FbmConfig = FbmConfig {
+    octaves: 2,
+    frequency: 1.0,
+    lacunarity: 2.0,
+    gain: 0.5,
+};
+
 /// A lead: an infinite line (point + unit normal) with a meander field; a
 /// pixel belongs to the lead when its perturbed distance to the line is
 /// under the half-width.
@@ -106,33 +114,30 @@ struct Lead {
     nx: f32,
     ny: f32,
     half_width: f32,
-    meander_seed: u64,
+    /// Meander wavelength along the line, in pixels.
+    wavelength: f32,
+    /// `fbm(t, 0.0, ·, &MEANDER)` under the lead's own seed, tabulated over
+    /// every `t` a pixel of the scene reaches.
+    meander: FbmLine,
 }
 
 impl Lead {
     #[inline]
-    fn contains(&self, x: f32, y: f32, wavelength: f32) -> bool {
+    fn contains(&self, x: f32, y: f32) -> bool {
         let d = (x - self.px) * self.nx + (y - self.py) * self.ny;
         // Meander: bend the crack with low-frequency noise along the line.
         let along = -(x - self.px) * self.ny + (y - self.py) * self.nx;
-        let bend = (fbm(
-            along / wavelength,
-            0.0,
-            self.meander_seed,
-            &FbmConfig {
-                octaves: 2,
-                frequency: 1.0,
-                lacunarity: 2.0,
-                gain: 0.5,
-            },
-        ) - 0.5)
-            * 8.0
-            * self.half_width;
+        let bend = (self.meander.sample(along / self.wavelength) - 0.5) * 8.0 * self.half_width;
         (d - bend).abs() < self.half_width
     }
 }
 
 fn build_leads(cfg: &SceneConfig, seed: u64) -> Vec<Lead> {
+    let wavelength = cfg.field_wavelength / 2.0;
+    // No pixel lies farther along a line from a point of the scene than
+    // the scene's diagonal.
+    let diagonal = (cfg.width as f32).hypot(cfg.height as f32);
+    let reach = diagonal / wavelength;
     (0..cfg.lead_count)
         .map(|i| {
             let s = seed
@@ -150,7 +155,8 @@ fn build_leads(cfg: &SceneConfig, seed: u64) -> Vec<Lead> {
                 nx: theta.cos(),
                 ny: theta.sin(),
                 half_width: cfg.lead_half_width,
-                meander_seed: s ^ 0xABCD_EF01,
+                wavelength,
+                meander: FbmLine::new(s ^ 0xABCD_EF01, &MEANDER, (-reach, reach)),
             }
         })
         .collect()
@@ -199,6 +205,9 @@ fn render_class(class: u8, t: f32, illumination: f32) -> [u8; 3] {
 /// Generates a scene deterministically from `cfg` and `seed`.
 ///
 /// The same `(cfg, seed)` always produces identical pixels and truth mask.
+///
+/// # Panics
+/// Panics when `cfg.field_octaves` is 0.
 pub fn generate(cfg: &SceneConfig, seed: u64) -> Scene {
     let (w, h) = (cfg.width, cfg.height);
     let field_cfg = FbmConfig {
@@ -214,17 +223,22 @@ pub fn generate(cfg: &SceneConfig, seed: u64) -> Scene {
         gain: 0.5,
     };
     let leads = build_leads(cfg, seed);
-    let tex_seed = seed ^ 0x00FF_00FF_00FF_00FF;
+    let field = FbmRows::new(seed, &field_cfg, w);
+    let texture = FbmRows::new(seed ^ 0x00FF_00FF_00FF_00FF, &tex_cfg, w);
 
     let mut rgb = Image::<u8>::new(w, h, 3);
     let mut truth = Image::<u8>::new(w, h, 1);
 
     let (rgb_rows, truth_rows) = (rgb.as_mut_slice(), truth.as_mut_slice());
     par::chunks_mut2(rgb_rows, w * 3, truth_rows, w, |y, rgb_row, truth_row| {
-        for x in 0..w {
+        let (mut conc_row, mut tex_row) = (vec![0f32; w], vec![0f32; w]);
+        field.row(y, &mut conc_row);
+        texture.row(y, &mut tex_row);
+        let fy = y as f32;
+        let pixels = rgb_row.chunks_exact_mut(3).zip(truth_row);
+        let fields = conc_row.iter().zip(&tex_row);
+        for (x, ((px, class_out), (&conc, &t))) in pixels.zip(fields).enumerate() {
             let fx = x as f32;
-            let fy = y as f32;
-            let conc = fbm(fx, fy, seed, &field_cfg);
             let mut class = if conc < cfg.water_level {
                 OPEN_WATER
             } else if conc < cfg.thin_level {
@@ -233,17 +247,11 @@ pub fn generate(cfg: &SceneConfig, seed: u64) -> Scene {
                 THICK_ICE
             };
             // Leads cut open water through any ice.
-            if class != OPEN_WATER
-                && leads
-                    .iter()
-                    .any(|l| l.contains(fx, fy, cfg.field_wavelength / 2.0))
-            {
+            if class != OPEN_WATER && leads.iter().any(|l| l.contains(fx, fy)) {
                 class = OPEN_WATER;
             }
-            let t = fbm(fx, fy, tex_seed, &tex_cfg);
-            let px = render_class(class, t, cfg.illumination);
-            rgb_row[x * 3..x * 3 + 3].copy_from_slice(&px);
-            truth_row[x] = class;
+            px.copy_from_slice(&render_class(class, t, cfg.illumination));
+            *class_out = class;
         }
     });
 
@@ -328,6 +336,18 @@ mod tests {
         let water_without = class_fractions(&s_without.truth).2;
         assert_eq!(water_without, 0.0);
         assert!(water_with > 0.0, "leads must introduce open water");
+    }
+
+    #[test]
+    #[should_panic(expected = "fBm needs at least one octave")]
+    fn a_zero_octave_field_is_refused_instead_of_rendering_nan_as_thick_ice() {
+        generate(
+            &SceneConfig {
+                field_octaves: 0,
+                ..SceneConfig::tiny(32)
+            },
+            1,
+        );
     }
 
     #[test]
