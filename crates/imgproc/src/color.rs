@@ -83,6 +83,19 @@ pub fn rgb_pixel_to_hsv_int(r: u8, g: u8, b: u8) -> [u8; 3] {
     [h as u8, s as u8, v as u8]
 }
 
+/// `rgb_pixel_to_hsv_int(..)[1] <= max_s` without its division, from the
+/// pixel's V (largest channel) and Δ = V − smallest channel.
+///
+/// For V > 0, `S = floor((510·Δ + V) / (2·V)) ≤ L` ⟺
+/// `510·Δ + V < 2·V·(L + 1)`; at V = 0 the saturation is 0. `v` and `delta`
+/// are those integers carried in `f32`, so the test vectorises alongside
+/// `f32` pixel arithmetic: every operand and product is an integer below
+/// 2¹⁸, so each step is exact and the comparison is the integer one.
+#[inline]
+pub fn saturation_at_most(v: f32, delta: f32, max_s: u8) -> bool {
+    v == 0.0 || 510.0 * delta + v < 2.0 * v * (f32::from(max_s) + 1.0)
+}
+
 /// Converts one OpenCV-convention HSV pixel back to 8-bit RGB.
 #[inline]
 pub fn hsv_pixel_to_rgb(h: u8, s: u8, v: u8) -> [u8; 3] {

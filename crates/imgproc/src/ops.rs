@@ -92,7 +92,9 @@ pub fn in_range(src: &Image<u8>, lo: &[u8], hi: &[u8]) -> Image<u8> {
 /// Min-max normalization of a single-channel 8-bit image onto
 /// `[out_lo, out_hi]`, like `cv::normalize(..., NORM_MINMAX)`.
 ///
-/// A constant image maps entirely to `out_lo`.
+/// A constant image maps entirely to `out_lo`. An output sample depends on
+/// its input byte only, so the mapping is evaluated once per byte value
+/// into a 256-entry table and the image is mapped through that.
 ///
 /// # Panics
 /// Panics if `src` is not single-channel, is empty, or `out_lo > out_hi`.
@@ -104,17 +106,20 @@ pub fn min_max_normalize(src: &Image<u8>, out_lo: u8, out_hi: u8) -> Image<u8> {
     );
     assert!(!src.as_slice().is_empty(), "normalize of an empty image");
     assert!(out_lo <= out_hi, "inverted output range");
-    // seaice-lint: allow(panic-in-library) reason="the assert three lines up rejects empty images, so min() is always Some"
-    let mn = *src.as_slice().iter().min().expect("nonempty") as f32;
-    // seaice-lint: allow(panic-in-library) reason="the assert four lines up rejects empty images, so max() is always Some"
-    let mx = *src.as_slice().iter().max().expect("nonempty") as f32;
+    // Folds over the bytes themselves (not `min()` over references, which
+    // tracks a pointer and stays scalar) vectorise; the image is not empty,
+    // so the seeds never survive.
+    let mn = f32::from(src.as_slice().iter().fold(u8::MAX, |m, &v| m.min(v)));
+    let mx = f32::from(src.as_slice().iter().fold(u8::MIN, |m, &v| m.max(v)));
     if mx <= mn {
         let mut out = src.clone();
         out.as_mut_slice().fill(out_lo);
         return out;
     }
     let scale = (out_hi - out_lo) as f32 / (mx - mn);
-    src.map(|v| (out_lo as f32 + (v as f32 - mn) * scale).round() as u8)
+    let table: [u8; 256] =
+        std::array::from_fn(|v| (out_lo as f32 + (v as f32 - mn) * scale).round() as u8);
+    src.map(|v| table[usize::from(v)])
 }
 
 /// Min-max normalization of an `f32` image onto `[out_lo, out_hi]`.
@@ -143,14 +148,24 @@ pub fn blend(a: &Image<u8>, b: &Image<u8>, alpha: f32) -> Image<u8> {
     })
 }
 
-/// `x.round().clamp(0.0, 255.0) as u8` without the call into libm: `as u8`
-/// truncates and saturates (NaN to 0), and for `0 ≤ x < 256` the
-/// fraction `x − trunc(x)` is exact in `f32`, so comparing it with one half
-/// rounds half away from zero exactly as `round` does.
+/// `x.round().clamp(0.0, 255.0) as u8` without the call into libm, in
+/// operations that stay in SIMD lanes when a loop is vectorised.
+///
+/// The saturating `as u8` would lower to one scalar `cvttss2si` per lane, so
+/// the clamp is two compare-selects (NaN fails `x > 0` and maps to 0).
+/// Adding 2²³ to `y ∈ [0, 255]` rounds it to the nearest integer, ties to
+/// even, which then sits in the sum's low mantissa bits. `y − r` against
+/// that integer `r` is exact, and it is `+½` exactly on the ties that went
+/// down to even, which `round` takes up instead (away from zero).
 #[inline]
 pub fn round_to_u8(x: f32) -> u8 {
-    let t = x as u8;
-    t.saturating_add((x - t as f32 >= 0.5) as u8)
+    const SHIFT: f32 = 8_388_608.0; // 2²³: one ulp of `SHIFT + y` is 1
+    let y = if x > 0.0 { x } else { 0.0 };
+    let y = if y < 255.0 { y } else { 255.0 };
+    let shifted = y + SHIFT;
+    let r = shifted - SHIFT;
+    let t = if y - r >= 0.5 { shifted + 1.0 } else { shifted };
+    t.to_bits() as u8
 }
 
 #[cfg(test)]
@@ -219,6 +234,50 @@ mod tests {
     fn minmax_normalize_constant_maps_to_lo() {
         let out = min_max_normalize(&img(&[9, 9, 9]), 10, 200);
         assert_eq!(out.as_slice(), &[10, 10, 10]);
+    }
+
+    #[test]
+    fn minmax_normalize_table_equals_the_per_pixel_form() {
+        // The mapping as it was written before the table: one `round` per
+        // pixel.
+        let per_pixel = |src: &Image<u8>, out_lo: u8, out_hi: u8| {
+            let mn = *src.as_slice().iter().min().unwrap() as f32;
+            let mx = *src.as_slice().iter().max().unwrap() as f32;
+            if mx <= mn {
+                return src.map(|_| out_lo);
+            }
+            let scale = (out_hi - out_lo) as f32 / (mx - mn);
+            src.map(|v| (out_lo as f32 + (v as f32 - mn) * scale).round() as u8)
+        };
+        let ramp: Vec<u8> = (0..=255).collect();
+        let images = [
+            img(&ramp),
+            img(&[50, 100, 150, 101, 99, 77]),
+            img(&[3, 250, 128, 17, 200, 201, 4]),
+            img(&[254, 255, 255]),
+            img(&[0, 1]),
+            img(&[9, 9, 9]),
+            img(&[200]),
+        ];
+        let ranges = [
+            (0, 255),
+            (10, 200),
+            (7, 7),
+            (0, 0),
+            (255, 255),
+            (1, 3),
+            (100, 101),
+        ];
+        for src in &images {
+            for (lo, hi) in ranges {
+                assert_eq!(
+                    min_max_normalize(src, lo, hi),
+                    per_pixel(src, lo, hi),
+                    "{:?} onto [{lo}, {hi}]",
+                    src.as_slice()
+                );
+            }
+        }
     }
 
     #[test]

@@ -36,7 +36,7 @@
 
 use seaice_exec::par;
 use seaice_imgproc::buffer::{Image, Scratch};
-use seaice_imgproc::color::rgb_pixel_to_hsv_int;
+use seaice_imgproc::color::saturation_at_most;
 use seaice_imgproc::filter::{box_blur_f32_pair, median_filter_into};
 use seaice_imgproc::ops::{min_max_normalize, round_to_u8};
 use seaice_imgproc::threshold::{otsu_binary, threshold, ThresholdType};
@@ -44,6 +44,81 @@ use seaice_imgproc::threshold::{otsu_binary, threshold, ThresholdType};
 /// Chroma hypotheses `(ρ = R/B, γ = G/B)` for the two blue-tinted classes
 /// that make haze identifiable.
 const HYPOTHESES: [(f32, f32); 2] = [(0.45, 0.70), (0.82, 0.92)];
+
+/// Pixels per strip. Every per-pixel pass walks a row in strips this long,
+/// through `f32` planes on the stack, so that each of its loops is one
+/// straight-line, branch-free body over equally long slices, which LLVM
+/// vectorises. The bodies compute every value unconditionally and then
+/// select: a load or a division written inside an `if` arm is sunk into a
+/// branch, and a loop with one stays scalar.
+const STRIP: usize = 64;
+
+/// Up to `STRIP` interleaved RGB pixels as three `f32` planes, each cut to
+/// the pixel count.
+fn deinterleave<'a>(px: &[u8], planes: &'a mut [[f32; STRIP]; 3]) -> [&'a [f32]; 3] {
+    let [r, g, b] = planes;
+    let samples = r.iter_mut().zip(g.iter_mut()).zip(b.iter_mut());
+    for (p, ((r, g), b)) in px.chunks_exact(3).zip(samples) {
+        *r = f32::from(p[0]);
+        *g = f32::from(p[1]);
+        *b = f32::from(p[2]);
+    }
+    let n = px.len() / 3;
+    planes.each_ref().map(|p| &p[..n])
+}
+
+/// A pixel's largest channel V and its distance Δ to the smallest, by
+/// compare-selects: the channels are integers, so the NaN handling of
+/// `f32::max` would only cost instructions.
+#[inline]
+fn v_and_delta(r: f32, g: f32, b: f32) -> (f32, f32) {
+    let max = |x: f32, y: f32| if x > y { x } else { y };
+    let min = |x: f32, y: f32| if x < y { x } else { y };
+    let v = max(max(r, g), b);
+    (v, v - min(min(r, g), b))
+}
+
+/// Replaces every channel `c` of a strip of interleaved RGB pixels with
+/// `round_to_u8((c − sub) · inv)`, with `sub` and `inv` given per pixel. A
+/// pixel to leave alone carries `sub = 0, inv = 1`: `(c − 0) · 1` is `c`
+/// exactly, and an integer rounds to itself, so it keeps its byte.
+fn correct_strip(px: &mut [u8], sub: &[f32], inv: &[f32]) {
+    let correct = |c: &mut u8, s: f32, i: f32| *c = round_to_u8((f32::from(*c) - s) * i);
+    // Four pixels are twelve samples: spread each pixel's pair over its
+    // three samples and run the twelve side by side.
+    let quads = px
+        .chunks_exact_mut(12)
+        .zip(sub.chunks_exact(4).zip(inv.chunks_exact(4)));
+    for (c, (s, i)) in quads {
+        let s = [
+            s[0], s[0], s[0], s[1], s[1], s[1], s[2], s[2], s[2], s[3], s[3], s[3],
+        ];
+        let i = [
+            i[0], i[0], i[0], i[1], i[1], i[1], i[2], i[2], i[2], i[3], i[3], i[3],
+        ];
+        for k in 0..12 {
+            correct(&mut c[k], s[k], i[k]);
+        }
+    }
+    let done = sub.len() / 4 * 4;
+    let rest = px[3 * done..]
+        .chunks_exact_mut(3)
+        .zip(sub[done..].iter().zip(&inv[done..]));
+    for (c, (&s, &i)) in rest {
+        c.iter_mut().for_each(|c| correct(c, s, i));
+    }
+}
+
+/// One chroma hypothesis `(ρ, γ)` on a pixel: the closed-form haze opacity
+/// and the green channel's disagreement with it.
+#[inline]
+fn hypothesis(r: f32, g: f32, b: f32, (rho, gamma): (f32, f32)) -> (f32, f32) {
+    // 8-bit rounding can push an exact zero-haze pixel slightly negative;
+    // clamp instead of rejecting so the correct hypothesis still competes.
+    let a = ((r - rho * b) / (255.0 * (1.0 - rho))).max(0.0);
+    let g_pred = gamma * (b - 255.0 * a) + 255.0 * a;
+    (a, (g_pred - g).abs())
+}
 
 /// Tuning parameters of the cloud/shadow filter.
 #[derive(Clone, Copy, Debug)]
@@ -105,6 +180,15 @@ impl FilterConfig {
             smooth_radius: (side / 8).max(4),
             ..Self::default()
         }
+    }
+
+    /// True when a pixel is plausibly shadowed bright ice: thick-ice chroma
+    /// (near-zero S) at mid-range V. `v` is the pixel's largest channel and
+    /// `delta` that minus its smallest, both integers in `f32`.
+    #[inline]
+    fn shadow_candidate(&self, v: f32, delta: f32) -> bool {
+        let (lo, hi) = (f32::from(self.shadow_v.0), f32::from(self.shadow_v.1));
+        (v >= lo) & (v <= hi) & saturation_at_most(v, delta, self.shadow_sat_max)
     }
 }
 
@@ -174,17 +258,6 @@ impl CloudShadowFilter {
         self.diagnose(rgb, corrected)
     }
 
-    /// `Some(V)` when a pixel is plausibly shadowed bright ice: thick-ice
-    /// chroma (near-zero S) at mid-range V. S and V come straight from the
-    /// integer HSV formulas; the hue is never read, so the inlined
-    /// conversion's hue branch is dead code here.
-    #[inline]
-    fn shadow_candidate(&self, px: &[u8]) -> Option<u8> {
-        let cfg = &self.config;
-        let [_, s, v] = rgb_pixel_to_hsv_int(px[0], px[1], px[2]);
-        ((cfg.shadow_v.0..=cfg.shadow_v.1).contains(&v) && s <= cfg.shadow_sat_max).then_some(v)
-    }
-
     /// Steps 1–5: the corrected image and the two fields it was corrected
     /// with.
     fn correct(&self, rgb: &Image<u8>, scratch: &mut Scratch) -> Corrected {
@@ -214,32 +287,29 @@ impl CloudShadowFilter {
         let mut weight = scratch.take_image_f32(w, h, 1);
         let (a_rows, w_rows) = (a_weighted.as_mut_slice(), weight.as_mut_slice());
         par::chunks_mut2(a_rows, row, w_rows, row, |y, a_row, w_row| {
-            for ((px, a_out), w_out) in filtered.row(y).chunks_exact(3).zip(a_row).zip(w_row) {
-                if cfg.shadow_exclusion && self.shadow_candidate(px).is_some() {
-                    continue; // plausibly shadowed bright ice
-                }
-                let (r, g, b) = (px[0] as f32, px[1] as f32, px[2] as f32);
-                let mut best: Option<(f32, f32)> = None; // (a, err)
-                for &(rho, gamma) in &HYPOTHESES {
-                    // 8-bit rounding can push an exact zero-haze pixel
-                    // slightly negative; clamp instead of rejecting so
-                    // the correct hypothesis still competes.
-                    let a = ((r - rho * b) / (255.0 * (1.0 - rho))).max(0.0);
-                    if a > cfg.haze_cap {
-                        continue;
-                    }
-                    let g_pred = gamma * (b - 255.0 * a) + 255.0 * a;
-                    let err = (g_pred - g).abs();
-                    if best.is_none_or(|(_, e)| err < e) {
-                        best = Some((a, err));
-                    }
-                }
-                if let Some((a, err)) = best {
-                    if err <= cfg.consistency_tol {
-                        let conf = 1.0 - err / cfg.consistency_tol;
-                        *a_out = a * conf;
-                        *w_out = conf;
-                    }
+            // A copy the stores below cannot alias, so its fields stay in
+            // registers.
+            let cfg = *cfg;
+            let mut rgb = [[0.0f32; STRIP]; 3];
+            let strips = a_row.chunks_mut(STRIP).zip(w_row.chunks_mut(STRIP));
+            for (px, (a_out, w_out)) in filtered.row(y).chunks(3 * STRIP).zip(strips) {
+                let [r, g, b] = deinterleave(px, &mut rgb);
+                let pixels = r.iter().zip(g).zip(b).zip(a_out.iter_mut().zip(w_out));
+                for (((&r, &g), &b), (a_out, w_out)) in pixels {
+                    // Plausibly shadowed bright ice gives no evidence.
+                    let (v, delta) = v_and_delta(r, g, b);
+                    let excluded = cfg.shadow_exclusion & cfg.shadow_candidate(v, delta);
+                    // Hypotheses above the cap are rejected; of the rest the
+                    // first wins unless the second fits green strictly better.
+                    let (a0, err0) = hypothesis(r, g, b, HYPOTHESES[0]);
+                    let (a1, err1) = hypothesis(r, g, b, HYPOTHESES[1]);
+                    let (capped0, capped1) = (a0 > cfg.haze_cap, a1 > cfg.haze_cap);
+                    let second = !capped1 & (capped0 | (err1 < err0));
+                    let (a, err) = if second { (a1, err1) } else { (a0, err0) };
+                    let accept = !excluded & !(capped0 & capped1) & (err <= cfg.consistency_tol);
+                    let conf = 1.0 - err / cfg.consistency_tol;
+                    *a_out = if accept { a * conf } else { 0.0 };
+                    *w_out = if accept { conf } else { 0.0 };
                 }
             }
         });
@@ -249,36 +319,44 @@ impl CloudShadowFilter {
         // 4. invert the haze where it is significant, in the same pass.
         let (mut haze, blur_w) =
             box_blur_f32_pair(&a_weighted, &weight, cfg.smooth_radius, scratch);
-        let (own_a, own_weight) = (a_weighted.as_slice(), weight.as_slice());
+        let (blurred_w, own_a, own_weight) =
+            (blur_w.as_slice(), a_weighted.as_slice(), weight.as_slice());
         let (hz_rows, px_rows) = (haze.as_mut_slice(), filtered.as_mut_slice());
         par::chunks_mut2(hz_rows, row, px_rows, 3 * row, |y, hz_row, px_row| {
-            for (i, (hz, px)) in (y * w..).zip(hz_row.iter_mut().zip(px_row.chunks_exact_mut(3))) {
-                // Pooled estimate over the window (bridges degenerate pixels).
-                let bw = blur_w.as_slice()[i];
-                let pooled = if bw > 0.02 {
-                    (*hz / bw).clamp(0.0, cfg.haze_cap)
-                } else {
-                    0.0
-                };
-                // Confident pixels keep their own (closed-form, exact)
-                // estimate; the pooled field only fills in the rest. Without
-                // this, box smoothing dilutes cloud interiors with clear
-                // surroundings and the haze is systematically under-corrected.
-                let own_w = if cfg.confidence_blend {
-                    own_weight[i].clamp(0.0, 1.0)
-                } else {
-                    0.0
-                };
-                let own = if own_w > 0.0 { own_a[i] / own_w } else { 0.0 };
-                let a = own_w * own + (1.0 - own_w) * pooled;
-                *hz = a;
-                if a < cfg.min_haze {
-                    continue;
+            let cfg = *cfg;
+            let (mut sub, mut inv) = ([0.0f32; STRIP], [0.0f32; STRIP]);
+            let strips = hz_row.chunks_mut(STRIP).zip(px_row.chunks_mut(3 * STRIP));
+            for (x, (hz, px)) in (y * w..).step_by(STRIP).zip(strips) {
+                let n = hz.len();
+                let (bw, own_a, own_weight) = (
+                    &blurred_w[x..][..n],
+                    &own_a[x..][..n],
+                    &own_weight[x..][..n],
+                );
+                let (sub, inv) = (&mut sub[..n], &mut inv[..n]);
+                for i in 0..n {
+                    // Pooled estimate over the window (bridges degenerate
+                    // pixels).
+                    let pooled = (hz[i] / bw[i]).clamp(0.0, cfg.haze_cap);
+                    let pooled = if bw[i] > 0.02 { pooled } else { 0.0 };
+                    // Confident pixels keep their own (closed-form, exact)
+                    // estimate; the pooled field only fills in the rest.
+                    // Without this, box smoothing dilutes cloud interiors
+                    // with clear surroundings and the haze is
+                    // systematically under-corrected.
+                    let own_w = own_weight[i].clamp(0.0, 1.0);
+                    let own_w = if cfg.confidence_blend { own_w } else { 0.0 };
+                    let own = own_a[i] / own_w;
+                    let own = if own_w > 0.0 { own } else { 0.0 };
+                    let a = own_w * own + (1.0 - own_w) * pooled;
+                    hz[i] = a;
+                    // Insignificant haze leaves the pixel alone.
+                    let keep = a < cfg.min_haze;
+                    let (a_255, a_inv) = (255.0 * a, 1.0 / (1.0 - a));
+                    sub[i] = if keep { 0.0 } else { a_255 };
+                    inv[i] = if keep { 1.0 } else { a_inv };
                 }
-                let inv = 1.0 / (1.0 - a);
-                for c in px {
-                    *c = round_to_u8((*c as f32 - 255.0 * a) * inv);
-                }
+                correct_strip(px, sub, inv);
             }
         });
         scratch.recycle_image_f32(blur_w);
@@ -292,43 +370,59 @@ impl CloudShadowFilter {
         let mut gain_weighted = scratch.take_image_f32(w, h, 1);
         let mut gain_weight = scratch.take_image_f32(w, h, 1);
         if cfg.shadow_pass {
-            let flagged = (gain_weighted.as_mut_slice().iter_mut()).zip(gain_weight.as_mut_slice());
-            for (px, (g, gw)) in filtered.as_slice().chunks_exact(3).zip(flagged) {
-                if let Some(v) = self.shadow_candidate(px) {
-                    // Truncated threshold on the implied gain: never above 1.
-                    *g = (v as f32 / cfg.thick_target_v).min(1.0);
-                    *gw = 1.0;
+            let (g_rows, gw_rows) = (gain_weighted.as_mut_slice(), gain_weight.as_mut_slice());
+            par::chunks_mut2(g_rows, row, gw_rows, row, |y, g_row, gw_row| {
+                let cfg = *cfg;
+                let mut rgb = [[0.0f32; STRIP]; 3];
+                let strips = g_row.chunks_mut(STRIP).zip(gw_row.chunks_mut(STRIP));
+                for (px, (g_out, gw_out)) in filtered.row(y).chunks(3 * STRIP).zip(strips) {
+                    let [r, g, b] = deinterleave(px, &mut rgb);
+                    let pixels = r.iter().zip(g).zip(b).zip(g_out.iter_mut().zip(gw_out));
+                    for (((&r, &g), &b), (g_out, gw_out)) in pixels {
+                        let (v, delta) = v_and_delta(r, g, b);
+                        let flagged = cfg.shadow_candidate(v, delta);
+                        // Truncated threshold on the implied gain: never
+                        // above 1.
+                        let gain = (v / cfg.thick_target_v).min(1.0);
+                        *g_out = if flagged { gain } else { 0.0 };
+                        *gw_out = if flagged { 1.0 } else { 0.0 };
+                    }
                 }
-            }
+            });
         }
         let (mut shadow_gain, blur_gw) =
             box_blur_f32_pair(&gain_weighted, &gain_weight, cfg.smooth_radius, scratch);
         let (sg_rows, px_rows) = (shadow_gain.as_mut_slice(), filtered.as_mut_slice());
+        let (blurred_gw, own_g, own_gw) = (
+            blur_gw.as_slice(),
+            gain_weighted.as_slice(),
+            gain_weight.as_slice(),
+        );
         par::chunks_mut2(sg_rows, row, px_rows, 3 * row, |y, sg_row, px_row| {
-            for (i, (sg, px)) in (y * w..).zip(sg_row.iter_mut().zip(px_row.chunks_exact_mut(3))) {
-                // Flagged pixels use their own implied gain (maps their V to
-                // the thick-ice reference exactly); others take the pooled,
-                // density-faded field.
-                let bw = blur_gw.as_slice()[i];
-                let m = if gain_weight.as_slice()[i] > 0.0 {
-                    gain_weighted.as_slice()[i].clamp(0.25, 1.0)
-                } else if bw > 0.05 {
-                    let m = (*sg / bw).clamp(0.25, 1.0);
-                    // Fade the pooled correction with mask density so borders
-                    // stay smooth: m_eff = 1 + (m - 1) * density.
-                    let density = (bw * 2.0).min(1.0);
-                    1.0 + (m - 1.0) * density
-                } else {
-                    1.0
-                };
-                *sg = m;
-                if m >= 0.999 {
-                    continue;
+            let (zero, mut inv) = ([0.0f32; STRIP], [0.0f32; STRIP]);
+            let strips = sg_row.chunks_mut(STRIP).zip(px_row.chunks_mut(3 * STRIP));
+            for (x, (sg, px)) in (y * w..).step_by(STRIP).zip(strips) {
+                let n = sg.len();
+                let (bw, own_g, own_gw) =
+                    (&blurred_gw[x..][..n], &own_g[x..][..n], &own_gw[x..][..n]);
+                let inv = &mut inv[..n];
+                for i in 0..n {
+                    // Flagged pixels use their own implied gain (maps their
+                    // V to the thick-ice reference exactly); others take the
+                    // pooled field, faded with mask density so borders stay
+                    // smooth: m_eff = 1 + (m - 1) * density.
+                    let own = own_g[i].clamp(0.25, 1.0);
+                    let pooled = (sg[i] / bw[i]).clamp(0.25, 1.0);
+                    let density = (bw[i] * 2.0).min(1.0);
+                    let faded = 1.0 + (pooled - 1.0) * density;
+                    let m = if bw[i] > 0.05 { faded } else { 1.0 };
+                    let m = if own_gw[i] > 0.0 { own } else { m };
+                    sg[i] = m;
+                    // A gain this close to 1 leaves the pixel alone.
+                    let m_inv = 1.0 / m;
+                    inv[i] = if m >= 0.999 { 1.0 } else { m_inv };
                 }
-                let inv = 1.0 / m;
-                for c in px {
-                    *c = round_to_u8(*c as f32 * inv);
-                }
+                correct_strip(px, &zero[..n], inv);
             }
         });
         scratch.recycle_image_f32(blur_gw);

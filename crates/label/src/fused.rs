@@ -15,6 +15,11 @@
 //!    ranges) fall back to a 256-entry nearest-V table that replicates
 //!    [`ClassRanges::classify`]'s gap handling.
 //!
+//! When the H and S tables accept everything a pixel can produce — the
+//! paper's ranges, [`calibrate`](crate::calibrate::calibrate) and `seaice
+//! label --cuts` all constrain V only — steps 1–3 collapse into one
+//! 256-entry class-by-V table read at `max(r, g, b)`, with no division.
+//!
 //! No intermediate image is allocated, and the optional color label is
 //! written in the same pass. Bit-identity with the reference path over all
 //! 2^24 RGB inputs is enforced by `tests/fused_vs_reference.rs`.
@@ -26,7 +31,7 @@ use seaice_imgproc::color::rgb_pixel_to_hsv_int;
 
 /// Precomputed per-channel class-membership tables for one [`ClassRanges`].
 ///
-/// Building one costs three 256-entry scans; amortize it over at least a
+/// Building one costs a few 256-entry scans; amortize it over at least a
 /// row of pixels (every public entry point here does).
 #[derive(Clone, Debug)]
 pub struct ClassLut {
@@ -35,6 +40,10 @@ pub struct ClassLut {
     v: [u8; 256],
     /// Nearest-V class for pixels outside every range (gap fallback).
     fallback: [u8; 256],
+    /// The class of every V, when H and S accept every value a pixel can
+    /// have (hue 0..=179, any saturation) for all three classes and so
+    /// decide nothing.
+    by_v: Option<[u8; 256]>,
 }
 
 impl ClassLut {
@@ -86,7 +95,28 @@ impl ClassLut {
             // seaice-lint: allow(narrowing-cast-in-kernel) reason="IceClass has three discriminants (0..=2), well within u8"
             *slot = best as u8;
         }
-        Self { h, s, v, fallback }
+        // The largest hue `rgb_pixel_to_hsv_int` returns.
+        const MAX_HUE: usize = 179;
+        let every_class = (1u8 << IceClass::ALL.len()) - 1;
+        let v_decides = h[..=MAX_HUE].iter().chain(&s).all(|&m| m == every_class);
+        let by_v = v_decides.then(|| std::array::from_fn(|x| Self::pick(v[x], fallback[x])));
+        Self {
+            h,
+            s,
+            v,
+            fallback,
+            by_v,
+        }
+    }
+
+    /// The lowest class in membership bitmask `m`, else the gap fallback.
+    #[inline]
+    fn pick(m: u8, fallback: u8) -> u8 {
+        if m != 0 {
+            m.trailing_zeros() as u8
+        } else {
+            fallback
+        }
     }
 
     /// Classifies one HSV pixel; equivalent to
@@ -94,11 +124,7 @@ impl ClassLut {
     #[inline]
     pub fn classify(&self, h: u8, s: u8, v: u8) -> u8 {
         let m = self.h[h as usize] & self.s[s as usize] & self.v[v as usize];
-        if m != 0 {
-            m.trailing_zeros() as u8
-        } else {
-            self.fallback[v as usize]
-        }
+        Self::pick(m, self.fallback[v as usize])
     }
 
     /// Classifies one RGB pixel (integer HSV conversion + table lookup).
@@ -122,14 +148,28 @@ const PALETTE: [[u8; 3]; 3] = [
 /// # Panics
 /// Panics (debug) if slice lengths disagree.
 #[inline]
-pub fn fused_label_run(rgb: &[u8], mask: &mut [u8], mut color: Option<&mut [u8]>, lut: &ClassLut) {
+pub fn fused_label_run(rgb: &[u8], mask: &mut [u8], color: Option<&mut [u8]>, lut: &ClassLut) {
     debug_assert_eq!(rgb.len(), mask.len() * 3);
-    for (i, (d, px)) in mask.iter_mut().zip(rgb.chunks_exact(3)).enumerate() {
-        let c = lut.classify_rgb(px[0], px[1], px[2]);
-        *d = c;
-        if let Some(out) = color.as_deref_mut() {
-            out[i * 3..i * 3 + 3].copy_from_slice(&PALETTE[c as usize]);
+    match &lut.by_v {
+        Some(by_v) => label_run(rgb, mask, color, |p| {
+            by_v[usize::from(p[0].max(p[1]).max(p[2]))]
+        }),
+        None => label_run(rgb, mask, color, |p| lut.classify_rgb(p[0], p[1], p[2])),
+    }
+}
+
+/// [`fused_label_run`] with the per-pixel classifier chosen.
+#[inline(always)]
+fn label_run(rgb: &[u8], mask: &mut [u8], color: Option<&mut [u8]>, class: impl Fn(&[u8]) -> u8) {
+    let pixels = mask.iter_mut().zip(rgb.chunks_exact(3));
+    match color {
+        Some(color) => {
+            for ((d, px), out) in pixels.zip(color.chunks_exact_mut(3)) {
+                *d = class(px);
+                out.copy_from_slice(&PALETTE[usize::from(*d)]);
+            }
         }
+        None => pixels.for_each(|(d, px)| *d = class(px)),
     }
 }
 
@@ -179,6 +219,7 @@ mod tests {
     use super::*;
     use crate::ranges::HsvRange;
     use crate::segment::{segment_classes, segment_to_color};
+    use seaice_imgproc::color::rgb_pixel_to_hsv;
 
     #[test]
     fn lut_classify_matches_reference_on_grid() {
@@ -221,6 +262,84 @@ mod tests {
                 ranges.classify(&[90, 10, v]) as u8,
                 "gap fallback mismatch at v={v}"
             );
+        }
+    }
+
+    /// `classify` on an HSV grid and `fused_label_run` on an RGB grid, both
+    /// against the reference classification.
+    fn assert_lut_matches_reference(ranges: &ClassRanges) {
+        let lut = ClassLut::new(ranges);
+        for h in (0..=255u8).step_by(5) {
+            for s in (0..=255u8).step_by(5) {
+                for v in 0..=255u8 {
+                    let expected = ranges.classify(&[h, s, v]) as u8;
+                    assert_eq!(lut.classify(h, s, v), expected, "hsv ({h},{s},{v})");
+                }
+            }
+        }
+        let mut mask = [0u8; 256];
+        for r in (0..=255u8).step_by(5) {
+            for g in (0..=255u8).step_by(5) {
+                let rgb: Vec<u8> = (0..=255u8).flat_map(|b| [r, g, b]).collect();
+                fused_label_run(&rgb, &mut mask, None, &lut);
+                for (px, &class) in rgb.chunks_exact(3).zip(&mask) {
+                    let hsv = rgb_pixel_to_hsv(px[0], px[1], px[2]);
+                    assert_eq!(class, ranges.classify(&hsv) as u8, "rgb {px:?}");
+                }
+            }
+        }
+    }
+
+    /// The paper's ranges with thick ice reaching down to V 150 at the H and
+    /// S bounds `lo`..=`hi`, so H or S decides part of the V axis.
+    fn thick_reaching_down(lo: [u8; 2], hi: [u8; 2]) -> ClassRanges {
+        ClassRanges {
+            thick: HsvRange {
+                lo: [lo[0], lo[1], 150],
+                hi: [hi[0], hi[1], 255],
+            },
+            ..ClassRanges::paper()
+        }
+    }
+
+    #[test]
+    fn value_only_ranges_take_the_class_by_v_table() {
+        // V alone decides even across a hole in the V axis.
+        let gap = ClassRanges {
+            thin: HsvRange {
+                lo: [0, 0, 150],
+                hi: [185, 255, 200],
+            },
+            ..ClassRanges::from_value_cuts(99, 201)
+        };
+        let full_hue_exactly = thick_reaching_down([0, 0], [179, 255]);
+        for ranges in [
+            ClassRanges::paper(),
+            ClassRanges::from_value_cuts(14, 92),
+            ClassRanges::partial_night(),
+            gap,
+            full_hue_exactly,
+        ] {
+            assert!(ClassLut::new(&ranges).by_v.is_some(), "{ranges:?}");
+            assert_lut_matches_reference(&ranges);
+        }
+    }
+
+    #[test]
+    fn hue_restricted_ranges_keep_the_general_tables() {
+        for (lo, hi) in [(90, 130), (0, 178), (1, 185)] {
+            let ranges = thick_reaching_down([lo, 0], [hi, 255]);
+            assert!(ClassLut::new(&ranges).by_v.is_none(), "{ranges:?}");
+            assert_lut_matches_reference(&ranges);
+        }
+    }
+
+    #[test]
+    fn saturation_restricted_ranges_keep_the_general_tables() {
+        for (lo, hi) in [(0, 40), (0, 254), (1, 255)] {
+            let ranges = thick_reaching_down([0, lo], [185, hi]);
+            assert!(ClassLut::new(&ranges).by_v.is_none(), "{ranges:?}");
+            assert_lut_matches_reference(&ranges);
         }
     }
 

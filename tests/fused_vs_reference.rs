@@ -1,32 +1,71 @@
 //! Differential tests proving the fused integer/LUT auto-label kernel is
 //! bit-identical to the `f32` reference path (HSV conversion + range
-//! scans) under the paper's class ranges.
+//! scans) under the paper's class ranges and under a range set that
+//! restricts hue, and that the cloud/shadow filter's division-free
+//! saturation test equals the integer quotient it replaces.
 //!
 //! The seeded 1M-sample variant runs in tier-1; the exhaustive sweep over
 //! all 2^24 RGB inputs is `#[ignore]`d for `cargo test --release -- --ignored`.
 
 use seaice::imgproc::buffer::Image;
-use seaice::imgproc::color::{rgb_pixel_to_hsv, rgb_pixel_to_hsv_int};
+use seaice::imgproc::color::{rgb_pixel_to_hsv, rgb_pixel_to_hsv_int, saturation_at_most};
 use seaice::label::autolabel::{auto_label, AutoLabelConfig, LabelBackend};
-use seaice::label::fused::{segment_classes_fused, ClassLut};
-use seaice::label::ranges::ClassRanges;
+use seaice::label::fused::{fused_label_run, segment_classes_fused, ClassLut};
+use seaice::label::ranges::{ClassRanges, HsvRange};
 use seaice::label::segment::segment_classes;
 use seaice::s2::synth::{generate, SceneConfig};
 
-/// Checks one RGB value through both pixel pipelines.
-fn check_pixel(r: u8, g: u8, b: u8, ranges: &ClassRanges, lut: &ClassLut) {
+/// Saturation ceilings the division-free test is checked at.
+const SATURATION_LIMITS: [u8; 6] = [0, 1, 14, 127, 254, 255];
+
+/// Range sets checked pixel by pixel: the paper's (classified by V alone)
+/// and one where thick ice reaches into thin ice's V band at blue hues only,
+/// so the general H/S/V tables decide.
+fn range_sets() -> [(ClassRanges, ClassLut); 2] {
+    let paper = ClassRanges::paper();
+    let hue_restricted = ClassRanges {
+        thick: HsvRange {
+            lo: [90, 0, 150],
+            hi: [130, 255, 255],
+        },
+        ..paper
+    };
+    [paper, hue_restricted].map(|ranges| (ranges, ClassLut::new(&ranges)))
+}
+
+/// Checks one RGB value through both pixel pipelines under every range
+/// set, and the division-free saturation test at every ceiling.
+fn check_pixel(r: u8, g: u8, b: u8, sets: &[(ClassRanges, ClassLut)]) {
     let hsv_ref = rgb_pixel_to_hsv(r, g, b);
     let hsv_int = rgb_pixel_to_hsv_int(r, g, b);
     assert_eq!(
         hsv_int, hsv_ref,
         "integer HSV diverged from f32 at rgb ({r},{g},{b})"
     );
-    let class_ref = ranges.classify(&hsv_ref) as u8;
-    let class_fused = lut.classify_rgb(r, g, b);
-    assert_eq!(
-        class_fused, class_ref,
-        "fused class diverged at rgb ({r},{g},{b}), hsv {hsv_ref:?}"
-    );
+    for (ranges, lut) in sets {
+        let class_ref = ranges.classify(&hsv_ref) as u8;
+        let class_fused = lut.classify_rgb(r, g, b);
+        assert_eq!(
+            class_fused, class_ref,
+            "fused class diverged at rgb ({r},{g},{b}), hsv {hsv_ref:?}, ranges {ranges:?}"
+        );
+        let mut run = [u8::MAX];
+        fused_label_run(&[r, g, b], &mut run, None, lut);
+        assert_eq!(
+            run[0], class_ref,
+            "fused run diverged at rgb ({r},{g},{b}), ranges {ranges:?}"
+        );
+    }
+    let v = r.max(g).max(b);
+    let delta = f32::from(v - r.min(g).min(b));
+    for limit in SATURATION_LIMITS {
+        assert_eq!(
+            saturation_at_most(f32::from(v), delta, limit),
+            hsv_int[1] <= limit,
+            "division-free S <= {limit} diverged at rgb ({r},{g},{b}), S = {}",
+            hsv_int[1]
+        );
+    }
 }
 
 /// SplitMix64 — tiny deterministic generator for the sampled variant.
@@ -44,21 +83,27 @@ impl SplitMix64 {
 
 #[test]
 fn sampled_million_rgb_values_are_bit_identical() {
-    let ranges = ClassRanges::paper();
-    let lut = ClassLut::new(&ranges);
+    let sets = range_sets();
     let mut rng = SplitMix64(0x5ea1_ce00_d1ff_7e57);
     for _ in 0..1_000_000 {
         let x = rng.next();
-        check_pixel(x as u8, (x >> 8) as u8, (x >> 16) as u8, &ranges, &lut);
+        check_pixel(x as u8, (x >> 8) as u8, (x >> 16) as u8, &sets);
     }
     // The boundary shell matters more than uniform mass: sweep every pair
     // at the paper's V thresholds and the extremes.
     for &fixed in &[0u8, 30, 31, 204, 205, 255] {
         for a in 0..=255u8 {
             for b in (0..=255u8).step_by(3) {
-                check_pixel(a, b, fixed, &ranges, &lut);
-                check_pixel(fixed, a, b, &ranges, &lut);
+                check_pixel(a, b, fixed, &sets);
+                check_pixel(fixed, a, b, &sets);
             }
+        }
+    }
+    // S depends on V and Δ = V − min only: one pixel per (V, Δ) pair
+    // reaches every saturation the division-free test can be asked about.
+    for v in 0..=255u8 {
+        for delta in 0..=v {
+            check_pixel(v, v - delta, v - delta / 2, &sets);
         }
     }
 }
@@ -66,12 +111,11 @@ fn sampled_million_rgb_values_are_bit_identical() {
 #[test]
 #[ignore = "exhaustive 2^24 sweep; run with --release -- --ignored"]
 fn exhaustive_rgb_space_is_bit_identical() {
-    let ranges = ClassRanges::paper();
-    let lut = ClassLut::new(&ranges);
+    let sets = range_sets();
     for r in 0..=255u8 {
         for g in 0..=255u8 {
             for b in 0..=255u8 {
-                check_pixel(r, g, b, &ranges, &lut);
+                check_pixel(r, g, b, &sets);
             }
         }
     }
