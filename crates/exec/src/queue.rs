@@ -289,9 +289,16 @@ impl<T> Queue<T> {
             let timed = self.not_empty.wait_timeout(st, left);
             st = timed.unwrap_or_else(PoisonError::into_inner).0;
         }
+        let drained = st.drained();
         drop(st);
         // A batch frees several slots at once: wake every producer.
         self.not_full.notify_all();
+        // The rule `complete` follows: a batch that drains the queue must
+        // wake the consumers parked in `recv` — one that skipped an avoided
+        // retry this batch just took would otherwise wait forever for `Done`.
+        if drained {
+            self.not_empty.notify_all();
+        }
         Some(batch)
     }
 

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use seaice_exec::{Envelope, Queue, QueueError, Recv};
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Duration;
 
@@ -178,4 +178,37 @@ fn four_producers_three_consumers_deliver_exactly_once_across_a_close() {
         .collect();
     seen.sort_unstable();
     assert_eq!(seen, expected, "every accepted item exactly once, no other");
+}
+
+/// A micro-batch that drains the queue wakes the consumers parked in
+/// `recv`. Worker 0 parks behind a retry that avoids it while two other
+/// consumers are registered; the batcher then takes that retry, which
+/// leaves the queue closed, empty and with nothing in flight — `recv`'s
+/// `Done` state, if anything wakes it. (This is the hang the test above
+/// hit intermittently.)
+#[test]
+fn a_draining_pop_batch_wakes_a_consumer_parked_in_recv() {
+    let q = Arc::new(Queue::new(4));
+    q.set_workers(3);
+    q.send(7u32);
+    let Recv::Item(env) = q.recv(0) else {
+        panic!("an item was sent")
+    };
+    q.close();
+    q.push_retry(Envelope {
+        attempt: 1,
+        avoid: Some(0),
+        ..env
+    });
+    q.complete();
+    let (done, parked) = mpsc::channel();
+    let q2 = Arc::clone(&q);
+    thread::spawn(move || done.send(matches!(q2.recv(0), Recv::Done)));
+    // Nothing observable says the consumer has parked; if it has not by
+    // the time the batch is taken, it finds the drain itself and the test
+    // cannot fail — so give it ample time to get there.
+    thread::sleep(Duration::from_millis(200));
+    assert_eq!(q.pop_batch(3, Duration::ZERO), Some(vec![7]));
+    let woke = parked.recv_timeout(Duration::from_secs(5));
+    assert_eq!(woke, Ok(true), "the parked consumer never saw the drain");
 }

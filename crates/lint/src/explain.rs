@@ -83,7 +83,7 @@ pub fn explain(rule: &str) -> Option<String> {
              is `deny` with one audited site: the private module\n\
              `crates/nn/src/ops/dispatch.rs`, where the AVX2 twins of the direct f32 and\n\
              int8 convolution kernels are called after `is_x86_feature_detected!(\"avx2\")`\n\
-             and the AVX-512F twin of the f32 forward pass after\n\
+             and the AVX-512F twins of the f32 kernels after\n\
              `is_x86_feature_detected!(\"avx512f\")`, one `// SAFETY:` line each\n\
              (DESIGN.md 4.10). The rule keeps that exception, and any future one, honest\n\
              by forcing the soundness invariant to be written down where reviewers will\n\

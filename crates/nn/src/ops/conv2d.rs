@@ -6,10 +6,11 @@
 //! finite inputs) to the reference lowering `im2col` → `matmul*` →
 //! `col2im`, which stays in the tree as the test oracle. One source, three
 //! instantiations ([`isa`]): on an x86-64 CPU with AVX2 the same loop nests
-//! run with a `2·MR × NR` tile on `ymm` registers, and with AVX-512F the
-//! forward pass over planes at least 16 wide runs `2·MR × 16` on `zmm` —
-//! more lanes and rows per instruction, the same chain per element, the
-//! same bits.
+//! run with a `2·MR × NR` tile on `ymm` registers, and with AVX-512F they
+//! run `2·MR × 16` on `zmm` wherever 16 lanes fill — forward and `dx` over
+//! planes at least 16 wide, `dW` over at least 16 output channels — more
+//! lanes and rows per instruction, the same chain per element, the same
+//! bits.
 //!
 //! [`conv2d_into`] is the forward pass an inference walk runs: it reads a
 //! [`Planes`] the previous layer stored into and stores through a [`Sink`]
@@ -50,7 +51,7 @@ use crate::tensor::Tensor;
 pub(super) const MR: usize = 4;
 /// Lanes of a register tile: consecutive, independent output elements.
 pub(super) const NR: usize = 8;
-/// Lanes of the AVX-512 forward tile.
+/// Lanes of the AVX-512 tiles.
 pub(super) const NR_WIDE: usize = 16;
 
 /// Static geometry of a convolution.
@@ -153,7 +154,10 @@ pub(super) fn patch_offsets(
 /// finished before it joins the running total. *Named* accumulators (the
 /// second four compile out at `R = MR`, where `w1` is `w0` again) and one
 /// lane loop: the nested `[[f32; L]; R]` form stops vectorising at
-/// `codegen-units = 1`.
+/// `codegen-units = 1`. The group total adds them in place, one row after
+/// the other: moving them into an array first kept the 16-lane accumulators
+/// in memory, and one lane loop over all rows sent the 4-row tile's
+/// accumulators to the stack.
 #[inline(always)]
 fn tile<const R: usize, const L: usize>(
     src: &[f32],
@@ -185,10 +189,20 @@ fn tile<const R: usize, const L: usize>(
                 }
             }
         }
-        for (t, a) in total.iter_mut().zip([a0, a1, a2, a3, a4, a5, a6, a7]) {
+        let add = |t: &mut [f32; L], a: &[f32; L]| {
             for l in 0..L {
                 t[l] += a[l];
             }
+        };
+        add(&mut total[0], &a0);
+        add(&mut total[1], &a1);
+        add(&mut total[2], &a2);
+        add(&mut total[3], &a3);
+        if R > MR {
+            add(&mut total[R - 4], &a4);
+            add(&mut total[R - 3], &a5);
+            add(&mut total[R - 2], &a6);
+            add(&mut total[R - 1], &a7);
         }
     }
     total
@@ -259,13 +273,13 @@ pub(super) fn tiled_planes_body<const R: usize, const L: usize>(
 }
 
 /// `dw[oc][row] = Σ_pos gy[oc][pos] · x̃[row][pos]` for one image: lanes are
-/// output channels, rows are `R` patch rows read from the haloed input `xh`
-/// at `offs[row]`, accumulators named as in [`tile`]. Operand and result
-/// are both held transposed (`[pos][oc]`, `[row][oc]`) so that every load
-/// and store is contiguous along the lanes — a store contiguous along the
-/// rows sends the vectoriser across them.
+/// `L` output channels, rows are `R` patch rows read from the haloed input
+/// `xh` at `offs[row]`, accumulators named as in [`tile`]. Operand and
+/// result are both held transposed (`[pos][oc]`, `[row][oc]`) so that every
+/// load and store is contiguous along the lanes — a store contiguous along
+/// the rows sends the vectoriser across them.
 #[inline(always)]
-pub(super) fn grad_weight_item_body<const R: usize>(
+pub(super) fn grad_weight_item_body<const R: usize, const L: usize>(
     xh: &Planes,
     offs: &[usize],
     gy: &[f32],
@@ -273,7 +287,7 @@ pub(super) fn grad_weight_item_body<const R: usize>(
     dw: &mut [f32],
 ) {
     let taps = offs.len();
-    let ocp = oc.next_multiple_of(NR);
+    let ocp = oc.next_multiple_of(L);
     // Channels zero-padded to whole lanes.
     let mut gt = vec![0.0; oh * ow * ocp];
     for (o, g) in gy.chunks_exact(oh * ow).enumerate() {
@@ -286,17 +300,17 @@ pub(super) fn grad_weight_item_body<const R: usize>(
         // A short last tile repeats the final row; the store drops the copies
         // (and rows `MR..` are dead at `R = MR`).
         let off: [usize; 2 * MR] = std::array::from_fn(|r| offs[(row0 + r).min(taps - 1)]);
-        for oc0 in (0..ocp).step_by(NR) {
+        for oc0 in (0..ocp).step_by(L) {
             let [mut a0, mut a1, mut a2, mut a3, mut a4, mut a5, mut a6, mut a7] =
-                [[0f32; NR]; 2 * MR];
+                [[0f32; L]; 2 * MR];
             for y in 0..oh {
                 let row = |r: usize| &xh.data()[off[r] + y * xh.width()..][..ow];
                 let (x0, x1, x2, x3) = (row(0), row(1), row(2), row(3));
                 let (x4, x5, x6, x7) = (row(4), row(5), row(6), row(7));
                 let g = &gt[y * ow * ocp + oc0..];
                 for x in 0..ow {
-                    let b: [f32; NR] = lanes(g, x * ocp);
-                    for l in 0..NR {
+                    let b: [f32; L] = lanes(g, x * ocp);
+                    for l in 0..L {
                         a0[l] += x0[x] * b[l];
                         a1[l] += x1[x] * b[l];
                         a2[l] += x2[x] * b[l];
@@ -311,7 +325,7 @@ pub(super) fn grad_weight_item_body<const R: usize>(
                 }
             }
             for (row, a) in (row0..taps).zip([a0, a1, a2, a3, a4, a5, a6, a7]).take(R) {
-                dwt[row * ocp + oc0..][..NR].copy_from_slice(&a);
+                dwt[row * ocp + oc0..][..L].copy_from_slice(&a);
             }
         }
     }
@@ -323,7 +337,7 @@ pub(super) fn grad_weight_item_body<const R: usize>(
 }
 
 pub use super::dispatch::isa;
-use super::dispatch::{forward_planes, grad_weight_item, tiled_planes};
+use super::dispatch::{grad_weight_item, tiled_planes};
 
 /// Forward convolution.
 ///
@@ -394,7 +408,7 @@ pub fn conv2d_into(
     pack(&mut buf.packed, oc, taps, |o, t| {
         weight.as_slice()[o * taps + t]
     });
-    forward_planes(src, &buf.offs, &buf.packed, bias.as_slice(), dst);
+    tiled_planes(src, &buf.offs, 1, &buf.packed, Some(bias.as_slice()), dst);
 }
 
 /// The filter bank is `[out_c, in_c · k · k]` and the bias `[out_c]`.
@@ -724,16 +738,16 @@ mod tests {
         }
     }
 
+    /// A convolution site, `(in_c, out_c, kernel, side)`.
+    type Site = (usize, usize, usize, usize);
     /// An instantiation of [`tiled_planes_body`].
     type Body = fn(&Planes, &[usize], usize, &[f32], Option<&[f32]>, Sink<'_>);
+    /// An instantiation of [`grad_weight_item_body`].
+    type DwBody = fn(&Planes, &[usize], &[f32], (usize, usize, usize), &mut [f32]);
 
     /// `y` of one image through the forward front ([`conv2d_into`]'s
     /// kernel call) and through `body`, on the same operands.
-    fn forward_pair(
-        (c, oc, k, side): (usize, usize, usize, usize),
-        seed: u64,
-        body: Body,
-    ) -> (Vec<f32>, Vec<f32>) {
+    fn forward_pair((c, oc, k, side): Site, seed: u64, body: Body) -> (Vec<f32>, Vec<f32>) {
         let (pad, taps) = (k / 2, c * k * k);
         let x = uniform(&[c, side, side], -1.0, 1.0, seed).map(|v| v.max(0.0));
         let weight = uniform(&[oc, taps], -0.5, 0.5, seed + 1);
@@ -745,23 +759,48 @@ mod tests {
             weight.as_slice()[o * taps + t]
         });
         let (mut y, mut y0) = (vec![0.0; oc * side * side], vec![0.0; oc * side * side]);
-        let dims = (oc, side, side);
-        forward_planes(
-            &xh,
-            &offs,
-            &packed,
-            bias.as_slice(),
-            Sink::plain(&mut y, dims),
-        );
-        let bias = Some(bias.as_slice());
+        let (dims, bias) = ((oc, side, side), Some(bias.as_slice()));
+        tiled_planes(&xh, &offs, 1, &packed, bias, Sink::plain(&mut y, dims));
         body(&xh, &offs, 1, &packed, bias, Sink::plain(&mut y0, dims));
         (y, y0)
+    }
+
+    /// `dx` of one image, the gather as `conv2d_backward` sets it up,
+    /// through the front and through `body`.
+    fn dx_pair((c, oc, k, side): Site, seed: u64, body: Body) -> (Vec<f32>, Vec<f32>) {
+        let halo = k - 1 - k / 2;
+        let weight = uniform(&[oc, c * k * k], -0.5, 0.5, seed + 1);
+        let gy = uniform(&[oc, side, side], -1.0, 1.0, seed + 3);
+        let gh = Planes::haloed(gy.as_slice(), (oc, side, side), halo);
+        let (offs, wt) = (
+            dx_offsets(k, oc, (side, side), halo),
+            dx_weights(&weight, c, k),
+        );
+        let (mut dx, mut dx0) = (vec![0.0; c * side * side], vec![0.0; c * side * side]);
+        let dims = (c, side, side);
+        tiled_planes(&gh, &offs, k * k, &wt, None, Sink::plain(&mut dx, dims));
+        body(&gh, &offs, k * k, &wt, None, Sink::plain(&mut dx0, dims));
+        (dx, dx0)
+    }
+
+    /// `dw` of one image through the front and through `body`.
+    fn dw_pair((c, oc, k, side): Site, seed: u64, body: DwBody) -> (Vec<f32>, Vec<f32>) {
+        let (pad, taps) = (k / 2, c * k * k);
+        let x = uniform(&[c, side, side], -1.0, 1.0, seed).map(|v| v.max(0.0));
+        let gy = uniform(&[oc, side, side], -1.0, 1.0, seed + 3);
+        let xh = Planes::haloed(x.as_slice(), (c, side, side), pad);
+        let offs: Vec<usize> = patch_offsets(c, k, side + 2 * pad, side + 2 * pad).collect();
+        let (mut dw, mut dw0) = (vec![0.0; oc * taps], vec![0.0; oc * taps]);
+        let gdims = (oc, side, side);
+        grad_weight_item(&xh, &offs, gy.as_slice(), gdims, &mut dw);
+        body(&xh, &offs, gy.as_slice(), gdims, &mut dw0);
+        (dw, dw0)
     }
 
     /// The instantiations are the same function: `y`, `dx` and `dw` of one
     /// image from the dispatched fronts and from the baseline bodies, on the
     /// same operands, bit for bit. On a CPU without AVX2 (or AVX-512F) the
-    /// fronts *are* the baseline (or the AVX2 twin) and this compares it
+    /// fronts *are* the baseline (or the AVX2 twins) and this compares it
     /// with itself ([`isa`] in the failure message says which ran); there
     /// is no switch to force a path.
     #[test]
@@ -772,46 +811,36 @@ mod tests {
         sites.extend(unet_sites(1, 4, 16));
         sites.push((12, 12, 3, 16));
         assert_eq!(sites.len(), 13 + 8 + 1);
-        for (i, &(c, oc, k, side)) in sites.iter().enumerate() {
+        for (i, &site) in sites.iter().enumerate() {
+            let (c, oc, k, side) = site;
             let case = format!("site {i}: {c} -> {oc}, {k}x{k}, {side}²");
             let seed = 300 + 10 * i as u64;
-            let (y, y0) = forward_pair((c, oc, k, side), seed, tiled_planes_body::<MR, NR>);
+            let (y, y0) = forward_pair(site, seed, tiled_planes_body::<MR, NR>);
             assert_same_bits("y", &case, &y, &y0);
-
-            // The `dx` gather as `conv2d_backward` sets it up.
-            let (pad, taps) = (k / 2, c * k * k);
-            let x = uniform(&[c, side, side], -1.0, 1.0, seed).map(|v| v.max(0.0));
-            let weight = uniform(&[oc, taps], -0.5, 0.5, seed + 1);
-            let gy = uniform(&[oc, side, side], -1.0, 1.0, seed + 3);
-            let (dims, gdims) = ((c, side, side), (oc, side, side));
-            let halo = k - 1 - pad;
-            let gh = Planes::haloed(gy.as_slice(), gdims, halo);
-            let (g_offs, wt) = (
-                dx_offsets(k, oc, (side, side), halo),
-                dx_weights(&weight, c, k),
-            );
-            let (mut dx, mut dx0) = (vec![0.0; c * side * side], vec![0.0; c * side * side]);
-            tiled_planes(&gh, &g_offs, k * k, &wt, None, Sink::plain(&mut dx, dims));
-            let sink = Sink::plain(&mut dx0, dims);
-            tiled_planes_body::<MR, NR>(&gh, &g_offs, k * k, &wt, None, sink);
+            let (dx, dx0) = dx_pair(site, seed, tiled_planes_body::<MR, NR>);
             assert_same_bits("dx", &case, &dx, &dx0);
-
-            let xh = Planes::haloed(x.as_slice(), dims, pad);
-            let offs: Vec<usize> = patch_offsets(c, k, side + 2 * pad, side + 2 * pad).collect();
-            let (mut dw, mut dw0) = (vec![0.0; oc * taps], vec![0.0; oc * taps]);
-            grad_weight_item(&xh, &offs, gy.as_slice(), gdims, &mut dw);
-            grad_weight_item_body::<MR>(&xh, &offs, gy.as_slice(), gdims, &mut dw0);
+            let (dw, dw0) = dw_pair(site, seed, grad_weight_item_body::<MR, NR>);
             assert_same_bits("dw", &case, &dw, &dw0);
         }
     }
 
-    /// The 16-lane forward body, as the front runs it and compiled here on
-    /// its own, equals the 8-lane baseline bit for bit across widths around
-    /// both lane counts and channel counts around the row tiles (the front
-    /// takes 16 lanes from 16 wide up; the body runs every width).
+    /// The 16-lane bodies of all three nests, as the fronts run them and
+    /// compiled here on their own, equal the 8-lane baseline bit for bit.
+    /// Forward and `dx` (16 lanes from planes 16 wide up) over widths around
+    /// both lane counts and channel counts around the row tiles; `dw` (16
+    /// lanes from 16 output channels up) over channel counts around both
+    /// lane counts, which pad `ocp`, and patch-row counts off the 8-row
+    /// tile, which take the short tail. The bodies run every shape.
     #[test]
-    fn sixteen_lane_forward_equals_the_baseline_bit_for_bit() {
-        let wide = tiled_planes_body::<{ 2 * MR }, NR_WIDE>;
+    fn sixteen_lane_nests_equal_the_baseline_bit_for_bit() {
+        let (base, wide) = (
+            tiled_planes_body::<MR, NR> as Body,
+            tiled_planes_body::<{ 2 * MR }, NR_WIDE> as Body,
+        );
+        let (base_dw, wide_dw) = (
+            grad_weight_item_body::<MR, NR> as DwBody,
+            grad_weight_item_body::<{ 2 * MR }, NR_WIDE> as DwBody,
+        );
         for (i, ow) in [1, 7, 8, 15, 16, 17, 31, 32, 33, 64]
             .into_iter()
             .enumerate()
@@ -820,18 +849,47 @@ mod tests {
                 .iter()
                 .enumerate()
             {
-                let case = format!("{c} -> {oc}, {k}x{k}, {ow}²");
+                let (site, case) = ((c, oc, k, ow), format!("{c} -> {oc}, {k}x{k}, {ow}²"));
                 let seed = 900 + 100 * i as u64 + 10 * j as u64;
-                let (y, y0) = forward_pair((c, oc, k, ow), seed, tiled_planes_body::<MR, NR>);
-                assert_same_bits("front y", &case, &y, &y0);
-                let (y, y0) = forward_pair((c, oc, k, ow), seed, wide);
-                assert_same_bits("front y vs the 16-lane body", &case, &y, &y0);
+                for (what, pair) in [
+                    ("y", forward_pair as fn(Site, u64, Body) -> _),
+                    ("dx", dx_pair),
+                ] {
+                    let (got, want) = pair(site, seed, base);
+                    assert_same_bits(&format!("front {what}"), &case, &got, &want);
+                    let (got, want) = pair(site, seed, wide);
+                    assert_same_bits(
+                        &format!("front {what} vs the 16-lane body"),
+                        &case,
+                        &got,
+                        &want,
+                    );
+                }
             }
         }
-        for (i, &(c, oc, k, side)) in unet_sites(2, 8, 64).iter().enumerate() {
+        for (i, oc) in [3, 8, 15, 16, 17, 24, 32, 33].into_iter().enumerate() {
+            for (j, &(c, k, side)) in [(3, 3, 7), (5, 3, 16), (7, 1, 9), (2, 3, 17)]
+                .iter()
+                .enumerate()
+            {
+                let case = format!("{c} -> {oc}, {k}x{k}, {side}²");
+                let seed = 1900 + 100 * i as u64 + 10 * j as u64;
+                let (dw, dw0) = dw_pair((c, oc, k, side), seed, base_dw);
+                assert_same_bits("front dw", &case, &dw, &dw0);
+                let (dw, dw0) = dw_pair((c, oc, k, side), seed, wide_dw);
+                assert_same_bits("front dw vs the 16-lane body", &case, &dw, &dw0);
+            }
+        }
+        for (i, &site) in unet_sites(2, 8, 64).iter().enumerate() {
+            let (c, oc, k, side) = site;
             let case = format!("site {i}: {c} -> {oc}, {k}x{k}, {side}²");
-            let (y, y0) = forward_pair((c, oc, k, side), 700 + i as u64, wide);
+            let seed = 700 + i as u64;
+            let (y, y0) = forward_pair(site, seed, wide);
             assert_same_bits("front y vs the 16-lane body", &case, &y, &y0);
+            let (dx, dx0) = dx_pair(site, seed, wide);
+            assert_same_bits("front dx vs the 16-lane body", &case, &dx, &dx0);
+            let (dw, dw0) = dw_pair(site, seed, wide_dw);
+            assert_same_bits("front dw vs the 16-lane body", &case, &dw, &dw0);
         }
     }
 

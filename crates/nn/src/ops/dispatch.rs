@@ -6,11 +6,11 @@
 //! nothing else.
 //!
 //! * The f32 twins are the `#[inline(always)]` bodies of
-//!   [`conv2d`](super::conv2d) compiled again: with AVX2 at `2 · MR` rows ×
-//!   `NR` lanes, and the forward body with AVX-512F at `2 · MR` rows ×
-//!   `NR_WIDE` lanes. No intrinsics, no raw pointers; `fma` is not enabled
-//!   by AVX2, is implied by `avx512f`, and is never used because Rust does
-//!   not contract `a * b + c`.
+//!   [`conv2d`](super::conv2d) compiled again at `2 · MR` rows: with AVX2 at
+//!   `NR` lanes, and with AVX-512F at `NR_WIDE` lanes where the nest's lane
+//!   rule holds. No intrinsics, no raw pointers; `fma` is not enabled by
+//!   AVX2, is implied by `avx512f`, and is never used because Rust does not
+//!   contract `a * b + c`.
 //! * The int8 twin is [`quant`](super::quant)'s `vpmaddwd` kernel, written
 //!   with safe *value* intrinsics (no loads or stores through pointers, no
 //!   `transmute`); its baseline is the `quantize_into` → `im2col_i8` →
@@ -24,15 +24,35 @@ use super::planes::{Planes, Sink, View};
 use super::quant::{qconv_item_lowered, QPlan};
 
 macro_rules! twins {
-    // The twin is `$body` compiled again, inside AVX2, at `2 · MR` rows.
-    ($front:ident, $twin:ident = $body:ident $(<$lanes:ident>)? ($($arg:ident: $ty:ty),* $(,)?)) => {
+    // The twins are `$body` compiled again at `2 · MR` rows: inside AVX2 at
+    // `NR` lanes, and inside AVX-512F at `NR_WIDE` lanes, which the front
+    // takes where `$wide` — the nest's lane rule — holds.
+    ($front:ident = $body:ident: $avx2:ident, $avx512:ident if $wide:expr; $($arg:ident: $ty:ty),* $(,)?) => {
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = "avx2")]
-        fn $twin($($arg: $ty),*) {
-            $body::<{ 2 * MR } $(, $lanes)?>($($arg),*)
+        fn $avx2($($arg: $ty),*) {
+            $body::<{ 2 * MR }, NR>($($arg),*)
         }
 
-        twins!($front = $twin | $body::<MR $(, $lanes)?>; $($arg: $ty),*);
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = "avx512f")]
+        fn $avx512($($arg: $ty),*) {
+            $body::<{ 2 * MR }, NR_WIDE>($($arg),*)
+        }
+
+        pub(super) fn $front($($arg: $ty),*) {
+            #[cfg(target_arch = "x86_64")]
+            if $wide && std::arch::is_x86_feature_detected!("avx512f") {
+                // SAFETY: avx512f was detected on this CPU on the line above.
+                return unsafe { $avx512($($arg),*) };
+            }
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: avx2 was detected on this CPU on the line above.
+                return unsafe { $avx2($($arg),*) };
+            }
+            $body::<MR, NR>($($arg),*)
+        }
     };
     // A front over an AVX2 twin written out on its own.
     ($front:ident = $twin:path | $base:path; $($arg:ident: $ty:ty),* $(,)?) => {
@@ -47,21 +67,27 @@ macro_rules! twins {
     };
 }
 
-twins!(tiled_planes, tiled_planes_avx2 = tiled_planes_body<NR>(
+// Forward and `dx`: lanes are consecutive output positions, so 16 lanes
+// from planes 16 wide up; narrower planes (the deepest levels of small
+// tiles) would drop more lanes past a row's end.
+twins!(tiled_planes = tiled_planes_body: tiled_planes_avx2, tiled_planes_avx512
+    if out.dims().2 >= NR_WIDE;
     src: &Planes,
     offs: &[usize],
     groups: usize,
     packed: &[f32],
     bias: Option<&[f32]>,
     out: Sink<'_>,
-));
-twins!(grad_weight_item, grad_weight_item_avx2 = grad_weight_item_body(
+);
+// `dW`: lanes are output channels, so 16 lanes from 16 channels up.
+twins!(grad_weight_item = grad_weight_item_body: grad_weight_item_avx2, grad_weight_item_avx512
+    if dims.0 >= NR_WIDE;
     xh: &Planes,
     offs: &[usize],
     gy: &[f32],
     dims: (usize, usize, usize),
     dw: &mut [f32],
-));
+);
 twins!(qconv_item = super::quant::qconv_item_avx2 | qconv_item_lowered;
     plan: &QPlan,
     x: View<'_>,
@@ -69,35 +95,10 @@ twins!(qconv_item = super::quant::qconv_item_avx2 | qconv_item_lowered;
     words: &mut Vec<i32>,
 );
 
-/// The forward pass's 16-lane twin.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-fn forward_planes_avx512(src: &Planes, offs: &[usize], packed: &[f32], bias: &[f32], out: Sink) {
-    tiled_planes_body::<{ 2 * MR }, NR_WIDE>(src, offs, 1, packed, Some(bias), out)
-}
-
-/// The forward convolution's front: the AVX-512F twin for outputs at least
-/// `NR_WIDE` wide, [`tiled_planes`] otherwise. Only the forward pass takes
-/// 16 lanes: the `dx` gather and `dW` at 16 lanes slowed training (DESIGN.md
-/// §4.10, "Three instantiations").
-pub(super) fn forward_planes(
-    src: &Planes,
-    offs: &[usize],
-    packed: &[f32],
-    bias: &[f32],
-    out: Sink,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if out.dims().2 >= NR_WIDE && std::arch::is_x86_feature_detected!("avx512f") {
-        // SAFETY: avx512f was detected on this CPU on the line above.
-        return unsafe { forward_planes_avx512(src, offs, packed, bias, out) };
-    }
-    tiled_planes(src, offs, 1, packed, Some(bias), out)
-}
-
 /// The widest instantiation of the direct kernels this process runs:
-/// `"avx512f"` (the f32 forward pass on 8 × 16 `zmm` tiles where planes are
-/// at least 16 wide, everything else as under `"avx2"`), `"avx2"` (8 × 8
+/// `"avx512f"` (the f32 kernels on 8 × 16 `zmm` tiles where 16 lanes fill
+/// — forward and `dx` over planes at least 16 wide, `dW` over at least 16
+/// output channels — everything else as under `"avx2"`), `"avx2"` (8 × 8
 /// tiles on `ymm`, int8 on `vpmaddwd`) or `"baseline"` (f32 4 × 8 on
 /// `xmm`, int8 through the lowering). It depends on the CPU alone; all
 /// compute the same bits.

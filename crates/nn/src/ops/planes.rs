@@ -7,7 +7,7 @@
 use std::borrow::Cow;
 
 /// Cells after the last plane: the widest lane load (the 16-lane forward
-/// tile) past the last row's end stays in bounds. Lanes past a row's end
+/// and `dx` tiles) past the last row's end stays in bounds. Lanes past a row's end
 /// are computed and dropped.
 const SLACK: usize = 16;
 

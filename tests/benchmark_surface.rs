@@ -7,6 +7,9 @@
 //! `cargo test` stops compiling the moment one of them moves, instead of
 //! the next benchmark run failing.
 
+use seaice::distrib::{
+    train_distributed, DgxA100Model, DistTrainConfig, DistTrainReport, ProcessGroup, Rank,
+};
 use seaice::nn::dataloader::{Batch, DataLoader, Sample};
 use seaice::nn::loss::{pixel_accuracy, softmax_cross_entropy, LossOutput};
 use seaice::nn::ops::conv2d::Conv2dShape;
@@ -94,6 +97,17 @@ fn unet_keeps_the_signatures_the_benchmark_calls() {
 }
 
 #[test]
+fn distrib_keeps_the_signatures_the_benchmark_calls() {
+    let _: fn(UNetConfig, Vec<Sample>, DistTrainConfig, &DgxA100Model) -> (UNet, DistTrainReport) =
+        train_distributed;
+    let _: fn() -> DgxA100Model = DgxA100Model::dgx_a100;
+    let _: fn(usize) -> Vec<Rank> = ProcessGroup::new;
+    let _: fn(&Rank, &mut [f32]) = Rank::all_reduce_sum;
+    // Read, not written: the report's per-rank sample count.
+    let _: fn(DistTrainReport) -> usize = |report| report.samples_per_rank;
+}
+
+#[test]
 fn struct_literals_the_benchmark_writes_still_name_every_field() {
     // No `..`: a new field must break this test, as it would the benchmark.
     let shape = Conv2dShape {
@@ -118,6 +132,14 @@ fn struct_literals_the_benchmark_writes_still_name_every_field() {
         log_every: 0,
     };
     assert_eq!(cfg.epochs, 1);
+    let dist = DistTrainConfig {
+        ranks: 2,
+        epochs: 1,
+        batch_size_per_rank: 4,
+        learning_rate: 1e-3,
+        shuffle_seed: None,
+    };
+    assert_eq!(dist.ranks * dist.batch_size_per_rank, 8);
     // Fields read, not written: the checkpoint's payload, the quantised
     // filter bank, the activation zero point.
     let mut model = UNet::new(UNetConfig::cpu_small());
