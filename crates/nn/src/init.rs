@@ -12,14 +12,6 @@ pub fn he_uniform(shape: &[usize], fan_in: usize, seed: u64) -> Tensor {
     uniform(shape, -bound, bound, seed)
 }
 
-/// Glorot (Xavier) uniform initialization:
-/// `U(−√(6/(fan_in+fan_out)), +√(6/(fan_in+fan_out)))`.
-pub fn glorot_uniform(shape: &[usize], fan_in: usize, fan_out: usize, seed: u64) -> Tensor {
-    assert!(fan_in + fan_out > 0, "fans must be positive");
-    let bound = (6.0 / (fan_in + fan_out) as f32).sqrt();
-    uniform(shape, -bound, bound, seed)
-}
-
 /// Uniform initialization over `[lo, hi)`.
 pub fn uniform(shape: &[usize], lo: f32, hi: f32, seed: u64) -> Tensor {
     assert!(lo <= hi, "inverted range");
@@ -42,13 +34,6 @@ mod tests {
         assert_eq!(t, t2);
         let t3 = he_uniform(&[8, 4, 3, 3], 4 * 3 * 3, 43);
         assert_ne!(t, t3);
-    }
-
-    #[test]
-    fn glorot_bound() {
-        let t = glorot_uniform(&[10, 10], 10, 10, 1);
-        let bound = (6.0 / 20.0f32).sqrt();
-        assert!(t.as_slice().iter().all(|&v| v.abs() <= bound + 1e-6));
     }
 
     #[test]

@@ -10,13 +10,15 @@
 //!   (bit-identical to the matmul + im2col/col2im lowering, which stays as
 //!   their test oracle), int8 inference kernels, 2×2 max-pool,
 //!   nearest-neighbour upsample, channel concatenation, ReLU, dropout —
-//!   and, for an inference walk, their forward passes from and into
-//!   reused haloed [`ops::Planes`] through an [`ops::Sink`];
+//!   and, for a network's walk, their forward and backward passes from and
+//!   into reused haloed [`ops::Planes`] through an [`ops::Sink`], which
+//!   can store through ReLU or, for a gradient, through a ReLU / dropout
+//!   mask;
 //! * [`loss`] — fused softmax + categorical cross-entropy over per-pixel
 //!   class targets;
 //! * [`optim`] — SGD and Adam (the paper's optimizer);
-//! * [`layers`] — a small object-safe `Layer` abstraction with trainable
-//!   [`layers::Param`]s, enough to assemble encoder/decoder networks;
+//! * [`layers`] — trainable [`layers::Param`]s and the convolution
+//!   parameter holders a network is assembled from;
 //! * [`dataloader`] — shuffled mini-batches with optional flip
 //!   augmentation.
 //!
@@ -26,19 +28,21 @@
 //! `seaice-distrib` rely on.
 //!
 //! ```
-//! use seaice_nn::layers::{Conv2d, Layer};
+//! use seaice_nn::layers::Conv2d;
 //! use seaice_nn::ops::conv2d::Conv2dShape;
+//! use seaice_nn::ops::{conv2d, conv2d_backward};
 //! use seaice_nn::Tensor;
 //!
-//! let mut conv = Conv2d::new(
+//! let conv = Conv2d::new(
 //!     Conv2dShape { in_channels: 3, out_channels: 8, kernel: 3, stride: 1, pad: 1 },
 //!     42,
 //! );
+//! let (w, b) = (&conv.weight().value, &conv.bias().value);
 //! let x = Tensor::zeros(&[2, 3, 16, 16]);
-//! let y = conv.forward(&x, true);
+//! let y = conv2d(&x, w, b, conv.shape());
 //! assert_eq!(y.shape(), &[2, 8, 16, 16]);       // "same" convolution
-//! let dx = conv.backward(&Tensor::zeros(y.shape()));
-//! assert_eq!(dx.shape(), x.shape());
+//! let (dx, dw, db) = conv2d_backward(&x, w, &Tensor::zeros(y.shape()), conv.shape());
+//! assert_eq!((dx.shape(), dw.shape(), db.shape()), (x.shape(), w.shape(), b.shape()));
 //! ```
 // `deny`, not `forbid`: the one audited `#[allow]` is `ops::dispatch`.
 #![deny(unsafe_code)]
@@ -51,5 +55,5 @@ pub mod ops;
 pub mod optim;
 pub mod tensor;
 
-pub use layers::{Layer, Param};
+pub use layers::Param;
 pub use tensor::Tensor;

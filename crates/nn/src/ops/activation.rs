@@ -7,33 +7,29 @@ pub fn relu(x: &Tensor) -> Tensor {
     x.map(|v| v.max(0.0))
 }
 
-/// ReLU gradient: passes `grad_out` where the *input* was positive.
-///
-/// # Panics
-/// Panics on shape mismatch.
-pub fn relu_backward(input: &Tensor, grad_out: &Tensor) -> Tensor {
-    assert_eq!(
-        input.shape(),
-        grad_out.shape(),
-        "relu gradient shape mismatch"
-    );
-    let data = input
-        .as_slice()
-        .iter()
-        .zip(grad_out.as_slice())
-        .map(|(&x, &g)| if x > 0.0 { g } else { 0.0 })
-        .collect();
-    Tensor::from_vec(input.shape(), data)
-}
-
-/// Element-wise logistic sigmoid.
-pub fn sigmoid(x: &Tensor) -> Tensor {
-    x.map(|v| 1.0 / (1.0 + (-v).exp()))
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// ReLU gradient: passes `grad_out` where the *input* was positive. The
+    /// oracle of a masked `Sink`'s store, which is how training runs it.
+    ///
+    /// # Panics
+    /// Panics on shape mismatch.
+    pub(crate) fn relu_backward(input: &Tensor, grad_out: &Tensor) -> Tensor {
+        assert_eq!(
+            input.shape(),
+            grad_out.shape(),
+            "relu gradient shape mismatch"
+        );
+        let data = input
+            .as_slice()
+            .iter()
+            .zip(grad_out.as_slice())
+            .map(|(&x, &g)| if x > 0.0 { g } else { 0.0 })
+            .collect();
+        Tensor::from_vec(input.shape(), data)
+    }
 
     #[test]
     fn relu_clamps_negatives() {
@@ -46,14 +42,5 @@ mod tests {
         let x = Tensor::from_vec(&[4], vec![-1.0, 0.0, 1.0, 2.0]);
         let g = Tensor::full(&[4], 5.0);
         assert_eq!(relu_backward(&x, &g).as_slice(), &[0.0, 0.0, 5.0, 5.0]);
-    }
-
-    #[test]
-    fn sigmoid_symmetry_and_range() {
-        let x = Tensor::from_vec(&[3], vec![-10.0, 0.0, 10.0]);
-        let y = sigmoid(&x);
-        assert!(y.as_slice()[0] < 1e-4);
-        assert!((y.as_slice()[1] - 0.5).abs() < 1e-6);
-        assert!(y.as_slice()[2] > 1.0 - 1e-4);
     }
 }

@@ -1,4 +1,6 @@
-//! Channel-axis concatenation (U-Net skip connections).
+//! Channel-axis concatenation (U-Net skip connections). Its gradient is the
+//! channel ranges of the concatenated gradient, which a walk reads in
+//! place.
 
 use crate::tensor::Tensor;
 
@@ -21,26 +23,6 @@ pub fn concat_channels(a: &Tensor, b: &Tensor) -> Tensor {
         dst[dst_base + c1 * plane..dst_base + (c1 + c2) * plane].copy_from_slice(b.batch_item(bi));
     }
     out
-}
-
-/// Splits a concatenated gradient back into the two inputs' gradients.
-///
-/// # Panics
-/// Panics if `grad_out`'s channel count differs from `c1 + c2`.
-pub fn concat_channels_backward(grad_out: &Tensor, c1: usize, c2: usize) -> (Tensor, Tensor) {
-    let (n, c, h, w) = grad_out.nchw();
-    assert_eq!(c, c1 + c2, "concat gradient channel mismatch");
-    let mut ga = Tensor::zeros(&[n, c1, h, w]);
-    let mut gb = Tensor::zeros(&[n, c2, h, w]);
-    let plane = h * w;
-    for bi in 0..n {
-        let src = grad_out.batch_item(bi);
-        let ga_base = bi * c1 * plane;
-        let gb_base = bi * c2 * plane;
-        ga.as_mut_slice()[ga_base..ga_base + c1 * plane].copy_from_slice(&src[..c1 * plane]);
-        gb.as_mut_slice()[gb_base..gb_base + c2 * plane].copy_from_slice(&src[c1 * plane..]);
-    }
-    (ga, gb)
 }
 
 #[cfg(test)]
@@ -66,24 +48,6 @@ mod tests {
         let b = Tensor::from_vec(&[2, 1, 1, 1], vec![10.0, 20.0]);
         let out = concat_channels(&a, &b);
         assert_eq!(out.as_slice(), &[1.0, 10.0, 2.0, 20.0]);
-    }
-
-    #[test]
-    fn backward_splits_exactly() {
-        let grad = Tensor::from_vec(&[2, 3, 1, 1], (0..6).map(|v| v as f32).collect());
-        let (ga, gb) = concat_channels_backward(&grad, 1, 2);
-        assert_eq!(ga.as_slice(), &[0.0, 3.0]);
-        assert_eq!(gb.as_slice(), &[1.0, 2.0, 4.0, 5.0]);
-    }
-
-    #[test]
-    fn roundtrip_is_identity() {
-        let a = crate::init::uniform(&[2, 3, 4, 4], -1.0, 1.0, 1);
-        let b = crate::init::uniform(&[2, 2, 4, 4], -1.0, 1.0, 2);
-        let cat = concat_channels(&a, &b);
-        let (ga, gb) = concat_channels_backward(&cat, 3, 2);
-        assert_eq!(ga, a);
-        assert_eq!(gb, b);
     }
 
     #[test]

@@ -42,7 +42,7 @@
 
 use crate::ops::im2col::{col2im, im2col};
 use crate::ops::matmul::{matmul, matmul_a_bt, matmul_at_b};
-use crate::ops::planes::{Planes, Sink};
+use crate::ops::planes::{Planes, Sink, View};
 use crate::tensor::Tensor;
 
 /// Rows of the baseline register tile (output channels; input channels or
@@ -112,7 +112,7 @@ fn lanes<const N: usize>(s: &[f32], at: usize) -> [f32; N] {
 }
 
 /// Scratch a convolution call packs into and an int8 call quantises into:
-/// kept by an inference walk and reused, so a call allocates nothing.
+/// kept by a walk and reused, so a call allocates nothing.
 #[derive(Clone, Debug, Default)]
 pub struct ConvBuffers {
     /// The [`pack`]ed weights.
@@ -121,6 +121,18 @@ pub struct ConvBuffers {
     pub(super) offs: Vec<usize>,
     /// The int8 kernel's channel-pair planes.
     pub(super) words: Vec<i32>,
+}
+
+/// What [`conv2d_backward_into`] derives from one convolution's weights and
+/// geometry (the `dx` gather's packed filter bank and taps, the `dW` taps),
+/// made by the first call for the images after it; fresh whenever the
+/// weights change. And one image's `dW`.
+#[derive(Clone, Debug, Default)]
+pub struct GradBuffers {
+    packed: Vec<f32>,
+    dx_offs: Vec<usize>,
+    x_offs: Vec<usize>,
+    dw: Vec<f32>,
 }
 
 /// Repacks `rows × len` coefficients into `out` as `[rows / MR][len][MR]`,
@@ -211,7 +223,8 @@ fn tile<const R: usize, const L: usize>(
 /// Runs [`tile`] over the output planes of the `R` channels of `out` from
 /// `ch0` on; channels past the last are zero rows of `w`, computed and
 /// dropped. The store adds the bias and, for a ReLU sink, takes
-/// `max(0, ·)` — the expression of `ops::relu`, on the same value.
+/// `max(0, ·)` — the expression of `ops::relu`, on the same value; a
+/// masked sink (`dX`, which has no bias) stores through its mask.
 #[inline(always)]
 fn tiled_block<const R: usize, const L: usize>(
     src: &Planes,
@@ -223,14 +236,19 @@ fn tiled_block<const R: usize, const L: usize>(
     ch0: usize,
 ) {
     let (channels, oh, ow) = out.dims();
-    let relu = out.relu();
+    let (relu, mask) = (out.relu, out.mask);
     let w = &w[..R * offs.len()];
     for y in 0..oh {
         for x0 in (0..ow).step_by(L) {
             let acc = tile::<R, L>(src.data(), y * src.width() + x0, offs, w, groups);
             let n = L.min(ow - x0);
             for (ch, acc) in (ch0..channels).zip(&acc) {
-                let dst = out.cells(ch, y, x0, n).iter_mut().zip(acc);
+                let dst = out.cells(ch, y, x0, n);
+                if let Some(m) = mask {
+                    m.store((ch, y, x0), dst, acc);
+                    continue;
+                }
+                let dst = dst.iter_mut().zip(acc);
                 match (bias, relu) {
                     (Some(b), false) => dst.for_each(|(d, a)| *d = a + b[ch]),
                     (Some(b), true) => dst.for_each(|(d, a)| *d = (a + b[ch]).max(0.0)),
@@ -282,7 +300,7 @@ pub(super) fn tiled_planes_body<const R: usize, const L: usize>(
 pub(super) fn grad_weight_item_body<const R: usize, const L: usize>(
     xh: &Planes,
     offs: &[usize],
-    gy: &[f32],
+    gy: View<'_>,
     (oc, oh, ow): (usize, usize, usize),
     dw: &mut [f32],
 ) {
@@ -290,9 +308,11 @@ pub(super) fn grad_weight_item_body<const R: usize, const L: usize>(
     let ocp = oc.next_multiple_of(L);
     // Channels zero-padded to whole lanes.
     let mut gt = vec![0.0; oh * ow * ocp];
-    for (o, g) in gy.chunks_exact(oh * ow).enumerate() {
-        for (pos, &v) in g.iter().enumerate() {
-            gt[pos * ocp + o] = v;
+    for o in 0..oc {
+        for y in 0..oh {
+            for (x, &v) in gy.row(o, y).iter().enumerate() {
+                gt[(y * ow + x) * ocp + o] = v;
+            }
         }
     }
     let mut dwt = vec![0.0; taps * ocp];
@@ -445,35 +465,82 @@ pub fn conv2d_backward(
     if !shape.is_direct() {
         return conv2d_backward_lowered(input, weight, grad_out, shape);
     }
-    let halo = k - 1 - shape.pad;
-    let x_offs: Vec<usize> = patch_offsets(c, k, h + 2 * shape.pad, w + 2 * shape.pad).collect();
-    let (g_offs, wt) = (dx_offsets(k, oc, (oh, ow), halo), dx_weights(weight, c, k));
-
-    // Per-image partials, reduced afterwards in batch order.
-    let partials: Vec<(Vec<f32>, Tensor, Tensor)> = (0..n)
-        .map(|b| {
-            let gy = grad_out.batch_item(b);
-            let gh = Planes::haloed(gy, (oc, oh, ow), halo);
-            let mut dx = vec![0.0; c * h * w];
-            let sink = Sink::plain(&mut dx, (c, h, w));
-            tiled_planes(&gh, &g_offs, k * k, &wt, None, sink);
-            let xh = Planes::haloed(input.batch_item(b), (c, h, w), shape.pad);
-            let mut dw = Tensor::zeros(weight.shape());
-            grad_weight_item(&xh, &x_offs, gy, (oc, oh, ow), dw.as_mut_slice());
-            let db = gy.chunks_exact(oh * ow).map(|g| g.iter().sum());
-            (dx, dw, Tensor::from_vec(&[oc], db.collect()))
-        })
-        .collect();
-    let mut grad_input = Vec::with_capacity(n * c * h * w);
+    let (item, halo) = (c * h * w, k - 1 - shape.pad);
+    let mut grad_input = Tensor::zeros(&[n, c, h, w]);
     let mut grad_weight = Tensor::zeros(weight.shape());
     let mut grad_bias = Tensor::zeros(&[oc]);
-    for (dx, dw, db) in &partials {
-        grad_input.extend_from_slice(dx);
-        grad_weight.add_assign(dw);
-        grad_bias.add_assign(db);
+    let mut buf = GradBuffers::default();
+    for b in 0..n {
+        let xh = Planes::haloed(input.batch_item(b), (c, h, w), shape.pad);
+        let gh = Planes::haloed(grad_out.batch_item(b), (oc, oh, ow), halo);
+        let dx = &mut grad_input.as_mut_slice()[b * item..][..item];
+        let sums = (grad_weight.as_mut_slice(), grad_bias.as_mut_slice());
+        let sink = Sink::plain(dx, (c, h, w));
+        conv2d_backward_into(&xh, weight, (&gh, 0), shape, sink, sums, &mut buf);
     }
-    let grad_input = Tensor::from_vec(&[n, c, h, w], grad_input);
     (grad_input, grad_weight, grad_bias)
+}
+
+/// [`conv2d_backward`] of the one image `x` holds (bordered by its padding)
+/// under the gradient of its output, channels `ch0..ch0 + out_c` of `gy`
+/// (bordered by `kernel − 1 − pad`): stores `dx` through `dx` and adds the
+/// image's `dW` and `db` into `dw` and `db`, with no halo copies and no
+/// per-image tensors. Summed from zero image after image, these are
+/// [`conv2d_backward`]'s sums.
+///
+/// # Panics
+/// Panics on any shape inconsistency, and on a geometry `is_direct`
+/// excludes (no model has one; [`conv2d_backward`] lowers them).
+pub fn conv2d_backward_into(
+    x: &Planes,
+    weight: &Tensor,
+    (gy, ch0): (&Planes, usize),
+    shape: &Conv2dShape,
+    dx: Sink<'_>,
+    (dw, db): (&mut [f32], &mut [f32]),
+    buf: &mut GradBuffers,
+) {
+    let (c, h, w) = x.dims();
+    let (k, oc) = (shape.kernel, shape.out_channels);
+    let taps = c * k * k;
+    assert_eq!(c, shape.in_channels, "input channel mismatch");
+    assert_eq!(weight.shape(), &[oc, taps], "weight shape mismatch");
+    let g = gy.channels(ch0, oc);
+    let (_, oh, ow) = g.dims();
+    assert_eq!((oh, ow), shape.output_hw(h, w), "grad spatial mismatch");
+    assert_eq!(dx.dims(), (c, h, w), "dx mismatch");
+    assert_eq!((dw.len(), db.len()), (oc * taps, oc), "sums mismatch");
+    assert!(shape.is_direct(), "not a direct geometry");
+    let halo = k - 1 - shape.pad;
+    assert_eq!(x.halo(), shape.pad, "conv input halo must be its padding");
+    assert_eq!(gy.halo(), halo, "gradient halo must be k - 1 - pad");
+    if buf.packed.is_empty() {
+        let base = ch0 * gy.plane();
+        buf.dx_offs = dx_offsets(k, oc, (oh, ow), halo);
+        buf.dx_offs.iter_mut().for_each(|o| *o += base);
+        buf.x_offs = patch_offsets(c, k, h + 2 * shape.pad, x.width()).collect();
+        buf.dw.resize(oc * taps, 0.0);
+        pack_dx_weights(&mut buf.packed, weight, c, k);
+    }
+    tiled_planes(gy, &buf.dx_offs, k * k, &buf.packed, None, dx);
+    grad_weight_item(x, &buf.x_offs, g, (oc, oh, ow), &mut buf.dw);
+    dw.iter_mut().zip(&buf.dw).for_each(|(s, p)| *s += p);
+    bias_sums(g, db);
+}
+
+/// Adds each channel of `g` into `db`: the channel's cells summed in
+/// order, as `Iterator::sum` sums them (from `-0.0`), then added once.
+/// Eight channels at a time, so the eight chains overlap.
+fn bias_sums(g: View<'_>, db: &mut [f32]) {
+    let (oc, oh, ow) = g.dims();
+    for o0 in (0..oc).step_by(8) {
+        let mut sum = [-0.0f32; 8];
+        for y in 0..oh {
+            let rows: [&[f32]; 8] = std::array::from_fn(|i| g.row((o0 + i).min(oc - 1), y));
+            (0..ow).for_each(|x| sum.iter_mut().zip(&rows).for_each(|(s, r)| *s += r[x]));
+        }
+        db[o0..].iter_mut().zip(sum).for_each(|(d, s)| *d += s);
+    }
 }
 
 /// The `dx` gather's taps: tap `(ky, kx)` of channel `o` at the mirrored
@@ -486,15 +553,19 @@ fn dx_offsets(k: usize, oc: usize, (oh, ow): (usize, usize), halo: usize) -> Vec
         .collect()
 }
 
-/// The filter bank [`pack`]ed for the `dx` gather: rows are input
-/// channels, taps in [`dx_offsets`] order.
-fn dx_weights(weight: &Tensor, c: usize, k: usize) -> Vec<f32> {
-    let (oc, taps) = (weight.shape()[0], c * k * k);
-    let mut wt = Vec::new();
-    pack(&mut wt, c, k * k * oc, |ch, j| {
-        weight.as_slice()[j % oc * taps + ch * k * k + j / oc]
-    });
-    wt
+/// The filter bank [`pack`]ed into `out` for the `dx` gather: rows are
+/// input channels, taps in [`dx_offsets`] order (in loops: no division).
+fn pack_dx_weights(out: &mut Vec<f32>, weight: &Tensor, c: usize, k: usize) {
+    let (oc, kk) = (weight.shape()[0], k * k);
+    out.clear();
+    out.resize(c.div_ceil(MR) * kk * oc * MR, 0.0);
+    for (o, filter) in weight.as_slice().chunks_exact(c * kk).enumerate() {
+        for (ch, taps) in filter.chunks_exact(kk).enumerate() {
+            for (tap, &v) in taps.iter().enumerate() {
+                out[(ch / MR * kk * oc + tap * oc + o) * MR + ch % MR] = v;
+            }
+        }
+    }
 }
 
 /// [`conv2d`] through the reference lowering, for the geometries
@@ -743,7 +814,7 @@ mod tests {
     /// An instantiation of [`tiled_planes_body`].
     type Body = fn(&Planes, &[usize], usize, &[f32], Option<&[f32]>, Sink<'_>);
     /// An instantiation of [`grad_weight_item_body`].
-    type DwBody = fn(&Planes, &[usize], &[f32], (usize, usize, usize), &mut [f32]);
+    type DwBody = fn(&Planes, &[usize], View<'_>, (usize, usize, usize), &mut [f32]);
 
     /// `y` of one image through the forward front ([`conv2d_into`]'s
     /// kernel call) and through `body`, on the same operands.
@@ -772,10 +843,9 @@ mod tests {
         let weight = uniform(&[oc, c * k * k], -0.5, 0.5, seed + 1);
         let gy = uniform(&[oc, side, side], -1.0, 1.0, seed + 3);
         let gh = Planes::haloed(gy.as_slice(), (oc, side, side), halo);
-        let (offs, wt) = (
-            dx_offsets(k, oc, (side, side), halo),
-            dx_weights(&weight, c, k),
-        );
+        let offs = dx_offsets(k, oc, (side, side), halo);
+        let mut wt = Vec::new();
+        pack_dx_weights(&mut wt, &weight, c, k);
         let (mut dx, mut dx0) = (vec![0.0; c * side * side], vec![0.0; c * side * side]);
         let dims = (c, side, side);
         tiled_planes(&gh, &offs, k * k, &wt, None, Sink::plain(&mut dx, dims));
@@ -792,8 +862,9 @@ mod tests {
         let offs: Vec<usize> = patch_offsets(c, k, side + 2 * pad, side + 2 * pad).collect();
         let (mut dw, mut dw0) = (vec![0.0; oc * taps], vec![0.0; oc * taps]);
         let gdims = (oc, side, side);
-        grad_weight_item(&xh, &offs, gy.as_slice(), gdims, &mut dw);
-        body(&xh, &offs, gy.as_slice(), gdims, &mut dw0);
+        let g = View::of_slice(gy.as_slice(), gdims);
+        grad_weight_item(&xh, &offs, g, gdims, &mut dw);
+        body(&xh, &offs, g, gdims, &mut dw0);
         (dw, dw0)
     }
 
@@ -939,6 +1010,55 @@ mod tests {
             stored, interior,
             "a store landed in the border or the slack"
         );
+    }
+
+    /// `conv2d_backward_into` from haloed planes, reading the output
+    /// gradient from channels of a wider plane and storing `dX` through a
+    /// mask, equals `relu_backward` (after `dropout_backward`) of
+    /// `conv2d_backward`'s `dx`, and adds its `dW` and `db` — bit for bit,
+    /// with and without a dropout scale and with NaN among ReLU's inputs.
+    #[test]
+    fn a_masked_backward_into_equals_relu_and_dropout_backward() {
+        use crate::ops::activation::{relu, tests::relu_backward};
+        use crate::ops::dropout::tests::dropout_backward;
+        let (c, oc, side, p) = (5, 12, 11, 0.25);
+        let shape = shape_3x3_same(c, oc);
+        let mut z = uniform(&[1, c, side, side], -1.0, 1.0, 71);
+        z.as_mut_slice()[7] = f32::NAN;
+        let keep: Vec<bool> = (0..z.len()).map(|i| i % 3 != 0).collect();
+        let scale = 1.0 / (1.0 - p);
+        let r = relu(&z);
+        let dropped = Tensor::from_vec(
+            z.shape(),
+            r.as_slice()
+                .iter()
+                .zip(&keep)
+                .map(|(v, k)| if *k { v * scale } else { 0.0 })
+                .collect(),
+        );
+        let weight = uniform(&[oc, c * 9], -0.5, 0.5, 72);
+        let gy = uniform(&[1, oc, side, side], -1.0, 1.0, 73);
+        let mut wide = Planes::new((oc + 3, side, side), 1);
+        Sink::planes(&mut wide, 3, oc).put(gy.as_slice());
+        let dims = (c, side, side);
+        for (x, scale) in [(&r, 1.0), (&dropped, scale)] {
+            let (dx, dw, db) = conv2d_backward(x, &weight, &gy, &shape);
+            let want = match scale {
+                1.0 => relu_backward(&z, &dx),
+                _ => relu_backward(&z, &dropout_backward(&dx, &keep, p)),
+            };
+            let xh = Planes::haloed(x.as_slice(), dims, 1);
+            let mut got = Planes::new(dims, 1);
+            let (mut gw, mut gb) = (vec![0.0; dw.len()], vec![0.0; oc]);
+            let sink = Sink::planes(&mut got, 0, c).through_mask(&xh, scale);
+            let mut buf = GradBuffers::default();
+            let sums = (gw.as_mut_slice(), gb.as_mut_slice());
+            conv2d_backward_into(&xh, &weight, (&wide, 3), &shape, sink, sums, &mut buf);
+            let case = format!("scale {scale:?}");
+            assert_same_bits("masked dx", &case, &got.interior(), want.as_slice());
+            assert_same_bits("dw", &case, &gw, dw.as_slice());
+            assert_same_bits("db", &case, &gb, db.as_slice());
+        }
     }
 
     #[test]

@@ -84,7 +84,7 @@ twins!(grad_weight_item = grad_weight_item_body: grad_weight_item_avx2, grad_wei
     if dims.0 >= NR_WIDE;
     xh: &Planes,
     offs: &[usize],
-    gy: &[f32],
+    gy: View<'_>,
     dims: (usize, usize, usize),
     dw: &mut [f32],
 );

@@ -52,7 +52,7 @@ impl Planes {
     }
 
     /// Plane stride.
-    fn plane(&self) -> usize {
+    pub(crate) fn plane(&self) -> usize {
         (self.dims.1 + 2 * self.halo) * self.width()
     }
 
@@ -68,12 +68,19 @@ impl Planes {
 
     /// The interior, read through a [`View`].
     pub(crate) fn view(&self) -> View<'_> {
+        self.channels(0, self.dims.0)
+    }
+
+    /// Channels `ch0..ch0 + c` of the interior (panics past the last).
+    pub(crate) fn channels(&self, ch0: usize, c: usize) -> View<'_> {
+        let (pc, h, w) = self.dims;
+        assert!(ch0 + c <= pc, "channels past the planes");
         View {
             data: &self.data,
-            at: self.at(0, 0),
+            at: self.at(ch0, 0),
             width: self.width(),
             plane: self.plane(),
-            dims: self.dims,
+            dims: (c, h, w),
         }
     }
 
@@ -156,8 +163,9 @@ impl<'a> View<'a> {
 }
 
 /// Where a kernel stores `c` planes of `h × w`: a plain row-major slice or
-/// a run of channels in a [`Planes`] interior, optionally through ReLU
-/// (`v.max(0.0)`, the expression of `ops::relu`).
+/// a run of channels in a [`Planes`] interior, as computed, through ReLU
+/// (`v.max(0.0)`, the expression of `ops::relu`), or — a gradient's store —
+/// through the mask of a forward value ([`Sink::through_mask`]).
 pub struct Sink<'a> {
     data: &'a mut [f32],
     /// Offset of channel 0, row 0, column 0.
@@ -165,7 +173,39 @@ pub struct Sink<'a> {
     width: usize,
     plane: usize,
     dims: (usize, usize, usize),
-    relu: bool,
+    /// Stores go through ReLU.
+    pub(super) relu: bool,
+    /// Stores go through this mask (a gradient's, which has no ReLU).
+    pub(super) mask: Option<Mask<'a>>,
+}
+
+/// A masked [`Sink`]'s store: `v · scale` (`.1`) where the forward planes
+/// (`.0`) hold a value `> 0`, and `+0.0` elsewhere.
+#[derive(Clone, Copy)]
+pub(crate) struct Mask<'a>(View<'a>, f32);
+
+impl Mask<'_> {
+    /// Stores `src` into `dst`, the cells of row `y` of channel `ch` from
+    /// column `x0` on.
+    #[inline(always)]
+    pub(crate) fn store<'v>(
+        self,
+        (ch, y, x0): (usize, usize, usize),
+        dst: &mut [f32],
+        src: impl IntoIterator<Item = &'v f32>,
+    ) {
+        let by = &self.0.row(ch, y)[x0..][..dst.len()];
+        let cells = dst.iter_mut().zip(src).zip(by);
+        cells.for_each(|((d, v), m)| *d = keep_if(*m > 0.0, v * self.1));
+    }
+}
+
+/// `v` where `keep`, `+0.0` elsewhere: `if keep { v } else { 0.0 }`, bit
+/// for bit, as a mask on the bits. The `if` compiles to a jump per cell,
+/// which a ReLU mask mispredicts half the time; the mask stays in lanes.
+#[inline(always)]
+pub(crate) fn keep_if(keep: bool, v: f32) -> f32 {
+    f32::from_bits(v.to_bits() & u32::from(keep).wrapping_neg())
 }
 
 impl<'a> Sink<'a> {
@@ -183,6 +223,7 @@ impl<'a> Sink<'a> {
             plane: h * w,
             dims,
             relu: false,
+            mask: None,
         }
     }
 
@@ -201,12 +242,28 @@ impl<'a> Sink<'a> {
             plane,
             dims: (c, h, w),
             relu: false,
+            mask: None,
         }
     }
 
     /// This sink, storing `max(0, v)` for every `v`.
     pub fn through_relu(self) -> Self {
         Self { relu: true, ..self }
+    }
+
+    /// This sink, storing a gradient (bias-free) into channel `ch` as
+    /// `v · scale` where channel `ch` of the forward planes `by` holds a
+    /// value `> 0`, and `+0.0` elsewhere. On planes a ReLU, then dropout
+    /// (survivors times `scale ≥ 1`), stored into, that is `relu_backward`
+    /// after `dropout_backward`; `scale` 1 (no dropout) multiplies exactly.
+    ///
+    /// # Panics
+    /// Panics unless `by` has this sink's side and at least its channels.
+    pub fn through_mask(self, by: &'a Planes, scale: f32) -> Self {
+        let ((c, h, w), (bc, bh, bw)) = (self.dims, by.dims());
+        assert!(c <= bc && (h, w) == (bh, bw), "mask planes mismatch");
+        let mask = Some(Mask(by.view(), scale));
+        Self { mask, ..self }
     }
 
     /// `(c, h, w)` of what this sink takes.
@@ -220,12 +277,6 @@ impl<'a> Sink<'a> {
         &mut self.data[self.at + ch * self.plane + y * self.width + x0..][..n]
     }
 
-    /// Whether stores go through ReLU.
-    #[inline(always)]
-    pub(crate) fn relu(&self) -> bool {
-        self.relu
-    }
-
     /// Stores `src` (`c` planes of `h × w`, row-major).
     ///
     /// # Panics
@@ -233,13 +284,19 @@ impl<'a> Sink<'a> {
     pub fn put(&mut self, src: &[f32]) {
         let (c, h, w) = self.dims;
         assert_eq!(src.len(), c * h * w, "sink put length mismatch");
-        let relu = self.relu;
         for (i, row) in src.chunks_exact(w.max(1)).enumerate() {
-            let dst = self.cells(i / h, i % h, 0, w);
-            match relu {
-                true => dst.iter_mut().zip(row).for_each(|(d, &v)| *d = v.max(0.0)),
-                false => dst.copy_from_slice(row),
-            }
+            self.put_row(i / h, i % h, row);
+        }
+    }
+
+    /// Stores `row` as row `y` of channel `ch`.
+    pub(crate) fn put_row(&mut self, ch: usize, y: usize, row: &[f32]) {
+        let (relu, mask) = (self.relu, self.mask);
+        let dst = self.cells(ch, y, 0, row.len());
+        match (relu, mask) {
+            (_, Some(m)) => m.store((ch, y, 0), dst, row),
+            (true, None) => dst.iter_mut().zip(row).for_each(|(d, &v)| *d = v.max(0.0)),
+            (false, None) => dst.copy_from_slice(row),
         }
     }
 }

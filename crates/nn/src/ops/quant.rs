@@ -599,7 +599,7 @@ pub(super) fn qconv_item_lowered(plan: &QPlan, x: View, mut out: Sink, _words: &
         plane,
         &mut acc,
     );
-    let relu = out.relu();
+    let relu = out.relu;
     for (i, acc_row) in acc.chunks_exact(ow).enumerate() {
         let (ch, y) = (i / oh, i % oh);
         for (d, &a) in out.cells(ch, y, 0, ow).iter_mut().zip(acc_row) {
@@ -744,7 +744,7 @@ mod avx2 {
     #[inline]
     fn block(plan: &QPlan, src: (&[i32], usize), w: &[i32], ch0: usize, out: &mut Sink) {
         let (oc, oh, ow) = plan.out_dims;
-        let relu = out.relu();
+        let relu = out.relu;
         for y in 0..oh {
             for x0 in (0..ow).step_by(NR) {
                 let acc = tile(src.0, y * src.1 + x0, &plan.offs, w);

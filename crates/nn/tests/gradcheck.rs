@@ -1,12 +1,18 @@
-//! Finite-difference gradient checks for every differentiable op and for
-//! a small composed network — the ground truth that the hand-written
-//! backward passes are correct.
+//! Finite-difference gradient checks for every differentiable op a network
+//! is built from — the ground truth that the hand-written backward passes
+//! are correct. The backward passes run as a network's walk runs them:
+//! the convolution's per image over haloed planes, and the pool's, the
+//! upsample's and ReLU / dropout's stored through a `Sink`. The whole
+//! U-Net is checked in `seaice-unet`'s `tests/gradcheck.rs`.
 
 use seaice_nn::init::uniform;
-use seaice_nn::layers::{Conv2d, Layer, MaxPool2x2, Relu, Upsample2x};
+use seaice_nn::layers::Conv2d;
 use seaice_nn::loss::softmax_cross_entropy;
 use seaice_nn::ops::conv2d::Conv2dShape;
-use seaice_nn::ops::{concat_channels, concat_channels_backward};
+use seaice_nn::ops::{
+    concat_channels, conv2d, conv2d_backward, maxpool2x2, maxpool2x2_backward_into, relu,
+    upsample2x, upsample2x_backward_into, DropoutStream, Planes, Sink,
+};
 use seaice_nn::Tensor;
 
 const EPS: f32 = 1e-2;
@@ -47,6 +53,19 @@ fn ce_loss(logits: &Tensor, targets: &[u8]) -> f32 {
     softmax_cross_entropy(logits, targets).loss
 }
 
+/// The one image of `t` (`[1, c, h, w]`) as planes without a border.
+fn planes(t: &Tensor) -> Planes {
+    let (_, c, h, w) = t.nchw();
+    let mut p = Planes::new((c, h, w), 0);
+    p.fill(t.as_slice());
+    p
+}
+
+/// `t`'s shape holding `data`.
+fn like(t: &Tensor, data: Vec<f32>) -> Tensor {
+    Tensor::from_vec(t.shape(), data)
+}
+
 #[test]
 fn conv2d_input_gradient() {
     let shape = Conv2dShape {
@@ -56,19 +75,15 @@ fn conv2d_input_gradient() {
         stride: 1,
         pad: 1,
     };
-    let mut conv = Conv2d::new(shape, 1);
+    let conv = Conv2d::new(shape, 1);
+    let (w, b) = (&conv.weight().value, &conv.bias().value);
     let x = uniform(&[1, 2, 4, 4], -1.0, 1.0, 2);
     let targets: Vec<u8> = (0..16).map(|i| (i % 3) as u8).collect();
 
-    let y = conv.forward(&x, true);
-    let lo = softmax_cross_entropy(&y, &targets);
-    let dx = conv.backward(&lo.grad);
+    let lo = softmax_cross_entropy(&conv2d(&x, w, b, &shape), &targets);
+    let (dx, _, _) = conv2d_backward(&x, w, &lo.grad, &shape);
 
-    let mut f = |xt: &Tensor| {
-        let mut c = Conv2d::new(shape, 1); // same seed → same weights
-        let y = c.forward(xt, true);
-        ce_loss(&y, &targets)
-    };
+    let mut f = |xt: &Tensor| ce_loss(&conv2d(xt, w, b, &shape), &targets);
     check_grad(&x, &dx, 3, &mut f, "conv2d input");
 }
 
@@ -86,20 +101,13 @@ fn conv2d_weight_gradient() {
     let b0 = uniform(&[3], -0.1, 0.1, 5);
     let targets: Vec<u8> = (0..16).map(|i| (i % 3) as u8).collect();
 
-    let y = seaice_nn::ops::conv2d(&x, &w0, &b0, &shape);
+    let y = conv2d(&x, &w0, &b0, &shape);
     let lo = softmax_cross_entropy(&y, &targets);
-    let (_, dw, db) = seaice_nn::ops::conv2d_backward(&x, &w0, &lo.grad, &shape);
+    let (_, dw, db) = conv2d_backward(&x, &w0, &lo.grad, &shape);
 
-    let mut fw = |wt: &Tensor| {
-        let y = seaice_nn::ops::conv2d(&x, wt, &b0, &shape);
-        ce_loss(&y, &targets)
-    };
+    let mut fw = |wt: &Tensor| ce_loss(&conv2d(&x, wt, &b0, &shape), &targets);
     check_grad(&w0, &dw, 2, &mut fw, "conv2d weight");
-
-    let mut fb = |bt: &Tensor| {
-        let y = seaice_nn::ops::conv2d(&x, &w0, bt, &shape);
-        ce_loss(&y, &targets)
-    };
+    let mut fb = |bt: &Tensor| ce_loss(&conv2d(&x, &w0, bt, &shape), &targets);
     check_grad(&b0, &db, 1, &mut fb, "conv2d bias");
 }
 
@@ -127,24 +135,24 @@ fn conv_transpose2d_gradients() {
 }
 
 #[test]
-fn maxpool_gradient() {
-    // Use inputs with distinct values so the argmax is FD-stable.
-    let x = Tensor::from_vec(
+fn relu_then_maxpool_gradient() {
+    // Distinct values at least 0.05 from ReLU's kink keep the argmax and
+    // the mask finite-difference-stable.
+    let z = Tensor::from_vec(
         &[1, 3, 4, 4],
-        (0..48).map(|i| ((i * 37) % 101) as f32 / 10.0).collect(),
+        (0..48)
+            .map(|i| ((i * 37) % 101) as f32 / 10.0 - 5.05)
+            .collect(),
     );
     let targets: Vec<u8> = (0..4).map(|i| (i % 3) as u8).collect();
-    let mut pool = MaxPool2x2::default();
-    let y = pool.forward(&x, true);
-    let lo = softmax_cross_entropy(&y, &targets);
-    let dx = pool.backward(&lo.grad);
+    let x = relu(&z);
+    let lo = softmax_cross_entropy(&maxpool2x2(&x).0, &targets);
+    // No other consumer: the gradient the pool adds into starts at zero.
+    let mut dz = Planes::new((3, 4, 4), 0);
+    maxpool2x2_backward_into(&planes(&x), &planes(&lo.grad), Sink::planes(&mut dz, 0, 3));
 
-    let mut f = |xt: &Tensor| {
-        let mut p = MaxPool2x2::default();
-        let y = p.forward(xt, true);
-        ce_loss(&y, &targets)
-    };
-    check_grad(&x, &dx, 1, &mut f, "maxpool");
+    let mut f = |zt: &Tensor| ce_loss(&maxpool2x2(&relu(zt)).0, &targets);
+    check_grad(&z, &like(&z, dz.interior()), 1, &mut f, "relu then maxpool");
 }
 
 #[test]
@@ -152,93 +160,70 @@ fn relu_gradient() {
     // Keep values away from the kink at 0 for finite-difference validity.
     let x = uniform(&[1, 3, 2, 2], -1.0, 1.0, 7).map(|v| if v.abs() < 0.1 { v + 0.2 } else { v });
     let targets = vec![0u8, 1, 2, 0];
-    let mut relu = Relu::default();
-    let y = relu.forward(&x, true);
+    let y = relu(&x);
     let lo = softmax_cross_entropy(&y, &targets);
-    let dx = relu.backward(&lo.grad);
+    let mut dx = vec![0.0; x.len()];
+    let by = planes(&y);
+    Sink::plain(&mut dx, (3, 2, 2))
+        .through_mask(&by, 1.0)
+        .put(lo.grad.as_slice());
 
-    let mut f = |xt: &Tensor| {
-        let mut r = Relu::default();
-        let y = r.forward(xt, true);
-        ce_loss(&y, &targets)
+    let mut f = |xt: &Tensor| ce_loss(&relu(xt), &targets);
+    check_grad(&x, &like(&x, dx), 1, &mut f, "relu");
+}
+
+#[test]
+fn relu_then_dropout_gradient() {
+    let (p, seed) = (0.4, 17);
+    let x = uniform(&[1, 3, 4, 4], -1.0, 1.0, 12).map(|v| if v.abs() < 0.1 { v + 0.2 } else { v });
+    let targets: Vec<u8> = (0..16).map(|i| (i % 3) as u8).collect();
+    // The same draws at every evaluation: one fresh stream per forward.
+    let drop = |xt: &Tensor| {
+        let mut d = planes(&relu(xt));
+        DropoutStream::new(p, seed).apply(&mut d);
+        like(xt, d.interior())
     };
-    check_grad(&x, &dx, 1, &mut f, "relu");
+    let y = drop(&x);
+    let dropped = |t: &Tensor| t.as_slice().iter().filter(|v| **v == 0.0).count();
+    assert!(
+        dropped(&y) > dropped(&relu(&x)),
+        "some survivors of the ReLU drop"
+    );
+    let lo = softmax_cross_entropy(&y, &targets);
+    let mut dx = vec![0.0; x.len()];
+    let (by, scale) = (planes(&y), 1.0 / (1.0 - p));
+    Sink::plain(&mut dx, (3, 4, 4))
+        .through_mask(&by, scale)
+        .put(lo.grad.as_slice());
+
+    let mut f = |xt: &Tensor| ce_loss(&drop(xt), &targets);
+    check_grad(&x, &like(&x, dx), 1, &mut f, "relu then dropout");
 }
 
 #[test]
 fn upsample_gradient() {
     let x = uniform(&[1, 3, 2, 2], -1.0, 1.0, 8);
     let targets: Vec<u8> = (0..16).map(|i| (i % 3) as u8).collect();
-    let mut up = Upsample2x;
-    let y = up.forward(&x, true);
-    let lo = softmax_cross_entropy(&y, &targets);
-    let dx = up.backward(&lo.grad);
+    let lo = softmax_cross_entropy(&upsample2x(&x), &targets);
+    let mut dx = vec![0.0; x.len()];
+    upsample2x_backward_into(&planes(&lo.grad), Sink::plain(&mut dx, (3, 2, 2)));
 
-    let mut f = |xt: &Tensor| {
-        let mut u = Upsample2x;
-        let y = u.forward(xt, true);
-        ce_loss(&y, &targets)
-    };
-    check_grad(&x, &dx, 1, &mut f, "upsample");
+    let mut f = |xt: &Tensor| ce_loss(&upsample2x(xt), &targets);
+    check_grad(&x, &like(&x, dx), 1, &mut f, "upsample");
 }
 
+/// A concatenation's gradient is the channel ranges of the concatenated
+/// gradient, which a walk reads in place.
 #[test]
-fn concat_gradient() {
+fn concat_gradient_is_its_channel_ranges() {
     let a = uniform(&[1, 2, 2, 2], -1.0, 1.0, 9);
     let b = uniform(&[1, 1, 2, 2], -1.0, 1.0, 10);
     let targets = vec![0u8, 1, 2, 0];
-    let y = concat_channels(&a, &b);
-    let lo = softmax_cross_entropy(&y, &targets);
-    let (da, db) = concat_channels_backward(&lo.grad, 2, 1);
+    let lo = softmax_cross_entropy(&concat_channels(&a, &b), &targets);
+    let (da, db) = lo.grad.as_slice().split_at(a.len());
 
     let mut fa = |at: &Tensor| ce_loss(&concat_channels(at, &b), &targets);
-    check_grad(&a, &da, 1, &mut fa, "concat lhs");
+    check_grad(&a, &like(&a, da.to_vec()), 1, &mut fa, "concat lhs");
     let mut fb = |bt: &Tensor| ce_loss(&concat_channels(&a, bt), &targets);
-    check_grad(&b, &db, 1, &mut fb, "concat rhs");
-}
-
-#[test]
-fn composed_network_gradient() {
-    // conv → relu → pool → upsample → conv: exercises caching and chained
-    // backward passes together, end to end.
-    let s1 = Conv2dShape {
-        in_channels: 1,
-        out_channels: 4,
-        kernel: 3,
-        stride: 1,
-        pad: 1,
-    };
-    let s2 = Conv2dShape {
-        in_channels: 4,
-        out_channels: 3,
-        kernel: 1,
-        stride: 1,
-        pad: 0,
-    };
-    let x = uniform(&[1, 1, 4, 4], -1.0, 1.0, 11);
-    let targets: Vec<u8> = (0..16).map(|i| (i % 3) as u8).collect();
-
-    let run = |xt: &Tensor| -> (f32, Tensor) {
-        let mut c1 = Conv2d::new(s1, 20);
-        let mut r = Relu::default();
-        let mut p = MaxPool2x2::default();
-        let mut u = Upsample2x;
-        let mut c2 = Conv2d::new(s2, 21);
-        let h1 = c1.forward(xt, true);
-        let h2 = r.forward(&h1, true);
-        let h3 = p.forward(&h2, true);
-        let h4 = u.forward(&h3, true);
-        let y = c2.forward(&h4, true);
-        let lo = softmax_cross_entropy(&y, &targets);
-        let g4 = c2.backward(&lo.grad);
-        let g3 = u.backward(&g4);
-        let g2 = p.backward(&g3);
-        let g1 = r.backward(&g2);
-        let dx = c1.backward(&g1);
-        (lo.loss, dx)
-    };
-
-    let (_, dx) = run(&x);
-    let mut f = |xt: &Tensor| run(xt).0;
-    check_grad(&x, &dx, 2, &mut f, "composed network");
+    check_grad(&b, &like(&b, db.to_vec()), 1, &mut fb, "concat rhs");
 }

@@ -3,8 +3,8 @@
 use proptest::prelude::*;
 use seaice_nn::ops::conv2d::Conv2dShape;
 use seaice_nn::ops::{
-    concat_channels, concat_channels_backward, conv2d, matmul, maxpool2x2, relu, upsample2x,
-    upsample2x_backward,
+    concat_channels, conv2d, matmul, maxpool2x2, relu, upsample2x, upsample2x_backward_into,
+    Planes, Sink,
 };
 use seaice_nn::Tensor;
 
@@ -88,8 +88,11 @@ proptest! {
 
     #[test]
     fn upsample_then_downsample_scales_by_four(x in arb_tensor(vec![1, 2, 3, 3])) {
-        let down = upsample2x_backward(&upsample2x(&x));
-        for (a, b) in down.as_slice().iter().zip(x.as_slice()) {
+        let mut up = Planes::new((2, 6, 6), 0);
+        up.fill(upsample2x(&x).as_slice());
+        let mut down = vec![0.0; x.len()];
+        upsample2x_backward_into(&up, Sink::plain(&mut down, (2, 3, 3)));
+        for (a, b) in down.iter().zip(x.as_slice()) {
             prop_assert!((a - 4.0 * b).abs() < 1e-4);
         }
     }
@@ -98,9 +101,11 @@ proptest! {
     fn concat_roundtrip(a in arb_tensor(vec![2, 2, 2, 2]), b in arb_tensor(vec![2, 3, 2, 2])) {
         let cat = concat_channels(&a, &b);
         prop_assert_eq!(cat.shape(), &[2, 5, 2, 2]);
-        let (ga, gb) = concat_channels_backward(&cat, 2, 3);
-        prop_assert_eq!(ga, a);
-        prop_assert_eq!(gb, b);
+        for item in 0..2 {
+            let (ga, gb) = cat.batch_item(item).split_at(a.len() / 2);
+            prop_assert_eq!(ga, a.batch_item(item));
+            prop_assert_eq!(gb, b.batch_item(item));
+        }
     }
 
     #[test]

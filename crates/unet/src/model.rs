@@ -1,67 +1,61 @@
-//! The U-Net model: encoder/decoder assembly over `seaice-nn` layers,
-//! with explicit forward and backward passes threading the skip
-//! connections. Training runs the layers; inference runs the shared eval
-//! walk (`walk.rs`).
+//! The U-Net model: the encoder and decoder blocks' parameters over
+//! `seaice-nn` layers, and the forward and backward passes, which run the
+//! walk (`walk.rs`): eval over a reused arena, training over a tape of
+//! every image's planes that [`UNet::backward`] walks in reverse.
 
 use crate::config::{UNetConfig, UpMode};
-use crate::walk::{self, Arena, Step, Transposed};
-use seaice_nn::layers::{
-    Conv2d, ConvTranspose2d, Dropout, Layer, MaxPool2x2, Param, Relu, Upsample2x,
-};
+use crate::walk::{self, Arena, Step, Tape, Transposed};
+use seaice_nn::layers::{Conv2d, ConvTranspose2d, Param};
 use seaice_nn::ops::conv2d::Conv2dShape;
 use seaice_nn::ops::convtranspose::ConvTranspose2dShape;
-use seaice_nn::ops::{
-    concat_channels, concat_channels_backward, conv2d_into, ConvBuffers, Planes, Sink,
-};
+use seaice_nn::ops::{conv2d_into, ConvBuffers, DropoutStream, Planes, Sink};
 use seaice_nn::Tensor;
-use std::borrow::Cow;
 
-/// Two 3×3 "same" convolutions with ReLUs and dropout in between — the
-/// repeated building block of both U-Net paths.
+/// Two 3×3 "same" convolutions, each followed by a ReLU, with dropout
+/// between them — the repeated building block of both U-Net paths.
 ///
 /// Fields are crate-visible so [`crate::quant`] can read the trained
 /// weights when building the int8 twin of the network.
 pub(crate) struct DoubleConv {
     pub(crate) conv1: Conv2d,
-    relu1: Relu,
-    drop: Dropout,
     pub(crate) conv2: Conv2d,
-    relu2: Relu,
+    /// Dropout rate.
+    dropout: f32,
+    /// Dropout seed, and the training forwards that drew from it.
+    seed: u64,
+    drawn: u64,
 }
 
 impl DoubleConv {
     fn new(in_c: usize, out_c: usize, dropout: f32, seed: u64) -> Self {
-        let mk = |ic, s| Conv2dShape {
-            in_channels: ic,
+        assert!(
+            (0.0..1.0).contains(&dropout),
+            "dropout rate must be in [0, 1)"
+        );
+        let mk = |in_channels| Conv2dShape {
+            in_channels,
             out_channels: out_c,
             kernel: 3,
-            stride: s,
+            stride: 1,
             pad: 1,
         };
         Self {
-            conv1: Conv2d::new(mk(in_c, 1), seed),
-            relu1: Relu::default(),
-            drop: Dropout::new(dropout, seed ^ 0xD0),
-            conv2: Conv2d::new(mk(out_c, 1), seed ^ 1),
-            relu2: Relu::default(),
+            conv1: Conv2d::new(mk(in_c), seed),
+            conv2: Conv2d::new(mk(out_c), seed ^ 1),
+            dropout,
+            seed: seed ^ 0xD0,
+            drawn: 0,
         }
     }
 
-    /// The training forward (eval runs the walk).
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        let h = self.conv1.forward(x, true);
-        let h = self.relu1.forward(&h, true);
-        let h = self.drop.forward(&h, true);
-        let h = self.conv2.forward(&h, true);
-        self.relu2.forward(&h, true)
-    }
-
-    fn backward(&mut self, grad: &Tensor) -> Tensor {
-        let g = self.relu2.backward(grad);
-        let g = self.conv2.backward(&g);
-        let g = self.drop.backward(&g);
-        let g = self.relu1.backward(&g);
-        self.conv1.backward(&g)
+    /// A training forward's dropout draws: a stream seeded with the seed
+    /// plus the training forwards so far, this one included; none at rate
+    /// 0, which draws and counts nothing.
+    fn draws(&mut self) -> Option<DropoutStream> {
+        (self.dropout != 0.0).then(|| {
+            self.drawn += 1;
+            DropoutStream::new(self.dropout, self.seed.wrapping_add(self.drawn))
+        })
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -75,26 +69,23 @@ impl DoubleConv {
 /// upsample + 3×3 convolution, or a true 2×2 stride-2 transposed
 /// convolution (the paper's "up-convolution").
 pub(crate) enum Up {
-    Resize { up: Upsample2x, conv: Conv2d },
+    Resize(Conv2d),
     Transposed(ConvTranspose2d),
 }
 
 impl Up {
     fn new(mode: UpMode, in_c: usize, out_c: usize, seed: u64) -> Self {
         match mode {
-            UpMode::UpsampleConv => Up::Resize {
-                up: Upsample2x,
-                conv: Conv2d::new(
-                    Conv2dShape {
-                        in_channels: in_c,
-                        out_channels: out_c,
-                        kernel: 3,
-                        stride: 1,
-                        pad: 1,
-                    },
-                    seed,
-                ),
-            },
+            UpMode::UpsampleConv => Up::Resize(Conv2d::new(
+                Conv2dShape {
+                    in_channels: in_c,
+                    out_channels: out_c,
+                    kernel: 3,
+                    stride: 1,
+                    pad: 1,
+                },
+                seed,
+            )),
             UpMode::Transposed => Up::Transposed(ConvTranspose2d::new(
                 ConvTranspose2dShape::unet_upconv(in_c, out_c),
                 seed,
@@ -102,29 +93,9 @@ impl Up {
         }
     }
 
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        match self {
-            Up::Resize { up, conv } => {
-                let u = up.forward(x, true);
-                conv.forward(&u, true)
-            }
-            Up::Transposed(t) => t.forward(x, true),
-        }
-    }
-
-    fn backward(&mut self, grad: &Tensor) -> Tensor {
-        match self {
-            Up::Resize { up, conv } => {
-                let g = conv.backward(grad);
-                up.backward(&g)
-            }
-            Up::Transposed(t) => t.backward(grad),
-        }
-    }
-
     fn params_mut(&mut self) -> Vec<&mut Param> {
         match self {
-            Up::Resize { conv, .. } => conv.params_mut(),
+            Up::Resize(conv) => conv.params_mut(),
             Up::Transposed(t) => t.params_mut(),
         }
     }
@@ -134,44 +105,10 @@ impl Up {
 /// convolution.
 pub(crate) struct Decoder {
     pub(crate) up: Up,
-    up_relu: Relu,
     pub(crate) block: DoubleConv,
-    skip_channels: usize,
 }
 
 impl Decoder {
-    fn new(
-        mode: UpMode,
-        in_c: usize,
-        skip_c: usize,
-        out_c: usize,
-        dropout: f32,
-        seed: u64,
-    ) -> Self {
-        Self {
-            up: Up::new(mode, in_c, out_c, seed),
-            up_relu: Relu::default(),
-            block: DoubleConv::new(out_c + skip_c, out_c, dropout, seed ^ 2),
-            skip_channels: skip_c,
-        }
-    }
-
-    fn forward(&mut self, x: &Tensor, skip: &Tensor) -> Tensor {
-        let u = self.up.forward(x);
-        let u = self.up_relu.forward(&u, true);
-        let cat = concat_channels(skip, &u);
-        self.block.forward(&cat)
-    }
-
-    /// Returns `(grad_skip, grad_input)`.
-    fn backward(&mut self, grad: &Tensor) -> (Tensor, Tensor) {
-        let g_cat = self.block.backward(grad);
-        let up_c = g_cat.shape()[1] - self.skip_channels;
-        let (g_skip, g_up) = concat_channels_backward(&g_cat, self.skip_channels, up_c);
-        let g = self.up_relu.backward(&g_up);
-        (g_skip, self.up.backward(&g))
-    }
-
     fn params_mut(&mut self) -> Vec<&mut Param> {
         let mut ps = self.up.params_mut();
         ps.extend(self.block.params_mut());
@@ -183,14 +120,13 @@ impl Decoder {
 pub struct UNet {
     config: UNetConfig,
     pub(crate) encoders: Vec<DoubleConv>,
-    pools: Vec<MaxPool2x2>,
     pub(crate) bottleneck: DoubleConv,
     pub(crate) decoders: Vec<Decoder>,
     pub(crate) head: Conv2d,
-    /// Cached skip activations from the most recent training forward pass.
-    skips: Vec<Tensor>,
     /// The eval walk's planes, reused across calls.
     arena: Arena,
+    /// The last training forward's planes, which [`UNet::backward`] walks.
+    tape: Tape,
 }
 
 impl UNet {
@@ -198,7 +134,6 @@ impl UNet {
     pub fn new(config: UNetConfig) -> Self {
         assert!(config.depth >= 1, "U-Net needs at least one level");
         let mut encoders = Vec::with_capacity(config.depth);
-        let mut pools = Vec::with_capacity(config.depth);
         let mut in_c = config.in_channels;
         for level in 0..config.depth {
             let out_c = config.filters_at(level);
@@ -208,7 +143,6 @@ impl UNet {
                 config.dropout,
                 config.seed.wrapping_add(level as u64 * 97),
             ));
-            pools.push(MaxPool2x2::default());
             in_c = out_c;
         }
         let bottleneck_c = config.filters_at(config.depth);
@@ -222,14 +156,12 @@ impl UNet {
         let mut cur_c = bottleneck_c;
         for level in (0..config.depth).rev() {
             let out_c = config.filters_at(level);
-            decoders.push(Decoder::new(
-                config.up_mode,
-                cur_c,
-                out_c,
-                out_c,
-                config.dropout,
-                config.seed.wrapping_add(1000 + level as u64 * 131),
-            ));
+            let seed = config.seed.wrapping_add(1000 + level as u64 * 131);
+            decoders.push(Decoder {
+                up: Up::new(config.up_mode, cur_c, out_c, seed),
+                // Skip channels, then the up path's.
+                block: DoubleConv::new(2 * out_c, out_c, config.dropout, seed ^ 2),
+            });
             cur_c = out_c;
         }
         let head = Conv2d::new(
@@ -245,12 +177,11 @@ impl UNet {
         Self {
             config,
             encoders,
-            pools,
             bottleneck,
             decoders,
             head,
-            skips: Vec::new(),
             arena: Arena::default(),
+            tape: Tape::default(),
         }
     }
 
@@ -259,60 +190,69 @@ impl UNet {
         &self.config
     }
 
-    /// Forward pass: `[n, in_c, s, s]` → `[n, classes, s, s]` logits.
-    /// `train` runs the layers, caching what [`UNet::backward`] needs;
-    /// eval mode runs the inference walk, which caches nothing.
+    /// Forward pass: `[n, in_c, s, s]` → `[n, classes, s, s]` logits, by
+    /// the walk. Eval mode runs it over the model's arena and keeps
+    /// nothing; `train` draws dropout and keeps every image's planes for
+    /// [`UNet::backward`].
     ///
     /// # Panics
     /// Panics if the input side is not a multiple of `2^depth`.
     pub fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        if !train {
-            let (n, s) = (x.nchw().0, self.eval(x));
-            let logits = std::mem::take(&mut self.arena.logits);
-            return Tensor::from_vec(&[n, self.config.num_classes, s, s], logits);
-        }
-        self.input_side(x);
-
-        self.skips.clear();
-        let mut cur = Cow::Borrowed(x);
-        for (enc, pool) in self.encoders.iter_mut().zip(&mut self.pools) {
-            let feat = enc.forward(&cur);
-            cur = Cow::Owned(pool.forward(&feat, true));
-            self.skips.push(feat);
-        }
-        let mut cur = self.bottleneck.forward(&cur);
-        for (i, dec) in self.decoders.iter_mut().enumerate() {
-            let skip = &self.skips[self.config.depth - 1 - i];
-            cur = dec.forward(&cur, skip);
-        }
-        self.head.forward(&cur, true)
+        let (n, s) = (x.nchw().0, self.input_side(x));
+        let logits = if train {
+            let mut drops: Vec<_> = self.blocks_mut().filter_map(DoubleConv::draws).collect();
+            let mut tape = std::mem::take(&mut self.tape);
+            let arena = &mut tape.arena;
+            walk::walk(
+                &self.config,
+                &mut Eval::new(self),
+                arena,
+                x,
+                Some(&mut drops),
+            );
+            tape.n = n;
+            self.tape = tape;
+            std::mem::take(&mut self.tape.arena.logits)
+        } else {
+            self.eval(x);
+            std::mem::take(&mut self.arena.logits)
+        };
+        Tensor::from_vec(&[n, self.config.num_classes, s, s], logits)
     }
 
-    /// Backward pass from the loss gradient on the logits. Accumulates
-    /// parameter gradients and returns the input gradient.
+    /// Backward pass from the loss gradient on the logits of the last
+    /// training forward: adds the batch's gradient into every parameter's
+    /// `grad` and returns the input gradient.
+    ///
+    /// # Panics
+    /// Panics before any training forward, and when `grad_logits` is not
+    /// shaped like that forward's logits.
     pub fn backward(&mut self, grad_logits: &Tensor) -> Tensor {
-        let mut g = self.head.backward(grad_logits);
-        // Decoder gradients also feed the encoder skip branches.
-        let mut skip_grads: Vec<Option<Tensor>> = vec![None; self.config.depth];
-        for (i, dec) in self.decoders.iter_mut().enumerate().rev() {
-            let (g_skip, g_in) = dec.backward(&g);
-            skip_grads[self.config.depth - 1 - i] = Some(g_skip);
-            g = g_in;
+        let zero = |p: &Param| Tensor::zeros(p.value.shape());
+        let ps = self.params_mut();
+        let mut sums: Vec<_> = ps.chunks(2).map(|p| (zero(p[0]), zero(p[1]))).collect();
+        let (mut tape, net) = (std::mem::take(&mut self.tape), Eval::new(self));
+        let dx = walk::backward(&self.config, &net, &mut tape, grad_logits, &mut sums);
+        self.tape = tape;
+        for (p, (dw, db)) in self.params_mut().chunks_exact_mut(2).zip(&sums) {
+            p[0].grad.add_assign(dw);
+            p[1].grad.add_assign(db);
         }
-        g = self.bottleneck.backward(&g);
-        for level in (0..self.config.depth).rev() {
-            let mut g_feat = self.pools[level].backward(&g);
-            if let Some(gs) = &skip_grads[level] {
-                g_feat.add_assign(gs);
-            }
-            g = self.encoders[level].backward(&g_feat);
-        }
-        g
+        dx
+    }
+
+    /// Every block, in walk order: encoders, bottleneck, decoders.
+    fn blocks_mut(&mut self) -> impl Iterator<Item = &mut DoubleConv> {
+        let decoders = self.decoders.iter_mut().map(|dec| &mut dec.block);
+        self.encoders
+            .iter_mut()
+            .chain([&mut self.bottleneck])
+            .chain(decoders)
     }
 
     /// All trainable parameters, in a stable order (used by the optimizer
     /// and by ring all-reduce, which relies on every rank sharing this
-    /// order).
+    /// order): each layer's weight, then its bias, in walk order.
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
         let mut ps = Vec::new();
         for enc in &mut self.encoders {
@@ -370,7 +310,7 @@ impl UNet {
     fn eval(&mut self, x: &Tensor) -> usize {
         let side = self.input_side(x);
         let mut arena = std::mem::take(&mut self.arena);
-        walk::walk(&self.config, &mut Eval::new(self), &mut arena, x);
+        walk::walk(&self.config, &mut Eval::new(self), &mut arena, x, None);
         self.arena = arena;
         side
     }
@@ -380,7 +320,7 @@ impl UNet {
         let blocks = self.encoders.iter().chain([&self.bottleneck]);
         let mut convs: Vec<&Conv2d> = blocks.flat_map(|b| [&b.conv1, &b.conv2]).collect();
         for dec in &self.decoders {
-            if let Up::Resize { conv, .. } = &dec.up {
+            if let Up::Resize(conv) = &dec.up {
                 convs.push(conv);
             }
             convs.extend([&dec.block.conv1, &dec.block.conv2]);
@@ -390,10 +330,11 @@ impl UNet {
     }
 }
 
-/// The f32 network's step of the eval walk: every convolution through
+/// The f32 network's step of the walk: every convolution through
 /// `conv2d_into`.
 pub(crate) struct Eval<'a> {
-    convs: Vec<&'a Conv2d>,
+    /// Every convolution, in walk order.
+    pub(crate) convs: Vec<&'a Conv2d>,
     decoders: &'a [Decoder],
 }
 
@@ -419,7 +360,7 @@ impl Step for Eval<'_> {
                 bias: &t.bias().value,
                 shape: t.shape(),
             }),
-            Up::Resize { .. } => None,
+            Up::Resize(_) => None,
         }
     }
 }
@@ -601,11 +542,11 @@ mod tests {
         t.as_slice().iter().map(|v| v.to_bits()).collect()
     }
 
-    /// With dropout 0 the training forward computes what eval computes, so
-    /// the layer path is an oracle for the walk, bit for bit, in both up
-    /// modes and at batch 1 and 3.
+    /// With dropout 0 the training forward computes what eval computes:
+    /// the eval walk over the arena equals the train walk over the tape,
+    /// bit for bit, in both up modes and at batch 1 and 3.
     #[test]
-    fn the_eval_walk_equals_the_layer_path_bit_for_bit() {
+    fn the_eval_walk_equals_the_train_walks_logits_at_dropout_0() {
         for up_mode in [UpMode::UpsampleConv, UpMode::Transposed] {
             let mut net = UNet::new(UNetConfig {
                 up_mode,
@@ -613,10 +554,10 @@ mod tests {
             });
             for (n, seed) in [(1, 31), (3, 32)] {
                 let x = uniform(&[n, 3, 16, 16], -0.5, 1.0, seed);
-                let layers = net.forward(&x, true);
+                let train = net.forward(&x, true);
                 assert_eq!(
                     bits(&net.forward(&x, false)),
-                    bits(&layers),
+                    bits(&train),
                     "{up_mode:?}, n = {n}"
                 );
             }

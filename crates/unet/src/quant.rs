@@ -163,11 +163,6 @@ impl QConv {
             input_q: range.params(),
         }
     }
-
-    /// The calibrated input quantization parameters.
-    pub fn input_params(&self) -> QuantParams {
-        self.input_q
-    }
 }
 
 /// A decoder's transposed up-convolution, kept in f32 (see the module
@@ -220,7 +215,7 @@ impl QuantizedUNet {
         assert_eq!(h, w, "U-Net inputs are square");
         self.config.assert_input_side(h);
         self.arena.with(|arena| {
-            walk::walk(&self.config, &mut Int8(self), arena, x);
+            walk::walk(&self.config, &mut Int8(self), arena, x, None);
             f(arena)
         })
     }
@@ -352,7 +347,7 @@ impl UNet {
                     bias: t.bias().value.clone(),
                     shape: *t.shape(),
                 }),
-                Up::Resize { .. } => None,
+                Up::Resize(_) => None,
             })
             .collect();
         Ok(QuantizedUNet {
@@ -374,7 +369,7 @@ impl UNet {
             f32: Eval::new(self),
             ranges,
         };
-        walk::walk(self.config(), &mut step, arena, x);
+        walk::walk(self.config(), &mut step, arena, x, None);
     }
 }
 

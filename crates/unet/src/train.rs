@@ -55,37 +55,55 @@ pub fn train_with_optimizer(
     opt: &mut dyn Optimizer,
 ) -> TrainReport {
     let mut report = TrainReport::default();
-    let mut total_images = 0usize;
+    let mut images = 0usize;
     // seaice-lint: allow(wallclock-in-deterministic-path) reason="wall time feeds only the report's secs fields (the paper's timing tables); batch order and model updates key off the seeded loader"
     let t_start = std::time::Instant::now();
     for epoch in 0..cfg.epochs {
-        // seaice-lint: allow(wallclock-in-deterministic-path) reason="wall time feeds only the report's secs fields (the paper's timing tables); batch order and model updates key off the seeded loader"
-        let t_epoch = std::time::Instant::now();
-        let mut loss_sum = 0f64;
-        let mut acc_sum = 0f64;
-        let mut batches = 0usize;
-        for batch in loader.epoch(epoch as u64) {
-            model.zero_grads();
-            let logits = model.forward(&batch.images, true);
-            let lo = softmax_cross_entropy(&logits, &batch.targets);
-            model.backward(&lo.grad);
-            opt.step(&mut model.params_mut());
-            loss_sum += lo.loss as f64;
-            acc_sum += pixel_accuracy(&lo.predictions, &batch.targets);
-            batches += 1;
-            total_images += batch.len();
-        }
-        report.epoch_losses.push((loss_sum / batches as f64) as f32);
-        report.epoch_accuracies.push(acc_sum / batches as f64);
-        report.epoch_seconds.push(t_epoch.elapsed().as_secs_f64());
+        images += train_epoch(model, loader, epoch, opt, &mut report);
     }
-    let elapsed = t_start.elapsed().as_secs_f64();
-    report.images_per_sec = if elapsed > 0.0 {
-        total_images as f64 / elapsed
+    report.images_per_sec = per_second(images, t_start);
+    report
+}
+
+/// One epoch over `loader`'s batches (shuffled for `epoch`): a training
+/// step on each, then the epoch's mean loss, mean pixel accuracy and wall
+/// time pushed onto `report`. Returns the images it trained on.
+fn train_epoch(
+    model: &mut UNet,
+    loader: &DataLoader,
+    epoch: usize,
+    opt: &mut dyn Optimizer,
+    report: &mut TrainReport,
+) -> usize {
+    // seaice-lint: allow(wallclock-in-deterministic-path) reason="wall time feeds only the report's secs fields (the paper's timing tables); batch order and model updates key off the seeded loader"
+    let t_epoch = std::time::Instant::now();
+    let (mut loss_sum, mut acc_sum) = (0f64, 0f64);
+    let (mut batches, mut images) = (0usize, 0usize);
+    for batch in loader.epoch(epoch as u64) {
+        model.zero_grads();
+        let logits = model.forward(&batch.images, true);
+        let lo = softmax_cross_entropy(&logits, &batch.targets);
+        model.backward(&lo.grad);
+        opt.step(&mut model.params_mut());
+        loss_sum += lo.loss as f64;
+        acc_sum += pixel_accuracy(&lo.predictions, &batch.targets);
+        batches += 1;
+        images += batch.len();
+    }
+    report.epoch_losses.push((loss_sum / batches as f64) as f32);
+    report.epoch_accuracies.push(acc_sum / batches as f64);
+    report.epoch_seconds.push(t_epoch.elapsed().as_secs_f64());
+    images
+}
+
+/// `images` over the seconds since `start`; 0 when none passed.
+fn per_second(images: usize, start: std::time::Instant) -> f64 {
+    let elapsed = start.elapsed().as_secs_f64();
+    if elapsed > 0.0 {
+        images as f64 / elapsed
     } else {
         0.0
-    };
-    report
+    }
 }
 
 /// Evaluation results on a held-out loader.
@@ -185,35 +203,10 @@ pub fn train_validated(
     let mut stale = 0usize;
     // seaice-lint: allow(wallclock-in-deterministic-path) reason="wall time feeds only the report's secs fields (the paper's timing tables); batch order and model updates key off the seeded loader"
     let t_start = std::time::Instant::now();
-    let mut total_images = 0usize;
+    let mut images = 0usize;
 
     for epoch in 0..cfg.train.epochs {
-        // seaice-lint: allow(wallclock-in-deterministic-path) reason="wall time feeds only the report's secs fields (the paper's timing tables); batch order and model updates key off the seeded loader"
-        let t_epoch = std::time::Instant::now();
-        let mut loss_sum = 0f64;
-        let mut acc_sum = 0f64;
-        let mut batches = 0usize;
-        for batch in train_loader.epoch(epoch as u64) {
-            model.zero_grads();
-            let logits = model.forward(&batch.images, true);
-            let lo = softmax_cross_entropy(&logits, &batch.targets);
-            model.backward(&lo.grad);
-            adam.step(&mut model.params_mut());
-            loss_sum += lo.loss as f64;
-            acc_sum += pixel_accuracy(&lo.predictions, &batch.targets);
-            batches += 1;
-            total_images += batch.len();
-        }
-        report
-            .train
-            .epoch_losses
-            .push((loss_sum / batches as f64) as f32);
-        report.train.epoch_accuracies.push(acc_sum / batches as f64);
-        report
-            .train
-            .epoch_seconds
-            .push(t_epoch.elapsed().as_secs_f64());
-
+        images += train_epoch(model, train_loader, epoch, &mut adam, &mut report.train);
         if (epoch + 1) % cfg.validate_every == 0 || epoch + 1 == cfg.train.epochs {
             let eval = evaluate(model, val_loader);
             report.validations.push((epoch, eval.accuracy));
@@ -232,25 +225,12 @@ pub fn train_validated(
         }
     }
 
-    // Restore the best weights.
-    if let Some(ckpt) = best_ckpt {
-        let restored = crate::checkpoint::restore(&ckpt);
-        // Move the restored parameters into the live model.
-        let snap = {
-            let mut r = restored;
-            crate::checkpoint::snapshot(&mut r)
-        };
-        for (p, saved) in model.params_mut().into_iter().zip(snap.params) {
+    if let Some(best) = best_ckpt {
+        for (p, saved) in model.params_mut().into_iter().zip(best.params) {
             p.value = saved;
         }
     }
-
-    let elapsed = t_start.elapsed().as_secs_f64();
-    report.train.images_per_sec = if elapsed > 0.0 {
-        total_images as f64 / elapsed
-    } else {
-        0.0
-    };
+    report.train.images_per_sec = per_second(images, t_start);
     report
 }
 

@@ -1,31 +1,37 @@
-//! The eval-mode forward pass, written once. The f32 network, its int8
-//! twin and calibration all run [`walk`]; what differs between them is the
-//! [`Step`] each convolution takes. Training keeps the layer path, which
-//! caches what its backward pass needs.
+//! The U-Net's forward pass, written once, and the backward pass that
+//! walks it in reverse. The f32 network, its int8 twin and calibration run
+//! [`walk`] in eval mode; what differs between them is the [`Step`] each
+//! convolution takes. A training forward runs it over a [`Tape`]'s arena,
+//! keeping every image's planes, and [`backward`] walks them in reverse.
 //!
-//! The walk runs over an [`Arena`] of haloed planes the model keeps and
-//! reuses, and every layer stores straight into its consumer's input:
+//! Every layer stores straight into its consumer's haloed input:
 //! * a 3×3 convolution stores `max(0, acc + b)` into the interior of the
-//!   next convolution's haloed input, so there is no halo copy, no output
-//!   allocation and no ReLU pass;
+//!   next convolution's input, so there is no halo copy, no output
+//!   allocation and no ReLU pass (a block's dropout then drops its middle
+//!   plane in place);
 //! * an encoder's second convolution stores into the first channels of its
 //!   decoder's concatenation plane (skip channels come first), and the
-//!   decoder's up-convolution into the last ones, so the concatenation is
-//!   free;
-//! * the pool reads that plane and stores into the next level's input;
-//! * the upsample stores into the up-convolution's haloed input;
-//! * the head stores plain logits, which `argmax_classes` reads.
+//!   up-convolution into the last ones, so the concatenation is free;
+//! * the pool and the upsample store into the next convolution's input;
+//!   the head stores plain logits;
+//! * backward, a convolution's `dX` stores into a haloed gradient plane
+//!   through the mask of the forward plane it differentiates — ReLU's and
+//!   dropout's backward fused into the store — and the concatenation's
+//!   gradient is one plane whose channel ranges the skip and the
+//!   up-convolution read.
 //!
-//! Every value is the one the layer path computes, bit for bit: the fused
-//! ReLU is `ops::relu`'s expression on the same value (a convolution's
-//! chain starts at `+0.0` and never holds `−0.0`, so there is no signed
-//! zero for `max` to choose between), the pool makes the same comparisons
-//! and the copies are copies (DESIGN.md §4.10, "The inference walk").
+//! Every value is the one the separate ops compute, bit for bit (DESIGN.md
+//! §4.10, "The walk"): the fused ReLU is `ops::relu`'s expression on the
+//! same value (a convolution's chain never holds `−0.0`), the pool makes
+//! the same comparisons, the copies are copies, and the backward's masks
+//! and sums are the separate backward ops' expressions in their order.
 
 use crate::config::{UNetConfig, UpMode};
+use crate::model::Eval;
 use seaice_nn::ops::{
-    conv_transpose2d, maxpool2x2_into, upsample2x_into, ConvBuffers, ConvTranspose2dShape, Planes,
-    Sink,
+    conv2d_backward_into, conv_transpose2d, conv_transpose2d_backward, maxpool2x2_backward_into,
+    maxpool2x2_into, upsample2x_backward_into, upsample2x_into, ConvBuffers, ConvTranspose2dShape,
+    DropoutStream, GradBuffers, Planes, Sink,
 };
 use seaice_nn::Tensor;
 use std::sync::{Mutex, TryLockError};
@@ -52,14 +58,17 @@ pub(crate) struct Transposed<'a> {
 
 /// The planes of one resolution level. A 3×3 convolution's input has a
 /// border of 1 (its padding); what only the pool, the upsample or the 1×1
-/// head reads has none.
+/// head reads has none. The backward pass keeps each plane's gradient in a
+/// `Level` too.
 #[derive(Default)]
 struct Level {
     /// The first convolution's input: the image at level 0, the pooled
     /// level above otherwise.
     input: Planes,
-    /// Each block's first convolution's output, encoder and decoder alike.
+    /// The encoder's (or bottleneck's) first convolution's output.
     mid: Planes,
+    /// The decoder block's first convolution's output. Empty at the bottom.
+    dec_mid: Planes,
     /// The decoder's concatenation: skip channels, then up channels. Empty
     /// at the bottom level.
     cat: Planes,
@@ -71,45 +80,57 @@ struct Level {
     out: Planes,
 }
 
-/// The buffers [`walk`] reuses across calls: planes for one tile side,
-/// zeroed when sized (a side change re-sizes them), the convolutions'
-/// packing scratch, and the logits of the last call. Not model state.
+/// One image's [`Level`]s for `cfg` at `side`, zeroed, `out` bordered by
+/// `out_halo`: 0 for the forward's, 1 for its gradient, which a 3×3
+/// convolution's `dX` gathers from.
+fn levels(cfg: &UNetConfig, side: usize, out_halo: usize) -> Vec<Level> {
+    let f = |level| cfg.filters_at(level);
+    let resize = cfg.up_mode == UpMode::UpsampleConv;
+    let planes = |c, s, halo, keep: bool| match keep {
+        true => Planes::new((c, s, s), halo),
+        false => Planes::default(),
+    };
+    (0..=cfg.depth)
+        .map(|l| {
+            let (s, top) = (side >> l, l < cfg.depth);
+            let in_c = if l == 0 { cfg.in_channels } else { f(l - 1) };
+            Level {
+                input: planes(in_c, s, 1, true),
+                mid: planes(f(l), s, 1, true),
+                dec_mid: planes(f(l), s, 1, top),
+                cat: planes(2 * f(l), s, 1, top),
+                up: planes(f(l + 1), s, 1, top && resize),
+                out: planes(f(l), s, out_halo, true),
+            }
+        })
+        .collect()
+}
+
+/// The planes [`walk`] reuses across calls — per image kept, its levels,
+/// for one tile side, zeroed when sized (a side change re-sizes them) —
+/// the convolutions' packing scratch, and the logits of the last call. Not
+/// model state.
 #[derive(Default)]
 pub(crate) struct Arena {
     side: usize,
-    levels: Vec<Level>,
+    images: Vec<Vec<Level>>,
     buf: ConvBuffers,
     /// `[n, classes, s, s]` logits of the last [`walk`].
     pub(crate) logits: Vec<f32>,
 }
 
-impl Arena {
-    /// Sizes the planes for `cfg` at `side`, unless they already are.
-    fn fit(&mut self, cfg: &UNetConfig, side: usize) {
-        if self.side == side && !self.levels.is_empty() {
-            return;
-        }
-        let f = |level| cfg.filters_at(level);
-        let resize = cfg.up_mode == UpMode::UpsampleConv;
-        let planes = |c, s, halo, keep: bool| match keep {
-            true => Planes::new((c, s, s), halo),
-            false => Planes::default(),
-        };
-        self.levels = (0..=cfg.depth)
-            .map(|l| {
-                let (s, top) = (side >> l, l < cfg.depth);
-                let in_c = if l == 0 { cfg.in_channels } else { f(l - 1) };
-                Level {
-                    input: planes(in_c, s, 1, true),
-                    mid: planes(f(l), s, 1, true),
-                    cat: planes(2 * f(l), s, 1, top),
-                    up: planes(f(l + 1), s, 1, top && resize),
-                    out: planes(f(l), s, 0, true),
-                }
-            })
-            .collect();
-        self.side = side;
-    }
+/// A training forward's [`Arena`] — its own, so an eval call in between
+/// leaves it alone — and the backward's buffers. Not model state.
+#[derive(Default)]
+pub(crate) struct Tape {
+    pub(crate) arena: Arena,
+    /// Images of the last training forward.
+    pub(crate) n: usize,
+    /// One image's gradients and its logits', reused image after image.
+    grads: Vec<Level>,
+    logits: Planes,
+    /// Per convolution, in walk order, what its backward packs once a step.
+    bufs: Vec<GradBuffers>,
 }
 
 /// An [`Arena`] for a model used through `&self`: behind a lock that is
@@ -150,34 +171,53 @@ impl std::fmt::Debug for SharedArena {
     }
 }
 
-/// The eval-mode forward pass of `x` (`[n, in_c, s, s]`, `s` already
-/// checked against the architecture), one image at a time, leaving
-/// `[n, classes, s, s]` logits in `arena.logits`.
+/// The forward pass of `x` (`[n, in_c, s, s]`, `s` already checked against
+/// the architecture), one image at a time through the topology, written
+/// once, leaving `[n, classes, s, s]` logits in `arena.logits`. In eval
+/// mode (`drops` is `None`) every image reuses one image's planes. A
+/// training forward keeps each image's and draws block `j`'s dropout (walk
+/// order: encoders, bottleneck, decoder steps) from `drops[j]`, none at
+/// rate 0; each stream continues from image to image, so a batch draws
+/// what dropout over the whole batch tensor draws.
 ///
 /// # Panics
 /// Panics when `x` does not have `cfg.in_channels` channels.
-pub(crate) fn walk<S: Step>(cfg: &UNetConfig, step: &mut S, arena: &mut Arena, x: &Tensor) {
+pub(crate) fn walk<S: Step>(
+    cfg: &UNetConfig,
+    step: &mut S,
+    arena: &mut Arena,
+    x: &Tensor,
+    drops: Option<&mut [DropoutStream]>,
+) {
     let (n, _, s, _) = x.nchw();
-    arena.fit(cfg, s);
-    let Arena {
-        levels,
-        buf,
-        logits,
-        ..
-    } = arena;
     let (d, f, classes) = (cfg.depth, |l| cfg.filters_at(l), cfg.num_classes);
-    logits.resize(n * classes * s * s, 0.0);
-    for (b, logits) in logits.chunks_exact_mut(classes * s * s).enumerate() {
+    let train = drops.is_some();
+    if arena.side != s {
+        (arena.images, arena.side) = (Vec::new(), s);
+    }
+    while arena.images.len() < if train { n } else { 1 } {
+        arena.images.push(levels(cfg, s, 0));
+    }
+    let drops = drops.unwrap_or_default();
+    arena.logits.resize(n * classes * s * s, 0.0);
+    for (b, logits) in arena.logits.chunks_exact_mut(classes * s * s).enumerate() {
+        let levels = &mut arena.images[if train { b } else { 0 }];
         levels[0].input.fill(x.batch_item(b));
         let mut k = 0;
         let mut conv = |step: &mut S, src: &Planes, dst: Sink<'_>| {
-            step.conv(k, src, dst, buf);
+            step.conv(k, src, dst, &mut arena.buf);
             k += 1;
+        };
+        let mut draw = |block: usize, mid: &mut Planes| {
+            if let Some(drop) = drops.get_mut(block) {
+                drop.apply(mid);
+            }
         };
         for l in 0..=d {
             let (this, below) = levels.split_at_mut(l + 1);
             let lv = &mut this[l];
             conv(step, &lv.input, relu_into(&mut lv.mid, 0, f(l)));
+            draw(l, &mut lv.mid);
             if l == d {
                 conv(step, &lv.mid, relu_into(&mut lv.out, 0, f(l)));
                 break;
@@ -200,8 +240,9 @@ pub(crate) fn walk<S: Step>(cfg: &UNetConfig, step: &mut S, arena: &mut Arena, x
                     conv(step, &lv.up, up_c);
                 }
             }
-            conv(step, &lv.cat, relu_into(&mut lv.mid, 0, f(l)));
-            conv(step, &lv.mid, relu_into(&mut lv.out, 0, f(l)));
+            conv(step, &lv.cat, relu_into(&mut lv.dec_mid, 0, f(l)));
+            draw(d + 1 + i, &mut lv.dec_mid);
+            conv(step, &lv.dec_mid, relu_into(&mut lv.out, 0, f(l)));
         }
         conv(step, &levels[0].out, Sink::plain(logits, (classes, s, s)));
     }
@@ -210,6 +251,137 @@ pub(crate) fn walk<S: Step>(cfg: &UNetConfig, step: &mut S, arena: &mut Arena, x
 /// Channels `ch0..ch0 + c` of `planes`, stored through ReLU.
 fn relu_into(planes: &mut Planes, ch0: usize, c: usize) -> Sink<'_> {
     Sink::planes(planes, ch0, c).through_relu()
+}
+
+/// The backward pass of the last training [`walk`] under `grad`, the
+/// logits' gradient: one image at a time, in reverse walk order, over that
+/// forward's tape. Adds each parameter layer's gradients, image after image
+/// as `conv2d_backward` sums them, into `sums` (`UNet::params_mut` order)
+/// and returns the input gradient.
+///
+/// # Panics
+/// Panics before any training forward, and on a `grad` not shaped like
+/// that forward's logits.
+pub(crate) fn backward(
+    cfg: &UNetConfig,
+    net: &Eval<'_>,
+    tape: &mut Tape,
+    grad: &Tensor,
+    sums: &mut [(Tensor, Tensor)],
+) -> Tensor {
+    assert!(tape.n > 0, "backward before forward");
+    let (n, s, d, f) = (tape.n, tape.arena.side, cfg.depth, |l| cfg.filters_at(l));
+    let (in_c, shape) = (cfg.in_channels, [n, cfg.num_classes, s, s]);
+    assert_eq!(grad.shape(), shape, "logits gradient shape mismatch");
+    if tape.logits.dims().1 != s {
+        tape.grads = levels(cfg, s, 1);
+        tape.logits = Planes::new((cfg.num_classes, s, s), 0);
+    }
+    // The weights moved since the last backward.
+    tape.bufs = vec![GradBuffers::default(); net.convs.len()];
+    // The dropout sites' `dX` scale, as `DropoutStream` computes it: 1 at
+    // rate 0, where dropout's backward passes the gradient as it is.
+    let scale = 1.0 / (1.0 - cfg.dropout);
+    let (grads, logits) = (&mut tape.grads, &mut tape.logits);
+    let mut dx = Tensor::zeros(&[n, in_c, s, s]);
+    let mut back = Back {
+        net,
+        sums,
+        bufs: &mut tape.bufs,
+        k: 0,
+        s: 0,
+    };
+    let items = dx.as_mut_slice().chunks_exact_mut(in_c * s * s);
+    for (b, (dx, lv)) in items.zip(&tape.arena.images).enumerate() {
+        (back.k, back.s) = (net.convs.len(), back.sums.len());
+        logits.fill(grad.batch_item(b));
+        let head = masked(&mut grads[0].out, &lv[0].out, 1.0);
+        back.conv(&lv[0].out, (&*logits, 0), head);
+        for l in 0..d {
+            let (this, below) = grads.split_at_mut(l + 1);
+            let (g, lv, lv_below) = (&mut this[l], &lv[l], &lv[l + 1]);
+            let mid = masked(&mut g.mid, &lv.dec_mid, scale);
+            back.conv(&lv.dec_mid, (&g.out, 0), mid);
+            back.conv(&lv.cat, (&g.mid, 0), masked(&mut g.cat, &lv.cat, 1.0));
+            let up = masked(&mut below[0].out, &lv_below.out, 1.0);
+            match net.transposed(d - 1 - l) {
+                Some(t) => back.transposed(&t, &lv_below.out, (&g.cat, f(l)), up),
+                None => {
+                    back.conv(&lv.up, (&g.cat, f(l)), Sink::planes(&mut g.up, 0, f(l + 1)));
+                    upsample2x_backward_into(&g.up, up);
+                }
+            }
+        }
+        // The bottleneck, then each encoder level: its conv2's output
+        // gradient is the pool's (plus the skip's) above the bottleneck.
+        for l in (0..=d).rev() {
+            let (this, below) = grads.split_at_mut(l + 1);
+            let (g, lv) = (&mut this[l], &lv[l]);
+            if l < d {
+                let skip = Sink::planes(&mut g.cat, 0, f(l));
+                maxpool2x2_backward_into(&lv.cat, &below[0].input, skip);
+            }
+            let gy = if l < d { &g.cat } else { &g.out };
+            back.conv(&lv.mid, (gy, 0), masked(&mut g.mid, &lv.mid, scale));
+            let dx = match l {
+                0 => Sink::plain(&mut *dx, (in_c, s, s)),
+                _ => Sink::planes(&mut g.input, 0, f(l - 1)),
+            };
+            back.conv(&lv.input, (&g.mid, 0), dx);
+        }
+    }
+    dx
+}
+
+/// All of `grad`'s channels, stored through the mask of the forward planes
+/// `by` (`Sink::through_mask`).
+fn masked<'a>(grad: &'a mut Planes, by: &'a Planes, scale: f32) -> Sink<'a> {
+    let c = grad.dims().0;
+    Sink::planes(grad, 0, c).through_mask(by, scale)
+}
+
+/// The backward walk's layers: their weights, the batch sums, and the next
+/// layer back — convolution `k` of the walk, parameter layer `s`.
+struct Back<'a, 'n> {
+    net: &'a Eval<'n>,
+    sums: &'a mut [(Tensor, Tensor)],
+    bufs: &'a mut [GradBuffers],
+    k: usize,
+    s: usize,
+}
+
+impl Back<'_, '_> {
+    /// The next convolution back, from its input `x` under its output's
+    /// gradient (channels `ch0..` of `gy`), `dX` stored through `dx`.
+    fn conv(&mut self, x: &Planes, gy: (&Planes, usize), dx: Sink<'_>) {
+        (self.k, self.s) = (self.k - 1, self.s - 1);
+        let (c, (dw, db)) = (self.net.convs[self.k], &mut self.sums[self.s]);
+        let sums = (dw.as_mut_slice(), db.as_mut_slice());
+        let buf = &mut self.bufs[self.k];
+        conv2d_backward_into(x, &c.weight().value, gy, c.shape(), dx, sums, buf);
+    }
+
+    /// The next layer back being the transposed up-convolution `t`: the
+    /// batch op on this one image.
+    fn transposed(
+        &mut self,
+        t: &Transposed<'_>,
+        x: &Planes,
+        gy: (&Planes, usize),
+        mut dx: Sink<'_>,
+    ) {
+        self.s -= 1;
+        let ((c, h, w), (gy, ch0), oc) = (x.dims(), gy, t.shape.out_channels);
+        let (_, oh, ow) = gy.dims();
+        let g = gy.interior()[ch0 * oh * ow..][..oc * oh * ow].to_vec();
+        let x = Tensor::from_vec(&[1, c, h, w], x.interior());
+        let g = Tensor::from_vec(&[1, oc, oh, ow], g);
+        let (gx, gw, gb) = conv_transpose2d_backward(&x, t.weight, &g, t.shape);
+        dx.put(gx.as_slice());
+        let (dw, db) = &mut self.sums[self.s];
+        dw.add_assign(&gw);
+        db.add_assign(&gb);
+    }
 }
 
 #[cfg(test)]
