@@ -351,18 +351,9 @@ fn classify(p: &mut Parsed) -> Result<String, CliError> {
         let ckpt = read_checkpoint(&model_path)?;
         classify_scene_parallel(&ckpt, &input, tile, filter)
     } else {
-        let mut model = match backend {
-            InferBackend::F32 => {
-                seaice_core::LoadedModel::F32(Box::new(checkpoint::load(&model_path)?))
-            }
-            InferBackend::Int8 => {
-                let calib = seaice_core::default_calibration(tile).map_err(CliError::Msg)?;
-                seaice_core::LoadedModel::Int8(Box::new(checkpoint::load_quantized(
-                    &model_path,
-                    &calib,
-                )?))
-            }
-        };
+        let ckpt = read_checkpoint(&model_path)?;
+        let mut model =
+            seaice_core::restore_backend(&ckpt, backend, tile).map_err(CliError::Msg)?;
         seaice_core::classify_scene_with(&mut model, &input, tile, filter)
     };
     write_ppm(&out_path, &result.color)?;
@@ -674,7 +665,49 @@ mod tests {
         let stats = seaice_obs::trace::validate_chrome_trace(&src).unwrap();
         assert!(stats.events > 0, "engine run should emit spans");
 
-        for f in [scene, pred, pred_par, pred_eng, model, trace] {
+        // Int8 restores through the same backend choice on both paths, so
+        // the sequential and engine masks agree byte for byte.
+        let pred_i8 = tmp("c-pred-i8.ppm");
+        let pred_i8_eng = tmp("c-pred-i8-eng.ppm");
+        run(parse(&format!(
+            "classify --model {model} --in {scene} --out {pred_i8} --tile 32 --backend int8"
+        )))
+        .unwrap();
+        run(parse(&format!(
+            "classify --model {model} --in {scene} --out {pred_i8_eng} --tile 32 --engine --backend int8"
+        )))
+        .unwrap();
+        assert_eq!(read_ppm(&pred_i8).unwrap(), read_ppm(&pred_i8_eng).unwrap());
+
+        // --parallel stays f32-only, and says where int8 goes instead.
+        let err = run(parse(&format!(
+            "classify --model {model} --in {scene} --out {pred_i8} --tile 32 --parallel --backend int8"
+        )))
+        .unwrap_err();
+        assert!(err.to_string().contains("use --engine for int8"), "{err}");
+
+        // A truncated model file is an error on either backend, not a panic.
+        let torn = tmp("c-torn-model.json");
+        let bytes = std::fs::read(&model).unwrap();
+        std::fs::write(&torn, &bytes[..bytes.len() / 2]).unwrap();
+        for backend in ["f32", "int8"] {
+            let result = run(parse(&format!(
+                "classify --model {torn} --in {scene} --out {pred_i8} --tile 32 --backend {backend}"
+            )));
+            assert!(result.is_err(), "{backend}: a torn model must not classify");
+        }
+
+        for f in [
+            scene,
+            pred,
+            pred_par,
+            pred_eng,
+            model,
+            trace,
+            pred_i8,
+            pred_i8_eng,
+            torn,
+        ] {
             std::fs::remove_file(f).ok();
         }
     }

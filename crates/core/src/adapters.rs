@@ -157,7 +157,7 @@ mod tests {
         let tiles = small_tiles();
         let cfg = AutoLabelConfig::unfiltered();
         let s = tile_to_sample(&tiles[0], InputVariant::Original, LabelSource::Manual, &cfg);
-        s.validate();
+        assert!(s.is_consistent());
         assert_eq!(s.height, 16);
         assert_eq!(s.mask, tiles[0].truth.as_slice());
     }

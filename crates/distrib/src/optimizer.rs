@@ -20,11 +20,6 @@ impl<'g, O: Optimizer> DistributedOptimizer<'g, O> {
         Self { inner, rank }
     }
 
-    /// The wrapped optimizer.
-    pub fn inner(&self) -> &O {
-        &self.inner
-    }
-
     /// Fallible [`step`](Optimizer::step): synchronizes gradients with
     /// the fallible all-reduce and reports a lost peer instead of
     /// panicking. On error no parameter is updated — the replica's

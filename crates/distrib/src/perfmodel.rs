@@ -50,21 +50,6 @@ impl DgxA100Model {
         }
     }
 
-    /// Rescales the compute term from a measured host run: if one epoch
-    /// of the (possibly reduced) workload took `measured_secs` on this
-    /// host, treat that as the single-GPU compute cost instead of the
-    /// calibrated A100 value. Keeps `h` and `c` proportional.
-    pub fn scaled_from_measurement(measured_epoch_secs: f64, images_per_epoch: usize) -> Self {
-        let base = Self::dgx_a100();
-        let ratio = measured_epoch_secs / base.compute_secs_per_epoch;
-        Self {
-            host_secs_per_epoch: base.host_secs_per_epoch * ratio,
-            compute_secs_per_epoch: measured_epoch_secs,
-            ring_secs_per_epoch: base.ring_secs_per_epoch * ratio,
-            images_per_epoch,
-        }
-    }
-
     /// Simulated seconds per epoch with `n_gpus` data-parallel workers.
     ///
     /// # Panics
@@ -152,15 +137,5 @@ mod tests {
             assert!(s < gpus as f64, "speedup must stay sub-linear");
             assert!(s > gpus as f64 * 0.8, "but close to linear");
         }
-    }
-
-    #[test]
-    fn scaled_model_preserves_speedup_shape() {
-        let a100 = DgxA100Model::dgx_a100();
-        let scaled = DgxA100Model::scaled_from_measurement(55.3, 500);
-        for gpus in [1usize, 2, 8] {
-            assert!((scaled.speedup(gpus) - a100.speedup(gpus)).abs() < 1e-9);
-        }
-        assert!((scaled.epoch_time(1) - 10.0 * a100.epoch_time(1)).abs() < 1e-9);
     }
 }

@@ -44,11 +44,6 @@ impl Pool {
         Ok(pool)
     }
 
-    /// Threads spawned and not yet joined.
-    pub fn size(&self) -> usize {
-        self.threads.len()
-    }
-
     /// Runs the `close` given at spawn, joins every thread, and returns
     /// how many of them panicked. Idempotent.
     pub fn join(&mut self) -> usize {

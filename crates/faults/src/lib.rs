@@ -67,23 +67,6 @@ impl FaultRule {
             ..Self::default()
         }
     }
-
-    /// A rule that returns a transient error with probability `p`.
-    pub fn errors(p: f64) -> Self {
-        Self {
-            error_prob: p,
-            ..Self::default()
-        }
-    }
-
-    /// A rule that delays by `delay` with probability `p`.
-    pub fn delays(p: f64, delay: Duration) -> Self {
-        Self {
-            delay_prob: p,
-            delay,
-            ..Self::default()
-        }
-    }
 }
 
 /// A deterministic fault plan: seed + per-site rules + explicit kill

@@ -105,12 +105,6 @@ impl<T: Copy + Default> Image<T> {
         (self.width, self.height)
     }
 
-    /// Total pixel count (`width * height`).
-    #[inline]
-    pub fn pixel_count(&self) -> usize {
-        self.width * self.height
-    }
-
     /// Flat sample slice.
     #[inline]
     pub fn as_slice(&self) -> &[T] {
@@ -282,12 +276,6 @@ impl Image<u8> {
 }
 
 impl Image<f32> {
-    /// Converts `[0, 1]` float samples back to `u8`, clamping out-of-range
-    /// values.
-    pub fn to_u8(&self) -> Image<u8> {
-        self.map(|v| (v.clamp(0.0, 1.0) * 255.0).round() as u8)
-    }
-
     /// Mean of all samples.
     pub fn mean(&self) -> f32 {
         if self.data.is_empty() {
@@ -498,7 +486,6 @@ mod tests {
         let f = img.to_f32();
         assert!((f.get(0, 0) - 0.0).abs() < 1e-6);
         assert!((f.get(1, 0) - 1.0).abs() < 1e-6);
-        assert_eq!(f.to_u8().as_slice(), img.as_slice());
     }
 
     #[test]

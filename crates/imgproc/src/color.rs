@@ -2,8 +2,8 @@
 //!
 //! The auto-labeling thresholds in the paper are specified in OpenCV HSV
 //! coordinates (`H ∈ [0, 180)`, `S, V ∈ [0, 255]`), so these conversions
-//! replicate `cv::cvtColor` for `COLOR_RGB2HSV` / `COLOR_HSV2RGB` /
-//! `COLOR_RGB2GRAY` on `CV_8U` data.
+//! replicate `cv::cvtColor` for `COLOR_RGB2HSV` / `COLOR_RGB2GRAY` on
+//! `CV_8U` data, with the per-pixel `COLOR_HSV2RGB` inverse.
 
 use crate::buffer::Image;
 use seaice_exec::par;
@@ -122,32 +122,20 @@ pub fn hsv_pixel_to_rgb(h: u8, s: u8, v: u8) -> [u8; 3] {
     ]
 }
 
-fn convert_3ch(src: &Image<u8>, f: impl Fn(u8, u8, u8) -> [u8; 3] + Sync) -> Image<u8> {
-    assert_eq!(src.channels(), 3, "expected a 3-channel image");
-    let mut out = Image::<u8>::new(src.width(), src.height(), 3);
-    let stride = (src.width() * 3).max(1);
-    par::chunks_mut(out.as_mut_slice(), stride, |y, dst| {
-        for (d, p) in dst.chunks_exact_mut(3).zip(src.row(y).chunks_exact(3)) {
-            d.copy_from_slice(&f(p[0], p[1], p[2]));
-        }
-    });
-    out
-}
-
 /// Converts a 3-channel RGB image to OpenCV-convention HSV.
 ///
 /// # Panics
 /// Panics if `src` is not 3-channel.
 pub fn rgb_to_hsv(src: &Image<u8>) -> Image<u8> {
-    convert_3ch(src, rgb_pixel_to_hsv)
-}
-
-/// Converts an OpenCV-convention HSV image back to RGB.
-///
-/// # Panics
-/// Panics if `src` is not 3-channel.
-pub fn hsv_to_rgb(src: &Image<u8>) -> Image<u8> {
-    convert_3ch(src, hsv_pixel_to_rgb)
+    assert_eq!(src.channels(), 3, "expected a 3-channel image");
+    let mut out = Image::<u8>::new(src.width(), src.height(), 3);
+    let stride = (src.width() * 3).max(1);
+    par::chunks_mut(out.as_mut_slice(), stride, |y, dst| {
+        for (d, p) in dst.chunks_exact_mut(3).zip(src.row(y).chunks_exact(3)) {
+            d.copy_from_slice(&rgb_pixel_to_hsv(p[0], p[1], p[2]));
+        }
+    });
+    out
 }
 
 /// Converts RGB to single-channel luma with OpenCV's BT.601 weights

@@ -36,19 +36,6 @@ impl Component {
     pub fn height(&self) -> usize {
         self.bbox.3 - self.bbox.1 + 1
     }
-
-    /// Elongation: long bbox side over short side (≥ 1). Thin linear
-    /// features (leads) have high elongation.
-    pub fn elongation(&self) -> f64 {
-        let (w, h) = (self.width() as f64, self.height() as f64);
-        w.max(h) / w.min(h).max(1.0)
-    }
-
-    /// Mean thickness estimate: area over the long bbox side. For a
-    /// roughly linear feature this approximates its width in pixels.
-    pub fn mean_thickness(&self) -> f64 {
-        self.area as f64 / self.width().max(self.height()) as f64
-    }
 }
 
 /// Labels connected components of the nonzero pixels of a single-channel
@@ -236,16 +223,6 @@ mod tests {
         assert_eq!(comps[0].bbox, (0, 0, 4, 2));
         let (cx, cy) = comps[0].centroid;
         assert!((cx - 2.0).abs() < 1e-9 && (cy - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn elongation_and_thickness_of_a_line() {
-        let m = mask_from(&["........", "########", "........"]);
-        let (_, comps) = connected_components(&m, Connectivity::Four);
-        let c = &comps[0];
-        assert_eq!(c.area, 8);
-        assert!((c.elongation() - 8.0).abs() < 1e-9);
-        assert!((c.mean_thickness() - 1.0).abs() < 1e-9);
     }
 
     #[test]

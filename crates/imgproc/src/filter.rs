@@ -1,10 +1,10 @@
-//! Spatial noise filters: separable Gaussian blur, box blur, and median
-//! filtering — the "noise filtering" stage of the paper's thin-cloud and
-//! shadow removal pipeline.
+//! Spatial noise filters: median filtering and the `f32` box blur — the
+//! "noise filtering" stage of the paper's thin-cloud and shadow removal
+//! pipeline — plus the Gaussian kernel SSIM weights its windows with.
 //!
 //! Borders are handled by clamping coordinates (OpenCV's
-//! `BORDER_REPLICATE`). The Gaussian and box filters are separable and
-//! row-parallel through `seaice_exec::par`.
+//! `BORDER_REPLICATE`). Scene-sized inputs run row-parallel through
+//! `seaice_exec::par`.
 
 use crate::buffer::{Image, Scratch};
 use seaice_exec::par;
@@ -32,70 +32,6 @@ pub fn gaussian_kernel(radius: usize, sigma: f32) -> Vec<f32> {
         *v /= sum;
     }
     k
-}
-
-/// Horizontal then vertical pass of a separable 1-D kernel over every
-/// channel of an 8-bit image, with replicated borders.
-fn separable_convolve(src: &Image<u8>, kernel: &[f32]) -> Image<u8> {
-    let (w, h) = src.dimensions();
-    let c = src.channels();
-    let radius = kernel.len() / 2;
-    if w == 0 || h == 0 {
-        return src.clone();
-    }
-
-    // Horizontal pass into f32 to avoid double rounding.
-    let mut tmp = vec![0f32; w * h * c];
-    let run_h = |y: usize, dst_row: &mut [f32]| {
-        let row = src.row(y);
-        for x in 0..w {
-            for ch in 0..c {
-                let mut acc = 0f32;
-                for (i, &kv) in kernel.iter().enumerate() {
-                    let sx = (x + i).saturating_sub(radius).min(w - 1);
-                    acc += kv * row[sx * c + ch] as f32;
-                }
-                dst_row[x * c + ch] = acc;
-            }
-        }
-    };
-    par::chunks_mut(&mut tmp, w * c, run_h);
-
-    // Vertical pass back to u8.
-    let mut out = Image::<u8>::new(w, h, c);
-    let run_v = |y: usize, dst_row: &mut [u8]| {
-        for x in 0..w {
-            for ch in 0..c {
-                let mut acc = 0f32;
-                for (i, &kv) in kernel.iter().enumerate() {
-                    let sy = (y + i).saturating_sub(radius).min(h - 1);
-                    acc += kv * tmp[(sy * w + x) * c + ch];
-                }
-                dst_row[x * c + ch] = acc.round().clamp(0.0, 255.0) as u8;
-            }
-        }
-    };
-    par::chunks_mut(out.as_mut_slice(), w * c, run_v);
-    out
-}
-
-/// Gaussian blur with kernel half-width `radius` and standard deviation
-/// `sigma` (`sigma <= 0` selects it automatically from the kernel size).
-pub fn gaussian_blur(src: &Image<u8>, radius: usize, sigma: f32) -> Image<u8> {
-    if radius == 0 {
-        return src.clone();
-    }
-    separable_convolve(src, &gaussian_kernel(radius, sigma))
-}
-
-/// Box (mean) blur with kernel half-width `radius`.
-pub fn box_blur(src: &Image<u8>, radius: usize) -> Image<u8> {
-    if radius == 0 {
-        return src.clone();
-    }
-    let ksize = 2 * radius + 1;
-    let kernel = vec![1.0 / ksize as f32; ksize];
-    separable_convolve(src, &kernel)
 }
 
 /// Pixel count from which the median network's and the box blur's rows go
@@ -511,37 +447,6 @@ mod tests {
     }
 
     #[test]
-    fn blur_preserves_constant_image() {
-        let mut img = Image::<u8>::new(9, 9, 3);
-        img.fill(&[120, 130, 140]);
-        for out in [gaussian_blur(&img, 2, 1.0), box_blur(&img, 2)] {
-            assert_eq!(out.pixel(4, 4), &[120, 130, 140]);
-            assert_eq!(out.pixel(0, 0), &[120, 130, 140]); // border replicate
-        }
-    }
-
-    #[test]
-    fn gaussian_blur_smooths_impulse() {
-        let mut img = Image::<u8>::new(9, 9, 1);
-        img.set(4, 4, 255);
-        let out = gaussian_blur(&img, 2, 1.0);
-        let center = out.get(4, 4);
-        assert!(center < 255, "impulse energy must spread");
-        assert!(out.get(3, 4) > 0, "neighbours must receive energy");
-        assert!(out.get(3, 4) <= center);
-    }
-
-    #[test]
-    fn box_blur_averages_window() {
-        // 3x3 window over a single bright pixel: 255 / 9 ≈ 28.
-        let mut img = Image::<u8>::new(5, 5, 1);
-        img.set(2, 2, 255);
-        let out = box_blur(&img, 1);
-        let v = out.get(2, 2);
-        assert!((27..=29).contains(&v), "got {v}");
-    }
-
-    #[test]
     fn median_removes_salt_noise() {
         let mut img = Image::<u8>::new(7, 7, 1);
         for y in 0..7 {
@@ -570,8 +475,6 @@ mod tests {
     #[test]
     fn radius_zero_is_identity() {
         let img = Image::from_vec(3, 1, 1, vec![1u8, 2, 3]);
-        assert_eq!(gaussian_blur(&img, 0, 1.0), img);
-        assert_eq!(box_blur(&img, 0), img);
         assert_eq!(median_filter(&img, 0), img);
     }
 
@@ -617,21 +520,5 @@ mod tests {
                 (mn.min(v), mx.max(v))
             });
         assert!(spread.1 - spread.0 < 3.0);
-    }
-
-    #[test]
-    fn parallel_and_sequential_paths_agree() {
-        // 128x128 takes the parallel path; recompute a small crop via the
-        // sequential path and compare interior pixels.
-        let big = Image::from_fn(128, 128, 1, |x, y| vec![((x * 7 + y * 13) % 251) as u8]);
-        let blurred_big = gaussian_blur(&big, 2, 1.0);
-        let crop = big.crop(32, 32, 16, 16);
-        let blurred_crop = gaussian_blur(&crop, 2, 1.0);
-        // Interior pixels (away from crop borders) must agree.
-        for y in 4..12 {
-            for x in 4..12 {
-                assert_eq!(blurred_crop.get(x, y), blurred_big.get(32 + x, 32 + y));
-            }
-        }
     }
 }

@@ -1,4 +1,4 @@
-//! Histogram computation and histogram-based utilities.
+//! The 256-bin histogram Otsu thresholding is computed from.
 
 use crate::buffer::Image;
 
@@ -19,61 +19,6 @@ pub fn histogram_u8(src: &Image<u8>) -> [u64; 256] {
     hist
 }
 
-/// Per-channel histograms of a multi-channel 8-bit image.
-pub fn histogram_per_channel(src: &Image<u8>) -> Vec<[u64; 256]> {
-    let c = src.channels();
-    let mut hists = vec![[0u64; 256]; c];
-    for px in src.as_slice().chunks_exact(c) {
-        for (h, &v) in hists.iter_mut().zip(px) {
-            h[v as usize] += 1;
-        }
-    }
-    hists
-}
-
-/// Cumulative distribution of a histogram (same length, monotone).
-pub fn cumulative(hist: &[u64; 256]) -> [u64; 256] {
-    let mut cdf = [0u64; 256];
-    let mut acc = 0u64;
-    for (c, &h) in cdf.iter_mut().zip(hist.iter()) {
-        acc += h;
-        *c = acc;
-    }
-    cdf
-}
-
-/// The `p`-quantile sample value (`p ∈ [0, 1]`) of a single-channel image.
-///
-/// # Panics
-/// Panics if the image is empty or `p` is outside `[0, 1]`.
-pub fn quantile_u8(src: &Image<u8>, p: f64) -> u8 {
-    assert!((0.0..=1.0).contains(&p), "quantile must be in [0, 1]");
-    let hist = histogram_u8(src);
-    let cdf = cumulative(&hist);
-    let total = cdf[255];
-    assert!(total > 0, "quantile of an empty image");
-    let target = (p * total as f64).ceil().max(1.0) as u64;
-    cdf.iter().position(|&c| c >= target).unwrap_or(255) as u8
-}
-
-/// Histogram equalization of a single-channel 8-bit image, spreading the
-/// intensity CDF across the full range.
-pub fn equalize(src: &Image<u8>) -> Image<u8> {
-    let hist = histogram_u8(src);
-    let cdf = cumulative(&hist);
-    let total = cdf[255];
-    if total == 0 {
-        return src.clone();
-    }
-    let cdf_min = cdf.iter().copied().find(|&c| c > 0).unwrap_or(0);
-    let denom = (total - cdf_min).max(1);
-    let lut: Vec<u8> = cdf
-        .iter()
-        .map(|&c| (((c.saturating_sub(cdf_min)) as f64 / denom as f64) * 255.0).round() as u8)
-        .collect();
-    src.map(|v| lut[v as usize])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,48 +31,5 @@ mod tests {
         assert_eq!(h[7], 1);
         assert_eq!(h[255], 1);
         assert_eq!(h.iter().sum::<u64>(), 4);
-    }
-
-    #[test]
-    fn per_channel_histograms() {
-        let img = Image::from_vec(2, 1, 2, vec![1u8, 9, 1, 9]);
-        let hs = histogram_per_channel(&img);
-        assert_eq!(hs[0][1], 2);
-        assert_eq!(hs[1][9], 2);
-    }
-
-    #[test]
-    fn cumulative_is_monotone_and_total() {
-        let img = Image::from_vec(3, 1, 1, vec![5u8, 5, 200]);
-        let cdf = cumulative(&histogram_u8(&img));
-        assert!(cdf.windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(cdf[255], 3);
-        assert_eq!(cdf[5], 2);
-    }
-
-    #[test]
-    fn quantile_picks_order_statistics() {
-        let img = Image::from_vec(5, 1, 1, vec![10u8, 20, 30, 40, 50]);
-        assert_eq!(quantile_u8(&img, 0.0), 10);
-        assert_eq!(quantile_u8(&img, 0.5), 30);
-        assert_eq!(quantile_u8(&img, 1.0), 50);
-    }
-
-    #[test]
-    fn equalize_spreads_range() {
-        let img = Image::from_vec(4, 1, 1, vec![100u8, 110, 120, 130]);
-        let eq = equalize(&img);
-        let mn = *eq.as_slice().iter().min().unwrap();
-        let mx = *eq.as_slice().iter().max().unwrap();
-        assert_eq!(mn, 0);
-        assert_eq!(mx, 255);
-    }
-
-    #[test]
-    fn equalize_constant_image_is_stable() {
-        let img = Image::from_vec(3, 1, 1, vec![42u8; 3]);
-        let eq = equalize(&img);
-        // A constant image has a degenerate CDF; output must stay constant.
-        assert!(eq.as_slice().windows(2).all(|w| w[0] == w[1]));
     }
 }

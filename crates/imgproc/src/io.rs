@@ -1,5 +1,5 @@
-//! Minimal binary PPM (P6) / PGM (P5) reading and writing, so every stage
-//! of the workflow can be inspected with standard image viewers without an
+//! Minimal binary PPM (P6) reading and writing, so every stage of the
+//! workflow can be inspected with standard image viewers without an
 //! external codec dependency.
 
 use crate::buffer::Image;
@@ -19,22 +19,6 @@ pub fn write_ppm(path: impl AsRef<Path>, img: &Image<u8>) -> io::Result<()> {
     // seaice-lint: allow(raw-fs-write-in-durable-path) reason="PPM exports are regenerable inspection artifacts, never state anything resumes from"
     let mut w = BufWriter::new(File::create(path)?);
     write!(w, "P6\n{} {}\n255\n", img.width(), img.height())?;
-    w.write_all(img.as_slice())?;
-    w.flush()
-}
-
-/// Writes a single-channel 8-bit image as binary PGM (P5).
-///
-/// # Errors
-/// Any underlying I/O error.
-///
-/// # Panics
-/// Panics if `img` is not single-channel.
-pub fn write_pgm(path: impl AsRef<Path>, img: &Image<u8>) -> io::Result<()> {
-    assert_eq!(img.channels(), 1, "PGM requires a single-channel image");
-    // seaice-lint: allow(raw-fs-write-in-durable-path) reason="PGM exports are regenerable inspection artifacts, never state anything resumes from"
-    let mut w = BufWriter::new(File::create(path)?);
-    write!(w, "P5\n{} {}\n255\n", img.width(), img.height())?;
     w.write_all(img.as_slice())?;
     w.flush()
 }
@@ -93,22 +77,6 @@ pub fn read_ppm(path: impl AsRef<Path>) -> io::Result<Image<u8>> {
     Ok(Image::from_vec(w, h, 3, data))
 }
 
-/// Reads a binary PGM (P5) file into a single-channel image.
-///
-/// # Errors
-/// I/O errors or malformed/unsupported headers.
-pub fn read_pgm(path: impl AsRef<Path>) -> io::Result<Image<u8>> {
-    let mut r = BufReader::new(File::open(path)?);
-    let magic = read_header_token(&mut r)?;
-    if magic != "P5" {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "not a P5 PGM"));
-    }
-    let (w, h) = parse_dims(&mut r)?;
-    let mut data = vec![0u8; w * h];
-    r.read_exact(&mut data)?;
-    Ok(Image::from_vec(w, h, 1, data))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,20 +98,10 @@ mod tests {
     }
 
     #[test]
-    fn pgm_roundtrip() {
-        let img = Image::from_fn(4, 4, 1, |x, y| vec![(x * 4 + y) as u8]);
-        let p = tmp("rt.pgm");
-        write_pgm(&p, &img).unwrap();
-        let back = read_pgm(&p).unwrap();
-        std::fs::remove_file(&p).ok();
-        assert_eq!(back, img);
-    }
-
-    #[test]
     fn rejects_wrong_magic() {
-        let img = Image::from_fn(2, 2, 1, |_, _| vec![0u8]);
-        let p = tmp("magic.pgm");
-        write_pgm(&p, &img).unwrap();
+        // A P5 (grayscale) header is a valid Netpbm file, but not a PPM.
+        let p = tmp("magic.ppm");
+        std::fs::write(&p, b"P5\n2 2\n255\n\0\0\0\0").unwrap();
         let err = read_ppm(&p).unwrap_err();
         std::fs::remove_file(&p).ok();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
@@ -151,10 +109,11 @@ mod tests {
 
     #[test]
     fn header_comments_are_skipped() {
-        let p = tmp("comment.pgm");
-        std::fs::write(&p, b"P5\n# a comment\n2 1\n255\nAB").unwrap();
-        let img = read_pgm(&p).unwrap();
+        let p = tmp("comment.ppm");
+        std::fs::write(&p, b"P6\n# a comment\n2 1 # trailing\n255\nABCDEF").unwrap();
+        let img = read_ppm(&p).unwrap();
         std::fs::remove_file(&p).ok();
-        assert_eq!(img.as_slice(), b"AB");
+        assert_eq!(img.dimensions(), (2, 1));
+        assert_eq!(img.as_slice(), b"ABCDEF");
     }
 }

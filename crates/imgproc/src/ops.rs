@@ -1,69 +1,9 @@
-//! Element-wise image operations: bitwise logic, absolute difference,
-//! saturating arithmetic, range masks, and min-max normalization — the
-//! OpenCV `bitwise_*`, `absdiff`, `inRange`, and `normalize(NORM_MINMAX)`
-//! equivalents used by the cloud/shadow filter and the color segmenter.
+//! Element-wise image operations: range masks, min-max normalization and
+//! the vectorisable `u8` rounding — the OpenCV `inRange` and
+//! `normalize(NORM_MINMAX)` equivalents used by the cloud/shadow filter and
+//! the color segmenter.
 
-use crate::buffer::{zip_map, Image};
-
-/// Per-sample bitwise AND of two same-shape 8-bit images.
-pub fn bitwise_and(a: &Image<u8>, b: &Image<u8>) -> Image<u8> {
-    zip_map(a, b, |x, y| x & y)
-}
-
-/// Per-sample bitwise OR of two same-shape 8-bit images.
-pub fn bitwise_or(a: &Image<u8>, b: &Image<u8>) -> Image<u8> {
-    zip_map(a, b, |x, y| x | y)
-}
-
-/// Per-sample bitwise XOR of two same-shape 8-bit images.
-pub fn bitwise_xor(a: &Image<u8>, b: &Image<u8>) -> Image<u8> {
-    zip_map(a, b, |x, y| x ^ y)
-}
-
-/// Per-sample bitwise NOT.
-pub fn bitwise_not(a: &Image<u8>) -> Image<u8> {
-    a.map(|v| !v)
-}
-
-/// Bitwise AND of `src` with a single-channel mask broadcast across
-/// channels, like `cv::bitwise_and(src, src, mask=mask)`: samples where the
-/// mask is zero become zero.
-///
-/// # Panics
-/// Panics if shapes differ or `mask` is not single-channel.
-pub fn apply_mask(src: &Image<u8>, mask: &Image<u8>) -> Image<u8> {
-    assert_eq!(mask.channels(), 1, "mask must be single-channel");
-    assert_eq!(src.dimensions(), mask.dimensions(), "image size mismatch");
-    let c = src.channels();
-    let mut out = src.clone();
-    for (px, &m) in out.as_mut_slice().chunks_exact_mut(c).zip(mask.as_slice()) {
-        if m == 0 {
-            px.fill(0);
-        }
-    }
-    out
-}
-
-/// Per-sample absolute difference, `|a - b|`, like `cv::absdiff`.
-pub fn absdiff(a: &Image<u8>, b: &Image<u8>) -> Image<u8> {
-    zip_map(a, b, |x, y| x.abs_diff(y))
-}
-
-/// Per-sample saturating addition.
-pub fn add_saturating(a: &Image<u8>, b: &Image<u8>) -> Image<u8> {
-    zip_map(a, b, |x, y| x.saturating_add(y))
-}
-
-/// Per-sample saturating subtraction (`a - b`).
-pub fn sub_saturating(a: &Image<u8>, b: &Image<u8>) -> Image<u8> {
-    zip_map(a, b, |x, y| x.saturating_sub(y))
-}
-
-/// Adds a signed scalar to every sample with saturation — used to lift or
-/// darken brightness uniformly.
-pub fn add_scalar(src: &Image<u8>, delta: i16) -> Image<u8> {
-    src.map(|v| (v as i16 + delta).clamp(0, 255) as u8)
-}
+use crate::buffer::Image;
 
 /// Builds a binary mask (255 where inside, 0 outside) of pixels whose every
 /// channel lies within `[lo, hi]` inclusive — `cv::inRange`.
@@ -122,32 +62,6 @@ pub fn min_max_normalize(src: &Image<u8>, out_lo: u8, out_hi: u8) -> Image<u8> {
     src.map(|v| table[usize::from(v)])
 }
 
-/// Min-max normalization of an `f32` image onto `[out_lo, out_hi]`.
-pub fn min_max_normalize_f32(src: &Image<f32>, out_lo: f32, out_hi: f32) -> Image<f32> {
-    assert!(!src.as_slice().is_empty(), "normalize of an empty image");
-    let mn = src.as_slice().iter().copied().fold(f32::INFINITY, f32::min);
-    let mx = src
-        .as_slice()
-        .iter()
-        .copied()
-        .fold(f32::NEG_INFINITY, f32::max);
-    if mx <= mn {
-        let mut out = src.clone();
-        out.as_mut_slice().fill(out_lo);
-        return out;
-    }
-    let scale = (out_hi - out_lo) / (mx - mn);
-    src.map(|v| out_lo + (v - mn) * scale)
-}
-
-/// Blends two same-shape images: `alpha * a + (1 - alpha) * b`, like
-/// `cv::addWeighted` with complementary weights.
-pub fn blend(a: &Image<u8>, b: &Image<u8>, alpha: f32) -> Image<u8> {
-    zip_map(a, b, |x, y| {
-        round_to_u8(alpha * x as f32 + (1.0 - alpha) * y as f32)
-    })
-}
-
 /// `x.round().clamp(0.0, 255.0) as u8` without the call into libm, in
 /// operations that stay in SIMD lanes when a loop is vectorised.
 ///
@@ -177,51 +91,12 @@ mod tests {
     }
 
     #[test]
-    fn bitwise_ops() {
-        let a = img(&[0b1100, 0xFF]);
-        let b = img(&[0b1010, 0x0F]);
-        assert_eq!(bitwise_and(&a, &b).as_slice(), &[0b1000, 0x0F]);
-        assert_eq!(bitwise_or(&a, &b).as_slice(), &[0b1110, 0xFF]);
-        assert_eq!(bitwise_xor(&a, &b).as_slice(), &[0b0110, 0xF0]);
-        assert_eq!(bitwise_not(&a).as_slice(), &[!0b1100u8, 0x00]);
-    }
-
-    #[test]
-    fn absdiff_is_symmetric() {
-        let a = img(&[10, 200]);
-        let b = img(&[50, 100]);
-        assert_eq!(absdiff(&a, &b).as_slice(), &[40, 100]);
-        assert_eq!(absdiff(&b, &a).as_slice(), &[40, 100]);
-    }
-
-    #[test]
-    fn saturating_arith() {
-        let a = img(&[250, 5]);
-        let b = img(&[10, 10]);
-        assert_eq!(add_saturating(&a, &b).as_slice(), &[255, 15]);
-        assert_eq!(sub_saturating(&a, &b).as_slice(), &[240, 0]);
-        assert_eq!(add_scalar(&a, 10).as_slice(), &[255, 15]);
-        assert_eq!(add_scalar(&a, -10).as_slice(), &[240, 0]);
-    }
-
-    #[test]
     fn in_range_all_channels_must_match() {
         let mut src = Image::<u8>::new(2, 1, 3);
         src.put_pixel(0, 0, &[0, 0, 210]); // inside thick-ice range
         src.put_pixel(1, 0, &[0, 0, 100]); // V too low
         let mask = in_range(&src, &[0, 0, 205], &[185, 255, 255]);
         assert_eq!(mask.as_slice(), &[255, 0]);
-    }
-
-    #[test]
-    fn apply_mask_zeroes_outside() {
-        let mut src = Image::<u8>::new(2, 1, 3);
-        src.put_pixel(0, 0, &[1, 2, 3]);
-        src.put_pixel(1, 0, &[4, 5, 6]);
-        let mask = img(&[255, 0]);
-        let out = apply_mask(&src, &mask);
-        assert_eq!(out.pixel(0, 0), &[1, 2, 3]);
-        assert_eq!(out.pixel(1, 0), &[0, 0, 0]);
     }
 
     #[test]
@@ -281,14 +156,6 @@ mod tests {
     }
 
     #[test]
-    fn minmax_normalize_f32_range() {
-        let src = Image::from_vec(3, 1, 1, vec![-1.0f32, 0.0, 3.0]);
-        let out = min_max_normalize_f32(&src, 0.0, 1.0);
-        assert!((out.get(0, 0) - 0.0).abs() < 1e-6);
-        assert!((out.get(2, 0) - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
     fn round_to_u8_equals_round_clamp_cast_on_every_f32_in_range() {
         let reference = |x: f32| x.round().clamp(0.0, 255.0) as u8;
         let check = |bits: u32| {
@@ -308,14 +175,5 @@ mod tests {
             .into_iter()
             .for_each(check);
         (0..=u32::MAX).step_by(4099).for_each(check);
-    }
-
-    #[test]
-    fn blend_interpolates() {
-        let a = img(&[200]);
-        let b = img(&[100]);
-        assert_eq!(blend(&a, &b, 1.0).as_slice(), &[200]);
-        assert_eq!(blend(&a, &b, 0.0).as_slice(), &[100]);
-        assert_eq!(blend(&a, &b, 0.5).as_slice(), &[150]);
     }
 }

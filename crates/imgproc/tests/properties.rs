@@ -3,9 +3,8 @@
 use proptest::prelude::*;
 use seaice_imgproc::buffer::Image;
 use seaice_imgproc::color::{hsv_pixel_to_rgb, rgb_pixel_to_hsv, rgb_pixel_to_hsv_int};
-use seaice_imgproc::filter::{box_blur, gaussian_blur, median_filter};
-use seaice_imgproc::morphology::{dilate, erode};
-use seaice_imgproc::ops::{absdiff, in_range, min_max_normalize};
+use seaice_imgproc::filter::median_filter;
+use seaice_imgproc::ops::{in_range, min_max_normalize};
 use seaice_imgproc::threshold::{otsu_threshold, threshold, ThresholdType};
 
 /// Reference connected-components via BFS flood fill, for comparison
@@ -135,13 +134,6 @@ proptest! {
     }
 
     #[test]
-    fn absdiff_triangle(img in arb_gray(12)) {
-        // absdiff(a, a) == 0
-        let z = absdiff(&img, &img);
-        prop_assert!(z.as_slice().iter().all(|&v| v == 0));
-    }
-
-    #[test]
     fn in_range_mask_is_binary_and_monotone(img in arb_gray(12), lo: u8, hi: u8) {
         let (lo, hi) = if lo <= hi { (lo, hi) } else { (hi, lo) };
         let mask = in_range(&img, &[lo], &[hi]);
@@ -154,25 +146,13 @@ proptest! {
     }
 
     #[test]
-    fn erosion_le_identity_le_dilation(img in arb_gray(12)) {
-        let e = erode(&img, 1);
-        let d = dilate(&img, 1);
-        for ((&ev, &ov), &dv) in e.as_slice().iter().zip(img.as_slice()).zip(d.as_slice()) {
-            prop_assert!(ev <= ov && ov <= dv);
-        }
-    }
-
-    #[test]
-    fn blurs_preserve_range(img in arb_gray(12)) {
-        let mn = *img.as_slice().iter().min().unwrap();
-        let mx = *img.as_slice().iter().max().unwrap();
-        for out in [gaussian_blur(&img, 1, 0.8), box_blur(&img, 1), median_filter(&img, 1)] {
-            // Rounding in the separable passes can stray by 1 level.
-            prop_assert!(out
-                .as_slice()
-                .iter()
-                .all(|&v| v as i32 >= mn as i32 - 1 && v as i32 <= mx as i32 + 1));
-        }
+    fn median_stays_within_the_input_range(img in arb_gray(12)) {
+        // A median selects one of its window's samples, so it never leaves
+        // the input's value range, not even by a rounding level.
+        let lo = *img.as_slice().iter().min().unwrap();
+        let hi = *img.as_slice().iter().max().unwrap();
+        let out = median_filter(&img, 1);
+        prop_assert!(out.as_slice().iter().all(|v| (lo..=hi).contains(v)));
     }
 
     #[test]

@@ -230,11 +230,6 @@ impl CloudShadowFilter {
         Self { config }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &FilterConfig {
-        &self.config
-    }
-
     /// Runs only the correcting half of the filter (steps 1–5) and returns
     /// the corrected image — the entry for labelling and inference loops,
     /// which never look at the diagnostics. Every plane is drawn from

@@ -53,15 +53,6 @@ impl IceClass {
             _ => None,
         }
     }
-
-    /// Human-readable name.
-    pub fn name(self) -> &'static str {
-        match self {
-            IceClass::Thick => "thick ice",
-            IceClass::Thin => "thin ice",
-            IceClass::Water => "open water",
-        }
-    }
 }
 
 /// An inclusive HSV box `[lo, hi]` (OpenCV conventions; the paper's upper

@@ -76,14 +76,6 @@ impl ClusterSpec {
         self.executors * self.cores_per_executor
     }
 
-    /// The paper's largest configuration: 4 executors × 4 cores.
-    pub fn paper_max() -> Self {
-        Self {
-            executors: 4,
-            cores_per_executor: 4,
-        }
-    }
-
     /// Slot identifier `(executor, core)` for a flat slot index.
     pub fn slot(&self, index: usize) -> (usize, usize) {
         (
@@ -683,7 +675,6 @@ mod tests {
         assert_eq!(s.slot(0), (0, 0));
         assert_eq!(s.slot(5), (1, 1));
         assert_eq!(s.slot(15), (3, 3));
-        assert_eq!(ClusterSpec::paper_max(), s);
     }
 
     #[test]

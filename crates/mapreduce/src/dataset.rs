@@ -51,11 +51,6 @@ impl Session {
         self.cluster.spec()
     }
 
-    /// The session's cost model.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
-
     /// Loads items into a distributed dataframe. `bytes_per_item` sizes
     /// the simulated object-store transfer (e.g. `256·256·3` for an RGB
     /// tile).
@@ -89,16 +84,6 @@ pub struct DataFrame<T> {
 }
 
 impl<T: Send + 'static> DataFrame<T> {
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// True when the dataframe is empty.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
     /// Registers a UDF as a lazy map transformation (PySpark semantics:
     /// nothing executes until an action). Returns the lazy frame and the
     /// map-stage report — near-constant driver time, like the paper's
@@ -132,30 +117,6 @@ pub struct LazyFrame<T, U> {
 }
 
 impl<T: Send + 'static, U: Send + 'static> LazyFrame<T, U> {
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// True when the frame is empty.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// Composes another lazy transformation onto the UDF chain.
-    pub fn map<V, F>(self, f: F) -> LazyFrame<T, V>
-    where
-        V: Send + 'static,
-        F: Fn(U) -> V + Send + Sync + 'static,
-    {
-        let prev = self.udf;
-        LazyFrame {
-            items: self.items,
-            bytes_per_item: self.bytes_per_item,
-            udf: Arc::new(move |t| f(prev(t))),
-        }
-    }
-
     /// Executes the chain on the cluster and collects all results at the
     /// driver (the action that does the real work — the paper's "Reduce"
     /// stage). `result_bytes_per_item` sizes the simulated collect
@@ -268,16 +229,6 @@ mod tests {
         let (lazy, _) = df.map(&s, |x| x + 1);
         let (out, _) = lazy.collect(&s, 4.0);
         assert_eq!(out, (1..=40).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn chained_maps_compose() {
-        let s = session(1, 2);
-        let (df, _) = s.read(vec![1i32, 2, 3], 4.0);
-        let (lazy, _) = df.map(&s, |x| x * 10);
-        let lazy = lazy.map(|x| x + 5);
-        let (out, _) = lazy.collect(&s, 4.0);
-        assert_eq!(out, vec![15, 25, 35]);
     }
 
     #[test]

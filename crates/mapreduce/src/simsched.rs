@@ -29,17 +29,6 @@ pub struct Schedule {
     pub assignment: Vec<usize>,
 }
 
-impl Schedule {
-    /// Ratio of total work to `makespan × slots` — 1.0 is perfect balance.
-    pub fn utilization(&self) -> f64 {
-        let total: f64 = self.slot_busy.iter().sum();
-        if self.makespan <= 0.0 {
-            return 1.0;
-        }
-        total / (self.makespan * self.slot_busy.len() as f64)
-    }
-}
-
 /// Like [`makespan`] but returns the whole [`Schedule`].
 ///
 /// # Panics
@@ -169,13 +158,7 @@ mod tests {
         assert_eq!(s.assignment.iter().filter(|&&a| a == 0).count(), 2);
         let total: f64 = s.slot_busy.iter().sum();
         assert!((total - 8.0).abs() < 1e-12);
-        assert!((s.utilization() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn utilization_penalizes_imbalance() {
-        let s = makespan_detailed(&[10.0, 1.0], 2);
-        assert!(s.utilization() < 0.6);
+        assert_eq!(s.makespan, 4.0);
     }
 
     #[test]

@@ -35,7 +35,7 @@ proptest! {
         prop_assert!((busy - total).abs() < 1e-9);
         prop_assert_eq!(s.assignment.len(), costs.len());
         prop_assert!(s.assignment.iter().all(|&a| a < slots));
-        prop_assert!((0.0..=1.0 + 1e-9).contains(&s.utilization()));
+        prop_assert!(s.slot_busy.iter().all(|&b| b <= s.makespan + 1e-9));
     }
 
     #[test]

@@ -81,17 +81,6 @@ impl ConfusionMatrix {
             .collect()
     }
 
-    /// Merges another matrix into this one (for parallel accumulation).
-    ///
-    /// # Panics
-    /// Panics if class counts differ.
-    pub fn merge(&mut self, other: &ConfusionMatrix) {
-        assert_eq!(self.n, other.n, "class count mismatch");
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-    }
-
     /// Overall accuracy: diagonal mass over total.
     pub fn accuracy(&self) -> f64 {
         let total = self.total();
@@ -119,13 +108,6 @@ impl ConfusionMatrix {
                     .collect()
             })
             .collect()
-    }
-
-    /// Per-class accuracy (recall): the diagonal of the column-normalized
-    /// matrix.
-    pub fn per_class_accuracy(&self) -> Vec<f64> {
-        let norm = self.column_normalized();
-        (0..self.n).map(|i| norm[i][i]).collect()
     }
 
     /// Renders the column-normalized matrix as a small text table with
@@ -200,15 +182,6 @@ mod tests {
     }
 
     #[test]
-    fn per_class_accuracy_is_diagonal() {
-        let m = sample_matrix();
-        let pca = m.per_class_accuracy();
-        assert!((pca[0] - 2.0 / 3.0).abs() < 1e-12);
-        assert!((pca[1] - 1.0).abs() < 1e-12);
-        assert!((pca[2] - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn empty_column_stays_zero() {
         let mut m = ConfusionMatrix::new(3);
         m.record(0, 0);
@@ -226,15 +199,6 @@ mod tests {
         assert_eq!(m.count(0, 0), 1);
         assert_eq!(m.count(1, 0), 1);
         assert_eq!(m.count(2, 2), 1);
-    }
-
-    #[test]
-    fn merge_adds_counts() {
-        let mut a = sample_matrix();
-        let b = sample_matrix();
-        a.merge(&b);
-        assert_eq!(a.total(), 12);
-        assert_eq!(a.count(0, 0), 4);
     }
 
     #[test]

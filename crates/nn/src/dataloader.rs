@@ -1,6 +1,8 @@
-//! Mini-batch assembly with shuffling and flip augmentation (the paper
+//! Mini-batch assembly with deterministic per-epoch shuffling (the paper
 //! "organized the data into batches for the U-Net models using
-//! dataloader" and relies on U-Net-style augmentation).
+//! dataloader"). Samples are used as given: there is no augmentation, so
+//! every batch, and every training bit, follows from the samples and the
+//! shuffle seed alone.
 
 use crate::tensor::Tensor;
 use rand::seq::SliceRandom;
@@ -24,26 +26,9 @@ pub struct Sample {
 }
 
 impl Sample {
-    /// Validates internal consistency.
-    ///
-    /// # Panics
-    /// Panics if lengths don't match the dimensions.
-    pub fn validate(&self) {
-        assert_eq!(
-            self.image.len(),
-            self.channels * self.height * self.width,
-            "image length mismatch"
-        );
-        assert_eq!(
-            self.mask.len(),
-            self.height * self.width,
-            "mask length mismatch"
-        );
-    }
-
-    /// True when the buffers match the declared dimensions — the
-    /// non-panicking form of [`validate`](Sample::validate), used to
-    /// *skip* corrupt or truncated samples instead of crashing a run.
+    /// True when the buffers match the declared dimensions; the loader
+    /// uses it to *skip* corrupt or truncated samples instead of crashing
+    /// a run.
     pub fn is_consistent(&self) -> bool {
         self.image.len() == self.channels * self.height * self.width
             && self.mask.len() == self.height * self.width
@@ -52,57 +37,6 @@ impl Sample {
     /// The `(channels, height, width)` tuple.
     pub fn shape(&self) -> (usize, usize, usize) {
         (self.channels, self.height, self.width)
-    }
-
-    /// Horizontal mirror of the sample.
-    pub fn flip_horizontal(&self) -> Sample {
-        let (c, h, w) = (self.channels, self.height, self.width);
-        let mut image = vec![0f32; self.image.len()];
-        let mut mask = vec![0u8; self.mask.len()];
-        for ch in 0..c {
-            for y in 0..h {
-                for x in 0..w {
-                    image[(ch * h + y) * w + x] = self.image[(ch * h + y) * w + (w - 1 - x)];
-                }
-            }
-        }
-        for y in 0..h {
-            for x in 0..w {
-                mask[y * w + x] = self.mask[y * w + (w - 1 - x)];
-            }
-        }
-        Sample {
-            image,
-            mask,
-            channels: c,
-            height: h,
-            width: w,
-        }
-    }
-
-    /// Vertical mirror of the sample.
-    pub fn flip_vertical(&self) -> Sample {
-        let (c, h, w) = (self.channels, self.height, self.width);
-        let mut image = vec![0f32; self.image.len()];
-        let mut mask = vec![0u8; self.mask.len()];
-        for ch in 0..c {
-            for y in 0..h {
-                let sy = h - 1 - y;
-                image[(ch * h + y) * w..(ch * h + y) * w + w]
-                    .copy_from_slice(&self.image[(ch * h + sy) * w..(ch * h + sy) * w + w]);
-            }
-        }
-        for y in 0..h {
-            let sy = h - 1 - y;
-            mask[y * w..y * w + w].copy_from_slice(&self.mask[sy * w..sy * w + w]);
-        }
-        Sample {
-            image,
-            mask,
-            channels: c,
-            height: h,
-            width: w,
-        }
     }
 }
 
@@ -230,18 +164,6 @@ impl DataLoader {
             })
             .collect()
     }
-
-    /// Returns a new loader whose sample set is augmented with horizontal
-    /// and vertical flips (3× the data).
-    pub fn with_flip_augmentation(self) -> Self {
-        let mut samples = Vec::with_capacity(self.samples.len() * 3);
-        for s in &self.samples {
-            samples.push(s.flip_horizontal());
-            samples.push(s.flip_vertical());
-        }
-        samples.extend(self.samples);
-        Self { samples, ..self }
-    }
 }
 
 #[cfg(test)]
@@ -292,43 +214,6 @@ mod tests {
         let batch = &dl.epoch(0)[0];
         assert_eq!(batch.targets.len(), 2 * 4);
         assert_eq!(&batch.targets[..4], &[0, 1, 2, 0]);
-    }
-
-    #[test]
-    fn horizontal_flip_mirrors_columns() {
-        let s = Sample {
-            image: vec![1.0, 2.0, 3.0, 4.0],
-            mask: vec![0, 1, 2, 0],
-            channels: 1,
-            height: 2,
-            width: 2,
-        };
-        let f = s.flip_horizontal();
-        assert_eq!(f.image, vec![2.0, 1.0, 4.0, 3.0]);
-        assert_eq!(f.mask, vec![1, 0, 0, 2]);
-        // Double flip is identity.
-        assert_eq!(f.flip_horizontal().image, s.image);
-    }
-
-    #[test]
-    fn vertical_flip_mirrors_rows() {
-        let s = Sample {
-            image: vec![1.0, 2.0, 3.0, 4.0],
-            mask: vec![0, 1, 2, 0],
-            channels: 1,
-            height: 2,
-            width: 2,
-        };
-        let f = s.flip_vertical();
-        assert_eq!(f.image, vec![3.0, 4.0, 1.0, 2.0]);
-        assert_eq!(f.mask, vec![2, 0, 0, 1]);
-    }
-
-    #[test]
-    fn augmentation_triples_the_data() {
-        let dl = DataLoader::new(vec![sample(0.0), sample(1.0)], 2, None);
-        let aug = dl.with_flip_augmentation();
-        assert_eq!(aug.len(), 6);
     }
 
     #[test]

@@ -85,21 +85,6 @@ impl<S> Weighted<S> {
         &self.bias
     }
 
-    /// Overwrites weights and bias (checkpoint restore).
-    ///
-    /// # Panics
-    /// Panics on shape mismatch.
-    pub fn load(&mut self, weight: Tensor, bias: Tensor) {
-        assert_eq!(
-            weight.shape(),
-            self.weight.value.shape(),
-            "weight shape mismatch"
-        );
-        assert_eq!(bias.shape(), self.bias.value.shape(), "bias shape mismatch");
-        self.weight.value = weight;
-        self.bias.value = bias;
-    }
-
     /// The weight, then the bias.
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
         vec![&mut self.weight, &mut self.bias]

@@ -159,13 +159,6 @@ impl Tensor {
         }
     }
 
-    /// In-place `self *= s`.
-    pub fn scale(&mut self, s: f32) {
-        for v in &mut self.data {
-            *v *= s;
-        }
-    }
-
     /// Mean of all elements (0 for empty tensors).
     pub fn mean(&self) -> f32 {
         if self.data.is_empty() {
@@ -229,10 +222,8 @@ mod tests {
         let b = Tensor::from_vec(&[3], vec![10.0, 20.0, 30.0]);
         a.add_assign(&b);
         assert_eq!(a.as_slice(), &[11.0, 22.0, 33.0]);
-        a.scale(0.5);
-        assert_eq!(a.as_slice(), &[5.5, 11.0, 16.5]);
-        assert!((a.mean() - 11.0).abs() < 1e-6);
-        assert_eq!(a.max_abs(), 16.5);
+        assert!((a.mean() - 22.0).abs() < 1e-6);
+        assert_eq!(a.max_abs(), 33.0);
         a.zero();
         assert_eq!(a.as_slice(), &[0.0, 0.0, 0.0]);
     }

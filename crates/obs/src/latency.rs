@@ -1,7 +1,7 @@
 //! Request-latency accounting for the serving layer: a fixed-size
-//! log-spaced histogram over microseconds, cheap to record into and cheap
-//! to merge, with the quantile readouts (p50/p95/p99) an operator watches
-//! on a serving dashboard.
+//! log-spaced histogram over microseconds, cheap to record into, with the
+//! quantile readouts (p50/p95/p99) an operator watches on a serving
+//! dashboard.
 //!
 //! The bucket layout is geometric: bucket `i` covers
 //! `[floor(GROWTH^i), floor(GROWTH^(i+1)))` µs with `GROWTH = 1.35`, so
@@ -161,17 +161,6 @@ impl LatencyHistogram {
         self.max_us
     }
 
-    /// Folds another histogram into this one.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum_us += other.sum_us;
-        self.min_us = self.min_us.min(other.min_us);
-        self.max_us = self.max_us.max(other.max_us);
-    }
-
     /// Condenses the histogram into the snapshot a stats endpoint serves.
     pub fn snapshot(&self) -> LatencySnapshot {
         LatencySnapshot {
@@ -218,19 +207,6 @@ pub struct LatencySnapshot {
     pub max_us: u64,
 }
 
-impl LatencySnapshot {
-    /// Throughput in requests/second given the wall time that produced
-    /// this snapshot.
-    pub fn throughput(&self, wall: std::time::Duration) -> f64 {
-        let s = wall.as_secs_f64();
-        if s > 0.0 {
-            self.count as f64 / s
-        } else {
-            0.0
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,33 +240,12 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_recording_everything_into_one() {
-        let mut a = LatencyHistogram::new();
-        let mut b = LatencyHistogram::new();
-        let mut whole = LatencyHistogram::new();
-        for us in [5u64, 50, 500, 5000] {
-            a.record_us(us);
-            whole.record_us(us);
-        }
-        for us in [7u64, 70, 700] {
-            b.record_us(us);
-            whole.record_us(us);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert_eq!(a.quantile_us(0.5), whole.quantile_us(0.5));
-        assert_eq!(a.max_us(), whole.max_us());
-        assert_eq!(a.min_us(), whole.min_us());
-    }
-
-    #[test]
     fn empty_histogram_reports_zeros() {
         let h = LatencyHistogram::new();
         let s = h.snapshot();
         assert_eq!(s.count, 0);
         assert_eq!(s.p99_us, 0);
         assert_eq!(s.min_us, 0);
-        assert_eq!(s.throughput(std::time::Duration::from_secs(1)), 0.0);
     }
 
     #[test]
@@ -344,36 +299,6 @@ mod tests {
         let mut d = LatencyHistogram::new();
         d.record(std::time::Duration::MAX);
         assert_eq!(d.max_us(), u64::MAX);
-    }
-
-    #[test]
-    fn merged_shards_quantile_like_one_histogram() {
-        // Deterministic multiplicative-congruential stream, sharded
-        // round-robin into 4 histograms and merged back: every quantile
-        // and moment must match recording straight into one.
-        let mut shards = vec![LatencyHistogram::new(); 4];
-        let mut whole = LatencyHistogram::new();
-        let mut x = 0x5EA1CEu64;
-        for i in 0..4000 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let us = x % 10_000_000;
-            shards[i % 4].record_us(us);
-            whole.record_us(us);
-        }
-        let mut merged = LatencyHistogram::new();
-        for s in &shards {
-            merged.merge(s);
-        }
-        assert_eq!(merged.count(), whole.count());
-        assert_eq!(merged.sum_us(), whole.sum_us());
-        assert_eq!(merged.min_us(), whole.min_us());
-        assert_eq!(merged.max_us(), whole.max_us());
-        for q in [0.0, 0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 0.999, 1.0] {
-            assert_eq!(merged.quantile_us(q), whole.quantile_us(q), "q={q}");
-        }
-        assert_eq!(merged.bucket_counts(), whole.bucket_counts());
     }
 
     #[test]

@@ -61,16 +61,10 @@ impl ManualClock {
         self.0.fetch_add(us, Ordering::Relaxed).saturating_add(us)
     }
 
-    /// Jumps the clock to `us` (monotonicity is the caller's business).
-    pub fn set_us(&self, us: u64) {
-        self.0.store(us, Ordering::Relaxed);
-    }
-
     /// Advances the clock to at least `us` (a monotone watermark) and
-    /// returns the resulting time. Unlike [`set_us`](ManualClock::set_us)
-    /// this never moves the clock backwards, so concurrent writers — e.g.
-    /// parallel pipeline stages each publishing their own simulated
-    /// completion time — converge on the maximum.
+    /// returns the resulting time. It never moves the clock backwards, so
+    /// concurrent writers — e.g. parallel pipeline stages each publishing
+    /// their own simulated completion time — converge on the maximum.
     pub fn advance_to_us(&self, us: u64) -> u64 {
         self.0.fetch_max(us, Ordering::Relaxed).max(us)
     }
@@ -470,7 +464,7 @@ mod tests {
     #[test]
     fn manual_clock_times_do_not_touch_the_wall() {
         let clock = Arc::new(ManualClock::new());
-        clock.set_us(1_000);
+        assert_eq!(clock.advance_us(1_000), 1_000);
         assert_eq!(clock.now_us(), 1_000);
         assert_eq!(clock.advance_us(500), 1_500);
         enable();

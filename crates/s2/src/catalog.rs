@@ -81,11 +81,6 @@ impl Catalog {
         self
     }
 
-    /// Scene geometry used for generation.
-    pub fn scene_config(&self) -> &SceneConfig {
-        &self.scene_config
-    }
-
     #[inline]
     fn hash(&self, a: u64, b: u64) -> u64 {
         let mut z = self

@@ -50,14 +50,6 @@ impl Default for CloudConfig {
 }
 
 impl CloudConfig {
-    /// An overlay with no clouds at all (clear-sky acquisition).
-    pub fn clear() -> Self {
-        Self {
-            coverage: 0.0,
-            ..Self::default()
-        }
-    }
-
     /// Scales the geometry for small test scenes.
     pub fn tiny(side: usize) -> Self {
         Self {
@@ -203,7 +195,11 @@ mod tests {
     #[test]
     fn clear_config_is_identity() {
         let scene = gen_scene(&SceneConfig::tiny(64), 1);
-        let layer = generate(&CloudConfig::clear(), 1, 64, 64);
+        let clear = CloudConfig {
+            coverage: 0.0,
+            ..CloudConfig::default()
+        };
+        let layer = generate(&clear, 1, 64, 64);
         assert_eq!(layer.apply(&scene.rgb), scene.rgb);
         assert_eq!(layer.coverage_fraction(), 0.0);
     }

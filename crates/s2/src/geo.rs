@@ -34,11 +34,6 @@ impl GeoExtent {
         Self::new(-78.0, -70.0, -180.0, -140.0)
     }
 
-    /// True when the point lies inside (inclusive) the extent.
-    pub fn contains(&self, lat: f64, lon: f64) -> bool {
-        (self.lat_min..=self.lat_max).contains(&lat) && (self.lon_min..=self.lon_max).contains(&lon)
-    }
-
     /// True when the two extents overlap (inclusive).
     pub fn intersects(&self, other: &GeoExtent) -> bool {
         self.lat_min <= other.lat_max
@@ -77,16 +72,6 @@ impl TimeRange {
     pub fn november_2019() -> Self {
         Self::new(0, 30)
     }
-
-    /// Number of days covered.
-    pub fn len_days(&self) -> u32 {
-        self.end_day - self.start_day
-    }
-
-    /// True when `day` falls inside the range.
-    pub fn contains(&self, day: u32) -> bool {
-        (self.start_day..self.end_day).contains(&day)
-    }
 }
 
 /// Unique scene identifier within a catalog.
@@ -114,20 +99,6 @@ pub struct SceneMeta {
     pub cloud_cover: f64,
 }
 
-impl SceneMeta {
-    /// Ground sampling distance of the RGB bands, metres per pixel
-    /// (Sentinel-2 B02/B03/B04).
-    pub const GSD_METERS: f64 = 10.0;
-
-    /// Approximate ground footprint in kilometres, `(width_km, height_km)`.
-    pub fn footprint_km(&self) -> (f64, f64) {
-        (
-            self.width as f64 * Self::GSD_METERS / 1000.0,
-            self.height as f64 * Self::GSD_METERS / 1000.0,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,14 +113,6 @@ mod tests {
     }
 
     #[test]
-    fn ross_sea_contains_its_interior() {
-        let e = GeoExtent::ross_sea();
-        assert!(e.contains(-74.0, -160.0));
-        assert!(!e.contains(-60.0, -160.0));
-        assert!(!e.contains(-74.0, -100.0));
-    }
-
-    #[test]
     fn intersects_is_symmetric_and_correct() {
         let a = GeoExtent::new(-78.0, -70.0, -180.0, -140.0);
         let b = GeoExtent::new(-72.0, -68.0, -150.0, -130.0);
@@ -159,33 +122,8 @@ mod tests {
     }
 
     #[test]
-    fn time_range_membership() {
-        let t = TimeRange::november_2019();
-        assert_eq!(t.len_days(), 30);
-        assert!(t.contains(0));
-        assert!(t.contains(29));
-        assert!(!t.contains(30));
-    }
-
-    #[test]
     fn time_range_clamps_inverted_bounds() {
         let t = TimeRange::new(10, 3);
-        assert_eq!(t.len_days(), 0);
-    }
-
-    #[test]
-    fn footprint_scales_with_gsd() {
-        let m = SceneMeta {
-            id: SceneId(1),
-            extent: GeoExtent::ross_sea(),
-            day: 0,
-            width: 2048,
-            height: 2048,
-            seed: 7,
-            cloud_cover: 0.0,
-        };
-        let (w_km, h_km) = m.footprint_km();
-        assert!((w_km - 20.48).abs() < 1e-9);
-        assert!((h_km - 20.48).abs() < 1e-9);
+        assert_eq!((t.start_day, t.end_day), (10, 10));
     }
 }

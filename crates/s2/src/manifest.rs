@@ -157,14 +157,6 @@ impl Manifest {
     pub fn load(path: impl AsRef<Path>) -> io::Result<Manifest> {
         Self::from_json(&std::fs::read_to_string(path)?)
     }
-
-    /// Total tile count this acquisition yields for a given tile size.
-    pub fn expected_tiles(&self, tile_size: usize) -> usize {
-        self.scenes
-            .iter()
-            .map(|s| (s.width / tile_size) * (s.height / tile_size))
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -230,12 +222,5 @@ mod tests {
         let e = Manifest::load(&path).expect_err("deep nesting must fail");
         std::fs::remove_file(&path).ok();
         assert!(e.to_string().contains("nesting"), "{e}");
-    }
-
-    #[test]
-    fn expected_tiles_counts_grid() {
-        let m = sample_manifest(); // 5 scenes of 64x64
-        assert_eq!(m.expected_tiles(16), 5 * 16);
-        assert_eq!(m.expected_tiles(64), 5);
     }
 }

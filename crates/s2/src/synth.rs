@@ -79,11 +79,6 @@ impl SceneConfig {
             ..Self::default()
         }
     }
-
-    /// The paper's scene shape: 2048×2048 px at 10 m GSD.
-    pub fn paper() -> Self {
-        Self::default()
-    }
 }
 
 /// A generated scene: RGB pixels plus the exact per-pixel class mask.

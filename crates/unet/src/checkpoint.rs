@@ -12,7 +12,7 @@
 //!
 //! On-disk files go through `seaice_obs::durable` (DESIGN.md §4.8):
 //! [`save`] writes a CRC32-framed payload with the atomic
-//! temp-fsync-rename protocol, and [`load`]/[`load_quantized`] verify
+//! temp-fsync-rename protocol, and [`load`]/[`read_checkpoint`] verify
 //! the checksum before parsing — a torn or bit-flipped checkpoint is
 //! always detected, never silently restored. Legacy unframed JSON files
 //! (written before the durable layer existed) still load: a file
@@ -201,36 +201,6 @@ pub fn try_restore_quantized(
     try_restore(ckpt)?.quantize(calib)
 }
 
-/// Loads an f32 checkpoint file and quantizes it to int8
-/// ([`try_restore_quantized`] over an on-disk payload).
-///
-/// # Errors
-/// I/O failures, and `InvalidData` with a descriptive message when the
-/// file is corrupt or the calibration set does not fit the architecture.
-pub fn load_quantized(path: impl AsRef<Path>, calib: &CalibrationSet) -> io::Result<QuantizedUNet> {
-    load_quantized_with(path, calib, &DurableCtx::disabled())
-}
-
-/// [`load_quantized`] with an explicit durable context (the soak
-/// harness's fault-injected path).
-///
-/// # Errors
-/// As [`load_quantized`].
-pub fn load_quantized_with(
-    path: impl AsRef<Path>,
-    calib: &CalibrationSet,
-    ctx: &DurableCtx,
-) -> io::Result<QuantizedUNet> {
-    let path = path.as_ref();
-    let ckpt = read_checkpoint(path, ctx)?;
-    try_restore_quantized(&ckpt, calib).map_err(|e| {
-        io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("corrupt checkpoint {}: {e}", path.display()),
-        )
-    })
-}
-
 /// Saves a model checkpoint: JSON payload, CRC32-framed, written
 /// atomically (temp + fsync + rename).
 ///
@@ -357,18 +327,13 @@ mod tests {
     fn empty_and_implausibly_large_files_are_rejected_before_parsing() {
         let dir = std::env::temp_dir();
         let pid = std::process::id();
-        let calib = calib();
 
         // Empty file: never a valid checkpoint, rejected descriptively.
         let empty = dir.join(format!("seaice-ckpt-empty-{pid}.json"));
         std::fs::write(&empty, b"").unwrap();
-        for e in [
-            load(&empty).err().expect("empty must fail"),
-            load_quantized(&empty, &calib).expect_err("empty must fail quantized"),
-        ] {
-            assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
-            assert!(e.to_string().contains("empty"), "{e}");
-        }
+        let e = load(&empty).err().expect("empty must fail");
+        assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
+        assert!(e.to_string().contains("empty"), "{e}");
 
         // Implausibly large file: rejected from metadata, before any
         // read. A sparse file keeps the test instant.
@@ -376,13 +341,9 @@ mod tests {
         let f = std::fs::File::create(&huge).unwrap();
         f.set_len(MAX_CHECKPOINT_BYTES + 1024).unwrap();
         drop(f);
-        for e in [
-            load(&huge).err().expect("huge must fail"),
-            load_quantized(&huge, &calib).expect_err("huge must fail quantized"),
-        ] {
-            assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
-            assert!(e.to_string().contains("implausibly large"), "{e}");
-        }
+        let e = load(&huge).err().expect("huge must fail");
+        assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
+        assert!(e.to_string().contains("implausibly large"), "{e}");
 
         for f in [empty, huge] {
             std::fs::remove_file(f).ok();
@@ -408,8 +369,6 @@ mod tests {
         std::fs::write(&framed, &bytes).unwrap();
         let e = load(&framed).err().expect("bit-flip must be detected");
         assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
-        assert!(e.to_string().contains("checksum mismatch"), "{e}");
-        let e = load_quantized(&framed, &calib()).expect_err("quantized path too");
         assert!(e.to_string().contains("checksum mismatch"), "{e}");
 
         // A legacy unframed JSON checkpoint (pre-durable format) still
@@ -522,50 +481,19 @@ mod tests {
     }
 
     #[test]
-    fn quantized_load_of_corrupt_checkpoints_errors_descriptively() {
-        let dir = std::env::temp_dir();
-        let pid = std::process::id();
-        let mut model = tiny();
-        let good = snapshot(&mut model).to_json();
-        let calib = calib();
-
-        // Truncated mid-JSON.
-        let truncated = dir.join(format!("seaice-qckpt-trunc-{pid}.json"));
-        std::fs::write(&truncated, &good[..good.len() / 2]).unwrap();
-        let e = load_quantized(&truncated, &calib).expect_err("truncated file must fail");
-        assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
-        assert!(e.to_string().contains("corrupt checkpoint"), "{e}");
-
-        // Valid JSON, short parameter list.
-        let mut ckpt = Checkpoint::from_json(&good).unwrap();
-        ckpt.params.pop();
-        let short = dir.join(format!("seaice-qckpt-short-{pid}.json"));
-        std::fs::write(&short, ckpt.to_json()).unwrap();
-        let e = load_quantized(&short, &calib).expect_err("short param list must fail");
-        assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
-        assert!(e.to_string().contains("parameter count mismatch"), "{e}");
-
-        // Intact checkpoint but incompatible calibration inputs.
-        let intact = dir.join(format!("seaice-qckpt-intact-{pid}.json"));
-        std::fs::write(&intact, &good).unwrap();
+    fn quantized_restore_of_a_file_refuses_an_incompatible_calibration() {
+        // A torn, truncated or misshapen file fails in `read_checkpoint` or
+        // `try_restore` before quantising (the `load` cases above). What
+        // only the int8 restore can refuse is the calibration set.
+        let path =
+            std::env::temp_dir().join(format!("seaice-qckpt-intact-{}.json", std::process::id()));
+        save(&mut tiny(), &path).unwrap();
+        let ckpt = read_checkpoint(&path, &DurableCtx::disabled()).unwrap();
+        std::fs::remove_file(&path).ok();
         let bad_calib = CalibrationSet::new(vec![uniform(&[1, 2, 8, 8], 0.0, 1.0, 1)]).unwrap();
-        let e =
-            load_quantized(&intact, &bad_calib).expect_err("incompatible calibration must fail");
-        assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
-        assert!(e.to_string().contains("channels"), "{e}");
-
-        // A missing file is still a plain NotFound.
-        let missing = dir.join(format!("seaice-qckpt-missing-{pid}.json"));
-        assert_eq!(
-            load_quantized(&missing, &calib)
-                .expect_err("missing file must fail")
-                .kind(),
-            std::io::ErrorKind::NotFound
-        );
-
-        for f in [truncated, short, intact] {
-            std::fs::remove_file(f).ok();
-        }
+        let e = try_restore_quantized(&ckpt, &bad_calib)
+            .expect_err("incompatible calibration must fail");
+        assert!(e.contains("channels"), "{e}");
     }
 
     #[test]
@@ -589,7 +517,8 @@ mod tests {
             std::process::id()
         ));
         save(&mut model, &path).unwrap();
-        let c = load_quantized(&path, &calib).unwrap();
+        let on_disk = read_checkpoint(&path, &DurableCtx::disabled()).unwrap();
+        let c = try_restore_quantized(&on_disk, &calib).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(a, c, "on-disk load must match in-memory restore");
     }

@@ -1,4 +1,4 @@
-//! The `nn` / `unet` surface `benchmark/` compiles against, pinned at
+//! The library surface `benchmark/` compiles against, pinned at
 //! compile time. `benchmark/` is a package of its own that the workspace
 //! never builds, and a PR that claims a gain may not edit it — so a
 //! signature or field set it depends on must not change silently. Every
@@ -208,4 +208,166 @@ fn imgproc_label_s2_and_core_keep_the_signatures_the_benchmark_calls() {
         tile_to_sample_scratch;
     let _: fn(&Img) -> Vec<f32> = image_to_chw;
     let _: fn(&Img, &mut [f32]) = image_to_chw_into;
+}
+
+#[test]
+#[allow(clippy::type_complexity)] // the long pointer types *are* the pinned signatures
+fn serve_keeps_the_signatures_the_benchmark_calls() {
+    use seaice::core::SceneClassification;
+    use seaice::imgproc::buffer::Image;
+    use seaice::serve::{
+        classify_scene_engine, tile_key, BoundedQueue, Engine, EngineConfig, HttpServer, LruCache,
+        QueueError, ServeError, StatsSnapshot, Ticket,
+    };
+    use std::net::SocketAddr;
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    type Img = Image<u8>;
+    let _: fn(&Checkpoint, EngineConfig) -> Result<Engine, ServeError> = Engine::new;
+    let _: fn(&Engine, Img) -> Result<Ticket, ServeError> = Engine::try_submit;
+    let _: fn(&Engine) -> StatsSnapshot = Engine::stats;
+    let _: fn(&Engine) = Engine::shutdown;
+    let _: fn(Ticket) -> Result<Arc<Vec<u8>>, ServeError> = Ticket::wait;
+    let _: fn(&Engine, &Img) -> Result<SceneClassification, ServeError> = classify_scene_engine;
+    let _: fn(&Img) -> u64 = tile_key;
+
+    let _: fn(usize) -> BoundedQueue<usize> = BoundedQueue::new;
+    let _: fn(&BoundedQueue<usize>, usize) -> Result<(), (usize, QueueError)> =
+        BoundedQueue::try_push;
+    let _: fn(&BoundedQueue<usize>, usize, Duration) -> Option<Vec<usize>> =
+        BoundedQueue::pop_batch;
+    type Cached = Arc<Vec<u8>>;
+    let _: fn(usize) -> LruCache<Cached> = LruCache::new;
+    let _: fn(&mut LruCache<Cached>, u64, Cached) = LruCache::insert;
+    let _: fn(&mut LruCache<Cached>, u64) -> Option<Cached> = LruCache::get;
+
+    let _: fn(Arc<Engine>, &str) -> io::Result<HttpServer> = HttpServer::start;
+    let _: fn(&HttpServer) -> SocketAddr = HttpServer::addr;
+    let _: fn(&mut HttpServer) = HttpServer::shutdown;
+
+    // Read, not written: the counters the serve workloads report.
+    let _: fn(StatsSnapshot) -> [u64; 6] = |s| {
+        [
+            s.shed,
+            s.computed,
+            s.batches,
+            s.cache_hits,
+            s.cache_misses,
+            s.cache_evictions,
+        ]
+    };
+    let _: fn(StatsSnapshot) -> f64 = |s| s.mean_batch_size;
+}
+
+#[test]
+#[allow(clippy::type_complexity)] // the long pointer types *are* the pinned signatures
+fn core_stream_and_cluster_pieces_keep_the_signatures_the_benchmark_calls() {
+    use seaice::core::{
+        default_calibration, restore_backend, run_stream, train_stream_model, ChangeDetector,
+        DriftSeries, LoadedModel, StreamOutcome, StreamWorkflowConfig, TileObs,
+    };
+    use seaice::faults::FaultPlan;
+    use seaice::imgproc::buffer::Image;
+    use seaice::mapreduce::{
+        ClusterSpec, CostModel, DataFrame, LazyFrame, Session, SpecError, StageReport,
+    };
+    use seaice::obs::trace::{self, Clock, TraceStats, Tracer, WallClock};
+    use seaice::s2::catalog::{crop_revisit, Catalog, RevisitPlan, RevisitSceneMeta};
+    use seaice::s2::dataset::{Dataset, DatasetConfig};
+    use seaice::s2::{CloudLayer, Scene};
+    use seaice::stream::channel::Recv;
+    use seaice::stream::{StageQueue, StreamError, StreamPolicy};
+    use seaice::unet::InferBackend;
+    use std::sync::Arc;
+
+    let _: fn(usize) -> Result<CalibrationSet, String> = default_calibration;
+    let _: fn(&Checkpoint, InferBackend, usize) -> Result<LoadedModel, String> = restore_backend;
+    let _: fn(&StreamWorkflowConfig) -> Checkpoint = train_stream_model;
+    let _: fn(
+        &StreamWorkflowConfig,
+        &Checkpoint,
+        StreamPolicy,
+        Arc<FaultPlan>,
+    ) -> Result<StreamOutcome, StreamError> = run_stream;
+    let _: fn(&StreamWorkflowConfig) -> (Catalog, RevisitPlan) = StreamWorkflowConfig::plan;
+    let _: fn(usize) -> ChangeDetector = ChangeDetector::new;
+    let _: fn(&mut ChangeDetector, TileObs) = ChangeDetector::observe;
+    let _: fn(ChangeDetector) -> DriftSeries = ChangeDetector::finalize;
+
+    let _: fn() -> StreamPolicy = StreamPolicy::resilient;
+    let _: fn() -> FaultPlan = FaultPlan::disabled;
+    let _: fn(usize) -> StageQueue<u64> = StageQueue::new;
+    let _: fn(&StageQueue<u64>, u64) = StageQueue::send;
+    let _: fn(&StageQueue<u64>, usize) -> Recv<u64> = StageQueue::recv;
+    let _: fn(&StageQueue<u64>) = StageQueue::complete;
+
+    let _: fn(&Catalog, &RevisitPlan) -> Vec<RevisitSceneMeta> = Catalog::revisit_stream;
+    let _: fn(&Catalog, &RevisitPlan, &str) -> Scene = Catalog::region_window;
+    let _: fn(&Catalog, &RevisitSceneMeta) -> CloudLayer = Catalog::revisit_cloud_layer;
+    let _: fn(&Scene, &RevisitSceneMeta) -> Scene = crop_revisit;
+    let _: fn(DatasetConfig) -> Dataset = Dataset::build;
+    let _: fn(usize, usize, usize) -> DatasetConfig = DatasetConfig::scaled;
+
+    type Img = Image<u8>;
+    type Udf = fn(Img) -> Vec<u8>;
+    let _: fn(usize, usize) -> Result<ClusterSpec, SpecError> = ClusterSpec::new;
+    let _: fn(ClusterSpec, CostModel) -> Session = Session::new;
+    let _: fn() -> CostModel = CostModel::gcd_n2;
+    let _: fn(&CostModel, &ClusterSpec, &[f64], f64) -> f64 = CostModel::reduce_time;
+    let _: fn(&Session, Vec<Img>, f64) -> (DataFrame<Img>, StageReport) = Session::read;
+    let _: fn(DataFrame<Img>, &Session, Udf) -> (LazyFrame<Img, Vec<u8>>, StageReport) =
+        DataFrame::map;
+    let _: fn(LazyFrame<Img, Vec<u8>>, &Session, f64) -> (Vec<Vec<u8>>, StageReport) =
+        LazyFrame::collect;
+    // Written with `..`: the paper's fixed per-tile cost.
+    let paper = CostModel {
+        fixed_task_cost_secs: Some(1.0),
+        ..CostModel::gcd_n2()
+    };
+    assert_eq!(paper.fixed_task_cost_secs, Some(1.0));
+
+    let _: fn() = trace::enable;
+    let _: fn() -> Tracer = trace::tracer;
+    let _: fn() -> String = trace::export_chrome_json;
+    let _: fn(&str) -> Result<TraceStats, String> = trace::validate_chrome_trace;
+    let _: fn(&Tracer, &str, &'static str, u64, u64, &[(&str, &str)]) = Tracer::complete_with_args;
+    let _: fn(&WallClock) -> u64 = <WallClock as Clock>::now_us;
+}
+
+#[test]
+fn serve_and_stream_literals_the_benchmark_writes_still_name_every_field() {
+    use seaice::core::StreamWorkflowConfig;
+    use seaice::serve::EngineConfig;
+    use seaice::unet::InferBackend;
+    use std::time::Duration;
+
+    // No `..`: a new field must break this test, as it would the benchmark.
+    let engine = EngineConfig {
+        tile_size: 16,
+        workers: 1,
+        max_batch_size: 8,
+        max_wait: Duration::from_millis(1),
+        queue_capacity: 256,
+        cache_capacity: 64,
+        filter: false,
+        deadline: None,
+        backend: InferBackend::F32,
+        degraded_restart_threshold: 0,
+        degraded_deadline_threshold: 0,
+    };
+    assert_eq!(engine.workers, 1);
+    let stream = StreamWorkflowConfig {
+        regions: 3,
+        revisits: 4,
+        cadence_days: 2,
+        scene_side: 128,
+        tile: 32,
+        drift_px: 4,
+        seed: 7,
+        workers: 1,
+        channel_capacity: 8,
+        epochs: 2,
+    };
+    assert_eq!(stream.regions * stream.revisits as usize, 12);
 }
