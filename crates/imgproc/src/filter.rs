@@ -156,77 +156,104 @@ fn clamped_window(len: usize, radius: usize) -> impl Iterator<Item = usize> {
     (0..=2 * radius).map(move |i| i.saturating_sub(radius).min(len - 1))
 }
 
-/// Horizontal box-blur pass over the same row of `N` planes: a running
-/// `f64` sum per plane, the planes innermost so their independent
-/// dependency chains advance side by side.
-fn box_blur_row<const N: usize>(rows: [&[f32]; N], dst: [&mut [f32]; N], radius: usize) {
-    let w = rows[0].len();
-    let win = (2 * radius + 1) as f64;
-    let mut sum = [0f64; N];
-    for i in clamped_window(w, radius) {
-        for k in 0..N {
-            sum[k] += rows[k][i] as f64;
+/// Rows the horizontal blur pass advances side by side.
+const BLOCK: usize = 8;
+
+/// Horizontal box-blur pass over a block of up to `BLOCK` rows of width
+/// `w` (`dst` as long as `src`). The rows are transposed into `cols`,
+/// `[x][row]`, so that their running `f64` sums advance as the lanes of one
+/// vector while each row still adds and subtracts its own samples in index
+/// order and emits `sum / win` — a row's bits do not depend on the block
+/// it sits in. A short block repeats its last row in the spare lanes and
+/// drops them.
+fn box_blur_rows(src: &[f32], dst: &mut [f32], w: usize, radius: usize, cols: &mut Vec<Column>) {
+    // Every block of a call is `w` wide, so this grows `cols` once.
+    cols.resize(w, ([0.0; BLOCK], [0.0; BLOCK]));
+    let last = src.len() / w - 1;
+    let rows: [&[f32]; BLOCK] = std::array::from_fn(|k| &src[k.min(last) * w..][..w]);
+    for (x, (samples, _)) in cols.iter_mut().enumerate() {
+        for k in 0..BLOCK {
+            samples[k] = rows[k][x];
         }
     }
-    // `x` indexes every plane's row.
-    #[allow(clippy::needless_range_loop)]
+    let win = (2 * radius + 1) as f64;
+    let mut sum = [0f64; BLOCK];
+    for i in clamped_window(w, radius) {
+        for (s, &v) in sum.iter_mut().zip(&cols[i].0) {
+            *s += v as f64;
+        }
+    }
     for x in 0..w {
-        let (add, sub) = ((x + radius + 1).min(w - 1), x.saturating_sub(radius));
-        for k in 0..N {
-            dst[k][x] = (sum[k] / win) as f32;
-            sum[k] += rows[k][add] as f64;
-            sum[k] -= rows[k][sub] as f64;
+        let (add, sub) = (
+            cols[(x + radius + 1).min(w - 1)].0,
+            cols[x.saturating_sub(radius)].0,
+        );
+        let mean = &mut cols[x].1;
+        for k in 0..BLOCK {
+            mean[k] = (sum[k] / win) as f32;
+            sum[k] += add[k] as f64;
+            sum[k] -= sub[k] as f64;
+        }
+    }
+    for (k, row) in dst.chunks_exact_mut(w).enumerate() {
+        for (d, (_, mean)) in row.iter_mut().zip(cols.iter()) {
+            *d = mean[k];
         }
     }
 }
 
-/// Sliding-window box blur of `N` same-shape planes in one traversal.
+/// One column of a [`box_blur_rows`] block: the rows' samples and their
+/// means. The samples stay `f32` until they are added: an `f64` copy
+/// doubles what the transposition writes, and measured slower.
+type Column = ([f32; BLOCK], [f32; BLOCK]);
+
+/// Sliding-window box blur of one plane into `out`, through `tmp`.
 ///
 /// Both passes keep a running `f64` sum over clamped coordinates and emit
-/// `sum / win`; the vertical pass streams rows over one sum per column.
-/// Per row and per column the adds and subtracts happen in index order,
-/// whatever `N` is, so a plane's result does not depend on its partners —
-/// blurring planes together only interleaves independent dependency
-/// chains and shares the traversal. Scene-sized images run the horizontal
-/// pass row-parallel instead, one plane after the other.
-fn box_blur_planes<const N: usize>(
-    src: [&[f32]; N],
-    mut tmp: [&mut [f32]; N],
-    out: [&mut [f32]; N],
+/// `sum / win`: the horizontal pass over blocks of `BLOCK` rows (through
+/// [`par`] for scene-sized images), the vertical pass streaming rows over
+/// one sum per column. Per row and per column the adds and subtracts
+/// happen in index order, so the bits do not depend on how the rows are
+/// blocked.
+fn box_blur_plane(
+    src: &[f32],
+    tmp: &mut [f32],
+    out: &mut [f32],
     (w, h): (usize, usize),
     radius: usize,
 ) {
-    let win = (2 * radius + 1) as f64;
+    let block = BLOCK * w;
+    let mut cols = Vec::new();
+    let rows = |b: usize, dst: &mut [f32], cols: &mut Vec<_>| {
+        box_blur_rows(&src[b * block..][..dst.len()], dst, w, radius, cols)
+    };
     if w * h >= CHEAP_ROWS_PAR_THRESHOLD {
-        for (plane, tmp) in src.iter().zip(tmp.iter_mut()) {
-            par::chunks_mut(tmp, w, |y, dst| {
-                box_blur_row([&plane[y * w..][..w]], [dst], radius)
-            });
+        par::chunks_mut(tmp, block, |b, dst| rows(b, dst, &mut Vec::new()));
+        // `chunks_mut` leaves a last, short block to the caller.
+        let done = h / BLOCK;
+        if done * BLOCK < h {
+            rows(done, &mut tmp[done * block..], &mut cols);
         }
     } else {
-        for y in 0..h {
-            let rows = src.map(|p| &p[y * w..(y + 1) * w]);
-            let dst = tmp.each_mut().map(|t| &mut t[y * w..(y + 1) * w]);
-            box_blur_row(rows, dst, radius);
+        for (b, dst) in tmp.chunks_mut(block).enumerate() {
+            rows(b, dst, &mut cols);
         }
     }
 
+    let win = (2 * radius + 1) as f64;
     let mut sum = vec![0f64; w];
-    for (plane, out) in tmp.iter().zip(out) {
-        sum.fill(0.0);
-        for y in clamped_window(h, radius) {
-            for (s, &v) in sum.iter_mut().zip(&plane[y * w..(y + 1) * w]) {
-                *s += v as f64;
-            }
+    for y in clamped_window(h, radius) {
+        for (s, &v) in sum.iter_mut().zip(&tmp[y * w..(y + 1) * w]) {
+            *s += v as f64;
         }
-        for (y, dst) in out.chunks_exact_mut(w).enumerate() {
-            let (add, sub) = ((y + radius + 1).min(h - 1), y.saturating_sub(radius));
-            let (add, sub) = (&plane[add * w..][..w], &plane[sub * w..][..w]);
-            for (((d, s), &a), &b) in dst.iter_mut().zip(sum.iter_mut()).zip(add).zip(sub) {
-                *d = (*s / win) as f32;
-                *s += a as f64;
-                *s -= b as f64;
-            }
+    }
+    for (y, dst) in out.chunks_exact_mut(w).enumerate() {
+        let (add, sub) = ((y + radius + 1).min(h - 1), y.saturating_sub(radius));
+        let (add, sub) = (&tmp[add * w..][..w], &tmp[sub * w..][..w]);
+        for (((d, s), &a), &b) in dst.iter_mut().zip(sum.iter_mut()).zip(add).zip(sub) {
+            *d = (*s / win) as f32;
+            *s += a as f64;
+            *s -= b as f64;
         }
     }
 }
@@ -234,8 +261,8 @@ fn box_blur_planes<const N: usize>(
 /// Box (mean) blur over an `f32` plane with replicated borders, using a
 /// sliding-window running sum so the cost is O(pixels) regardless of
 /// radius. Large radii are common when smoothing estimated illumination /
-/// haze fields. The horizontal pass runs row by row and the vertical pass
-/// streams the rows over one running sum per column.
+/// haze fields. The horizontal pass runs blocks of rows and the vertical
+/// pass streams the rows over one running sum per column.
 ///
 /// # Panics
 /// Panics if `src` is not single-channel.
@@ -251,19 +278,13 @@ pub fn box_blur_f32(src: &Image<f32>, radius: usize) -> Image<f32> {
     }
     let mut out = Image::<f32>::new(w, h, 1);
     let mut tmp = vec![0f32; w * h];
-    box_blur_planes(
-        [src.as_slice()],
-        [&mut tmp],
-        [out.as_mut_slice()],
-        (w, h),
-        radius,
-    );
+    box_blur_plane(src.as_slice(), &mut tmp, out.as_mut_slice(), (w, h), radius);
     out
 }
 
-/// [`box_blur_f32`] of two same-shape planes in one traversal (a weighted
-/// field and its weights), each bit-identical to blurring it alone. The
-/// results and the intermediates are drawn from `scratch`.
+/// [`box_blur_f32`] of two same-shape planes (a weighted field and its
+/// weights) through one intermediate. The results and the intermediate
+/// are drawn from `scratch`.
 ///
 /// # Panics
 /// Panics if the planes are not single-channel or differ in shape.
@@ -285,16 +306,10 @@ pub fn box_blur_f32_pair(
         out.1.as_mut_slice().copy_from_slice(b.as_slice());
         return out;
     }
-    let mut tmp = (scratch.take_f32(w * h), scratch.take_f32(w * h));
-    box_blur_planes(
-        [a.as_slice(), b.as_slice()],
-        [&mut tmp.0, &mut tmp.1],
-        [out.0.as_mut_slice(), out.1.as_mut_slice()],
-        (w, h),
-        radius,
-    );
-    scratch.recycle_f32(tmp.0);
-    scratch.recycle_f32(tmp.1);
+    let mut tmp = scratch.take_f32(w * h);
+    box_blur_plane(a.as_slice(), &mut tmp, out.0.as_mut_slice(), (w, h), radius);
+    box_blur_plane(b.as_slice(), &mut tmp, out.1.as_mut_slice(), (w, h), radius);
+    scratch.recycle_f32(tmp);
     out
 }
 
@@ -387,10 +402,16 @@ mod tests {
     fn row_streamed_box_blur_is_bit_identical_to_the_column_one() {
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         let mut scratch = Scratch::new();
-        for (w, h) in [(1usize, 1usize), (1, 7), (7, 1), (8, 8), (13, 5), (40, 33)] {
+        // Heights around the 8-row block of the horizontal pass, and one
+        // image past `CHEAP_ROWS_PAR_THRESHOLD` with enough blocks (256) for
+        // `par` to fork them, plus a short last block.
+        let sizes = [(1usize, 1usize), (1, 7), (7, 1), (8, 8), (13, 5), (40, 33)];
+        let blocked = [(5, 9), (3, 17), (6, 257), (512, 2049)];
+        const { assert!(512 * 2049 >= CHEAP_ROWS_PAR_THRESHOLD) };
+        for (w, h) in sizes.into_iter().chain(blocked) {
             let a = Image::from_fn(w, h, 1, |_, _| vec![rng.random_range(-3.0f32..900.0)]);
             let b = Image::from_fn(w, h, 1, |x, _| vec![(x % 3) as f32 * rng.random::<f32>()]);
-            for radius in [0usize, 1, 2, 7, 100] {
+            for radius in [0usize, 1, 2, 7, 100, w.max(h)] {
                 let expected = if radius == 0 {
                     (a.clone(), b.clone())
                 } else {

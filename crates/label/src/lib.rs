@@ -28,11 +28,14 @@
 //! let out = auto_label(&img, &AutoLabelConfig::default());
 //! assert!(out.class_mask.as_slice().iter().all(|&c| c == IceClass::Thick as u8));
 //! ```
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 
 pub mod autolabel;
 pub mod calibrate;
 pub mod cloudshadow;
+// The one audited exception to `deny(unsafe_code)` (see the module docs).
+#[allow(unsafe_code)]
+mod dispatch;
 pub mod fused;
 pub mod parallel;
 pub mod ranges;

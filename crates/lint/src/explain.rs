@@ -79,14 +79,14 @@ pub fn explain(rule: &str) -> Option<String> {
              What it catches: the `unsafe` keyword (everywhere, tests included) with no\n\
              comment containing `SAFETY:` on the same or the three preceding lines.\n\
              \n\
-             Why: every crate carries `#![forbid(unsafe_code)]` except `seaice-nn`, which\n\
-             is `deny` with one audited site: the private module\n\
-             `crates/nn/src/ops/dispatch.rs`, where the AVX2 twins of the direct f32 and\n\
-             int8 convolution kernels are called after `is_x86_feature_detected!(\"avx2\")`\n\
-             and the AVX-512F twins of the f32 kernels after\n\
-             `is_x86_feature_detected!(\"avx512f\")`, one `// SAFETY:` line each\n\
-             (DESIGN.md 4.10). The rule keeps that exception, and any future one, honest\n\
-             by forcing the soundness invariant to be written down where reviewers will\n\
+             Why: every crate carries `#![forbid(unsafe_code)]` except `seaice-nn` and\n\
+             `seaice-label`, which are `deny` with one audited module each:\n\
+             `crates/nn/src/ops/dispatch.rs`, where the AVX2 and AVX-512F twins of the\n\
+             direct convolution kernels are called, and `crates/label/src/dispatch.rs`,\n\
+             where those of the cloud/shadow filter's row passes are, each right after\n\
+             its `is_x86_feature_detected!` with one `// SAFETY:` line (DESIGN.md 4.1,\n\
+             4.10). The rule keeps those exceptions, and any future one, honest by\n\
+             forcing the soundness invariant to be written down where reviewers will\n\
              see it.\n\
              \n\
              Suppression:\n\

@@ -1,4 +1,4 @@
-//! The one audited exception to the workspace's `forbid(unsafe_code)`: the
+//! The audited exception to `seaice-nn`'s `deny(unsafe_code)`: the
 //! detecting fronts of the direct convolution kernels, f32 and int8 side by
 //! side. Each front calls a twin compiled for a CPU feature when the CPU
 //! has it and its baseline otherwise; calling a `#[target_feature]`
