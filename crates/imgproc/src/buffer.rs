@@ -300,8 +300,11 @@ const MAX_POOLED: usize = 16;
 ///
 /// ## Contract
 ///
-/// * `take*` returns a zero-filled buffer of exactly the requested length,
-///   reusing a pooled allocation when one with sufficient capacity exists.
+/// * `take_image*_for_overwrite` returns an image backed by a buffer of
+///   exactly the requested length, reusing a pooled allocation when one
+///   with sufficient capacity exists. It is not zero-filled: the samples are
+///   whatever its last user left (only growth is zeroed), so the caller
+///   writes the image whole before it reads any sample.
 /// * `recycle*` donates a buffer back to the pool; the pool keeps at most
 ///   [`MAX_POOLED`] buffers per sample type and silently drops the rest.
 /// * The largest in-repo client, the filtered auto-labeller, has at most
@@ -322,7 +325,7 @@ fn pool_take<T: Copy + Default>(pool: &mut Vec<Vec<T>>, len: usize) -> Vec<T> {
         Some(i) => pool.swap_remove(i),
         None => Vec::with_capacity(len),
     };
-    buf.clear();
+    buf.truncate(len);
     buf.resize(len, T::default());
     buf
 }
@@ -339,34 +342,16 @@ impl Scratch {
         Self::default()
     }
 
-    /// A zero-filled `u8` buffer of length `len`.
-    pub fn take(&mut self, len: usize) -> Vec<u8> {
-        pool_take(&mut self.u8_bufs, len)
+    /// A `u8` image backed by a pooled buffer, not zero-filled: for an
+    /// image the caller overwrites whole.
+    pub fn take_image_for_overwrite(&mut self, w: usize, h: usize, c: usize) -> Image<u8> {
+        Image::from_vec(w, h, c, pool_take(&mut self.u8_bufs, w * h * c))
     }
 
-    /// A zero-filled `f32` buffer of length `len`.
-    pub fn take_f32(&mut self, len: usize) -> Vec<f32> {
-        pool_take(&mut self.f32_bufs, len)
-    }
-
-    /// A zeroed `u8` image backed by a pooled buffer.
-    pub fn take_image(&mut self, width: usize, height: usize, channels: usize) -> Image<u8> {
-        Image::from_vec(
-            width,
-            height,
-            channels,
-            self.take(width * height * channels),
-        )
-    }
-
-    /// A zeroed `f32` image backed by a pooled buffer.
-    pub fn take_image_f32(&mut self, width: usize, height: usize, channels: usize) -> Image<f32> {
-        Image::from_vec(
-            width,
-            height,
-            channels,
-            self.take_f32(width * height * channels),
-        )
+    /// [`take_image_for_overwrite`](Self::take_image_for_overwrite) for
+    /// `f32` samples.
+    pub fn take_image_f32_for_overwrite(&mut self, w: usize, h: usize, c: usize) -> Image<f32> {
+        Image::from_vec(w, h, c, pool_take(&mut self.f32_bufs, w * h * c))
     }
 
     /// Donates a `u8` buffer back to the pool.
@@ -505,25 +490,38 @@ mod tests {
     #[test]
     fn scratch_reuses_recycled_capacity() {
         let mut s = Scratch::new();
-        let mut buf = s.take(256);
-        buf[0] = 7;
-        let ptr = buf.as_ptr();
-        s.recycle(buf);
-        assert_eq!(s.pooled(), (1, 0));
-        // A smaller request reuses the pooled allocation and is re-zeroed.
-        let again = s.take(64);
-        assert_eq!(again.as_ptr(), ptr);
-        assert_eq!(again.len(), 64);
-        assert!(again.iter().all(|&v| v == 0));
+        let plane = s.take_image_f32_for_overwrite(16, 16, 1);
+        let ptr = plane.as_slice().as_ptr();
+        s.recycle_image_f32(plane);
+        assert_eq!(s.pooled(), (0, 1));
+        // A smaller request reuses the pooled allocation.
+        let again = s.take_image_f32_for_overwrite(8, 8, 1);
+        assert_eq!(again.as_slice().as_ptr(), ptr);
+        assert_eq!(again.as_slice().len(), 64);
         assert_eq!(s.pooled(), (0, 0));
+    }
+
+    #[test]
+    fn images_taken_for_overwrite_keep_stale_samples_and_zero_growth() {
+        let mut s = Scratch::new();
+        s.recycle(vec![7u8; 8]);
+        let img = s.take_image_for_overwrite(2, 2, 1);
+        assert_eq!(img.as_slice(), &[7; 4]);
+        s.recycle_image(img);
+        // The pooled buffer is 4 long now: growing it zeroes the new part.
+        let img = s.take_image_for_overwrite(3, 2, 1);
+        assert_eq!(img.as_slice(), &[7, 7, 7, 7, 0, 0]);
+        s.recycle_f32(vec![1.5; 4]);
+        let plane = s.take_image_f32_for_overwrite(3, 1, 1);
+        assert_eq!(plane.as_slice(), &[1.5; 3]);
     }
 
     #[test]
     fn scratch_allocates_when_nothing_fits() {
         let mut s = Scratch::new();
         s.recycle(vec![0u8; 16]);
-        let big = s.take(1024);
-        assert_eq!(big.len(), 1024);
+        let big = s.take_image_for_overwrite(32, 32, 1);
+        assert_eq!(big.as_slice(), &[0; 1024]);
         // The too-small buffer stays pooled for future fits.
         assert_eq!(s.pooled(), (1, 0));
     }
@@ -531,11 +529,11 @@ mod tests {
     #[test]
     fn scratch_images_roundtrip() {
         let mut s = Scratch::new();
-        let img = s.take_image(4, 3, 3);
+        let img = s.take_image_for_overwrite(4, 3, 3);
         assert_eq!(img.dimensions(), (4, 3));
         assert!(img.as_slice().iter().all(|&v| v == 0));
         s.recycle_image(img);
-        let f = s.take_image_f32(4, 3, 1);
+        let f = s.take_image_f32_for_overwrite(4, 3, 1);
         assert_eq!(f.as_slice().len(), 12);
         s.recycle_image_f32(f);
         assert_eq!(s.pooled(), (1, 1));

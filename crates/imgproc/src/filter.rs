@@ -57,30 +57,64 @@ fn median9(mut p: [u8; 9]) -> u8 {
     p[4]
 }
 
-/// One output row of the radius-1 median over flat interleaved rows of
-/// `c` channels: the horizontal neighbours of sample `i` are `i - c` and
-/// `i + c`, so the interior is one branch-free loop over three shifted
-/// views of each source row (it auto-vectorises to byte min/max), and the
-/// two border columns run the same network on replicated samples.
-fn median3x3_row(up: &[u8], mid: &[u8], down: &[u8], dst: &mut [u8], c: usize) {
-    let n = dst.len();
-    let at = |l: usize, i: usize, r: usize| {
-        median9([
-            up[l], up[i], up[r], mid[l], mid[i], mid[r], down[l], down[i], down[r],
-        ])
-    };
-    for ch in 0..c {
-        dst[ch] = at(ch, ch, ch + c);
-        let i = n - c + ch;
-        dst[i] = at(i - c, i, i);
-    }
-    let inner = n - 2 * c;
-    let [(ul, um, ur), (ml, mm, mr), (dl, dm, dr)] =
-        [up, mid, down].map(|r| (&r[..inner], &r[c..n - c], &r[2 * c..]));
-    for (i, d) in dst[c..n - c].iter_mut().enumerate() {
+/// Interior samples per run of [`median3x3_row`]'s network loop.
+const RUN: usize = 64;
+
+/// The network on the 3×3 window of `rows` whose columns are `l`, `i`, `r`.
+#[inline(always)]
+fn median3x3_at([u, m, d]: [&[u8]; 3], l: usize, i: usize, r: usize) -> u8 {
+    median9([u[l], u[i], u[r], m[l], m[i], m[r], d[l], d[i], d[r]])
+}
+
+/// The network over `dst.len()` interior samples of `rows`, from sample
+/// `l` on (`c` samples to a pixel).
+#[inline(always)]
+fn median3x3_run([u, m, d]: [&[u8]; 3], l: usize, c: usize, dst: &mut [u8]) {
+    let (n, i, r) = (dst.len(), l + c, l + 2 * c);
+    let (ul, um, ur) = (&u[l..][..n], &u[i..][..n], &u[r..][..n]);
+    let (ml, mm, mr) = (&m[l..][..n], &m[i..][..n], &m[r..][..n]);
+    let (dl, dm, dr) = (&d[l..][..n], &d[i..][..n], &d[r..][..n]);
+    for (i, d) in dst.iter_mut().enumerate() {
         *d = median9([
             ul[i], um[i], ur[i], ml[i], mm[i], mr[i], dl[i], dm[i], dr[i],
         ]);
+    }
+}
+
+/// Output row `y` of the radius-1 median over flat interleaved rows of
+/// `c` channels: the horizontal neighbours of sample `i` are `i - c` and
+/// `i + c`, so the interior is branch-free runs over three shifted views
+/// of each source row (they vectorise to byte min/max), and the two border
+/// columns run the same network on replicated samples. The runs are `RUN`
+/// long, so no scalar tail is left: the last one overlaps the one before.
+#[inline(always)]
+fn median3x3_row(src: &Image<u8>, y: usize, dst: &mut [u8]) {
+    let (n, c) = (dst.len(), src.channels());
+    let (up, down) = (y.saturating_sub(1), (y + 1).min(src.height() - 1));
+    let rows = [src.row(up), src.row(y), src.row(down)];
+    for ch in 0..c {
+        dst[ch] = median3x3_at(rows, ch, ch, ch + c);
+        let i = n - c + ch;
+        dst[i] = median3x3_at(rows, i - c, i, i);
+    }
+    let inner = &mut dst[c..n - c];
+    if inner.len() < RUN {
+        return median3x3_run(rows, 0, c, inner);
+    }
+    let last = inner.len() - RUN;
+    for l in (0..last).step_by(RUN).chain([last]) {
+        median3x3_run(rows, l, c, &mut inner[l..][..RUN]);
+    }
+}
+
+/// [`median_filter_into`]'s tile path: the radius-1 network over the rows
+/// of `src` (at least 3 pixels wide), one after the other. A body to
+/// compile again at a wider ISA, so every loop it runs is inlined into it.
+#[inline(always)]
+pub fn median3x3_tile(src: &Image<u8>, out: &mut [u8]) {
+    let row = src.width() * src.channels();
+    for (y, dst) in out.chunks_exact_mut(row).enumerate() {
+        median3x3_row(src, y, dst);
     }
 }
 
@@ -116,16 +150,20 @@ fn median_select_row(src: &Image<u8>, radius: usize, y: usize, dst_row: &mut [u8
 /// selection); narrower images and radius ≥ 2 take the selection loop.
 pub fn median_filter(src: &Image<u8>, radius: usize) -> Image<u8> {
     let mut out = Image::<u8>::new(src.width(), src.height(), src.channels());
-    median_filter_into(src, radius, &mut out);
+    median_filter_into(src, radius, &mut out, median3x3_tile);
     out
 }
 
+/// [`median3x3_tile`], or the same body compiled for a wider ISA.
+pub type MedianTile = fn(&Image<u8>, &mut [u8]);
+
 /// [`median_filter`] into a caller-provided image of the same shape
-/// (batch callers hand in a pooled buffer).
+/// (batch callers hand in a pooled buffer), running `tile` for tile-sized
+/// images at radius 1.
 ///
 /// # Panics
 /// Panics if `out`'s shape differs from `src`'s.
-pub fn median_filter_into(src: &Image<u8>, radius: usize, out: &mut Image<u8>) {
+pub fn median_filter_into(src: &Image<u8>, radius: usize, out: &mut Image<u8>, tile: MedianTile) {
     let (w, h) = src.dimensions();
     let c = src.channels();
     assert_eq!((out.dimensions(), out.channels()), ((w, h), c));
@@ -134,112 +172,96 @@ pub fn median_filter_into(src: &Image<u8>, radius: usize, out: &mut Image<u8>) {
         return;
     }
     let network = radius == 1 && w >= 3;
-    let run_row = |y: usize, dst_row: &mut [u8]| {
+    if network && w * h < CHEAP_ROWS_PAR_THRESHOLD {
+        return tile(src, out.as_mut_slice());
+    }
+    par::chunks_mut(out.as_mut_slice(), w * c, |y, dst_row| {
         if network {
-            let (up, down) = (src.row(y.saturating_sub(1)), src.row((y + 1).min(h - 1)));
-            median3x3_row(up, src.row(y), down, dst_row, c);
+            median3x3_row(src, y, dst_row);
         } else {
             median_select_row(src, radius, y, dst_row);
         }
-    };
-    if network && w * h < CHEAP_ROWS_PAR_THRESHOLD {
-        for (y, dst_row) in out.as_mut_slice().chunks_exact_mut(w * c).enumerate() {
-            run_row(y, dst_row);
-        }
-    } else {
-        par::chunks_mut(out.as_mut_slice(), w * c, run_row);
-    }
+    });
 }
 
 /// `-radius..=radius` clamped into `0..len`, in order.
+#[inline(always)]
 fn clamped_window(len: usize, radius: usize) -> impl Iterator<Item = usize> {
     (0..=2 * radius).map(move |i| i.saturating_sub(radius).min(len - 1))
 }
 
 /// Rows the horizontal blur pass advances side by side.
-const BLOCK: usize = 8;
+const BLOCK: usize = 16;
 
-/// Horizontal box-blur pass over a block of up to `BLOCK` rows of width
-/// `w` (`dst` as long as `src`). The rows are transposed into `cols`,
-/// `[x][row]`, so that their running `f64` sums advance as the lanes of one
-/// vector while each row still adds and subtracts its own samples in index
-/// order and emits `sum / win` — a row's bits do not depend on the block
-/// it sits in. A short block repeats its last row in the spare lanes and
-/// drops them.
-fn box_blur_rows(src: &[f32], dst: &mut [f32], w: usize, radius: usize, cols: &mut Vec<Column>) {
-    // Every block of a call is `w` wide, so this grows `cols` once.
-    cols.resize(w, ([0.0; BLOCK], [0.0; BLOCK]));
-    let last = src.len() / w - 1;
-    let rows: [&[f32]; BLOCK] = std::array::from_fn(|k| &src[k.min(last) * w..][..w]);
-    for (x, (samples, _)) in cols.iter_mut().enumerate() {
-        for k in 0..BLOCK {
-            samples[k] = rows[k][x];
-        }
-    }
+/// Whether `q`, within 3 `f64` ulps of a correctly rounded quotient, may
+/// round to another `f32` than the quotient: `f64` → `f32` rounding drops
+/// the low 29 mantissa bits and breaks ties at 2²⁸, and below 2⁻¹²⁵ the
+/// result may be subnormal. The second test reads the high word only, as
+/// a nonzero mean of `f32` samples is at least 2⁻¹⁵⁹.
+#[inline(always)]
+fn near_f32_tie(q: f64) -> bool {
+    let (lo, hi) = (q.to_bits() as u32, (q.to_bits() >> 32) as u32);
+    let midpoint = (lo & ((1 << 29) - 1)).wrapping_sub((1 << 28) - 4) <= 8;
+    let subnormal = (hi & !(1 << 31)).wrapping_sub(1) < ((1023 - 125) << 20) - 1;
+    midpoint | subnormal
+}
+
+/// Horizontal box-blur pass over rows of width `w` (`dst` as long as
+/// `src`), in blocks of `BLOCK` transposed into `[x][row]` columns: their
+/// running `f64` sums advance as the lanes of one vector while each row
+/// adds and subtracts its own samples in index order, so a row's bits do
+/// not depend on its block. A short block repeats its last row.
+///
+/// The means are `sum / win`, or with `R` `sum * (1 / win)`: within 3 ulps
+/// of it, so the same `f32` unless [`near_f32_tie`], where all of that
+/// x-position's lanes divide instead.
+#[inline(always)]
+fn box_blur_rows<const R: bool>(src: &[f32], dst: &mut [f32], w: usize, radius: usize) {
+    // The samples stay `f32` until they are added: an `f64` copy doubles
+    // what the transposition writes, and measured slower.
+    let mut cols = vec![([0f32; BLOCK], [0f32; BLOCK]); w];
     let win = (2 * radius + 1) as f64;
-    let mut sum = [0f64; BLOCK];
-    for i in clamped_window(w, radius) {
-        for (s, &v) in sum.iter_mut().zip(&cols[i].0) {
-            *s += v as f64;
+    let inv = 1.0 / win;
+    for (src, dst) in src.chunks(BLOCK * w).zip(dst.chunks_mut(BLOCK * w)) {
+        let last = src.len() / w - 1;
+        let rows: [&[f32]; BLOCK] = std::array::from_fn(|k| &src[k.min(last) * w..][..w]);
+        for (x, (samples, _)) in cols.iter_mut().enumerate() {
+            for k in 0..BLOCK {
+                samples[k] = rows[k][x];
+            }
         }
-    }
-    for x in 0..w {
-        let (add, sub) = (
-            cols[(x + radius + 1).min(w - 1)].0,
-            cols[x.saturating_sub(radius)].0,
-        );
-        let mean = &mut cols[x].1;
-        for k in 0..BLOCK {
-            mean[k] = (sum[k] / win) as f32;
-            sum[k] += add[k] as f64;
-            sum[k] -= sub[k] as f64;
+        let mut sum = [0f64; BLOCK];
+        for i in clamped_window(w, radius) {
+            for (s, &v) in sum.iter_mut().zip(&cols[i].0) {
+                *s += v as f64;
+            }
         }
-    }
-    for (k, row) in dst.chunks_exact_mut(w).enumerate() {
-        for (d, (_, mean)) in row.iter_mut().zip(cols.iter()) {
-            *d = mean[k];
+        for x in 0..w {
+            let add = cols[(x + radius + 1).min(w - 1)].0;
+            let sub = cols[x.saturating_sub(radius)].0;
+            let mut q = sum.map(|s| s * inv);
+            if !R || q.iter().fold(false, |near, &q| near | near_f32_tie(q)) {
+                q = sum.map(|s| s / win);
+            }
+            let mean = &mut cols[x].1;
+            for k in 0..BLOCK {
+                mean[k] = q[k] as f32;
+                sum[k] += add[k] as f64;
+                sum[k] -= sub[k] as f64;
+            }
+        }
+        for (k, row) in dst.chunks_exact_mut(w).enumerate() {
+            for (d, (_, mean)) in row.iter_mut().zip(&cols) {
+                *d = mean[k];
+            }
         }
     }
 }
 
-/// One column of a [`box_blur_rows`] block: the rows' samples and their
-/// means. The samples stay `f32` until they are added: an `f64` copy
-/// doubles what the transposition writes, and measured slower.
-type Column = ([f32; BLOCK], [f32; BLOCK]);
-
-/// Sliding-window box blur of one plane into `out`, through `tmp`.
-///
-/// Both passes keep a running `f64` sum over clamped coordinates and emit
-/// `sum / win`: the horizontal pass over blocks of `BLOCK` rows (through
-/// [`par`] for scene-sized images), the vertical pass streaming rows over
-/// one sum per column. Per row and per column the adds and subtracts
-/// happen in index order, so the bits do not depend on how the rows are
-/// blocked.
-fn box_blur_plane(
-    src: &[f32],
-    tmp: &mut [f32],
-    out: &mut [f32],
-    (w, h): (usize, usize),
-    radius: usize,
-) {
-    let block = BLOCK * w;
-    let mut cols = Vec::new();
-    let rows = |b: usize, dst: &mut [f32], cols: &mut Vec<_>| {
-        box_blur_rows(&src[b * block..][..dst.len()], dst, w, radius, cols)
-    };
-    if w * h >= CHEAP_ROWS_PAR_THRESHOLD {
-        par::chunks_mut(tmp, block, |b, dst| rows(b, dst, &mut Vec::new()));
-        // `chunks_mut` leaves a last, short block to the caller.
-        let done = h / BLOCK;
-        if done * BLOCK < h {
-            rows(done, &mut tmp[done * block..], &mut cols);
-        }
-    } else {
-        for (b, dst) in tmp.chunks_mut(block).enumerate() {
-            rows(b, dst, &mut cols);
-        }
-    }
-
+/// Vertical box-blur pass of `tmp` into `out`: the rows stream over one
+/// running `f64` sum per column, which emits `sum / win`.
+#[inline(always)]
+fn box_blur_columns(tmp: &[f32], out: &mut [f32], (w, h): (usize, usize), radius: usize) {
     let win = (2 * radius + 1) as f64;
     let mut sum = vec![0f64; w];
     for y in clamped_window(h, radius) {
@@ -257,6 +279,47 @@ fn box_blur_plane(
         }
     }
 }
+
+/// The tile path of a plane's box blur, to compile again at a wider ISA
+/// (every loop it runs is inlined into it). `R` takes the horizontal means
+/// by reciprocal: a gain from AVX2 on, a loss at SSE2.
+#[inline(always)]
+pub fn box_blur_tile<const R: bool>(
+    src: &[f32],
+    tmp: &mut [f32],
+    out: &mut [f32],
+    (w, h): (usize, usize),
+    radius: usize,
+) {
+    box_blur_rows::<R>(src, tmp, w, radius);
+    box_blur_columns(tmp, out, (w, h), radius);
+}
+
+/// Box blur of one plane into `out` through `tmp`: by `tile` for tile-sized
+/// planes, else with the horizontal pass's blocks forked through [`par`].
+fn box_blur_plane(
+    src: &[f32],
+    tmp: &mut [f32],
+    out: &mut [f32],
+    (w, h): (usize, usize),
+    radius: usize,
+    tile: BlurTile,
+) {
+    if w * h < CHEAP_ROWS_PAR_THRESHOLD {
+        return tile(src, tmp, out, (w, h), radius);
+    }
+    let block = BLOCK * w;
+    par::chunks_mut(tmp, block, |b, dst| {
+        box_blur_rows::<false>(&src[b * block..][..block], dst, w, radius);
+    });
+    // `chunks_mut` leaves a last, short block to the caller.
+    let done = h / BLOCK * block;
+    box_blur_rows::<false>(&src[done..], &mut tmp[done..], w, radius);
+    box_blur_columns(tmp, out, (w, h), radius);
+}
+
+/// [`box_blur_tile`], or the same body compiled for a wider ISA.
+pub type BlurTile = fn(&[f32], &mut [f32], &mut [f32], (usize, usize), usize);
 
 /// Box (mean) blur over an `f32` plane with replicated borders, using a
 /// sliding-window running sum so the cost is O(pixels) regardless of
@@ -278,13 +341,14 @@ pub fn box_blur_f32(src: &Image<f32>, radius: usize) -> Image<f32> {
     }
     let mut out = Image::<f32>::new(w, h, 1);
     let mut tmp = vec![0f32; w * h];
-    box_blur_plane(src.as_slice(), &mut tmp, out.as_mut_slice(), (w, h), radius);
+    let (src, dst) = (src.as_slice(), out.as_mut_slice());
+    box_blur_plane(src, &mut tmp, dst, (w, h), radius, box_blur_tile::<false>);
     out
 }
 
 /// [`box_blur_f32`] of two same-shape planes (a weighted field and its
-/// weights) through one intermediate. The results and the intermediate
-/// are drawn from `scratch`.
+/// weights) through one intermediate, running `tile` for tile-sized ones.
+/// The results and the intermediate are drawn from `scratch`.
 ///
 /// # Panics
 /// Panics if the planes are not single-channel or differ in shape.
@@ -293,23 +357,26 @@ pub fn box_blur_f32_pair(
     b: &Image<f32>,
     radius: usize,
     scratch: &mut Scratch,
+    tile: BlurTile,
 ) -> (Image<f32>, Image<f32>) {
     assert_eq!((a.channels(), b.channels()), (1, 1), "expected planes");
     assert_eq!(a.dimensions(), b.dimensions(), "image size mismatch");
     let (w, h) = a.dimensions();
     let mut out = (
-        scratch.take_image_f32(w, h, 1),
-        scratch.take_image_f32(w, h, 1),
+        scratch.take_image_f32_for_overwrite(w, h, 1),
+        scratch.take_image_f32_for_overwrite(w, h, 1),
     );
     if radius == 0 || w == 0 || h == 0 {
         out.0.as_mut_slice().copy_from_slice(a.as_slice());
         out.1.as_mut_slice().copy_from_slice(b.as_slice());
         return out;
     }
-    let mut tmp = scratch.take_f32(w * h);
-    box_blur_plane(a.as_slice(), &mut tmp, out.0.as_mut_slice(), (w, h), radius);
-    box_blur_plane(b.as_slice(), &mut tmp, out.1.as_mut_slice(), (w, h), radius);
-    scratch.recycle_f32(tmp);
+    let mut tmp = scratch.take_image_f32_for_overwrite(w, h, 1);
+    for (src, dst) in [(a, &mut out.0), (b, &mut out.1)] {
+        let (src, dst) = (src.as_slice(), dst.as_mut_slice());
+        box_blur_plane(src, tmp.as_mut_slice(), dst, (w, h), radius, tile);
+    }
+    scratch.recycle_image_f32(tmp);
     out
 }
 
@@ -372,7 +439,11 @@ mod tests {
     #[test]
     fn median3x3_matches_the_selection_path() {
         let mut rng = ChaCha8Rng::seed_from_u64(12);
-        for w in [1usize, 2, 3, 4, 5, 8, 17, 64] {
+        // Widths whose interiors (`(w − 2)·c` samples) are 63, 64, 65, 127,
+        // 128 or 129 samples long, around the network's 64-sample runs.
+        for w in [
+            1usize, 2, 3, 4, 5, 8, 17, 23, 45, 64, 65, 66, 67, 129, 130, 131,
+        ] {
             for h in [1usize, 2, 3, 9] {
                 for c in [1usize, 3] {
                     for kind in 0..3 {
@@ -402,37 +473,126 @@ mod tests {
     fn row_streamed_box_blur_is_bit_identical_to_the_column_one() {
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         let mut scratch = Scratch::new();
-        // Heights around the 8-row block of the horizontal pass, and one
+        // Heights around the 16-row block of the horizontal pass, and one
         // image past `CHEAP_ROWS_PAR_THRESHOLD` with enough blocks (256) for
         // `par` to fork them, plus a short last block.
         let sizes = [(1usize, 1usize), (1, 7), (7, 1), (8, 8), (13, 5), (40, 33)];
-        let blocked = [(5, 9), (3, 17), (6, 257), (512, 2049)];
-        const { assert!(512 * 2049 >= CHEAP_ROWS_PAR_THRESHOLD) };
-        for (w, h) in sizes.into_iter().chain(blocked) {
+        let blocked = [
+            (5, 9),
+            (3, 15),
+            (4, 16),
+            (3, 17),
+            (2, 31),
+            (9, 32),
+            (6, 257),
+        ];
+        const { assert!(256 * 4097 >= CHEAP_ROWS_PAR_THRESHOLD) };
+        for (w, h) in sizes.into_iter().chain(blocked).chain([(256, 4097)]) {
             let a = Image::from_fn(w, h, 1, |_, _| vec![rng.random_range(-3.0f32..900.0)]);
             let b = Image::from_fn(w, h, 1, |x, _| vec![(x % 3) as f32 * rng.random::<f32>()]);
-            for radius in [0usize, 1, 2, 7, 100, w.max(h)] {
-                let expected = if radius == 0 {
-                    (a.clone(), b.clone())
-                } else {
-                    (
-                        box_blur_f32_columns(&a, radius),
-                        box_blur_f32_columns(&b, radius),
-                    )
-                };
-                assert_eq!(
-                    bits(&box_blur_f32(&a, radius)),
-                    bits(&expected.0),
-                    "{w}x{h} r{radius}"
-                );
-                // Paired, out of a pool whose buffers hold the last round.
-                let (pa, pb) = box_blur_f32_pair(&a, &b, radius, &mut scratch);
-                assert_eq!(bits(&pa), bits(&expected.0), "pair.0 {w}x{h} r{radius}");
-                assert_eq!(bits(&pb), bits(&expected.1), "pair.1 {w}x{h} r{radius}");
-                scratch.recycle_image_f32(pa);
-                scratch.recycle_image_f32(pb);
+            // The filter's shadow flags (0 or 1) and a mostly-zero field.
+            let flags = Image::from_fn(w, h, 1, |_, _| vec![rng.random_bool(0.2) as u8 as f32]);
+            let sparse = Image::from_fn(w, h, 1, |_, _| {
+                vec![rng.random_bool(0.05) as u8 as f32 * rng.random::<f32>()]
+            });
+            for (a, b) in [(&a, &b), (&flags, &sparse)] {
+                for radius in [0usize, 1, 2, 7, 100, w.max(h)] {
+                    let expected = if radius == 0 {
+                        (a.clone(), b.clone())
+                    } else {
+                        (
+                            box_blur_f32_columns(a, radius),
+                            box_blur_f32_columns(b, radius),
+                        )
+                    };
+                    let case = format!("{w}x{h} r{radius}");
+                    assert_eq!(bits(&box_blur_f32(a, radius)), bits(&expected.0), "{case}");
+                    // Paired, by division and by reciprocal, out of a pool
+                    // whose buffers hold the last round.
+                    for tile in [box_blur_tile::<false>, box_blur_tile::<true>] {
+                        let (pa, pb) = box_blur_f32_pair(a, b, radius, &mut scratch, tile);
+                        assert_eq!(bits(&pa), bits(&expected.0), "pair.0 {case}");
+                        assert_eq!(bits(&pb), bits(&expected.1), "pair.1 {case}");
+                        scratch.recycle_image_f32(pa);
+                        scratch.recycle_image_f32(pb);
+                    }
+                }
             }
         }
+    }
+
+    /// [`box_blur_rows`]'s reciprocal mean of one running sum.
+    fn reciprocal_mean(sum: f64, win: f64) -> f32 {
+        let q = sum * (1.0 / win);
+        (if near_f32_tie(q) { sum / win } else { q }) as f32
+    }
+
+    #[test]
+    fn reciprocal_means_round_like_the_divisions() {
+        let mut rng = ChaCha8Rng::seed_from_u64(36);
+        // Finite positive `f32`s whose successor is finite: subnormals, the
+        // binade edges, plane-like values and random bit patterns.
+        let fixed = [
+            1u32,
+            0x7f_ffff,
+            0x80_0000,
+            0x3f00_0000,
+            0x3f80_0000,
+            0x4282_0000,
+        ];
+        let random = (0..48).map(|_| rng.random_range(1u32..0x7f7f_ffff));
+        let values: Vec<f32> = fixed
+            .into_iter()
+            .chain(random)
+            .map(f32::from_bits)
+            .collect();
+        // Odd multiples of 2⁻¹⁵⁰ below 2⁻¹²⁶: the midpoints between `f32`
+        // subnormals.
+        let tiny = f64::from_bits((1023 - 150) << 52);
+        let odd = (0..32u64).chain((0..32).map(|_| rng.random_range(0..1 << 23)));
+        let subnormal_midpoints: Vec<f64> = odd.map(|k| (2 * k + 1) as f64 * tiny).collect();
+        let (mut counts, mut divided) = (0u64, 0u64);
+        for win in (3..=513u32).step_by(2) {
+            let win = f64::from(win);
+            let check = |sum: f64| {
+                for sum in [sum, -sum] {
+                    let want = ((sum / win) as f32).to_bits();
+                    let got = reciprocal_mean(sum, win).to_bits();
+                    assert_eq!(got, want, "sum {sum:e} ({:#x}), win {win}", sum.to_bits());
+                }
+            };
+            // Every count a 0/1 plane's window can hold.
+            for count in 0..=win as u32 {
+                check(f64::from(count));
+                counts += 1;
+                divided += near_f32_tie(f64::from(count) * (1.0 / win)) as u64;
+            }
+            // Means at and around `f32` values and the midpoints between them,
+            // within ±6 `f64` ulps of the sum.
+            let midpoints = values.iter().map(|&v| {
+                let next = f32::from_bits(v.to_bits() + 1);
+                (f64::from(v) + f64::from(next)) / 2.0
+            });
+            let means = values.iter().map(|&v| f64::from(v));
+            for mean in midpoints
+                .chain(means)
+                .chain(subnormal_midpoints.iter().copied())
+            {
+                let sum = mean * win;
+                for ulps in -6i64..=6 {
+                    check(f64::from_bits(sum.to_bits().wrapping_add_signed(ulps)));
+                }
+            }
+            for _ in 0..64 {
+                let scale = f64::from(rng.random_range(-160i32..130)).exp2();
+                check(rng.random::<f64>() * scale * win);
+            }
+        }
+        // On counts the fallback stays the exception it is meant to be.
+        assert!(
+            divided * 100 < counts,
+            "{divided} of {counts} counts divided"
+        );
     }
 
     #[test]
@@ -449,7 +609,7 @@ mod tests {
 
         let a = img.map(|v| v as f32 * 1.7 - 3.0);
         let b = Image::from_fn(side, side, 1, |_, _| vec![rng.random::<f32>()]);
-        let (pa, pb) = box_blur_f32_pair(&a, &b, 9, &mut Scratch::new());
+        let (pa, pb) = box_blur_f32_pair(&a, &b, 9, &mut Scratch::new(), box_blur_tile::<false>);
         assert_eq!(bits(&pa), bits(&box_blur_f32_columns(&a, 9)));
         assert_eq!(bits(&pb), bits(&box_blur_f32_columns(&b, 9)));
         assert_eq!(bits(&box_blur_f32(&a, 9)), bits(&pa));

@@ -89,7 +89,7 @@ fn preprocess(rgb: &Image<u8>, cfg: &AutoLabelConfig, scratch: &mut Scratch) -> 
     match &cfg.filter {
         Some(fc) => CloudShadowFilter::new(*fc).apply_keep_filtered(rgb, scratch),
         None => {
-            let mut p = scratch.take_image(rgb.width(), rgb.height(), 3);
+            let mut p = scratch.take_image_for_overwrite(rgb.width(), rgb.height(), 3);
             p.as_mut_slice().copy_from_slice(rgb.as_slice());
             p
         }
@@ -111,8 +111,8 @@ fn segment_both(
         }
         LabelBackend::Fused => {
             let (w, h) = processed.dimensions();
-            let mut mask = scratch.take_image(w, h, 1);
-            let mut color = scratch.take_image(w, h, 3);
+            let mut mask = scratch.take_image_for_overwrite(w, h, 1);
+            let mut color = scratch.take_image_for_overwrite(w, h, 3);
             segment_into(
                 processed,
                 &ClassLut::new(&cfg.ranges),
@@ -177,7 +177,7 @@ pub fn auto_label_class_mask(
         LabelBackend::Reference => segment_classes(&processed, &cfg.ranges),
         LabelBackend::Fused => {
             let (w, h) = processed.dimensions();
-            let mut mask = scratch.take_image(w, h, 1);
+            let mut mask = scratch.take_image_for_overwrite(w, h, 1);
             segment_into(&processed, &ClassLut::new(&cfg.ranges), &mut mask, None);
             mask
         }

@@ -34,7 +34,7 @@
 //! (beyond the mild median pre-filter), haze opacity is capped at what
 //! *thin* cloud can reach, and corrections fade smoothly at mask borders.
 
-use crate::dispatch;
+use crate::dispatch::{self, blur_tile, median_tile};
 use seaice_exec::par;
 use seaice_imgproc::buffer::{Image, Scratch};
 use seaice_imgproc::color::saturation_at_most;
@@ -356,9 +356,9 @@ impl CloudShadowFilter {
     /// Runs only the correcting half of the filter (steps 1–5) and returns
     /// the corrected image — the entry for labelling and inference loops,
     /// which never look at the diagnostics. Every plane is drawn from
-    /// `scratch` (whose zero-fill is what the skipped pixels rely on) and
-    /// all but the result go back to it, so consecutive tiles allocate
-    /// nothing once the caller recycles the result too.
+    /// `scratch` and written whole, and all but the result go back to it,
+    /// so consecutive tiles allocate nothing once the caller recycles the
+    /// result too.
     pub fn apply_keep_filtered(&self, rgb: &Image<u8>, scratch: &mut Scratch) -> Image<u8> {
         let out = self.correct(rgb, scratch);
         scratch.recycle_image_f32(out.haze);
@@ -388,8 +388,8 @@ impl CloudShadowFilter {
 
         // 1. Noise filtering. Steps 4 and 5 then correct this image in place.
         let span = tracer.span("label.filter.denoise", "label");
-        let mut filtered = scratch.take_image(w, h, 3);
-        median_filter_into(rgb, cfg.denoise_radius, &mut filtered);
+        let mut filtered = scratch.take_image_for_overwrite(w, h, 3);
+        median_filter_into(rgb, cfg.denoise_radius, &mut filtered, median_tile);
         drop(span);
 
         // 2. Per-pixel haze estimation with chroma hypotheses.
@@ -401,8 +401,8 @@ impl CloudShadowFilter {
         // from the haze evidence pool; the smooth haze field bridges over
         // them from unambiguous neighbours.
         let span = tracer.span("label.filter.haze", "label");
-        let mut a_weighted = scratch.take_image_f32(w, h, 1);
-        let mut weight = scratch.take_image_f32(w, h, 1);
+        let mut a_weighted = scratch.take_image_f32_for_overwrite(w, h, 1);
+        let mut weight = scratch.take_image_f32_for_overwrite(w, h, 1);
         let (a_rows, w_rows) = (a_weighted.as_mut_slice(), weight.as_mut_slice());
         par::chunks_mut2(a_rows, row, w_rows, row, |y, a_row, w_row| {
             dispatch::haze_row(cfg, filtered.row(y), a_row, w_row);
@@ -412,7 +412,7 @@ impl CloudShadowFilter {
         //    convolution, so confident pixels fill in degenerate ones, and
         // 4. invert the haze where it is significant, in the same pass.
         let (mut haze, blur_w) =
-            box_blur_f32_pair(&a_weighted, &weight, cfg.smooth_radius, scratch);
+            box_blur_f32_pair(&a_weighted, &weight, cfg.smooth_radius, scratch, blur_tile);
         let planes = [blur_w.as_slice(), a_weighted.as_slice(), weight.as_slice()];
         let (hz_rows, px_rows) = (haze.as_mut_slice(), filtered.as_mut_slice());
         par::chunks_mut2(hz_rows, row, px_rows, 3 * row, |y, hz_row, px_row| {
@@ -427,16 +427,24 @@ impl CloudShadowFilter {
         // 5. Shadow pass on the dehazed image: thick-ice chroma at
         //    mid-range V implies multiplicative darkening.
         let _span = tracer.span("label.filter.shadow", "label");
-        let mut gain_weighted = scratch.take_image_f32(w, h, 1);
-        let mut gain_weight = scratch.take_image_f32(w, h, 1);
+        let mut gain_weighted = scratch.take_image_f32_for_overwrite(w, h, 1);
+        let mut gain_weight = scratch.take_image_f32_for_overwrite(w, h, 1);
         if cfg.shadow_pass {
             let (g_rows, gw_rows) = (gain_weighted.as_mut_slice(), gain_weight.as_mut_slice());
             par::chunks_mut2(g_rows, row, gw_rows, row, |y, g_row, gw_row| {
                 dispatch::flag_row(cfg, filtered.row(y), g_row, gw_row);
             });
+        } else {
+            gain_weighted.as_mut_slice().fill(0.0);
+            gain_weight.as_mut_slice().fill(0.0);
         }
-        let (mut shadow_gain, blur_gw) =
-            box_blur_f32_pair(&gain_weighted, &gain_weight, cfg.smooth_radius, scratch);
+        let (mut shadow_gain, blur_gw) = box_blur_f32_pair(
+            &gain_weighted,
+            &gain_weight,
+            cfg.smooth_radius,
+            scratch,
+            blur_tile,
+        );
         let planes = [
             blur_gw.as_slice(),
             gain_weighted.as_slice(),
@@ -633,16 +641,38 @@ mod tests {
     fn correction_only_entry_matches_apply_with_a_dirty_scratch() {
         let mut scratch = Scratch::new();
         for (side, seed) in [(32usize, 1u64), (48, 2), (64, 3), (96, 4)] {
-            // Whatever the pool hands out was last full of garbage.
-            for _ in 0..8 {
-                scratch.recycle(vec![0xAB; side * side * 3]);
-                scratch.recycle_f32(vec![f32::NAN; side * side]);
-            }
             let (_, cloudy, _) = scene_and_layer(side, 0.35, seed);
-            let filter = CloudShadowFilter::new(FilterConfig::for_tile(side));
-            let kept = filter.apply_keep_filtered(&cloudy, &mut scratch);
-            assert_eq!(kept, filter.apply(&cloudy).filtered, "side {side}");
-            scratch.recycle_image(kept);
+            let base = FilterConfig::for_tile(side);
+            let configs = [
+                base,
+                FilterConfig {
+                    shadow_pass: false,
+                    ..base
+                },
+                FilterConfig {
+                    confidence_blend: false,
+                    ..base
+                },
+                FilterConfig {
+                    shadow_exclusion: false,
+                    ..base
+                },
+            ];
+            for (c, cfg) in configs.into_iter().enumerate() {
+                // Whatever the pool hands out was last full of garbage.
+                for _ in 0..8 {
+                    scratch.recycle(vec![0xAB; side * side * 3]);
+                    scratch.recycle_f32(vec![f32::NAN; side * side]);
+                }
+                let filter = CloudShadowFilter::new(cfg);
+                let kept = filter.apply_keep_filtered(&cloudy, &mut scratch);
+                assert_eq!(
+                    kept,
+                    filter.apply(&cloudy).filtered,
+                    "side {side}, config {c}"
+                );
+                scratch.recycle_image(kept);
+            }
         }
     }
 

@@ -1,30 +1,39 @@
 //! The audited exception to `seaice-label`'s `deny(unsafe_code)`: the
-//! detecting fronts of the cloud/shadow filter's four row passes. Each
-//! front calls its `#[inline(always)]` row body compiled again inside an
+//! detecting fronts of the cloud/shadow filter's four row passes and of
+//! the tile paths of its median and box blur (`seaice_imgproc::filter`).
+//! Each front calls its `#[inline(always)]` body compiled again inside an
 //! AVX-512F or an AVX2 twin when the CPU has the feature, and the body
-//! itself otherwise. Every lane is a different pixel or sample, so all
-//! three compute the same bits. Calling a `#[target_feature]` function is
-//! `unsafe` for the feature precondition alone: no intrinsics, no raw
-//! pointers (`avx512f` implies `fma` in LLVM, and Rust never contracts).
+//! itself otherwise (the blur's twins run its reciprocal instance, which
+//! rounds to the same means). Every lane is a different pixel or sample,
+//! so all three compute the same bits. Calling a `#[target_feature]`
+//! function is `unsafe` for the feature precondition alone: no intrinsics,
+//! no raw pointers (`avx512f` implies `fma` in LLVM, and Rust never
+//! contracts).
 //! Explicit twins with explicit arguments, as in `nn::ops::dispatch`: a
 //! closure handed to a generic shim can stay a baseline function.
 
 use crate::cloudshadow::{
     dehaze_row_body, deshadow_row_body, flag_row_body, haze_row_body, FilterConfig,
 };
+use seaice_imgproc::buffer::Image;
+use seaice_imgproc::filter::{box_blur_tile, median3x3_tile};
 
 macro_rules! twins {
-    ($front:ident = $body:ident: $avx2:ident, $avx512:ident; $($arg:ident: $ty:ty),* $(,)?) => {
+    ($front:ident = $body:ident: $($rest:tt)*) => {
+        twins!($front = $body, $body: $($rest)*);
+    };
+    ($front:ident = $body:path, $wide:path: $avx2:ident, $avx512:ident;
+        $($arg:ident: $ty:ty),* $(,)?) => {
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = "avx2")]
         fn $avx2($($arg: $ty),*) {
-            $body($($arg),*)
+            $wide($($arg),*)
         }
 
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = "avx512f")]
         fn $avx512($($arg: $ty),*) {
-            $body($($arg),*)
+            $wide($($arg),*)
         }
 
         pub(crate) fn $front($($arg: $ty),*) {
@@ -52,22 +61,43 @@ twins!(flag_row = flag_row_body: flag_row_avx2, flag_row_avx512;
     cfg: &FilterConfig, px: &[u8], g_row: &mut [f32], gw_row: &mut [f32]);
 twins!(deshadow_row = deshadow_row_body: deshadow_row_avx2, deshadow_row_avx512;
     sg_row: &mut [f32], px_row: &mut [u8], blurred_gw: &[f32], own_g: &[f32], own_gw: &[f32]);
+twins!(median_tile = median3x3_tile: median_tile_avx2, median_tile_avx512;
+    src: &Image<u8>, out: &mut [u8]);
+twins!(blur_tile = box_blur_tile::<false>, box_blur_tile::<true>: blur_tile_avx2, blur_tile_avx512;
+    src: &[f32], tmp: &mut [f32], out: &mut [f32], dims: (usize, usize), radius: usize);
 
-#[cfg(test)]
+// The twins exist on x86_64 only.
+#[cfg(all(test, target_arch = "x86_64"))]
 mod tests {
     use super::*;
 
-    /// The twin the fronts take on this host.
-    fn isa() -> &'static str {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            return "avx512f";
-        }
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return "avx2";
-        }
-        "baseline"
+    /// The twins this host can run, as indices into a front's
+    /// `[avx2, avx512]` pair with their ISA's name. A host without AVX2 runs
+    /// none, and the tests below compare nothing there.
+    fn runnable() -> Vec<(usize, &'static str)> {
+        let detected = [
+            std::arch::is_x86_feature_detected!("avx2"),
+            std::arch::is_x86_feature_detected!("avx512f"),
+        ];
+        [(0, "avx2"), (1, "avx512f")]
+            .into_iter()
+            .filter(|&(i, _)| detected[i])
+            .collect()
+    }
+
+    /// Calls a pass's AVX2 twin for `l == 0`, else its AVX-512F twin.
+    macro_rules! twin {
+        ($l:expr, $avx2:ident, $avx512:ident($($arg:expr),*)) => {
+            // SAFETY: the tests take `l` from `runnable`, which lists only
+            // twins whose feature this CPU has.
+            unsafe {
+                if $l == 0 {
+                    $avx2($($arg),*)
+                } else {
+                    $avx512($($arg),*)
+                }
+            }
+        };
     }
 
     /// A seeded xorshift64* stream.
@@ -126,6 +156,7 @@ mod tests {
     }
 
     fn same_bits(what: &str, case: &str, got: &[f32], want: &[f32]) {
+        assert_eq!(got.len(), want.len(), "{what} ({case})");
         for (i, (g, w)) in got.iter().zip(want).enumerate() {
             assert_eq!(
                 g.to_bits(),
@@ -135,14 +166,13 @@ mod tests {
         }
     }
 
-    /// Every front equals its baseline body byte for byte on rows of every
-    /// width up to 200 — strip tails of 63, 64, 65 and 129 pixels among
-    /// them, and widths off every vector length — under every ablation
-    /// switch. On a host without AVX2 the fronts run the bodies, and this
-    /// compares the baseline with itself.
+    /// Every AVX2 and AVX-512F twin of the four row passes this host can
+    /// run equals its baseline body byte for byte on rows of every width up
+    /// to 200 — strip tails of 63, 64, 65 and 129 pixels among them, and
+    /// widths off every vector length — under every ablation switch.
     #[test]
-    fn dispatched_row_passes_equal_the_baseline_bodies_bit_for_bit() {
-        let isa = isa();
+    fn every_row_pass_twin_equals_its_baseline_body_bit_for_bit() {
+        let twins = runnable();
         let base = FilterConfig::for_tile(256);
         let configs = [
             base,
@@ -161,23 +191,9 @@ mod tests {
         ];
         for (c, cfg) in configs.iter().enumerate() {
             for w in 1..=200 {
-                let case = format!("{isa} front, config {c}, width {w}");
                 let mut rng = Rng(0x9e37_79b9_7f4a_7c15 ^ (1000 * c + w) as u64);
                 let px = speckle(&mut rng, w);
                 let zeros = || vec![0.0f32; w];
-
-                let (mut a, mut weight, mut a0, mut weight0) = (zeros(), zeros(), zeros(), zeros());
-                haze_row(cfg, &px, &mut a, &mut weight);
-                haze_row_body(cfg, &px, &mut a0, &mut weight0);
-                same_bits("haze a", &case, &a, &a0);
-                same_bits("haze weight", &case, &weight, &weight0);
-
-                let (mut g, mut gw, mut g0, mut gw0) = (zeros(), zeros(), zeros(), zeros());
-                flag_row(cfg, &px, &mut g, &mut gw);
-                flag_row_body(cfg, &px, &mut g0, &mut gw0);
-                same_bits("flag gain", &case, &g, &g0);
-                same_bits("flag weight", &case, &gw, &gw0);
-
                 // Blurred fields around every threshold the corrections
                 // test: weights at 0, 0.02 and 0.05, own weights of 0 and 1,
                 // haze near `min_haze` and gains at and near 0.999.
@@ -190,12 +206,6 @@ mod tests {
                     .iter()
                     .map(|&b| b * rng.pick(&[0.04, 0.0399, 0.62], 0.8))
                     .collect();
-                let (mut hz1, mut px1, mut hz0, mut px0) = (hz.clone(), px.clone(), hz, px.clone());
-                dehaze_row(cfg, &mut hz1, &mut px1, &bw, &own_a, &own_w);
-                dehaze_row_body(cfg, &mut hz0, &mut px0, &bw, &own_a, &own_w);
-                same_bits("dehaze field", &case, &hz1, &hz0);
-                assert_eq!(px1, px0, "dehazed pixels ({case})");
-
                 let own_gw: Vec<f32> = (0..w).map(|_| rng.below(2) as f32).collect();
                 let own_g: Vec<f32> = own_gw
                     .iter()
@@ -205,12 +215,102 @@ mod tests {
                     .iter()
                     .map(|&b| b * rng.pick(&[0.999, 0.9989, 0.25], 1.0))
                     .collect();
-                let (mut sg1, mut sg0) = (sg.clone(), sg);
-                let (mut px2, mut px3) = (px1.clone(), px1);
-                deshadow_row(&mut sg1, &mut px2, &bw, &own_g, &own_gw);
-                deshadow_row_body(&mut sg0, &mut px3, &bw, &own_g, &own_gw);
-                same_bits("deshadow field", &case, &sg1, &sg0);
-                assert_eq!(px2, px3, "deshadowed pixels ({case})");
+
+                let (mut a0, mut weight0, mut g0, mut gw0) = (zeros(), zeros(), zeros(), zeros());
+                haze_row_body(cfg, &px, &mut a0, &mut weight0);
+                flag_row_body(cfg, &px, &mut g0, &mut gw0);
+                let (mut hz0, mut dehazed0) = (hz.clone(), px.clone());
+                dehaze_row_body(cfg, &mut hz0, &mut dehazed0, &bw, &own_a, &own_w);
+                let (mut sg0, mut deshadowed0) = (sg.clone(), dehazed0.clone());
+                deshadow_row_body(&mut sg0, &mut deshadowed0, &bw, &own_g, &own_gw);
+
+                for &(l, isa) in &twins {
+                    let case = format!("{isa} twin, config {c}, width {w}");
+                    let (mut a, mut weight, mut g, mut gw) = (zeros(), zeros(), zeros(), zeros());
+                    let (mut hz1, mut dehazed) = (hz.clone(), px.clone());
+                    let (mut sg1, mut deshadowed) = (sg.clone(), dehazed0.clone());
+                    twin!(
+                        l,
+                        haze_row_avx2,
+                        haze_row_avx512(cfg, &px, &mut a, &mut weight)
+                    );
+                    twin!(l, flag_row_avx2, flag_row_avx512(cfg, &px, &mut g, &mut gw));
+                    twin!(
+                        l,
+                        dehaze_row_avx2,
+                        dehaze_row_avx512(cfg, &mut hz1, &mut dehazed, &bw, &own_a, &own_w)
+                    );
+                    twin!(
+                        l,
+                        deshadow_row_avx2,
+                        deshadow_row_avx512(&mut sg1, &mut deshadowed, &bw, &own_g, &own_gw)
+                    );
+                    same_bits("haze a", &case, &a, &a0);
+                    same_bits("haze weight", &case, &weight, &weight0);
+                    same_bits("flag gain", &case, &g, &g0);
+                    same_bits("flag weight", &case, &gw, &gw0);
+                    same_bits("dehaze field", &case, &hz1, &hz0);
+                    assert_eq!(dehazed, dehazed0, "dehazed pixels ({case})");
+                    same_bits("deshadow field", &case, &sg1, &sg0);
+                    assert_eq!(deshadowed, deshadowed0, "deshadowed pixels ({case})");
+                }
+            }
+        }
+    }
+
+    /// Every AVX2 and AVX-512F twin of the median and blur tile paths this
+    /// host can run equals its baseline body byte for byte: medians whose
+    /// interiors straddle the 64-sample runs, and blurs of continuous, 0/1
+    /// and mostly-zero planes at heights around the 16-row blocks (the
+    /// blur twins take their means by reciprocal, the body by division).
+    #[test]
+    fn median_and_blur_twins_equal_their_baseline_bodies_bit_for_bit() {
+        let twins = runnable();
+        let mut rng = Rng(0x3636_3636_3636_3636);
+        for (c, widths) in [(1, 3..=140), (3, 3..=50)] {
+            for (w, h) in widths.flat_map(|w| [(w, 1), (w, 2), (w, 5)]) {
+                let samples = (0..w * h * c).map(|_| rng.below(256) as u8).collect();
+                let img = Image::from_vec(w, h, c, samples);
+                let mut want = vec![0; w * h * c];
+                median3x3_tile(&img, &mut want);
+                for &(l, isa) in &twins {
+                    let mut got = vec![0xAB; w * h * c];
+                    twin!(l, median_tile_avx2, median_tile_avx512(&img, &mut got));
+                    assert_eq!(got, want, "{isa} median twin, {w}x{h}x{c}");
+                }
+            }
+        }
+        let sizes = [
+            (1, 1),
+            (5, 15),
+            (3, 16),
+            (7, 17),
+            (16, 31),
+            (33, 33),
+            (256, 40),
+        ];
+        for ((w, h), kind) in sizes.into_iter().flat_map(|s| [(s, 0), (s, 1), (s, 2)]) {
+            let src: Vec<f32> = (0..w * h)
+                .map(|_| match kind {
+                    0 => 903.0 * rng.unit() - 3.0,
+                    1 => (rng.below(5) == 0) as u8 as f32,
+                    _ => rng.pick(&[0.0; 19], 1.0),
+                })
+                .collect();
+            for radius in [1, 2, 7, 32, w.max(h)] {
+                let (mut tmp, mut want) = (vec![0.0; w * h], vec![0.0; w * h]);
+                box_blur_tile::<false>(&src, &mut tmp, &mut want, (w, h), radius);
+                for &(l, isa) in &twins {
+                    let case = format!("{isa} blur twin, {w}x{h}, plane {kind}, r{radius}");
+                    let (mut tmp, mut got) = (vec![f32::NAN; w * h], vec![f32::NAN; w * h]);
+                    let dims = (w, h);
+                    twin!(
+                        l,
+                        blur_tile_avx2,
+                        blur_tile_avx512(&src, &mut tmp, &mut got, dims, radius)
+                    );
+                    same_bits("blurred", &case, &got, &want);
+                }
             }
         }
     }
