@@ -193,38 +193,24 @@ fn clamped_window(len: usize, radius: usize) -> impl Iterator<Item = usize> {
 /// Rows the horizontal blur pass advances side by side.
 const BLOCK: usize = 16;
 
-/// Whether `q`, within 3 `f64` ulps of a correctly rounded quotient, may
-/// round to another `f32` than the quotient: `f64` → `f32` rounding drops
-/// the low 29 mantissa bits and breaks ties at 2²⁸, and below 2⁻¹²⁵ the
-/// result may be subnormal. The second test reads the high word only, as
-/// a nonzero mean of `f32` samples is at least 2⁻¹⁵⁹.
-#[inline(always)]
-fn near_f32_tie(q: f64) -> bool {
-    let (lo, hi) = (q.to_bits() as u32, (q.to_bits() >> 32) as u32);
-    let midpoint = (lo & ((1 << 29) - 1)).wrapping_sub((1 << 28) - 4) <= 8;
-    let subnormal = (hi & !(1 << 31)).wrapping_sub(1) < ((1023 - 125) << 20) - 1;
-    midpoint | subnormal
-}
-
 /// Horizontal box-blur pass over rows of width `w` (`dst` as long as
 /// `src`), in blocks of `BLOCK` transposed into `[x][row]` columns: their
 /// running `f64` sums advance as the lanes of one vector while each row
-/// adds and subtracts its own samples in index order, so a row's bits do
-/// not depend on its block. A short block repeats its last row.
-///
-/// The means are `sum / win`, or with `R` `sum * (1 / win)`: within 3 ulps
-/// of it, so the same `f32` unless [`near_f32_tie`], where all of that
-/// x-position's lanes divide instead.
+/// adds and subtracts its own samples in index order and emits
+/// `sum / win`, so a row's bits do not depend on its block. A short block
+/// repeats its last row.
 #[inline(always)]
-fn box_blur_rows<const R: bool>(src: &[f32], dst: &mut [f32], w: usize, radius: usize) {
+fn box_blur_rows(src: &[f32], dst: &mut [f32], w: usize, radius: usize) {
     // The samples stay `f32` until they are added: an `f64` copy doubles
     // what the transposition writes, and measured slower.
     let mut cols = vec![([0f32; BLOCK], [0f32; BLOCK]); w];
     let win = (2 * radius + 1) as f64;
-    let inv = 1.0 / win;
     for (src, dst) in src.chunks(BLOCK * w).zip(dst.chunks_mut(BLOCK * w)) {
         let last = src.len() / w - 1;
-        let rows: [&[f32]; BLOCK] = std::array::from_fn(|k| &src[k.min(last) * w..][..w]);
+        let mut rows = [src; BLOCK];
+        for (k, row) in rows.iter_mut().enumerate() {
+            *row = &src[k.min(last) * w..][..w];
+        }
         for (x, (samples, _)) in cols.iter_mut().enumerate() {
             for k in 0..BLOCK {
                 samples[k] = rows[k][x];
@@ -239,13 +225,9 @@ fn box_blur_rows<const R: bool>(src: &[f32], dst: &mut [f32], w: usize, radius: 
         for x in 0..w {
             let add = cols[(x + radius + 1).min(w - 1)].0;
             let sub = cols[x.saturating_sub(radius)].0;
-            let mut q = sum.map(|s| s * inv);
-            if !R || q.iter().fold(false, |near, &q| near | near_f32_tie(q)) {
-                q = sum.map(|s| s / win);
-            }
             let mean = &mut cols[x].1;
             for k in 0..BLOCK {
-                mean[k] = q[k] as f32;
+                mean[k] = (sum[k] / win) as f32;
                 sum[k] += add[k] as f64;
                 sum[k] -= sub[k] as f64;
             }
@@ -281,17 +263,16 @@ fn box_blur_columns(tmp: &[f32], out: &mut [f32], (w, h): (usize, usize), radius
 }
 
 /// The tile path of a plane's box blur, to compile again at a wider ISA
-/// (every loop it runs is inlined into it). `R` takes the horizontal means
-/// by reciprocal: a gain from AVX2 on, a loss at SSE2.
+/// (every loop it runs is inlined into it).
 #[inline(always)]
-pub fn box_blur_tile<const R: bool>(
+pub fn box_blur_tile(
     src: &[f32],
     tmp: &mut [f32],
     out: &mut [f32],
     (w, h): (usize, usize),
     radius: usize,
 ) {
-    box_blur_rows::<R>(src, tmp, w, radius);
+    box_blur_rows(src, tmp, w, radius);
     box_blur_columns(tmp, out, (w, h), radius);
 }
 
@@ -310,11 +291,11 @@ fn box_blur_plane(
     }
     let block = BLOCK * w;
     par::chunks_mut(tmp, block, |b, dst| {
-        box_blur_rows::<false>(&src[b * block..][..block], dst, w, radius);
+        box_blur_rows(&src[b * block..][..block], dst, w, radius);
     });
     // `chunks_mut` leaves a last, short block to the caller.
     let done = h / BLOCK * block;
-    box_blur_rows::<false>(&src[done..], &mut tmp[done..], w, radius);
+    box_blur_rows(&src[done..], &mut tmp[done..], w, radius);
     box_blur_columns(tmp, out, (w, h), radius);
 }
 
@@ -342,7 +323,7 @@ pub fn box_blur_f32(src: &Image<f32>, radius: usize) -> Image<f32> {
     let mut out = Image::<f32>::new(w, h, 1);
     let mut tmp = vec![0f32; w * h];
     let (src, dst) = (src.as_slice(), out.as_mut_slice());
-    box_blur_plane(src, &mut tmp, dst, (w, h), radius, box_blur_tile::<false>);
+    box_blur_plane(src, &mut tmp, dst, (w, h), radius, box_blur_tile);
     out
 }
 
@@ -507,92 +488,15 @@ mod tests {
                     };
                     let case = format!("{w}x{h} r{radius}");
                     assert_eq!(bits(&box_blur_f32(a, radius)), bits(&expected.0), "{case}");
-                    // Paired, by division and by reciprocal, out of a pool
-                    // whose buffers hold the last round.
-                    for tile in [box_blur_tile::<false>, box_blur_tile::<true>] {
-                        let (pa, pb) = box_blur_f32_pair(a, b, radius, &mut scratch, tile);
-                        assert_eq!(bits(&pa), bits(&expected.0), "pair.0 {case}");
-                        assert_eq!(bits(&pb), bits(&expected.1), "pair.1 {case}");
-                        scratch.recycle_image_f32(pa);
-                        scratch.recycle_image_f32(pb);
-                    }
+                    // Paired, out of a pool whose buffers hold the last round.
+                    let (pa, pb) = box_blur_f32_pair(a, b, radius, &mut scratch, box_blur_tile);
+                    assert_eq!(bits(&pa), bits(&expected.0), "pair.0 {case}");
+                    assert_eq!(bits(&pb), bits(&expected.1), "pair.1 {case}");
+                    scratch.recycle_image_f32(pa);
+                    scratch.recycle_image_f32(pb);
                 }
             }
         }
-    }
-
-    /// [`box_blur_rows`]'s reciprocal mean of one running sum.
-    fn reciprocal_mean(sum: f64, win: f64) -> f32 {
-        let q = sum * (1.0 / win);
-        (if near_f32_tie(q) { sum / win } else { q }) as f32
-    }
-
-    #[test]
-    fn reciprocal_means_round_like_the_divisions() {
-        let mut rng = ChaCha8Rng::seed_from_u64(36);
-        // Finite positive `f32`s whose successor is finite: subnormals, the
-        // binade edges, plane-like values and random bit patterns.
-        let fixed = [
-            1u32,
-            0x7f_ffff,
-            0x80_0000,
-            0x3f00_0000,
-            0x3f80_0000,
-            0x4282_0000,
-        ];
-        let random = (0..48).map(|_| rng.random_range(1u32..0x7f7f_ffff));
-        let values: Vec<f32> = fixed
-            .into_iter()
-            .chain(random)
-            .map(f32::from_bits)
-            .collect();
-        // Odd multiples of 2⁻¹⁵⁰ below 2⁻¹²⁶: the midpoints between `f32`
-        // subnormals.
-        let tiny = f64::from_bits((1023 - 150) << 52);
-        let odd = (0..32u64).chain((0..32).map(|_| rng.random_range(0..1 << 23)));
-        let subnormal_midpoints: Vec<f64> = odd.map(|k| (2 * k + 1) as f64 * tiny).collect();
-        let (mut counts, mut divided) = (0u64, 0u64);
-        for win in (3..=513u32).step_by(2) {
-            let win = f64::from(win);
-            let check = |sum: f64| {
-                for sum in [sum, -sum] {
-                    let want = ((sum / win) as f32).to_bits();
-                    let got = reciprocal_mean(sum, win).to_bits();
-                    assert_eq!(got, want, "sum {sum:e} ({:#x}), win {win}", sum.to_bits());
-                }
-            };
-            // Every count a 0/1 plane's window can hold.
-            for count in 0..=win as u32 {
-                check(f64::from(count));
-                counts += 1;
-                divided += near_f32_tie(f64::from(count) * (1.0 / win)) as u64;
-            }
-            // Means at and around `f32` values and the midpoints between them,
-            // within ±6 `f64` ulps of the sum.
-            let midpoints = values.iter().map(|&v| {
-                let next = f32::from_bits(v.to_bits() + 1);
-                (f64::from(v) + f64::from(next)) / 2.0
-            });
-            let means = values.iter().map(|&v| f64::from(v));
-            for mean in midpoints
-                .chain(means)
-                .chain(subnormal_midpoints.iter().copied())
-            {
-                let sum = mean * win;
-                for ulps in -6i64..=6 {
-                    check(f64::from_bits(sum.to_bits().wrapping_add_signed(ulps)));
-                }
-            }
-            for _ in 0..64 {
-                let scale = f64::from(rng.random_range(-160i32..130)).exp2();
-                check(rng.random::<f64>() * scale * win);
-            }
-        }
-        // On counts the fallback stays the exception it is meant to be.
-        assert!(
-            divided * 100 < counts,
-            "{divided} of {counts} counts divided"
-        );
     }
 
     #[test]
@@ -609,7 +513,7 @@ mod tests {
 
         let a = img.map(|v| v as f32 * 1.7 - 3.0);
         let b = Image::from_fn(side, side, 1, |_, _| vec![rng.random::<f32>()]);
-        let (pa, pb) = box_blur_f32_pair(&a, &b, 9, &mut Scratch::new(), box_blur_tile::<false>);
+        let (pa, pb) = box_blur_f32_pair(&a, &b, 9, &mut Scratch::new(), box_blur_tile);
         assert_eq!(bits(&pa), bits(&box_blur_f32_columns(&a, 9)));
         assert_eq!(bits(&pb), bits(&box_blur_f32_columns(&b, 9)));
         assert_eq!(bits(&box_blur_f32(&a, 9)), bits(&pa));

@@ -177,8 +177,13 @@ pub(crate) fn dehaze_row_body(
             // Insignificant haze leaves the pixel alone.
             let keep = a < cfg.min_haze;
             let (a_255, a_inv) = (255.0 * a, 1.0 / (1.0 - a));
-            sub[3 * i..][..3].fill(if keep { 0.0 } else { a_255 });
-            inv[3 * i..][..3].fill(if keep { 1.0 } else { a_inv });
+            // Plain stores: through two `fill`s this loop compiled to
+            // scalar code in some builds of the benchmark (DESIGN.md §4.1).
+            let (s, v) = if keep { (0.0, 1.0) } else { (a_255, a_inv) };
+            for k in 3 * i..3 * i + 3 {
+                sub[k] = s;
+                inv[k] = v;
+            }
         }
         correct_strip(px, sub, inv);
     }

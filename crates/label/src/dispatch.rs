@@ -3,12 +3,10 @@
 //! the tile paths of its median and box blur (`seaice_imgproc::filter`).
 //! Each front calls its `#[inline(always)]` body compiled again inside an
 //! AVX-512F or an AVX2 twin when the CPU has the feature, and the body
-//! itself otherwise (the blur's twins run its reciprocal instance, which
-//! rounds to the same means). Every lane is a different pixel or sample,
-//! so all three compute the same bits. Calling a `#[target_feature]`
-//! function is `unsafe` for the feature precondition alone: no intrinsics,
-//! no raw pointers (`avx512f` implies `fma` in LLVM, and Rust never
-//! contracts).
+//! itself otherwise. Every lane is a different pixel or sample, so all
+//! three compute the same bits. Calling a `#[target_feature]` function is
+//! `unsafe` for the feature precondition alone: no intrinsics, no raw
+//! pointers (`avx512f` implies `fma` in LLVM, and Rust never contracts).
 //! Explicit twins with explicit arguments, as in `nn::ops::dispatch`: a
 //! closure handed to a generic shim can stay a baseline function.
 
@@ -19,21 +17,17 @@ use seaice_imgproc::buffer::Image;
 use seaice_imgproc::filter::{box_blur_tile, median3x3_tile};
 
 macro_rules! twins {
-    ($front:ident = $body:ident: $($rest:tt)*) => {
-        twins!($front = $body, $body: $($rest)*);
-    };
-    ($front:ident = $body:path, $wide:path: $avx2:ident, $avx512:ident;
-        $($arg:ident: $ty:ty),* $(,)?) => {
+    ($front:ident = $body:ident: $avx2:ident, $avx512:ident; $($arg:ident: $ty:ty),* $(,)?) => {
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = "avx2")]
         fn $avx2($($arg: $ty),*) {
-            $wide($($arg),*)
+            $body($($arg),*)
         }
 
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = "avx512f")]
         fn $avx512($($arg: $ty),*) {
-            $wide($($arg),*)
+            $body($($arg),*)
         }
 
         pub(crate) fn $front($($arg: $ty),*) {
@@ -63,7 +57,7 @@ twins!(deshadow_row = deshadow_row_body: deshadow_row_avx2, deshadow_row_avx512;
     sg_row: &mut [f32], px_row: &mut [u8], blurred_gw: &[f32], own_g: &[f32], own_gw: &[f32]);
 twins!(median_tile = median3x3_tile: median_tile_avx2, median_tile_avx512;
     src: &Image<u8>, out: &mut [u8]);
-twins!(blur_tile = box_blur_tile::<false>, box_blur_tile::<true>: blur_tile_avx2, blur_tile_avx512;
+twins!(blur_tile = box_blur_tile: blur_tile_avx2, blur_tile_avx512;
     src: &[f32], tmp: &mut [f32], out: &mut [f32], dims: (usize, usize), radius: usize);
 
 // The twins exist on x86_64 only.
@@ -261,8 +255,7 @@ mod tests {
     /// Every AVX2 and AVX-512F twin of the median and blur tile paths this
     /// host can run equals its baseline body byte for byte: medians whose
     /// interiors straddle the 64-sample runs, and blurs of continuous, 0/1
-    /// and mostly-zero planes at heights around the 16-row blocks (the
-    /// blur twins take their means by reciprocal, the body by division).
+    /// and mostly-zero planes at heights around the 16-row blocks.
     #[test]
     fn median_and_blur_twins_equal_their_baseline_bodies_bit_for_bit() {
         let twins = runnable();
@@ -299,7 +292,7 @@ mod tests {
                 .collect();
             for radius in [1, 2, 7, 32, w.max(h)] {
                 let (mut tmp, mut want) = (vec![0.0; w * h], vec![0.0; w * h]);
-                box_blur_tile::<false>(&src, &mut tmp, &mut want, (w, h), radius);
+                box_blur_tile(&src, &mut tmp, &mut want, (w, h), radius);
                 for &(l, isa) in &twins {
                     let case = format!("{isa} blur twin, {w}x{h}, plane {kind}, r{radius}");
                     let (mut tmp, mut got) = (vec![f32::NAN; w * h], vec![f32::NAN; w * h]);
