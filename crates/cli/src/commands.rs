@@ -4,8 +4,8 @@
 use crate::args::{ArgError, Parsed};
 use seaice_core::adapters::{tile_to_sample, InputVariant, LabelSource};
 use seaice_core::analysis::{detect_leads, ice_concentration, LeadConfig};
-use seaice_core::{classify_scene_parallel, WorkflowConfig};
-use seaice_imgproc::buffer::Image;
+use seaice_core::inference::tile_grid;
+use seaice_core::{classify_scene_parallel, classify_scene_with, restore_backend, WorkflowConfig};
 use seaice_imgproc::io::{read_ppm, write_ppm};
 use seaice_label::autolabel::{auto_label, AutoLabelConfig};
 use seaice_label::calibrate::calibrate;
@@ -264,7 +264,8 @@ fn run_train(p: &mut Parsed) -> Result<String, CliError> {
 
     let mut cfg = WorkflowConfig::scaled(scenes, scene_size, tile, epochs);
     cfg.dataset.seed = seed;
-    cfg.unet.assert_input_side(tile);
+    cfg.unet.check_input_side(tile).map_err(CliError::Msg)?;
+    tile_grid(scene_size, scene_size, tile).map_err(CliError::Msg)?;
     let dataset = Dataset::build(cfg.dataset.clone());
     let samples: Vec<_> = dataset
         .train
@@ -331,9 +332,10 @@ fn classify(p: &mut Parsed) -> Result<String, CliError> {
     let tile = p.get_or("tile", 32usize)?;
     let filter = !p.flag("no-filter");
     let backend = backend_from(p)?;
+    let ckpt = read_checkpoint(&model_path)?;
+    tile_grid(input.width(), input.height(), tile).map_err(CliError::Msg)?;
 
     let result = if p.flag("engine") {
-        let ckpt = read_checkpoint(&model_path)?;
         let mut cfg = EngineConfig::for_tile(tile);
         cfg.filter = filter;
         cfg.workers = p.get_or("workers", cfg.workers)?;
@@ -342,19 +344,18 @@ fn classify(p: &mut Parsed) -> Result<String, CliError> {
         let engine = Engine::new(&ckpt, cfg).map_err(|e| CliError::Msg(e.to_string()))?;
         // seaice-lint: allow(transitive-wallclock) reason="engine-backed classify reaches the serve admission clock; mask bytes stay deterministic, only latency stats carry wall time"
         classify_scene_engine(&engine, &input).map_err(|e| CliError::Msg(e.to_string()))?
-    } else if p.flag("parallel") {
-        if backend != InferBackend::F32 {
-            return Err(CliError::Msg(
-                "--parallel only supports the f32 backend; use --engine for int8".into(),
-            ));
-        }
-        let ckpt = read_checkpoint(&model_path)?;
-        classify_scene_parallel(&ckpt, &input, tile, filter)
+    } else if p.flag("parallel") && backend != InferBackend::F32 {
+        return Err(CliError::Msg(
+            "--parallel only supports the f32 backend; use --engine for int8".into(),
+        ));
     } else {
-        let ckpt = read_checkpoint(&model_path)?;
-        let mut model =
-            seaice_core::restore_backend(&ckpt, backend, tile).map_err(CliError::Msg)?;
-        seaice_core::classify_scene_with(&mut model, &input, tile, filter)
+        // The side and payload checks the engine makes in its constructor.
+        let mut model = restore_backend(&ckpt, backend, tile).map_err(CliError::Msg)?;
+        if p.flag("parallel") {
+            classify_scene_parallel(&ckpt, &input, tile, filter)
+        } else {
+            classify_scene_with(&mut model, &input, tile, filter)
+        }
     };
     write_ppm(&out_path, &result.color)?;
     Ok(format!(
@@ -461,6 +462,7 @@ fn stream(p: &mut Parsed) -> Result<String, CliError> {
     cfg.seed = p.get_or("seed", cfg.seed)?;
     cfg.workers = p.get_or("workers", cfg.workers)?;
     cfg.epochs = p.get_or("epochs", cfg.epochs)?;
+    tile_grid(cfg.scene_side, cfg.scene_side, cfg.tile).map_err(CliError::Msg)?;
 
     let ckpt = seaice_core::train_stream_model(&cfg);
     let out = seaice_core::run_stream(
@@ -556,11 +558,6 @@ fn analyze(p: &mut Parsed) -> Result<String, CliError> {
         ));
     }
     Ok(s)
-}
-
-/// An `Image<u8>` convenience used by tests.
-pub fn image_side(img: &Image<u8>) -> usize {
-    img.width().min(img.height())
 }
 
 #[cfg(test)]
@@ -723,6 +720,40 @@ mod tests {
         assert!(msg.contains("changed"), "{msg}");
         assert!(msg.contains("changedetect"), "{msg}");
         assert!(msg.contains("bottleneck makespan"), "{msg}");
+    }
+
+    #[test]
+    fn bad_outside_input_is_an_error_not_a_panic() {
+        let [model, scene, small, out] =
+            ["model.json", "scene.ppm", "small.ppm", "out.ppm"].map(|f| tmp(&format!("bad-{f}")));
+        // An untrained depth-2 model: it takes sides that are multiples of 4.
+        let mut unet = UNet::new(WorkflowConfig::scaled(1, 64, 32, 1).unet);
+        checkpoint::save(&mut unet, &model).unwrap();
+        run(parse(&format!("synth --out {scene} --side 64 --seed 2"))).unwrap();
+        run(parse(&format!("synth --out {small} --side 24 --seed 2"))).unwrap();
+
+        let side = "input side 30 must be a positive multiple of 4";
+        let small_scene = "smaller than";
+        let mut cases = vec![
+            (format!("train --model {model} --scenes 1 --tile 30"), side),
+            (
+                format!("train --model {model} --scene-size 16 --tile 32"),
+                small_scene,
+            ),
+            ("stream --tile 64 --scene-size 48".to_string(), small_scene),
+        ];
+        for path in ["", "--backend int8", "--parallel", "--engine"] {
+            let classify = format!("classify --model {model} --out {out} {path}");
+            cases.push((format!("{classify} --in {scene} --tile 30"), side));
+            cases.push((format!("{classify} --in {small} --tile 32"), small_scene));
+        }
+        for (line, want) in cases {
+            let err = run(parse(&line)).unwrap_err().to_string();
+            assert!(err.contains(want), "`{line}`: {err}");
+        }
+        for f in [model, scene, small, out] {
+            std::fs::remove_file(f).ok();
+        }
     }
 
     #[test]

@@ -1,15 +1,18 @@
 //! The inference workflow (Fig. 9): acquire a large scene, split it into
 //! model-sized tiles, filter thin clouds and shadows, run the U-Net per
 //! tile, and stitch the per-tile predictions back into a full-scene
-//! sea-ice map.
+//! sea-ice map. Every scene path, the serving engine's included, shares
+//! [`tile_grid`], [`stage_tile`] and [`SceneClassification::stitch`].
 
-use crate::adapters::{image_to_chw, image_to_chw_into, mask_to_image};
+use crate::adapters::{image_to_chw_into, mask_to_image};
+use crate::backend::ModelSource;
 use seaice_exec::par;
 use seaice_imgproc::buffer::{Image, Scratch};
 use seaice_label::cloudshadow::{CloudShadowFilter, FilterConfig};
 use seaice_nn::Tensor;
 use seaice_s2::tiler::{stitch_tiles, tile_anchors};
 use seaice_unet::{TileClassifier, UNet};
+use std::sync::Arc;
 
 /// Full-scene classification output.
 #[derive(Clone, Debug)]
@@ -20,6 +23,96 @@ pub struct SceneClassification {
     pub color: Image<u8>,
     /// Per-class pixel fractions `(thick, thin, water)`.
     pub fractions: (f64, f64, f64),
+}
+
+impl SceneClassification {
+    /// Stitches per-tile masks anchored at `(x0, y0)` into a `w × h` scene.
+    ///
+    /// # Panics
+    /// Panics if a tile does not fit inside the scene.
+    pub fn stitch(pieces: &[(usize, usize, Image<u8>)], w: usize, h: usize) -> Self {
+        let mask = stitch_tiles(pieces, w, h, 1);
+        SceneClassification {
+            color: mask_to_image(&mask),
+            fractions: seaice_s2::synth::class_fractions(&mask),
+            mask,
+        }
+    }
+}
+
+/// The row-major tile anchors `(x0, y0)` covering a `w × h` scene; edge
+/// regions that don't fill a whole tile get a tile anchored at the border.
+///
+/// # Errors
+/// A scene smaller than one tile.
+pub fn tile_grid(w: usize, h: usize, tile: usize) -> Result<Vec<(usize, usize)>, String> {
+    if tile == 0 || w < tile || h < tile {
+        return Err(format!("scene {w}x{h} smaller than a {tile}² tile"));
+    }
+    let (xs, mut grid) = (tile_anchors(w, tile), Vec::new());
+    for y0 in tile_anchors(h, tile) {
+        grid.extend(xs.iter().map(|&x0| (x0, y0)));
+    }
+    Ok(grid)
+}
+
+/// Stages one tile as model input: the pre-filter when one is given, then
+/// CHW planes into `chw` (which may be one item of an NCHW batch).
+///
+/// # Panics
+/// Panics if the tile is not RGB or `chw` is not `3·h·w` long.
+pub fn stage_tile(
+    tile: &Image<u8>,
+    filter: Option<&CloudShadowFilter>,
+    scratch: &mut Scratch,
+    chw: &mut [f32],
+) {
+    match filter {
+        Some(f) => {
+            let filtered = f.apply_keep_filtered(tile, scratch);
+            image_to_chw_into(&filtered, chw);
+            scratch.recycle_image(filtered);
+        }
+        None => image_to_chw_into(tile, chw),
+    }
+}
+
+/// One worker's reused tile-loop buffers: the filter's planes, the input
+/// tensor's storage (reclaimed after each forward) and the predictions.
+#[derive(Default)]
+struct TileLoop {
+    scratch: Scratch,
+    chw: Vec<f32>,
+    preds: Vec<u8>,
+}
+
+impl TileLoop {
+    /// Crops, stages and classifies the `tile`² tile anchored at `(x0, y0)`.
+    fn classify(
+        &mut self,
+        model: &mut impl TileClassifier,
+        scene_rgb: &Image<u8>,
+        (x0, y0): (usize, usize),
+        tile: usize,
+        filter: Option<&CloudShadowFilter>,
+    ) -> (usize, usize, Image<u8>) {
+        self.chw.resize(3 * tile * tile, 0.0);
+        let crop = scene_rgb.crop(x0, y0, tile, tile);
+        stage_tile(&crop, filter, &mut self.scratch, &mut self.chw);
+        let x = Tensor::from_vec(&[1, 3, tile, tile], std::mem::take(&mut self.chw));
+        model.predict_into(&x, &mut self.preds);
+        self.chw = x.into_vec();
+        (x0, y0, Image::from_vec(tile, tile, 1, self.preds.clone()))
+    }
+}
+
+/// [`tile_grid`] of an image, for callers that return no `Result`.
+///
+/// # Panics
+/// Panics if the image is smaller than a tile.
+pub(crate) fn grid(image: &Image<u8>, tile: usize) -> Vec<(usize, usize)> {
+    // seaice-lint: allow(panic-in-library) reason="the documented panic of classify_scene* and train_stream_model; tile_grid is the fallible check"
+    tile_grid(image.width(), image.height(), tile).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Classifies a large scene with a trained model.
@@ -58,56 +151,23 @@ pub fn classify_scene_with<M: TileClassifier>(
     tile_size: usize,
     filter: bool,
 ) -> SceneClassification {
-    let (w, h) = scene_rgb.dimensions();
-    assert!(
-        w >= tile_size && h >= tile_size,
-        "scene smaller than a tile"
-    );
+    let grid = grid(scene_rgb, tile_size);
     model.config().assert_input_side(tile_size);
-    let filter_impl = filter.then(|| CloudShadowFilter::new(FilterConfig::for_tile(tile_size)));
-
-    // One input tensor buffer for the whole anchor loop: each tile is
-    // converted in place and the allocation is reclaimed from the tensor
-    // after the forward pass.
-    let mut chw = vec![0f32; 3 * tile_size * tile_size];
-    let mut scratch = Scratch::new();
-    let mut preds = Vec::new();
-    let mut pieces = Vec::new();
-    for &y0 in &tile_anchors(h, tile_size) {
-        for &x0 in &tile_anchors(w, tile_size) {
-            let tile = scene_rgb.crop(x0, y0, tile_size, tile_size);
-            let input = match &filter_impl {
-                Some(f) => f.apply_keep_filtered(&tile, &mut scratch),
-                None => tile,
-            };
-            image_to_chw_into(&input, &mut chw);
-            scratch.recycle_image(input);
-            let x = Tensor::from_vec(&[1, 3, tile_size, tile_size], std::mem::take(&mut chw));
-            model.predict_into(&x, &mut preds);
-            chw = x.into_vec();
-            pieces.push((
-                x0,
-                y0,
-                Image::from_vec(tile_size, tile_size, 1, preds.clone()),
-            ));
-        }
-    }
-    let mask = stitch_tiles(&pieces, w, h, 1);
-    let color = mask_to_image(&mask);
-    let fractions = seaice_s2::synth::class_fractions(&mask);
-    SceneClassification {
-        mask,
-        color,
-        fractions,
-    }
+    let filter = filter.then(|| CloudShadowFilter::new(FilterConfig::for_tile(tile_size)));
+    let mut tiles = TileLoop::default();
+    let pieces: Vec<_> = grid
+        .into_iter()
+        .map(|xy| tiles.classify(model, scene_rgb, xy, tile_size, filter.as_ref()))
+        .collect();
+    SceneClassification::stitch(&pieces, scene_rgb.width(), scene_rgb.height())
 }
 
 /// Parallel variant of [`classify_scene`] — the paper's future-work item
 /// of scaling *inference* over very large datasets. The tile grid is split
 /// into one contiguous block per core (`seaice_exec::par::map_init`; fewer
 /// than 256 tiles, or one core, run on the calling thread), and each block
-/// restores **one** model replica from the checkpoint and keeps it, with one
-/// `Scratch`, for all its tiles — a replica per worker, as Lunga et al. run
+/// loads **one** replica from a [`ModelSource`] and keeps it, with its
+/// buffers, for all its tiles — a replica per worker, as Lunga et al. run
 /// one per Spark executor, not a replica per tile. Inference is
 /// embarrassingly parallel; replicas never communicate.
 ///
@@ -121,48 +181,15 @@ pub fn classify_scene_parallel(
     tile_size: usize,
     filter: bool,
 ) -> SceneClassification {
-    let (w, h) = scene_rgb.dimensions();
-    assert!(
-        w >= tile_size && h >= tile_size,
-        "scene smaller than a tile"
-    );
+    let grid = grid(scene_rgb, tile_size);
     checkpoint.config.assert_input_side(tile_size);
-    let filter_impl = filter.then(|| CloudShadowFilter::new(FilterConfig::for_tile(tile_size)));
-
-    let grid: Vec<(usize, usize)> = tile_anchors(h, tile_size)
-        .into_iter()
-        .flat_map(|y0| {
-            tile_anchors(w, tile_size)
-                .into_iter()
-                .map(move |x0| (x0, y0))
-        })
-        .collect();
-
-    let pieces = par::map_init(
-        &grid,
-        || (seaice_unet::checkpoint::restore(checkpoint), Scratch::new()),
-        |(model, scratch), &(x0, y0)| {
-            let tile = scene_rgb.crop(x0, y0, tile_size, tile_size);
-            let input = match &filter_impl {
-                Some(f) => f.apply_keep_filtered(&tile, scratch),
-                None => tile,
-            };
-            let chw = image_to_chw(&input);
-            scratch.recycle_image(input);
-            let x = Tensor::from_vec(&[1, 3, tile_size, tile_size], chw);
-            let preds = model.predict(&x);
-            (x0, y0, Image::from_vec(tile_size, tile_size, 1, preds))
-        },
-    );
-
-    let mask = stitch_tiles(&pieces, w, h, 1);
-    let color = mask_to_image(&mask);
-    let fractions = seaice_s2::synth::class_fractions(&mask);
-    SceneClassification {
-        mask,
-        color,
-        fractions,
-    }
+    let source = ModelSource::F32(Arc::new(checkpoint.clone()));
+    let filter = filter.then(|| CloudShadowFilter::new(FilterConfig::for_tile(tile_size)));
+    let init = || (source.load(), TileLoop::default());
+    let pieces = par::map_init(&grid, init, |(model, tiles), &xy| {
+        tiles.classify(model, scene_rgb, xy, tile_size, filter.as_ref())
+    });
+    SceneClassification::stitch(&pieces, scene_rgb.width(), scene_rgb.height())
 }
 
 #[cfg(test)]

@@ -29,7 +29,9 @@ pub mod workflow;
 
 pub use adapters::{mask_to_image, predictions_to_mask, tile_to_sample, InputVariant, LabelSource};
 pub use analysis::{detect_leads, ice_concentration, IceConcentration, LeadAnalysis, LeadConfig};
-pub use backend::{default_calibration, restore_backend, LoadedModel, CALIBRATION_SEED};
+pub use backend::{
+    default_calibration, restore_backend, LoadedModel, ModelSource, CALIBRATION_SEED,
+};
 pub use change::{ChangeDetector, ChangeSnapshot, DriftPoint, DriftSeries, TileObs};
 pub use config::WorkflowConfig;
 pub use inference::{

@@ -5,9 +5,9 @@
 //! *continuous* revisit feed. [`Catalog::revisit_stream`] emits scenes
 //! for several monitored regions at a fixed cadence (with the ice
 //! genuinely translating between revisits), the tile stage cuts each
-//! scene along [`tile_anchors`], the label and infer stages classify
-//! every tile twice (HSV auto-label + U-Net), and the sink folds the
-//! pairs into a per-region [`DriftSeries`].
+//! scene along [`tile_grid`](crate::inference::tile_grid), the label and
+//! infer stages classify every tile twice (HSV auto-label + U-Net), and
+//! the sink folds the pairs into a per-region [`DriftSeries`].
 //!
 //! Determinism contract (pinned by tier-1 tests and `reproduce stream`):
 //! the drift series is a pure function of `(StreamWorkflowConfig,
@@ -18,8 +18,10 @@
 //! timeline; the label cost is the paper's 390 s / 4224 tiles, the rest
 //! are calibrated ballpark figures, all deterministic.
 
-use crate::adapters::image_to_chw;
+use crate::adapters::{image_to_chw, image_to_chw_into};
+use crate::backend::{LoadedModel, ModelSource};
 use crate::change::{ChangeDetector, ChangeSnapshot, DriftSeries, TileObs};
+use crate::inference::grid;
 use seaice_faults::FaultPlan;
 use seaice_imgproc::buffer::{Image, Scratch};
 use seaice_label::autolabel::{auto_label_class_mask, AutoLabelConfig};
@@ -29,12 +31,12 @@ use seaice_obs::json::{self, Obj};
 use seaice_obs::lock;
 use seaice_s2::catalog::{Catalog, RevisitPlan, RevisitSceneMeta};
 use seaice_s2::synth::SceneConfig;
-use seaice_s2::tiler::tile_anchors;
 use seaice_stream::{source, StageOptions, StreamError, StreamPolicy, StreamReport};
 use seaice_unet::checkpoint::{self, Checkpoint};
 use seaice_unet::config::UNetConfig;
 use seaice_unet::model::UNet;
 use seaice_unet::train::{train, TrainConfig};
+use seaice_unet::TileClassifier;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -130,18 +132,16 @@ pub fn train_stream_model(cfg: &StreamWorkflowConfig) -> Checkpoint {
     let label_cfg = AutoLabelConfig::filtered_for_tile(cfg.tile);
     let mut scratch = Scratch::new();
     let mut samples = Vec::new();
-    for &y0 in &tile_anchors(window.rgb.height(), cfg.tile) {
-        for &x0 in &tile_anchors(window.rgb.width(), cfg.tile) {
-            let rgb = window.rgb.crop(x0, y0, cfg.tile, cfg.tile);
-            let mask = auto_label_class_mask(&rgb, &label_cfg, &mut scratch);
-            samples.push(seaice_nn::dataloader::Sample {
-                image: image_to_chw(&rgb),
-                mask: mask.into_vec(),
-                channels: 3,
-                height: cfg.tile,
-                width: cfg.tile,
-            });
-        }
+    for (x0, y0) in grid(&window.rgb, cfg.tile) {
+        let rgb = window.rgb.crop(x0, y0, cfg.tile, cfg.tile);
+        let mask = auto_label_class_mask(&rgb, &label_cfg, &mut scratch);
+        samples.push(seaice_nn::dataloader::Sample {
+            image: image_to_chw(&rgb),
+            mask: mask.into_vec(),
+            channels: 3,
+            height: cfg.tile,
+            width: cfg.tile,
+        });
     }
     let loader = seaice_nn::dataloader::DataLoader::new(samples, 8, Some(cfg.seed));
     let mut model = UNet::new(UNetConfig {
@@ -171,19 +171,10 @@ struct SceneItem {
     rgb: Image<u8>,
 }
 
-/// A tile flowing from the tiler into the labeler.
+/// A tile flowing from the tiler into the labeler (`label` empty), and
+/// from the labeler into inference.
 #[derive(Clone)]
 struct TileItem {
-    region: String,
-    revisit: u32,
-    day: u32,
-    tile_index: u32,
-    rgb: Image<u8>,
-}
-
-/// A labeled tile flowing into inference.
-#[derive(Clone)]
-struct LabeledTile {
     region: String,
     revisit: u32,
     day: u32,
@@ -233,7 +224,6 @@ fn run_stream_segment(
     detector: ChangeDetector,
 ) -> Result<(ChangeDetector, StreamReport), StreamError> {
     let tile = cfg.tile;
-    let side = cfg.scene_side;
     let workers = cfg.workers.max(1);
 
     // The source owns a per-region window cache: each region's wide
@@ -261,17 +251,15 @@ fn run_stream_segment(
 
     let label_cfg = AutoLabelConfig::filtered_for_tile(tile);
 
-    // One U-Net replica per infer worker, all restored from the same
-    // checkpoint, checked out per attempt.
-    let replicas: Vec<UNet> = (0..workers).map(|_| checkpoint::restore(ckpt)).collect();
+    // One replica (and input buffer) per infer worker, checked out per
+    // attempt; one lost to a panicking attempt is loaded afresh.
+    let models = ModelSource::F32(Arc::new(ckpt.clone()));
+    let replicas: Vec<(LoadedModel, Vec<f32>)> =
+        (0..workers).map(|_| (models.load(), Vec::new())).collect();
     let pool = Arc::new(Mutex::new(replicas));
-    let ckpt_fallback = ckpt.clone();
 
     let detector = Arc::new(Mutex::new(detector));
     let sink_det = Arc::clone(&detector);
-
-    let anchors = tile_anchors(side, tile);
-    let nx = anchors.len() as u32;
 
     let report = source(policy, "catalog", source_iter)
         .with_source_cost(SIM_FETCH_SECS)
@@ -279,19 +267,17 @@ fn run_stream_segment(
             "tile",
             StageOptions::workers(workers.div_ceil(2)).with_cost_secs(SIM_TILE_SECS),
             move |s: SceneItem| {
-                let mut out = Vec::new();
-                for (yi, &y0) in tile_anchors(s.rgb.height(), tile).iter().enumerate() {
-                    for (xi, &x0) in tile_anchors(s.rgb.width(), tile).iter().enumerate() {
-                        out.push(TileItem {
-                            region: s.region.clone(),
-                            revisit: s.revisit,
-                            day: s.day,
-                            tile_index: yi as u32 * nx + xi as u32,
-                            rgb: s.rgb.crop(x0, y0, tile, tile),
-                        });
-                    }
-                }
-                out
+                let tiles = grid(&s.rgb, tile).into_iter().enumerate();
+                tiles
+                    .map(|(i, (x0, y0))| TileItem {
+                        region: s.region.clone(),
+                        revisit: s.revisit,
+                        day: s.day,
+                        tile_index: i as u32,
+                        rgb: s.rgb.crop(x0, y0, tile, tile),
+                        label: Vec::new(),
+                    })
+                    .collect()
             },
         )
         .transform(
@@ -305,26 +291,25 @@ fn run_stream_segment(
                 }
                 let mask = SCRATCH
                     .with(|s| auto_label_class_mask(&t.rgb, &label_cfg, &mut s.borrow_mut()));
-                vec![LabeledTile {
-                    region: t.region,
-                    revisit: t.revisit,
-                    day: t.day,
-                    tile_index: t.tile_index,
-                    rgb: t.rgb,
+                vec![TileItem {
                     label: mask.into_vec(),
+                    ..t
                 }]
             },
         )
         .transform(
             "infer",
             StageOptions::workers(workers).with_cost_secs(SIM_INFER_SECS),
-            move |t: LabeledTile| {
-                let mut model = lock(&pool)
-                    .pop()
-                    .unwrap_or_else(|| checkpoint::restore(&ckpt_fallback));
-                let x = Tensor::from_vec(&[1, 3, tile, tile], image_to_chw(&t.rgb));
-                let pred = model.predict(&x);
-                lock(&pool).push(model);
+            move |t: TileItem| {
+                let checked_out = lock(&pool).pop();
+                let (mut model, mut chw) =
+                    checked_out.unwrap_or_else(|| (models.load(), Vec::new()));
+                chw.resize(3 * tile * tile, 0.0);
+                image_to_chw_into(&t.rgb, &mut chw);
+                let x = Tensor::from_vec(&[1, 3, tile, tile], chw);
+                let mut pred = Vec::new();
+                model.predict_into(&x, &mut pred);
+                lock(&pool).push((model, x.into_vec()));
                 vec![TileObs {
                     region: t.region,
                     revisit: t.revisit,

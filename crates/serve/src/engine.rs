@@ -9,17 +9,16 @@
 //!        BoundedQueue (capacity K; full ⇒ Overloaded)
 //!                │  pop_batch(max_batch, max_wait)
 //!                ▼
-//!     worker 0..W  (one UNet replica each, reusable NCHW buffers)
+//!     worker 0..W  (one replica each, reusable NCHW buffers)
 //!                │  predict_into([n,3,s,s])  — supervised: a panicking
-//!                │  replica is rebuilt from the checkpoint and the batch
-//!                │  retried, so accepted requests are never lost
+//!                │  replica is reloaded from the model source and the
+//!                │  batch retried, so accepted requests are never lost
 //!                ▼
 //!        per-request ticket + cache insert + latency record
 //! ```
 //!
-//! Every worker restores its replica from the same
-//! [`Checkpoint`](seaice_unet::checkpoint::Checkpoint), and every op in
-//! the network treats batch items independently, so a tile's mask is
+//! Every worker loads its replica from one [`ModelSource`], and every op
+//! in the network treats batch items independently, so a tile's mask is
 //! bit-identical whether it was served alone, in a batch of any size, by
 //! a freshly restarted replica, or by `core::classify_scene` — the
 //! property `tests/parallel_consistency.rs` pins.
@@ -32,7 +31,8 @@
 
 use crate::cache::{tile_key, LruCache};
 use crate::queue::{BoundedQueue, QueueError};
-use seaice_core::adapters::image_to_chw_into;
+use seaice_core::inference::stage_tile;
+use seaice_core::ModelSource;
 use seaice_exec::{attempt, lock, Pool};
 use seaice_faults::FaultPlan;
 use seaice_imgproc::buffer::{Image, Scratch};
@@ -41,14 +41,14 @@ use seaice_nn::Tensor;
 use seaice_obs::json::{escape, fmt_f64, push_array};
 use seaice_obs::latency::{BucketCount, LatencyHistogram, LatencySnapshot};
 use seaice_unet::checkpoint::Checkpoint;
-use seaice_unet::{InferBackend, QuantizedUNet, UNet};
+use seaice_unet::{InferBackend, TileClassifier};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// How many times a worker may retry one batch (restoring a fresh replica
+/// How many times a worker may retry one batch (loading a fresh replica
 /// before each retry) before answering `Internal`.
 const MAX_BATCH_ATTEMPTS: u64 = 3;
 
@@ -79,8 +79,8 @@ pub struct EngineConfig {
     pub deadline: Option<Duration>,
     /// Which forward implementation the replicas run. `Int8` quantizes
     /// the checkpoint once at engine construction (calibrated on
-    /// `seaice_core`'s held-out set) and every replica shares the frozen
-    /// int8 network.
+    /// `seaice_core`'s held-out set) and every replica is a clone of that
+    /// frozen int8 network.
     pub backend: InferBackend,
     /// Worker restarts at or past this count flip `/healthz` to
     /// `degraded` (still HTTP 200 — the engine answers, but an operator
@@ -150,41 +150,6 @@ impl From<QueueError> for ServeError {
         match e {
             QueueError::Overloaded => ServeError::Overloaded,
             QueueError::Closed => ServeError::Closed,
-        }
-    }
-}
-
-/// What a worker needs to (re)build its replica: the f32 checkpoint, or
-/// the int8 network quantized once at engine construction (quantization
-/// is deterministic, so a rebuilt int8 replica is the clone — not merely
-/// an equivalent — of the crashed one).
-enum ReplicaSpec {
-    F32(Arc<Checkpoint>),
-    Int8(Arc<QuantizedUNet>),
-}
-
-impl ReplicaSpec {
-    fn build(&self) -> Replica {
-        match self {
-            ReplicaSpec::F32(ckpt) => {
-                Replica::F32(Box::new(seaice_unet::checkpoint::restore(ckpt)))
-            }
-            ReplicaSpec::Int8(q) => Replica::Int8(Box::new(QuantizedUNet::clone(q))),
-        }
-    }
-}
-
-/// One worker's model instance on the engine's configured backend.
-enum Replica {
-    F32(Box<UNet>),
-    Int8(Box<QuantizedUNet>),
-}
-
-impl Replica {
-    fn predict_into(&mut self, x: &Tensor, out: &mut Vec<u8>) {
-        match self {
-            Replica::F32(m) => m.predict_into(x, out),
-            Replica::Int8(m) => m.predict_into(x, out),
         }
     }
 }
@@ -263,7 +228,7 @@ struct StatsInner {
 /// Fault-tolerance counters: the `/stats` robustness section.
 #[derive(Clone, Debug)]
 pub struct RobustnessSnapshot {
-    /// Replicas rebuilt from the checkpoint after a worker panic.
+    /// Replicas reloaded from the model source after a worker panic.
     pub worker_restarts: u64,
     /// Batches re-run on a fresh replica after a panic.
     pub batch_retries: u64,
@@ -399,14 +364,14 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Spawns the worker pool, each worker restoring a replica from
-    /// `ckpt`. Fault injection is disabled; see
-    /// [`with_faults`](Engine::with_faults).
+    /// Spawns the worker pool, each worker loading a replica from one
+    /// [`ModelSource`] of `ckpt` on the configured backend. Fault
+    /// injection is disabled; see [`with_faults`](Engine::with_faults).
     ///
     /// # Errors
     /// [`ServeError::BadConfig`] when the config is degenerate (zero
-    /// workers/batch/queue) or `tile_size` is incompatible with the
-    /// checkpointed architecture.
+    /// workers/batch/queue), `tile_size` is incompatible with the
+    /// checkpointed architecture, or the checkpoint does not restore.
     pub fn new(ckpt: &Checkpoint, cfg: EngineConfig) -> Result<Self, ServeError> {
         Self::with_faults(ckpt, cfg, Arc::new(FaultPlan::disabled()))
     }
@@ -422,42 +387,24 @@ impl Engine {
         cfg: EngineConfig,
         faults: Arc<FaultPlan>,
     ) -> Result<Self, ServeError> {
-        if cfg.workers == 0 {
-            return Err(ServeError::BadConfig(
-                "engine needs at least one worker (got 0)".into(),
-            ));
+        for (count, what) in [
+            (cfg.workers, "engine needs at least one worker"),
+            (cfg.max_batch_size, "max batch size must be at least 1"),
+            (cfg.queue_capacity, "queue capacity must be at least 1"),
+        ] {
+            if count == 0 {
+                return Err(ServeError::BadConfig(format!("{what} (got 0)")));
+            }
         }
-        if cfg.max_batch_size == 0 {
-            return Err(ServeError::BadConfig(
-                "max batch size must be at least 1 (got 0)".into(),
-            ));
-        }
-        if cfg.queue_capacity == 0 {
-            return Err(ServeError::BadConfig(
-                "queue capacity must be at least 1 (got 0)".into(),
-            ));
-        }
-        ckpt.config.check_input_side(cfg.tile_size).map_err(|e| {
-            ServeError::BadConfig(format!("tile size incompatible with checkpoint: {e}"))
-        })?;
+        // Workers keep the source to reload a panicking replica in place.
+        let source = Arc::new(
+            ModelSource::new(ckpt, cfg.backend, cfg.tile_size).map_err(ServeError::BadConfig)?,
+        );
 
         let queue = Arc::new(BoundedQueue::new(cfg.queue_capacity));
         let cache = Arc::new(Mutex::new(LruCache::new(cfg.cache_capacity)));
         let stats = Arc::new(StatsInner::default());
         let obs = Arc::new(EngineObs::capture());
-        // Workers keep the replica spec (checkpoint, or the once-quantized
-        // int8 network) so a panicking replica can be rebuilt in place.
-        let spec = Arc::new(match cfg.backend {
-            InferBackend::F32 => ReplicaSpec::F32(Arc::new(ckpt.clone())),
-            InferBackend::Int8 => {
-                let calib = seaice_core::default_calibration(cfg.tile_size)
-                    .map_err(|e| ServeError::BadConfig(format!("int8 calibration set: {e}")))?;
-                let q = seaice_unet::checkpoint::try_restore_quantized(ckpt, &calib)
-                    .map_err(|e| ServeError::BadConfig(format!("int8 quantization: {e}")))?;
-                ReplicaSpec::Int8(Arc::new(q))
-            }
-        });
-
         let workers = {
             let (input, closer) = (Arc::clone(&queue), Arc::clone(&queue));
             let (cache, stats, obs) = (Arc::clone(&cache), Arc::clone(&stats), Arc::clone(&obs));
@@ -465,7 +412,7 @@ impl Engine {
                 cfg.workers,
                 |w| format!("seaice-serve-{w}"),
                 move || closer.close(),
-                move |_| worker_loop(&input, &cache, &stats, &spec, &faults, &obs, cfg),
+                move |_| worker_loop(&input, &cache, &stats, &source, &faults, &obs, cfg),
             )
             .map_err(|e| ServeError::Internal(format!("failed to spawn serve worker: {e}")))?
         };
@@ -668,6 +615,7 @@ impl Engine {
     /// `seaice_obs::enable_metrics()` ran before construction).
     pub fn metrics_prometheus(&self) -> String {
         let s = self.stats();
+        let r = &s.robustness;
         let mut out = String::new();
         let mut put = |name: &str, kind: &str, value: String| {
             out.push_str(&format!("# TYPE seaice_serve_{name} {kind}\n"));
@@ -681,27 +629,11 @@ impl Engine {
         put("cache_misses", "counter", s.cache_misses.to_string());
         put("cache_evictions", "counter", s.cache_evictions.to_string());
         put("cache_len", "gauge", s.cache_len.to_string());
-        put(
-            "shed_overload",
-            "counter",
-            s.robustness.shed_overload.to_string(),
-        );
-        put(
-            "shed_deadline",
-            "counter",
-            s.robustness.shed_deadline.to_string(),
-        );
+        put("shed_overload", "counter", r.shed_overload.to_string());
+        put("shed_deadline", "counter", r.shed_deadline.to_string());
         put("batches", "counter", s.batches.to_string());
-        put(
-            "worker_restarts",
-            "counter",
-            s.robustness.worker_restarts.to_string(),
-        );
-        put(
-            "batch_retries",
-            "counter",
-            s.robustness.batch_retries.to_string(),
-        );
+        put("worker_restarts", "counter", r.worker_restarts.to_string());
+        put("batch_retries", "counter", r.batch_retries.to_string());
         put("queue_depth", "gauge", s.queue_depth.to_string());
         put("uptime_seconds", "gauge", format!("{}", s.uptime_secs));
         put("throughput_rps", "gauge", format!("{}", s.throughput_rps));
@@ -760,46 +692,24 @@ enum Admitted {
     Miss(Request, Ticket),
 }
 
-/// Assembles the NCHW input planes for a batch into `input` (one
-/// `3·plane` slice per request, optionally pre-filtered).
-fn stage_inputs(
-    batch: &[Request],
-    filter: Option<&CloudShadowFilter>,
-    scratch: &mut Scratch,
-    plane: usize,
-    input: &mut [f32],
-) {
-    for (i, req) in batch.iter().enumerate() {
-        let dst = &mut input[i * 3 * plane..(i + 1) * 3 * plane];
-        match filter {
-            Some(f) => {
-                let filtered = f.apply_keep_filtered(&req.tile, scratch);
-                image_to_chw_into(&filtered, dst);
-                scratch.recycle_image(filtered);
-            }
-            None => image_to_chw_into(&req.tile, dst),
-        }
-    }
-}
-
 /// One worker: pop a micro-batch, shed anything past its deadline,
 /// assemble the NCHW tensor in a reused buffer, forward once (supervised:
-/// a panicking replica — injected fault or real bug — is rebuilt from the
-/// checkpoint and the batch retried), slice the masks back out, answer +
+/// a panicking replica — injected fault or real bug — is reloaded from the
+/// model source and the batch retried), slice the masks back out, answer +
 /// cache.
 fn worker_loop(
     queue: &BoundedQueue<Request>,
     cache: &Mutex<LruCache<Arc<Vec<u8>>>>,
     stats: &StatsInner,
-    spec: &ReplicaSpec,
+    source: &ModelSource,
     faults: &FaultPlan,
     obs: &EngineObs,
     cfg: EngineConfig,
 ) {
-    let mut model = spec.build();
+    let mut model = source.load();
     let s = cfg.tile_size;
     let plane = s * s;
-    let filter_impl = cfg
+    let filter = cfg
         .filter
         .then(|| CloudShadowFilter::new(FilterConfig::for_tile(s)));
     // Reusable forward buffers: the filter's planes, the NCHW input
@@ -809,24 +719,19 @@ fn worker_loop(
     let mut input: Vec<f32> = Vec::new();
     let mut preds: Vec<u8> = Vec::new();
 
-    while let Some(batch) = queue.pop_batch(cfg.max_batch_size, cfg.max_wait) {
+    while let Some(mut batch) = queue.pop_batch(cfg.max_batch_size, cfg.max_wait) {
         // Deadline check happens at dequeue: a request that aged out while
         // queued is shed with a distinct error instead of computed late.
-        let batch: Vec<Request> = match cfg.deadline {
-            Some(deadline) => batch
-                .into_iter()
-                .filter_map(|req| {
-                    if req.submitted.elapsed() > deadline {
-                        stats.shed_deadline.fetch_add(1, Ordering::Relaxed);
-                        req.tx.send(Err(ServeError::DeadlineExceeded)).ok();
-                        None
-                    } else {
-                        Some(req)
-                    }
-                })
-                .collect(),
-            None => batch,
-        };
+        if let Some(deadline) = cfg.deadline {
+            batch.retain(|req| {
+                let stale = req.submitted.elapsed() > deadline;
+                if stale {
+                    stats.shed_deadline.fetch_add(1, Ordering::Relaxed);
+                    req.tx.send(Err(ServeError::DeadlineExceeded)).ok();
+                }
+                !stale
+            });
+        }
         if batch.is_empty() {
             continue;
         }
@@ -851,25 +756,21 @@ fn worker_loop(
             .fetch_add(n as u64, Ordering::Relaxed);
         stats.max_batch_seen.fetch_max(n as u64, Ordering::Relaxed);
 
-        {
-            let _assemble = obs.tracer.span("serve.batch.assemble", "serve");
-            input.resize(n * 3 * plane, 0.0);
-            stage_inputs(
-                &batch,
-                filter_impl.as_ref(),
-                &mut scratch,
-                plane,
-                &mut input,
-            );
-        }
-
         // Supervised compute: a replica panic loses nothing — the worker
-        // restores a fresh replica from the checkpoint and re-runs the
-        // same batch (bit-identical answers, since every replica is the
-        // same weights). The attempt number feeds the injection key so a
-        // targeted fault fires once, not on every retry.
+        // loads a fresh replica from the source, stages the batch again
+        // (the unwound attempt consumed the input) and re-runs it
+        // (bit-identical answers, since every replica is the same weights).
+        // The attempt number feeds the injection key so a targeted fault
+        // fires once, not on every retry.
         let mut tries: u64 = 0;
         let computed = loop {
+            {
+                let _assemble = obs.tracer.span("serve.batch.assemble", "serve");
+                input.resize(n * 3 * plane, 0.0);
+                for (req, dst) in batch.iter().zip(input.chunks_exact_mut(3 * plane)) {
+                    stage_tile(&req.tile, filter.as_ref(), &mut scratch, dst);
+                }
+            }
             // The guard sits outside the attempt: an injected panic is
             // caught inside, so the forward span always closes.
             let _forward = obs.tracer.span("serve.batch.forward", "serve");
@@ -883,22 +784,12 @@ fn worker_loop(
                 Ok(()) => break true,
                 Err(_) => {
                     stats.worker_restarts.fetch_add(1, Ordering::Relaxed);
-                    model = spec.build();
+                    model = source.load();
                     tries += 1;
                     if tries >= MAX_BATCH_ATTEMPTS {
                         break false;
                     }
                     stats.batch_retries.fetch_add(1, Ordering::Relaxed);
-                    // The unwound attempt consumed the staged input;
-                    // rebuild it for the retry.
-                    input.resize(n * 3 * plane, 0.0);
-                    stage_inputs(
-                        &batch,
-                        filter_impl.as_ref(),
-                        &mut scratch,
-                        plane,
-                        &mut input,
-                    );
                 }
             }
         };

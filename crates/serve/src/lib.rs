@@ -12,8 +12,8 @@
 //! * [`cache`] — O(1) LRU prediction cache keyed by tile content hash:
 //!   repeat tiles (archive re-analysis, overlapping users, retries) skip
 //!   the forward pass entirely.
-//! * [`engine`] — the worker pool (a `seaice-exec` `Pool`): `W` U-Net
-//!   replicas restored from one checkpoint, each assembling NCHW
+//! * [`engine`] — the worker pool (a `seaice-exec` `Pool`): `W` replicas
+//!   loaded from one `seaice_core::ModelSource`, each assembling NCHW
 //!   micro-batches in reusable buffers under a `max_batch_size`/`max_wait`
 //!   policy; per-request latency lands in a `seaice_obs::latency` histogram;
 //!   graceful shutdown drains the queue.

@@ -1,18 +1,16 @@
-//! Whole-scene classification through the serving engine: the same
-//! tile → U-Net → stitch workflow as `core::classify_scene`, but tiles
-//! are submitted to the engine (backpressure, not shedding) so they
-//! coalesce into micro-batches across the worker replicas — and repeat
-//! scenes hit the prediction cache.
+//! Whole-scene classification through the serving engine: the same tile
+//! grid, staging and stitch as `core::classify_scene`, but tiles are
+//! submitted to the engine (backpressure, not shedding) so they coalesce
+//! into micro-batches across the worker replicas — and repeat scenes hit
+//! the prediction cache.
 //!
-//! Bit-identical to the sequential path: the engine's workers restore the
-//! same checkpoint, apply the same filter, and batch items are
-//! independent in every network op.
+//! Bit-identical to the sequential path: the engine's workers load their
+//! replicas from a `ModelSource` of the same checkpoint, stage tiles the
+//! same way, and batch items are independent in every network op.
 
-use crate::engine::{Engine, ServeError, Ticket};
-use seaice_core::adapters::mask_to_image;
-use seaice_core::inference::SceneClassification;
+use crate::engine::{Engine, ServeError};
+use seaice_core::inference::{tile_grid, SceneClassification};
 use seaice_imgproc::buffer::Image;
-use seaice_s2::tiler::{stitch_tiles, tile_anchors};
 
 /// Classifies a full scene by streaming its tiles through `engine`.
 ///
@@ -21,50 +19,30 @@ use seaice_s2::tiler::{stitch_tiles, tile_anchors};
 /// `core::classify_scene(model, scene, tile_size, filter)` bit for bit.
 ///
 /// # Errors
+/// [`ServeError::BadRequest`] for a scene smaller than a tile, and
 /// [`ServeError::Closed`] if the engine shuts down mid-scene (tiles are
 /// submitted with backpressure, so `Overloaded` cannot occur).
-///
-/// # Panics
-/// Panics if the scene is smaller than a tile.
 pub fn classify_scene_engine(
     engine: &Engine,
     scene_rgb: &Image<u8>,
 ) -> Result<SceneClassification, ServeError> {
     let tile_size = engine.config().tile_size;
     let (w, h) = scene_rgb.dimensions();
-    assert!(
-        w >= tile_size && h >= tile_size,
-        "scene smaller than a tile"
-    );
+    let grid = tile_grid(w, h, tile_size).map_err(ServeError::BadRequest)?;
 
     // Submit every tile first (pipelining: workers batch while we crop),
     // then collect in submission order.
-    let mut pending: Vec<(usize, usize, Ticket)> = Vec::new();
-    for &y0 in &tile_anchors(h, tile_size) {
-        for &x0 in &tile_anchors(w, tile_size) {
-            let tile = scene_rgb.crop(x0, y0, tile_size, tile_size);
-            let ticket = engine.submit_blocking(tile)?;
-            pending.push((x0, y0, ticket));
-        }
+    let mut pending = Vec::with_capacity(grid.len());
+    for (x0, y0) in grid {
+        let tile = scene_rgb.crop(x0, y0, tile_size, tile_size);
+        pending.push((x0, y0, engine.submit_blocking(tile)?));
     }
     let mut pieces = Vec::with_capacity(pending.len());
     for (x0, y0, ticket) in pending {
-        let mask = ticket.wait()?;
-        pieces.push((
-            x0,
-            y0,
-            Image::from_vec(tile_size, tile_size, 1, mask.as_ref().clone()),
-        ));
+        let mask = ticket.wait()?.to_vec();
+        pieces.push((x0, y0, Image::from_vec(tile_size, tile_size, 1, mask)));
     }
-
-    let mask = stitch_tiles(&pieces, w, h, 1);
-    let color = mask_to_image(&mask);
-    let fractions = seaice_s2::synth::class_fractions(&mask);
-    Ok(SceneClassification {
-        mask,
-        color,
-        fractions,
-    })
+    Ok(SceneClassification::stitch(&pieces, w, h))
 }
 
 #[cfg(test)]
@@ -113,6 +91,17 @@ mod tests {
             assert_eq!(got.color, want.color);
             assert_eq!(got.fractions, want.fractions);
         }
+    }
+
+    #[test]
+    fn a_scene_smaller_than_a_tile_is_a_bad_request() {
+        let engine = Engine::new(&ckpt(), EngineConfig::for_tile(32)).unwrap();
+        let scene = generate(&SceneConfig::tiny(24), 1);
+        match classify_scene_engine(&engine, &scene.rgb) {
+            Err(ServeError::BadRequest(m)) => assert!(m.contains("smaller than"), "{m}"),
+            other => panic!("expected BadRequest, got {other:?}"),
+        }
+        assert_eq!(engine.stats().submitted, 0);
     }
 
     #[test]
