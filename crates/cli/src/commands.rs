@@ -463,6 +463,9 @@ fn stream(p: &mut Parsed) -> Result<String, CliError> {
     cfg.workers = p.get_or("workers", cfg.workers)?;
     cfg.epochs = p.get_or("epochs", cfg.epochs)?;
     tile_grid(cfg.scene_side, cfg.scene_side, cfg.tile).map_err(CliError::Msg)?;
+    cfg.model_config()
+        .check_input_side(cfg.tile)
+        .map_err(CliError::Msg)?;
 
     let ckpt = seaice_core::train_stream_model(&cfg);
     let out = seaice_core::run_stream(
@@ -741,6 +744,11 @@ mod tests {
                 small_scene,
             ),
             ("stream --tile 64 --scene-size 48".to_string(), small_scene),
+            (
+                "stream --tile 15 --scene-size 60".to_string(),
+                "input side 15 must be a positive multiple of 2",
+            ),
+            ("stream --tile 0".to_string(), "tile side must be positive"),
         ];
         for path in ["", "--backend int8", "--parallel", "--engine"] {
             let classify = format!("classify --model {model} --out {out} {path}");

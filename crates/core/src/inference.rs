@@ -44,9 +44,12 @@ impl SceneClassification {
 /// regions that don't fill a whole tile get a tile anchored at the border.
 ///
 /// # Errors
-/// A scene smaller than one tile.
+/// A zero tile side, or a scene smaller than one tile.
 pub fn tile_grid(w: usize, h: usize, tile: usize) -> Result<Vec<(usize, usize)>, String> {
-    if tile == 0 || w < tile || h < tile {
+    if tile == 0 {
+        return Err("tile side must be positive".to_string());
+    }
+    if w < tile || h < tile {
         return Err(format!("scene {w}x{h} smaller than a {tile}² tile"));
     }
     let (xs, mut grid) = (tile_anchors(w, tile), Vec::new());

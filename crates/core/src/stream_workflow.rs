@@ -105,6 +105,20 @@ impl StreamWorkflowConfig {
         );
         (catalog, plan)
     }
+
+    /// The streaming U-Net's architecture: [`train_stream_model`] trains
+    /// it on `tile`-sided crops, so its
+    /// [`check_input_side`](UNetConfig::check_input_side) is the check
+    /// for `tile`.
+    pub fn model_config(&self) -> UNetConfig {
+        UNetConfig {
+            depth: 1,
+            base_filters: 8,
+            dropout: 0.0,
+            seed: self.seed ^ 0x57EA,
+            ..UNetConfig::paper()
+        }
+    }
 }
 
 /// What a streaming run produces: the drift series plus the scheduler's
@@ -120,6 +134,11 @@ pub struct StreamOutcome {
 /// Trains the small streaming U-Net on auto-labeled tiles of the first
 /// region's window — the "train once, then stream" model. Deterministic
 /// in the config.
+///
+/// # Panics
+/// Panics if the scene is smaller than a tile or the tile side fails the
+/// [`model_config`](StreamWorkflowConfig::model_config)'s
+/// `check_input_side`.
 pub fn train_stream_model(cfg: &StreamWorkflowConfig) -> Checkpoint {
     let (catalog, plan) = cfg.plan();
     let region = plan
@@ -144,13 +163,7 @@ pub fn train_stream_model(cfg: &StreamWorkflowConfig) -> Checkpoint {
         });
     }
     let loader = seaice_nn::dataloader::DataLoader::new(samples, 8, Some(cfg.seed));
-    let mut model = UNet::new(UNetConfig {
-        depth: 1,
-        base_filters: 8,
-        dropout: 0.0,
-        seed: cfg.seed ^ 0x57EA,
-        ..UNetConfig::paper()
-    });
+    let mut model = UNet::new(cfg.model_config());
     train(
         &mut model,
         &loader,

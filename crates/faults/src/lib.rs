@@ -24,7 +24,14 @@
 //! [`FaultAction::None`] for everything in a handful of instructions, so
 //! production paths thread a plan through unconditionally and the happy
 //! path stays bit-identical (pinned by the existing differential tests).
+//!
+//! The crate also owns the workspace's seeded hashing: [`splitmix64`]
+//! (the plans' key mixer, `seaice-s2`'s noise lattice hash) and
+//! [`rng::ChaCha8`], the one seeded generator behind weight init,
+//! dropout, loader shuffles, dataset splits and manual-label noise.
 #![forbid(unsafe_code)]
+
+pub mod rng;
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -264,7 +271,10 @@ fn unit_draw(seed: u64, site: &str, key: u64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
-fn splitmix64(mut x: u64) -> u64 {
+/// The SplitMix64 finalizer: one step of the generator from state `x`
+/// (the golden-ratio increment, then the two multiply–xorshift rounds).
+#[inline]
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -364,8 +364,7 @@ pub fn box_blur_f32_pair(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::{Rng, SeedableRng};
-    use rand_chacha::ChaCha8Rng;
+    use seaice_faults::rng::ChaCha8;
 
     /// The column-wise `box_blur_f32` this module shipped before the
     /// row-streamed one, kept as the bit-identity reference.
@@ -419,7 +418,7 @@ mod tests {
 
     #[test]
     fn median3x3_matches_the_selection_path() {
-        let mut rng = ChaCha8Rng::seed_from_u64(12);
+        let mut rng = ChaCha8::seed(12);
         // Widths whose interiors (`(w − 2)·c` samples) are 63, 64, 65, 127,
         // 128 or 129 samples long, around the network's 64-sample runs.
         for w in [
@@ -433,7 +432,7 @@ mod tests {
                                 .map(|ch| match kind {
                                     0 => 77,
                                     1 => (x * 5 + y * 3 + ch) as u8,
-                                    _ => rng.random::<u8>(),
+                                    _ => rng.next_u32() as u8,
                                 })
                                 .collect()
                         });
@@ -452,7 +451,7 @@ mod tests {
 
     #[test]
     fn row_streamed_box_blur_is_bit_identical_to_the_column_one() {
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let mut rng = ChaCha8::seed(5);
         let mut scratch = Scratch::new();
         // Heights around the 16-row block of the horizontal pass, and one
         // image past `CHEAP_ROWS_PAR_THRESHOLD` with enough blocks (256) for
@@ -469,12 +468,12 @@ mod tests {
         ];
         const { assert!(256 * 4097 >= CHEAP_ROWS_PAR_THRESHOLD) };
         for (w, h) in sizes.into_iter().chain(blocked).chain([(256, 4097)]) {
-            let a = Image::from_fn(w, h, 1, |_, _| vec![rng.random_range(-3.0f32..900.0)]);
-            let b = Image::from_fn(w, h, 1, |x, _| vec![(x % 3) as f32 * rng.random::<f32>()]);
+            let a = Image::from_fn(w, h, 1, |_, _| vec![rng.uniform(-3.0, 900.0)]);
+            let b = Image::from_fn(w, h, 1, |x, _| vec![(x % 3) as f32 * rng.unit_f32()]);
             // The filter's shadow flags (0 or 1) and a mostly-zero field.
-            let flags = Image::from_fn(w, h, 1, |_, _| vec![rng.random_bool(0.2) as u8 as f32]);
+            let flags = Image::from_fn(w, h, 1, |_, _| vec![rng.chance(0.2) as u8 as f32]);
             let sparse = Image::from_fn(w, h, 1, |_, _| {
-                vec![rng.random_bool(0.05) as u8 as f32 * rng.random::<f32>()]
+                vec![rng.chance(0.05) as u8 as f32 * rng.unit_f32()]
             });
             for (a, b) in [(&a, &b), (&flags, &sparse)] {
                 for radius in [0usize, 1, 2, 7, 100, w.max(h)] {
@@ -503,8 +502,8 @@ mod tests {
     fn scene_sized_inputs_take_the_row_parallel_branch_bit_identically() {
         let side = 1024;
         assert!(side * side >= CHEAP_ROWS_PAR_THRESHOLD);
-        let mut rng = ChaCha8Rng::seed_from_u64(31);
-        let img = Image::from_fn(side, side, 1, |_, _| vec![rng.random::<u8>()]);
+        let mut rng = ChaCha8::seed(31);
+        let img = Image::from_fn(side, side, 1, |_, _| vec![rng.next_u32() as u8]);
         let mut selected = Image::<u8>::new(side, side, 1);
         for y in 0..side {
             median_select_row(&img, 1, y, selected.row_mut(y));
@@ -512,7 +511,7 @@ mod tests {
         assert_eq!(median_filter(&img, 1), selected);
 
         let a = img.map(|v| v as f32 * 1.7 - 3.0);
-        let b = Image::from_fn(side, side, 1, |_, _| vec![rng.random::<f32>()]);
+        let b = Image::from_fn(side, side, 1, |_, _| vec![rng.unit_f32()]);
         let (pa, pb) = box_blur_f32_pair(&a, &b, 9, &mut Scratch::new(), box_blur_tile);
         assert_eq!(bits(&pa), bits(&box_blur_f32_columns(&a, 9)));
         assert_eq!(bits(&pb), bits(&box_blur_f32_columns(&b, 9)));

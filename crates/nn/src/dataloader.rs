@@ -5,9 +5,7 @@
 //! shuffle seed alone.
 
 use crate::tensor::Tensor;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+use seaice_faults::rng::ChaCha8;
 
 /// One training sample: CHW image data plus a per-pixel class mask.
 #[derive(Clone, Debug)]
@@ -140,8 +138,7 @@ impl DataLoader {
     pub fn epoch(&self, epoch: u64) -> Vec<Batch> {
         let mut order: Vec<usize> = (0..self.samples.len()).collect();
         if let Some(seed) = self.shuffle_seed {
-            let mut rng = ChaCha8Rng::seed_from_u64(seed ^ epoch.wrapping_mul(0x9E37_79B9));
-            order.shuffle(&mut rng);
+            ChaCha8::seed(seed ^ epoch.wrapping_mul(0x9E37_79B9)).shuffle(&mut order);
         }
         let (c, h, w) = (
             self.samples[0].channels,

@@ -1,8 +1,7 @@
 //! Weight initialization (He / Glorot), seeded and deterministic.
 
 use crate::tensor::Tensor;
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
+use seaice_faults::rng::ChaCha8;
 
 /// He (Kaiming) uniform initialization for ReLU networks:
 /// `U(−√(6/fan_in), +√(6/fan_in))`.
@@ -15,9 +14,9 @@ pub fn he_uniform(shape: &[usize], fan_in: usize, seed: u64) -> Tensor {
 /// Uniform initialization over `[lo, hi)`.
 pub fn uniform(shape: &[usize], lo: f32, hi: f32, seed: u64) -> Tensor {
     assert!(lo <= hi, "inverted range");
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut rng = ChaCha8::seed(seed);
     let len: usize = shape.iter().product();
-    let data = (0..len).map(|_| rng.random_range(lo..=hi)).collect();
+    let data = (0..len).map(|_| rng.uniform(lo, hi)).collect();
     Tensor::from_vec(shape, data)
 }
 

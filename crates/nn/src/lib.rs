@@ -19,13 +19,13 @@
 //! * [`optim`] — SGD and Adam (the paper's optimizer);
 //! * [`layers`] — trainable [`layers::Param`]s and the convolution
 //!   parameter holders a network is assembled from;
-//! * [`dataloader`] — shuffled mini-batches with optional flip
-//!   augmentation.
+//! * [`dataloader`] — mini-batches of the samples as given, reshuffled
+//!   each epoch.
 //!
-//! Determinism: every random component (init, dropout, shuffling) is
-//! seeded explicitly; the same seed reproduces the same training run
-//! bit-for-bit, which the distributed-equivalence tests in
-//! `seaice-distrib` rely on.
+//! Determinism: every random component (init, dropout, shuffling) draws
+//! from a `seaice_faults::rng::ChaCha8` seeded explicitly; the same seed
+//! reproduces the same training run bit-for-bit, which the
+//! distributed-equivalence tests in `seaice-distrib` rely on.
 //!
 //! ```
 //! use seaice_nn::layers::Conv2d;

@@ -2,18 +2,17 @@
 //! of 0.1–0.3 between convolutional layers).
 
 use crate::ops::planes::Planes;
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
+use seaice_faults::rng::ChaCha8;
 
 /// One dropout site's draws for one training step, applied to a batch one
 /// image's planes at a time: each element is kept as `v · scale`
-/// (`scale = 1 / (1 − p)`) when its draw from a `ChaCha8Rng` seeded with
+/// (`scale = 1 / (1 − p)`) when its draw from a [`ChaCha8`] seeded with
 /// `seed` is `≥ p`, and zeroed otherwise, one `f32` draw per element in
 /// `(channel, row, column)` order. Each [`apply`](Self::apply) continues the
 /// stream, so a batch's images applied in order draw what one pass of
 /// dropout over the whole `[n, c, h, w]` tensor draws.
 pub struct DropoutStream {
-    rng: ChaCha8Rng,
+    rng: ChaCha8,
     p: f32,
 }
 
@@ -24,7 +23,7 @@ impl DropoutStream {
     /// Panics unless `0 ≤ p < 1`.
     pub fn new(p: f32, seed: u64) -> Self {
         assert!((0.0..1.0).contains(&p), "dropout rate must be in [0, 1)");
-        let rng = ChaCha8Rng::seed_from_u64(seed);
+        let rng = ChaCha8::seed(seed);
         Self { rng, p }
     }
 
@@ -33,7 +32,7 @@ impl DropoutStream {
         let ((c, h, _), scale) = (planes.dims(), 1.0 / (1.0 - self.p));
         for i in 0..c * h {
             for v in planes.row_mut(i / h, i % h) {
-                let keep = self.rng.random::<f32>() >= self.p;
+                let keep = self.rng.unit_f32() >= self.p;
                 *v = if keep { *v * scale } else { 0.0 };
             }
         }
@@ -57,7 +56,7 @@ pub(crate) mod tests {
         if p == 0.0 {
             return (x.clone(), vec![true; x.len()]);
         }
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut rng = ChaCha8::seed(seed);
         let scale = 1.0 / (1.0 - p);
         let mut mask = vec![false; x.len()];
         let data = x
@@ -65,7 +64,7 @@ pub(crate) mod tests {
             .iter()
             .zip(mask.iter_mut())
             .map(|(&v, keep)| {
-                *keep = rng.random::<f32>() >= p;
+                *keep = rng.unit_f32() >= p;
                 if *keep {
                     v * scale
                 } else {

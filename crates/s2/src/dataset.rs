@@ -10,9 +10,7 @@
 use crate::catalog::{Catalog, CatalogQuery};
 use crate::geo::TimeRange;
 use crate::tiler::{tile_scene, Tile};
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
+use seaice_faults::rng::ChaCha8;
 use seaice_imgproc::buffer::Image;
 
 /// Which split a tile landed in.
@@ -139,8 +137,7 @@ impl Dataset {
             ));
         }
 
-        let mut rng = ChaCha8Rng::seed_from_u64(config.seed ^ 0x5041);
-        tiles.shuffle(&mut rng);
+        ChaCha8::seed(config.seed ^ 0x5041).shuffle(&mut tiles);
         let n_train = ((tiles.len() as f64) * config.train_fraction).round() as usize;
         let validation = tiles.split_off(n_train.min(tiles.len()));
         Self {
@@ -172,7 +169,7 @@ pub fn manual_label(truth: &Image<u8>, boundary_flip_prob: f64, seed: u64) -> Im
         return truth.clone();
     }
     let (w, h) = truth.dimensions();
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut rng = ChaCha8::seed(seed);
     let mut out = truth.clone();
     for y in 0..h {
         for x in 0..w {
@@ -191,7 +188,7 @@ pub fn manual_label(truth: &Image<u8>, boundary_flip_prob: f64, seed: u64) -> Im
                 }
             }
             if let Some(other) = boundary_neighbour {
-                if rng.random_bool(boundary_flip_prob) {
+                if rng.chance(boundary_flip_prob) {
                     out.set(x, y, other);
                 }
             }

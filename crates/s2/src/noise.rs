@@ -13,21 +13,16 @@
 //! and cloud fields), `FbmLine` samples fBm along the `y = 0` line (the
 //! leads' meander).
 
-/// SplitMix64 finalizer — a strong 64-bit mixing function used to hash
-/// lattice coordinates together with the seed.
-#[inline]
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use seaice_faults::splitmix64;
 
-/// Hashes a lattice point to a uniform value in `[0, 1)`.
+/// Hashes a lattice point, with the seed, to a uniform value in `[0, 1)`
+/// through two SplitMix64 finalizers.
 #[inline]
 fn lattice(ix: i64, iy: i64, seed: u64) -> f32 {
-    let h = mix64(
-        seed ^ mix64((ix as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (iy as u64).rotate_left(32)),
+    let h = splitmix64(
+        seed ^ splitmix64(
+            (ix as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (iy as u64).rotate_left(32),
+        ),
     );
     // Take the top 24 bits for a clean mantissa.
     (h >> 40) as f32 / (1u64 << 24) as f32
