@@ -125,10 +125,8 @@ fn ranges_from(p: &Parsed) -> Result<ClassRanges, CliError> {
             if parts.len() != 2 {
                 return Err(CliError::Args(ArgError::Invalid("cuts".into(), cuts)));
             }
-            Ok(ClassRanges::from_value_cuts(
-                parse(parts[0])?,
-                parse(parts[1])?,
-            ))
+            ClassRanges::try_from_value_cuts(parse(parts[0])?, parse(parts[1])?)
+                .map_err(CliError::Msg)
         }
     }
 }
@@ -140,6 +138,9 @@ fn synth(p: &mut Parsed) -> Result<String, CliError> {
     let seed = p.get_or("seed", 7u64)?;
     let coverage = p.get_or("clouds", 0.0f64)?;
     let illumination = p.get_or("illumination", 1.0f32)?;
+    if side == 0 {
+        return Err(CliError::Msg("scene side must be positive".into()));
+    }
 
     let scene = generate(
         &SceneConfig {
@@ -247,6 +248,9 @@ fn run_train(p: &mut Parsed) -> Result<String, CliError> {
     ])?;
     let model_path = p.required("model")?;
     let scenes = p.get_or("scenes", 6usize)?;
+    if scenes == 0 {
+        return Err(CliError::Msg("--scenes must be positive".into()));
+    }
     let scene_size = p.get_or("scene-size", 256usize)?;
     let tile = p.get_or("tile", 32usize)?;
     let epochs = p.get_or("epochs", 12usize)?;
@@ -749,7 +753,19 @@ mod tests {
                 "input side 15 must be a positive multiple of 2",
             ),
             ("stream --tile 0".to_string(), "tile side must be positive"),
+            (
+                format!("synth --out {out} --side 0"),
+                "scene side must be positive",
+            ),
+            (
+                format!("train --model {model} --scenes 0"),
+                "--scenes must be positive",
+            ),
         ];
+        for cuts in ["200,20", "20,21", "255,0", "254,255"] {
+            let line = format!("label --in {scene} --out {out} --cuts {cuts}");
+            cases.push((line, "cut points leave no thin-ice band"));
+        }
         for path in ["", "--backend int8", "--parallel", "--engine"] {
             let classify = format!("classify --model {model} --out {out} {path}");
             cases.push((format!("{classify} --in {scene} --tile 30"), side));

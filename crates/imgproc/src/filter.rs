@@ -191,59 +191,113 @@ fn clamped_window(len: usize, radius: usize) -> impl Iterator<Item = usize> {
 }
 
 /// Rows the horizontal blur pass advances side by side.
-const BLOCK: usize = 16;
+pub const BLUR_BLOCK: usize = 16;
+
+/// A block of rows at one `x`: a sample or a mean of each row.
+pub type BlurColumn = [f32; BLUR_BLOCK];
+
+/// The means of a block of rows at `BLUR_BLOCK` consecutive `x`, `[x][row]`.
+pub type BlurMeans = [BlurColumn; BLUR_BLOCK];
+
+/// Fills `cols[from..]` from the block's `rows`, one sample at a time.
+#[inline(always)]
+pub fn blur_columns_in(rows: &[&[f32]; BLUR_BLOCK], cols: &mut [BlurColumn], from: usize) {
+    for (x, samples) in (from..).zip(&mut cols[from..]) {
+        for k in 0..BLUR_BLOCK {
+            samples[k] = rows[k][x];
+        }
+    }
+}
+
+/// Writes `means[from..n]`, the means at `x0 + from..x0 + n`, into the
+/// block's rows of `dst` (rows of `w`), one sample at a time.
+#[inline(always)]
+pub fn blur_means_out(
+    means: &BlurMeans,
+    (from, n): (usize, usize),
+    x0: usize,
+    w: usize,
+    dst: &mut [f32],
+) {
+    for (k, row) in dst.chunks_exact_mut(w).enumerate() {
+        for (d, mean) in row[x0 + from..x0 + n].iter_mut().zip(&means[from..n]) {
+            *d = mean[k];
+        }
+    }
+}
 
 /// Horizontal box-blur pass over rows of width `w` (`dst` as long as
-/// `src`), in blocks of `BLOCK` transposed into `[x][row]` columns: their
-/// running `f64` sums advance as the lanes of one vector while each row
-/// adds and subtracts its own samples in index order and emits
-/// `sum / win`, so a row's bits do not depend on its block. A short block
-/// repeats its last row.
+/// `src`), in blocks of `BLUR_BLOCK` rows transposed into `[x][row]`
+/// columns: `way_in` fills the columns from the block's rows (a short block
+/// repeats its last row), their running `f64` sums advance as the lanes of
+/// one vector while each row adds and subtracts its own samples in index
+/// order and emits `sum / win`, and `way_out(means, x0, n, dst)` writes the
+/// means at `x0..x0 + n` back into the block's rows of `dst`, `BLUR_BLOCK`
+/// of them at a time (fewer at the end of a row). So a row's bits depend
+/// neither on its block nor on how it is transposed.
 #[inline(always)]
-fn box_blur_rows(src: &[f32], dst: &mut [f32], w: usize, radius: usize) {
+pub fn box_blur_rows_by(
+    src: &[f32],
+    dst: &mut [f32],
+    w: usize,
+    radius: usize,
+    mut way_in: impl FnMut(&[&[f32]; BLUR_BLOCK], &mut [BlurColumn]),
+    mut way_out: impl FnMut(&BlurMeans, usize, usize, &mut [f32]),
+) {
     // The samples stay `f32` until they are added: an `f64` copy doubles
     // what the transposition writes, and measured slower.
-    let mut cols = vec![([0f32; BLOCK], [0f32; BLOCK]); w];
+    let mut cols = vec![[0f32; BLUR_BLOCK]; w];
+    let mut means = [[0f32; BLUR_BLOCK]; BLUR_BLOCK];
     let win = (2 * radius + 1) as f64;
-    for (src, dst) in src.chunks(BLOCK * w).zip(dst.chunks_mut(BLOCK * w)) {
+    for (src, dst) in src
+        .chunks(BLUR_BLOCK * w)
+        .zip(dst.chunks_mut(BLUR_BLOCK * w))
+    {
         let last = src.len() / w - 1;
-        let mut rows = [src; BLOCK];
+        let mut rows = [src; BLUR_BLOCK];
         for (k, row) in rows.iter_mut().enumerate() {
             *row = &src[k.min(last) * w..][..w];
         }
-        for (x, (samples, _)) in cols.iter_mut().enumerate() {
-            for k in 0..BLOCK {
-                samples[k] = rows[k][x];
-            }
-        }
-        let mut sum = [0f64; BLOCK];
+        way_in(&rows, &mut cols);
+        let mut sum = [0f64; BLUR_BLOCK];
         for i in clamped_window(w, radius) {
-            for (s, &v) in sum.iter_mut().zip(&cols[i].0) {
+            for (s, &v) in sum.iter_mut().zip(&cols[i]) {
                 *s += v as f64;
             }
         }
-        for x in 0..w {
-            let add = cols[(x + radius + 1).min(w - 1)].0;
-            let sub = cols[x.saturating_sub(radius)].0;
-            let mean = &mut cols[x].1;
-            for k in 0..BLOCK {
-                mean[k] = (sum[k] / win) as f32;
-                sum[k] += add[k] as f64;
-                sum[k] -= sub[k] as f64;
+        for x0 in (0..w).step_by(BLUR_BLOCK) {
+            let n = BLUR_BLOCK.min(w - x0);
+            for (x, mean) in (x0..x0 + n).zip(&mut means) {
+                let add = cols[(x + radius + 1).min(w - 1)];
+                let sub = cols[x.saturating_sub(radius)];
+                for k in 0..BLUR_BLOCK {
+                    mean[k] = (sum[k] / win) as f32;
+                    sum[k] += add[k] as f64;
+                    sum[k] -= sub[k] as f64;
+                }
             }
-        }
-        for (k, row) in dst.chunks_exact_mut(w).enumerate() {
-            for (d, (_, mean)) in row.iter_mut().zip(&cols) {
-                *d = mean[k];
-            }
+            way_out(&means, x0, n, dst);
         }
     }
+}
+
+/// [`box_blur_rows_by`] with the scalar transpositions.
+#[inline(always)]
+fn box_blur_rows(src: &[f32], dst: &mut [f32], w: usize, radius: usize) {
+    box_blur_rows_by(
+        src,
+        dst,
+        w,
+        radius,
+        |rows, cols| blur_columns_in(rows, cols, 0),
+        |means, x0, n, dst| blur_means_out(means, (0, n), x0, w, dst),
+    );
 }
 
 /// Vertical box-blur pass of `tmp` into `out`: the rows stream over one
 /// running `f64` sum per column, which emits `sum / win`.
 #[inline(always)]
-fn box_blur_columns(tmp: &[f32], out: &mut [f32], (w, h): (usize, usize), radius: usize) {
+pub fn box_blur_columns(tmp: &[f32], out: &mut [f32], (w, h): (usize, usize), radius: usize) {
     let win = (2 * radius + 1) as f64;
     let mut sum = vec![0f64; w];
     for y in clamped_window(h, radius) {
@@ -289,12 +343,12 @@ fn box_blur_plane(
     if w * h < CHEAP_ROWS_PAR_THRESHOLD {
         return tile(src, tmp, out, (w, h), radius);
     }
-    let block = BLOCK * w;
+    let block = BLUR_BLOCK * w;
     par::chunks_mut(tmp, block, |b, dst| {
         box_blur_rows(&src[b * block..][..block], dst, w, radius);
     });
     // `chunks_mut` leaves a last, short block to the caller.
-    let done = h / BLOCK * block;
+    let done = h / BLUR_BLOCK * block;
     box_blur_rows(&src[done..], &mut tmp[done..], w, radius);
     box_blur_columns(tmp, out, (w, h), radius);
 }

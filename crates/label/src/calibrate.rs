@@ -47,11 +47,22 @@ impl ClassRanges {
     /// # Panics
     /// Panics unless `water_hi + 1 < thick_lo`.
     pub fn from_value_cuts(water_hi: u8, thick_lo: u8) -> Self {
-        assert!(
-            (water_hi as u16 + 1) < thick_lo as u16,
-            "cut points leave no thin-ice band: {water_hi} / {thick_lo}"
-        );
-        Self {
+        match Self::try_from_value_cuts(water_hi, thick_lo) {
+            Ok(ranges) => ranges,
+            // seaice-lint: allow(panic-in-library) reason="the documented contract; outside input goes through try_from_value_cuts"
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    /// [`from_value_cuts`](Self::from_value_cuts), or why the cut points
+    /// leave no thin-ice band.
+    pub fn try_from_value_cuts(water_hi: u8, thick_lo: u8) -> Result<Self, String> {
+        if u16::from(water_hi) + 1 >= u16::from(thick_lo) {
+            return Err(format!(
+                "cut points leave no thin-ice band: {water_hi} / {thick_lo}"
+            ));
+        }
+        Ok(Self {
             thick: HsvRange {
                 lo: [0, 0, thick_lo],
                 hi: [185, 255, 255],
@@ -64,7 +75,7 @@ impl ClassRanges {
                 lo: [0, 0, 0],
                 hi: [185, 255, water_hi],
             },
-        }
+        })
     }
 
     /// The two V cut points `(water_hi, thick_lo)` of a value-partitioned

@@ -19,11 +19,15 @@
 //! paper's ranges, [`calibrate`](crate::calibrate::calibrate) and `seaice
 //! label --cuts` all constrain V only — steps 1–3 collapse into one
 //! 256-entry class-by-V table read at `max(r, g, b)`, with no division.
+//! That path runs 32 pixels at a time on a CPU with AVX2 (byte shuffles
+//! over the table's two bit-planes, in the private `dispatch` module), the
+//! same bytes as the per-pixel loop.
 //!
 //! No intermediate image is allocated, and the optional color label is
 //! written in the same pass. Bit-identity with the reference path over all
 //! 2^24 RGB inputs is enforced by `tests/fused_vs_reference.rs`.
 
+use crate::dispatch;
 use crate::ranges::{ClassRanges, IceClass};
 use seaice_exec::par;
 use seaice_imgproc::buffer::Image;
@@ -31,8 +35,8 @@ use seaice_imgproc::color::rgb_pixel_to_hsv_int;
 
 /// Precomputed per-channel class-membership tables for one [`ClassRanges`].
 ///
-/// Building one costs a few 256-entry scans; amortize it over at least a
-/// row of pixels (every public entry point here does).
+/// Building one costs about as much as labelling a few rows; amortize it
+/// over at least a row of pixels (every public entry point here does).
 #[derive(Clone, Debug)]
 pub struct ClassLut {
     h: [u8; 256],
@@ -43,43 +47,59 @@ pub struct ClassLut {
     /// The class of every V, when H and S accept every value a pixel can
     /// have (hue 0..=179, any saturation) for all three classes and so
     /// decide nothing.
-    by_v: Option<[u8; 256]>,
+    pub(crate) by_v: Option<ByV>,
+}
+
+/// The class of every V, for range sets that V alone decides.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) struct ByV {
+    pub(crate) class: [u8; 256],
+    /// The two bits of `class` as 256-bit planes: bit `v % 8` of byte
+    /// `v / 8` of `bits[b]` is bit `b` of `class[v]` (the vector twin
+    /// looks them up with byte shuffles).
+    pub(crate) bits: [[u8; 32]; 2],
+}
+
+impl ByV {
+    pub(crate) fn new(class: [u8; 256]) -> Self {
+        let mut bits = [[0u8; 32]; 2];
+        for (v, &c) in class.iter().enumerate() {
+            for (b, plane) in bits.iter_mut().enumerate() {
+                plane[v / 8] |= ((c >> b) & 1) << (v % 8);
+            }
+        }
+        Self { class, bits }
+    }
 }
 
 impl ClassLut {
     /// Builds the tables from a set of class ranges.
     pub fn new(ranges: &ClassRanges) -> Self {
-        let mut h = [0u8; 256];
-        let mut s = [0u8; 256];
-        let mut v = [0u8; 256];
+        let mut tables = [[0u8; 256]; 3];
         for class in IceClass::ALL {
             let r = ranges.range(class);
             // seaice-lint: allow(narrowing-cast-in-kernel) reason="IceClass has three discriminants (0..=2), well within u8"
             let bit = 1u8 << (class as u8);
-            for x in 0..=255usize {
-                // seaice-lint: allow(narrowing-cast-in-kernel) reason="the loop bound pins x <= 255, exactly the u8 range"
-                let xv = x as u8;
-                if xv >= r.lo[0] && xv <= r.hi[0] {
-                    h[x] |= bit;
-                }
-                if xv >= r.lo[1] && xv <= r.hi[1] {
-                    s[x] |= bit;
-                }
-                if xv >= r.lo[2] && xv <= r.hi[2] {
-                    v[x] |= bit;
+            for (table, (lo, hi)) in tables.iter_mut().zip(r.lo.into_iter().zip(r.hi)) {
+                // Inverted bounds (`lo > hi`) contain nothing.
+                if lo <= hi {
+                    for m in &mut table[usize::from(lo)..=usize::from(hi)] {
+                        *m |= bit;
+                    }
                 }
             }
         }
-        let mut fallback = [0u8; 256];
-        for (x, slot) in fallback.iter_mut().enumerate() {
-            // Replicates the reference `min_by_key` over V distance,
-            // including its first-minimum-wins tie behavior.
+        let [h, s, v] = tables;
+        // Replicates the reference `min_by_key` over V distance, including
+        // its first-minimum-wins tie behavior.
+        let bounds = IceClass::ALL.map(|class| {
+            let r = ranges.range(class);
+            (i32::from(r.lo[2]), i32::from(r.hi[2]), class)
+        });
+        let fallback = std::array::from_fn(|x| {
             let xv = x as i32;
-            let mut best = IceClass::Thick;
-            let mut best_d = i32::MAX;
-            for class in IceClass::ALL {
-                let r = ranges.range(class);
-                let (lo, hi) = (r.lo[2] as i32, r.hi[2] as i32);
+            let mut best = (i32::MAX, IceClass::Thick);
+            for (lo, hi, class) in bounds {
                 let d = if xv < lo {
                     lo - xv
                 } else if xv > hi {
@@ -87,19 +107,18 @@ impl ClassLut {
                 } else {
                     0
                 };
-                if d < best_d {
-                    best_d = d;
-                    best = class;
+                if d < best.0 {
+                    best = (d, class);
                 }
             }
-            // seaice-lint: allow(narrowing-cast-in-kernel) reason="IceClass has three discriminants (0..=2), well within u8"
-            *slot = best as u8;
-        }
+            best.1 as u8
+        });
         // The largest hue `rgb_pixel_to_hsv_int` returns.
         const MAX_HUE: usize = 179;
         let every_class = (1u8 << IceClass::ALL.len()) - 1;
         let v_decides = h[..=MAX_HUE].iter().chain(&s).all(|&m| m == every_class);
-        let by_v = v_decides.then(|| std::array::from_fn(|x| Self::pick(v[x], fallback[x])));
+        let by_v =
+            v_decides.then(|| ByV::new(std::array::from_fn(|x| Self::pick(v[x], fallback[x]))));
         Self {
             h,
             s,
@@ -136,26 +155,42 @@ impl ClassLut {
 }
 
 /// The paper's label palette indexed by class (red / blue / green).
-const PALETTE: [[u8; 3]; 3] = [
+pub(crate) const PALETTE: [[u8; 3]; 3] = [
     IceClass::Thick.color(),
     IceClass::Thin.color(),
     IceClass::Water.color(),
 ];
 
 /// Labels a run of interleaved RGB samples into a class-mask run and,
-/// optionally, a color-label run — the scalar core of the fused kernel.
+/// optionally, a color-label run — the core of the fused kernel. Range
+/// sets that V alone decides take a front with an AVX2 twin.
 ///
 /// # Panics
-/// Panics (debug) if slice lengths disagree.
+/// Panics if `rgb` or `color` is not three bytes per `mask` byte.
 #[inline]
 pub fn fused_label_run(rgb: &[u8], mask: &mut [u8], color: Option<&mut [u8]>, lut: &ClassLut) {
-    debug_assert_eq!(rgb.len(), mask.len() * 3);
+    assert_eq!(rgb.len(), mask.len() * 3, "rgb run against mask run");
+    if let Some(color) = &color {
+        assert_eq!(color.len(), mask.len() * 3, "colour run against mask run");
+    }
     match &lut.by_v {
-        Some(by_v) => label_run(rgb, mask, color, |p| {
-            by_v[usize::from(p[0].max(p[1]).max(p[2]))]
-        }),
+        Some(by_v) => dispatch::label_run_by_v(rgb, mask, color, by_v),
         None => label_run(rgb, mask, color, |p| lut.classify_rgb(p[0], p[1], p[2])),
     }
+}
+
+/// The V-only path of [`fused_label_run`], to compile again at a wider
+/// ISA: `by_v[max(r, g, b)]`.
+#[inline(always)]
+pub(crate) fn label_run_by_v_body(
+    rgb: &[u8],
+    mask: &mut [u8],
+    color: Option<&mut [u8]>,
+    by_v: &ByV,
+) {
+    label_run(rgb, mask, color, |p| {
+        by_v.class[usize::from(p[0].max(p[1]).max(p[2]))]
+    })
 }
 
 /// [`fused_label_run`] with the per-pixel classifier chosen.
@@ -325,6 +360,114 @@ mod tests {
         }
     }
 
+    /// The tables as `ClassLut::new` built them before its slice fills: a
+    /// per-value test of every class's bounds on every channel.
+    fn tables_by_scan(ranges: &ClassRanges) -> ([[u8; 256]; 4], Option<[u8; 256]>) {
+        let mut h = [0u8; 256];
+        let mut s = [0u8; 256];
+        let mut v = [0u8; 256];
+        for class in IceClass::ALL {
+            let r = ranges.range(class);
+            let bit = 1u8 << (class as u8);
+            for x in 0..=255usize {
+                let xv = x as u8;
+                if xv >= r.lo[0] && xv <= r.hi[0] {
+                    h[x] |= bit;
+                }
+                if xv >= r.lo[1] && xv <= r.hi[1] {
+                    s[x] |= bit;
+                }
+                if xv >= r.lo[2] && xv <= r.hi[2] {
+                    v[x] |= bit;
+                }
+            }
+        }
+        let mut fallback = [0u8; 256];
+        for (x, slot) in fallback.iter_mut().enumerate() {
+            let xv = x as i32;
+            let mut best = IceClass::Thick;
+            let mut best_d = i32::MAX;
+            for class in IceClass::ALL {
+                let r = ranges.range(class);
+                let (lo, hi) = (r.lo[2] as i32, r.hi[2] as i32);
+                let d = if xv < lo {
+                    lo - xv
+                } else if xv > hi {
+                    xv - hi
+                } else {
+                    0
+                };
+                if d < best_d {
+                    best_d = d;
+                    best = class;
+                }
+            }
+            *slot = best as u8;
+        }
+        let v_decides = h[..=179].iter().chain(&s).all(|&m| m == 7);
+        let by_v = v_decides.then(|| std::array::from_fn(|x| ClassLut::pick(v[x], fallback[x])));
+        ([h, s, v, fallback], by_v)
+    }
+
+    #[test]
+    fn tables_equal_the_per_value_scan_field_for_field() {
+        let mut state = 0x7ab1_e5ee_d000_0001u64;
+        let mut byte = || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            (state >> 56) as u8
+        };
+        let mut sets = vec![
+            ClassRanges::paper(),
+            ClassRanges::from_value_cuts(14, 92),
+            ClassRanges::partial_night(),
+            thick_reaching_down([0, 0], [179, 255]),
+            thick_reaching_down([90, 0], [130, 255]),
+            thick_reaching_down([0, 1], [185, 255]),
+        ];
+        // Seeded random bounds, inverted ones included; every other set
+        // keeps H and S open so that V alone decides it.
+        for i in 0..400 {
+            let mut range = || {
+                let (lo, hi) = ([byte(), byte(), byte()], [byte(), byte(), byte()]);
+                if i % 2 == 0 {
+                    HsvRange { lo, hi }
+                } else {
+                    HsvRange {
+                        lo: [0, 0, lo[2]],
+                        hi: [179 + hi[0] % 77, 255, hi[2]],
+                    }
+                }
+            };
+            sets.push(ClassRanges {
+                water: range(),
+                thin: range(),
+                thick: range(),
+            });
+        }
+        let mut v_only = 0;
+        for ranges in &sets {
+            let lut = ClassLut::new(ranges);
+            let ([h, s, v, fallback], by_v) = tables_by_scan(ranges);
+            assert_eq!(lut.h, h, "h, {ranges:?}");
+            assert_eq!(lut.s, s, "s, {ranges:?}");
+            assert_eq!(lut.v, v, "v, {ranges:?}");
+            assert_eq!(lut.fallback, fallback, "fallback, {ranges:?}");
+            assert_eq!(lut.by_v.as_ref().map(|b| b.class), by_v, "by_v, {ranges:?}");
+            if let Some(b) = &lut.by_v {
+                v_only += 1;
+                for (x, &c) in b.class.iter().enumerate() {
+                    for (bit, plane) in b.bits.iter().enumerate() {
+                        let got = plane[x / 8] >> (x % 8) & 1;
+                        assert_eq!(got, c >> bit & 1, "bit plane {bit} at V {x}, {ranges:?}");
+                    }
+                }
+            }
+        }
+        assert!(v_only > 200, "{v_only} V-only sets");
+    }
+
     #[test]
     fn hue_restricted_ranges_keep_the_general_tables() {
         for (lo, hi) in [(90, 130), (0, 178), (1, 185)] {
@@ -392,5 +535,15 @@ mod tests {
         let img = Image::<u8>::new(4, 4, 3);
         let mut mask = Image::<u8>::new(3, 4, 1);
         segment_into(&img, &ClassLut::new(&ClassRanges::paper()), &mut mask, None);
+    }
+
+    /// A colour run shorter than the mask's panics on every host, not only
+    /// where the AVX2 twin splits it.
+    #[test]
+    #[should_panic(expected = "colour run against mask run")]
+    fn short_colour_run_panics() {
+        let (rgb, mut mask, mut color) = ([0; 120], [0; 40], [0; 60]);
+        let lut = ClassLut::new(&ClassRanges::paper());
+        fused_label_run(&rgb, &mut mask, Some(&mut color), &lut);
     }
 }

@@ -94,8 +94,17 @@ pub struct Dataset {
 
 impl Dataset {
     /// Builds the dataset: queries the catalog, generates each scene,
-    /// applies its cloud layer, tiles it, then shuffles and splits.
+    /// applies its cloud layer, tiles it, then shuffles and splits. Zero
+    /// scenes make an empty dataset without a query (a query reads a limit
+    /// of 0 as "no limit").
     pub fn build(config: DatasetConfig) -> Self {
+        if config.n_scenes == 0 {
+            return Self {
+                train: Vec::new(),
+                validation: Vec::new(),
+                config,
+            };
+        }
         let scene_cfg = crate::synth::SceneConfig {
             width: config.scene_size,
             height: config.scene_size,
@@ -235,6 +244,13 @@ mod tests {
             assert_eq!((ta.x0, ta.y0), (tb.x0, tb.y0));
             assert_eq!(ta.rgb, tb.rgb);
         }
+    }
+
+    #[test]
+    fn zero_scenes_build_an_empty_dataset() {
+        let ds = Dataset::build(DatasetConfig::scaled(0, 64, 16));
+        assert!(ds.is_empty());
+        assert_eq!(ds.config.n_scenes, 0);
     }
 
     #[test]

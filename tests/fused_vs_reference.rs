@@ -4,8 +4,11 @@
 //! restricts hue, and that the cloud/shadow filter's division-free
 //! saturation test equals the integer quotient it replaces.
 //!
-//! The seeded 1M-sample variant runs in tier-1; the exhaustive sweep over
-//! all 2^24 RGB inputs is `#[ignore]`d for `cargo test --release -- --ignored`.
+//! Each RGB value is labelled as a run of one pixel, and each `(r, g)` row
+//! of 256 blue values as one run with a colour label, so both the scalar
+//! tail and the vector body of `fused_label_run` are checked. The seeded
+//! 1M-sample variant runs in tier-1; the exhaustive sweep over all 2^24 RGB
+//! inputs is `#[ignore]`d for `cargo test --release -- --ignored`.
 
 use seaice::imgproc::buffer::Image;
 use seaice::imgproc::color::{rgb_pixel_to_hsv, rgb_pixel_to_hsv_int, saturation_at_most};
@@ -68,6 +71,30 @@ fn check_pixel(r: u8, g: u8, b: u8, sets: &[(ClassRanges, ClassLut)]) {
     }
 }
 
+/// Labels the 256 pixels `(r, g, 0..=255)` as one run with a colour label
+/// under every range set, and checks every pixel's class and colour against
+/// the reference: a run long enough for a vector path to take most of it,
+/// where `check_pixel`'s one-pixel runs reach only its scalar tail.
+fn check_row(r: u8, g: u8, sets: &[(ClassRanges, ClassLut)]) {
+    let rgb: Vec<u8> = (0..=255u8).flat_map(|b| [r, g, b]).collect();
+    let (mut mask, mut color) = ([u8::MAX; 256], [u8::MAX; 768]);
+    for (ranges, lut) in sets {
+        fused_label_run(&rgb, &mut mask, Some(&mut color), lut);
+        for (b, (&class, c)) in mask.iter().zip(color.chunks_exact(3)).enumerate() {
+            let want = ranges.classify(&rgb_pixel_to_hsv(r, g, b as u8));
+            assert_eq!(
+                class, want as u8,
+                "fused run of 256 diverged at rgb ({r},{g},{b}), ranges {ranges:?}"
+            );
+            assert_eq!(
+                c,
+                want.color(),
+                "colour label diverged at rgb ({r},{g},{b}), ranges {ranges:?}"
+            );
+        }
+    }
+}
+
 /// SplitMix64 — tiny deterministic generator for the sampled variant.
 struct SplitMix64(u64);
 
@@ -106,6 +133,15 @@ fn sampled_million_rgb_values_are_bit_identical() {
             check_pixel(v, v - delta, v - delta / 2, &sets);
         }
     }
+    // Whole rows of blue as one run each, at the thresholds' R and G and
+    // at seeded ones.
+    for &(r, g) in &[(0, 0), (30, 31), (204, 205), (255, 255), (255, 0), (0, 255)] {
+        check_row(r, g, &sets);
+    }
+    for _ in 0..2_000 {
+        let x = rng.next();
+        check_row(x as u8, (x >> 8) as u8, &sets);
+    }
 }
 
 #[test]
@@ -117,6 +153,7 @@ fn exhaustive_rgb_space_is_bit_identical() {
             for b in 0..=255u8 {
                 check_pixel(r, g, b, &sets);
             }
+            check_row(r, g, &sets);
         }
     }
 }
