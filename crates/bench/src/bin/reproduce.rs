@@ -4,8 +4,8 @@
 //! reproduce <target> [--scale small|medium|large] [--out DIR] [--trace FILE]
 //!
 //! targets:
-//!   table1      multiprocessing auto-label speedup      (Table I, Fig. 10; writes BENCH_label.json)
-//!   table2      map-reduce cluster scaling              (Table II; writes BENCH_mapreduce.json)
+//!   table1      multiprocessing auto-label speedup      (Table I, Fig. 10)
+//!   table2      map-reduce cluster scaling              (Table II)
 //!   table3      distributed U-Net training              (Table III, Fig. 12)
 //!   table4      U-Net-Man vs U-Net-Auto accuracy        (Table IV)
 //!   table5      accuracy by cloud coverage              (Table V)
@@ -13,29 +13,18 @@
 //!   fig13       confusion matrices                      (Fig. 13)
 //!   fig14       prediction panels                       (Fig. 14)
 //!   scenes      66-scene labeling time                  (§IV-B)
-//!   chaos       fault-injection / recovery demo         (DESIGN.md §4.3; writes BENCH_chaos.json)
-//!   stream      streaming DAG + change detection        (DESIGN.md §4.7; writes BENCH_stream.json)
-//!   soak        seeded chaos-soak harness               (DESIGN.md §4.8; writes BENCH_soak.json)
 //!   ablation    cloud/shadow-filter design ablations    (DESIGN.md §6)
 //!   sweep       batch-size / dropout exploration        (§IV-A)
 //!   night       season-transfer + threshold calibration (§IV-B-2)
 //!   all         everything above
-//!   bench-check compare BENCH_*.json against baselines  [--current DIR] [--baseline DIR]
-//!               (defaults: the working directory against crates/bench/fixtures/small)
-//!   trace-check validate a Chrome trace_event JSON file  (positional: the file)
 //!   sarif-check validate a seaice-lint SARIF 2.1.0 file   (positional: the file)
 //! ```
 //!
 //! PPM/PGM images for the figure targets land in `--out` (default
-//! `reproduce-out/`). Five areas write a `BENCH_<area>.json` summary
-//! (DESIGN.md §4.6) into the working directory, holding only simulated,
-//! counted or bit-identity values, so `bench-check` can gate any host's
-//! `--scale small` run against the checked-in fixtures; wall-clock
-//! numbers come only from the `benchmark/` package. A failed write is
-//! reported on stderr and flips the exit code to 1 instead of aborting
-//! the remaining targets. `--trace FILE` records
-//! structured spans for the run and exports them as Chrome `trace_event`
-//! JSON (`chrome://tracing` / Perfetto loadable).
+//! `reproduce-out/`); wall-clock numbers come only from the `benchmark/`
+//! package. `--trace FILE` records structured spans for the run and
+//! exports them as Chrome `trace_event` JSON (`chrome://tracing` /
+//! Perfetto loadable); a failed write flips the exit code to 1.
 
 use seaice_bench::scale::Scale;
 use seaice_bench::{table1, table2, table3, table45};
@@ -45,18 +34,15 @@ use seaice_core::adapters::{
 use seaice_imgproc::io::write_ppm;
 use seaice_label::autolabel::{auto_label, AutoLabelConfig};
 use seaice_nn::Tensor;
-use seaice_obs::bench::Summary;
 use std::path::{Path, PathBuf};
 
 struct Args {
     target: String,
-    /// Second positional argument (the file for `trace-check`).
+    /// Second positional argument (the file for `sarif-check`).
     operand: Option<String>,
     scale: Scale,
     out: PathBuf,
     trace: Option<PathBuf>,
-    current: PathBuf,
-    baseline: PathBuf,
 }
 
 fn parse_args() -> Args {
@@ -66,8 +52,6 @@ fn parse_args() -> Args {
     let mut scale = Scale::Medium;
     let mut out = PathBuf::from("reproduce-out");
     let mut trace = None;
-    let mut current = PathBuf::from(".");
-    let mut baseline = PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/fixtures/small"));
     while let Some(a) = args.next() {
         match a.as_str() {
             "--scale" => {
@@ -79,8 +63,6 @@ fn parse_args() -> Args {
             }
             "--out" => out = PathBuf::from(args.next().unwrap_or_default()),
             "--trace" => trace = Some(PathBuf::from(args.next().unwrap_or_default())),
-            "--current" => current = PathBuf::from(args.next().unwrap_or_default()),
-            "--baseline" => baseline = PathBuf::from(args.next().unwrap_or_default()),
             "--help" | "-h" => {
                 print_usage();
                 std::process::exit(0);
@@ -102,90 +84,14 @@ fn parse_args() -> Args {
         scale,
         out,
         trace,
-        current,
-        baseline,
     }
 }
 
 fn print_usage() {
     eprintln!(
-        "usage: reproduce <table1|table2|table3|table4|table5|fig11|fig13|fig14|scenes|chaos|stream|soak|ablation|sweep|night|all> [--scale small|medium|large] [--out DIR] [--trace FILE]\n\
-         \x20      reproduce bench-check [--current DIR] [--baseline DIR]\n\
-         \x20      reproduce trace-check <trace.json>\n\
+        "usage: reproduce <table1|table2|table3|table4|table5|fig11|fig13|fig14|scenes|ablation|sweep|night|all> [--scale small|medium|large] [--out DIR] [--trace FILE]\n\
          \x20      reproduce sarif-check <lint.sarif>"
     );
-}
-
-/// Writes one `BENCH_<area>.json` into the working directory; on failure
-/// reports to stderr and returns false instead of panicking, so the rest
-/// of a `reproduce all` run still executes (the exit code records it).
-fn write_summary(summary: &Summary) -> bool {
-    match summary.write_to_dir(Path::new(".")) {
-        Ok(path) => {
-            println!("wrote {}\n", path.display());
-            true
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            false
-        }
-    }
-}
-
-/// Diffs the current `BENCH_*.json` set against the baselines; exits
-/// nonzero on any regression (or an unreadable/empty baseline set).
-fn run_bench_check(current: &Path, baseline: &Path) -> ! {
-    match seaice_obs::bench::compare_dirs(current, baseline) {
-        Ok((checked, regressions)) => {
-            println!(
-                "bench-check: {} area(s) checked: {}",
-                checked.len(),
-                checked.join(", ")
-            );
-            if regressions.is_empty() {
-                println!("bench-check: OK (no regressions beyond tolerance)");
-                std::process::exit(0);
-            }
-            for r in &regressions {
-                eprintln!("bench-check: REGRESSION {r}");
-            }
-            eprintln!("bench-check: {} regression(s)", regressions.len());
-            std::process::exit(1);
-        }
-        Err(e) => {
-            eprintln!("bench-check: {e}");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Validates a Chrome `trace_event` JSON file; exits nonzero when it is
-/// malformed or its begin/end spans do not balance.
-fn run_trace_check(file: Option<&str>) -> ! {
-    let Some(file) = file else {
-        eprintln!("trace-check: missing trace file argument");
-        std::process::exit(2);
-    };
-    let src = match std::fs::read_to_string(file) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("trace-check: cannot read {file}: {e}");
-            std::process::exit(2);
-        }
-    };
-    match seaice_obs::trace::validate_chrome_trace(&src) {
-        Ok(stats) => {
-            println!(
-                "trace-check: OK — {} events ({} span pairs, {} complete, {} instants)",
-                stats.events, stats.span_pairs, stats.complete, stats.instants
-            );
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("trace-check: {file}: {e}");
-            std::process::exit(1);
-        }
-    }
 }
 
 /// Validates a SARIF 2.1.0 file produced by `seaice-lint --format sarif`;
@@ -251,11 +157,8 @@ fn validate_sarif(doc: &seaice_obs::json::Value) -> Result<(usize, usize), Strin
 
 fn main() {
     let args = parse_args();
-    match args.target.as_str() {
-        "bench-check" => run_bench_check(&args.current, &args.baseline),
-        "trace-check" => run_trace_check(args.operand.as_deref()),
-        "sarif-check" => run_sarif_check(args.operand.as_deref()),
-        _ => {}
+    if args.target == "sarif-check" {
+        run_sarif_check(args.operand.as_deref());
     }
     if args.trace.is_some() {
         seaice_obs::trace::enable();
@@ -263,8 +166,8 @@ fn main() {
     let t0 = std::time::Instant::now();
     let mut ok = true;
     match args.target.as_str() {
-        "table1" | "fig10" => ok &= run_table1(args.scale),
-        "table2" => ok &= run_table2(args.scale),
+        "table1" | "fig10" => run_table1(args.scale),
+        "table2" => run_table2(args.scale),
         "table3" | "fig12" => run_table3(args.scale),
         "table4" => {
             let mut exp = table45::prepare(args.scale);
@@ -280,9 +183,6 @@ fn main() {
         "fig13" => run_fig13(args.scale),
         "fig14" => run_fig14(args.scale, &args.out),
         "scenes" => println!("{}", table45::scenes_timing(args.scale).render()),
-        "chaos" => ok &= run_chaos(args.scale),
-        "stream" => ok &= run_stream(args.scale),
-        "soak" => ok &= run_soak(args.scale),
         "ablation" => {
             println!("{}", seaice_bench::ablation::run(args.scale).render());
             println!("{}", seaice_bench::ablation::up_mode(args.scale).render());
@@ -290,8 +190,8 @@ fn main() {
         "sweep" => println!("{}", seaice_bench::sweep::run(args.scale).render()),
         "night" => println!("{}", seaice_bench::night::run(args.scale).render()),
         "all" => {
-            ok &= run_table1(args.scale);
-            ok &= run_table2(args.scale);
+            run_table1(args.scale);
+            run_table2(args.scale);
             run_table3(args.scale);
             // Train once, reuse for tables 4/5 and fig 13/14.
             let mut exp = table45::prepare(args.scale);
@@ -302,9 +202,6 @@ fn main() {
             write_fig14(&mut exp, &args.out);
             run_fig11(args.scale, &args.out);
             println!("{}", table45::scenes_timing(args.scale).render());
-            ok &= run_chaos(args.scale);
-            ok &= run_stream(args.scale);
-            ok &= run_soak(args.scale);
             println!("{}", seaice_bench::ablation::run(args.scale).render());
             println!("{}", seaice_bench::night::run(args.scale).render());
         }
@@ -333,28 +230,7 @@ fn main() {
     }
 }
 
-fn run_chaos(scale: Scale) -> bool {
-    let b = seaice_bench::chaosbench::run(scale);
-    println!("{}", b.render());
-    write_summary(&b.summary())
-}
-
-fn run_stream(scale: Scale) -> bool {
-    let b = seaice_bench::streambench::run(scale);
-    println!("{}", b.render());
-    write_summary(&b.summary())
-}
-
-/// Runs the chaos-soak harness; a violated invariant (the render carries
-/// its repro line) flips the exit code as well as the summary metric.
-fn run_soak(scale: Scale) -> bool {
-    let b = seaice_bench::soakbench::run(scale);
-    println!("{}", b.render());
-    let clean = b.violations == 0;
-    write_summary(&b.summary()) && clean
-}
-
-fn run_table1(scale: Scale) -> bool {
+fn run_table1(scale: Scale) {
     let t = table1::run(scale);
     println!("{}", t.render());
     println!(
@@ -364,13 +240,11 @@ fn run_table1(scale: Scale) -> bool {
             .map(|r| (r.processes, (r.speedup * 100.0).round() / 100.0))
             .collect::<Vec<_>>()
     );
-    write_summary(&t.summary())
 }
 
-fn run_table2(scale: Scale) -> bool {
+fn run_table2(scale: Scale) {
     let t = table2::run(scale);
     println!("{}", t.render());
-    write_summary(&t.summary())
 }
 
 fn run_table3(scale: Scale) {

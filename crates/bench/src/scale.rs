@@ -56,41 +56,6 @@ impl Scale {
         }
     }
 
-    /// (map-reduce items, training samples, serve tiles) for the chaos
-    /// demonstration: every layer runs under a seeded kill and must
-    /// recover with byte-identical results.
-    pub fn chaos_workload(self) -> (usize, usize, usize) {
-        match self {
-            Scale::Small => (64, 12, 8),
-            Scale::Medium => (256, 18, 24),
-            Scale::Large => (1024, 24, 64),
-        }
-    }
-
-    /// (regions, revisits, scene side, tile side, workers) for the
-    /// streaming DAG workload: several monitored regions revisited at a
-    /// fixed cadence, flowing through catalog → tile → label → infer →
-    /// change-detect.
-    pub fn stream_workload(self) -> (usize, u32, usize, usize, usize) {
-        match self {
-            Scale::Small => (2, 4, 64, 16, 2),
-            Scale::Medium => (3, 6, 96, 32, 3),
-            Scale::Large => (4, 10, 192, 32, 4),
-        }
-    }
-
-    /// (durable, stream, mapreduce, serve) schedule counts for the
-    /// chaos-soak harness: K seeded random fault schedules whose every
-    /// outcome is checked against a precomputed oracle or a fault-free
-    /// reference.
-    pub fn soak_schedules(self) -> (usize, usize, usize, usize) {
-        match self {
-            Scale::Small => (8, 4, 4, 4),
-            Scale::Medium => (16, 6, 6, 6),
-            Scale::Large => (32, 8, 8, 8),
-        }
-    }
-
     /// Ranks for the real distributed-training semantics run.
     pub fn distrib_ranks(self) -> usize {
         match self {

@@ -148,24 +148,6 @@ pub fn run(scale: Scale) -> Table2 {
 }
 
 impl Table2 {
-    /// The `BENCH_mapreduce.json` summary. Every metric is a *simulated*
-    /// cost from the calibrated cluster model — the load bytes and reduce
-    /// task set are pinned at the paper's full workload at every scale,
-    /// so the values are deterministic and scale-independent; tight
-    /// tolerances catch any cost-model drift. (Map registration is a
-    /// model constant and left out.)
-    pub fn summary(&self) -> seaice_obs::bench::Summary {
-        let first = &self.rows[0];
-        let last = self.rows.last().expect("the grid is never empty");
-        seaice_obs::bench::Summary::new("mapreduce")
-            .metric("load_secs_1x1", first.load_secs, "s", false, 0.05)
-            .metric("load_secs_4x4", last.load_secs, "s", false, 0.05)
-            .metric("reduce_secs_1x1", first.reduce_secs, "s", false, 0.05)
-            .metric("reduce_secs_4x4", last.reduce_secs, "s", false, 0.05)
-            .metric("load_speedup_4x4", last.load_speedup, "x", true, 0.05)
-            .metric("reduce_speedup_4x4", last.reduce_speedup, "x", true, 0.05)
-    }
-
     /// Renders the table in the paper's layout.
     pub fn render(&self) -> String {
         let mut s = String::new();
@@ -191,46 +173,5 @@ impl Table2 {
             ));
         }
         s
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn table2_shape_matches_paper() {
-        let t = run(Scale::Small);
-        assert_eq!(t.rows.len(), 9);
-        let last = t.rows.last().unwrap();
-        assert_eq!((last.executors, last.cores), (4, 4));
-        // Headline shapes: ~9× load and ~16× reduce at 4×4.
-        assert!(
-            (7.5..=12.5).contains(&last.load_speedup),
-            "load speedup {:.2}",
-            last.load_speedup
-        );
-        assert!(
-            (13.0..=18.0).contains(&last.reduce_speedup),
-            "reduce speedup {:.2}",
-            last.reduce_speedup
-        );
-        // Map stays constant and tiny.
-        assert!(t.rows.iter().all(|r| r.map_secs < 1.0));
-        // Reduce absolute values track the paper within 45 %. (The
-        // paper's middle rows are *superlinear* — 4 cores gave 5.42x —
-        // which a work-conserving scheduler cannot produce; its 1x1 and
-        // 4x4 endpoints are mutually consistent with linear scaling and
-        // match tightly.)
-        for (r, &(_, pr)) in t.rows.iter().zip(&PAPER_LOAD_REDUCE) {
-            let rel = (r.reduce_secs - pr).abs() / pr;
-            assert!(
-                rel < 0.45,
-                "{}x{} reduce {:.1}s vs paper {pr}s",
-                r.executors,
-                r.cores,
-                r.reduce_secs
-            );
-        }
     }
 }

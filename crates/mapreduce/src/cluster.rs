@@ -778,24 +778,25 @@ mod tests {
     #[test]
     fn injected_task_failures_are_retried_to_success() {
         let cluster = Cluster::start(spec(2, 2));
-        // Tasks 3 and 7 fail on their first attempt only.
+        // Tasks 3 and 7 fail on their first attempt only. Retries only:
+        // straggler speculation would add wall-clock-dependent attempts.
         let plan = FaultPlan::seeded(1).fail_keys(
             "mapreduce.task",
             &[mix(3, 0), mix(7, 0)],
             FaultAction::Error,
         );
+        let policy = RunPolicy {
+            speculation: None,
+            ..RunPolicy::resilient()
+        };
         let (out, report) = cluster
-            .run_tasks_ft(
-                (0..10).collect(),
-                |x: i64| x * 2,
-                RunPolicy::resilient(),
-                Arc::new(plan),
-            )
+            .run_tasks_ft((0..10).collect(), |x: i64| x * 2, policy, Arc::new(plan))
             .unwrap();
         let values: Vec<i64> = out.iter().map(|(v, _)| *v).collect();
         assert_eq!(values, (0..10).map(|x| x * 2).collect::<Vec<_>>());
         assert_eq!(report.failures, 2);
         assert_eq!(report.retries, 2);
+        assert_eq!(report.speculative, 0);
         assert_eq!(report.attempts, 12);
         assert_eq!(report.attempt_costs.len(), 12);
     }

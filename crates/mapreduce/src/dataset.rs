@@ -302,17 +302,21 @@ mod tests {
         let s = session(2, 2);
         let (df, _) = s.read((0..30).collect::<Vec<i64>>(), 8.0);
         let (lazy, _) = df.map(&s, |x| x * 7);
-        // First attempts of tasks 4 and 9 fail.
+        // First attempts of tasks 4 and 9 fail. Retries only: straggler
+        // speculation would add wall-clock-dependent attempts.
         let plan = FaultPlan::seeded(11).fail_keys(
             "mapreduce.task",
             &[mix(4, 0), mix(9, 0)],
             FaultAction::Error,
         );
-        let (out, stage, ft) = lazy
-            .collect_ft(&s, 8.0, RunPolicy::resilient(), Arc::new(plan))
-            .unwrap();
+        let policy = RunPolicy {
+            speculation: None,
+            ..RunPolicy::resilient()
+        };
+        let (out, stage, ft) = lazy.collect_ft(&s, 8.0, policy, Arc::new(plan)).unwrap();
         assert_eq!(out, clean, "faulted run must still produce clean results");
         assert_eq!(ft.retries, 2);
+        assert_eq!(ft.speculative, 0);
         assert_eq!(ft.attempt_costs.len(), 32, "all attempts are charged");
         assert!(stage.simulated_secs > 0.0);
     }

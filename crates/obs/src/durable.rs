@@ -20,11 +20,11 @@
 //!
 //! Fault injection rides the workspace's seeded [`FaultPlan`]: four IO
 //! sites ([`SITE_WRITE_TORN`], [`SITE_WRITE_BITFLIP`],
-//! [`SITE_WRITE_ENOSPC`], [`SITE_READ_CORRUPT`]) let `bench::soakbench`
-//! torture every persistence path reproducibly. Transient failures
-//! retry under a bounded deterministic [`RetryPolicy`] whose backoff is
-//! charged to a [`ManualClock`] when one is attached (simulated paths
-//! never sleep the wall clock).
+//! [`SITE_WRITE_ENOSPC`], [`SITE_READ_CORRUPT`]) let the soak test
+//! (`crates/bench/tests/soak.rs`) torture every persistence path
+//! reproducibly. Transient failures retry under a bounded deterministic
+//! [`RetryPolicy`] whose backoff is charged to a [`ManualClock`] when one
+//! is attached (simulated paths never sleep the wall clock).
 
 use crate::ManualClock;
 use seaice_faults::{mix, FaultAction, FaultPlan};
@@ -400,7 +400,7 @@ pub fn write_framed(
 }
 
 /// Writes raw `bytes` to `path` atomically, without framing — for
-/// artifacts whose format must stay plain (BENCH_*.json, manifests) but
+/// artifacts whose format must stay plain (acquisition manifests) but
 /// which still deserve the temp-fsync-rename protocol.
 ///
 /// # Errors

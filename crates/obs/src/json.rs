@@ -1,9 +1,9 @@
 //! The workspace's one JSON reader/writer, hand-rolled so `seaice-obs`
 //! stays free of external dependencies (the same stance `seaice-lint`
 //! takes). Everything persisted or exported as JSON goes through it:
-//! `BENCH_*.json` summaries and Chrome `trace_event` files here, and the
-//! three persisted formats whose codecs live next to their types —
-//! U-Net checkpoints (`seaice_unet::checkpoint`), acquisition manifests
+//! Chrome `trace_event` files here, and the three persisted formats whose
+//! codecs live next to their types — U-Net checkpoints
+//! (`seaice_unet::checkpoint`), acquisition manifests
 //! (`seaice_s2::manifest`) and stream checkpoints
 //! (`seaice_core::stream_workflow`) — plus serve's `GET /stats`.
 //!

@@ -1,7 +1,8 @@
 //! `seaice-obs` — the workspace's unified observability layer.
 //!
-//! Three pieces, all built on the same rule — *off by default, byte-for-
-//! byte invisible when off*:
+//! Two instruments, both built on the same rule — *off by default,
+//! byte-for-byte invisible when off* — and the persistence spine under
+//! every saved artifact:
 //!
 //! * [`registry`]: a process-wide metrics registry of named counters,
 //!   gauges, and [`latency`] log-spaced histograms. Handles from a
@@ -17,9 +18,6 @@
 //!   advanced by their simulated time — so deterministic crates still
 //!   never read the wall clock, and `seaice-lint`'s
 //!   `wallclock-in-deterministic-path` rule keeps its teeth.
-//! * [`bench`]: the `BENCH_<area>.json` perf-trajectory schema
-//!   (`seaice-bench/1`), its writer, and the regression comparator
-//!   behind `reproduce bench-check`.
 //! * [`durable`]: crash-consistent persistence — checksummed atomic
 //!   file writes with seeded IO fault injection — which every durable
 //!   artifact in the workspace routes through (DESIGN.md §4.8).
@@ -33,7 +31,6 @@
 //! created earlier.
 #![forbid(unsafe_code)]
 
-pub mod bench;
 pub mod durable;
 pub mod json;
 pub mod latency;

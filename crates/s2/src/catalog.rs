@@ -20,7 +20,9 @@ pub struct CatalogQuery {
     pub extent: GeoExtent,
     /// Temporal filter.
     pub time: TimeRange,
-    /// Maximum number of scenes to return (0 = unlimited).
+    /// Maximum number of scenes to return; always the cap, so 0 returns
+    /// none. A query walks its days only until the cap is reached, which
+    /// keeps a wide [`TimeRange`] cheap.
     pub limit: usize,
 }
 
@@ -99,7 +101,7 @@ impl Catalog {
         let (dlat, dlon) = q.extent.span();
         'days: for day in q.time.start_day..q.time.end_day {
             for k in 0..self.scenes_per_day {
-                if q.limit > 0 && out.len() >= q.limit {
+                if out.len() >= q.limit {
                     break 'days;
                 }
                 let h = self.hash(day as u64, k as u64);
@@ -370,14 +372,33 @@ mod tests {
     #[test]
     fn days_respect_time_filter() {
         let cat = tiny_catalog();
+        // A cap above the 3 days x 3 acquisitions the range holds.
+        let q = CatalogQuery {
+            time: TimeRange::new(5, 8),
+            limit: 100,
+            ..CatalogQuery::paper()
+        };
+        let metas = cat.query(&q);
+        assert_eq!(metas.len(), 9);
+        assert!(metas.iter().all(|m| (5..8).contains(&m.day)));
+    }
+
+    #[test]
+    fn limit_is_always_the_cap_so_zero_returns_no_scenes() {
+        let cat = tiny_catalog();
         let q = CatalogQuery {
             time: TimeRange::new(5, 8),
             limit: 0,
             ..CatalogQuery::paper()
         };
-        let metas = cat.query(&q);
-        assert!(!metas.is_empty());
-        assert!(metas.iter().all(|m| (5..8).contains(&m.day)));
+        assert!(cat.query(&q).is_empty());
+        // A wide range stops at the cap instead of walking every day.
+        let wide = CatalogQuery {
+            time: TimeRange::new(0, u32::MAX / 2),
+            limit: 4,
+            ..CatalogQuery::paper()
+        };
+        assert_eq!(cat.query(&wide).len(), 4);
     }
 
     #[test]

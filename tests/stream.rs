@@ -49,17 +49,19 @@ beta         0    0     1   0.0000   0.0000   1.0000   0.0000  1.0000   0.0000  
 }
 
 /// Same seed ⇒ byte-identical drift series at different worker counts,
-/// end to end through the facade.
+/// end to end through the facade, on the two-region, four-revisit feed
+/// whose killed-worker run `tests/chaos.rs` pins.
 #[test]
 fn stream_drift_series_is_pinned_across_worker_counts() {
-    let mut cfg = StreamWorkflowConfig::tiny();
-    cfg.regions = 1;
-    cfg.revisits = 2;
-    cfg.scene_side = 32;
-    cfg.epochs = 1;
+    let mut cfg = StreamWorkflowConfig {
+        revisits: 4,
+        scene_side: 64,
+        seed: 0x5EA1CE,
+        ..StreamWorkflowConfig::tiny()
+    };
     let ckpt = train_stream_model(&cfg);
 
-    let mut bytes = Vec::new();
+    let mut runs = Vec::new();
     for workers in [1usize, 2] {
         cfg.workers = workers;
         let out = run_stream(
@@ -69,10 +71,23 @@ fn stream_drift_series_is_pinned_across_worker_counts() {
             Arc::new(FaultPlan::disabled()),
         )
         .expect("fault-free run");
-        bytes.push(out.series.to_bytes());
+        runs.push(out);
     }
+    let (one, two) = (&runs[0], &runs[1]);
     assert_eq!(
-        bytes[0], bytes[1],
+        one.series.to_bytes(),
+        two.series.to_bytes(),
         "worker count must never change the drift series"
     );
+    // 2 regions x 4 revisits; each 64² scene is 16 tiles of 16².
+    assert_eq!(two.series.points.len(), 8);
+    let infer = two.report.stages.iter().find(|s| s.name == "infer");
+    assert_eq!(infer.expect("an infer stage").items_in, 128);
+    // Every stage charges a fixed simulated cost per attempt (labelling at
+    // the paper's 390 s / 4224 tiles), so both totals are exact.
+    assert_eq!(two.report.sim_makespan_secs, 16.0);
+    assert_eq!(two.report.sim_total_secs, 32.1861818181818);
+    // The synthetic ice drifts between revisits.
+    let revisits = two.series.points.iter().filter(|p| p.revisit > 0);
+    assert!(revisits.map(|p| p.changed_frac).sum::<f64>() > 0.0);
 }
