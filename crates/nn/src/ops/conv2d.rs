@@ -31,10 +31,21 @@
 //!   it joins the running total (`matmul_at_b`, then `col2im`) — lanes are
 //!   `NR` consecutive `px`, rows `MR` input channels.
 //!
-//! The reference skips zero weights and padding; the kernels add those
-//! `±0` terms. A chain that starts at `+0.0` never holds `−0.0`, so the
-//! bits agree. The one visible difference is a fix: `0 × NaN/∞` is NaN
-//! now, so a non-finite activation no longer hides behind a zero weight.
+//! # Skipped zeros
+//! The reference skips zero weights and multiplies the padding; the kernels
+//! multiply zero weights. The forward kernel instead skips every tap whose
+//! input cells are all `±0`: per call, [`ConvBuffers`] marks each
+//! `(input channel, padded row)` that holds only `±0`, and each output row
+//! multiplies the ascending spans of the taps that read an unmarked row
+//! ([`Live`]), shared by every channel block and tile of that row. The
+//! bits agree: a chain starts at `+0.0` and never holds `−0.0`; a skipped
+//! product `w · (±0)` is `±0` for a finite `w`, and adding it changes no
+//! bit; the taps that remain keep their order. `∞ · 0` is NaN, so a call
+//! with any non-finite weight runs every tap, as do calls too small for
+//! the marks to pay (`SPARSE_WORK`), inputs with few zero rows, `dx` and
+//! `dW`. The one visible difference from the reference is a fix:
+//! `0 × NaN/∞` is NaN now, so a non-finite activation no longer hides
+//! behind a zero weight.
 //!
 //! Strides other than 1 and `pad > kernel − 1` (no model uses either) take
 //! the reference lowering instead; `Conv2dShape::is_direct` is the one
@@ -111,6 +122,12 @@ fn lanes<const N: usize>(s: &[f32], at: usize) -> [f32; N] {
     out
 }
 
+/// The least `out_c · k² · ow` (the MACs one zero input row saves across
+/// the `k` output rows it feeds) at which a forward call looks for zero
+/// rows: below it, scanning and marking cost more than the taps they could
+/// skip.
+const SPARSE_WORK: usize = 4096;
+
 /// Scratch a convolution call packs into and an int8 call quantises into:
 /// kept by a walk and reused, so a call allocates nothing.
 #[derive(Clone, Debug, Default)]
@@ -121,29 +138,148 @@ pub struct ConvBuffers {
     pub(super) offs: Vec<usize>,
     /// The int8 kernel's channel-pair planes.
     pub(super) words: Vec<i32>,
+    /// Per input channel, per padded row: every cell is `±0`.
+    zero: Vec<bool>,
+    /// The [`Live`] taps of the last forward call.
+    spans: Vec<[usize; 2]>,
+    rows: Vec<usize>,
+}
+
+impl ConvBuffers {
+    /// Packs `weight` and the taps for a forward call on `src`, and, when
+    /// `look`, marks the taps of each output row that read a non-zero cell
+    /// ([`Live`]): a `(channel, row)` of `src` that holds only `±0` adds
+    /// only `±0` terms. Dense — every tap of every row — when `weight`
+    /// holds a non-finite value (`∞ · 0` is NaN, which the skip would
+    /// lose) or fewer than a quarter of the interior rows are zero (the
+    /// skip would save less than its bookkeeping).
+    fn prepare(&mut self, src: &Planes, weight: &Tensor, shape: &Conv2dShape, look: bool) {
+        let (c, h, _) = src.dims();
+        let (k, halo) = (shape.kernel, src.halo());
+        let (taps, hp) = (c * k * k, h + 2 * halo);
+        self.offs.clear();
+        self.offs.extend(patch_offsets(c, k, hp, src.width()));
+        let w = weight.as_slice();
+        pack(&mut self.packed, w, taps);
+        self.spans.clear();
+        self.rows.clear();
+        self.spans.push([0, taps]);
+        // Folded, not `all`: an early exit keeps the check scalar.
+        if !look || !w.iter().fold(true, |ok, v| ok & v.is_finite()) {
+            return;
+        }
+        // Whole padded rows, straight from the planes: the border is zero.
+        let rows = src.data()[..c * src.plane()].chunks_exact(src.width());
+        self.zero.clear();
+        self.zero.extend(rows.map(is_zero));
+        let interior = self.zero.chunks_exact(hp).map(|z| &z[halo..hp - halo]);
+        let zeros: usize = interior.map(|z| z.iter().filter(|z| **z).count()).sum();
+        if 4 * zeros < c * h {
+            return;
+        }
+        self.spans.clear();
+        for y in 0..hp + 1 - k {
+            self.rows.push(self.spans.len());
+            // Where this row's last span ends (no tap starts at `MAX`).
+            let mut end = usize::MAX;
+            for ch in 0..c {
+                for (ky, &zero) in self.zero[ch * hp + y..][..k].iter().enumerate() {
+                    let start = (ch * k + ky) * k;
+                    if zero {
+                        continue;
+                    }
+                    match self.spans.last_mut() {
+                        Some(span) if end == start => span[1] = start + k,
+                        _ => self.spans.push([start, start + k]),
+                    }
+                    end = start + k;
+                }
+            }
+        }
+        self.rows.push(self.spans.len());
+    }
+
+    /// The taps [`ConvBuffers::prepare`] marked.
+    fn live(&self) -> Live<'_> {
+        Live {
+            spans: &self.spans,
+            rows: &self.rows,
+        }
+    }
+}
+
+/// Whether every cell of `row` is `±0`: OR-ed (shifted past the sign)
+/// sixteen at a time, so the scan vectorises and stops at the first
+/// non-zero block.
+fn is_zero(row: &[f32]) -> bool {
+    let or = |cells: &[f32]| cells.iter().fold(0, |a, v| a | v.to_bits() << 1);
+    let (blocks, rest) = row.as_chunks::<16>();
+    blocks.iter().all(|b| or(b) == 0) && or(rest) == 0
+}
+
+/// The taps of a [`tiled_planes_body`] call each output row multiplies:
+/// ascending `[start, end)` spans of a group's taps, the same for every
+/// channel block and every tile of the row.
+#[derive(Clone, Copy)]
+pub(super) struct Live<'a> {
+    spans: &'a [[usize; 2]],
+    /// Row `y`'s spans are `spans[rows[y]..rows[y + 1]]`; with no `rows`,
+    /// every row takes all of `spans`.
+    rows: &'a [usize],
+}
+
+impl<'a> Live<'a> {
+    /// `spans` for every output row.
+    pub(super) fn all(spans: &'a [[usize; 2]]) -> Self {
+        Self { spans, rows: &[] }
+    }
+
+    #[inline(always)]
+    fn row(&self, y: usize) -> &'a [[usize; 2]] {
+        match self.rows {
+            [] => self.spans,
+            rows => &self.spans[rows[y]..rows[y + 1]],
+        }
+    }
 }
 
 /// What [`conv2d_backward_into`] derives from one convolution's weights and
 /// geometry (the `dx` gather's packed filter bank and taps, the `dW` taps),
-/// made by the first call for the images after it; fresh whenever the
-/// weights change. And one image's `dW`.
+/// made by the first call for the images after it, until
+/// [`GradBuffers::weights_moved`]. And one image's `dW` and the scratch it
+/// is computed in, kept across calls.
 #[derive(Clone, Debug, Default)]
 pub struct GradBuffers {
     packed: Vec<f32>,
     dx_offs: Vec<usize>,
     x_offs: Vec<usize>,
     dw: Vec<f32>,
+    /// `gy` transposed, channels padded to whole lanes with zeros.
+    gt: Vec<f32>,
+    /// `dW` transposed.
+    dwt: Vec<f32>,
 }
 
-/// Repacks `rows × len` coefficients into `out` as `[rows / MR][len][MR]`,
-/// zero rows filling a short last block, so a tile reads its `MR` scalars
-/// adjacent.
-fn pack(out: &mut Vec<f32>, rows: usize, len: usize, at: impl Fn(usize, usize) -> f32) {
+impl GradBuffers {
+    /// The weights changed: the next call derives what it packs again.
+    pub fn weights_moved(&mut self) {
+        self.packed.clear();
+    }
+}
+
+/// Repacks the row-major `rows × len` coefficients `w` into `out` as
+/// `[rows / MR][len][MR]`, zero rows filling a short last block, so a tile
+/// reads its `MR` scalars adjacent. Block by block, row by row: no
+/// division per coefficient.
+fn pack(out: &mut Vec<f32>, w: &[f32], len: usize) {
     out.clear();
-    out.resize(rows.div_ceil(MR) * len * MR, 0.0);
-    for row in 0..rows {
-        for j in 0..len {
-            out[(row / MR * len + j) * MR + row % MR] = at(row, j);
+    out.resize((w.len() / len).div_ceil(MR) * len * MR, 0.0);
+    for (block, w) in out.chunks_exact_mut(len * MR).zip(w.chunks(len * MR)) {
+        for (r, row) in w.chunks_exact(len).enumerate() {
+            block
+                .chunks_exact_mut(MR)
+                .zip(row)
+                .for_each(|(d, &v)| d[r] = v);
         }
     }
 }
@@ -162,8 +298,9 @@ pub(super) fn patch_offsets(
 /// One `R × L` register tile, `R` being `MR` or `2 · MR` rows and `L` the
 /// lanes (`NR`, or 16 on AVX-512); `w` is the `R / MR` consecutive
 /// [`pack`]ed blocks of its rows. `offs` and each block hold `groups` equal
-/// runs of taps: each run's chain `Σ w[j][r] · src[base + offs[j] + l]` is
-/// finished before it joins the running total. *Named* accumulators (the
+/// runs of taps: each run's chain `Σ w[j][r] · src[base + offs[j] + l]`,
+/// `j` over the `live` spans of the run, is finished before it joins the
+/// running total. *Named* accumulators (the
 /// second four compile out at `R = MR`, where `w1` is `w0` again) and one
 /// lane loop: the nested `[[f32; L]; R]` form stops vectorising at
 /// `codegen-units = 1`. The group total adds them in place, one row after
@@ -177,6 +314,7 @@ fn tile<const R: usize, const L: usize>(
     offs: &[usize],
     w: &[f32],
     groups: usize,
+    live: &[[usize; 2]],
 ) -> [[f32; L]; R] {
     let group = offs.len() / groups;
     let (w0, w1) = (w, &w[(R / MR - 1) * offs.len() * MR..]);
@@ -185,19 +323,23 @@ fn tile<const R: usize, const L: usize>(
         let offs = &offs[g * group..][..group];
         let (w0, w1) = (&w0[g * group * MR..], &w1[g * group * MR..]);
         let [mut a0, mut a1, mut a2, mut a3, mut a4, mut a5, mut a6, mut a7] = [[0f32; L]; 2 * MR];
-        let rows = w0.chunks_exact(MR).zip(w1.chunks_exact(MR));
-        for (&off, (w0, w1)) in offs.iter().zip(rows) {
-            let b: [f32; L] = lanes(src, base + off);
-            for l in 0..L {
-                a0[l] += w0[0] * b[l];
-                a1[l] += w0[1] * b[l];
-                a2[l] += w0[2] * b[l];
-                a3[l] += w0[3] * b[l];
-                if R > MR {
-                    a4[l] += w1[0] * b[l];
-                    a5[l] += w1[1] * b[l];
-                    a6[l] += w1[2] * b[l];
-                    a7[l] += w1[3] * b[l];
+        // The chains run on across the spans: a skipped tap adds nothing.
+        for &[start, end] in live {
+            let (w0, w1) = (&w0[start * MR..end * MR], &w1[start * MR..end * MR]);
+            let rows = w0.chunks_exact(MR).zip(w1.chunks_exact(MR));
+            for (&off, (w0, w1)) in offs[start..end].iter().zip(rows) {
+                let b: [f32; L] = lanes(src, base + off);
+                for l in 0..L {
+                    a0[l] += w0[0] * b[l];
+                    a1[l] += w0[1] * b[l];
+                    a2[l] += w0[2] * b[l];
+                    a3[l] += w0[3] * b[l];
+                    if R > MR {
+                        a4[l] += w1[0] * b[l];
+                        a5[l] += w1[1] * b[l];
+                        a6[l] += w1[2] * b[l];
+                        a7[l] += w1[3] * b[l];
+                    }
                 }
             }
         }
@@ -228,8 +370,7 @@ fn tile<const R: usize, const L: usize>(
 #[inline(always)]
 fn tiled_block<const R: usize, const L: usize>(
     src: &Planes,
-    offs: &[usize],
-    groups: usize,
+    (offs, groups, live): (&[usize], usize, Live<'_>),
     w: &[f32],
     bias: Option<&[f32]>,
     out: &mut Sink<'_>,
@@ -239,8 +380,9 @@ fn tiled_block<const R: usize, const L: usize>(
     let (relu, mask) = (out.relu, out.mask);
     let w = &w[..R * offs.len()];
     for y in 0..oh {
+        let live = live.row(y);
         for x0 in (0..ow).step_by(L) {
-            let acc = tile::<R, L>(src.data(), y * src.width() + x0, offs, w, groups);
+            let acc = tile::<R, L>(src.data(), y * src.width() + x0, offs, w, groups, live);
             let n = L.min(ow - x0);
             for (ch, acc) in (ch0..channels).zip(&acc) {
                 let dst = out.cells(ch, y, x0, n);
@@ -261,9 +403,11 @@ fn tiled_block<const R: usize, const L: usize>(
 }
 
 /// The `channels × oh × ow` output of one image, stored through `out`:
-/// `out[ch][y][x] = Σ_groups(Σ_j packed[ch][j] · src[y][x + offs[j]]) (+ bias[ch])`.
-/// The forward pass is one group of all `c·k·k` taps plus the bias; `dx`
-/// is `k·k` groups of `out_c` taps over the haloed `grad_out`. Channels go
+/// `out[ch][y][x] = Σ_groups(Σ_j packed[ch][j] · src[y][x + offs[j]]) (+ bias[ch])`,
+/// each group's `j` over the spans `live` gives output row `y`.
+/// The forward pass is one group of all `c·k·k` taps plus the bias, over
+/// the taps that read a non-zero cell; `dx` is `k·k` groups of `out_c` taps
+/// over the haloed `grad_out`, every tap. Channels go
 /// `R` at a time, except that `MR` or fewer left take the `MR`-row tile: a
 /// narrow layer must not multiply zero rows in a tile twice its height.
 /// Positions go `L` at a time.
@@ -275,16 +419,18 @@ pub(super) fn tiled_planes_body<const R: usize, const L: usize>(
     packed: &[f32],
     bias: Option<&[f32]>,
     mut out: Sink<'_>,
+    live: Live<'_>,
 ) {
     let channels = out.dims().0;
+    let taps = (offs, groups, live);
     let mut ch0 = 0;
     while ch0 < channels {
         let w = &packed[ch0 * offs.len()..];
         if R > MR && channels - ch0 > MR {
-            tiled_block::<R, L>(src, offs, groups, w, bias, &mut out, ch0);
+            tiled_block::<R, L>(src, taps, w, bias, &mut out, ch0);
             ch0 += R;
         } else {
-            tiled_block::<MR, L>(src, offs, groups, w, bias, &mut out, ch0);
+            tiled_block::<MR, L>(src, taps, w, bias, &mut out, ch0);
             ch0 += MR;
         }
     }
@@ -303,11 +449,16 @@ pub(super) fn grad_weight_item_body<const R: usize, const L: usize>(
     gy: View<'_>,
     (oc, oh, ow): (usize, usize, usize),
     dw: &mut [f32],
+    (gt, dwt): (&mut Vec<f32>, &mut Vec<f32>),
 ) {
     let taps = offs.len();
     let ocp = oc.next_multiple_of(L);
-    // Channels zero-padded to whole lanes.
-    let mut gt = vec![0.0; oh * ow * ocp];
+    // Channels zero-padded to whole lanes: the lanes `oc..` of the kept
+    // scratch are zeroed here, every other cell stored below.
+    gt.resize(oh * ow * ocp, 0.0);
+    if ocp > oc {
+        gt.chunks_exact_mut(ocp).for_each(|p| p[oc..].fill(0.0));
+    }
     for o in 0..oc {
         for y in 0..oh {
             for (x, &v) in gy.row(o, y).iter().enumerate() {
@@ -315,7 +466,8 @@ pub(super) fn grad_weight_item_body<const R: usize, const L: usize>(
             }
         }
     }
-    let mut dwt = vec![0.0; taps * ocp];
+    // Every cell is stored below.
+    dwt.resize(taps * ocp, 0.0);
     for row0 in (0..taps).step_by(R) {
         // A short last tile repeats the final row; the store drops the copies
         // (and rows `MR..` are dead at `R = MR`).
@@ -411,7 +563,7 @@ pub fn conv2d_into(
     buf: &mut ConvBuffers,
 ) {
     let (c, h, w) = src.dims();
-    let (k, oc) = (shape.kernel, shape.out_channels);
+    let oc = shape.out_channels;
     assert_eq!(c, shape.in_channels, "input channel mismatch");
     check_operands(weight, bias, shape);
     let (oh, ow) = shape.output_hw(h, w);
@@ -421,14 +573,10 @@ pub fn conv2d_into(
         return dst.put(conv2d_lowered(&x, weight, bias, shape).as_slice());
     }
     assert_eq!(src.halo(), shape.pad, "conv input halo must be its padding");
-    let taps = c * k * k;
-    buf.offs.clear();
-    buf.offs
-        .extend(patch_offsets(c, k, h + 2 * shape.pad, src.width()));
-    pack(&mut buf.packed, oc, taps, |o, t| {
-        weight.as_slice()[o * taps + t]
-    });
-    tiled_planes(src, &buf.offs, 1, &buf.packed, Some(bias.as_slice()), dst);
+    let look = oc * shape.kernel.pow(2) * ow >= SPARSE_WORK;
+    buf.prepare(src, weight, shape, look);
+    let bias = Some(bias.as_slice());
+    tiled_planes(src, &buf.offs, 1, &buf.packed, bias, dst, buf.live());
 }
 
 /// The filter bank is `[out_c, in_c · k · k]` and the bias `[out_c]`.
@@ -522,8 +670,11 @@ pub fn conv2d_backward_into(
         buf.dw.resize(oc * taps, 0.0);
         pack_dx_weights(&mut buf.packed, weight, c, k);
     }
-    tiled_planes(gy, &buf.dx_offs, k * k, &buf.packed, None, dx);
-    grad_weight_item(x, &buf.x_offs, g, (oc, oh, ow), &mut buf.dw);
+    let every = [[0, oc]];
+    let (dx_offs, live) = (&buf.dx_offs, Live::all(&every));
+    tiled_planes(gy, dx_offs, k * k, &buf.packed, None, dx, live);
+    let scratch = (&mut buf.gt, &mut buf.dwt);
+    grad_weight_item(x, &buf.x_offs, g, (oc, oh, ow), &mut buf.dw, scratch);
     dw.iter_mut().zip(&buf.dw).for_each(|(s, p)| *s += p);
     bias_sums(g, db);
 }
@@ -812,27 +963,52 @@ mod tests {
     /// A convolution site, `(in_c, out_c, kernel, side)`.
     type Site = (usize, usize, usize, usize);
     /// An instantiation of [`tiled_planes_body`].
-    type Body = fn(&Planes, &[usize], usize, &[f32], Option<&[f32]>, Sink<'_>);
+    type Body = fn(&Planes, &[usize], usize, &[f32], Option<&[f32]>, Sink<'_>, Live<'_>);
     /// An instantiation of [`grad_weight_item_body`].
-    type DwBody = fn(&Planes, &[usize], View<'_>, (usize, usize, usize), &mut [f32]);
+    type DwBody = fn(
+        &Planes,
+        &[usize],
+        View<'_>,
+        (usize, usize, usize),
+        &mut [f32],
+        (&mut Vec<f32>, &mut Vec<f32>),
+    );
 
-    /// `y` of one image through the forward front ([`conv2d_into`]'s
-    /// kernel call) and through `body`, on the same operands.
-    fn forward_pair((c, oc, k, side): Site, seed: u64, body: Body) -> (Vec<f32>, Vec<f32>) {
-        let (pad, taps) = (k / 2, c * k * k);
-        let x = uniform(&[c, side, side], -1.0, 1.0, seed).map(|v| v.max(0.0));
-        let weight = uniform(&[oc, taps], -0.5, 0.5, seed + 1);
-        let bias = uniform(&[oc], -0.5, 0.5, seed + 2);
-        let xh = Planes::haloed(x.as_slice(), (c, side, side), pad);
-        let offs: Vec<usize> = patch_offsets(c, k, side + 2 * pad, side + 2 * pad).collect();
-        let mut packed = Vec::new();
-        pack(&mut packed, oc, taps, |o, t| {
-            weight.as_slice()[o * taps + t]
-        });
+    /// `y` of one image, `x` shaped `[1, c, side, side]`, through the
+    /// forward front ([`conv2d_into`]'s kernel call) and through `body`, on
+    /// the same operands and the same live taps; and whether they skipped any.
+    fn forward_on(
+        x: &Tensor,
+        (weight, bias): (&Tensor, &Tensor),
+        k: usize,
+        body: Body,
+    ) -> (Vec<f32>, Vec<f32>, bool) {
+        let (_, c, side, _) = x.nchw();
+        let oc = weight.shape()[0];
+        let shape = Conv2dShape {
+            in_channels: c,
+            out_channels: oc,
+            kernel: k,
+            stride: 1,
+            pad: k / 2,
+        };
+        let xh = Planes::haloed(x.as_slice(), (c, side, side), k / 2);
+        let mut buf = ConvBuffers::default();
+        buf.prepare(&xh, weight, &shape, true);
         let (mut y, mut y0) = (vec![0.0; oc * side * side], vec![0.0; oc * side * side]);
         let (dims, bias) = ((oc, side, side), Some(bias.as_slice()));
-        tiled_planes(&xh, &offs, 1, &packed, bias, Sink::plain(&mut y, dims));
-        body(&xh, &offs, 1, &packed, bias, Sink::plain(&mut y0, dims));
+        let (offs, packed, live) = (&buf.offs, &buf.packed, buf.live());
+        tiled_planes(&xh, offs, 1, packed, bias, Sink::plain(&mut y, dims), live);
+        body(&xh, offs, 1, packed, bias, Sink::plain(&mut y0, dims), live);
+        (y, y0, !buf.rows.is_empty())
+    }
+
+    /// [`forward_on`] a ReLU'd uniform image and uniform weights.
+    fn forward_pair((c, oc, k, side): Site, seed: u64, body: Body) -> (Vec<f32>, Vec<f32>) {
+        let x = uniform(&[1, c, side, side], -1.0, 1.0, seed).map(|v| v.max(0.0));
+        let weight = uniform(&[oc, c * k * k], -0.5, 0.5, seed + 1);
+        let bias = uniform(&[oc], -0.5, 0.5, seed + 2);
+        let (y, y0, _) = forward_on(&x, (&weight, &bias), k, body);
         (y, y0)
     }
 
@@ -847,9 +1023,11 @@ mod tests {
         let mut wt = Vec::new();
         pack_dx_weights(&mut wt, &weight, c, k);
         let (mut dx, mut dx0) = (vec![0.0; c * side * side], vec![0.0; c * side * side]);
-        let dims = (c, side, side);
-        tiled_planes(&gh, &offs, k * k, &wt, None, Sink::plain(&mut dx, dims));
-        body(&gh, &offs, k * k, &wt, None, Sink::plain(&mut dx0, dims));
+        let (dims, every) = ((c, side, side), [[0, oc]]);
+        let live = Live::all(&every);
+        let (out, out0) = (Sink::plain(&mut dx, dims), Sink::plain(&mut dx0, dims));
+        tiled_planes(&gh, &offs, k * k, &wt, None, out, live);
+        body(&gh, &offs, k * k, &wt, None, out0, live);
         (dx, dx0)
     }
 
@@ -863,8 +1041,11 @@ mod tests {
         let (mut dw, mut dw0) = (vec![0.0; oc * taps], vec![0.0; oc * taps]);
         let gdims = (oc, side, side);
         let g = View::of_slice(gy.as_slice(), gdims);
-        grad_weight_item(&xh, &offs, g, gdims, &mut dw);
-        body(&xh, &offs, g, gdims, &mut dw0);
+        let (mut gt, mut dwt) = (Vec::new(), Vec::new());
+        grad_weight_item(&xh, &offs, g, gdims, &mut dw, (&mut gt, &mut dwt));
+        // Scratch left dirty by another shape: every cell is stored again.
+        let (mut gt, mut dwt) = (vec![f32::NAN; 3 * gt.len()], vec![f32::NAN; dwt.len()]);
+        body(&xh, &offs, g, gdims, &mut dw0, (&mut gt, &mut dwt));
         (dw, dw0)
     }
 
@@ -961,6 +1142,100 @@ mod tests {
             assert_same_bits("front dx vs the 16-lane body", &case, &dx, &dx0);
             let (dw, dw0) = dw_pair(site, seed, wide_dw);
             assert_same_bits("front dw vs the 16-lane body", &case, &dw, &dw0);
+        }
+    }
+
+    /// The forward skips the taps whose input row holds only `±0` and stays
+    /// the reference lowering bit for bit, in every instantiation of
+    /// [`tiled_planes_body`] and through the front: on dead channels, zero
+    /// rows, rows whose one non-zero cell sits at either end, `−0.0`, NaN
+    /// and ±∞ beside zero rows and an all-zero input (skipping); and on
+    /// inputs whose only zeros are the halo, or under a non-finite weight
+    /// (`∞ · 0` is NaN, which a skip would lose), dense.
+    #[test]
+    fn skipped_zero_rows_equal_the_reference_lowering_bit_for_bit() {
+        let bodies: [(&str, Body); 3] = [
+            ("4x8 body", tiled_planes_body::<MR, NR>),
+            ("8x8 body", tiled_planes_body::<{ 2 * MR }, NR>),
+            ("8x16 body", tiled_planes_body::<{ 2 * MR }, NR_WIDE>),
+        ];
+        let (c, oc) = (5, 9);
+        // Every third row of channels 0, 2 and 4 zero, channels 1 and 3 dead.
+        let dead = |x: &mut [f32], side: usize, zero: f32| {
+            for (i, v) in x.iter_mut().enumerate() {
+                let (ch, y) = (i / (side * side), i / side % side);
+                if ch % 2 == 1 || y % 3 == 0 {
+                    *v = zero;
+                }
+            }
+        };
+        type Case = (&'static str, bool);
+        let cases: [Case; 8] = [
+            ("dead channels and zero rows", true),
+            ("one cell at either end of a row", true),
+            ("only the halo zero", false),
+            ("all zero", true),
+            ("no zeros", false),
+            ("-0.0 cells", true),
+            ("NaN and ±inf beside zero rows", true),
+            ("an infinite weight", false),
+        ];
+        for side in [7, 16, 19, 33] {
+            let at = |ch: usize, y: usize, x: usize| (ch * side + y) * side + x;
+            for k in [3, 1] {
+                for (i, &(name, skips)) in cases.iter().enumerate() {
+                    let seed = 4000 + 10 * (i as u64) + side as u64;
+                    let shape = [1, c, side, side];
+                    let mut x = uniform(&shape, -1.0, 1.0, seed).map(|v| v.max(0.0));
+                    let mut weight = uniform(&[oc, c * k * k], -0.5, 0.5, seed + 1);
+                    let bias = uniform(&[oc], -0.5, 0.5, seed + 2);
+                    let v = x.as_mut_slice();
+                    match i {
+                        0 => dead(v, side, 0.0),
+                        1 => {
+                            v.fill(0.0);
+                            v[at(0, 2, 0)] = 0.7;
+                            v[at(2, side - 1, side - 1)] = -0.6;
+                            v[at(4, side / 2, side - 1)] = 1.3;
+                            v[at(4, side / 2 + 1, 0)] = 0.9;
+                        }
+                        2 => v.iter_mut().for_each(|v| *v = 0.25 + v.abs()),
+                        3 => v.fill(0.0),
+                        4 => v.iter_mut().for_each(|v| *v -= 0.5),
+                        5 => {
+                            dead(v, side, -0.0);
+                            v[at(0, 1, 1)] = -0.0;
+                        }
+                        6 => {
+                            dead(v, side, 0.0);
+                            v[at(0, 1, 3)] = f32::NAN;
+                            v[at(2, 2, 0)] = f32::INFINITY;
+                            v[at(4, side - 2, side - 1)] = f32::NEG_INFINITY;
+                        }
+                        7 => {
+                            dead(v, side, 0.0);
+                            weight.as_mut_slice()[2 * c * k * k] = f32::INFINITY;
+                            weight.as_mut_slice()[oc * c * k * k - 1] = f32::NEG_INFINITY;
+                        }
+                        _ => {}
+                    }
+                    let conv = Conv2dShape {
+                        in_channels: c,
+                        out_channels: oc,
+                        kernel: k,
+                        stride: 1,
+                        pad: k / 2,
+                    };
+                    let want = conv2d_lowered(&x, &weight, &bias, &conv);
+                    let case = format!("{name}, {k}x{k}, {side}²");
+                    for (what, body) in bodies {
+                        let (y, y0, skipped) = forward_on(&x, (&weight, &bias), k, body);
+                        assert_eq!(skipped, skips, "skipped taps ({case})");
+                        assert_same_bits("front y", &case, &y, want.as_slice());
+                        assert_same_bits(what, &case, &y0, want.as_slice());
+                    }
+                }
+            }
         }
     }
 

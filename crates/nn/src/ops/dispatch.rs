@@ -19,7 +19,7 @@
 //! Explicit twins with explicit arguments: a closure handed to a generic
 //! `avx2` shim can stay an out-of-line baseline function, with no warning.
 
-use super::conv2d::{grad_weight_item_body, tiled_planes_body, MR, NR, NR_WIDE};
+use super::conv2d::{grad_weight_item_body, tiled_planes_body, Live, MR, NR, NR_WIDE};
 use super::planes::{Planes, Sink, View};
 use super::quant::{qconv_item_lowered, QPlan};
 
@@ -78,6 +78,7 @@ twins!(tiled_planes = tiled_planes_body: tiled_planes_avx2, tiled_planes_avx512
     packed: &[f32],
     bias: Option<&[f32]>,
     out: Sink<'_>,
+    live: Live<'_>,
 );
 // `dW`: lanes are output channels, so 16 lanes from 16 channels up.
 twins!(grad_weight_item = grad_weight_item_body: grad_weight_item_avx2, grad_weight_item_avx512
@@ -87,6 +88,7 @@ twins!(grad_weight_item = grad_weight_item_body: grad_weight_item_avx2, grad_wei
     gy: View<'_>,
     dims: (usize, usize, usize),
     dw: &mut [f32],
+    scratch: (&mut Vec<f32>, &mut Vec<f32>),
 );
 twins!(qconv_item = super::quant::qconv_item_avx2 | qconv_item_lowered;
     plan: &QPlan,

@@ -278,7 +278,8 @@ pub(crate) fn backward(
         tape.logits = Planes::new((cfg.num_classes, s, s), 0);
     }
     // The weights moved since the last backward.
-    tape.bufs = vec![GradBuffers::default(); net.convs.len()];
+    tape.bufs.resize_with(net.convs.len(), GradBuffers::default);
+    tape.bufs.iter_mut().for_each(GradBuffers::weights_moved);
     // The dropout sites' `dX` scale, as `DropoutStream` computes it: 1 at
     // rate 0, where dropout's backward passes the gradient as it is.
     let scale = 1.0 / (1.0 - cfg.dropout);

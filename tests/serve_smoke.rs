@@ -3,6 +3,7 @@
 //! semantics — the contracts an operator relies on, exercised without
 //! any network I/O.
 
+use seaice::faults::{mix, FaultAction, FaultPlan};
 use seaice::imgproc::buffer::Image;
 use seaice::s2::synth::{generate, SceneConfig};
 use seaice::serve::{tile_key, Engine, EngineConfig, HttpServer, ServeError, Ticket};
@@ -114,7 +115,17 @@ fn int8_engine_smokes_and_reports_its_backend() {
 
 #[test]
 fn overload_burst_sheds_instead_of_queuing_without_bound() {
-    let engine = Engine::new(
+    // The burst is made before it is fired, and its first tile holds the
+    // one worker in a targeted delay while the other 63 arrive: with the
+    // worker busy, the 2-slot queue is full after two of them, so the
+    // burst sheds however fast the worker is. (Synthesizing each tile
+    // inside the burst let the worker drain the queue as fast as the
+    // client filled it.)
+    let tiles: Vec<Image<u8>> = (0..64u64).map(|i| tile(2000 + i)).collect();
+    let hold = FaultAction::Delay(Duration::from_millis(500));
+    let faults =
+        FaultPlan::seeded(12).fail_keys("serve.worker", &[mix(tile_key(&tiles[0]), 0)], hold);
+    let engine = Engine::with_faults(
         &tiny_ckpt(12),
         EngineConfig {
             workers: 1,
@@ -125,6 +136,7 @@ fn overload_burst_sheds_instead_of_queuing_without_bound() {
             filter: false,
             ..EngineConfig::for_tile(16)
         },
+        Arc::new(faults),
     )
     .unwrap();
 
@@ -132,11 +144,15 @@ fn overload_burst_sheds_instead_of_queuing_without_bound() {
     // must answer what it admitted and shed the rest with Overloaded.
     let mut accepted: Vec<Ticket> = Vec::new();
     let mut shed = 0usize;
-    for i in 0..64u64 {
-        match engine.try_submit(tile(2000 + i)) {
+    for (i, tile) in tiles.into_iter().enumerate() {
+        match engine.try_submit(tile) {
             Ok(t) => accepted.push(t),
             Err(ServeError::Overloaded) => shed += 1,
             Err(e) => panic!("unexpected error: {e}"),
+        }
+        // The worker has taken the first tile's batch, and is held in it.
+        while i == 0 && engine.stats().batches == 0 {
+            std::thread::sleep(Duration::from_micros(100));
         }
     }
     assert!(shed > 0, "a 64-request burst into a 2-slot queue must shed");
