@@ -47,6 +47,10 @@
 //! `0 × NaN/∞` is NaN now, so a non-finite activation no longer hides
 //! behind a zero weight.
 //!
+//! The int8 forward (`ops::quant`) runs the same tap plan,
+//! [`ConvBuffers::plan`], over channel-pair planes, with marks its halo
+//! pass writes as it stores each row: integer sums need no exception.
+//!
 //! Strides other than 1 and `pad > kernel − 1` (no model uses either) take
 //! the reference lowering instead; `Conv2dShape::is_direct` is the one
 //! predicate that decides.
@@ -123,58 +127,72 @@ fn lanes<const N: usize>(s: &[f32], at: usize) -> [f32; N] {
 }
 
 /// The least `out_c · k² · ow` (the MACs one zero input row saves across
-/// the `k` output rows it feeds) at which a forward call looks for zero
-/// rows: below it, scanning and marking cost more than the taps they could
-/// skip.
-const SPARSE_WORK: usize = 4096;
+/// the `k` output rows it feeds) at which a forward call, f32 or int8, looks
+/// for zero rows: below it, marking and planning cost more than the taps
+/// they could skip.
+pub(super) const SPARSE_WORK: usize = 4096;
 
-/// Scratch a convolution call packs into and an int8 call quantises into:
-/// kept by a walk and reused, so a call allocates nothing.
+/// Scratch a convolution call packs into and an int8 call quantises into,
+/// and the tap plan both precisions share: kept by a walk and reused, so a
+/// call allocates nothing.
 #[derive(Clone, Debug, Default)]
 pub struct ConvBuffers {
     /// The [`pack`]ed weights.
     pub(super) packed: Vec<f32>,
-    /// The [`patch_offsets`].
+    /// The [`tap_offsets`].
     pub(super) offs: Vec<usize>,
     /// The int8 kernel's channel-pair planes.
     pub(super) words: Vec<i32>,
-    /// Per input channel, per padded row: every cell is `±0`.
-    zero: Vec<bool>,
-    /// The [`Live`] taps of the last forward call.
+    /// Per input plane (a channel, or an int8 channel pair), per padded
+    /// row: every cell is zero, so its taps add nothing.
+    pub(super) zero: Vec<bool>,
+    /// The [`Live`] taps of the last forward call (no `rows`: every row
+    /// takes every tap).
     spans: Vec<[usize; 2]>,
-    rows: Vec<usize>,
+    pub(super) rows: Vec<usize>,
 }
 
 impl ConvBuffers {
-    /// Packs `weight` and the taps for a forward call on `src`, and, when
-    /// `look`, marks the taps of each output row that read a non-zero cell
-    /// ([`Live`]): a `(channel, row)` of `src` that holds only `±0` adds
-    /// only `±0` terms. Dense — every tap of every row — when `weight`
-    /// holds a non-finite value (`∞ · 0` is NaN, which the skip would
-    /// lose) or fewer than a quarter of the interior rows are zero (the
-    /// skip would save less than its bookkeeping).
+    /// Packs `weight` and plans the taps of a forward call on `src`,
+    /// marking, when `look`, each `(channel, padded row)` of `src` that
+    /// holds only `±0`: it adds only `±0` terms. Marks nothing when
+    /// `weight` holds a non-finite value (`∞ · 0` is NaN, which the skip
+    /// would lose).
     fn prepare(&mut self, src: &Planes, weight: &Tensor, shape: &Conv2dShape, look: bool) {
         let (c, h, _) = src.dims();
-        let (k, halo) = (shape.kernel, src.halo());
-        let (taps, hp) = (c * k * k, h + 2 * halo);
-        self.offs.clear();
-        self.offs.extend(patch_offsets(c, k, hp, src.width()));
         let w = weight.as_slice();
-        pack(&mut self.packed, w, taps);
+        pack(&mut self.packed, w, c * shape.kernel.pow(2));
+        // Folded, not `all`: an early exit keeps the check scalar.
+        let look = look && w.iter().fold(true, |ok, v| ok & v.is_finite());
+        if look {
+            // Whole padded rows, straight from the planes: the border is zero.
+            let rows = src.data()[..c * src.plane()].chunks_exact(src.width());
+            self.zero.clear();
+            self.zero.extend(rows.map(is_zero));
+        }
+        self.plan((c, h, src.width()), shape.kernel, src.halo(), look);
+    }
+
+    /// The tap plan of a forward call over `groups` planes (input channels,
+    /// or int8 channel pairs) of `h` rows bordered by `halo`, padded rows
+    /// `width` wide: the [`tap_offsets`] and, when `look`, the taps of each
+    /// output row that read a row `zero` does not mark ([`Live`]). Dense —
+    /// every tap of every row — unless `look` and at least a quarter of the
+    /// interior rows are marked (below that the skip saves less than its
+    /// bookkeeping).
+    pub(super) fn plan(&mut self, dims: (usize, usize, usize), k: usize, halo: usize, look: bool) {
+        let (groups, h, width) = dims;
+        let hp = h + 2 * halo;
+        tap_offsets(&mut self.offs, groups, k, hp, width);
         self.spans.clear();
         self.rows.clear();
-        self.spans.push([0, taps]);
-        // Folded, not `all`: an early exit keeps the check scalar.
-        if !look || !w.iter().fold(true, |ok, v| ok & v.is_finite()) {
+        self.spans.push([0, groups * k * k]);
+        if !look {
             return;
         }
-        // Whole padded rows, straight from the planes: the border is zero.
-        let rows = src.data()[..c * src.plane()].chunks_exact(src.width());
-        self.zero.clear();
-        self.zero.extend(rows.map(is_zero));
         let interior = self.zero.chunks_exact(hp).map(|z| &z[halo..hp - halo]);
         let zeros: usize = interior.map(|z| z.iter().filter(|z| **z).count()).sum();
-        if 4 * zeros < c * h {
+        if 4 * zeros < groups * h {
             return;
         }
         self.spans.clear();
@@ -182,9 +200,9 @@ impl ConvBuffers {
             self.rows.push(self.spans.len());
             // Where this row's last span ends (no tap starts at `MAX`).
             let mut end = usize::MAX;
-            for ch in 0..c {
-                for (ky, &zero) in self.zero[ch * hp + y..][..k].iter().enumerate() {
-                    let start = (ch * k + ky) * k;
+            for g in 0..groups {
+                for (ky, &zero) in self.zero[g * hp + y..][..k].iter().enumerate() {
+                    let start = (g * k + ky) * k;
                     if zero {
                         continue;
                     }
@@ -199,8 +217,8 @@ impl ConvBuffers {
         self.rows.push(self.spans.len());
     }
 
-    /// The taps [`ConvBuffers::prepare`] marked.
-    fn live(&self) -> Live<'_> {
+    /// The taps [`ConvBuffers::plan`] kept.
+    pub(super) fn live(&self) -> Live<'_> {
         Live {
             spans: &self.spans,
             rows: &self.rows,
@@ -235,7 +253,7 @@ impl<'a> Live<'a> {
     }
 
     #[inline(always)]
-    fn row(&self, y: usize) -> &'a [[usize; 2]] {
+    pub(super) fn row(&self, y: usize) -> &'a [[usize; 2]] {
         match self.rows {
             [] => self.spans,
             rows => &self.spans[rows[y]..rows[y + 1]],
@@ -284,15 +302,17 @@ fn pack(out: &mut Vec<f32>, w: &[f32], len: usize) {
     }
 }
 
-/// Offset of every patch row `(ic, ky, kx)` from a position's top-left
-/// cell in a haloed input whose planes are `hp` rows of `width`.
-pub(super) fn patch_offsets(
-    c: usize,
-    k: usize,
-    hp: usize,
-    width: usize,
-) -> impl Iterator<Item = usize> {
-    (0..c * k * k).map(move |row| (row / (k * k) * hp + row / k % k) * width + row % k)
+/// The offset of every tap `(group, ky, kx)` from a position's top-left
+/// cell, into `out`; a group is a plane of `hp` rows of `width` (an input
+/// channel, or an int8 channel pair). Nested loops: no division per tap.
+pub(super) fn tap_offsets(out: &mut Vec<usize>, groups: usize, k: usize, hp: usize, width: usize) {
+    out.clear();
+    for g in 0..groups {
+        for ky in 0..k {
+            let row = (g * hp + ky) * width;
+            out.extend(row..row + k);
+        }
+    }
 }
 
 /// One `R × L` register tile, `R` being `MR` or `2 · MR` rows and `L` the
@@ -663,10 +683,9 @@ pub fn conv2d_backward_into(
     assert_eq!(x.halo(), shape.pad, "conv input halo must be its padding");
     assert_eq!(gy.halo(), halo, "gradient halo must be k - 1 - pad");
     if buf.packed.is_empty() {
-        let base = ch0 * gy.plane();
-        buf.dx_offs = dx_offsets(k, oc, (oh, ow), halo);
-        buf.dx_offs.iter_mut().for_each(|o| *o += base);
-        buf.x_offs = patch_offsets(c, k, h + 2 * shape.pad, x.width()).collect();
+        dx_offsets(&mut buf.dx_offs, (k, oc), (oh + 2 * halo, gy.width()));
+        buf.dx_offs.iter_mut().for_each(|o| *o += ch0 * gy.plane());
+        tap_offsets(&mut buf.x_offs, c, k, h + 2 * shape.pad, x.width());
         buf.dw.resize(oc * taps, 0.0);
         pack_dx_weights(&mut buf.packed, weight, c, k);
     }
@@ -694,14 +713,16 @@ fn bias_sums(g: View<'_>, db: &mut [f32]) {
     }
 }
 
-/// The `dx` gather's taps: tap `(ky, kx)` of channel `o` at the mirrored
-/// cell of `grad_out` haloed by `halo`, taps ascending outside, output
-/// channels inside.
-fn dx_offsets(k: usize, oc: usize, (oh, ow): (usize, usize), halo: usize) -> Vec<usize> {
-    let (ghp, gwp) = (oh + 2 * halo, ow + 2 * halo);
-    (0..k * k * oc)
-        .map(|j| (j % oc * ghp + (k - 1 - j / oc / k)) * gwp + (k - 1 - j / oc % k))
-        .collect()
+/// The `dx` gather's taps, into `out`: tap `(ky, kx)` of channel `o` at the
+/// mirrored cell of `grad_out`'s planes, `ghp` rows of `gwp`, taps ascending
+/// outside, output channels inside (in loops: no division).
+fn dx_offsets(out: &mut Vec<usize>, (k, oc): (usize, usize), (ghp, gwp): (usize, usize)) {
+    out.clear();
+    for my in (0..k).rev() {
+        for mx in (0..k).rev() {
+            out.extend((0..oc).map(|o| (o * ghp + my) * gwp + mx));
+        }
+    }
 }
 
 /// The filter bank [`pack`]ed into `out` for the `dx` gather: rows are
@@ -1019,7 +1040,8 @@ mod tests {
         let weight = uniform(&[oc, c * k * k], -0.5, 0.5, seed + 1);
         let gy = uniform(&[oc, side, side], -1.0, 1.0, seed + 3);
         let gh = Planes::haloed(gy.as_slice(), (oc, side, side), halo);
-        let offs = dx_offsets(k, oc, (side, side), halo);
+        let mut offs = Vec::new();
+        dx_offsets(&mut offs, (k, oc), (side + 2 * halo, side + 2 * halo));
         let mut wt = Vec::new();
         pack_dx_weights(&mut wt, &weight, c, k);
         let (mut dx, mut dx0) = (vec![0.0; c * side * side], vec![0.0; c * side * side]);
@@ -1037,7 +1059,8 @@ mod tests {
         let x = uniform(&[c, side, side], -1.0, 1.0, seed).map(|v| v.max(0.0));
         let gy = uniform(&[oc, side, side], -1.0, 1.0, seed + 3);
         let xh = Planes::haloed(x.as_slice(), (c, side, side), pad);
-        let offs: Vec<usize> = patch_offsets(c, k, side + 2 * pad, side + 2 * pad).collect();
+        let mut offs = Vec::new();
+        tap_offsets(&mut offs, c, k, side + 2 * pad, side + 2 * pad);
         let (mut dw, mut dw0) = (vec![0.0; oc * taps], vec![0.0; oc * taps]);
         let gdims = (oc, side, side);
         let g = View::of_slice(gy.as_slice(), gdims);
@@ -1235,6 +1258,71 @@ mod tests {
                         assert_same_bits(what, &case, &y0, want.as_slice());
                     }
                 }
+            }
+        }
+    }
+
+    /// One `ConvBuffers` reused across calls of other shapes and sparsity —
+    /// dense, sparse, all zero, dense again, at 64² and then 16² — computes
+    /// what a fresh one computes, bit for bit, f32 and int8 (channels paired
+    /// out of index order); and a second identical int8 call grows none of
+    /// its buffers.
+    #[test]
+    fn reused_buffers_equal_fresh_ones_bit_for_bit() {
+        use crate::ops::quant::{qconv2d_into, quantize_weights, PackedQWeights, QuantParams};
+        let capacities = |b: &ConvBuffers| {
+            let (p, o, w, z) = (&b.packed, &b.offs, &b.words, &b.zero);
+            let (s, r) = (&b.spans, &b.rows);
+            [p.capacity(), o.capacity(), w.capacity(), z.capacity()]
+                .into_iter()
+                .chain([s.capacity(), r.capacity()])
+                .collect::<Vec<_>>()
+        };
+        let mut buf = ConvBuffers::default();
+        for (side, c, oc) in [(64, 8, 16), (16, 16, 32)] {
+            let shape = shape_3x3_same(c, oc);
+            let seed = side as u64;
+            let weight = uniform(&[oc, c * 9], -0.5, 0.5, seed);
+            let bias = uniform(&[oc], -0.5, 0.5, seed + 1);
+            let zero_rows: Vec<usize> = (0..c).collect();
+            let packed = PackedQWeights::new(quantize_weights(&weight), shape, &zero_rows);
+            let act = QuantParams::from_range(0.0, 1.0);
+            for (i, what) in ["dense", "sparse", "all zero", "dense again"]
+                .iter()
+                .enumerate()
+            {
+                let mut x = uniform(&[c, side, side], 0.1, 1.0, seed + 10 + i as u64);
+                for (j, v) in x.as_mut_slice().iter_mut().enumerate() {
+                    let (ch, y) = (j / (side * side), j / side % side);
+                    if i == 2 || (i == 1 && (y % 3 == 0 || ch % 3 == 1)) {
+                        *v = 0.0;
+                    }
+                }
+                let src = Planes::haloed(x.as_slice(), (c, side, side), 1);
+                let run = |int8: bool, buf: &mut ConvBuffers| {
+                    let mut y = vec![0.0; oc * side * side];
+                    let sink = Sink::plain(&mut y, (oc, side, side)).through_relu();
+                    match int8 {
+                        false => conv2d_into(&src, &weight, &bias, &shape, sink, buf),
+                        true => qconv2d_into(&src, &packed, &bias, act, sink, buf),
+                    }
+                    y
+                };
+                for int8 in [false, true] {
+                    let case = format!("{what}, {c} -> {oc}, {side}², int8 {int8}");
+                    let got = run(int8, &mut buf);
+                    // Without AVX2 the int8 front is the lowering: no plan.
+                    if !int8 || isa() != "baseline" {
+                        let skips = i == 1 || i == 2;
+                        assert_eq!(!buf.rows.is_empty(), skips, "skipped taps ({case})");
+                    }
+                    let want = run(int8, &mut ConvBuffers::default());
+                    assert_same_bits("reused", &case, &got, &want);
+                }
+                let warm = capacities(&buf);
+                let again = run(true, &mut buf);
+                assert_eq!(capacities(&buf), warm, "a warm int8 call grew a buffer");
+                assert_same_bits("warm int8", what, &again, &run(true, &mut buf));
             }
         }
     }

@@ -19,7 +19,7 @@
 //! Explicit twins with explicit arguments: a closure handed to a generic
 //! `avx2` shim can stay an out-of-line baseline function, with no warning.
 
-use super::conv2d::{grad_weight_item_body, tiled_planes_body, Live, MR, NR, NR_WIDE};
+use super::conv2d::{grad_weight_item_body, tiled_planes_body, ConvBuffers, Live, MR, NR, NR_WIDE};
 use super::planes::{Planes, Sink, View};
 use super::quant::{qconv_item_lowered, QPlan};
 
@@ -94,7 +94,7 @@ twins!(qconv_item = super::quant::qconv_item_avx2 | qconv_item_lowered;
     plan: &QPlan,
     x: View<'_>,
     out: Sink<'_>,
-    words: &mut Vec<i32>,
+    buf: &mut ConvBuffers,
 );
 
 /// The widest instantiation of the direct kernels this process runs:

@@ -12,35 +12,42 @@
 //! * **Weights** use one symmetric scale per output channel (row of the
 //!   pre-flattened filter bank), quantized to `[−127, 127]` so negation
 //!   never saturates: `w_q = clamp(round(w/s_oc), −127, 127)`.
-//! * **Accumulation** is exact in i32. With per-row quantized-weight sums
-//!   `Σw_q` precomputed, the affine input offset folds out of the sum:
-//!   `y = (Σ w_q·x_q − z·Σw_q) · s_oc·s_x + bias`.
+//! * **Accumulation** is exact in i32. The lowering folds the affine input
+//!   offset out with per-row sums `Σw_q`, `y = (Σ w_q·x_q − z·Σw_q)·s_oc·s_x
+//!   + bias`; the direct kernel sums **centred** codes, the same integer:
+//!   `y = acc·s_oc·s_x + bias`, `acc = Σ w_q·(x_q − z)`.
 //!
 //! # The direct kernel
 //! Every geometry a model uses (`Conv2dShape::is_direct`: stride 1,
 //! `pad ≤ k − 1`) runs the int8 twin of `conv2d`'s register-tiled kernel
 //! (DESIGN.md §4.10):
 //! * activations are quantised once per conv, straight into a plane haloed
-//!   with the zero point, of **channel-pair words**: an `i32` holding the
-//!   i16 codes of channels `2p` (low half) and `2p + 1` (high half); an odd
-//!   channel count fills the partner half with `z`, under a zero weight;
+//!   with `0`, of **channel-pair words**: an `i32` holding the i16 centred
+//!   codes `q − z` (−255…255) of two channels, so ReLU zeros and padding are
+//!   `0`; an odd channel count leaves the partner half `0`;
+//! * channels pair in an order fixed at packing: index order in
+//!   [`qconv2d`], and in a quantized network the channels calibration saw
+//!   zero most often first ([`PackedQWeights::new`]);
 //! * weights are packed as matching pair words `[⌈oc/8⌉][⌈c/2⌉·k·k][8]`,
 //!   once per [`PackedQWeights`] (per call in [`qconv2d`]);
 //! * an 8-channel × 8-position tile accumulates `w₀·x₀ + w₁·x₁` per word —
-//!   under AVX2 one `vpmaddwd` + `vpaddd` per row per channel pair;
-//! * the store is the dequantise above, `(acc − z·Σw) as f32 · (s_w·s_x) + bias`,
+//!   under AVX2 one `vpmaddwd` + `vpaddd` per row per channel pair — over
+//!   the taps whose pair row is not all `0`: the halo pass marks each
+//!   `(pair, padded row)` as it writes it, and the f32 forward's tap plan
+//!   (`ConvBuffers`) lists each output row's live taps;
+//! * the store is the dequantise above, `acc as f32 · (s_w·s_x) + bias`,
 //!   through ReLU when the [`Sink`] asks for it.
 //!
 //! Integer sums are exact in any order while they fit in i32 (asserted when
-//! the weights are packed), so every output bit equals the lowering
-//! [`quantize_into`] → [`im2col_i8`] → [`gemm_i8_i32`] → dequantise. The
-//! lowering stays as the test oracle, a line of the benchmark's walk, the
-//! path of the geometries `is_direct` excludes and the direct front's
-//! baseline on a CPU without AVX2. Every output element is produced by one
-//! thread, so results are bit-identical across batch sizes and thread
-//! counts.
+//! the weights are packed), and a skipped word adds `w·0`, so every output
+//! bit equals the lowering [`quantize_into`] → [`im2col_i8`] →
+//! [`gemm_i8_i32`] → dequantise, in any pair order. The lowering stays as
+//! the test oracle, a line of the benchmark's walk, the path of the
+//! geometries `is_direct` excludes and the direct front's baseline on a CPU
+//! without AVX2. Every output element is produced by one thread, so results
+//! are bit-identical across batch sizes and thread counts.
 
-use crate::ops::conv2d::{patch_offsets, Conv2dShape, ConvBuffers, NR};
+use crate::ops::conv2d::{Conv2dShape, ConvBuffers, NR};
 use crate::ops::dispatch;
 use crate::ops::planes::{Planes, Sink, View};
 use crate::tensor::Tensor;
@@ -101,35 +108,30 @@ impl QuantParams {
     }
 }
 
-/// Round to nearest, ties to even, without calling libm's `round`: for
-/// `|x| ≤ 2^22`, adding and subtracting [`MAGIC`] snaps the mantissa to
-/// an integer under the default rounding mode. Two adds, so it
-/// vectorizes on every x86-64 baseline (`roundps` needs SSE4.1).
-fn round_ties_even(x: f32) -> f32 {
-    // The clamp range is far outside [-128, 127], so saturated inputs
-    // still saturate after the +z shift; NaN propagates through the clamp
-    // and both adds exactly as `f32::round` would.
-    (x.clamp(-4_194_304.0, 4_194_304.0) + MAGIC) - MAGIC
-}
-
-/// The one quantisation expression, `clamp(round(v·inv) + z, −128, 127)`
-/// with NaN → 0, returned as the bits of `MAGIC + code`: the code sits in
-/// the low 16 bits as an i16. Taking it from the mantissa instead of a
-/// saturating `as i8` (a scalar `cvttss2si` per element) lets the halo pass
-/// vectorise.
+/// The centred code `q − z` of `v`, `q = clamp(round(v·inv) + z, −128,
+/// 127)` rounding ties to even and NaN → `q = 0` (what `as i8` does with
+/// NaN), as the bits of `MAGIC + q − z`: the difference sits in the low 16
+/// bits as an i16, `MAGIC`'s own being zero. For `|x| ≤ 2²²`, `x + MAGIC`
+/// rounds `x` to an integer under the default rounding mode, without
+/// libm's `round`; past that it is still monotone, and the clamp to
+/// `[−128 − z, 127 − z]` saturates. Taking the code from the mantissa
+/// instead of a saturating `as i8` (a scalar `cvttss2si` per element) lets
+/// the halo pass vectorise.
 #[inline(always)]
-fn code_bits(v: f32, inv: f32, z: f32) -> u32 {
-    let q = (round_ties_even(v * inv) + z).clamp(-128.0, 127.0);
-    // What `as i8` does with NaN.
-    let q = if q.is_nan() { 0.0 } else { q };
-    (q + MAGIC).to_bits()
+fn centred_bits(v: f32, inv: f32, z: f32) -> u32 {
+    let q = (v * inv + MAGIC).clamp(MAGIC - 128.0 - z, MAGIC + 127.0 - z);
+    match q.is_nan() {
+        true => MAGIC - z,
+        false => q,
+    }
+    .to_bits()
 }
 
-/// [`code_bits`] as the code itself.
+/// [`centred_bits`] as the code `q` itself.
 #[inline(always)]
 fn code(v: f32, inv: f32, z: f32) -> i8 {
-    // `MAGIC + code` with the code in [-128, 127]: the difference is exact.
-    (code_bits(v, inv, z) as i32 - MAGIC.to_bits() as i32) as i8
+    // `MAGIC + q − z` with `q − z` in [−255, 255]: the difference is exact.
+    (centred_bits(v, inv, z) as i32 - MAGIC.to_bits() as i32 + z as i32) as i8
 }
 
 /// The channel-pair word of two codes: `lo`'s low 16 bits in the low half,
@@ -381,34 +383,45 @@ pub struct PackedQWeights {
     /// which runs where the direct kernel does not (`is_direct`, no AVX2).
     weights: QuantizedWeights,
     shape: Conv2dShape,
+    /// The input channels in pair order: pair `p` holds channels
+    /// `order[2p]` and `order[2p + 1]`.
+    order: Vec<usize>,
     /// `weights` as channel-pair words (see [`pack_pairs`]); empty for the
     /// geometries `is_direct` excludes, which take the lowering.
     words: Vec<i32>,
 }
 
 impl PackedQWeights {
-    /// Packs `weights` for `shape`.
+    /// Packs `weights` for `shape`, pairing channels that are zero
+    /// together: stable-sorted by `zero_rows[ch]`, the observed rows of
+    /// channel `ch` that held only `±0` (missing: 0, so `&[]` pairs in index
+    /// order), most first, then neighbours paired, so that pair rows are all
+    /// zero, and skipped, about as often as their channels allow. Any order
+    /// sums the same integers.
     ///
     /// # Panics
     /// Panics unless `weights` is `shape`'s `[out_c, in_c·k·k]` filter
     /// bank, or when its fan-in is too deep for exact i32 sums.
-    pub fn new(weights: QuantizedWeights, shape: Conv2dShape) -> Self {
-        let words = pack_words(&weights, &shape);
+    pub fn new(weights: QuantizedWeights, shape: Conv2dShape, zero_rows: &[usize]) -> Self {
+        let mut order: Vec<usize> = (0..shape.in_channels).collect();
+        order.sort_by_key(|&ch| std::cmp::Reverse(zero_rows.get(ch).copied().unwrap_or(0)));
+        let words = pack_words(&weights, &shape, &order);
         Self {
             weights,
             shape,
+            order,
             words,
         }
     }
 }
 
-/// The pair words of `weights` when `shape` runs the direct kernel, else
-/// none.
+/// The pair words of `weights`, channels paired in `order`, when `shape`
+/// runs the direct kernel, else none.
 ///
 /// # Panics
 /// Panics unless `weights` is `shape`'s `[out_c, in_c·k·k]` filter bank, or
 /// when its fan-in is too deep for exact i32 sums.
-fn pack_words(weights: &QuantizedWeights, shape: &Conv2dShape) -> Vec<i32> {
+fn pack_words(weights: &QuantizedWeights, shape: &Conv2dShape, order: &[usize]) -> Vec<i32> {
     assert_eq!(
         (weights.rows, weights.cols),
         (
@@ -418,47 +431,47 @@ fn pack_words(weights: &QuantizedWeights, shape: &Conv2dShape) -> Vec<i32> {
         "quantized weight shape mismatch"
     );
     match shape.is_direct() {
-        true => pack_pairs(weights, shape),
+        true => pack_pairs(weights, shape, order),
         false => Vec::new(),
     }
 }
 
 /// `weights` (`[oc, c·k·k]`, row-major) as channel-pair words laid out
 /// `[⌈oc/QR⌉][⌈c/2⌉·k·k][QR]`: word `(o, (p, ky, kx))` holds the weights of
-/// channels `2p` and `2p + 1` at tap `(ky, kx)`, zero past the last
-/// channel and in the rows that fill a short last block, so a tile reads
-/// its `QR` words adjacent.
+/// channels `order[2p]` and `order[2p + 1]` at tap `(ky, kx)`, zero past the
+/// last channel and in the rows that fill a short last block, so a tile
+/// reads its `QR` words adjacent.
 ///
 /// # Panics
 /// Panics when `2·K·127·128 ≥ 2³¹` (`K = c·k·k`): past that bound neither
-/// the accumulator nor `acc − z·Σw` is exact in i32.
-fn pack_pairs(weights: &QuantizedWeights, shape: &Conv2dShape) -> Vec<i32> {
+/// the kernel's sum of `K` terms `w·(q − z)`, each within `±127·255`, nor
+/// the lowering's `Σw·q − z·Σw` is exact in i32.
+fn pack_pairs(weights: &QuantizedWeights, shape: &Conv2dShape, order: &[usize]) -> Vec<i32> {
     assert!(
         2 * weights.cols as u64 * 127 * 128 < 1 << 31,
         "fan-in {} is too deep for exact i32 accumulation",
         weights.cols
     );
-    let (c, kk) = (shape.in_channels, shape.kernel * shape.kernel);
-    let taps = c.div_ceil(2) * kk;
-    let code = |row: usize, ch: usize, t: usize| match ch < c {
-        true => i32::from(weights.data[row * weights.cols + ch * kk + t]) as u32,
-        false => 0,
-    };
+    let kk = shape.kernel * shape.kernel;
+    let taps = order.len().div_ceil(2) * kk;
     let mut out = vec![0; weights.rows.div_ceil(QR) * taps * QR];
-    for row in 0..weights.rows {
-        for j in 0..taps {
-            let (p, t) = (j / kk, j % kk);
-            out[(row / QR * taps + j) * QR + row % QR] =
-                pair(code(row, 2 * p, t), code(row, 2 * p + 1, t));
+    for (row, filter) in weights.data.chunks_exact(weights.cols).enumerate() {
+        let block = &mut out[row / QR * taps * QR..][..taps * QR];
+        for (p, chs) in order.chunks(2).enumerate() {
+            let code = |ch: Option<&usize>, t| ch.map_or(0, |ch| filter[ch * kk + t] as u32);
+            for t in 0..kk {
+                block[(p * kk + t) * QR + row % QR] =
+                    pair(code(chs.first(), t), code(chs.get(1), t));
+            }
         }
     }
     out
 }
 
 /// Quantized forward convolution: f32 in, f32 out, int8 arithmetic
-/// inside. Packs the weights on every call; a caller that runs the same
-/// convolution again holds a [`PackedQWeights`] and calls
-/// [`qconv2d_packed`].
+/// inside. Packs the weights on every call (channels paired in index
+/// order); a caller that runs the same convolution again holds a
+/// [`PackedQWeights`] and calls [`qconv2d_packed`].
 ///
 /// * `input` — `[n, in_c, h, w]` f32 activations
 /// * `weights` — per-channel quantized `[out_c, in_c·k·k]` filter bank
@@ -478,14 +491,9 @@ pub fn qconv2d(
     shape: &Conv2dShape,
     act: QuantParams,
 ) -> Tensor {
-    qconv(
-        input,
-        weights,
-        &pack_words(weights, shape),
-        shape,
-        bias,
-        act,
-    )
+    let order: Vec<usize> = (0..shape.in_channels).collect();
+    let words = pack_words(weights, shape, &order);
+    qconv(input, (weights, &order, &words), shape, bias, act)
 }
 
 /// [`qconv2d`] with weights packed once, ahead of the call.
@@ -498,20 +506,15 @@ pub fn qconv2d_packed(
     bias: &Tensor,
     act: QuantParams,
 ) -> Tensor {
-    let PackedQWeights {
-        weights,
-        shape,
-        words,
-    } = packed;
-    qconv(input, weights, words, shape, bias, act)
+    let p = packed;
+    qconv(input, (&p.weights, &p.order, &p.words), &p.shape, bias, act)
 }
 
-/// The one body of [`qconv2d`] and [`qconv2d_packed`]: `words` are
-/// `weights` as [`pack_words`] leaves them for `shape`.
+/// The one body of [`qconv2d`] and [`qconv2d_packed`]: `packed` is the
+/// weights, their pair order and their [`pack_words`] for `shape`.
 fn qconv(
     input: &Tensor,
-    weights: &QuantizedWeights,
-    words: &[i32],
+    packed: Packed<'_>,
     shape: &Conv2dShape,
     bias: &Tensor,
     act: QuantParams,
@@ -522,21 +525,21 @@ fn qconv(
     assert_eq!(bias.shape(), &[oc], "bias shape mismatch");
     let (oh, ow) = shape.output_hw(h, w);
     let mut out = Tensor::zeros(&[n, oc, oh, ow]);
-    let plan = QPlan::new(weights, words, bias.as_slice(), shape, act, (c, h, w));
-    let mut pairs = Vec::new();
+    let plan = QPlan::new(packed, bias.as_slice(), shape, act, (c, h, w));
+    let mut buf = ConvBuffers::default();
     // One item after the other, exactly like the f32 conv2d: a batch is
     // at most a few dozen items, far below what `par` would fork for.
     let items = out.as_mut_slice().chunks_exact_mut(oc * oh * ow);
     for (b, out_item) in items.enumerate() {
         let x = View::of_slice(input.batch_item(b), (c, h, w));
-        plan.run(x, Sink::plain(out_item, (oc, oh, ow)), &mut pairs);
+        plan.run(x, Sink::plain(out_item, (oc, oh, ow)), &mut buf);
     }
     out
 }
 
 /// [`qconv2d_packed`] of the one image `src` holds, stored through `dst`
 /// (dequantised, biased and, into a ReLU sink, through ReLU), with the
-/// channel-pair planes quantised into `buf`: the inference walk's int8
+/// channel-pair planes and the tap plan in `buf`: the inference walk's int8
 /// convolution. Same bits as [`qconv2d_packed`] (then `relu`).
 ///
 /// # Panics
@@ -549,47 +552,28 @@ pub fn qconv2d_into(
     dst: Sink<'_>,
     buf: &mut ConvBuffers,
 ) {
-    let PackedQWeights {
-        weights,
-        shape,
-        words,
-    } = packed;
-    let (c, h, w) = src.dims();
-    assert_eq!(c, shape.in_channels, "input channel mismatch");
-    assert_eq!(bias.shape(), &[shape.out_channels], "bias shape mismatch");
-    let (oh, ow) = shape.output_hw(h, w);
-    assert_eq!(
-        dst.dims(),
-        (shape.out_channels, oh, ow),
-        "conv output mismatch"
-    );
-    let plan = QPlan::new(weights, words, bias.as_slice(), shape, act, (c, h, w));
-    plan.run(src.view(), dst, &mut buf.words);
+    let (p, (c, h, w)) = (packed, src.dims());
+    let (oc, (oh, ow)) = (p.shape.out_channels, p.shape.output_hw(h, w));
+    assert_eq!(c, p.shape.in_channels, "input channel mismatch");
+    assert_eq!(bias.shape(), &[oc], "bias shape mismatch");
+    assert_eq!(dst.dims(), (oc, oh, ow), "conv output mismatch");
+    let packed = (&p.weights, &p.order[..], &p.words[..]);
+    let plan = QPlan::new(packed, bias.as_slice(), &p.shape, act, (c, h, w));
+    plan.run(src.view(), dst, buf);
 }
 
 /// One batch item through the lowering: quantize, unroll, integer-GEMM,
-/// dequantize through `out`. Also the baseline of the direct front, for a
-/// CPU without AVX2: it computes the same bits (and has no use for the
-/// front's pair planes, `_words`).
-pub(super) fn qconv_item_lowered(plan: &QPlan, x: View, mut out: Sink, _words: &mut Vec<i32>) {
+/// subtract `z·Σw`, dequantize through `out`. Also the baseline of the
+/// direct front, for a CPU without AVX2: it computes the same bits (and has
+/// no use for the front's pair planes and tap plan, `_buf`).
+pub(super) fn qconv_item_lowered(plan: &QPlan, x: View, mut out: Sink, _buf: &mut ConvBuffers) {
     let ((c, h, w), shape, weights) = (plan.dims, plan.shape, plan.weights);
     let (_, oh, ow) = plan.out_dims;
     let plane = oh * ow;
     let (mut qx, mut cols) = (Vec::new(), Vec::new());
     quantize_into(&x.plain(), plan.act, &mut qx);
-    let k = shape.kernel;
-    im2col_i8(
-        &qx,
-        c,
-        h,
-        w,
-        k,
-        k,
-        shape.stride,
-        shape.pad,
-        plan.act.zero_point,
-        &mut cols,
-    );
+    let (k, z) = (shape.kernel, plan.act.zero_point);
+    im2col_i8(&qx, c, h, w, k, k, shape.stride, shape.pad, z, &mut cols);
     let mut acc = vec![0; weights.rows * plane];
     gemm_i8_i32(
         &weights.data,
@@ -602,71 +586,69 @@ pub(super) fn qconv_item_lowered(plan: &QPlan, x: View, mut out: Sink, _words: &
     let relu = out.relu;
     for (i, acc_row) in acc.chunks_exact(ow).enumerate() {
         let (ch, y) = (i / oh, i % oh);
+        let corr = i32::from(z) * weights.row_sums[ch];
         for (d, &a) in out.cells(ch, y, 0, ow).iter_mut().zip(acc_row) {
-            *d = plan.store(ch, a, relu);
+            *d = plan.store(ch, a - corr, relu);
         }
     }
 }
 
-/// One int8 convolution call, shared by its batch items.
+/// A convolution's int8 weights, their pair order and their pair words.
+type Packed<'a> = (&'a QuantizedWeights, &'a [usize], &'a [i32]);
+
+/// One int8 convolution call, shared by its batch items: borrowed operands
+/// only, so making one allocates nothing.
 pub(super) struct QPlan<'a> {
     /// Input `(c, h, w)`, haloed by `shape.pad` in the direct kernel.
     dims: (usize, usize, usize),
     shape: &'a Conv2dShape,
     act: QuantParams,
     weights: &'a QuantizedWeights,
-    /// Offset of every tap `(pair, ky, kx)` from a position's top-left word.
-    offs: Vec<usize>,
+    /// The channels in pair order (see [`PackedQWeights`]).
+    order: &'a [usize],
     /// The [`pack_pairs`] words.
     words: &'a [i32],
     /// Output `(oc, oh, ow)`.
     out_dims: (usize, usize, usize),
-    /// Per output channel: `z·Σw_q`, `s_w·s_x` and the bias.
-    corr: Vec<i32>,
-    deq: Vec<f32>,
     bias: &'a [f32],
 }
 
 impl<'a> QPlan<'a> {
     fn new(
-        weights: &'a QuantizedWeights,
-        words: &'a [i32],
+        (weights, order, words): Packed<'a>,
         bias: &'a [f32],
         shape: &'a Conv2dShape,
         act: QuantParams,
         (c, h, w): (usize, usize, usize),
     ) -> Self {
-        let (hp, wp) = (h + 2 * shape.pad, w + 2 * shape.pad);
         let (oh, ow) = shape.output_hw(h, w);
-        let z = i32::from(act.zero_point);
         Self {
             dims: (c, h, w),
             shape,
             act,
             weights,
-            offs: patch_offsets(c.div_ceil(2), shape.kernel, hp, wp).collect(),
+            order,
             words,
             out_dims: (shape.out_channels, oh, ow),
-            corr: weights.row_sums.iter().map(|&s| z * s).collect(),
-            deq: weights.scales.iter().map(|&s| s * act.scale).collect(),
             bias,
         }
     }
 
     /// One image through the direct front, or through the lowering for
     /// the geometries `is_direct` excludes.
-    fn run(&self, x: View, out: Sink, words: &mut Vec<i32>) {
+    fn run(&self, x: View, out: Sink, buf: &mut ConvBuffers) {
         match self.shape.is_direct() {
-            true => dispatch::qconv_item(self, x, out, words),
-            false => qconv_item_lowered(self, x, out, words),
+            true => dispatch::qconv_item(self, x, out, buf),
+            false => qconv_item_lowered(self, x, out, buf),
         }
     }
 
-    /// The store epilogue: the lowering's dequantise, term for term, then
-    /// `ops::relu`'s expression when `relu`.
+    /// The store epilogue: `acc = Σ w·(q − z)` dequantised, `acc·(s_w·s_x)
+    /// + bias`, then `ops::relu`'s expression when `relu`.
     #[inline(always)]
     fn store(&self, ch: usize, acc: i32, relu: bool) -> f32 {
-        let v = (acc - self.corr[ch]) as f32 * self.deq[ch] + self.bias[ch];
+        let deq = self.weights.scales[ch] * self.act.scale;
+        let v = acc as f32 * deq + self.bias[ch];
         match relu {
             true => v.max(0.0),
             false => v,
@@ -674,34 +656,46 @@ impl<'a> QPlan<'a> {
     }
 }
 
-/// The halo pass: quantises the planes of `x` straight into `words` as
-/// channel-pair words (see the module docs), with `halo` cells of `z` on
-/// every side and an odd channel count's partner half at `z`, plus `NR`
-/// words of slack so the last tile's lane load stays in bounds (lanes past
-/// a row's end are computed and dropped). Returns the row stride.
+/// The halo pass: quantises the planes of `x` straight into `buf.words` as
+/// channel-pair words of **centred** codes `q − z` (see the module docs),
+/// channels paired in `order`, with `halo` cells of `0` (real 0) on every
+/// side and an odd channel count's partner half at `0`, plus `NR` words of
+/// slack so the last tile's lane load stays in bounds (lanes past a row's
+/// end are computed and dropped). Marks in `buf.zero`, per pair and padded
+/// row, whether every word it wrote there is `0`. Returns the row stride.
 #[inline(always)]
-fn quantize_pairs(x: View, halo: usize, act: QuantParams, words: &mut Vec<i32>) -> usize {
-    let (c, h, w) = x.dims();
+fn quantize_pairs(
+    x: View,
+    halo: usize,
+    act: QuantParams,
+    order: &[usize],
+    buf: &mut ConvBuffers,
+) -> usize {
+    let (_, h, w) = x.dims();
     let (inv, z) = (1.0 / act.scale, f32::from(act.zero_point));
-    // Real 0 quantises to the zero point.
-    let zb = code_bits(0.0, inv, z);
-    let (hp, width) = (h + 2 * halo, w + 2 * halo);
-    words.clear();
-    words.resize(c.div_ceil(2) * hp * width + NR, pair(zb, zb));
-    for p in 0..c.div_ceil(2) {
+    let centred = |v| centred_bits(v, inv, z);
+    let (pairs, hp, width) = (order.len().div_ceil(2), h + 2 * halo, w + 2 * halo);
+    buf.words.clear();
+    buf.words.resize(pairs * hp * width + NR, 0);
+    buf.zero.clear();
+    buf.zero.resize(pairs * hp, true);
+    for (p, chs) in order.chunks(2).enumerate() {
         for y in 0..h {
-            let dst = &mut words[(p * hp + y + halo) * width + halo..][..w];
-            let lo = x.row(2 * p, y);
-            if 2 * p + 1 < c {
-                let hi = x.row(2 * p + 1, y);
-                for (d, (&a, &b)) in dst.iter_mut().zip(lo.iter().zip(hi)) {
-                    *d = pair(code_bits(a, inv, z), code_bits(b, inv, z));
+            let dst = &mut buf.words[(p * hp + y + halo) * width + halo..][..w];
+            let lo = x.row(chs[0], y);
+            let mut or = 0;
+            if let [_, ch] = *chs {
+                for (d, (&a, &b)) in dst.iter_mut().zip(lo.iter().zip(x.row(ch, y))) {
+                    *d = pair(centred(a), centred(b));
+                    or |= *d;
                 }
             } else {
                 for (d, &a) in dst.iter_mut().zip(lo) {
-                    *d = pair(code_bits(a, inv, z), zb);
+                    *d = pair(centred(a), 0);
+                    or |= *d;
                 }
             }
+            buf.zero[p * hp + y + halo] = or == 0;
         }
     }
     width
@@ -714,40 +708,54 @@ pub(super) use avx2::qconv_item_avx2;
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::{quantize_pairs, QPlan, NR, QR};
+    use crate::ops::conv2d::{ConvBuffers, SPARSE_WORK};
     use crate::ops::planes::{Sink, View};
     use std::arch::x86_64::{
         __m256i, _mm256_add_epi32, _mm256_extract_epi32, _mm256_madd_epi16, _mm256_set1_epi32,
         _mm256_setr_epi32, _mm256_setzero_si256,
     };
 
-    /// One image: the halo pass into `words`, then output channels `QR`
-    /// at a time.
+    /// One image: the halo pass and the tap plan into `buf`, then output
+    /// channels `QR` at a time.
     #[target_feature(enable = "avx2")]
     pub(in crate::ops) fn qconv_item_avx2(
         plan: &QPlan,
         x: View,
         mut out: Sink,
-        words: &mut Vec<i32>,
+        buf: &mut ConvBuffers,
     ) {
-        let width = quantize_pairs(x, plan.shape.pad, plan.act, words);
-        let (oc, taps) = (plan.out_dims.0, plan.offs.len());
+        let (k, pad) = (plan.shape.kernel, plan.shape.pad);
+        let width = quantize_pairs(x, pad, plan.act, plan.order, buf);
+        let (oc, _, ow) = plan.out_dims;
+        let pairs = plan.order.len().div_ceil(2);
+        let look = oc * k * k * ow >= SPARSE_WORK;
+        buf.plan((pairs, plan.dims.1, width), k, pad, look);
+        let taps = buf.offs.len();
         for ch0 in (0..oc).step_by(QR) {
             let w = &plan.words[ch0 * taps..][..taps * QR];
-            block(plan, (words, width), w, ch0, &mut out);
+            block(plan, (buf, width), w, ch0, &mut out);
         }
     }
 
     /// Runs [`tile`] over the output planes of the `QR` channels from `ch0`
-    /// on, reading the pair planes `src` (words, row stride); channels past
-    /// the last are zero words, computed and dropped.
+    /// on, over each row's live taps, reading the pair planes of `buf` (row
+    /// stride `width`); channels past the last are zero words, computed and
+    /// dropped.
     #[target_feature(enable = "avx2")]
     #[inline]
-    fn block(plan: &QPlan, src: (&[i32], usize), w: &[i32], ch0: usize, out: &mut Sink) {
+    fn block(
+        plan: &QPlan,
+        (buf, width): (&ConvBuffers, usize),
+        w: &[i32],
+        ch0: usize,
+        out: &mut Sink,
+    ) {
         let (oc, oh, ow) = plan.out_dims;
-        let relu = out.relu;
+        let (relu, live) = (out.relu, buf.live());
         for y in 0..oh {
+            let live = live.row(y);
             for x0 in (0..ow).step_by(NR) {
-                let acc = tile(src.0, y * src.1 + x0, &plan.offs, w);
+                let acc = tile(&buf.words, y * width + x0, &buf.offs, w, live);
                 let n = NR.min(ow - x0);
                 for (ch, acc) in (ch0..oc).zip(acc) {
                     let store = |(d, a): (&mut f32, i32)| *d = plan.store(ch, a, relu);
@@ -763,22 +771,32 @@ mod avx2 {
         }
     }
 
-    /// One `QR × NR` register tile: per tap, one lane load of `NR` pair
-    /// words, then per row a broadcast weight word, `vpmaddwd`, `vpaddd`.
-    /// The taps run last to first (integer sums, so any order gives the same
-    /// bits): a loop counted down to zero needs no bound register, and with
-    /// one LLVM kept the bound on the stack, one more load per tap.
+    /// One `QR × NR` register tile over the taps of the `live` spans: per
+    /// tap, one lane load of `NR` pair words, then per row a broadcast
+    /// weight word, `vpmaddwd`, `vpaddd`. The taps of a span run last to
+    /// first (integer sums, so any order gives the same bits): a loop
+    /// counted down to zero needs no bound register, and with one LLVM kept
+    /// the bound on the stack, one more load per tap.
     #[target_feature(enable = "avx2")]
     #[inline]
-    fn tile(src: &[i32], base: usize, offs: &[usize], w: &[i32]) -> [__m256i; QR] {
+    fn tile(
+        src: &[i32],
+        base: usize,
+        offs: &[usize],
+        w: &[i32],
+        live: &[[usize; 2]],
+    ) -> [__m256i; QR] {
         let mut acc = [_mm256_setzero_si256(); QR];
         let src = &src[base..];
-        for (&off, w) in offs.iter().zip(w.chunks_exact(QR)).rev() {
-            let mut x = [0; NR];
-            x.copy_from_slice(&src[off..][..NR]);
-            let x = _mm256_setr_epi32(x[0], x[1], x[2], x[3], x[4], x[5], x[6], x[7]);
-            for (a, &w) in acc.iter_mut().zip(w) {
-                *a = _mm256_add_epi32(*a, _mm256_madd_epi16(x, _mm256_set1_epi32(w)));
+        for &[start, end] in live {
+            let w = &w[start * QR..end * QR];
+            for (&off, w) in offs[start..end].iter().zip(w.chunks_exact(QR)).rev() {
+                let mut x = [0; NR];
+                x.copy_from_slice(&src[off..][..NR]);
+                let x = _mm256_setr_epi32(x[0], x[1], x[2], x[3], x[4], x[5], x[6], x[7]);
+                for (a, &w) in acc.iter_mut().zip(w) {
+                    *a = _mm256_add_epi32(*a, _mm256_madd_epi16(x, _mm256_set1_epi32(w)));
+                }
             }
         }
         acc
@@ -848,7 +866,7 @@ mod tests {
         }
     }
 
-    /// The expression every quantiser used before [`code_bits`]: the
+    /// The expression every quantiser used before the mantissa codes: the
     /// oracle it must equal bit for bit.
     fn saturating_cast_code(v: f32, qp: QuantParams) -> i8 {
         let inv = 1.0 / qp.scale;
@@ -858,9 +876,8 @@ mod tests {
     }
 
     /// The halves of a channel-pair word.
-    fn halves(word: i32) -> (i8, i8) {
-        let [b0, _, b2, _] = word.to_le_bytes();
-        (b0 as i8, b2 as i8)
+    fn halves(word: i32) -> (i16, i16) {
+        (word as i16, (word >> 16) as i16)
     }
 
     #[test]
@@ -924,37 +941,59 @@ mod tests {
                     assert_eq!(got[i], want[i], "quantize_into at {v:e}, {case}");
                 }
 
-                // The halo pass: both halves of every word, an odd channel
-                // count's partner half, and the halo itself — read from a
-                // plain image and from the same image in haloed planes.
+                // The halo pass: both halves of every word as centred codes
+                // `q − z`, in both pair orders, an odd channel count's
+                // partner half, the halo itself and the zero-row marks —
+                // read from a plain image and from the same image in
+                // haloed planes.
                 let n = xs.len() / 2;
                 let (w, h) = (n.div_ceil(4), 4);
                 let mut img = xs[..2 * n].to_vec();
                 img.resize(2 * w * h, 0.0);
-                let (mut planes, mut odd, mut haloed) = (Vec::new(), Vec::new(), Vec::new());
-                let width = quantize_pairs(View::of_slice(&img, (2, h, w)), 1, qp, &mut planes);
-                quantize_pairs(View::of_slice(&img[..w * h], (1, h, w)), 1, qp, &mut odd);
+                // Row 1 of both channels zero: their pair row is marked.
+                img[w..2 * w].fill(0.0);
+                img[w * h + w..w * h + 2 * w].fill(0.0);
+                let (mut planes, mut swapped) = (ConvBuffers::default(), ConvBuffers::default());
+                let (mut odd, mut haloed) = (ConvBuffers::default(), ConvBuffers::default());
+                let x = View::of_slice(&img, (2, h, w));
+                let width = quantize_pairs(x, 1, qp, &[0, 1], &mut planes);
+                quantize_pairs(x, 1, qp, &[1, 0], &mut swapped);
+                quantize_pairs(
+                    View::of_slice(&img[..w * h], (1, h, w)),
+                    1,
+                    qp,
+                    &[0],
+                    &mut odd,
+                );
                 let src = Planes::haloed(&img, (2, h, w), 1);
-                quantize_pairs(src.view(), 1, qp, &mut haloed);
-                assert_eq!(haloed, planes, "pair words from haloed planes, {case}");
-                let z = qp.zero_point;
+                quantize_pairs(src.view(), 1, qp, &[0, 1], &mut haloed);
+                assert_eq!(
+                    haloed.words, planes.words,
+                    "pair words from haloed planes, {case}"
+                );
+                let centred = |v| i16::from(saturating_cast_code(v, qp)) - i16::from(zero_point);
                 for y in 0..h + 2 {
                     for x in 0..w + 2 {
                         let at = y * width + x;
                         let inside = (1..=h).contains(&y) && (1..=w).contains(&x);
                         let i = (y.max(1) - 1) * w + x.max(1) - 1;
                         let (lo, hi) = match inside {
-                            true => (
-                                saturating_cast_code(img[i], qp),
-                                saturating_cast_code(img[w * h + i], qp),
-                            ),
-                            false => (z, z),
+                            true => (centred(img[i]), centred(img[w * h + i])),
+                            false => (0, 0),
                         };
                         let v = img[i];
-                        assert_eq!(halves(planes[at]), (lo, hi), "pair word at {v:e}, {case}");
-                        assert_eq!(halves(odd[at]), (lo, z), "odd word at {v:e}, {case}");
+                        let case = format!("at {v:e}, {case}");
+                        assert_eq!(halves(planes.words[at]), (lo, hi), "pair word {case}");
+                        assert_eq!(halves(swapped.words[at]), (hi, lo), "swapped word {case}");
+                        assert_eq!(halves(odd.words[at]), (lo, 0), "odd word {case}");
                     }
                 }
+                for b in [&planes, &swapped, &odd, &haloed] {
+                    let rows = b.words.chunks_exact(width);
+                    let want: Vec<bool> = rows.map(|r| r.iter().all(|&v| v == 0)).collect();
+                    assert_eq!(b.zero, want[..h + 2], "zero-row marks, {case}");
+                }
+                assert_eq!(planes.zero[..3], [true, false, true], "{case}");
             }
         }
     }
@@ -1130,7 +1169,50 @@ mod tests {
             pad: 1,
         };
         let weights = quantize_weights(&Tensor::zeros(&[1, 7_340 * 9]));
-        PackedQWeights::new(weights, shape);
+        PackedQWeights::new(weights, shape, &[]);
+    }
+
+    /// `y` of the one image `x` (`[1, c, side, side]`) through the
+    /// dispatched front and through the lowering, channels paired in
+    /// `order`, on the same plan; and whether the front skipped any tap.
+    fn front_and_lowering(
+        x: &Tensor,
+        (weights, bias): (&QuantizedWeights, &Tensor),
+        k: usize,
+        act: QuantParams,
+        order: &[usize],
+    ) -> (Vec<f32>, Vec<f32>, bool) {
+        let (_, c, side, _) = x.nchw();
+        let oc = weights.rows;
+        let shape = Conv2dShape {
+            in_channels: c,
+            out_channels: oc,
+            kernel: k,
+            stride: 1,
+            pad: k / 2,
+        };
+        let (words, dims) = (pack_words(weights, &shape, order), (c, side, side));
+        let plan = QPlan::new((weights, order, &words), bias.as_slice(), &shape, act, dims);
+        let (oh, ow) = shape.output_hw(side, side);
+        let (mut y, mut y0) = (vec![0.0; oc * oh * ow], vec![0.0; oc * oh * ow]);
+        let (x, out_dims) = (View::of_slice(x.as_slice(), dims), (oc, oh, ow));
+        let mut buf = ConvBuffers::default();
+        dispatch::qconv_item(&plan, x, Sink::plain(&mut y, out_dims), &mut buf);
+        let skipped = !buf.rows.is_empty();
+        qconv_item_lowered(&plan, x, Sink::plain(&mut y0, out_dims), &mut buf);
+        (y, y0, skipped)
+    }
+
+    #[track_caller]
+    fn assert_same_bits(got: &[f32], want: &[f32], case: &str) {
+        let isa = dispatch::isa();
+        for (j, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(
+                g.to_bits(),
+                w.to_bits(),
+                "y[{j}]: {isa} {g:e}, lowering {w:e} ({case})"
+            );
+        }
     }
 
     /// The dispatched front equals its baseline, the lowering, bit for bit
@@ -1140,7 +1222,6 @@ mod tests {
     /// ran).
     #[test]
     fn dispatched_int8_kernel_equals_the_lowering_bit_for_bit() {
-        let isa = dispatch::isa();
         let sites = [
             (1, 1, 1, 3),
             (3, 8, 3, 16),
@@ -1149,36 +1230,103 @@ mod tests {
             (16, 3, 1, 16),
         ];
         for (i, &(c, oc, k, side)) in sites.iter().enumerate() {
-            let shape = Conv2dShape {
-                in_channels: c,
-                out_channels: oc,
-                kernel: k,
-                stride: 1,
-                pad: k / 2,
-            };
             let seed = 500 + 10 * i as u64;
             let x = uniform(&[1, c, side, side], -1.0, 1.0, seed).map(|v| v.max(0.0));
             let weights = quantize_weights(&uniform(&[oc, c * k * k], -0.5, 0.5, seed + 1));
             let bias = uniform(&[oc], -0.5, 0.5, seed + 2);
             let act = QuantParams::from_range(0.0, 0.8);
-            let words = pack_words(&weights, &shape);
-            let dims = (c, side, side);
-            let plan = QPlan::new(&weights, &words, bias.as_slice(), &shape, act, dims);
-            let (oh, ow) = shape.output_hw(side, side);
-            let (mut y, mut y0) = (vec![0.0; oc * oh * ow], vec![0.0; oc * oh * ow]);
-            let (x, out_dims, words) = (
-                View::of_slice(x.as_slice(), dims),
-                (oc, oh, ow),
-                &mut vec![],
-            );
-            dispatch::qconv_item(&plan, x, Sink::plain(&mut y, out_dims), words);
-            qconv_item_lowered(&plan, x, Sink::plain(&mut y0, out_dims), words);
-            for (j, (g, w)) in y.iter().zip(&y0).enumerate() {
-                assert_eq!(
-                    g.to_bits(),
-                    w.to_bits(),
-                    "y[{j}]: {isa} {g:e}, lowering {w:e} (site {i}: {c} -> {oc}, {k}x{k}, {side}²)"
-                );
+            let order: Vec<usize> = (0..c).collect();
+            let (y, y0, _) = front_and_lowering(&x, (&weights, &bias), k, act, &order);
+            let case = format!("site {i}: {c} -> {oc}, {k}x{k}, {side}²");
+            assert_same_bits(&y, &y0, &case);
+        }
+    }
+
+    /// The front skips the taps whose pair row is all zero words and stays
+    /// the lowering bit for bit: odd and even channel counts, zero points
+    /// at both ends of the i8 range and in the middle (centred codes up to
+    /// ±255), identity, reversed and shuffled pair orders, 3×3 and 1×1
+    /// kernels, on dead channels and zero rows, rows whose one non-zero
+    /// cell sits at either end, a pair with one dead half, saturated codes,
+    /// NaN beside zero rows and an all-zero input (skipping), and an input
+    /// whose only zeros are the halo (dense). Each case asserts whether the
+    /// skip was taken (never on a CPU without AVX2, whose front is the
+    /// lowering).
+    #[test]
+    fn skipped_zero_pairs_equal_the_lowering_bit_for_bit() {
+        let front = dispatch::isa() != "baseline";
+        // Every third row of every channel zero, `dead` channels zero.
+        let zero_rows = |x: &mut [f32], side: usize, dead: &[usize]| {
+            for (i, v) in x.iter_mut().enumerate() {
+                let (ch, y) = (i / (side * side), i / side % side);
+                if dead.contains(&ch) || y % 3 == 0 {
+                    *v = 0.0;
+                }
+            }
+        };
+        let cases = [
+            ("dead channels and zero rows", true),
+            ("one cell at either end of a row", true),
+            ("a pair with one dead half", true),
+            ("saturated codes", true),
+            ("NaN beside zero rows", true),
+            ("all zero", true),
+            ("only the halo zero", false),
+        ];
+        // Scale, zero point, and the sign real values take.
+        let grids = [
+            (1.0 / 255.0, -128, 1.0),
+            (2.0 / 255.0, 0, 1.0),
+            (1.0 / 255.0, 127, -1.0),
+        ];
+        // `(c, oc, k, side)`: past `SPARSE_WORK`, rows ending in a short tile.
+        for (c, oc, k, side) in [(5, 9, 3, 61), (6, 9, 3, 61), (5, 72, 1, 61)] {
+            let shuffled = [4, 1, 5, 0, 2, 3].into_iter().filter(|&ch| ch < c);
+            let orders: [Vec<usize>; 3] =
+                [(0..c).collect(), (0..c).rev().collect(), shuffled.collect()];
+            let at = |ch: usize, y: usize, x: usize| (ch * side + y) * side + x;
+            for (i, &(name, skips)) in cases.iter().enumerate() {
+                for &(scale, zero_point, sign) in &grids {
+                    let seed = 6000 + 10 * i as u64 + c as u64;
+                    let x = uniform(&[1, c, side, side], -1.0, 1.0, seed).map(|v| v.max(0.0));
+                    let mut x = x.map(|v| sign * v);
+                    let v = x.as_mut_slice();
+                    match i {
+                        0 => zero_rows(v, side, &[1, 3]),
+                        1 => {
+                            v.fill(0.0);
+                            v[at(0, 2, 0)] = 0.7 * sign;
+                            v[at(2, side - 1, side - 1)] = 0.6 * sign;
+                            v[at(c - 1, side / 2, side - 1)] = 0.9 * sign;
+                            v[at(c - 1, side / 2 + 1, 0)] = 0.3 * sign;
+                        }
+                        2 => zero_rows(v, side, &[1]),
+                        3 => {
+                            zero_rows(v, side, &[]);
+                            v.iter_mut().for_each(|v| *v *= 1e3);
+                        }
+                        4 => {
+                            zero_rows(v, side, &[3]);
+                            v[at(0, 1, 3)] = f32::NAN;
+                            v[at(2, side - 2, side - 1)] = f32::NAN;
+                        }
+                        5 => v.fill(0.0),
+                        _ => v.iter_mut().for_each(|v| *v = sign * (0.25 + v.abs())),
+                    }
+                    let w = uniform(&[oc, c * k * k], -0.5, 0.5, seed + 1);
+                    let weights = quantize_weights(&w);
+                    let bias = uniform(&[oc], -0.5, 0.5, seed + 2);
+                    let act = QuantParams { scale, zero_point };
+                    for order in &orders {
+                        let ops = (&weights, &bias);
+                        let (y, y0, skipped) = front_and_lowering(&x, ops, k, act, order);
+                        let case = format!(
+                            "{name}, z {zero_point}, order {order:?}, {c} -> {oc}, {k}x{k}"
+                        );
+                        assert_eq!(skipped, skips && front, "skipped taps ({case})");
+                        assert_same_bits(&y, &y0, &case);
+                    }
+                }
             }
         }
     }
@@ -1197,10 +1345,8 @@ mod tests {
             pad: 1,
         };
         let x = uniform(&[1, c, side, side], -1.0, 1.0, 77);
-        let packed = PackedQWeights::new(
-            quantize_weights(&uniform(&[oc, c * 9], -0.5, 0.5, 78)),
-            shape,
-        );
+        let weights = quantize_weights(&uniform(&[oc, c * 9], -0.5, 0.5, 78));
+        let packed = PackedQWeights::new(weights, shape, &[]);
         let bias = uniform(&[oc], -0.5, 0.5, 79);
         let act = QuantParams::from_range(-1.0, 1.0);
         let want = crate::ops::relu(&qconv2d_packed(&x, &packed, &bias, act));

@@ -70,7 +70,7 @@ fn check_with(input: &Tensor, weight: &Tensor, s: &Conv2dShape, act: QuantParams
         &qconv2d(input, &weights, &bias, s, act),
         &want,
     );
-    let packed = PackedQWeights::new(weights, *s);
+    let packed = PackedQWeights::new(weights, *s, &[]);
     assert_same_bits(
         "qconv2d_packed",
         &case,

@@ -10,11 +10,14 @@
 //!    of each convolution's input (the only tensors that get quantized —
 //!    ReLU, max-pool, upsample, and concatenation run in f32 on the
 //!    dequantized activations, which costs little and keeps the skip
-//!    topology exact) before running the f32 convolution.
+//!    topology exact) and counts, per input channel, the rows that hold
+//!    only `±0`, before running the f32 convolution.
 //! 2. Each conv becomes a [`QConv`]: per-channel symmetric int8 weights,
 //!    packed as channel-pair words when the network is built (so a forward
-//!    pass packs nothing), plus the calibrated per-tensor input
-//!    `(scale, zero_point)`.
+//!    pass packs nothing), the channels that were zero most often paired
+//!    together (`PackedQWeights::new`: more all-zero pair rows for the
+//!    kernel to skip, the same bits in any order), plus the calibrated
+//!    per-tensor input `(scale, zero_point)`.
 //! 3. [`QuantizedUNet::forward`] runs the same walk as [`UNet::forward`]
 //!    in eval mode (dropout is identity), with a step that swaps
 //!    `conv2d_into` for `qconv2d_into`.
@@ -112,11 +115,13 @@ impl CalibrationSet {
     }
 }
 
-/// A running min/max observer for one activation tensor.
-#[derive(Clone, Copy, Debug)]
+/// A running min/max observer for one activation tensor, which also counts,
+/// per channel, the observed rows that hold only `±0`.
+#[derive(Clone, Debug)]
 struct Range {
     lo: f32,
     hi: f32,
+    zero_rows: Vec<usize>,
 }
 
 impl Range {
@@ -124,23 +129,33 @@ impl Range {
         Self {
             lo: f32::INFINITY,
             hi: f32::NEG_INFINITY,
+            zero_rows: Vec::new(),
         }
     }
 
-    /// Widens the range to the interior of `planes`.
+    /// Widens the range to the interior of `planes` and counts its zero
+    /// rows.
     fn observe(&mut self, planes: &Planes) {
         let (c, h, _) = planes.dims();
-        for v in (0..c * h).flat_map(|i| planes.row(i / h, i % h)) {
-            if *v < self.lo {
-                self.lo = *v;
-            }
-            if *v > self.hi {
-                self.hi = *v;
+        self.zero_rows.resize(c, 0);
+        for (ch, zero_rows) in self.zero_rows.iter_mut().enumerate() {
+            for y in 0..h {
+                let mut zero = true;
+                for v in planes.row(ch, y) {
+                    if *v < self.lo {
+                        self.lo = *v;
+                    }
+                    if *v > self.hi {
+                        self.hi = *v;
+                    }
+                    zero &= *v == 0.0;
+                }
+                *zero_rows += usize::from(zero);
             }
         }
     }
 
-    fn params(self) -> QuantParams {
+    fn params(&self) -> QuantParams {
         QuantParams::from_range(self.lo, self.hi)
     }
 }
@@ -156,9 +171,12 @@ pub struct QConv {
 }
 
 impl QConv {
-    fn build(conv: &Conv2d, range: Range) -> Self {
+    /// Channels are paired by how often calibration saw their rows zero
+    /// (`PackedQWeights::new`).
+    fn build(conv: &Conv2d, range: &Range) -> Self {
+        let weights = quantize_weights(&conv.weight().value);
         Self {
-            weights: PackedQWeights::new(quantize_weights(&conv.weight().value), *conv.shape()),
+            weights: PackedQWeights::new(weights, *conv.shape(), &range.zero_rows),
             bias: conv.bias().value.clone(),
             input_q: range.params(),
         }
@@ -354,7 +372,7 @@ impl UNet {
             config: cfg,
             convs: convs
                 .iter()
-                .zip(ranges)
+                .zip(&ranges)
                 .map(|(c, r)| QConv::build(c, r))
                 .collect(),
             transposed,

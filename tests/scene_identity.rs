@@ -130,6 +130,26 @@ fn scene_masks_are_bit_identical_to_the_recorded_parent() {
     );
 }
 
+/// A model's kept buffers (its walk's planes, the convolutions' packing,
+/// pair planes and tap plans) carry nothing from one scene to the next: a
+/// scene classifies to the same mask before and after scenes of other
+/// content, on both backends.
+#[test]
+fn a_scene_masks_the_same_before_and_after_other_scenes() {
+    let ckpt = trained_checkpoint();
+    let scene = cloudy_scene(41);
+    let others = [generate(&SceneConfig::tiny(256), 5).rgb, cloudy_scene(42)];
+    for backend in [InferBackend::F32, InferBackend::Int8] {
+        let mut model = restore_backend(&ckpt, backend, 64).expect("restores");
+        let before = classify_scene_with(&mut model, &scene, 64, true).mask;
+        for other in &others {
+            classify_scene_with(&mut model, other, 64, true);
+        }
+        let after = classify_scene_with(&mut model, &scene, 64, true).mask;
+        assert!(before == after, "{backend} mask moved after other scenes");
+    }
+}
+
 #[test]
 fn predict_into_masks_are_bit_identical_to_the_recorded_parent() {
     let ckpt = trained_checkpoint();
